@@ -4,7 +4,7 @@
 
 use bfq_core::synth::{chain_block, ChainSpec};
 use bfq_core::{optimize_bare_block, BloomMode, OptimizerConfig};
-use bfq_exec::execute_plan;
+use bfq_exec::{execute_plan, ExecOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -27,8 +27,12 @@ fn bench_join(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| {
                 black_box(
-                    execute_plan(black_box(&planned.plan), catalog.clone(), config.dop)
-                        .expect("execute"),
+                    execute_plan(
+                        black_box(&planned.plan),
+                        catalog.clone(),
+                        ExecOptions::with_dop(config.dop),
+                    )
+                    .expect("execute"),
                 )
             })
         });

@@ -9,7 +9,7 @@
 use bfq_bench::harness::JsonReport;
 use bfq_core::synth::running_example;
 use bfq_core::{optimize_bare_block, BloomMode, OptimizerConfig};
-use bfq_exec::execute_plan;
+use bfq_exec::{execute_plan, ExecOptions};
 use std::sync::Arc;
 
 fn main() {
@@ -32,7 +32,12 @@ fn main() {
         let out =
             optimize_bare_block(&fx.block, &mut fx.bindings, &catalog, &config).expect("optimize");
         let t = std::time::Instant::now();
-        let result = execute_plan(&out.plan, catalog.clone(), config.dop).expect("execute");
+        let result = execute_plan(
+            &out.plan,
+            catalog.clone(),
+            ExecOptions::with_dop(config.dop),
+        )
+        .expect("execute");
         let ms = t.elapsed().as_secs_f64() * 1e3;
         println!("## {label}\n");
         println!("{}", out.plan.explain(&|c| c.to_string()));

@@ -1,30 +1,25 @@
-//! **E13 — Hash-join probe throughput: the seed's chained-map table vs the
-//! flat open-addressing table with batched probe kernels.**
+//! **E13 — Hash-join probe throughput of the flat open-addressing table
+//! with batched probe kernels.**
 //!
-//! Two series at three build sizes (64 KiB cache-resident, 1 MiB L2-edge,
-//! 16 MiB beyond L2; 8-byte keys), each under two duplicate distributions:
+//! Three build sizes (64 KiB cache-resident, 1 MiB L2-edge, 16 MiB beyond
+//! L2; 8-byte keys), each under two duplicate distributions, probed
+//! through the production path: the power-of-two `(hash, head)` directory
+//! with linear probing and a contiguous chain arena — one columnar
+//! `hash_keys_into` pass, a branch-free directory lookup over the hash
+//! column, in-order chain expansion, then typed columnar key
+//! verification, all through one reused `MorselScratch`.
 //!
-//! * **chained / row-at-a-time** — the seed path this PR replaces:
-//!   `HashMap<u64, Vec<u32>>` (one heap `Vec` per distinct key, SipHash
-//!   re-hash of the already-hashed key on every lookup), per-row candidate
-//!   scan and scalar `rows_match` verification;
-//! * **flat / batched** — the power-of-two `(hash, head)` directory with
-//!   linear probing and a contiguous chain arena: one columnar
-//!   `hash_keys_into` pass, a branch-free directory lookup over the hash
-//!   column, in-order chain expansion, then typed columnar key
-//!   verification — all through one reused `MorselScratch`.
+//! Skews: **low** (all build keys distinct — the high-cardinality case)
+//! and **high** (16 rows per key, so probing is chain-walk-bound).
 //!
-//! Skews: **low** (all build keys distinct — the high-cardinality case the
-//! acceptance bar gates at ≥ 1.5x) and **high** (16 rows per key, so
-//! probing is chain-walk-bound and both paths touch the same duplicates).
+//! The emitted (probe, build) pair sequence must be the one the workload
+//! defines in closed form (ascending probe row, then ascending build row);
+//! its checksum is asserted in-process and the pair count gated exactly in
+//! CI. Part two runs the join-heaviest TPC-H queries (Q5, Q9, Q18) end to
+//! end under both `bloom_layout` settings; results must be identical.
 //!
-//! Both paths must emit the *identical* (probe, build) pair sequence; the
-//! pair-sequence checksum is asserted in-process and gated exactly in CI.
-//! Part two runs the join-heaviest TPC-H queries (Q5, Q9, Q18) end to end
-//! under both `bloom_layout` settings; results must be identical.
-//!
-//! With `--json`, pair counts, pair checksums and the ≥ 1.5x acceptance
-//! bit gate in CI; `*_ms` timings and speedup ratios trend only.
+//! With `--json`, pair counts and result checksums gate in CI; `*_ms`
+//! timings trend only.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,8 +27,8 @@ use std::time::Instant;
 use bfq_bench::harness::{measure_tpch, result_checksum, BenchEnv, JsonReport};
 use bfq_bloom::BloomLayout;
 use bfq_core::BloomMode;
-use bfq_exec::join::{BuildTable, ChainedTable};
-use bfq_exec::util::{hash_keys_into, keys_null, rows_match, MorselScratch, JOIN_SEED};
+use bfq_exec::join::BuildTable;
+use bfq_exec::util::{hash_keys_into, MorselScratch, JOIN_SEED};
 use bfq_storage::{Chunk, Column};
 
 const CHUNK_ROWS: usize = 8192;
@@ -63,40 +58,25 @@ fn probe_chunks(n_keys: i64, total_probes: usize) -> Vec<Chunk> {
         .collect()
 }
 
-/// Order-sensitive FNV-style fold over the emitted (probe, build) pairs —
-/// both paths must produce the same value bit for bit.
+/// Order-sensitive FNV-style fold over the emitted (probe, build) pairs.
 #[inline]
 fn fold_pair(cs: u64, p: u32, b: u32) -> u64 {
     (cs ^ ((p as u64) << 32 | b as u64)).wrapping_mul(0x100_0000_01b3)
 }
 
-/// The seed's probe path: per-row map lookup + scalar key verification.
-/// Returns (pairs, checksum, ms).
-fn run_chained(table: &ChainedTable, chunks: &[Chunk], repeats: usize) -> (u64, u64, f64) {
+/// What [`probe_chunks`] over a build side of `dup` rows per key (row `b`
+/// holds key `b % n_keys`) must emit: every member probe row, in order,
+/// paired with its build rows in ascending order. Returns (pairs, checksum).
+fn expected_pairs(n_keys: usize, dup: usize, total_probes: usize) -> (u64, u64) {
     let (mut pairs, mut checksum) = (0u64, 0u64);
-    let mut hashes = Vec::new();
-    let mut tmp = Vec::new();
-    let start = Instant::now();
-    for _ in 0..repeats {
-        pairs = 0;
-        checksum = 0;
-        for chunk in chunks {
-            hash_keys_into(chunk, &[0], JOIN_SEED, &mut tmp, &mut hashes);
-            for (i, &hash) in hashes.iter().enumerate() {
-                if keys_null(chunk, &[0], i) {
-                    continue;
-                }
-                for &bi in table.candidates(hash) {
-                    if rows_match(chunk, &[0], i, &table.chunk, &table.key_slots, bi as usize) {
-                        pairs += 1;
-                        checksum = fold_pair(checksum, i as u32, bi);
-                    }
-                }
-            }
+    for g in (0..total_probes).step_by(2) {
+        let key = (g / 2) % n_keys;
+        for d in 0..dup {
+            pairs += 1;
+            checksum = fold_pair(checksum, (g % CHUNK_ROWS) as u32, (key + d * n_keys) as u32);
         }
     }
-    let ms = start.elapsed().as_secs_f64() * 1e3 / repeats as f64;
-    (pairs, checksum, ms)
+    (pairs, checksum)
 }
 
 /// The batched path: directory lookup + chain expansion + columnar
@@ -177,15 +157,12 @@ fn main() {
     let mut json = JsonReport::from_args("fig_join_probe_throughput");
     json.add("sf", env.sf);
 
-    println!("# Join probe throughput — chained map (seed) vs flat directory (batched)");
+    println!("# Join probe throughput — flat directory, batched probe kernels");
     println!(
-        "\n{:<8} {:<6} {:>10} {:>12} {:>12} {:>9}",
-        "build", "skew", "rows", "chain Mp/s", "flat Mp/s", "flat/ch"
+        "\n{:<8} {:<6} {:>10} {:>12}",
+        "build", "skew", "rows", "flat Mp/s"
     );
 
-    // ≥ 1.5x on the high-cardinality (low-skew) microbench is the
-    // acceptance bar; track the worst low-skew ratio across sizes.
-    let mut min_lowskew_speedup = f64::INFINITY;
     for (label, build_rows) in [
         ("64kib", 1usize << 13),
         ("1mib", 1 << 17),
@@ -198,47 +175,28 @@ fn main() {
             let chunks = probe_chunks(n_keys as i64, total_probes);
             let repeats = if build_rows >= 1 << 21 { 2 } else { 4 };
 
-            let flat =
-                BuildTable::build_with_ndv(int_chunk(build_vals.clone()), vec![0], Some(n_keys));
-            let chained = ChainedTable::build(int_chunk(build_vals), vec![0]);
-            let (cp, ccs, cms) = run_chained(&chained, &chunks, repeats);
-            let (fp, fcs, fms) = run_flat(&flat, &chunks, repeats);
-            assert_eq!(cp, fp, "{label}/{skew}: pair counts diverge");
-            assert_eq!(ccs, fcs, "{label}/{skew}: pair sequences diverge");
+            let flat = BuildTable::build_with_ndv(int_chunk(build_vals), vec![0], Some(n_keys));
+            let (pairs, checksum, ms) = run_flat(&flat, &chunks, repeats);
             // Half the probes are members; each matches `dup` build rows.
             assert_eq!(
-                cp,
-                (total_probes / 2 * dup) as u64,
-                "{label}/{skew}: workload drifted"
+                (pairs, checksum),
+                expected_pairs(n_keys, dup, total_probes),
+                "{label}/{skew}: pair sequence diverges from the workload's definition"
             );
 
-            let speedup = cms / fms;
-            if dup == 1 {
-                min_lowskew_speedup = min_lowskew_speedup.min(speedup);
-            }
             let tag = format!("{label}_{skew}");
-            json.add(&format!("{tag}_chained_ms"), cms);
-            json.add(&format!("{tag}_flat_ms"), fms);
-            json.add(&format!("{tag}_speedup_ms"), speedup);
+            json.add(&format!("{tag}_flat_ms"), ms);
             // Deterministic for the fixed workload: gate exactly.
-            json.add(&format!("{tag}_pairs_checksum"), cp as f64);
+            json.add(&format!("{tag}_pairs_checksum"), pairs as f64);
             println!(
-                "{:<8} {:<6} {:>10} {:>12.1} {:>12.1} {:>8.2}x",
+                "{:<8} {:<6} {:>10} {:>12.1}",
                 label,
                 skew,
                 build_rows,
-                total_probes as f64 / 1e3 / cms,
-                total_probes as f64 / 1e3 / fms,
-                speedup
+                total_probes as f64 / 1e3 / ms
             );
         }
     }
-    // The acceptance gate: 1 iff every high-cardinality size cleared 1.5x.
-    json.add(
-        "flat_beats_chained_1p5x",
-        if min_lowskew_speedup >= 1.5 { 1.0 } else { 0.0 },
-    );
-    println!("\nworst high-cardinality speedup: {min_lowskew_speedup:.2}x (gate: >= 1.5x)");
 
     // End-to-end: the join-heaviest TPC-H queries under both layouts.
     let catalog = env.load_db();

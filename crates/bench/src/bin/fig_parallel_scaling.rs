@@ -3,7 +3,7 @@
 //! aggregation- (Q1), join- (Q5), and Top-N-heavy (Q18) TPC-H queries.
 //!
 //! `strict` pins every order-sensitive sink to morsel sequence order
-//! (bit-identical to the eager executor); `fast` unclamps them — workers
+//! (bit-exact run to run at a fixed dop); `fast` unclamps them — workers
 //! fold partial aggregates, bounded sorted runs, and streamed exchange
 //! buckets that merge in worker order at seal. Both modes run the *same
 //! optimized plan*; the bin asserts their results are equal as normalized

@@ -6,7 +6,7 @@ use std::time::Instant;
 use bfq_catalog::Catalog;
 use bfq_common::Result;
 use bfq_core::{optimize, BloomLayout, BloomMode, IndexMode, OptimizedQuery, OptimizerConfig};
-use bfq_exec::{execute_plan_pipelined_cfg, ExecOptions, ExecStats};
+use bfq_exec::{execute_plan, ExecOptions, ExecStats};
 use bfq_plan::Bindings;
 use bfq_sql::plan_sql;
 use bfq_storage::Chunk;
@@ -107,7 +107,7 @@ fn timed_exec(
     config: &OptimizerConfig,
 ) -> Result<(bfq_exec::QueryOutput, f64)> {
     let t = Instant::now();
-    let out = execute_plan_pipelined_cfg(
+    let out = execute_plan(
         &planned.plan,
         catalog.clone(),
         ExecOptions {

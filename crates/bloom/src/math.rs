@@ -24,8 +24,9 @@ pub const BLOCK_BITS: usize = 512;
 ///
 /// `Blocked` is the default: with the probe path bandwidth-shaped, the
 /// one-miss-per-probe layout wins end to end and the estimator's FPR math
-/// follows it. `Standard` stays selectable (`SET bloom_layout = standard`)
-/// and remains the equivalence-test oracle.
+/// follows it. `Standard` stays selectable (`SET bloom_layout = standard`);
+/// a layout changes which rows a filter lets through by mistake, never a
+/// query's result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BloomLayout {
     /// Uniform bit placement over the whole array.
@@ -44,7 +45,7 @@ impl BloomLayout {
         }
     }
 
-    /// All layouts, oracle first (`standard` is the equivalence oracle).
+    /// All layouts.
     pub const ALL: [BloomLayout; 2] = [BloomLayout::Standard, BloomLayout::Blocked];
 }
 

@@ -6,9 +6,11 @@
 //! identical results — the knob only chooses *which* deterministic order:
 //!
 //! * [`Determinism::Strict`] (the default): sinks consume morsel outputs
-//!   in the eager executor's sequence order, so results are bit-identical
-//!   to the eager oracle — including float accumulation order. This is the
-//!   correctness baseline every other mode is tested against.
+//!   in morsel-sequence order (partition-major), so results — float
+//!   accumulation order included — are bit-exact run to run at a fixed
+//!   (query, data, dop), and equal to the reference interpreter
+//!   (`bfq-ref`) as a normalized multiset. This is the baseline `fast` is
+//!   tested against.
 //! * [`Determinism::Fast`]: morsels are assigned to workers round-robin
 //!   and each worker folds a private partial state (aggregate hash table,
 //!   sorted runs, repartition buckets) merged at seal in worker-index
@@ -24,11 +26,13 @@ use crate::error::BfqError;
 /// How much ordering the pipeline's sinks and exchanges preserve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Determinism {
-    /// Bit-identical to the eager executor (sequence-ordered sinks).
+    /// Sequence-ordered sinks: bit-exact run to run at a fixed (query,
+    /// data, dop); equal to the reference interpreter as a normalized
+    /// multiset.
     #[default]
     Strict,
     /// Per-worker partial states merged at seal: same row set, stable
-    /// run-to-run order at fixed DOP, but not the eager executor's order.
+    /// run-to-run order at fixed DOP, but not strict mode's order.
     Fast,
 }
 

@@ -157,13 +157,14 @@ pub struct OptimizerConfig {
     pub index_mode: IndexMode,
     /// Bit-placement layout for runtime Bloom filters: `blocked` (both
     /// bits in one 64-byte block, one miss per probe — the default) or
-    /// `standard` (uniform bits, two cache misses per probe — kept as the
-    /// equivalence oracle). The estimator's FPR math follows the layout,
+    /// `standard` (uniform bits, two cache misses per probe). Results are
+    /// the same under either. The estimator's FPR math follows the layout,
     /// and the knob participates in the plan-cache fingerprint.
     pub bloom_layout: BloomLayout,
     /// How much ordering the executor's sinks and exchanges preserve:
-    /// `strict` (bit-identical to the eager executor, the default and the
-    /// equivalence oracle) or `fast` (per-worker partial aggregation,
+    /// `strict` (the default: bit-exact run to run at a fixed (query, data,
+    /// dop); equal to the reference interpreter as a normalized multiset)
+    /// or `fast` (per-worker partial aggregation,
     /// partial-sort merge and streamed exchanges — same row set, stable
     /// run-to-run order at fixed DOP). Participates in the plan-cache
     /// fingerprint like every other knob.

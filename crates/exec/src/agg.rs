@@ -180,10 +180,8 @@ struct GroupState {
 /// [`AggState::update`], then [`AggState::finish`].
 ///
 /// Group output order is first-seen row order across the fed chunks, and
-/// float accumulation happens in exact row order — so feeding the chunks
-/// of a gathered input one by one (the morsel pipeline) produces the
-/// bit-identical result of feeding their concatenation at once (the eager
-/// executor).
+/// float accumulation happens in exact row order — so the result depends
+/// only on the sequence of rows fed, not on how they are cut into chunks.
 pub struct AggState {
     input_layout: Layout,
     group_by: Vec<OutputColumn>,
@@ -398,19 +396,4 @@ impl AggState {
         }
         Ok(out)
     }
-}
-
-/// Execute hash aggregation over a single gathered chunk.
-pub fn execute_agg(
-    input: &Chunk,
-    input_layout: &Layout,
-    input_types: &[DataType],
-    group_by: &[OutputColumn],
-    aggs: &[AggExpr],
-    having: &Option<Expr>,
-    out_layout: &Layout,
-) -> Result<Chunk> {
-    let mut state = AggState::new(input_layout, input_types, group_by, aggs)?;
-    state.update(input)?;
-    state.finish(having, out_layout)
 }

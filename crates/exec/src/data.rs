@@ -214,10 +214,9 @@ pub struct ExecStats {
     /// Observed per-filter probe pass counts, keyed by raw `FilterId`.
     filter_obs: Mutex<HashMap<u32, FilterObservation>>,
     /// Currently buffered rows across every inter-operator buffer of the
-    /// query. The eager executor counts each operator's full output as
-    /// buffered until its parent finishes; the morsel pipeline counts only
-    /// the chunks resident in its bounded reorder windows — making the
-    /// materialization difference observable.
+    /// query: the chunks resident in the pipeline's bounded reorder
+    /// windows plus every breaker's sealed input, so what a plan
+    /// materializes at once is observable.
     buffered_now: AtomicU64,
     /// Peak of `buffered_now` over the query's lifetime.
     buffered_peak: AtomicU64,

@@ -1,24 +1,23 @@
-//! The plan interpreter: recursive execution with build-before-probe
-//! ordering, runtime Bloom filter construction, and per-node row accounting.
+//! Per-query execution state ([`ExecOptions`], [`ExecContext`],
+//! [`QueryOutput`]) and the blocking-operator kernels the morsel pipeline
+//! seals its breakers with: hash-join build sides with their runtime Bloom
+//! filters, semijoin-program reducers, sort and sorted-run merge.
 
 use std::sync::Arc;
 
 use bfq_bloom::strategy::{build_filter, StreamingStrategy};
 use bfq_bloom::{BloomLayout, FilterHub};
 use bfq_catalog::Catalog;
-use bfq_common::{BfqError, CancelToken, DataType, Datum, Determinism, Result};
+use bfq_common::{BfqError, CancelToken, DataType, Determinism, Result};
 use bfq_expr::{eval, Layout};
 use bfq_index::IndexMode;
 use bfq_plan::{Distribution, ExchangeKind, PhysicalNode, PhysicalPlan};
 use bfq_storage::{Chunk, Column};
 
-use crate::agg::execute_agg;
 use crate::data::{ExecStats, PartitionedData};
-use crate::exchange;
-use crate::join::{hash_join_probe, merge_join, nestloop_join, BuildTable};
+use crate::join::BuildTable;
 use crate::parallel::par_map;
-use crate::scan::{execute_derived_scan, execute_filter, execute_scan};
-use crate::util::{col_cmp, expr_types, slots_for, substitute_placeholder};
+use crate::util::{col_cmp, slots_for};
 
 /// Per-query execution knobs, mirroring the plan-affecting runtime fields
 /// of the optimizer config (which lives upstream and is not a dependency
@@ -32,8 +31,9 @@ pub struct ExecOptions {
     /// Bit-placement layout for runtime Bloom filters.
     pub bloom_layout: BloomLayout,
     /// How much ordering the pipeline's sinks and exchanges preserve
-    /// (`strict` = bit-identical to the eager executor; `fast` =
-    /// per-worker partial states merged at seal).
+    /// (`strict` = bit-exact run to run at a fixed (query, data, dop),
+    /// equal to the reference interpreter as a normalized multiset;
+    /// `fast` = per-worker partial states merged at seal).
     pub determinism: Determinism,
     /// Reorder-window size *per worker* (in morsels) for strict-mode
     /// sequence-ordered sinks; the window may still grow adaptively under
@@ -154,18 +154,6 @@ impl ExecContext {
         }
         Ok(())
     }
-
-    /// Builder-style index-mode override.
-    pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
-        self.index_mode = mode;
-        self
-    }
-
-    /// Builder-style Bloom-layout override.
-    pub fn with_bloom_layout(mut self, layout: BloomLayout) -> Self {
-        self.bloom_layout = layout;
-        self
-    }
 }
 
 /// A finished query: one result chunk plus runtime statistics.
@@ -174,275 +162,6 @@ pub struct QueryOutput {
     pub chunk: Chunk,
     /// Actual row counts per plan node id.
     pub stats: ExecStats,
-}
-
-/// Execute a plan to completion with the default [`IndexMode`].
-pub fn execute_plan(
-    plan: &Arc<PhysicalPlan>,
-    catalog: Arc<Catalog>,
-    dop: usize,
-) -> Result<QueryOutput> {
-    execute_plan_opts(plan, catalog, dop, IndexMode::default())
-}
-
-/// Execute a plan to completion under an explicit [`IndexMode`].
-pub fn execute_plan_opts(
-    plan: &Arc<PhysicalPlan>,
-    catalog: Arc<Catalog>,
-    dop: usize,
-    index_mode: IndexMode,
-) -> Result<QueryOutput> {
-    execute_plan_cfg(
-        plan,
-        catalog,
-        ExecOptions {
-            dop,
-            index_mode,
-            ..Default::default()
-        },
-    )
-}
-
-/// Execute a plan to completion under explicit [`ExecOptions`].
-pub fn execute_plan_cfg(
-    plan: &Arc<PhysicalPlan>,
-    catalog: Arc<Catalog>,
-    options: ExecOptions,
-) -> Result<QueryOutput> {
-    let ctx = ExecContext::with_options(catalog, options);
-    let data = execute(plan, &ctx)?;
-    let chunk = data.into_single_chunk()?;
-    Ok(QueryOutput {
-        chunk,
-        stats: ctx.stats,
-    })
-}
-
-/// Recursively execute one node. When the node carries a semijoin-program
-/// [`bfq_plan::FilterSchedule`] (only ever the query root), its reducer
-/// steps run first, in order, so every scheduled filter is published
-/// before any probe scan waits on it.
-pub fn execute(plan: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<PartitionedData> {
-    if let Some(schedule) = &plan.schedule {
-        for step in &schedule.steps {
-            let data = execute(step, ctx)?;
-            // Step outputs exist only to seed reducers; release them.
-            ctx.stats.buffer_shrink(data.total_rows() as u64);
-        }
-    }
-    let out = match &plan.node {
-        // One synthetic zero-column row (FROM-less selects).
-        PhysicalNode::OneRow => PartitionedData {
-            types: vec![],
-            partitions: vec![vec![Chunk::of_rows(1)]],
-        },
-        PhysicalNode::Scan {
-            base,
-            rel_id,
-            projection,
-            predicate,
-            blooms,
-            ..
-        } => execute_scan(ctx, plan.id, *base, *rel_id, projection, predicate, blooms)?,
-        PhysicalNode::DerivedScan {
-            input,
-            rel_id,
-            predicate,
-            blooms,
-            ..
-        } => {
-            let input_data = execute(input, ctx)?;
-            execute_derived_scan(ctx, input_data, *rel_id, predicate, blooms)?
-        }
-        PhysicalNode::Filter { input, predicate } => {
-            let data = execute(input, ctx)?;
-            execute_filter(data, &input.layout, predicate)?
-        }
-        PhysicalNode::Exchange { input, kind } => {
-            let data = execute(input, ctx)?;
-            match kind {
-                ExchangeKind::Gather => exchange::gather(data),
-                ExchangeKind::Broadcast => exchange::broadcast(data, ctx.dop),
-                ExchangeKind::Repartition(cols) => {
-                    exchange::repartition(data, &input.layout, cols, ctx.dop)?
-                }
-            }
-        }
-        PhysicalNode::HashJoin {
-            outer,
-            inner,
-            kind,
-            keys,
-            extra,
-            builds,
-        } => {
-            // Build side first (paper §3.9: filters must be fully built
-            // before the probe side's scans may proceed).
-            let inner_data = execute(inner, ctx)?;
-            let sealed = seal_build_side(ctx, outer, inner, keys, builds, inner_data)?;
-
-            // Now the probe side may run (its scans can fetch the filters).
-            let outer_data = execute(outer, ctx)?;
-            let okeys: Vec<_> = keys.iter().map(|(o, _)| *o).collect();
-            let probe_slots = slots_for(&outer.layout, &okeys)?;
-            let joined_layout = outer.layout.concat(&inner.layout);
-            hash_join_probe(
-                &outer_data,
-                &sealed.tables,
-                &probe_slots,
-                *kind,
-                extra,
-                &joined_layout,
-                &sealed.inner_types,
-                &ctx.stats,
-            )?
-        }
-        PhysicalNode::MergeJoin {
-            outer,
-            inner,
-            kind,
-            keys,
-            extra,
-        } => {
-            let inner_data = execute(inner, ctx)?;
-            let outer_data = execute(outer, ctx)?;
-            let okeys: Vec<_> = keys.iter().map(|(o, _)| *o).collect();
-            let ikeys: Vec<_> = keys.iter().map(|(_, i)| *i).collect();
-            let outer_slots = slots_for(&outer.layout, &okeys)?;
-            let inner_slots = slots_for(&inner.layout, &ikeys)?;
-            let joined_layout = outer.layout.concat(&inner.layout);
-            merge_join(
-                &outer_data,
-                &inner_data,
-                &outer_slots,
-                &inner_slots,
-                *kind,
-                extra,
-                &joined_layout,
-            )?
-        }
-        PhysicalNode::NestLoopJoin {
-            outer,
-            inner,
-            kind,
-            predicate,
-        } => {
-            let inner_data = execute(inner, ctx)?;
-            let outer_data = execute(outer, ctx)?;
-            let joined_layout = outer.layout.concat(&inner.layout);
-            nestloop_join(&outer_data, &inner_data, *kind, predicate, &joined_layout)?
-        }
-        PhysicalNode::Project { input, exprs } => {
-            let data = execute(input, ctx)?;
-            let expr_refs: Vec<&bfq_expr::Expr> = exprs.iter().map(|e| &e.expr).collect();
-            let types = expr_types(&expr_refs, &input.layout, &data.types)?;
-            let partitions = par_map(data.num_partitions(), |p| {
-                let mut out = Vec::new();
-                for chunk in &data.partitions[p] {
-                    let cols: Vec<_> = exprs
-                        .iter()
-                        .map(|e| eval(&e.expr, chunk, &input.layout).map(Arc::new))
-                        .collect::<Result<_>>()?;
-                    out.push(Chunk::new(cols)?);
-                }
-                Ok(out)
-            })?;
-            PartitionedData { types, partitions }
-        }
-        PhysicalNode::HashAgg {
-            input,
-            group_by,
-            aggs,
-            having,
-            ..
-        } => {
-            let data = execute(input, ctx)?;
-            let input_types = data.types.clone();
-            let single = exchange::gather(data).partition_chunk(0)?;
-            let out = execute_agg(
-                &single,
-                &input.layout,
-                &input_types,
-                group_by,
-                aggs,
-                having,
-                &plan.layout,
-            )?;
-            let types = (0..out.width())
-                .map(|i| out.column(i).data_type())
-                .collect();
-            PartitionedData {
-                types,
-                partitions: vec![vec![out]],
-            }
-        }
-        PhysicalNode::Sort { input, keys, limit } => {
-            let data = execute(input, ctx)?;
-            let types = data.types.clone();
-            let chunk = exchange::gather(data).partition_chunk(0)?;
-            let sorted = sort_chunk(&chunk, &input.layout, keys, *limit)?;
-            PartitionedData {
-                types,
-                partitions: vec![vec![sorted]],
-            }
-        }
-        PhysicalNode::Limit { input, n } => {
-            let data = execute(input, ctx)?;
-            let types = data.types.clone();
-            let chunk = exchange::gather(data).partition_chunk(0)?;
-            let keep = (*n).min(chunk.rows());
-            let sel: Vec<u32> = (0..keep as u32).collect();
-            PartitionedData {
-                types,
-                partitions: vec![vec![chunk.take(&sel)]],
-            }
-        }
-        PhysicalNode::SemijoinReduce {
-            input,
-            filter,
-            key,
-            expected_ndv,
-            ..
-        } => {
-            let data = execute(input, ctx)?;
-            publish_reducer(ctx, &input.layout, &data, *filter, *key, *expected_ndv)?;
-            data
-        }
-        PhysicalNode::ScalarSubst {
-            input,
-            subquery,
-            pred,
-            placeholder,
-        } => {
-            let sub = execute(subquery, ctx)?;
-            let sub_chunk = exchange::gather(sub).partition_chunk(0)?;
-            let value = if sub_chunk.rows() == 0 {
-                Datum::Null
-            } else {
-                sub_chunk.column(0).get(0)
-            };
-            let concrete = substitute_placeholder(pred, *placeholder, &value);
-            let data = execute(input, ctx)?;
-            execute_filter(data, &input.layout, &concrete)?
-        }
-    };
-
-    // Record actual (logical) rows: broadcast replicates physically, so we
-    // count one copy.
-    let logical_rows = logical_rows_of(&plan.node, &out);
-    ctx.stats.record(plan.id, logical_rows);
-    // Buffer accounting: this node's output is now materialized; its
-    // children's outputs (still resident until this moment) are released.
-    // The high-water mark this produces is what the morsel pipeline's
-    // bounded windows are measured against.
-    let child_rows: u64 = plan
-        .children()
-        .iter()
-        .filter_map(|c| ctx.stats.actual(c.id))
-        .sum();
-    ctx.stats.buffer_grow(logical_rows);
-    ctx.stats.buffer_shrink(child_rows);
-    Ok(out)
 }
 
 /// Logical row count of a node's output (broadcast counts one copy).
@@ -476,8 +195,7 @@ pub(crate) struct SealedBuild {
 
 /// Concatenate and index a hash join's build side, then build and publish
 /// its planned Bloom filters (choosing the §3.9 streaming strategy from
-/// the plan shape). Shared by the eager executor and the morsel pipeline —
-/// in both, this must complete before the probe side's scans run.
+/// the plan shape). This must complete before the probe side's scans run.
 pub(crate) fn seal_build_side(
     ctx: &ExecContext,
     outer: &Arc<PhysicalPlan>,
@@ -577,9 +295,8 @@ pub(crate) fn seal_build_side(
 }
 
 /// Build a scheduled reducer's Bloom filter from a step's output and
-/// publish it to the hub. Shared by the eager executor and the morsel
-/// pipeline; like a hash join's builds, the reducer seals exactly once
-/// per query, before any scan that applies it runs.
+/// publish it to the hub. Like a hash join's builds, the reducer seals
+/// exactly once per query, before any scan that applies it runs.
 pub(crate) fn publish_reducer(
     ctx: &ExecContext,
     layout: &Layout,

@@ -12,12 +12,7 @@
 //! key-verification kernel that compacts the pair selection vectors in
 //! place. All buffers come from the worker's [`MorselScratch`], so
 //! steady-state probing allocates nothing.
-//!
-//! [`ChainedTable`] keeps the seed's `HashMap<u64, Vec<u32>>` design as the
-//! scalar oracle for equivalence tests and the `fig_join_probe_throughput`
-//! bench comparison.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bfq_common::{BfqError, DataType, Result};
@@ -28,7 +23,7 @@ use bfq_storage::{Chunk, Column};
 use crate::data::PartitionedData;
 use crate::parallel::par_map;
 use crate::util::{
-    col_cmp, col_eq, hash_keys, hash_keys_into, keys_null, rows_match, MorselScratch, JOIN_SEED,
+    col_cmp, col_eq, hash_keys, hash_keys_into, keys_null, MorselScratch, JOIN_SEED,
 };
 
 /// Sentinel for "no row": empty directory slots and chain ends.
@@ -124,7 +119,7 @@ impl BuildTable {
         };
         // Reverse insertion order: chains are built head-first, so walking
         // `head, next[head], …` at probe time yields ascending build-row
-        // order — the same candidate order the seed's chained map emitted.
+        // order, which makes the pair sequence a function of the data alone.
         for i in (0..rows).rev() {
             if keys_may_be_null && keys_null(&table.chunk, &table.key_slots, i) {
                 continue;
@@ -223,8 +218,8 @@ impl BuildTable {
     }
 
     /// Expand chain heads into candidate `(probe, build)` pairs, in probe
-    /// order with each chain in ascending build-row order — exactly the
-    /// pair sequence the seed's per-row candidate scan produced.
+    /// order with each chain in ascending build-row order — once verified,
+    /// the pair sequence a nested loop over (probe row, build row) yields.
     pub fn expand_pairs(&self, heads: &[u32], probe_sel: &mut Vec<u32>, build_sel: &mut Vec<u32>) {
         for (i, &head) in heads.iter().enumerate() {
             let mut b = head;
@@ -236,8 +231,8 @@ impl BuildTable {
         }
     }
 
-    /// Candidate build rows for one probe hash (scalar path for tests and
-    /// oracles; production probing uses [`BuildTable::lookup_heads`]).
+    /// Candidate build rows for one probe hash (scalar path for tests;
+    /// production probing uses [`BuildTable::lookup_heads`]).
     pub fn candidates_scalar(&self, hash: u64, out: &mut Vec<u32>) {
         out.clear();
         if self.len == 0 {
@@ -279,50 +274,6 @@ impl BuildTable {
     /// Directory slots allocated (capacity; a power of two).
     pub fn directory_slots(&self) -> usize {
         self.dir_head.len()
-    }
-}
-
-/// The seed's chained-map join table (`HashMap<u64, Vec<u32>>` with a
-/// per-key `Vec` allocation), retained as the scalar oracle for the flat
-/// table's property tests and the `fig_join_probe_throughput` comparison.
-pub struct ChainedTable {
-    /// All build rows of the partition as one chunk.
-    pub chunk: Chunk,
-    /// Key-column slots within the build layout.
-    pub key_slots: Vec<usize>,
-    index: HashMap<u64, Vec<u32>>,
-}
-
-impl ChainedTable {
-    /// Build over a partition's concatenated rows (null keys excluded).
-    pub fn build(chunk: Chunk, key_slots: Vec<usize>) -> ChainedTable {
-        let hashes = hash_keys(&chunk, &key_slots, JOIN_SEED);
-        let mut index: HashMap<u64, Vec<u32>> = HashMap::with_capacity(chunk.rows());
-        for (i, h) in hashes.iter().enumerate() {
-            if !keys_null(&chunk, &key_slots, i) {
-                index.entry(*h).or_default().push(i as u32);
-            }
-        }
-        ChainedTable {
-            chunk,
-            key_slots,
-            index,
-        }
-    }
-
-    /// Candidate build rows for a probe hash.
-    pub fn candidates(&self, hash: u64) -> &[u32] {
-        self.index.get(&hash).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of indexed (non-null-key) rows.
-    pub fn len(&self) -> usize {
-        self.index.values().map(|v| v.len()).sum()
-    }
-
-    /// Whether the table indexes no rows.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
     }
 }
 
@@ -492,80 +443,6 @@ pub fn probe_partition(
     Ok(out)
 }
 
-/// The seed's row-at-a-time probe against the chained-map table: per-row
-/// candidate scan with scalar [`rows_match`] verification. Kept as the
-/// scalar oracle for [`probe_partition`] and the bench comparison.
-#[allow(clippy::too_many_arguments)]
-pub fn probe_partition_chained(
-    outer_chunks: &[Chunk],
-    table: &ChainedTable,
-    probe_slots: &[usize],
-    kind: JoinKind,
-    extra: &Option<Expr>,
-    joined_layout: &Layout,
-    inner_types: &[DataType],
-    scratch: &mut MorselScratch,
-) -> Result<Vec<Chunk>> {
-    let mut out = Vec::new();
-    for chunk in outer_chunks {
-        if chunk.is_empty() {
-            continue;
-        }
-        let mut hashes = std::mem::take(&mut scratch.join_hash);
-        let mut tmp = std::mem::take(&mut scratch.join_tmp);
-        hash_keys_into(chunk, probe_slots, JOIN_SEED, &mut tmp, &mut hashes);
-        let mut probe_sel = std::mem::take(&mut scratch.pair_probe);
-        let mut build_sel = std::mem::take(&mut scratch.pair_build);
-        probe_sel.clear();
-        build_sel.clear();
-        for (i, &hash) in hashes.iter().enumerate() {
-            if keys_null(chunk, probe_slots, i) {
-                continue;
-            }
-            for &bi in table.candidates(hash) {
-                if rows_match(
-                    chunk,
-                    probe_slots,
-                    i,
-                    &table.chunk,
-                    &table.key_slots,
-                    bi as usize,
-                ) {
-                    probe_sel.push(i as u32);
-                    build_sel.push(bi);
-                }
-            }
-        }
-        if let Some(pred) = extra {
-            if !probe_sel.is_empty() {
-                let pairs = Chunk::zip(&chunk.take(&probe_sel), &table.chunk.take(&build_sel))?;
-                let keep = eval_predicate(pred, &pairs, joined_layout)?;
-                for (j, &k) in keep.iter().enumerate() {
-                    probe_sel[j] = probe_sel[k as usize];
-                    build_sel[j] = build_sel[k as usize];
-                }
-                probe_sel.truncate(keep.len());
-                build_sel.truncate(keep.len());
-            }
-        }
-        let emitted = emit_join_rows(
-            chunk,
-            &table.chunk,
-            kind,
-            &probe_sel,
-            &build_sel,
-            inner_types,
-            &mut out,
-        );
-        scratch.join_hash = hashes;
-        scratch.join_tmp = tmp;
-        scratch.pair_probe = probe_sel;
-        scratch.pair_build = build_sel;
-        emitted?;
-    }
-    Ok(out)
-}
-
 /// Emit the output chunks of one probed chunk's matched pairs.
 fn emit_join_rows(
     chunk: &Chunk,
@@ -621,50 +498,6 @@ fn emit_join_rows(
         }
     }
     Ok(())
-}
-
-/// Execute the probe phase across all outer partitions (the eager
-/// executor's path). Each partition flushes its scratch counters into
-/// `stats` when it finishes, mirroring the pipeline's seal points.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join_probe(
-    outer: &PartitionedData,
-    tables: &[BuildTable],
-    probe_slots: &[usize],
-    kind: JoinKind,
-    extra: &Option<Expr>,
-    joined_layout: &Layout,
-    inner_types: &[DataType],
-    stats: &crate::data::ExecStats,
-) -> Result<PartitionedData> {
-    if tables.is_empty() {
-        return Err(BfqError::internal("hash join with no build tables"));
-    }
-    let types = if kind.emits_inner_columns() {
-        let mut t = outer.types.clone();
-        t.extend_from_slice(inner_types);
-        t
-    } else {
-        outer.types.clone()
-    };
-    let partitions = par_map(outer.num_partitions(), |p| {
-        let table = &tables[p % tables.len()];
-        let mut scratch = MorselScratch::new();
-        let out = probe_partition(
-            &outer.partitions[p],
-            table,
-            probe_slots,
-            kind,
-            extra,
-            joined_layout,
-            inner_types,
-            &mut scratch,
-        );
-        let (cand, verified) = scratch.take_join_counts();
-        stats.note_join_probe(cand, verified);
-        out
-    })?;
-    Ok(PartitionedData { types, partitions })
 }
 
 /// Sort-merge join (inner joins; both sides co-partitioned on the keys).
@@ -848,7 +681,6 @@ pub fn nestloop_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::ExecStats;
     use bfq_common::{ColumnId, TableId};
 
     fn chunk1(vals: &[i64]) -> Chunk {
@@ -878,18 +710,29 @@ mod tests {
         ])
     }
 
-    fn probe(outer: &PartitionedData, tables: &[BuildTable], kind: JoinKind) -> PartitionedData {
-        hash_join_probe(
-            outer,
-            tables,
+    /// Probe one outer chunk against `table` on column 0; returns the
+    /// concatenated output (or `None` when no row survives) and the probe
+    /// counters `(candidates, verified)`.
+    fn probe(
+        outer: &[i64],
+        table: &BuildTable,
+        kind: JoinKind,
+        extra: &Option<Expr>,
+    ) -> (Option<Chunk>, (u64, u64)) {
+        let mut scratch = MorselScratch::new();
+        let out = probe_partition(
+            &[chunk1(outer)],
+            table,
             &[0],
             kind,
-            &None,
+            extra,
             &joined_layout(),
             &[DataType::Int64],
-            &ExecStats::new(),
+            &mut scratch,
         )
-        .unwrap()
+        .unwrap();
+        let joined = (!out.is_empty()).then(|| Chunk::concat(&out).unwrap());
+        (joined, scratch.take_join_counts())
     }
 
     #[test]
@@ -977,18 +820,18 @@ mod tests {
     #[test]
     fn inner_hash_join_matches() {
         let build = BuildTable::build(chunk1(&[1, 2, 2]), vec![0]);
-        let out = probe(&pd(vec![vec![2, 3, 1]]), &[build], JoinKind::Inner);
+        let (out, _) = probe(&[2, 3, 1], &build, JoinKind::Inner, &None);
         // 2 matches twice, 1 once, 3 never: 3 output rows.
-        assert_eq!(out.total_rows(), 3);
-        let c = out.into_single_chunk().unwrap();
+        let c = out.unwrap();
+        assert_eq!(c.rows(), 3);
         assert_eq!(c.width(), 2);
     }
 
     #[test]
     fn left_outer_preserves_unmatched() {
         let build = BuildTable::build(chunk1(&[1]), vec![0]);
-        let out = probe(&pd(vec![vec![1, 5]]), &[build], JoinKind::LeftOuter);
-        let c = out.into_single_chunk().unwrap();
+        let (out, _) = probe(&[1, 5], &build, JoinKind::LeftOuter, &None);
+        let c = out.unwrap();
         assert_eq!(c.rows(), 2);
         // One row has a NULL inner column.
         let nulls = (0..2).filter(|&i| c.column(1).is_null(i)).count();
@@ -998,20 +841,11 @@ mod tests {
     #[test]
     fn semi_and_anti() {
         let build = BuildTable::build(chunk1(&[1, 1, 2]), vec![0]);
-        let semi = probe(&pd(vec![vec![1, 3, 2, 1]]), &[build], JoinKind::Semi);
+        let (semi, _) = probe(&[1, 3, 2, 1], &build, JoinKind::Semi, &None);
         // Semi: each qualifying outer row once, no duplication from 2 builds.
-        assert_eq!(semi.total_rows(), 3);
-        let build = BuildTable::build(chunk1(&[1, 1, 2]), vec![0]);
-        let anti = probe(&pd(vec![vec![1, 3, 2, 1]]), &[build], JoinKind::Anti);
-        assert_eq!(anti.total_rows(), 1);
-        assert_eq!(
-            anti.into_single_chunk()
-                .unwrap()
-                .column(0)
-                .as_i64()
-                .unwrap(),
-            &[3]
-        );
+        assert_eq!(semi.unwrap().column(0).as_i64().unwrap(), &[1, 2, 1]);
+        let (anti, _) = probe(&[1, 3, 2, 1], &build, JoinKind::Anti, &None);
+        assert_eq!(anti.unwrap().column(0).as_i64().unwrap(), &[3]);
     }
 
     #[test]
@@ -1019,45 +853,22 @@ mod tests {
         // Join on key, keep only pairs where outer value < inner value is
         // simulated via a predicate comparing the two columns.
         let build = BuildTable::build(chunk1(&[1, 1]), vec![0]);
-        let outer = pd(vec![vec![1]]);
         let extra = Expr::binary(
             bfq_expr::BinOp::Lt,
             Expr::col(ColumnId::new(TableId(0), 0)),
             Expr::col(ColumnId::new(TableId(1), 0)),
         );
-        let out = hash_join_probe(
-            &outer,
-            &[build],
-            &[0],
-            JoinKind::Inner,
-            &Some(extra),
-            &joined_layout(),
-            &[DataType::Int64],
-            &ExecStats::new(),
-        )
-        .unwrap();
+        let (out, _) = probe(&[1], &build, JoinKind::Inner, &Some(extra));
         // 1 < 1 is false: everything filtered.
-        assert_eq!(out.total_rows(), 0);
+        assert!(out.is_none());
     }
 
     #[test]
     fn probe_counters_accumulate() {
         let build = BuildTable::build(chunk1(&[1, 1, 2]), vec![0]);
-        let stats = ExecStats::new();
-        hash_join_probe(
-            &pd(vec![vec![1, 3, 2]]),
-            &[build],
-            &[0],
-            JoinKind::Inner,
-            &None,
-            &joined_layout(),
-            &[DataType::Int64],
-            &stats,
-        )
-        .unwrap();
+        let (_, counts) = probe(&[1, 3, 2], &build, JoinKind::Inner, &None);
         // Probe 1 → chain {1,1}; probe 2 → chain {2}; probe 3 → miss.
-        assert_eq!(stats.join_probe_candidates(), 3);
-        assert_eq!(stats.join_probe_verified(), 3);
+        assert_eq!(counts, (3, 3));
     }
 
     #[test]

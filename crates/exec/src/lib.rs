@@ -1,28 +1,30 @@
 //! The vectorized, multi-threaded execution engine.
 //!
-//! Two executors over the same physical plans:
+//! One executor over physical plans: the **morsel-driven pipeline**
+//! (module [`pipeline`]). Plans decompose into pipelines at blocking
+//! operators, worker threads pull chunk-sized morsels through fused
+//! scan → filter → probe → project chains, and order-sensitive sinks
+//! consume through a bounded reorder window. It has exactly two entry
+//! points, each taking `(plan, catalog, ExecOptions)`:
 //!
-//! * the **morsel-driven pipeline** ([`execute_plan_pipelined`], module
-//!   [`pipeline`]) — the production path: plans decompose into pipelines
-//!   at blocking operators, worker threads pull chunk-sized morsels
-//!   through fused scan → filter → probe → project chains, and
-//!   order-sensitive sinks consume through a bounded reorder window;
-//! * the **eager** recursive executor ([`execute_plan_opts`]) — every
-//!   operator materializes [`PartitionedData`] (`dop` partitions of
-//!   column chunks); kept as the bit-identical reference oracle.
+//! * [`execute_plan`] gathers the result into one [`QueryOutput`];
+//! * [`execute_plan_stream`] returns a [`ChunkStream`] whose final pipeline
+//!   the consumer pulls one morsel at a time.
 //!
-//! In both, exchange operators implement the paper's streaming strategies
-//! (`RD` repartition, `BC` broadcast, gather); hash joins execute their
-//! **build side first**, build any planned Bloom filters (choosing the
-//! §3.9 strategy from the plan shape), publish them to the
+//! Exchange operators implement the paper's streaming strategies (`RD`
+//! repartition, `BC` broadcast, gather); hash joins execute their **build
+//! side first**, build any planned Bloom filters (choosing the §3.9
+//! strategy from the plan shape), publish them to the
 //! [`bfq_bloom::FilterHub`], and only then execute the probe side — so
 //! scans that wait on filters never deadlock, including the
 //! chained-filter plans of paper Fig. 3d.
 //!
-//! Per-node actual row counts are recorded in [`ExecStats`] (enabling the
-//! paper's §4.2 estimated-vs-actual cardinality comparison), alongside a
-//! buffered-rows high-water mark that makes the two executors' memory
-//! behavior comparable.
+//! Results are specified by the reference interpreter (`bfq-ref`, a
+//! dev-only crate sharing no code with this one): every plan, filter
+//! placement, layout and dop must return what it returns, as a normalized
+//! multiset. Per-node actual row counts are recorded in [`ExecStats`]
+//! (enabling the paper's §4.2 estimated-vs-actual cardinality comparison),
+//! alongside a buffered-rows high-water mark.
 
 pub mod agg;
 pub mod data;
@@ -32,19 +34,14 @@ pub mod join;
 pub mod parallel;
 pub mod pipeline;
 pub mod scan;
-pub mod stream;
 pub mod util;
 
 pub use bfq_bloom::BloomLayout;
 pub use bfq_common::Determinism;
 pub use bfq_index::IndexMode;
 pub use data::{ExecStats, PartitionedData, ScanPruneStats};
-pub use executor::{
-    execute_plan, execute_plan_cfg, execute_plan_opts, ExecContext, ExecOptions, QueryOutput,
-};
+pub use executor::{ExecContext, ExecOptions, QueryOutput};
 pub use pipeline::{
-    execute_pipelined, execute_plan_pipelined, execute_plan_pipelined_cfg,
-    REORDER_WINDOW_PER_WORKER, SORT_RUN_ROWS,
+    execute_plan, execute_plan_stream, ChunkStream, REORDER_WINDOW_PER_WORKER, SORT_RUN_ROWS,
 };
-pub use stream::{execute_plan_stream, execute_plan_stream_cfg, ChunkStream};
 pub use util::MorselScratch;

@@ -21,15 +21,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bfq_bloom::RuntimeFilter;
-use bfq_common::{BfqError, ColumnId, DataType, Result, TableId};
+use bfq_common::{BfqError, ColumnId, Result, TableId};
 use bfq_expr::{eval_predicate, Expr, Layout};
-use bfq_index::{chunk_prune, rf_chunk_prune, ChunkIndex, IndexMode, PruneOutcome, TableIndex};
+use bfq_index::{chunk_prune, rf_chunk_prune, ChunkIndex, IndexMode, PruneOutcome};
 use bfq_plan::BloomApply;
 use bfq_storage::Chunk;
 
-use crate::data::{PartitionedData, ScanPruneStats};
+use crate::data::ScanPruneStats;
 use crate::executor::ExecContext;
-use crate::parallel::par_map;
 use crate::util::MorselScratch;
 
 /// A runtime filter ready to probe: raw `FilterId`, the filter, and the
@@ -191,123 +190,4 @@ pub(crate) fn scan_chunk(
     scratch.probe.sel_a = cur;
     scratch.probe.sel_b = next;
     Ok(out)
-}
-
-/// Execute a base-table scan, dealing chunks round-robin across workers and
-/// skipping whole chunks via the table's per-chunk index.
-#[allow(clippy::too_many_arguments)] // one slot per physical Scan field
-pub fn execute_scan(
-    ctx: &ExecContext,
-    node_id: u32,
-    base: TableId,
-    rel_id: TableId,
-    projection: &[u32],
-    predicate: &Option<Expr>,
-    blooms: &[BloomApply],
-) -> Result<PartitionedData> {
-    let table = ctx.catalog.data(base)?.clone();
-    let schema = table.schema();
-    let full_layout = Layout::new(
-        (0..schema.len())
-            .map(|i| ColumnId::new(rel_id, i as u32))
-            .collect(),
-    );
-    let types: Vec<DataType> = projection
-        .iter()
-        .map(|&i| schema.field(i as usize).data_type)
-        .collect();
-    let filters = fetch_filters(ctx, blooms, &full_layout)?;
-    let mode = ctx.index_mode;
-    let index: Option<&Arc<TableIndex>> = if mode.zonemaps() {
-        ctx.catalog.index(base)
-    } else {
-        None
-    };
-
-    let dop = ctx.dop;
-    let partitions = par_map(dop, |p| {
-        let mut out = Vec::new();
-        let mut prune = ScanPruneStats::default();
-        let mut scratch = MorselScratch::new();
-        for (ci, chunk) in table.chunks().iter().enumerate() {
-            if ci % dop != p {
-                continue;
-            }
-            prune.chunks += 1;
-            if let Some(cidx) = index.and_then(|t| t.chunk(ci)) {
-                if prune_chunk(cidx, rel_id, predicate, &filters, mode, &mut prune) {
-                    prune.rows_pruned += chunk.rows() as u64;
-                    continue;
-                }
-            }
-            if let Some(c) = scan_chunk(
-                chunk,
-                &full_layout,
-                predicate,
-                &filters,
-                Some(projection),
-                &mut scratch,
-            )? {
-                out.push(c);
-            }
-        }
-        ctx.stats.record_prune(node_id, &prune);
-        crate::util::flush_scratch_stats(&ctx.stats, &mut scratch);
-        Ok(out)
-    })?;
-    Ok(PartitionedData { types, partitions })
-}
-
-/// Execute the local work of a derived scan: the input rows are already
-/// computed; relabel them to this relation's ids, filter, and apply blooms.
-/// (Derived data is transient, so there is no chunk index to consult.)
-pub fn execute_derived_scan(
-    ctx: &ExecContext,
-    input: PartitionedData,
-    rel_id: TableId,
-    predicate: &Option<Expr>,
-    blooms: &[BloomApply],
-) -> Result<PartitionedData> {
-    let width = input.types.len();
-    let full_layout = Layout::new(
-        (0..width)
-            .map(|i| ColumnId::new(rel_id, i as u32))
-            .collect(),
-    );
-    let filters = fetch_filters(ctx, blooms, &full_layout)?;
-    let types = input.types.clone();
-    let partitions = par_map(input.num_partitions(), |p| {
-        let mut out = Vec::new();
-        let mut scratch = MorselScratch::new();
-        for chunk in &input.partitions[p] {
-            if let Some(c) =
-                scan_chunk(chunk, &full_layout, predicate, &filters, None, &mut scratch)?
-            {
-                out.push(c);
-            }
-        }
-        crate::util::flush_scratch_stats(&ctx.stats, &mut scratch);
-        Ok(out)
-    })?;
-    Ok(PartitionedData { types, partitions })
-}
-
-/// Standalone filter over any partitioned input.
-pub fn execute_filter(
-    input: PartitionedData,
-    layout: &Layout,
-    predicate: &Expr,
-) -> Result<PartitionedData> {
-    let types = input.types.clone();
-    let partitions = par_map(input.num_partitions(), |p| {
-        let mut out = Vec::new();
-        for chunk in &input.partitions[p] {
-            let sel = eval_predicate(predicate, chunk, layout)?;
-            if !sel.is_empty() {
-                out.push(chunk.take(&sel));
-            }
-        }
-        Ok(out)
-    })?;
-    Ok(PartitionedData { types, partitions })
 }

@@ -144,21 +144,6 @@ pub fn col_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     }
 }
 
-/// Whether all key pairs match between two rows.
-pub fn rows_match(
-    probe: &Chunk,
-    probe_slots: &[usize],
-    pi: usize,
-    build: &Chunk,
-    build_slots: &[usize],
-    bi: usize,
-) -> bool {
-    probe_slots
-        .iter()
-        .zip(build_slots)
-        .all(|(&ps, &bs)| col_eq(probe.column(ps), pi, build.column(bs), bi))
-}
-
 /// Total order over two column values for sorting and merge joins.
 /// NULLs sort after every value (SQL `NULLS LAST` for ascending order);
 /// two NULLs compare equal.

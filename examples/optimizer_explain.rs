@@ -90,11 +90,14 @@ fn main() -> Result<()> {
 
     // Execute the winning plan and show the chunk-skipping counters the
     // per-chunk zone-map/Bloom index records for every scan (bfq-index).
-    let exec = bfq::exec::execute_plan_opts(
+    let exec = bfq::exec::execute_plan(
         &out.plan,
         std::sync::Arc::new(catalog),
-        config.dop,
-        config.index_mode,
+        bfq::exec::ExecOptions {
+            dop: config.dop,
+            index_mode: config.index_mode,
+            ..Default::default()
+        },
     )?;
     let p = exec.stats.prune_totals();
     println!(

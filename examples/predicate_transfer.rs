@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bfq::core::synth::{chain_block, ChainSpec};
 use bfq::core::{optimize_bare_block, BloomMode, OptimizerConfig};
-use bfq::exec::execute_plan;
+use bfq::exec::{execute_plan, ExecOptions};
 use bfq::prelude::*;
 
 fn main() -> Result<()> {
@@ -35,7 +35,11 @@ fn main() -> Result<()> {
         let cat = Arc::new(fx.catalog.clone());
         let planned = optimize_bare_block(&fx.block, &mut fx.bindings, &cat, &config)?;
         let t = std::time::Instant::now();
-        let out = execute_plan(&planned.plan, cat.clone(), config.dop)?;
+        let out = execute_plan(
+            &planned.plan,
+            cat.clone(),
+            ExecOptions::with_dop(config.dop),
+        )?;
         let ms = t.elapsed().as_secs_f64() * 1e3;
         println!("== {mode:?} ==");
         println!("{}", planned.plan.explain(&|c| c.to_string()));

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bfq_common::{BfqError, CancelHub, CancelToken, DataType, Determinism, Result};
 use bfq_core::{BloomLayout, BloomMode, OptimizedQuery, OptimizerConfig, SemijoinMode};
-use bfq_exec::{execute_plan_stream_cfg, ChunkStream, ExecOptions, ExecStats};
+use bfq_exec::{execute_plan, execute_plan_stream, ChunkStream, ExecOptions, ExecStats};
 use bfq_index::IndexMode;
 use bfq_obs::{PhaseBreakdown, SpanTimer};
 use bfq_plan::Bindings;
@@ -297,7 +297,7 @@ impl Connection {
         let (catalog, cached, cache_hit, mut phases) = self.plan_parameter_free(sql, &optimizer)?;
         let span = SpanTimer::start();
         let (options, _guard) = armed_exec_options(&optimizer, &self.cancel_hub);
-        let out = bfq_exec::execute_plan_pipelined_cfg(&cached.optimized.plan, catalog, options)?;
+        let out = execute_plan(&cached.optimized.plan, catalog, options)?;
         phases.execute_ns = span.elapsed_ns();
         phases.total_ns = total.elapsed_ns();
         self.engine.observe_query(
@@ -328,7 +328,7 @@ impl Connection {
         let (catalog, cached, cache_hit, phases) = self.plan_parameter_free(sql, &optimizer)?;
         let exec_span = SpanTimer::start();
         let (options, guard) = armed_exec_options(&optimizer, &self.cancel_hub);
-        let stream = execute_plan_stream_cfg(&cached.optimized.plan, catalog, options)?;
+        let stream = execute_plan_stream(&cached.optimized.plan, catalog, options)?;
         Ok(QueryStream {
             column_names: cached.output_names.clone(),
             optimized: cached.optimized.clone(),

@@ -61,23 +61,16 @@ pub use bfq_tpch as tpch;
 
 pub mod connection;
 pub mod engine;
-pub mod session;
 pub mod statement;
 
 pub use connection::{Connection, QueryOptions, QueryStream};
 pub use engine::{Engine, EngineConfig, QueryResult};
-#[allow(deprecated)]
-pub use session::Session;
-pub use session::SessionConfig;
 pub use statement::{BoundStatement, PreparedStatement};
 
 /// Commonly used items, importable with `use bfq::prelude::*`.
 pub mod prelude {
     pub use crate::connection::{Connection, QueryOptions, QueryStream};
     pub use crate::engine::{Engine, EngineConfig, QueryResult};
-    #[allow(deprecated)]
-    pub use crate::session::Session;
-    pub use crate::session::SessionConfig;
     pub use crate::statement::{BoundStatement, PreparedStatement};
     pub use bfq_common::{
         BfqError, CancelHub, CancelReason, CancelToken, DataType, Datum, Determinism, RelSet,

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use bfq_catalog::Catalog;
 use bfq_common::{BfqError, CancelHub, Datum, Result};
 use bfq_core::{CachedPlan, OptimizedQuery, OptimizerConfig};
-use bfq_exec::{execute_plan_pipelined_cfg, execute_plan_stream_cfg};
+use bfq_exec::{execute_plan, execute_plan_stream};
 use bfq_obs::{PhaseBreakdown, SpanTimer};
 use bfq_plan::PhysicalPlan;
 
@@ -175,7 +175,7 @@ impl BoundStatement {
         let span = SpanTimer::start();
         let (options, _guard) =
             crate::connection::armed_exec_options(&self.stmt.optimizer, &self.stmt.hub);
-        let out = execute_plan_pipelined_cfg(&self.plan, self.stmt.catalog.clone(), options)?;
+        let out = execute_plan(&self.plan, self.stmt.catalog.clone(), options)?;
         // Prepared executions skip parse/bind/optimize; their spans stay 0.
         let phases = PhaseBreakdown {
             execute_ns: span.elapsed_ns(),
@@ -210,7 +210,7 @@ impl BoundStatement {
     pub fn execute_stream(&self) -> Result<QueryStream> {
         let (options, guard) =
             crate::connection::armed_exec_options(&self.stmt.optimizer, &self.stmt.hub);
-        let stream = execute_plan_stream_cfg(&self.plan, self.stmt.catalog.clone(), options)?;
+        let stream = execute_plan_stream(&self.plan, self.stmt.catalog.clone(), options)?;
         Ok(QueryStream::from_parts(
             self.stmt.cached.output_names.clone(),
             self.optimized(),

@@ -1,11 +1,12 @@
 //! `determinism = strict | fast` equivalence and plumbing.
 //!
-//! `strict` (the default) stays bit-identical to the eager executor — that
-//! contract is pinned by `pipeline_equivalence.rs`. This suite pins what
+//! `strict` (the default) is bit-exact run to run and equal to the
+//! reference interpreter as a normalized multiset — that contract is
+//! pinned by `pipeline_equivalence.rs`. This suite pins what
 //! `fast` is allowed to change and what it must preserve:
 //!
 //! * Full matrix: every TPC-H query × `IndexMode` × dop ∈ {1, 4, 16}
-//!   returns the same row multiset as the strict oracle (normalized float
+//!   returns the same row multiset as strict mode (normalized float
 //!   rendering, since parallel partial aggregation reassociates float
 //!   sums), and the same row *order* wherever the query's ORDER BY pins a
 //!   total order.
@@ -24,7 +25,7 @@
 
 mod common;
 
-use bfq::exec::{execute_plan_pipelined_cfg, ExecOptions, SORT_RUN_ROWS};
+use bfq::exec::{execute_plan, ExecOptions, SORT_RUN_ROWS};
 use bfq::prelude::*;
 use bfq::storage::{Column, Field, Schema, Table};
 use bfq::tpch;
@@ -228,7 +229,7 @@ fn reorder_window_is_configurable() {
         .run_sql("select sum(v) from wide where v >= 0")
         .expect("pipeline");
     let plan = &piped.optimized.plan;
-    let tight = execute_plan_pipelined_cfg(
+    let tight = execute_plan(
         plan,
         catalog.clone(),
         ExecOptions {

@@ -1,39 +1,37 @@
-//! Flat open-addressing join table ↔ chained-map oracle equivalence.
+//! The flat open-addressing join table against a nested-loop enumeration.
 //!
 //! The flat `BuildTable` (power-of-two directory + contiguous chain arena,
-//! batched branch-free probing) replaced the seed's `HashMap<u64, Vec<u32>>`
-//! chained table. Its contract: for any build-side duplicate distribution —
-//! including all-duplicate and empty builds, null keys on either side, and
-//! lying NDV hints — the batched probe must emit exactly the candidate
-//! pairs of the scalar chained-map probe, in the same order. Verified here
-//! three ways:
+//! batched branch-free probing) has one contract: for any build-side
+//! duplicate distribution — including all-duplicate and empty builds, null
+//! keys on either side, and lying NDV hints — the batched probe emits
+//! exactly the matching `(probe row, build row)` pairs a naive O(n·m)
+//! nested loop finds, in ascending probe row, then ascending build row.
+//! Verified here three ways:
 //!
 //! 1. **Property test** over arbitrary build/probe multisets, null masks
-//!    and NDV hints: `probe_partition` (flat, batched) ==
-//!    `probe_partition_chained` (scalar oracle) for every join kind,
-//!    chunk-for-chunk and datum-for-datum.
+//!    and NDV hints: `probe_partition` == the nested loop for every join
+//!    kind, datum for datum and in order.
 //! 2. **Edge cases** the generator can't hit deterministically: empty
 //!    build, all-null build, every-row-identical build.
-//! 3. **TPC-H spot check**: joins through the whole engine return
-//!    identical result checksums whichever `bloom_layout` runs, at
-//!    several dops, against the eager oracle. (The exhaustive TPC-H ×
+//! 3. **TPC-H spot check**: the join-heaviest queries through the whole
+//!    engine return the reference interpreter's result whichever
+//!    `bloom_layout` runs, at several dops. (The exhaustive TPC-H ×
 //!    index-mode × dop matrix lives in `pipeline_equivalence.rs` and
-//!    `bloom_layout_equivalence.rs` and now exercises the flat table on
-//!    every path.)
+//!    `bloom_layout_equivalence.rs`.)
 
 mod common;
 
 use std::sync::Arc;
 
 use bfq::common::{ColumnId, DataType, Datum, TableId};
-use bfq::exec::join::{probe_partition, probe_partition_chained, BuildTable, ChainedTable};
+use bfq::exec::join::{probe_partition, BuildTable};
 use bfq::exec::util::MorselScratch;
 use bfq::expr::Layout;
 use bfq::plan::JoinKind;
 use bfq::prelude::*;
 use bfq::storage::{Bitmap, Column};
 use bfq::tpch;
-use common::rows_of;
+use common::tpch_expected;
 use proptest::prelude::*;
 
 fn int_chunk(vals: &[i64], nulls: &[bool]) -> Chunk {
@@ -61,8 +59,53 @@ fn exact_rows(chunks: &[Chunk]) -> Vec<Vec<Datum>> {
         .collect()
 }
 
-/// Probe the same outer chunks against a flat table and the chained-map
-/// oracle built over the same rows; both must emit identical output.
+/// What joining one probe chunk to `build` returns, found the slow way:
+/// every probe row (ascending) against every build row (ascending); a pair
+/// matches when all its key values are non-NULL and equal. Returns the
+/// matching pair count and the output rows — pairs in that order; for a
+/// left-outer join the unmatched probe rows follow, null-extended; semi
+/// and anti joins keep probe rows in probe order.
+fn nested_loop_join(
+    build: &Chunk,
+    build_keys: &[usize],
+    probe: &Chunk,
+    probe_keys: &[usize],
+    kind: JoinKind,
+) -> (usize, Vec<Vec<Datum>>) {
+    let (mut pairs, mut out, mut unmatched) = (0, Vec::new(), Vec::new());
+    for p in 0..probe.rows() {
+        let probe_row = probe.row(p);
+        let mut matched = false;
+        for b in 0..build.rows() {
+            let build_row = build.row(b);
+            let equal = probe_keys
+                .iter()
+                .zip(build_keys)
+                .all(|(&pk, &bk)| !probe_row[pk].is_null() && probe_row[pk] == build_row[bk]);
+            if equal {
+                pairs += 1;
+                matched = true;
+                if matches!(kind, JoinKind::Inner | JoinKind::LeftOuter) {
+                    out.push([probe_row.clone(), build_row].concat());
+                }
+            }
+        }
+        match kind {
+            JoinKind::Semi if matched => out.push(probe_row),
+            JoinKind::Anti if !matched => out.push(probe_row),
+            JoinKind::LeftOuter if !matched => {
+                let nulls = vec![Datum::Null; build.width()];
+                unmatched.push([probe_row, nulls].concat());
+            }
+            _ => {}
+        }
+    }
+    out.extend(unmatched);
+    (pairs, out)
+}
+
+/// Probe one outer chunk against a flat table over `build_vals`; for every
+/// join kind the output must be the nested loop's.
 fn assert_probe_equivalence(
     build_vals: &[i64],
     build_nulls: &[bool],
@@ -73,8 +116,8 @@ fn assert_probe_equivalence(
     let build_chunk = int_chunk(build_vals, build_nulls);
     let probe_chunks = [int_chunk(probe_vals, probe_nulls)];
     let flat = BuildTable::build_with_ndv(build_chunk.clone(), vec![0], ndv_hint);
-    let chained = ChainedTable::build(build_chunk, vec![0]);
-    assert_eq!(flat.len(), chained.len(), "indexed row counts differ");
+    let indexed = build_nulls.iter().filter(|&&null| !null).count();
+    assert_eq!(flat.len(), indexed, "every non-NULL build key is indexed");
     for kind in [
         JoinKind::Inner,
         JoinKind::LeftOuter,
@@ -93,25 +136,15 @@ fn assert_probe_equivalence(
             &mut scratch,
         )
         .unwrap();
-        let mut oracle_scratch = MorselScratch::new();
-        let want = probe_partition_chained(
-            &probe_chunks,
-            &chained,
-            &[0],
-            kind,
-            &None,
-            &joined_layout(),
-            &[DataType::Int64],
-            &mut oracle_scratch,
-        )
-        .unwrap();
+        let (pairs, want) = nested_loop_join(&build_chunk, &[0], &probe_chunks[0], &[0], kind);
         assert_eq!(
             exact_rows(&got),
-            exact_rows(&want),
-            "{kind:?}: flat probe differs from chained oracle"
+            want,
+            "{kind:?}: flat probe differs from the nested loop"
         );
-        // Verified pairs equal the chained oracle's emitted matches; the
-        // candidate count may only exceed it (directory hash collisions).
+        // Verification keeps exactly the true pairs; the candidate count
+        // may only exceed them (directory hash collisions).
+        assert_eq!(scratch.join_verified as usize, pairs, "{kind:?}: pairs");
         assert!(
             scratch.join_candidates >= scratch.join_verified,
             "{kind:?}: candidates below verified"
@@ -126,7 +159,7 @@ proptest! {
     /// chains get long, with ~10% null masks on both sides and an
     /// arbitrary (often wrong) NDV hint (0 = no hint).
     #[test]
-    fn flat_probe_equals_chained_probe(
+    fn flat_probe_equals_nested_loop(
         build in proptest::collection::vec((0i64..32, 0u8..10), 0..300),
         probe in proptest::collection::vec((-4i64..36, 0u8..10), 0..200),
         hint in 0usize..64,
@@ -142,7 +175,7 @@ proptest! {
     /// High-cardinality distribution: mostly-unique keys exercise the
     /// branch-free first-probe path and directory growth.
     #[test]
-    fn flat_probe_equals_chained_probe_unique_keys(
+    fn flat_probe_equals_nested_loop_unique_keys(
         build in proptest::collection::vec(0i64..1_000_000, 0..400),
         probe in proptest::collection::vec(0i64..1_000_000, 0..200),
     ) {
@@ -189,7 +222,6 @@ fn multi_key_probe_equivalence() {
         ColumnId::new(TableId(1), 1),
     ]);
     let flat = BuildTable::build(build_chunk.clone(), vec![0, 1]);
-    let chained = ChainedTable::build(build_chunk, vec![0, 1]);
     let types = [DataType::Int64, DataType::Int64];
     let mut s1 = MorselScratch::new();
     let got = probe_partition(
@@ -203,20 +235,16 @@ fn multi_key_probe_equivalence() {
         &mut s1,
     )
     .unwrap();
-    let mut s2 = MorselScratch::new();
-    let want = probe_partition_chained(
-        &probe_chunks,
-        &chained,
+    let (pairs, want) = nested_loop_join(
+        &build_chunk,
+        &[0, 1],
+        &probe_chunks[0],
         &[0, 1],
         JoinKind::Inner,
-        &None,
-        &layout,
-        &types,
-        &mut s2,
-    )
-    .unwrap();
-    assert_eq!(exact_rows(&got), exact_rows(&want));
-    assert!(!exact_rows(&got).is_empty(), "degenerate test: no matches");
+    );
+    assert_eq!(exact_rows(&got), want);
+    assert_eq!(s1.join_verified as usize, pairs);
+    assert!(pairs > 0, "degenerate test: no matches");
 }
 
 #[test]
@@ -250,7 +278,7 @@ fn scratch_reuse_stays_allocation_free() {
 }
 
 #[test]
-fn tpch_join_results_identical_across_layouts_and_dop() {
+fn tpch_join_results_match_the_reference_across_layouts_and_dop() {
     const SF: f64 = 0.005;
     const SEED: u64 = 20260731;
     let db = tpch::gen::generate(SF, SEED).expect("generate");
@@ -259,7 +287,7 @@ fn tpch_join_results_identical_across_layouts_and_dop() {
     // shifts partition counts and therefore directory sizes per table.
     for q in [5usize, 9, 18] {
         let sql = tpch::query_text(q, SF);
-        let mut reference: Option<Vec<Vec<String>>> = None;
+        let want = tpch_expected(&catalog, q, SF).expect("not a pinned divergence");
         for layout in BloomLayout::ALL {
             for dop in [1usize, 4] {
                 let engine = Engine::over_catalog(
@@ -273,13 +301,7 @@ fn tpch_join_results_identical_across_layouts_and_dop() {
                     .connect()
                     .run_sql(&sql)
                     .unwrap_or_else(|e| panic!("Q{q} [{layout} dop={dop}]: {e}"));
-                let rows = rows_of(&out.chunk);
-                match &reference {
-                    None => reference = Some(rows),
-                    Some(want) => {
-                        assert_eq!(&rows, want, "Q{q} [{layout} dop={dop}] differs from oracle")
-                    }
-                }
+                want.assert_matches(&out.chunk, &format!("Q{q} [{layout} dop={dop}]"));
             }
         }
     }

@@ -8,9 +8,9 @@
 //!   predicted FPR (§3.5) — the planner's est-vs-actual feedback loop.
 //! * Phase spans nest: parse + bind + optimize + execute ≤ total, and a
 //!   plan-cache hit zeroes the planning spans.
-//! * Profiling instrumentation does not perturb per-node actual row
-//!   counts: the pipelined executor still matches the eager oracle with
-//!   profiling on and off.
+//! * Profiling instrumentation perturbs neither results nor per-node
+//!   actual row counts: both are identical with profiling on and off, and
+//!   the result is the reference interpreter's.
 //! * `Engine::metrics()` renders to Prometheus text and parses back to the
 //!   identical snapshot.
 //! * The flight recorder ring is bounded and newest-first.
@@ -148,12 +148,17 @@ fn phase_spans_nest_and_cache_hits_skip_planning() {
 }
 
 #[test]
-fn profiling_does_not_perturb_actuals_vs_eager_oracle() {
+fn profiling_does_not_perturb_results_or_actuals() {
     let db = tpch::gen::generate(SF, SEED).expect("generate");
     let catalog = Arc::new(db.catalog);
+    let queries = [1usize, 3, 6, 12, 14];
+    let want: Vec<_> = queries
+        .iter()
+        .map(|&q| common::tpch_expected(&catalog, q, SF).expect("not a pinned divergence"))
+        .collect();
     for mode in IndexMode::ALL {
         for dop in [1usize, 4] {
-            for profile in [true, false] {
+            let run = |profile: bool, q: usize| {
                 let engine = Engine::over_catalog(
                     catalog.clone(),
                     EngineConfig::default()
@@ -162,44 +167,44 @@ fn profiling_does_not_perturb_actuals_vs_eager_oracle() {
                         .with_index_mode(mode)
                         .with_profile(profile),
                 );
-                let conn = engine.connect();
-                for q in [1usize, 3, 6, 12, 14] {
-                    let sql = tpch::query_text(q, SF);
-                    let piped = conn
-                        .run_sql(&sql)
-                        .unwrap_or_else(|e| panic!("Q{q} [{mode} dop={dop}]: {e}"));
-                    let eager = bfq::exec::execute_plan_opts(
-                        &piped.optimized.plan,
-                        catalog.clone(),
-                        dop,
-                        mode,
-                    )
-                    .unwrap_or_else(|e| panic!("Q{q} eager: {e}"));
-                    assert_eq!(rows_of(&piped.chunk), rows_of(&eager.chunk));
-                    piped.optimized.plan.visit(&mut |node| {
-                        assert_eq!(
-                            piped.exec_stats.actual(node.id),
-                            eager.stats.actual(node.id),
-                            "Q{q} [{mode} dop={dop} profile={profile}] node {} actuals diverge",
-                            node.id
-                        );
-                    });
-                    if profile {
-                        // The root is always profiled (sealed or chained).
-                        assert!(
-                            piped
-                                .exec_stats
-                                .profile_of(piped.optimized.plan.id)
-                                .is_some(),
-                            "Q{q}: root node unprofiled"
-                        );
-                    } else {
-                        assert!(
-                            piped.exec_stats.profiles().is_empty(),
-                            "Q{q}: profiling off but profiles recorded"
-                        );
-                    }
-                }
+                engine
+                    .connect()
+                    .run_sql(&tpch::query_text(q, SF))
+                    .unwrap_or_else(|e| panic!("Q{q} [{mode} dop={dop} profile={profile}]: {e}"))
+            };
+            for (&q, want) in queries.iter().zip(&want) {
+                let (on, off) = (run(true, q), run(false, q));
+                let context = format!("Q{q} [{mode} dop={dop}]");
+                want.assert_matches(&on.chunk, &context);
+                assert_eq!(
+                    common::exact_rows(&on.chunk),
+                    common::exact_rows(&off.chunk),
+                    "{context}: profiling changed the result"
+                );
+                // Q3 ends in a LIMIT over a sort, not over a scan: nothing
+                // exits early, so every node's actuals are reproducible.
+                on.optimized.plan.visit(&mut |node| {
+                    assert_eq!(
+                        on.exec_stats.actual(node.id),
+                        off.exec_stats.actual(node.id),
+                        "{context} node {}: actuals differ with profile on vs off",
+                        node.id
+                    );
+                });
+                assert_eq!(
+                    on.exec_stats.actual(on.optimized.plan.id),
+                    Some(want.rows.len() as u64),
+                    "{context}: root actual is not the reference row count"
+                );
+                // The root is always profiled (sealed or chained).
+                assert!(
+                    on.exec_stats.profile_of(on.optimized.plan.id).is_some(),
+                    "{context}: root node unprofiled"
+                );
+                assert!(
+                    off.exec_stats.profiles().is_empty(),
+                    "{context}: profiling off but profiles recorded"
+                );
             }
         }
     }

@@ -1,19 +1,19 @@
-//! Semijoin-program ↔ eager-oracle equivalence.
+//! Semijoin programs against the reference interpreter.
 //!
 //! Three guarantees for the Yannakakis-style semijoin programs the DP can
-//! now select (`semijoin=auto`, the default):
+//! select (`semijoin=auto`, the default):
 //!
-//! 1. **Bit-identity on TPC-H.** With programs enabled, every supported
-//!    TPC-H query under every `IndexMode` at dop ∈ {1, 4, 16} returns the
-//!    exact same rows (and checksum) as the eager reference executor run
-//!    on the same plan. Programs are a *physical* rewrite: whichever lane
-//!    the DP picks, results must not move by a bit.
+//! 1. **Programs never change results on TPC-H.** With programs enabled
+//!    and disabled, every supported TPC-H query under every `IndexMode` at
+//!    dop ∈ {1, 4, 16} returns what the reference interpreter (`bfq-ref`)
+//!    returns. Programs are a *physical* rewrite: whichever lane the DP
+//!    picks, the answer is the logical plan's.
 //! 2. **Programs genuinely reduce work.** On a synthetic 5-way snowflake
 //!    engineered so the per-filter selectivity gate (H6) blocks every
 //!    per-join Bloom filter while the *product* of the program's reducers
-//!    is strong, the DP selects the program, results match `semijoin=off`
-//!    exactly, and the probe-pass scan of the fact table reads strictly
-//!    fewer rows than the filterless per-join plan.
+//!    is strong, the DP selects the program, results match the reference
+//!    (as `semijoin=off` does), and the probe-pass scan of the fact table
+//!    reads strictly fewer rows than the filterless per-join plan.
 //! 3. **GYO never accepts cyclic graphs.** Property test: join graphs
 //!    containing a chordless cycle of length ≥ 3 on distinct attributes
 //!    (plus arbitrary acyclic attachments and arbitrary row counts) are
@@ -21,39 +21,25 @@
 
 mod common;
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use bfq::catalog::Catalog;
-use bfq::common::DataType;
-use bfq::exec::execute_plan_opts;
 use bfq::plan::PhysicalNode;
 use bfq::prelude::*;
 use bfq::tpch;
-use common::rows_of;
+use common::{exact_rows, expected, snowflake, tpch_expected, SNOWFLAKE_SQL};
 
 const SF: f64 = 0.005;
 const SEED: u64 = 20260731;
 
-fn exact_rows(chunk: &Chunk) -> Vec<Vec<Datum>> {
-    (0..chunk.rows()).map(|i| chunk.row(i)).collect()
-}
-
-/// Order-sensitive checksum over a result: every row's datums, rendered
-/// with float normalization, folded through one hasher.
-fn checksum(chunk: &Chunk) -> u64 {
-    let mut h = DefaultHasher::new();
-    for row in rows_of(chunk) {
-        row.hash(&mut h);
-    }
-    h.finish()
-}
-
 #[test]
-fn tpch_semijoin_auto_is_bit_identical_to_eager_oracle() {
+fn tpch_matches_the_reference_with_and_without_semijoin_programs() {
     let db = tpch::gen::generate(SF, SEED).expect("generate");
     let catalog = Arc::new(db.catalog);
+    let queries = tpch::supported_queries();
+    let want: Vec<_> = queries
+        .iter()
+        .map(|&q| tpch_expected(&catalog, q, SF))
+        .collect();
     for mode in IndexMode::ALL {
         for dop in [1usize, 4, 16] {
             let engine = Engine::over_catalog(
@@ -63,121 +49,22 @@ fn tpch_semijoin_auto_is_bit_identical_to_eager_oracle() {
                     .with_dop(dop)
                     .with_index_mode(mode),
             );
-            let conn = engine.connect();
-            for q in tpch::supported_queries() {
-                let sql = tpch::query_text(q, SF);
-                let run = conn
-                    .run_sql(&sql)
-                    .unwrap_or_else(|e| panic!("Q{q} [{mode} dop={dop}]: {e}"));
-                let eager = execute_plan_opts(&run.optimized.plan, catalog.clone(), dop, mode)
-                    .unwrap_or_else(|e| panic!("Q{q} [{mode} dop={dop}] eager: {e}"));
-                assert_eq!(
-                    exact_rows(&run.chunk),
-                    exact_rows(&eager.chunk),
-                    "Q{q} [{mode} dop={dop}]: semijoin=auto differs from eager oracle"
-                );
-                assert_eq!(
-                    checksum(&run.chunk),
-                    checksum(&eager.chunk),
-                    "Q{q} [{mode} dop={dop}]: checksum mismatch"
-                );
+            for semijoin in ["auto", "off"] {
+                let mut conn = engine.connect();
+                conn.set("semijoin", semijoin).expect("set semijoin");
+                for (&q, want) in queries.iter().zip(&want) {
+                    let context = format!("Q{q} [{mode} dop={dop} semijoin={semijoin}]");
+                    let run = conn
+                        .run_sql(&tpch::query_text(q, SF))
+                        .unwrap_or_else(|e| panic!("{context}: {e}"));
+                    if let Some(want) = want {
+                        want.assert_matches(&run.chunk, &context);
+                    }
+                }
             }
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Synthetic snowflake where the program beats per-join filters.
-// ---------------------------------------------------------------------------
-
-const CHUNK: usize = 4096;
-
-fn int_table(cat: &mut Catalog, name: &str, cols: &[(&str, Vec<i64>)], unique: Vec<u32>) {
-    let schema = Arc::new(bfq::storage::Schema::new(
-        cols.iter()
-            .map(|(n, _)| bfq::storage::Field::new(*n, DataType::Int64))
-            .collect::<Vec<_>>(),
-    ));
-    let rows = cols[0].1.len();
-    let chunks = (0..rows)
-        .step_by(CHUNK)
-        .map(|lo| {
-            let hi = (lo + CHUNK).min(rows);
-            bfq::storage::Chunk::new(
-                cols.iter()
-                    .map(|(_, v)| Arc::new(bfq::storage::Column::Int64(v[lo..hi].to_vec(), None)))
-                    .collect(),
-            )
-            .unwrap()
-        })
-        .collect();
-    cat.register(Table::new(name, schema, chunks).unwrap(), unique)
-        .unwrap();
-}
-
-/// Fact (600k rows) → two dimension chains, each dim (4k rows) → sub-dim
-/// (100 rows) carrying the predicate. Each chain's end-to-end selectivity
-/// is 0.7 — individually too weak for the per-filter 2/3 pass-fraction
-/// gate, so the per-join lane places no filters; the program composes both
-/// chains and roughly halves the fact scan.
-fn snowflake() -> Catalog {
-    let mut cat = Catalog::new();
-    let dim = 4_000i64;
-    let sub = 100i64;
-    let fact = 600_000i64;
-    int_table(
-        &mut cat,
-        "a2",
-        &[
-            ("a2key", (0..sub).collect()),
-            ("a2attr", (0..sub).map(|i| i % 10).collect()),
-        ],
-        vec![0],
-    );
-    int_table(
-        &mut cat,
-        "da",
-        &[
-            ("akey", (0..dim).collect()),
-            ("a2k", (0..dim).map(|i| i % sub).collect()),
-        ],
-        vec![0],
-    );
-    int_table(
-        &mut cat,
-        "b2",
-        &[
-            ("b2key", (0..sub).collect()),
-            ("b2attr", (0..sub).map(|i| i % 10).collect()),
-        ],
-        vec![0],
-    );
-    int_table(
-        &mut cat,
-        "db",
-        &[
-            ("bkey", (0..dim).collect()),
-            ("b2k", (0..dim).map(|i| i % sub).collect()),
-        ],
-        vec![0],
-    );
-    int_table(
-        &mut cat,
-        "fact",
-        &[
-            ("ak", (0..fact).map(|i| i % dim).collect()),
-            ("bk", (0..fact).map(|i| (i * 7 + 3) % dim).collect()),
-            ("val", (0..fact).map(|i| i % 1000).collect()),
-        ],
-        vec![],
-    );
-    cat
-}
-
-const SNOWFLAKE_SQL: &str = "select sum(f.val) from fact f, da, a2, db, b2 \
-                             where f.ak = da.akey and da.a2k = a2.a2key \
-                             and f.bk = db.bkey and db.b2k = b2.b2key \
-                             and a2.a2attr < 7 and b2.b2attr < 7";
 
 /// Sum of actual rows produced by scans of `base` anywhere in the plan
 /// (probe pass and reducer-pass schedule steps alike).
@@ -197,6 +84,7 @@ fn scanned_rows(run: &QueryResult, base: bfq::common::TableId) -> u64 {
 fn snowflake_program_reduces_probe_rows_and_matches_off() {
     let catalog = Arc::new(snowflake());
     let fact_id = catalog.meta_by_name("fact").unwrap().id;
+    let want = expected(&catalog, SNOWFLAKE_SQL);
     for mode in IndexMode::ALL {
         for dop in [1usize, 4, 16] {
             let engine = Engine::over_catalog(
@@ -207,6 +95,7 @@ fn snowflake_program_reduces_probe_rows_and_matches_off() {
                     .with_index_mode(mode),
             );
             let conn = engine.connect();
+            let context = format!("snowflake [{mode} dop={dop}]");
             let auto = conn.run_sql(SNOWFLAKE_SQL).expect("semijoin=auto");
             assert_eq!(
                 auto.optimized.stats.programs, 1,
@@ -227,13 +116,11 @@ fn snowflake_program_reduces_probe_rows_and_matches_off() {
                  else the snowflake no longer isolates the program's win"
             );
 
-            // Same answer, and bit-identical to the eager oracle on the
-            // program plan.
-            assert_eq!(rows_of(&auto.chunk), rows_of(&off.chunk));
-            assert_eq!(auto.chunk.row(0), vec![Datum::Int(149_340_000)]);
-            let eager = execute_plan_opts(&auto.optimized.plan, catalog.clone(), dop, mode)
-                .expect("eager oracle");
-            assert_eq!(exact_rows(&auto.chunk), exact_rows(&eager.chunk));
+            // Both lanes return the reference's answer (an integer sum:
+            // exactly).
+            want.assert_matches(&auto.chunk, &format!("{context} semijoin=auto"));
+            want.assert_matches(&off.chunk, &format!("{context} semijoin=off"));
+            assert_eq!(exact_rows(&auto.chunk), [[Datum::Int(149_340_000)]]);
 
             // The program's final reducers must strictly reduce the
             // probe-pass fact scan versus the filterless per-join plan.
