@@ -114,7 +114,6 @@ fn timed_exec(
             dop: config.dop,
             index_mode: config.index_mode,
             bloom_layout: config.bloom_layout,
-            determinism: config.determinism,
             profile: config.profile,
             ..Default::default()
         },
@@ -162,10 +161,6 @@ pub fn measure_query(
 pub struct PairedRuns {
     pub a: Measured,
     pub b: Measured,
-    /// Per-round warm `(a_ms, b_ms)` samples. The two runs of a round are
-    /// back to back, so the robust comparison statistic is the median of
-    /// the per-round ratios, not a ratio of aggregates.
-    pub samples: Vec<(f64, f64)>,
 }
 
 /// Measure two configurations of the same query with their warm runs
@@ -212,7 +207,7 @@ pub fn measure_query_pair(
     }
     a.exec_ms = samples.iter().map(|s| s.0).sum::<f64>() / rounds as f64;
     b.exec_ms = samples.iter().map(|s| s.1).sum::<f64>() / rounds as f64;
-    Ok(PairedRuns { a, b, samples })
+    Ok(PairedRuns { a, b })
 }
 
 /// Run one TPC-H query under a mode.

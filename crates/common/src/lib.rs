@@ -7,7 +7,6 @@
 //! [`error::BfqError`] type.
 
 pub mod date;
-pub mod determinism;
 pub mod error;
 pub mod hash;
 pub mod ids;
@@ -15,7 +14,6 @@ pub mod interrupt;
 pub mod relset;
 pub mod value;
 
-pub use determinism::Determinism;
 pub use error::{BfqError, Result};
 pub use ids::{ColumnId, FilterId, TableId};
 pub use interrupt::{CancelHub, CancelReason, CancelToken};

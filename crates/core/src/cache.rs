@@ -280,11 +280,6 @@ mod tests {
             ..Default::default()
         };
         assert_ne!(a.cache_fingerprint(), d.cache_fingerprint());
-        let e = OptimizerConfig {
-            determinism: crate::Determinism::Fast,
-            ..Default::default()
-        };
-        assert_ne!(a.cache_fingerprint(), e.cache_fingerprint());
         let g = OptimizerConfig {
             semijoin: crate::SemijoinMode::Off,
             ..Default::default()

@@ -45,7 +45,6 @@ pub use driver::{optimize, optimize_bare_block, optimize_block, OptimizedQuery, 
 pub use subplan::{PendingBf, PlanList, SubPlan};
 
 pub use bfq_bloom::BloomLayout;
-pub use bfq_common::Determinism;
 use bfq_cost::CostParams;
 pub use bfq_index::IndexMode;
 
@@ -161,14 +160,6 @@ pub struct OptimizerConfig {
     /// the same under either. The estimator's FPR math follows the layout,
     /// and the knob participates in the plan-cache fingerprint.
     pub bloom_layout: BloomLayout,
-    /// How much ordering the executor's sinks and exchanges preserve:
-    /// `strict` (the default: bit-exact run to run at a fixed (query, data,
-    /// dop); equal to the reference interpreter as a normalized multiset)
-    /// or `fast` (per-worker partial aggregation,
-    /// partial-sort merge and streamed exchanges — same row set, stable
-    /// run-to-run order at fixed DOP). Participates in the plan-cache
-    /// fingerprint like every other knob.
-    pub determinism: Determinism,
     /// Whether the executor records per-node runtime profiles (wall time,
     /// morsel counts) for `EXPLAIN ANALYZE`. Purely an execution knob — it
     /// does **not** change plan choice and stays out of the plan-cache
@@ -207,7 +198,6 @@ impl Default for OptimizerConfig {
             max_bf_subplans_per_rel: 64,
             index_mode: IndexMode::default(),
             bloom_layout: BloomLayout::default(),
-            determinism: Determinism::default(),
             profile: true,
             statement_timeout_ms: 0,
             memory_budget_rows: 0,
@@ -246,12 +236,6 @@ impl OptimizerConfig {
     /// Builder-style Bloom filter layout override.
     pub fn bloom_layout(mut self, layout: BloomLayout) -> Self {
         self.bloom_layout = layout;
-        self
-    }
-
-    /// Builder-style determinism-mode override.
-    pub fn determinism(mut self, mode: Determinism) -> Self {
-        self.determinism = mode;
         self
     }
 

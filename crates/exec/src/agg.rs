@@ -100,46 +100,6 @@ impl Acc {
         }
     }
 
-    /// Fold another accumulator of the same shape into this one (fast-mode
-    /// partial aggregation). Float sums reassociate: the result is the sum
-    /// of the partials' sums, not the strict sequential accumulation.
-    fn merge(&mut self, other: &Acc) {
-        match (self, other) {
-            (Acc::Count(n), Acc::Count(m)) => *n += m,
-            (Acc::SumInt(s, seen), Acc::SumInt(t, o)) => {
-                *s += t;
-                *seen |= o;
-            }
-            (Acc::SumFloat(s, seen), Acc::SumFloat(t, o)) => {
-                *s += t;
-                *seen |= o;
-            }
-            (Acc::Min(m), Acc::Min(o)) => {
-                if let Some(v) = o {
-                    if m.as_ref()
-                        .is_none_or(|cur| v.sql_cmp(cur) == Some(std::cmp::Ordering::Less))
-                    {
-                        *m = Some(v.clone());
-                    }
-                }
-            }
-            (Acc::Max(m), Acc::Max(o)) => {
-                if let Some(v) = o {
-                    if m.as_ref()
-                        .is_none_or(|cur| v.sql_cmp(cur) == Some(std::cmp::Ordering::Greater))
-                    {
-                        *m = Some(v.clone());
-                    }
-                }
-            }
-            (Acc::Avg(s, n), Acc::Avg(t, m)) => {
-                *s += t;
-                *n += m;
-            }
-            _ => debug_assert!(false, "merging mismatched accumulators"),
-        }
-    }
-
     fn finish(&self) -> Datum {
         match self {
             Acc::Count(n) => Datum::Int(*n),
@@ -321,54 +281,6 @@ impl AggState {
     pub fn reserve(&mut self, groups: usize) {
         self.groups.reserve(groups);
         self.states.reserve(groups);
-    }
-
-    /// Whether this state can be [`AggState::merge`]d with another partial:
-    /// DISTINCT sets hold normalized keys whose per-value accumulator
-    /// updates cannot be replayed, so distinct aggregates must stay on the
-    /// sequence-ordered single-state path.
-    pub fn mergeable(&self) -> bool {
-        !self.aggs.iter().any(|a| a.distinct)
-    }
-
-    /// Fold another partial state (same grouping/aggregate shape) into
-    /// this one: groups present in both merge accumulator-wise, groups
-    /// only in `other` are appended in `other`'s first-seen order — so
-    /// merging worker partials in worker-index order yields a
-    /// deterministic group order at fixed DOP.
-    pub fn merge(&mut self, mut other: AggState) -> Result<()> {
-        if !self.mergeable() {
-            return Err(BfqError::internal(
-                "cannot merge partial aggregates with DISTINCT",
-            ));
-        }
-        // Recover the normalized keys the other state already derived (its
-        // group map owns them) instead of re-normalizing every group.
-        let mut keys: Vec<Option<Vec<NormKey>>> = Vec::new();
-        keys.resize_with(other.states.len(), || None);
-        for (k, i) in other.groups.drain() {
-            keys[i] = Some(k);
-        }
-        self.groups.reserve(other.states.len());
-        self.states.reserve(other.states.len());
-        for (gs, key_norm) in other.states.into_iter().zip(keys) {
-            let key_norm =
-                key_norm.ok_or_else(|| BfqError::internal("partial group lost its key"))?;
-            match self.groups.get(&key_norm) {
-                Some(&i) => {
-                    let dst = &mut self.states[i];
-                    for (a, b) in dst.accs.iter_mut().zip(&gs.accs) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    let i = self.states.len();
-                    self.groups.insert(key_norm, i);
-                    self.states.push(gs);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Materialize the aggregated output (group columns then aggregate

@@ -226,10 +226,8 @@ pub struct ExecStats {
     /// stays bounded by `pipelines × workers × buffers` no matter how many
     /// morsels run — asserted by the allocation-discipline tests.
     scratch_allocs: AtomicU64,
-    /// Times a morsel worker blocked on a strict-mode reorder window
-    /// (produced output the sequence-ordered sink was not ready for).
-    /// Fast-mode partial sinks have no window and never stall — this
-    /// counter is what `determinism = fast` eliminates.
+    /// Times a morsel worker blocked on the reorder window (produced
+    /// output the sequence-ordered sink was not ready for).
     window_stalls: AtomicU64,
     /// Runtime Bloom filters built (one per executed `BloomBuild`).
     filter_builds: AtomicU64,

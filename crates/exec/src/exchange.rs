@@ -29,11 +29,8 @@ pub fn broadcast(input: PartitionedData, dop: usize) -> PartitionedData {
 }
 
 /// Split one chunk into the per-target `buckets` of a `dop`-way hash
-/// repartition on the key `slots`. The placement function (join-seeded key
-/// hash modulo `dop`) is the single source of truth shared by the
-/// barrier repartition below and the fast-mode streamed repartition sink
-/// ([`crate::pipeline`]), so both produce identical per-target row sets.
-pub(crate) fn route_chunk(chunk: &Chunk, slots: &[usize], buckets: &mut [Vec<Chunk>]) {
+/// repartition on the key `slots` (join-seeded key hash modulo `dop`).
+fn route_chunk(chunk: &Chunk, slots: &[usize], buckets: &mut [Vec<Chunk>]) {
     let dop = buckets.len();
     let hashes = hash_keys(chunk, slots, JOIN_SEED);
     let mut sels: Vec<Vec<u32>> = vec![Vec::new(); dop];
@@ -48,7 +45,7 @@ pub(crate) fn route_chunk(chunk: &Chunk, slots: &[usize], buckets: &mut [Vec<Chu
 }
 
 /// Merge per-source bucket sets by target, in source order.
-pub(crate) fn merge_buckets(bucketed: Vec<Vec<Vec<Chunk>>>, dop: usize) -> Vec<Vec<Chunk>> {
+fn merge_buckets(bucketed: Vec<Vec<Vec<Chunk>>>, dop: usize) -> Vec<Vec<Chunk>> {
     let mut partitions: Vec<Vec<Chunk>> = vec![Vec::new(); dop];
     for mut per_source in bucketed {
         for (b, chunks) in per_source.iter_mut().enumerate() {

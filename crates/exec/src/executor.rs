@@ -1,14 +1,14 @@
 //! Per-query execution state ([`ExecOptions`], [`ExecContext`],
 //! [`QueryOutput`]) and the blocking-operator kernels the morsel pipeline
 //! seals its breakers with: hash-join build sides with their runtime Bloom
-//! filters, semijoin-program reducers, sort and sorted-run merge.
+//! filters, semijoin-program reducers and sort.
 
 use std::sync::Arc;
 
 use bfq_bloom::strategy::{build_filter, StreamingStrategy};
 use bfq_bloom::{BloomLayout, FilterHub};
 use bfq_catalog::Catalog;
-use bfq_common::{BfqError, CancelToken, DataType, Determinism, Result};
+use bfq_common::{BfqError, CancelToken, DataType, Result};
 use bfq_expr::{eval, Layout};
 use bfq_index::IndexMode;
 use bfq_plan::{Distribution, ExchangeKind, PhysicalNode, PhysicalPlan};
@@ -30,20 +30,11 @@ pub struct ExecOptions {
     pub index_mode: IndexMode,
     /// Bit-placement layout for runtime Bloom filters.
     pub bloom_layout: BloomLayout,
-    /// How much ordering the pipeline's sinks and exchanges preserve
-    /// (`strict` = bit-exact run to run at a fixed (query, data, dop),
-    /// equal to the reference interpreter as a normalized multiset;
-    /// `fast` = per-worker partial states merged at seal).
-    pub determinism: Determinism,
-    /// Reorder-window size *per worker* (in morsels) for strict-mode
-    /// sequence-ordered sinks; the window may still grow adaptively under
-    /// backpressure. `fast` sinks have no window.
-    pub reorder_window: usize,
     /// Collect per-node runtime profiles (wall time, morsels) during
     /// pipelined execution. Defaults to on: recording is per-worker and
     /// merged at pipeline seal, so the steady-state cost is a pair of
-    /// monotonic-clock reads per operator per morsel (gated below 2% by
-    /// the `fig_obs_overhead` bench). Turn off to measure the floor.
+    /// monotonic-clock reads per operator per morsel. Turn off to measure
+    /// the floor.
     pub profile: bool,
     /// Cooperative interruption: polled at every morsel claim and every
     /// streamed pull. `None` means the query cannot be cancelled and has
@@ -61,8 +52,6 @@ impl Default for ExecOptions {
             dop: 1,
             index_mode: IndexMode::default(),
             bloom_layout: BloomLayout::default(),
-            determinism: Determinism::default(),
-            reorder_window: crate::pipeline::REORDER_WINDOW_PER_WORKER,
             profile: true,
             interrupt: None,
             memory_budget_rows: 0,
@@ -96,10 +85,6 @@ pub struct ExecContext {
     pub index_mode: IndexMode,
     /// Bit-placement layout for runtime Bloom filters built by this query.
     pub bloom_layout: BloomLayout,
-    /// Sink/exchange ordering contract (see [`Determinism`]).
-    pub determinism: Determinism,
-    /// Strict-mode reorder-window size per worker, in morsels.
-    pub reorder_window: usize,
     /// Whether pipelined execution records per-node runtime profiles.
     pub profile: bool,
     /// Cooperative cancellation/timeout token, polled at morsel claims.
@@ -125,8 +110,6 @@ impl ExecContext {
             filter_wait_ms: 120_000,
             index_mode: options.index_mode,
             bloom_layout: options.bloom_layout,
-            determinism: options.determinism,
-            reorder_window: options.reorder_window.max(1),
             profile: options.profile,
             interrupt: options.interrupt,
             memory_budget_rows: options.memory_budget_rows,
@@ -349,71 +332,12 @@ pub(crate) fn sort_chunk(
                 return ord;
             }
         }
-        a.cmp(&b) // stable tie-break for determinism
+        a.cmp(&b) // stable tie-break: equal keys keep input order
     });
     if let Some(n) = limit {
         idx.truncate(n);
     }
     Ok(chunk.take(&idx))
-}
-
-/// Merge two chunks already sorted by `keys` into one sorted chunk.
-///
-/// Ties take rows from `a` before `b` while preserving each side's
-/// internal order, so a fixed sequence of pairwise merges (fast mode's
-/// partial-sort sink: runs in worker-index order) yields a deterministic
-/// total order at fixed DOP — the tie-break is (run index, row index)
-/// instead of strict mode's gathered position.
-pub(crate) fn merge_sorted(
-    a: &Chunk,
-    b: &Chunk,
-    layout: &Layout,
-    keys: &[bfq_plan::SortKey],
-) -> Result<Chunk> {
-    if a.rows() == 0 {
-        return Ok(b.clone());
-    }
-    if b.rows() == 0 {
-        return Ok(a.clone());
-    }
-    let a_keys: Vec<Column> = keys
-        .iter()
-        .map(|k| eval(&k.expr, a, layout))
-        .collect::<Result<_>>()?;
-    let b_keys: Vec<Column> = keys
-        .iter()
-        .map(|k| eval(&k.expr, b, layout))
-        .collect::<Result<_>>()?;
-    let a_first = |i: usize, j: usize| -> bool {
-        for ((k, ca), cb) in keys.iter().zip(&a_keys).zip(&b_keys) {
-            let mut ord = col_cmp(ca, i, cb, j);
-            if k.descending {
-                ord = ord.reverse();
-            }
-            match ord {
-                std::cmp::Ordering::Less => return true,
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-        true // tie: keep the earlier run's row first
-    };
-    let combined = Chunk::concat(&[a.clone(), b.clone()])?;
-    let offset = a.rows() as u32;
-    let mut idx: Vec<u32> = Vec::with_capacity(a.rows() + b.rows());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.rows() && j < b.rows() {
-        if a_first(i, j) {
-            idx.push(i as u32);
-            i += 1;
-        } else {
-            idx.push(offset + j as u32);
-            j += 1;
-        }
-    }
-    idx.extend(i as u32..a.rows() as u32);
-    idx.extend((j as u32..b.rows() as u32).map(|x| offset + x));
-    Ok(combined.take(&idx))
 }
 
 /// Compute output types for a plan's layout (exported for the session layer

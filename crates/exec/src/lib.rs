@@ -37,11 +37,8 @@ pub mod scan;
 pub mod util;
 
 pub use bfq_bloom::BloomLayout;
-pub use bfq_common::Determinism;
 pub use bfq_index::IndexMode;
 pub use data::{ExecStats, PartitionedData, ScanPruneStats};
 pub use executor::{ExecContext, ExecOptions, QueryOutput};
-pub use pipeline::{
-    execute_plan, execute_plan_stream, ChunkStream, REORDER_WINDOW_PER_WORKER, SORT_RUN_ROWS,
-};
+pub use pipeline::{execute_plan, execute_plan_stream, ChunkStream, REORDER_WINDOW_PER_WORKER};
 pub use util::MorselScratch;

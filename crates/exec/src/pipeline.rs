@@ -13,38 +13,20 @@
 //! way and hands the *final* pipeline to the consumer, who pulls it one
 //! morsel at a time ([`ChunkStream`]).
 //!
-//! **Determinism.** Under [`Determinism::Strict`] (the default) results
-//! are bit-exact run to run at a fixed (query, data, dop), and equal to
-//! the reference interpreter (`bfq-ref`) as a normalized multiset: every
-//! morsel carries a worker-partition and a sequence position in
-//! *partition-major order* (partition `p` owns table chunks `p`,
-//! `p + dop`, …; partitions follow one another), chain output is
-//! reassembled by sequence, and order-sensitive sinks (aggregation's float
-//! accumulators, LIMIT) consume morsel outputs strictly in sequence
-//! through a bounded reorder window. The window is
-//! also what keeps memory flat: at most `workers × reorder_window` morsel
-//! outputs are buffered (the window starts narrow and widens adaptively
-//! under stall pressure, up to the configured
-//! [`crate::ExecOptions::reorder_window`] per worker), so a scan-heavy
-//! query never materializes a whole table between operators (observable
-//! via [`crate::ExecStats::peak_buffered_rows`]; stalls are counted in
+//! **Determinism contract.** Results are bit-exact run to run at a fixed
+//! (query, data, dop), and equal to the reference interpreter (`bfq-ref`)
+//! as a normalized multiset: every morsel carries a worker-partition and a
+//! sequence position in *partition-major order* (partition `p` owns table
+//! chunks `p`, `p + dop`, …; partitions follow one another), chain output
+//! is reassembled by sequence, and order-sensitive sinks (aggregation's
+//! float accumulators, LIMIT) consume morsel outputs strictly in sequence
+//! through a bounded reorder window. The window is also what keeps memory
+//! flat: at most `workers × REORDER_WINDOW_PER_WORKER` morsel outputs are
+//! buffered (the window starts narrow and widens adaptively under stall
+//! pressure, up to that cap), so a scan-heavy query never materializes a
+//! whole table between operators (observable via
+//! [`crate::ExecStats::peak_buffered_rows`]; stalls are counted in
 //! [`crate::ExecStats::window_stalls`]).
-//!
-//! Under [`Determinism::Fast`] the sequence-ordered sinks are replaced by
-//! *partial* sinks (`run_chain_partials`): the morsel sequence is split
-//! round-robin across `dop` partial-state *slots* (slot `s` folds morsels
-//! `s, s+S, s+2S, …` in order into a private state — a partial
-//! [`crate::agg::AggState`], sorted runs, or repartition buckets — with
-//! no window, no condvar and no sink-thread serialization), and the
-//! partials merge at seal in slot order. The morsel→slot map and the
-//! merge order are static, so results are deterministic run-to-run at a
-//! fixed DOP no matter how slots are scheduled — which frees the
-//! scheduler: threads claim whole slots from an atomic cursor, and the
-//! pool is clamped to the hardware's available parallelism instead of
-//! oversubscribing `dop` threads onto fewer cores. Fast-mode results
-//! carry the same row *set* as strict mode and keep the same order
-//! wherever a total ORDER BY pins it — but group order and float
-//! accumulation order may differ from strict mode's.
 //!
 //! **Statistics.** Per-node row counts and [`crate::ScanPruneStats`] are
 //! accumulated per morsel into the shared [`crate::ExecStats`] (interior
@@ -55,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bfq_catalog::Catalog;
-use bfq_common::{BfqError, ColumnId, DataType, Datum, Determinism, Result, TableId};
+use bfq_common::{BfqError, ColumnId, DataType, Datum, Result, TableId};
 use bfq_expr::{eval, eval_predicate, Expr, Layout};
 use bfq_index::{IndexMode, TableIndex};
 use bfq_plan::{
@@ -68,18 +50,18 @@ use parking_lot::{Condvar, Mutex};
 use crate::data::{ExecStats, PartitionedData, ScanPruneStats};
 use crate::exchange;
 use crate::executor::{
-    logical_rows_of, merge_sorted, output_types, seal_build_side, sort_chunk, ExecContext,
-    ExecOptions, QueryOutput,
+    logical_rows_of, output_types, seal_build_side, sort_chunk, ExecContext, ExecOptions,
+    QueryOutput,
 };
 use crate::join::{probe_partition, BuildTable};
 use crate::scan::{fetch_filters, prune_chunk, scan_chunk, ScanFilter};
 use crate::util::{expr_types, slots_for, substitute_placeholder, MorselScratch};
 
-/// Default cap on morsel outputs a worker may run ahead of the consuming
-/// sink, per worker (configurable via [`crate::ExecOptions::reorder_window`]).
-/// Small enough to keep buffered rows near `workers × chunk`, large enough
-/// that a slow morsel does not stall the whole pool. The live window
-/// starts at a quarter of the cap and doubles under sustained stalls.
+/// Cap on morsel outputs a worker may run ahead of the consuming sink, per
+/// worker. Small enough to keep buffered rows near `workers × chunk`,
+/// large enough that a slow morsel does not stall the whole pool. The live
+/// window starts at a quarter of the cap and doubles under sustained
+/// stalls.
 pub const REORDER_WINDOW_PER_WORKER: usize = 4;
 
 /// One unit of work: the chunk at `seq` in partition-major order,
@@ -668,8 +650,9 @@ struct MorselQueue {
     cancel: AtomicBool,
     state: Mutex<QueueState>,
     cond: Condvar,
-    /// Hard ceiling for the adaptive window: `workers × reorder_window`
-    /// morsels — the memory bound `peak_buffered_rows` is asserted against.
+    /// Hard ceiling for the adaptive window: `workers ×
+    /// REORDER_WINDOW_PER_WORKER` morsels — the memory bound
+    /// `peak_buffered_rows` is asserted against.
     window_cap: usize,
 }
 
@@ -687,16 +670,7 @@ fn run_chain(
     mut consume: impl FnMut(usize, Vec<Chunk>, u64) -> Result<bool>,
 ) -> Result<()> {
     let n = morsels.len();
-    let mut workers = ctx.dop.min(n).max(1);
-    if ctx.determinism == Determinism::Fast {
-        // The sink consumes in sequence order, so the result does not
-        // depend on the worker count — fast mode is free to size the
-        // pool by the hardware instead of oversubscribing `dop` threads
-        // onto fewer cores. Strict mode keeps `dop` workers so the
-        // execution shape (window size, buffering, stall stats) is the
-        // configured one, reproducible across machines.
-        workers = std::thread::available_parallelism().map_or(workers, |p| workers.min(p.get()));
-    }
+    let workers = ctx.dop.min(n).max(1);
     if n == 0 {
         return Ok(());
     }
@@ -716,7 +690,7 @@ fn run_chain(
         return Ok(());
     }
 
-    let window_cap = workers * ctx.reorder_window;
+    let window_cap = workers * REORDER_WINDOW_PER_WORKER;
     let queue = MorselQueue {
         claim: AtomicUsize::new(0),
         cancel: AtomicBool::new(false),
@@ -860,148 +834,6 @@ fn run_chain(
     })
 }
 
-/// Run a prepared chain with fast-mode *partial* sinks.
-///
-/// The morsel sequence is split statically round-robin across
-/// `S = min(dop, morsels)` partial-state *slots*: slot `s` folds morsels
-/// `s, s + S, s + 2S, …` in that order into a private state via
-/// `fold(state, partition, chunks, rows)`. There is no reorder window, no
-/// condvar and no sink-thread serialization. The states are returned in
-/// slot order, so a deterministic merge at the caller yields run-to-run
-/// identical results at fixed DOP.
-///
-/// Because the morsel→slot map (not the thread schedule) fixes the
-/// result, threads are decoupled from slots: a pool clamped to the
-/// hardware's available parallelism claims whole slots from an atomic
-/// cursor. A hot thread drains several slots with one warm
-/// [`MorselScratch`] instead of `dop` oversubscribed threads each paying
-/// a cold start, and the result is identical whatever the pool size.
-///
-/// Chunk rows are counted into the buffer gauge before `fold`, which owns
-/// the matching release (mirroring [`run_chain`]'s contract). At
-/// `dop = 1` there is a single slot folding the strict sequence order, so
-/// a single-partial sink is bit-identical to the strict path.
-fn run_chain_partials<S: Send>(
-    chain: &PreparedChain,
-    morsels: &[Morsel],
-    ctx: &ExecContext,
-    make: impl Fn() -> Result<S> + Sync,
-    fold: impl Fn(&mut S, usize, Vec<Chunk>, u64) -> Result<()> + Sync,
-) -> Result<Vec<S>> {
-    let n = morsels.len();
-    let slots = ctx.dop.min(n).max(1);
-    let cancel = AtomicBool::new(false);
-
-    // Fold one slot's round-robin share of the morsel sequence, in order.
-    let run_slot = |s: usize, scratch: &mut MorselScratch| -> Result<S> {
-        let mut state = make()?;
-        for seq in (s..n).step_by(slots) {
-            if cancel.load(Ordering::Acquire) {
-                break;
-            }
-            ctx.check_interrupts()?;
-            let chunks = chain.process(&morsels[seq], &ctx.stats, scratch)?;
-            let rows: u64 = chunks.iter().map(|c| c.rows() as u64).sum();
-            ctx.stats.buffer_grow(rows);
-            fold(
-                &mut state,
-                chain.output_partition(&morsels[seq]),
-                chunks,
-                rows,
-            )?;
-        }
-        Ok(state)
-    };
-
-    let threads = std::thread::available_parallelism().map_or(slots, |p| slots.min(p.get()));
-    if threads == 1 {
-        // Serial: one sequential pass over the morsels (scan-order
-        // locality), folding each into its slot's state. Every slot still
-        // sees exactly its round-robin share in ascending order, so the
-        // result is identical to the threaded schedule.
-        let mut scratch = MorselScratch::new();
-        let mut states = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            states.push(make()?);
-        }
-        for (seq, morsel) in morsels.iter().enumerate() {
-            ctx.check_interrupts()?;
-            let chunks = chain.process(morsel, &ctx.stats, &mut scratch)?;
-            let rows: u64 = chunks.iter().map(|c| c.rows() as u64).sum();
-            ctx.stats.buffer_grow(rows);
-            fold(
-                &mut states[seq % slots],
-                chain.output_partition(morsel),
-                chunks,
-                rows,
-            )?;
-        }
-        crate::util::flush_scratch_stats(&ctx.stats, &mut scratch);
-        return Ok(states);
-    }
-
-    let claim = AtomicUsize::new(0);
-    std::thread::scope(|scope| -> Result<Vec<S>> {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cancel = &cancel;
-            let claim = &claim;
-            let run_slot = &run_slot;
-            handles.push(scope.spawn(move || -> Result<Vec<(usize, S)>> {
-                let mut scratch = MorselScratch::new();
-                let mut done = Vec::new();
-                let mut err = None;
-                while !cancel.load(Ordering::Acquire) {
-                    let s = claim.fetch_add(1, Ordering::Relaxed);
-                    if s >= slots {
-                        break;
-                    }
-                    match run_slot(s, &mut scratch) {
-                        Ok(state) => done.push((s, state)),
-                        Err(e) => {
-                            cancel.store(true, Ordering::Release);
-                            err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                crate::util::flush_scratch_stats(&ctx.stats, &mut scratch);
-                match err {
-                    None => Ok(done),
-                    Some(e) => Err(e),
-                }
-            }));
-        }
-
-        let mut by_slot: Vec<Option<S>> = Vec::new();
-        by_slot.resize_with(slots, || None);
-        let mut first_err: Option<BfqError> = None;
-        for handle in handles {
-            match handle
-                .join()
-                .map_err(|_| BfqError::Execution("morsel worker panicked".into()))?
-            {
-                Ok(done) => {
-                    for (s, state) in done {
-                        by_slot[s] = Some(state);
-                    }
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        by_slot
-            .into_iter()
-            .enumerate()
-            .map(|(s, state)| {
-                state.ok_or_else(|| BfqError::internal(format!("partial slot {s} never ran")))
-            })
-            .collect()
-    })
-}
-
 /// Run a chain into a collecting sink: [`PartitionedData`] by partition
 /// of origin, in source order within each partition.
 fn run_chain_collect(head: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<PartitionedData> {
@@ -1039,49 +871,6 @@ pub fn execute_plan(
         chunk,
         stats: ctx.stats,
     })
-}
-
-/// Per-worker partial-sort state for the fast-mode sort sink: unsorted
-/// chunks buffered toward the next run, plus the finished sorted runs.
-#[derive(Default)]
-struct SortRuns {
-    pending: Vec<Chunk>,
-    pending_rows: usize,
-    runs: Vec<Chunk>,
-}
-
-/// Rows a worker buffers before sorting them into a run. Large enough to
-/// amortize the sort, small enough that Top-N queries keep per-worker
-/// memory near `SORT_RUN_ROWS + limit` rows.
-pub const SORT_RUN_ROWS: usize = 8192;
-
-/// Minimum estimated input-rows-per-group for the fast-mode aggregation
-/// sink to fold per-worker partials. Below this, the aggregate barely
-/// reduces its input, so merging the partial group sets at seal costs
-/// about as much as building them — the ordered single-state sink is
-/// cheaper. (The same rule drives partial-aggregation abandonment in
-/// production vectorized engines.)
-const PARTIAL_AGG_MIN_REDUCTION: f64 = 6.0;
-
-/// Sort the pending chunks of a [`SortRuns`] into one run, applying the
-/// Top-N `limit` and releasing the truncated rows from the buffer gauge.
-fn flush_run(
-    state: &mut SortRuns,
-    layout: &Layout,
-    keys: &[bfq_plan::SortKey],
-    limit: Option<usize>,
-    stats: &ExecStats,
-) -> Result<()> {
-    if state.pending.is_empty() {
-        return Ok(());
-    }
-    let chunk = Chunk::concat(&state.pending)?;
-    let sorted = sort_chunk(&chunk, layout, keys, limit)?;
-    stats.buffer_shrink((state.pending_rows - sorted.rows()) as u64);
-    state.pending.clear();
-    state.pending_rows = 0;
-    state.runs.push(sorted);
-    Ok(())
 }
 
 /// Run the node's semijoin-program [`bfq_plan::FilterSchedule`] (only ever
@@ -1133,40 +922,6 @@ pub(crate) fn execute_pipelined(
             ..
         } => run_chain_collect(plan, ctx),
 
-        PhysicalNode::Exchange {
-            input,
-            kind: ExchangeKind::Repartition(cols),
-        } if ctx.determinism == Determinism::Fast => {
-            // Streamed repartition: morsel outputs flow straight into
-            // per-worker bucket sets (via the same placement function as
-            // the barrier repartition) instead of gathering the whole
-            // input first; the bucket sets merge at seal in worker-index
-            // order.
-            let (chain, morsels) = prepare_chain(input, ctx)?;
-            let slots = slots_for(&input.layout, cols)?;
-            let dop = ctx.dop.max(1);
-            let partials = run_chain_partials(
-                &chain,
-                &morsels,
-                ctx,
-                || Ok(vec![Vec::<Chunk>::new(); dop]),
-                |buckets, _partition, chunks, _rows| {
-                    for chunk in &chunks {
-                        exchange::route_chunk(chunk, &slots, buckets);
-                    }
-                    Ok(())
-                },
-            )?;
-            ctx.stats.buffer_shrink(chain.sealed_rows());
-            let out = PartitionedData {
-                types: chain.types.clone(),
-                partitions: exchange::merge_buckets(partials, dop),
-            };
-            let out_rows = out.total_rows() as u64;
-            seal_node(plan, &out, out_rows, ctx, started);
-            Ok(out)
-        }
-
         PhysicalNode::Exchange { input, kind } => {
             let data = execute_pipelined(input, ctx)?;
             let in_rows = data.total_rows() as u64;
@@ -1191,66 +946,23 @@ pub(crate) fn execute_pipelined(
             est_groups,
         } => {
             // The blocking sink par excellence — but its input pipeline
-            // feeds it morsel by morsel instead of materializing first.
-            // Strict mode folds every morsel into one state in sequence
-            // order (so float accumulation order is a function of the plan
-            // and dop alone); fast mode folds per-worker partial states and
-            // merges them at seal in worker-index order. DISTINCT
-            // aggregates hold unmergeable normalized-key sets, so they
-            // stay on the strict sink in both modes. So do *dense* aggs
-            // (estimated reduction below PARTIAL_AGG_MIN_REDUCTION): when
-            // nearly every row opens a group, the seal merge re-inserts
-            // almost the whole group set and costs more than the ordered
-            // sink it replaces. The gate uses planner estimates, so the
-            // sink choice is plan-deterministic, not data-dependent.
+            // feeds it morsel by morsel instead of materializing first:
+            // every morsel folds into one state in sequence order, so float
+            // accumulation order is a function of the plan and dop alone.
             let (chain, morsels) = prepare_chain(input, ctx)?;
-            let reduces = est_groups * PARTIAL_AGG_MIN_REDUCTION <= input.est_rows;
-            let fast =
-                ctx.determinism == Determinism::Fast && reduces && !aggs.iter().any(|a| a.distinct);
             // Pre-size the group table from the planner estimate (capped:
             // a wild over-estimate must not balloon memory) so dense
             // aggregations skip their growth rehashes.
             let group_capacity = (est_groups.max(0.0) as usize).min(1 << 21);
-            let state = if fast {
-                let partials = run_chain_partials(
-                    &chain,
-                    &morsels,
-                    ctx,
-                    || {
-                        let mut state =
-                            crate::agg::AggState::new(&input.layout, &chain.types, group_by, aggs)?;
-                        state.reserve(group_capacity);
-                        Ok(state)
-                    },
-                    |state, _partition, chunks, rows| {
-                        for chunk in &chunks {
-                            state.update(chunk)?;
-                        }
-                        ctx.stats.buffer_shrink(rows);
-                        Ok(())
-                    },
-                )?;
-                let mut iter = partials.into_iter();
-                let mut acc = iter
-                    .next()
-                    .ok_or_else(|| BfqError::internal("aggregation produced no partials"))?;
-                for partial in iter {
-                    acc.merge(partial)?;
+            let mut state = crate::agg::AggState::new(&input.layout, &chain.types, group_by, aggs)?;
+            state.reserve(group_capacity);
+            run_chain(&chain, &morsels, ctx, |_partition, chunks, rows| {
+                for chunk in &chunks {
+                    state.update(chunk)?;
                 }
-                acc
-            } else {
-                let mut state =
-                    crate::agg::AggState::new(&input.layout, &chain.types, group_by, aggs)?;
-                state.reserve(group_capacity);
-                run_chain(&chain, &morsels, ctx, |_partition, chunks, rows| {
-                    for chunk in &chunks {
-                        state.update(chunk)?;
-                    }
-                    ctx.stats.buffer_shrink(rows);
-                    Ok(true)
-                })?;
-                state
-            };
+                ctx.stats.buffer_shrink(rows);
+                Ok(true)
+            })?;
             ctx.stats.buffer_shrink(chain.sealed_rows());
             let out = state.finish(having, &plan.layout)?;
             let types = output_types(&out);
@@ -1259,71 +971,6 @@ pub(crate) fn execute_pipelined(
                 partitions: vec![vec![out]],
             };
             seal_node(plan, &out, 0, ctx, started);
-            Ok(out)
-        }
-
-        PhysicalNode::Sort { input, keys, limit } if ctx.determinism == Determinism::Fast => {
-            // Partial-sort sink: each worker sorts bounded runs of its own
-            // morsel outputs (Top-N truncating every run), and the runs
-            // merge pairwise at seal. Sort memory stays bounded by
-            // `workers × (run + limit)` rows instead of the whole input —
-            // observable via `peak_buffered_rows` on Top-N queries.
-            let (chain, morsels) = prepare_chain(input, ctx)?;
-            let partials = run_chain_partials(
-                &chain,
-                &morsels,
-                ctx,
-                || Ok(SortRuns::default()),
-                |state, _partition, chunks, _rows| {
-                    for chunk in chunks {
-                        if chunk.rows() > 0 {
-                            state.pending_rows += chunk.rows();
-                            state.pending.push(chunk);
-                        }
-                    }
-                    if state.pending_rows >= SORT_RUN_ROWS {
-                        flush_run(state, &input.layout, keys, *limit, &ctx.stats)?;
-                    }
-                    Ok(())
-                },
-            )?;
-            ctx.stats.buffer_shrink(chain.sealed_rows());
-            let mut runs: Vec<Chunk> = Vec::new();
-            for mut state in partials {
-                flush_run(&mut state, &input.layout, keys, *limit, &ctx.stats)?;
-                runs.extend(state.runs);
-            }
-            let mut runs = runs.into_iter();
-            let sorted = match runs.next() {
-                None => Chunk::new(
-                    chain
-                        .types
-                        .iter()
-                        .map(|dt| Arc::new(Column::nulls(*dt, 0)))
-                        .collect(),
-                )?,
-                Some(first) => {
-                    let mut acc = first;
-                    for run in runs {
-                        let merged = merge_sorted(&acc, &run, &input.layout, keys)?;
-                        acc = match limit {
-                            Some(n) if merged.rows() > *n => {
-                                ctx.stats.buffer_shrink((merged.rows() - n) as u64);
-                                let sel: Vec<u32> = (0..*n as u32).collect();
-                                merged.take(&sel)
-                            }
-                            _ => merged,
-                        };
-                    }
-                    acc
-                }
-            };
-            let out_rows = sorted.rows() as u64;
-            let out = PartitionedData {
-                types: chain.types.clone(),
-                partitions: vec![vec![sorted]],
-            };
-            seal_node(plan, &out, out_rows, ctx, started);
             Ok(out)
         }
 

@@ -14,7 +14,7 @@
 //!   ([`MetricsSnapshot::to_prometheus_text`]) and the matching parser
 //!   ([`MetricsSnapshot::parse_prometheus_text`]) so snapshots round-trip.
 //! * [`FlightRecorder`] — a bounded ring of per-query [`QueryProfile`]s
-//!   (sql, plan fingerprint, phase breakdown, determinism, cache outcome).
+//!   (sql, plan fingerprint, phase breakdown, cache outcome).
 //!
 //! The design contract mirrors the executor's `MorselScratch` pattern: all
 //! per-morsel recording happens in per-worker scratch buffers owned by the

@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use bfq_common::Determinism;
 use parking_lot::Mutex;
 
 use crate::phase::PhaseBreakdown;
@@ -17,8 +16,6 @@ pub struct QueryProfile {
     pub plan_fingerprint: u64,
     /// Wall-clock phase breakdown.
     pub phases: PhaseBreakdown,
-    /// The ordering contract the query executed under.
-    pub determinism: Determinism,
     /// Whether the plan came from the shared plan cache.
     pub cache_hit: bool,
     /// Rows delivered.
@@ -86,7 +83,6 @@ mod tests {
             sql: format!("select {n}"),
             plan_fingerprint: n,
             phases: PhaseBreakdown::default(),
-            determinism: Determinism::Strict,
             cache_hit: n.is_multiple_of(2),
             rows_out: n,
         }

@@ -15,14 +15,10 @@
 //! which block — so the executor (`bfq-exec`), EXPLAIN output, and tests
 //! share one definition of the boundaries.
 //!
-//! The boundaries are independent of the session's determinism mode; what
-//! varies is how the executor's *sink* consumes the pipeline feeding a
-//! breaker. Under `determinism = strict` every breaker consumes morsel
-//! outputs in sequence order; under `fast`, aggregation, sort, and
-//! repartition sinks fold per-worker partial states (partial aggregates,
-//! sorted runs, streamed exchange buckets) that merge deterministically at
-//! seal. Either way a breaker node named here is where the pipeline ends
-//! and its output materializes.
+//! Every breaker consumes the morsel outputs of the pipeline feeding it in
+//! sequence order (the executor states the resulting contract once, in
+//! `bfq-exec`'s `pipeline` module doc); a breaker node named here is where
+//! the pipeline ends and its output materializes.
 
 use std::sync::Arc;
 

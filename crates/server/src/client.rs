@@ -1,9 +1,9 @@
 //! A blocking client for the bfq wire protocol.
 //!
-//! Used by the integration tests and the `fig_server_concurrency` bench;
-//! it is also a reference implementation of the client side of the
-//! protocol. One [`Client`] is one server session: requests go out one at
-//! a time and responses are read synchronously.
+//! Used by the integration tests and the `bench/e2e` benchmark; it is also
+//! a reference implementation of the client side of the protocol. One
+//! [`Client`] is one server session: requests go out one at a time and
+//! responses are read synchronously.
 //!
 //! ```no_run
 //! use bfq_server::Client;

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use bfq_common::{BfqError, CancelHub, CancelToken, DataType, Determinism, Result};
+use bfq_common::{BfqError, CancelHub, CancelToken, DataType, Result};
 use bfq_core::{BloomLayout, BloomMode, OptimizedQuery, OptimizerConfig, SemijoinMode};
 use bfq_exec::{execute_plan, execute_plan_stream, ChunkStream, ExecOptions, ExecStats};
 use bfq_index::IndexMode;
@@ -37,8 +37,6 @@ pub struct QueryOptions {
     pub index_mode: Option<IndexMode>,
     /// Override the degree of parallelism.
     pub dop: Option<usize>,
-    /// Override the sink/exchange ordering contract (`strict` / `fast`).
-    pub determinism: Option<Determinism>,
     /// Override the semijoin-program rewrite mode (`off` / `auto`).
     /// Plan-affecting: participates in the plan-cache fingerprint.
     pub semijoin: Option<SemijoinMode>,
@@ -69,9 +67,6 @@ impl QueryOptions {
         }
         if let Some(dop) = self.dop {
             config.dop = dop.max(1);
-        }
-        if let Some(mode) = self.determinism {
-            config.determinism = mode;
         }
         if let Some(mode) = self.semijoin {
             config.semijoin = mode;
@@ -135,10 +130,10 @@ impl Connection {
     ///
     /// Keys: `bloom_mode` (`none|post|cbo|naive`), `bloom_layout`
     /// (`standard|blocked`), `index_mode` (`off|zonemap|zonemap+bloom`),
-    /// `dop` (positive integer), `determinism` (`strict|fast`), `semijoin`
-    /// (`off|auto`), `profile` (`on|off`), `statement_timeout`
-    /// (milliseconds, 0 = off) and `memory_budget_rows` (buffered rows,
-    /// 0 = off). The value `default` resets a key to the engine default.
+    /// `dop` (positive integer), `semijoin` (`off|auto`), `profile`
+    /// (`on|off`), `statement_timeout` (milliseconds, 0 = off) and
+    /// `memory_budget_rows` (buffered rows, 0 = off). The value `default`
+    /// resets a key to the engine default.
     pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
         let key = key.trim().to_ascii_lowercase();
         let value = value.trim().to_ascii_lowercase();
@@ -188,9 +183,6 @@ impl Connection {
                     Some(dop)
                 }
             }
-            "determinism" => {
-                self.options.determinism = if reset { None } else { Some(value.parse()?) }
-            }
             "semijoin" => self.options.semijoin = if reset { None } else { Some(value.parse()?) },
             "profile" => {
                 self.options.profile = if reset {
@@ -232,8 +224,8 @@ impl Connection {
             other => {
                 return Err(BfqError::invalid(format!(
                     "unknown option `{other}` \
-                     (bloom_mode|bloom_layout|index_mode|dop|determinism|semijoin\
-                     |profile|statement_timeout|memory_budget_rows)"
+                     (bloom_mode|bloom_layout|index_mode|dop|semijoin|profile\
+                     |statement_timeout|memory_budget_rows)"
                 )))
             }
         }
@@ -272,7 +264,6 @@ impl Connection {
                     optimized: cached.optimized.clone(),
                     exec_stats: ExecStats::new(),
                     cache_hit,
-                    determinism: optimizer.determinism,
                     phases,
                     statement_timeout_ms: optimizer.statement_timeout_ms,
                     memory_budget_rows: optimizer.memory_budget_rows,
@@ -303,7 +294,6 @@ impl Connection {
         self.engine.observe_query(
             sql,
             &cached.optimized,
-            optimizer.determinism,
             cache_hit,
             &out.stats,
             out.chunk.rows() as u64,
@@ -315,7 +305,6 @@ impl Connection {
             optimized: cached.optimized.clone(),
             exec_stats: out.stats,
             cache_hit,
-            determinism: optimizer.determinism,
             phases,
             statement_timeout_ms: optimizer.statement_timeout_ms,
             memory_budget_rows: optimizer.memory_budget_rows,
@@ -333,7 +322,6 @@ impl Connection {
             column_names: cached.output_names.clone(),
             optimized: cached.optimized.clone(),
             cache_hit,
-            determinism: optimizer.determinism,
             stream,
             engine: self.engine.clone(),
             sql: sql.to_string(),
@@ -399,7 +387,6 @@ pub(crate) fn exec_options(optimizer: &OptimizerConfig) -> ExecOptions {
         dop: optimizer.dop,
         index_mode: optimizer.index_mode,
         bloom_layout: optimizer.bloom_layout,
-        determinism: optimizer.determinism,
         profile: optimizer.profile,
         memory_budget_rows: optimizer.memory_budget_rows,
         ..Default::default()
@@ -464,8 +451,6 @@ pub struct QueryStream {
     pub optimized: OptimizedQuery,
     /// Whether the plan came from the shared plan cache.
     pub cache_hit: bool,
-    /// The sink/exchange ordering contract this query executes under.
-    pub determinism: Determinism,
     stream: ChunkStream,
     /// The engine whose metrics and flight recorder this query reports to
     /// when gathered.
@@ -487,7 +472,6 @@ impl QueryStream {
         column_names: Vec<String>,
         optimized: OptimizedQuery,
         cache_hit: bool,
-        determinism: Determinism,
         stream: ChunkStream,
         engine: Arc<Engine>,
         sql: String,
@@ -498,7 +482,6 @@ impl QueryStream {
             column_names,
             optimized,
             cache_hit,
-            determinism,
             stream,
             engine,
             sql,
@@ -530,7 +513,6 @@ impl QueryStream {
         self.engine.observe_query(
             &self.sql,
             &self.optimized,
-            self.determinism,
             self.cache_hit,
             &out.stats,
             out.chunk.rows() as u64,
@@ -542,7 +524,6 @@ impl QueryStream {
             optimized: self.optimized,
             exec_stats: out.stats,
             cache_hit: self.cache_hit,
-            determinism: self.determinism,
             phases,
             statement_timeout_ms: self.guard.timeout_ms,
             memory_budget_rows: self.guard.budget_rows,

@@ -27,7 +27,7 @@ use parking_lot::RwLock;
 
 use crate::connection::Connection;
 
-pub use bfq_core::{BloomLayout, BloomMode, Determinism, SemijoinMode};
+pub use bfq_core::{BloomLayout, BloomMode, SemijoinMode};
 pub use bfq_index::IndexMode;
 pub use bfq_obs::{MetricsSnapshot, PhaseBreakdown, QueryProfile};
 
@@ -80,12 +80,6 @@ impl EngineConfig {
     /// Set the Bloom filter bit-placement layout (standard / blocked).
     pub fn with_bloom_layout(mut self, layout: BloomLayout) -> Self {
         self.optimizer.bloom_layout = layout;
-        self
-    }
-
-    /// Set the sink/exchange ordering contract (strict / fast).
-    pub fn with_determinism(mut self, mode: Determinism) -> Self {
-        self.optimizer.determinism = mode;
         self
     }
 
@@ -142,8 +136,6 @@ pub struct QueryResult {
     /// plan-cache hit, and always `true` when executing a prepared
     /// statement (it holds its plan from prepare time).
     pub cache_hit: bool,
-    /// The sink/exchange ordering contract this query executed under.
-    pub determinism: Determinism,
     /// Wall-clock phase breakdown (parse / bind / optimize are zero on a
     /// plan-cache hit or prepared execution — those phases did not run).
     pub phases: PhaseBreakdown,
@@ -302,7 +294,6 @@ impl QueryResult {
         } else {
             "plan cache: miss\n"
         });
-        out.push_str(&format!("determinism: {}\n", self.determinism));
         if self.statement_timeout_ms > 0 {
             out.push_str(&format!(
                 "statement timeout: {}ms\n",
@@ -433,12 +424,10 @@ impl Engine {
     /// Fold one completed query into the metrics registry and the flight
     /// recorder. Called once per statement at completion — never on the
     /// morsel hot path.
-    #[allow(clippy::too_many_arguments)] // one slot per recorded facet
     pub(crate) fn observe_query(
         &self,
         sql: &str,
         optimized: &OptimizedQuery,
-        determinism: Determinism,
         cache_hit: bool,
         stats: &ExecStats,
         rows_out: u64,
@@ -467,7 +456,6 @@ impl Engine {
             sql: sql.to_string(),
             plan_fingerprint: fingerprint(&optimized.plan.explain(&|c| c.to_string())),
             phases,
-            determinism,
             cache_hit,
             rows_out,
         });

@@ -73,8 +73,7 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineConfig, QueryResult};
     pub use crate::statement::{BoundStatement, PreparedStatement};
     pub use bfq_common::{
-        BfqError, CancelHub, CancelReason, CancelToken, DataType, Datum, Determinism, RelSet,
-        Result,
+        BfqError, CancelHub, CancelReason, CancelToken, DataType, Datum, RelSet, Result,
     };
     pub use bfq_core::{BloomLayout, BloomMode, PlanCacheStats};
     pub use bfq_index::IndexMode;

@@ -106,8 +106,7 @@ impl PreparedStatement {
     /// the values captured at prepare time. The cached plan is reused
     /// as-is: these knobs are normalized out of the plan-cache
     /// fingerprint, so no replanning happens. Plan-shaping knobs
-    /// (bloom/index modes, dop, determinism) intentionally stay as
-    /// prepared.
+    /// (bloom/index modes, dop) intentionally stay as prepared.
     pub fn with_session_options(&self, options: &QueryOptions) -> PreparedStatement {
         let current = options.effective(&self.engine.config().optimizer);
         let mut stmt = self.clone();
@@ -186,7 +185,6 @@ impl BoundStatement {
         self.stmt.engine.observe_query(
             &self.stmt.sql,
             &optimized,
-            self.stmt.optimizer.determinism,
             true,
             &out.stats,
             out.chunk.rows() as u64,
@@ -198,7 +196,6 @@ impl BoundStatement {
             optimized,
             exec_stats: out.stats,
             cache_hit: true,
-            determinism: self.stmt.optimizer.determinism,
             phases,
             statement_timeout_ms: self.stmt.optimizer.statement_timeout_ms,
             memory_budget_rows: self.stmt.optimizer.memory_budget_rows,
@@ -215,7 +212,6 @@ impl BoundStatement {
             self.stmt.cached.output_names.clone(),
             self.optimized(),
             true,
-            self.stmt.optimizer.determinism,
             stream,
             self.stmt.engine.clone(),
             self.stmt.sql.clone(),

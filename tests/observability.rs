@@ -260,7 +260,6 @@ fn flight_recorder_ring_is_bounded_newest_first() {
     assert!(recent[2].sql.ends_with("limit 3"), "{:?}", recent[2].sql);
     for p in &recent {
         assert!(p.plan_fingerprint != 0);
-        assert_eq!(p.determinism, Determinism::Strict);
         assert!(p.phases.execute_ns > 0);
         assert_eq!(p.rows_out as usize, {
             let l: usize = p.sql.rsplit(' ').next().unwrap().parse().unwrap();
@@ -289,7 +288,6 @@ fn explain_surfaces_stall_and_scratch_counters() {
     let analyzed = r.explain_analyze();
     assert!(analyzed.contains("window stalls: "), "{analyzed}");
     assert!(analyzed.contains("filter scratch allocs: "), "{analyzed}");
-    assert!(analyzed.contains("determinism: strict"), "{analyzed}");
 }
 
 #[test]

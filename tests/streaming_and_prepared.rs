@@ -187,6 +187,45 @@ fn parameter_arity_and_adhoc_params_are_rejected() {
 }
 
 #[test]
+fn unknown_set_option_is_a_typed_error_naming_every_option() {
+    let db = tpch::gen::generate(SF, SEED).expect("generate");
+    let mut conn = Engine::new(db, EngineConfig::default()).connect();
+    let before = conn.options().clone();
+    let err = conn
+        .set("determinism", "fast")
+        .expect_err("there is one sink set and no option selecting it");
+    assert!(matches!(err, BfqError::Invalid(_)), "{err:?}");
+    let msg = err.to_string();
+    assert!(msg.contains("unknown option `determinism`"), "{msg}");
+    // The message's option list is exactly the set of names SET accepts.
+    let open = msg.find('(').expect("option list");
+    let listed: Vec<&str> = msg[open + 1..msg.rfind(')').expect("option list")]
+        .split('|')
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "bloom_mode",
+            "bloom_layout",
+            "index_mode",
+            "dop",
+            "semijoin",
+            "profile",
+            "statement_timeout",
+            "memory_budget_rows",
+        ]
+    );
+    for name in listed {
+        conn.set(name, "default")
+            .unwrap_or_else(|e| panic!("listed option `{name}` is not settable: {e}"));
+    }
+    // The failed SET changed nothing and the session keeps working.
+    assert_eq!(conn.options(), &before);
+    let out = conn.run_sql("select count(*) from region").expect("query");
+    assert_eq!(rows_of(&out.chunk), vec![vec!["5".to_string()]]);
+}
+
+#[test]
 fn cache_normalizes_whitespace_and_case() {
     let db = tpch::gen::generate(SF, SEED).expect("generate");
     let engine = Engine::new(db, EngineConfig::default());
