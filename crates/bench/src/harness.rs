@@ -114,7 +114,6 @@ fn timed_exec(
             dop: config.dop,
             index_mode: config.index_mode,
             bloom_layout: config.bloom_layout,
-            profile: config.profile,
             ..Default::default()
         },
     )?;

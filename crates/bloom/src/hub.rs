@@ -287,45 +287,12 @@ impl RuntimeFilter {
         }
     }
 
-    /// Batched aligned probe for partition `part` (falls back to the
-    /// routed/single probe when alignment does not apply).
-    pub fn probe_partition_into(
-        &self,
-        part: usize,
-        col: &Column,
-        sel: Option<&[u32]>,
-        scratch: &mut ProbeScratch,
-        out: &mut Vec<u32>,
-    ) {
-        match &self.core {
-            FilterCore::Partitioned(pf) if part < pf.partitions() => {
-                let f = pf.part(part);
-                scratch.hash_column(col, f.needs_second_hash());
-                let cap = out.capacity();
-                f.probe_hashes_into(&scratch.h1, &scratch.h2, col.validity(), sel, out);
-                if out.capacity() > cap {
-                    scratch.grows += 1;
-                }
-            }
-            _ => self.probe_into(col, sel, scratch, out),
-        }
-    }
-
     /// Probe `col` rows selected by `sel`; returns the surviving selection
     /// (allocating wrapper over [`RuntimeFilter::probe_into`]).
     pub fn probe(&self, col: &Column, sel: &[u32]) -> Vec<u32> {
         let mut scratch = ProbeScratch::new();
         let mut out = Vec::with_capacity(sel.len());
         self.probe_into(col, Some(sel), &mut scratch, &mut out);
-        out
-    }
-
-    /// Aligned probe for partition `part` (falls back to routed/single probe
-    /// when alignment does not apply).
-    pub fn probe_partition(&self, part: usize, col: &Column, sel: &[u32]) -> Vec<u32> {
-        let mut scratch = ProbeScratch::new();
-        let mut out = Vec::with_capacity(sel.len());
-        self.probe_partition_into(part, col, Some(sel), &mut scratch, &mut out);
         out
     }
 
@@ -445,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_partition_dispatch() {
+    fn partitioned_filter_probes_by_routing() {
         let mut pf = PartitionedBloomFilter::new(2, 10);
         pf.insert_column_routed(&Column::Int64(vec![1, 2, 3, 4], None));
         let rf = RuntimeFilter::partitioned(pf);
@@ -453,7 +420,5 @@ mod tests {
         // Routed probe must find everything.
         assert_eq!(rf.probe(&col, &[0, 1, 2, 3]).len(), 4);
         assert!(rf.size_bytes() > 0);
-        // Out-of-range partition falls back to routed probing.
-        assert_eq!(rf.probe_partition(99, &col, &[0, 1, 2, 3]).len(), 4);
     }
 }

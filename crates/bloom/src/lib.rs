@@ -11,8 +11,9 @@
 //!   confined to one 512-bit block so a probe costs a single cache miss;
 //! * [`PartitionedBloomFilter`] — per-partition partial filters for
 //!   partitioned hash joins, with bit-vector union merging;
-//! * [`strategy`] — the four SMP streaming strategies of §3.9 (broadcast
-//!   build/probe, partition aligned/unaligned);
+//! * [`strategy`] — the SMP streaming strategies of §3.9 (broadcast
+//!   build, broadcast probe, partition join; case 4, the aligned partition
+//!   join, runs as case 3 after the executor's repartition);
 //! * [`hub::FilterHub`] — the runtime rendezvous between the hash join that
 //!   builds a filter and the scan that applies it ("table scans wait for all
 //!   Bloom filter partitions to become available", §3.9);

@@ -1,15 +1,13 @@
 //! Partitioned Bloom filters for partitioned hash joins (paper §3.9,
-//! strategies 3 and 4).
+//! strategy 3).
 //!
 //! A partition join builds `n` partial hash joins, one per partition of the
 //! build side; we build one partial Bloom filter per partition. On the apply
-//! side:
-//! * **aligned** (§3.9 case 4): partition `i` of the scanned relation probes
-//!   partial filter `i` directly;
-//! * **unaligned** (§3.9 case 3): each row routes to a partial filter by
-//!   hashing its key with the partitioning hash ("distributed lookup"), or
-//!   the partials are merged into one filter when the partition column is
-//!   unavailable.
+//! side each row routes to a partial filter by hashing its key with the
+//! partitioning hash ("distributed lookup"), or the partials are merged into
+//! one filter when the partition column is unavailable. The paper's case 4
+//! (apply side already partitioned like the build side) runs as case 3
+//! after the executor's repartition.
 
 use bfq_common::hash::hash_u64;
 use bfq_storage::{Bitmap, Column};
@@ -81,12 +79,6 @@ impl PartitionedBloomFilter {
         &mut self.parts[i]
     }
 
-    /// Insert a column whose rows are already partition-local (aligned
-    /// build): all keys go to partition `part`.
-    pub fn insert_column_aligned(&mut self, part: usize, col: &Column) {
-        self.parts[part].insert_column(col);
-    }
-
     /// Insert a column routing each row to its partition by key hash
     /// (build side not yet partitioned).
     pub fn insert_column_routed(&mut self, col: &Column) {
@@ -104,11 +96,6 @@ impl PartitionedBloomFilter {
                 self.parts[p].insert_hashes(h, second(i));
             }
         }
-    }
-
-    /// Aligned probe (§3.9 case 4): rows of `col` belong to partition `part`.
-    pub fn probe_aligned(&self, part: usize, col: &Column, sel: &[u32]) -> Vec<u32> {
-        self.parts[part].probe_selected(col, sel)
     }
 
     /// Batched unaligned probe over pre-hashed keys: rows selected by `sel`
@@ -198,18 +185,6 @@ mod tests {
             "too many false positives: {}",
             survivors.len()
         );
-    }
-
-    #[test]
-    fn aligned_build_and_probe() {
-        let mut pf = PartitionedBloomFilter::new(2, 100);
-        pf.insert_column_aligned(0, &int_col(&[1, 2, 3]));
-        pf.insert_column_aligned(1, &int_col(&[100, 200]));
-        let probe0 = int_col(&[1, 100]);
-        // Partition 0 only knows 1,2,3.
-        let s = pf.probe_aligned(0, &probe0, &[0, 1]);
-        assert!(s.contains(&0));
-        assert!(!s.contains(&1) || pf.part(0).estimated_fpr() > 0.0);
     }
 
     #[test]

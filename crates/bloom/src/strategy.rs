@@ -1,9 +1,12 @@
-//! The four SMP streaming strategies of paper §3.9.
+//! The SMP streaming strategies of paper §3.9.
 //!
 //! How a Bloom filter is built and applied depends on how the owning hash
 //! join streams its inputs across threads. [`StreamingStrategy`] names the
-//! four cases; [`build_filter`] turns per-thread build-side key columns into
-//! the [`RuntimeFilter`] the apply-side scan will use.
+//! cases; [`build_filter`] turns per-thread build-side key columns into the
+//! [`RuntimeFilter`] the apply-side scan will use. The paper's case 4
+//! (partition join, apply side partitioned the same way) runs as case 3:
+//! the executor repartitions the join's inputs itself, so a scan never
+//! sees rows already split the way the partial filters are.
 
 use bfq_storage::Column;
 
@@ -100,9 +103,6 @@ pub enum StreamingStrategy {
     /// same way: build `n` partials, probe by **distributed lookup** on the
     /// partitioning column (§3.9 case 3).
     PartitionUnaligned,
-    /// Partition join with aligned partitioning: partial filter `i` applies
-    /// directly to apply-side partition `i` (§3.9 case 4).
-    PartitionAligned,
 }
 
 impl StreamingStrategy {
@@ -112,7 +112,6 @@ impl StreamingStrategy {
             StreamingStrategy::BroadcastBuild => "broadcast-build",
             StreamingStrategy::BroadcastProbe => "broadcast-probe",
             StreamingStrategy::PartitionUnaligned => "partition-unaligned",
-            StreamingStrategy::PartitionAligned => "partition-aligned",
         }
     }
 }
@@ -156,7 +155,7 @@ pub fn build_filter(
             merged.set_ndv_hint(ndv_hint(&hashes, expected_ndv));
             RuntimeFilter::single(merged).with_key_info(bounds, hashes, summary)
         }
-        StreamingStrategy::PartitionUnaligned | StreamingStrategy::PartitionAligned => {
+        StreamingStrategy::PartitionUnaligned => {
             let n = thread_keys.len();
             let mut pf = PartitionedBloomFilter::new_layout(n, expected_ndv, layout);
             for keys in thread_keys {
@@ -313,9 +312,9 @@ mod tests {
             BloomLayout::Standard,
         );
         assert!(matches!(standard.key_hashes(), Some(KeyHashes::Pairs(h)) if h.len() == 3));
-        // Partitioned strategies follow the same rule.
+        // The partitioned strategy follows the same rule.
         let part = build_filter(
-            StreamingStrategy::PartitionAligned,
+            StreamingStrategy::PartitionUnaligned,
             &[int_col(&[1, 2]), int_col(&[3, 4])],
             4,
             BloomLayout::Blocked,
@@ -336,29 +335,29 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_strategies_probe_correctly() {
-        for strat in [
+    fn partitioned_strategy_probes_correctly() {
+        let keys: Vec<i64> = (0..2000).collect();
+        // Split keys across 4 "threads" arbitrarily.
+        let cols: Vec<Column> = keys.chunks(500).map(int_col).collect();
+        let f = build_filter(
             StreamingStrategy::PartitionUnaligned,
-            StreamingStrategy::PartitionAligned,
-        ] {
-            let keys: Vec<i64> = (0..2000).collect();
-            // Split keys across 4 "threads" arbitrarily.
-            let cols: Vec<Column> = keys.chunks(500).map(int_col).collect();
-            let f = build_filter(strat, &cols, keys.len(), BloomLayout::Standard);
-            let s = survivors(&f, &int_col(&keys));
-            assert_eq!(s.len(), keys.len(), "{strat:?} lost rows");
-            let miss: Vec<i64> = (1_000_000..1_000_500).collect();
-            let misses = survivors(&f, &int_col(&miss));
-            assert!(misses.len() < 100, "{strat:?} too many false positives");
-        }
+            &cols,
+            keys.len(),
+            BloomLayout::Standard,
+        );
+        let s = survivors(&f, &int_col(&keys));
+        assert_eq!(s.len(), keys.len(), "lost rows");
+        let miss: Vec<i64> = (1_000_000..1_000_500).collect();
+        let misses = survivors(&f, &int_col(&miss));
+        assert!(misses.len() < 100, "too many false positives");
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(StreamingStrategy::BroadcastBuild.label(), "broadcast-build");
         assert_eq!(
-            StreamingStrategy::PartitionAligned.label(),
-            "partition-aligned"
+            StreamingStrategy::PartitionUnaligned.label(),
+            "partition-unaligned"
         );
     }
 }

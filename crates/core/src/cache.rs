@@ -167,23 +167,13 @@ impl PlanCache {
 }
 
 impl OptimizerConfig {
-    /// A fingerprint of every plan-affecting knob, used as part of the plan
-    /// cache key so sessions with different optimizer settings never share
-    /// plans.
+    /// A fingerprint of the whole config, used as part of the plan cache
+    /// key so sessions with different optimizer settings never share plans.
     ///
-    /// The `Debug` rendering covers all fields by construction, so newly
-    /// added knobs are conservatively included without further bookkeeping.
-    /// Execution-only knobs that cannot change plan choice (`profile`,
-    /// `statement_timeout_ms`, `memory_budget_rows`) are normalized first,
-    /// so toggling them keeps reusing cached plans.
+    /// The `Debug` rendering covers all fields by construction, so a newly
+    /// added field is included without further bookkeeping.
     pub fn cache_fingerprint(&self) -> String {
-        let plan_affecting = OptimizerConfig {
-            profile: false,
-            statement_timeout_ms: 0,
-            memory_budget_rows: 0,
-            ..self.clone()
-        };
-        format!("{plan_affecting:?}")
+        format!("{self:?}")
     }
 }
 
@@ -289,15 +279,6 @@ mod tests {
             a.cache_fingerprint(),
             OptimizerConfig::default().cache_fingerprint()
         );
-        // Execution-only knobs are normalized out: sessions differing only
-        // in profile / timeout / memory budget share cached plans.
-        let f = OptimizerConfig {
-            profile: false,
-            statement_timeout_ms: 5_000,
-            memory_budget_rows: 1_000_000,
-            ..Default::default()
-        };
-        assert_eq!(a.cache_fingerprint(), f.cache_fingerprint());
     }
 
     #[test]

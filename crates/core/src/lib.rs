@@ -109,6 +109,11 @@ pub enum BloomMode {
 
 /// Optimizer configuration: mode, DOP, cost parameters and the heuristic
 /// thresholds of §3.10/§4.1.
+///
+/// Every field can change the plan the optimizer picks, so the whole struct
+/// is the plan-cache fingerprint ([`OptimizerConfig::cache_fingerprint`]).
+/// A setting the optimizer does not read does not belong here — the
+/// execution-only ones live in `bfq_exec::ExecConfig`.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Bloom filter mode.
@@ -160,20 +165,6 @@ pub struct OptimizerConfig {
     /// the same under either. The estimator's FPR math follows the layout,
     /// and the knob participates in the plan-cache fingerprint.
     pub bloom_layout: BloomLayout,
-    /// Whether the executor records per-node runtime profiles (wall time,
-    /// morsel counts) for `EXPLAIN ANALYZE`. Purely an execution knob — it
-    /// does **not** change plan choice and stays out of the plan-cache
-    /// fingerprint.
-    pub profile: bool,
-    /// Per-statement wall-clock limit in milliseconds (0 = no limit).
-    /// Enforced cooperatively by the executor at morsel granularity. An
-    /// execution knob like [`OptimizerConfig::profile`]: normalized out of
-    /// the plan-cache fingerprint.
-    pub statement_timeout_ms: u64,
-    /// Per-query cap on rows simultaneously buffered between operators
-    /// (0 = no cap), enforced against the executor's live buffered-rows
-    /// gauge. Execution-only; stays out of the plan-cache fingerprint.
-    pub memory_budget_rows: u64,
     /// Semijoin-program rewrite mode (see [`SemijoinMode`]). Plan-affecting
     /// and therefore part of the plan-cache fingerprint.
     pub semijoin: SemijoinMode,
@@ -198,9 +189,6 @@ impl Default for OptimizerConfig {
             max_bf_subplans_per_rel: 64,
             index_mode: IndexMode::default(),
             bloom_layout: BloomLayout::default(),
-            profile: true,
-            statement_timeout_ms: 0,
-            memory_budget_rows: 0,
             semijoin: SemijoinMode::default(),
         }
     }

@@ -1,4 +1,4 @@
-//! Per-query execution state ([`ExecOptions`], [`ExecContext`],
+//! Per-query execution state ([`ExecConfig`], [`ExecOptions`], [`ExecContext`],
 //! [`QueryOutput`]) and the blocking-operator kernels the morsel pipeline
 //! seals its breakers with: hash-join build sides with their runtime Bloom
 //! filters, semijoin-program reducers and sort.
@@ -19,9 +19,41 @@ use crate::join::BuildTable;
 use crate::parallel::par_map;
 use crate::util::{col_cmp, slots_for};
 
-/// Per-query execution knobs, mirroring the plan-affecting runtime fields
-/// of the optimizer config (which lives upstream and is not a dependency
-/// of this crate).
+/// The execution-only settings: read when a plan runs, never by the
+/// optimizer, so no value here can change which plan is picked (and none of
+/// it is part of the plan-cache key).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecConfig {
+    /// Collect per-node runtime profiles (wall time, morsels) during
+    /// pipelined execution. Defaults to on: recording is per-worker and
+    /// merged at pipeline seal, so the steady-state cost is a pair of
+    /// monotonic-clock reads per operator per morsel. Turn off to measure
+    /// the floor.
+    pub profile: bool,
+    /// Per-statement wall-clock limit in milliseconds (`0` = no limit).
+    /// Whoever starts the query turns it into the deadline of
+    /// [`ExecOptions::interrupt`]; the executor only polls that token.
+    pub statement_timeout_ms: u64,
+    /// Per-query cap on rows simultaneously resident in inter-operator
+    /// buffers ([`ExecStats::buffered_rows_now`]); exceeded → the query
+    /// fails with an execution error. `0` disables the budget.
+    pub memory_budget_rows: u64,
+}
+
+impl Default for ExecConfig {
+    fn default() -> Self {
+        ExecConfig {
+            profile: true,
+            statement_timeout_ms: 0,
+            memory_budget_rows: 0,
+        }
+    }
+}
+
+/// Everything one execution is told besides the plan and the catalog: the
+/// three values the plan was costed under that the executor must honour
+/// (`dop`, `index_mode`, `bloom_layout`), the execution-only [`ExecConfig`],
+/// and the per-execution interruption handle.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Degree of parallelism.
@@ -30,20 +62,12 @@ pub struct ExecOptions {
     pub index_mode: IndexMode,
     /// Bit-placement layout for runtime Bloom filters.
     pub bloom_layout: BloomLayout,
-    /// Collect per-node runtime profiles (wall time, morsels) during
-    /// pipelined execution. Defaults to on: recording is per-worker and
-    /// merged at pipeline seal, so the steady-state cost is a pair of
-    /// monotonic-clock reads per operator per morsel. Turn off to measure
-    /// the floor.
-    pub profile: bool,
+    /// Profiling, statement timeout, buffered-rows budget.
+    pub exec: ExecConfig,
     /// Cooperative interruption: polled at every morsel claim and every
     /// streamed pull. `None` means the query cannot be cancelled and has
     /// no statement deadline.
     pub interrupt: Option<Arc<CancelToken>>,
-    /// Per-query cap on rows simultaneously resident in inter-operator
-    /// buffers ([`ExecStats::buffered_rows_now`]); exceeded → the query
-    /// fails with an execution error. `0` disables the budget.
-    pub memory_budget_rows: u64,
 }
 
 impl Default for ExecOptions {
@@ -52,9 +76,8 @@ impl Default for ExecOptions {
             dop: 1,
             index_mode: IndexMode::default(),
             bloom_layout: BloomLayout::default(),
-            profile: true,
+            exec: ExecConfig::default(),
             interrupt: None,
-            memory_budget_rows: 0,
         }
     }
 }
@@ -73,46 +96,26 @@ impl ExecOptions {
 pub struct ExecContext {
     /// The catalog (base table data).
     pub catalog: Arc<Catalog>,
-    /// Degree of parallelism.
-    pub dop: usize,
+    /// What this execution was asked to run under (`dop` floored at 1).
+    pub options: ExecOptions,
     /// Bloom filter rendezvous.
     pub hub: FilterHub,
     /// Per-node actual row counts.
     pub stats: ExecStats,
     /// How long a scan waits for a filter before declaring a planning bug.
     pub filter_wait_ms: u64,
-    /// How much of the per-chunk index scans consult (data skipping).
-    pub index_mode: IndexMode,
-    /// Bit-placement layout for runtime Bloom filters built by this query.
-    pub bloom_layout: BloomLayout,
-    /// Whether pipelined execution records per-node runtime profiles.
-    pub profile: bool,
-    /// Cooperative cancellation/timeout token, polled at morsel claims.
-    pub interrupt: Option<Arc<CancelToken>>,
-    /// Buffered-rows cap (0 = off), enforced at the same poll points.
-    pub memory_budget_rows: u64,
 }
 
 impl ExecContext {
-    /// A context over `catalog` with the given DOP and the default
-    /// [`IndexMode`] (full data skipping) / [`BloomLayout`].
-    pub fn new(catalog: Arc<Catalog>, dop: usize) -> Self {
-        Self::with_options(catalog, ExecOptions::with_dop(dop))
-    }
-
-    /// A context over `catalog` under explicit [`ExecOptions`].
-    pub fn with_options(catalog: Arc<Catalog>, options: ExecOptions) -> Self {
+    /// A context over `catalog` under `options`.
+    pub fn with_options(catalog: Arc<Catalog>, mut options: ExecOptions) -> Self {
+        options.dop = options.dop.max(1);
         ExecContext {
             catalog,
-            dop: options.dop.max(1),
+            options,
             hub: FilterHub::new(),
             stats: ExecStats::new(),
             filter_wait_ms: 120_000,
-            index_mode: options.index_mode,
-            bloom_layout: options.bloom_layout,
-            profile: options.profile,
-            interrupt: options.interrupt,
-            memory_budget_rows: options.memory_budget_rows,
         }
     }
 
@@ -122,16 +125,16 @@ impl ExecContext {
     /// is bounded by one morsel's work.
     #[inline]
     pub fn check_interrupts(&self) -> Result<()> {
-        if let Some(token) = &self.interrupt {
+        if let Some(token) = &self.options.interrupt {
             token.check()?;
         }
-        if self.memory_budget_rows > 0 {
+        let budget = self.options.exec.memory_budget_rows;
+        if budget > 0 {
             let now = self.stats.buffered_rows_now();
-            if now > self.memory_budget_rows {
+            if now > budget {
                 return Err(BfqError::Execution(format!(
-                    "memory budget exceeded: {now} buffered rows over a budget of {} \
-                     (raise memory_budget_rows or set it to 0)",
-                    self.memory_budget_rows
+                    "memory budget exceeded: {now} buffered rows over a budget of {budget} \
+                     (raise memory_budget_rows or set it to 0)"
                 )));
             }
         }
@@ -260,7 +263,7 @@ pub(crate) fn seal_build_side(
                 strategy,
                 &thread_keys,
                 b.expected_ndv.max(1.0) as usize,
-                ctx.bloom_layout,
+                ctx.options.bloom_layout,
             );
             // Builds happen once per filter per query — cheap to time
             // unconditionally, and `Engine::metrics()` wants the count
@@ -302,7 +305,7 @@ pub(crate) fn publish_reducer(
         StreamingStrategy::PartitionUnaligned,
         &thread_keys,
         expected_ndv.max(1.0) as usize,
-        ctx.bloom_layout,
+        ctx.options.bloom_layout,
     );
     ctx.stats
         .note_filter_build(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));

@@ -39,6 +39,6 @@ pub mod util;
 pub use bfq_bloom::BloomLayout;
 pub use bfq_index::IndexMode;
 pub use data::{ExecStats, PartitionedData, ScanPruneStats};
-pub use executor::{ExecContext, ExecOptions, QueryOutput};
+pub use executor::{ExecConfig, ExecContext, ExecOptions, QueryOutput};
 pub use pipeline::{execute_plan, execute_plan_stream, ChunkStream, REORDER_WINDOW_PER_WORKER};
 pub use util::MorselScratch;

@@ -153,7 +153,7 @@ struct PreparedChain {
     partitions: usize,
     index_mode: IndexMode,
     /// Whether to record per-node wall times into the worker's
-    /// [`crate::data::ProfileScratch`] (see [`crate::ExecOptions::profile`]).
+    /// [`crate::data::ProfileScratch`] (see [`crate::ExecConfig::profile`]).
     profile: bool,
 }
 
@@ -426,12 +426,12 @@ fn prepare_chain(
             // Fetch (wait for) filters last: every build this scan depends
             // on was sealed above.
             let filters = fetch_filters(ctx, blooms, &full_layout)?;
-            let index = if ctx.index_mode.zonemaps() {
+            let index = if ctx.options.index_mode.zonemaps() {
                 ctx.catalog.index(*base).cloned()
             } else {
                 None
             };
-            let dop = ctx.dop;
+            let dop = ctx.options.dop;
             let n_chunks = table.chunks().len();
             // Partition-major enumeration: chunks are dealt round-robin, so
             // chunk `ci` belongs to partition `ci % dop`, and a gather reads
@@ -572,8 +572,8 @@ fn prepare_chain(
         ops,
         types,
         partitions,
-        index_mode: ctx.index_mode,
-        profile: ctx.profile,
+        index_mode: ctx.options.index_mode,
+        profile: ctx.options.exec.profile,
     };
     let partitions = if chain.gathered() {
         1
@@ -657,8 +657,8 @@ struct MorselQueue {
 }
 
 /// Run a prepared chain over its morsels. Workers (scoped threads, at most
-/// `ctx.dop`) process morsels out of order; `consume(partition, chunks,
-/// rows)` is called on the calling thread strictly in morsel-sequence
+/// `ctx.options.dop`) process morsels out of order; `consume(partition,
+/// chunks, rows)` is called on the calling thread strictly in morsel-sequence
 /// order. Returning `Ok(false)` from `consume` cancels the remaining
 /// morsels (LIMIT early-exit). Chunk rows are counted into the buffer
 /// gauge when published; `consume` owns the matching release (sinks that
@@ -670,7 +670,7 @@ fn run_chain(
     mut consume: impl FnMut(usize, Vec<Chunk>, u64) -> Result<bool>,
 ) -> Result<()> {
     let n = morsels.len();
-    let workers = ctx.dop.min(n).max(1);
+    let workers = ctx.options.dop.min(n).max(1);
     if n == 0 {
         return Ok(());
     }
@@ -897,7 +897,7 @@ pub(crate) fn execute_pipelined(
     // Breaker nodes are profiled inclusively: the span covers the breaker's
     // own work *and* its input pipelines (chain ops inside those pipelines
     // additionally self-report through the per-morsel path).
-    let started = ctx.profile.then(std::time::Instant::now);
+    let started = ctx.options.exec.profile.then(std::time::Instant::now);
     match &plan.node {
         // Streamable heads and bare scans: one fused pipeline into a
         // collecting sink.
@@ -929,9 +929,9 @@ pub(crate) fn execute_pipelined(
                 // Gather exchanges were already routed to the fused chain
                 // path by the arm above.
                 ExchangeKind::Gather => unreachable!("gather runs fused in a pipeline chain"),
-                ExchangeKind::Broadcast => exchange::broadcast(data, ctx.dop),
+                ExchangeKind::Broadcast => exchange::broadcast(data, ctx.options.dop),
                 ExchangeKind::Repartition(cols) => {
-                    exchange::repartition(data, &input.layout, cols, ctx.dop)?
+                    exchange::repartition(data, &input.layout, cols, ctx.options.dop)?
                 }
             };
             seal_node(plan, &out, in_rows, ctx, started);

@@ -522,10 +522,9 @@ fn dispatch(
                     "no prepared statement named `{name}`"
                 ))));
             };
-            // Execution-only knobs (statement_timeout, memory_budget_rows,
-            // profile) follow the session's current SET state, not the
-            // values captured at PREPARE time.
-            let stmt = stmt.with_session_options(session.conn.options());
+            // The execution-only settings follow the session's current SET
+            // state, not the values captured at PREPARE time.
+            let stmt = stmt.with_session_options(session.conn.settings().exec);
             shared.metrics.queries_started.inc();
             let outcome = stmt.execute_stream(&params);
             finish_query(shared, session, writer, outcome)

@@ -1,94 +1,34 @@
 //! Per-client connections and session-level (`SET`-style) options.
 //!
 //! A [`Connection`] is cheap to create — an `Arc` clone of the shared
-//! [`Engine`] plus a handful of option overrides — so a server can open one
-//! per client or per request. Connections are independent: options set on
-//! one never affect another, while all of them share the engine's catalog
-//! and plan cache.
+//! [`Engine`] plus a copy of its [`Settings`] — so a server can open one
+//! per client or per request. Connections are independent: a `SET` on one
+//! never affects another, while all of them share the engine's catalog and
+//! plan cache.
 
 use std::sync::Arc;
 
 use bfq_common::{BfqError, CancelHub, CancelToken, DataType, Result};
-use bfq_core::{BloomLayout, BloomMode, OptimizedQuery, OptimizerConfig, SemijoinMode};
-use bfq_exec::{execute_plan, execute_plan_stream, ChunkStream, ExecOptions, ExecStats};
-use bfq_index::IndexMode;
+use bfq_core::OptimizedQuery;
+use bfq_exec::{
+    execute_plan, execute_plan_stream, ChunkStream, ExecConfig, ExecOptions, ExecStats,
+};
 use bfq_obs::{PhaseBreakdown, SpanTimer};
 use bfq_plan::Bindings;
 use bfq_sql::{plan_sql, strip_explain, ExplainMode};
 use bfq_storage::{Chunk, Column, StrData};
 
 use crate::engine::{Engine, QueryResult};
+use crate::settings::Settings;
 use crate::statement::PreparedStatement;
-
-/// Per-query optimizer overrides carried by a connection, settable through
-/// [`Connection::set`] like SQL `SET` variables.
-///
-/// `None` means "use the engine default". The overrides participate in the
-/// plan-cache key (via the effective [`OptimizerConfig`] fingerprint), so
-/// two connections with different options never share plans.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryOptions {
-    /// Override the Bloom filter mode (`none` / `post` / `cbo` / `naive`).
-    pub bloom_mode: Option<BloomMode>,
-    /// Override the Bloom filter bit-placement layout
-    /// (`standard` / `blocked`).
-    pub bloom_layout: Option<BloomLayout>,
-    /// Override the data-skipping index mode.
-    pub index_mode: Option<IndexMode>,
-    /// Override the degree of parallelism.
-    pub dop: Option<usize>,
-    /// Override the semijoin-program rewrite mode (`off` / `auto`).
-    /// Plan-affecting: participates in the plan-cache fingerprint.
-    pub semijoin: Option<SemijoinMode>,
-    /// Override per-node runtime profiling (`on` / `off`). Execution-only:
-    /// toggling it keeps hitting the same cached plans.
-    pub profile: Option<bool>,
-    /// Override the per-statement timeout in milliseconds (0 = off).
-    /// Execution-only, like `profile`: normalized out of the plan-cache
-    /// fingerprint.
-    pub statement_timeout_ms: Option<u64>,
-    /// Override the per-query buffered-rows memory budget (0 = off).
-    /// Execution-only; stays out of the plan-cache fingerprint.
-    pub memory_budget_rows: Option<u64>,
-}
-
-impl QueryOptions {
-    /// The engine-default config with this connection's overrides applied.
-    pub fn effective(&self, base: &OptimizerConfig) -> OptimizerConfig {
-        let mut config = base.clone();
-        if let Some(mode) = self.bloom_mode {
-            config.bloom_mode = mode;
-        }
-        if let Some(layout) = self.bloom_layout {
-            config.bloom_layout = layout;
-        }
-        if let Some(mode) = self.index_mode {
-            config.index_mode = mode;
-        }
-        if let Some(dop) = self.dop {
-            config.dop = dop.max(1);
-        }
-        if let Some(mode) = self.semijoin {
-            config.semijoin = mode;
-        }
-        if let Some(profile) = self.profile {
-            config.profile = profile;
-        }
-        if let Some(ms) = self.statement_timeout_ms {
-            config.statement_timeout_ms = ms;
-        }
-        if let Some(rows) = self.memory_budget_rows {
-            config.memory_budget_rows = rows;
-        }
-        config
-    }
-}
 
 /// A client connection to a shared [`Engine`].
 #[derive(Debug, Clone)]
 pub struct Connection {
     engine: Arc<Engine>,
-    options: QueryOptions,
+    /// This session's settings, resolved: a copy of the engine defaults
+    /// with every `SET` since applied.
+    settings: Settings,
     /// Rendezvous for out-of-band cancellation of this session's in-flight
     /// query. Clones of a connection share the hub (they are the same
     /// session); fresh connections get their own.
@@ -97,9 +37,10 @@ pub struct Connection {
 
 impl Connection {
     pub(crate) fn new(engine: Arc<Engine>) -> Connection {
+        let settings = engine.config().settings.clone();
         Connection {
             engine,
-            options: QueryOptions::default(),
+            settings,
             cancel_hub: CancelHub::new(),
         }
     }
@@ -116,125 +57,19 @@ impl Connection {
         &self.cancel_hub
     }
 
-    /// The current option overrides.
-    pub fn options(&self) -> &QueryOptions {
-        &self.options
+    /// The settings this connection currently plans and executes under.
+    /// `settings().plan` is what keys the plan cache, so two connections
+    /// that differ there never share plans.
+    pub fn settings(&self) -> &Settings {
+        &self.settings
     }
 
-    /// Mutable access for programmatic option changes.
-    pub fn options_mut(&mut self) -> &mut QueryOptions {
-        &mut self.options
-    }
-
-    /// `SET key = value` for this connection.
-    ///
-    /// Keys: `bloom_mode` (`none|post|cbo|naive`), `bloom_layout`
-    /// (`standard|blocked`), `index_mode` (`off|zonemap|zonemap+bloom`),
-    /// `dop` (positive integer), `semijoin` (`off|auto`), `profile`
-    /// (`on|off`), `statement_timeout` (milliseconds, 0 = off) and
-    /// `memory_budget_rows` (buffered rows, 0 = off). The value `default`
+    /// `SET key = value` for this connection. The accepted keys and values
+    /// are the rows of [`crate::settings::SETTINGS`]; the value `default`
     /// resets a key to the engine default.
     pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
-        let key = key.trim().to_ascii_lowercase();
-        let value = value.trim().to_ascii_lowercase();
-        let reset = value == "default";
-        match key.as_str() {
-            "bloom_mode" => {
-                self.options.bloom_mode = if reset {
-                    None
-                } else {
-                    Some(match value.as_str() {
-                        "none" | "off" => BloomMode::None,
-                        "post" => BloomMode::Post,
-                        "cbo" => BloomMode::Cbo,
-                        "naive" => BloomMode::Naive,
-                        other => {
-                            return Err(BfqError::invalid(format!(
-                                "unknown bloom_mode `{other}` (none|post|cbo|naive)"
-                            )))
-                        }
-                    })
-                }
-            }
-            "bloom_layout" => {
-                self.options.bloom_layout = if reset {
-                    None
-                } else {
-                    Some(value.parse().map_err(BfqError::invalid)?)
-                }
-            }
-            "index_mode" => {
-                self.options.index_mode = if reset {
-                    None
-                } else {
-                    Some(value.parse().map_err(BfqError::invalid)?)
-                }
-            }
-            "dop" => {
-                self.options.dop = if reset {
-                    None
-                } else {
-                    let dop: usize = value
-                        .parse()
-                        .map_err(|_| BfqError::invalid(format!("bad dop `{value}`")))?;
-                    if dop == 0 {
-                        return Err(BfqError::invalid("dop must be at least 1"));
-                    }
-                    Some(dop)
-                }
-            }
-            "semijoin" => self.options.semijoin = if reset { None } else { Some(value.parse()?) },
-            "profile" => {
-                self.options.profile = if reset {
-                    None
-                } else {
-                    Some(match value.as_str() {
-                        "on" | "true" | "1" => true,
-                        "off" | "false" | "0" => false,
-                        other => {
-                            return Err(BfqError::invalid(format!(
-                                "unknown profile setting `{other}` (on|off)"
-                            )))
-                        }
-                    })
-                }
-            }
-            "statement_timeout" => {
-                self.options.statement_timeout_ms = if reset {
-                    None
-                } else {
-                    Some(value.parse().map_err(|_| {
-                        BfqError::invalid(format!(
-                            "bad statement_timeout `{value}` (milliseconds, 0 = off)"
-                        ))
-                    })?)
-                }
-            }
-            "memory_budget_rows" => {
-                self.options.memory_budget_rows = if reset {
-                    None
-                } else {
-                    Some(value.parse().map_err(|_| {
-                        BfqError::invalid(format!(
-                            "bad memory_budget_rows `{value}` (rows, 0 = off)"
-                        ))
-                    })?)
-                }
-            }
-            other => {
-                return Err(BfqError::invalid(format!(
-                    "unknown option `{other}` \
-                     (bloom_mode|bloom_layout|index_mode|dop|semijoin|profile\
-                     |statement_timeout|memory_budget_rows)"
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// The optimizer config this connection currently plans under.
-    pub fn effective_config(&self) -> OptimizerConfig {
-        self.options.effective(&self.engine.config().optimizer)
+        self.settings
+            .set(key, value, &self.engine.config().settings)
     }
 
     /// Run a parameter-free statement to completion (plan-cache aware).
@@ -253,10 +88,9 @@ impl Connection {
         match mode {
             ExplainMode::None => self.run_select(stmt),
             ExplainMode::Plan => {
-                let optimizer = self.effective_config();
                 let total = SpanTimer::start();
                 let (_catalog, cached, cache_hit, mut phases) =
-                    self.engine.plan_statement(stmt, &optimizer)?;
+                    self.engine.plan_statement(stmt, &self.settings.plan)?;
                 phases.total_ns = total.elapsed_ns();
                 let mut result = QueryResult {
                     chunk: Chunk::of_rows(0),
@@ -265,8 +99,7 @@ impl Connection {
                     exec_stats: ExecStats::new(),
                     cache_hit,
                     phases,
-                    statement_timeout_ms: optimizer.statement_timeout_ms,
-                    memory_budget_rows: optimizer.memory_budget_rows,
+                    exec: self.settings.exec,
                 };
                 result.chunk = text_chunk(&result.explain());
                 Ok(result)
@@ -283,11 +116,10 @@ impl Connection {
     /// Plan (cache-aware), execute gathered, and record the query in the
     /// engine's metrics and flight recorder.
     fn run_select(&self, sql: &str) -> Result<QueryResult> {
-        let optimizer = self.effective_config();
         let total = SpanTimer::start();
-        let (catalog, cached, cache_hit, mut phases) = self.plan_parameter_free(sql, &optimizer)?;
+        let (catalog, cached, cache_hit, mut phases) = self.plan_parameter_free(sql)?;
         let span = SpanTimer::start();
-        let (options, _guard) = armed_exec_options(&optimizer, &self.cancel_hub);
+        let (options, _guard) = arm(exec_options(&self.settings), &self.cancel_hub);
         let out = execute_plan(&cached.optimized.plan, catalog, options)?;
         phases.execute_ns = span.elapsed_ns();
         phases.total_ns = total.elapsed_ns();
@@ -306,17 +138,15 @@ impl Connection {
             exec_stats: out.stats,
             cache_hit,
             phases,
-            statement_timeout_ms: optimizer.statement_timeout_ms,
-            memory_budget_rows: optimizer.memory_budget_rows,
+            exec: self.settings.exec,
         })
     }
 
     /// Run a parameter-free statement, returning results incrementally.
     pub fn execute_stream(&self, sql: &str) -> Result<QueryStream> {
-        let optimizer = self.effective_config();
-        let (catalog, cached, cache_hit, phases) = self.plan_parameter_free(sql, &optimizer)?;
+        let (catalog, cached, cache_hit, phases) = self.plan_parameter_free(sql)?;
         let exec_span = SpanTimer::start();
-        let (options, guard) = armed_exec_options(&optimizer, &self.cancel_hub);
+        let (options, guard) = arm(exec_options(&self.settings), &self.cancel_hub);
         let stream = execute_plan_stream(&cached.optimized.plan, catalog, options)?;
         Ok(QueryStream {
             column_names: cached.output_names.clone(),
@@ -335,14 +165,14 @@ impl Connection {
     fn plan_parameter_free(
         &self,
         sql: &str,
-        optimizer: &OptimizerConfig,
     ) -> Result<(
         std::sync::Arc<bfq_catalog::Catalog>,
         std::sync::Arc<bfq_core::CachedPlan>,
         bool,
         PhaseBreakdown,
     )> {
-        let (catalog, cached, cache_hit, phases) = self.engine.plan_statement(sql, optimizer)?;
+        let (catalog, cached, cache_hit, phases) =
+            self.engine.plan_statement(sql, &self.settings.plan)?;
         if cached.param_count > 0 {
             return Err(BfqError::invalid(format!(
                 "statement has {} parameter(s); use prepare() and bind()",
@@ -356,12 +186,12 @@ impl Connection {
     /// repeated execution: parsed, bound and optimized once. The statement
     /// pins the catalog snapshot it was planned against.
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
-        let optimizer = self.effective_config();
-        let (catalog, cached, cache_hit, _phases) = self.engine.plan_statement(sql, &optimizer)?;
+        let (catalog, cached, cache_hit, _phases) =
+            self.engine.plan_statement(sql, &self.settings.plan)?;
         Ok(PreparedStatement::new(
             self.engine.clone(),
             catalog,
-            optimizer,
+            exec_options(&self.settings),
             cached,
             cache_hit,
             sql.to_string(),
@@ -372,47 +202,39 @@ impl Connection {
     /// Plan only (no execution, no caching) — used by planner-latency
     /// experiments where each run must pay the full optimization cost.
     pub fn plan_sql_only(&self, sql: &str) -> Result<OptimizedQuery> {
-        let optimizer = self.effective_config();
         let catalog = self.engine.catalog();
         let mut bindings = Bindings::new();
         let bound = plan_sql(sql, &catalog, &mut bindings)?;
-        bfq_core::optimize(&bound.plan, &mut bindings, &catalog, &optimizer)
+        bfq_core::optimize(&bound.plan, &mut bindings, &catalog, &self.settings.plan)
     }
 }
 
-/// The executor options an optimizer config implies (no interruption
-/// token; see [`armed_exec_options`] for the cancellable variant).
-pub(crate) fn exec_options(optimizer: &OptimizerConfig) -> ExecOptions {
+/// What an execution under `settings` is told: the three plan settings the
+/// executor must honour, the execution-only ones whole, and no
+/// interruption token yet (see [`arm`]).
+fn exec_options(settings: &Settings) -> ExecOptions {
     ExecOptions {
-        dop: optimizer.dop,
-        index_mode: optimizer.index_mode,
-        bloom_layout: optimizer.bloom_layout,
-        profile: optimizer.profile,
-        memory_budget_rows: optimizer.memory_budget_rows,
-        ..Default::default()
+        dop: settings.plan.dop,
+        index_mode: settings.plan.index_mode,
+        bloom_layout: settings.plan.bloom_layout,
+        exec: settings.exec,
+        interrupt: None,
     }
 }
 
-/// Executor options with a fresh [`CancelToken`] (carrying the optimizer's
-/// statement timeout) armed on the session's [`CancelHub`]. The returned
-/// [`ExecGuard`] disarms the hub when dropped — hold it for the query's
-/// whole lifetime (streamed queries stash it in the [`QueryStream`]).
-pub(crate) fn armed_exec_options(
-    optimizer: &OptimizerConfig,
-    hub: &Arc<CancelHub>,
-) -> (ExecOptions, ExecGuard) {
-    let token = CancelToken::with_timeout_ms(optimizer.statement_timeout_ms);
+/// Give `options` a fresh [`CancelToken`] (carrying its statement timeout)
+/// armed on the session's [`CancelHub`]. The returned [`ExecGuard`]
+/// disarms the hub when dropped — hold it for the query's whole lifetime
+/// (streamed queries stash it in the [`QueryStream`]).
+pub(crate) fn arm(mut options: ExecOptions, hub: &Arc<CancelHub>) -> (ExecOptions, ExecGuard) {
+    let token = CancelToken::with_timeout_ms(options.exec.statement_timeout_ms);
     hub.arm(token.clone());
-    let mut options = exec_options(optimizer);
     options.interrupt = Some(token);
-    (
-        options,
-        ExecGuard {
-            hub: hub.clone(),
-            timeout_ms: optimizer.statement_timeout_ms,
-            budget_rows: optimizer.memory_budget_rows,
-        },
-    )
+    let guard = ExecGuard {
+        hub: hub.clone(),
+        exec: options.exec,
+    };
+    (options, guard)
 }
 
 /// Keeps a session's [`CancelHub`] armed for the duration of one query
@@ -420,10 +242,9 @@ pub(crate) fn armed_exec_options(
 /// abandonment alike), recording a fired token's reason on the hub.
 pub(crate) struct ExecGuard {
     hub: Arc<CancelHub>,
-    /// The statement timeout this execution ran under (explain footer).
-    pub(crate) timeout_ms: u64,
-    /// The buffered-rows budget this execution ran under (explain footer).
-    pub(crate) budget_rows: u64,
+    /// The execution-only settings this execution ran under (explain
+    /// footer).
+    pub(crate) exec: ExecConfig,
 }
 
 impl Drop for ExecGuard {
@@ -476,6 +297,7 @@ impl QueryStream {
         engine: Arc<Engine>,
         sql: String,
         phases: PhaseBreakdown,
+        exec_span: SpanTimer,
         guard: ExecGuard,
     ) -> QueryStream {
         QueryStream {
@@ -486,7 +308,7 @@ impl QueryStream {
             engine,
             sql,
             phases,
-            exec_span: SpanTimer::start(),
+            exec_span,
             guard,
         }
     }
@@ -525,8 +347,7 @@ impl QueryStream {
             exec_stats: out.stats,
             cache_hit: self.cache_hit,
             phases,
-            statement_timeout_ms: self.guard.timeout_ms,
-            memory_budget_rows: self.guard.budget_rows,
+            exec: self.guard.exec,
         })
     }
 }

@@ -5,7 +5,7 @@
 //! `Arc<Engine>` clones freely). Per-client state lives in cheap
 //! [`Connection`]s created with [`Engine::connect`].
 //!
-//! The engine owns an LRU [`PlanCache`] keyed by *normalized SQL* plus an
+//! The engine owns an LRU [`PlanCache`] keyed by *normalized SQL* plus the
 //! [`OptimizerConfig`] fingerprint: re-executing the same statement under
 //! the same optimizer settings — ad hoc or prepared — skips
 //! parse/bind/optimize entirely. This amortizes BF-CBO's optimization cost
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use bfq_catalog::Catalog;
 use bfq_common::{Result, TableId};
 use bfq_core::{optimize, CachedPlan, OptimizedQuery, OptimizerConfig, PlanCache, PlanCacheStats};
-use bfq_exec::ExecStats;
+use bfq_exec::{ExecConfig, ExecStats};
 use bfq_obs::{fingerprint, EngineMetrics, FlightRecorder, SpanTimer};
 use bfq_plan::{Bindings, PhysicalNode};
 use bfq_sql::{bind, normalize_sql, parse_select};
@@ -26,21 +26,22 @@ use bfq_tpch::TpchDb;
 use parking_lot::RwLock;
 
 use crate::connection::Connection;
+use crate::settings::Settings;
 
 pub use bfq_core::{BloomLayout, BloomMode, SemijoinMode};
 pub use bfq_index::IndexMode;
 pub use bfq_obs::{MetricsSnapshot, PhaseBreakdown, QueryProfile};
 
-/// Engine-wide configuration: optimizer defaults plus cache sizing.
+/// Engine-wide configuration: the default [`Settings`] plus cache sizing.
 ///
-/// Individual connections can override the per-query optimizer knobs
-/// (`bloom_mode`, `index_mode`, `dop`) through
-/// [`crate::connection::QueryOptions`] without touching the engine config.
+/// Immutable once the engine exists. Every connection starts from a copy of
+/// `settings` and changes its own copy with [`Connection::set`];
+/// `SET x = default` copies `x` back from here.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Optimizer configuration (Bloom mode, DOP, heuristics) used as the
-    /// default for every connection.
-    pub optimizer: OptimizerConfig,
+    /// The settings every connection starts from: the optimizer's config
+    /// (Bloom mode, DOP, heuristics) and the execution-only ones.
+    pub settings: Settings,
     /// Maximum plans held by the shared plan cache (0 disables caching).
     pub plan_cache_capacity: usize,
     /// Queries remembered by the flight recorder ring
@@ -51,7 +52,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            optimizer: OptimizerConfig::default(),
+            settings: Settings::default(),
             plan_cache_capacity: 128,
             flight_recorder_capacity: 32,
         }
@@ -61,31 +62,31 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Set the Bloom filter mode.
     pub fn with_bloom_mode(mut self, mode: BloomMode) -> Self {
-        self.optimizer.bloom_mode = mode;
+        self.settings.plan.bloom_mode = mode;
         self
     }
 
     /// Set the degree of parallelism.
     pub fn with_dop(mut self, dop: usize) -> Self {
-        self.optimizer.dop = dop.max(1);
+        self.settings.plan.dop = dop.max(1);
         self
     }
 
     /// Set the data-skipping index mode (off / zonemap / zonemap+bloom).
     pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
-        self.optimizer.index_mode = mode;
+        self.settings.plan.index_mode = mode;
         self
     }
 
     /// Set the Bloom filter bit-placement layout (standard / blocked).
     pub fn with_bloom_layout(mut self, layout: BloomLayout) -> Self {
-        self.optimizer.bloom_layout = layout;
+        self.settings.plan.bloom_layout = layout;
         self
     }
 
     /// Set the semijoin-program rewrite mode (off / auto).
     pub fn with_semijoin(mut self, mode: SemijoinMode) -> Self {
-        self.optimizer.semijoin = mode;
+        self.settings.plan.semijoin = mode;
         self
     }
 
@@ -103,21 +104,21 @@ impl EngineConfig {
 
     /// Toggle per-node runtime profiling (`EXPLAIN ANALYZE` timings).
     pub fn with_profile(mut self, enabled: bool) -> Self {
-        self.optimizer.profile = enabled;
+        self.settings.exec.profile = enabled;
         self
     }
 
     /// Set the default per-statement timeout in milliseconds (0 = off).
     /// Connections can override it per session via `SET statement_timeout`.
     pub fn with_statement_timeout_ms(mut self, ms: u64) -> Self {
-        self.optimizer.statement_timeout_ms = ms;
+        self.settings.exec.statement_timeout_ms = ms;
         self
     }
 
     /// Set the default per-query buffered-rows budget (0 = off).
     /// Connections can override it via `SET memory_budget_rows`.
     pub fn with_memory_budget_rows(mut self, rows: u64) -> Self {
-        self.optimizer.memory_budget_rows = rows;
+        self.settings.exec.memory_budget_rows = rows;
         self
     }
 }
@@ -139,10 +140,8 @@ pub struct QueryResult {
     /// Wall-clock phase breakdown (parse / bind / optimize are zero on a
     /// plan-cache hit or prepared execution — those phases did not run).
     pub phases: PhaseBreakdown,
-    /// The statement timeout (ms) this query executed under (0 = none).
-    pub statement_timeout_ms: u64,
-    /// The buffered-rows memory budget this query executed under (0 = none).
-    pub memory_budget_rows: u64,
+    /// The execution-only settings this query ran under.
+    pub exec: ExecConfig,
 }
 
 /// The q-error of an estimate: `max(est/actual, actual/est)`, both sides
@@ -294,16 +293,16 @@ impl QueryResult {
         } else {
             "plan cache: miss\n"
         });
-        if self.statement_timeout_ms > 0 {
+        if self.exec.statement_timeout_ms > 0 {
             out.push_str(&format!(
                 "statement timeout: {}ms\n",
-                self.statement_timeout_ms
+                self.exec.statement_timeout_ms
             ));
         }
-        if self.memory_budget_rows > 0 {
+        if self.exec.memory_budget_rows > 0 {
             out.push_str(&format!(
                 "memory budget: {} rows (peak buffered {})\n",
-                self.memory_budget_rows,
+                self.exec.memory_budget_rows,
                 self.exec_stats.peak_buffered_rows()
             ));
         }
@@ -351,7 +350,7 @@ impl Engine {
         })
     }
 
-    /// Open a new connection: cheap, independent per-query option overrides.
+    /// Open a new connection: cheap, with its own copy of the settings.
     pub fn connect(self: &Arc<Self>) -> Connection {
         Connection::new(self.clone())
     }

@@ -24,7 +24,7 @@
 //!         .with_index_mode(IndexMode::ZoneMapBloom),
 //! );
 //!
-//! // Per-client connections are cheap and carry SET-style overrides.
+//! // Per-client connections are cheap and carry their own SET state.
 //! let conn = engine.connect();
 //! let sql = "select count(*) from lineitem, orders where l_orderkey = o_orderkey and o_orderdate < date '1995-01-01'";
 //! let result = conn.run_sql(sql).unwrap();
@@ -61,16 +61,19 @@ pub use bfq_tpch as tpch;
 
 pub mod connection;
 pub mod engine;
+pub mod settings;
 pub mod statement;
 
-pub use connection::{Connection, QueryOptions, QueryStream};
+pub use connection::{Connection, QueryStream};
 pub use engine::{Engine, EngineConfig, QueryResult};
+pub use settings::Settings;
 pub use statement::{BoundStatement, PreparedStatement};
 
 /// Commonly used items, importable with `use bfq::prelude::*`.
 pub mod prelude {
-    pub use crate::connection::{Connection, QueryOptions, QueryStream};
+    pub use crate::connection::{Connection, QueryStream};
     pub use crate::engine::{Engine, EngineConfig, QueryResult};
+    pub use crate::settings::Settings;
     pub use crate::statement::{BoundStatement, PreparedStatement};
     pub use bfq_common::{
         BfqError, CancelHub, CancelReason, CancelToken, DataType, Datum, RelSet, Result,

@@ -15,23 +15,23 @@ use std::sync::Arc;
 
 use bfq_catalog::Catalog;
 use bfq_common::{BfqError, CancelHub, Datum, Result};
-use bfq_core::{CachedPlan, OptimizedQuery, OptimizerConfig};
-use bfq_exec::{execute_plan, execute_plan_stream};
+use bfq_core::{CachedPlan, OptimizedQuery};
+use bfq_exec::{execute_plan, execute_plan_stream, ExecConfig, ExecOptions};
 use bfq_obs::{PhaseBreakdown, SpanTimer};
 use bfq_plan::PhysicalPlan;
 
-use crate::connection::{QueryOptions, QueryStream};
+use crate::connection::{arm, QueryStream};
 use crate::engine::{Engine, QueryResult};
 
 /// A statement parsed, bound and optimized once, executable many times.
 ///
 /// Shareable across threads (`Send + Sync`); cloning is cheap.
 ///
-/// The optimizer config — including execution-only knobs like
-/// `statement_timeout_ms` — is captured at prepare time, so a later `SET`
-/// on the preparing session does not change how this statement executes.
-/// Use [`PreparedStatement::with_session_options`] to re-apply a session's
-/// current execution-only knobs at execute time.
+/// What the statement executes under — the plan settings the executor
+/// honours and the execution-only [`ExecConfig`] — is captured at prepare
+/// time, so a later `SET` on the preparing session does not change how this
+/// statement executes. Use [`PreparedStatement::with_session_options`] to
+/// re-apply a session's current [`ExecConfig`] at execute time.
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
     engine: Arc<Engine>,
@@ -39,7 +39,9 @@ pub struct PreparedStatement {
     /// against this snapshot keeps plan and data consistent even if the
     /// engine's catalog is mutated after prepare.
     catalog: Arc<Catalog>,
-    optimizer: OptimizerConfig,
+    /// The preparing session's executor options (no interruption token:
+    /// each execution arms its own).
+    options: ExecOptions,
     cached: Arc<CachedPlan>,
     cache_hit: bool,
     /// The statement text as prepared, kept for flight-recorder entries.
@@ -53,7 +55,7 @@ impl PreparedStatement {
     pub(crate) fn new(
         engine: Arc<Engine>,
         catalog: Arc<Catalog>,
-        optimizer: OptimizerConfig,
+        options: ExecOptions,
         cached: Arc<CachedPlan>,
         cache_hit: bool,
         sql: String,
@@ -62,7 +64,7 @@ impl PreparedStatement {
         PreparedStatement {
             engine,
             catalog,
-            optimizer,
+            options,
             cached,
             cache_hit,
             sql,
@@ -100,19 +102,14 @@ impl PreparedStatement {
         self.cache_hit
     }
 
-    /// A copy of this statement whose *execution-only* knobs —
-    /// `statement_timeout_ms`, `memory_budget_rows` and `profile` — are
-    /// re-read from `options` (a session's current `SET` state) instead of
-    /// the values captured at prepare time. The cached plan is reused
-    /// as-is: these knobs are normalized out of the plan-cache
-    /// fingerprint, so no replanning happens. Plan-shaping knobs
-    /// (bloom/index modes, dop) intentionally stay as prepared.
-    pub fn with_session_options(&self, options: &QueryOptions) -> PreparedStatement {
-        let current = options.effective(&self.engine.config().optimizer);
+    /// A copy of this statement that executes under `exec` (a session's
+    /// current [`crate::Settings::exec`]) instead of the [`ExecConfig`]
+    /// captured at prepare time. The cached plan is reused as-is — nothing
+    /// in an `ExecConfig` can change a plan — and the plan settings stay as
+    /// prepared.
+    pub fn with_session_options(&self, exec: ExecConfig) -> PreparedStatement {
         let mut stmt = self.clone();
-        stmt.optimizer.statement_timeout_ms = current.statement_timeout_ms;
-        stmt.optimizer.memory_budget_rows = current.memory_budget_rows;
-        stmt.optimizer.profile = current.profile;
+        stmt.options.exec = exec;
         stmt
     }
 
@@ -140,14 +137,18 @@ impl PreparedStatement {
         })
     }
 
-    /// Convenience: bind and execute to a gathered result.
+    /// Convenience: bind and execute to a gathered result. Binding counts
+    /// towards the result's `execute_ns` / `total_ns`.
     pub fn execute(&self, params: &[Datum]) -> Result<QueryResult> {
-        self.bind(params)?.execute()
+        let span = SpanTimer::start();
+        self.bind(params)?.execute_from(span)
     }
 
-    /// Convenience: bind and execute, streaming result chunks.
+    /// Convenience: bind and execute, streaming result chunks (binding
+    /// timed as in [`PreparedStatement::execute`]).
     pub fn execute_stream(&self, params: &[Datum]) -> Result<QueryStream> {
-        self.bind(params)?.execute_stream()
+        let span = SpanTimer::start();
+        self.bind(params)?.execute_stream_from(span)
     }
 }
 
@@ -171,9 +172,12 @@ impl BoundStatement {
     /// run here (use [`PreparedStatement::from_cache`] for the
     /// prepare-time cache outcome).
     pub fn execute(&self) -> Result<QueryResult> {
-        let span = SpanTimer::start();
-        let (options, _guard) =
-            crate::connection::armed_exec_options(&self.stmt.optimizer, &self.stmt.hub);
+        self.execute_from(SpanTimer::start())
+    }
+
+    /// [`BoundStatement::execute`], timed from `span`.
+    fn execute_from(&self, span: SpanTimer) -> Result<QueryResult> {
+        let (options, _guard) = arm(self.stmt.options.clone(), &self.stmt.hub);
         let out = execute_plan(&self.plan, self.stmt.catalog.clone(), options)?;
         // Prepared executions skip parse/bind/optimize; their spans stay 0.
         let phases = PhaseBreakdown {
@@ -197,16 +201,19 @@ impl BoundStatement {
             exec_stats: out.stats,
             cache_hit: true,
             phases,
-            statement_timeout_ms: self.stmt.optimizer.statement_timeout_ms,
-            memory_budget_rows: self.stmt.optimizer.memory_budget_rows,
+            exec: self.stmt.options.exec,
         })
     }
 
     /// Execute, yielding result chunks incrementally (`cache_hit` as in
     /// [`BoundStatement::execute`]).
     pub fn execute_stream(&self) -> Result<QueryStream> {
-        let (options, guard) =
-            crate::connection::armed_exec_options(&self.stmt.optimizer, &self.stmt.hub);
+        self.execute_stream_from(SpanTimer::start())
+    }
+
+    /// [`BoundStatement::execute_stream`], timed from `span`.
+    fn execute_stream_from(&self, span: SpanTimer) -> Result<QueryStream> {
+        let (options, guard) = arm(self.stmt.options.clone(), &self.stmt.hub);
         let stream = execute_plan_stream(&self.plan, self.stmt.catalog.clone(), options)?;
         Ok(QueryStream::from_parts(
             self.stmt.cached.output_names.clone(),
@@ -216,6 +223,7 @@ impl BoundStatement {
             self.stmt.engine.clone(),
             self.stmt.sql.clone(),
             PhaseBreakdown::default(),
+            span,
             guard,
         ))
     }

@@ -213,9 +213,9 @@ fn bloom_layout_set_plumbing_and_cache_separation() {
     assert!(conn.set("bloom_layout", "sideways").is_err());
     conn.set("bloom_layout", "blocked").expect("SET blocked");
     assert_eq!(
-        conn.options().bloom_layout,
-        Some(BloomLayout::Blocked),
-        "SET must record the override"
+        conn.settings().plan.bloom_layout,
+        BloomLayout::Blocked,
+        "SET must record the value"
     );
     let sql = "select count(*) from orders where o_orderkey < 100";
     conn.run_sql(sql).unwrap();
@@ -225,5 +225,8 @@ fn bloom_layout_set_plumbing_and_cache_separation() {
     let r = conn.run_sql(sql).unwrap();
     assert!(!r.cache_hit, "layouts must not share cached plans");
     conn.set("bloom_layout", "default").expect("RESET");
-    assert_eq!(conn.options().bloom_layout, None);
+    assert_eq!(
+        conn.settings().plan.bloom_layout,
+        engine.config().settings.plan.bloom_layout
+    );
 }

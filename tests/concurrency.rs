@@ -192,5 +192,8 @@ fn connection_options_isolate_plans_but_not_results() {
     assert!(cbo.set("dop", "0").is_err());
     // Reset restores the engine default.
     cbo.set("bloom_mode", "default").unwrap();
-    assert_eq!(cbo.options().bloom_mode, None);
+    assert_eq!(
+        cbo.settings().plan.bloom_mode,
+        engine.config().settings.plan.bloom_mode
+    );
 }

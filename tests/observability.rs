@@ -145,6 +145,23 @@ fn phase_spans_nest_and_cache_hits_skip_planning() {
     for label in ["parse", "bind", "optimize", "execute", "total"] {
         assert!(rendered.contains(label), "missing `{label}`:\n{rendered}");
     }
+
+    // A parameterised prepared execute nests the same way, with parameter
+    // binding inside the spans: nothing of the call is outside `total_ns`
+    // but the result hand-over.
+    let stmt = conn
+        .prepare("select count(*) from orders where o_orderkey < ?")
+        .expect("prepare");
+    let wall = std::time::Instant::now();
+    let bound = stmt.execute(&[Datum::Int(1000)]).expect("execute");
+    let wall_ns = wall.elapsed().as_nanos() as u64;
+    let p = bound.phases;
+    assert_eq!(p.planning_ns(), 0, "prepared execute must not plan");
+    assert!(p.execute_ns > 0);
+    assert!(
+        p.phase_sum_ns() <= p.total_ns && p.total_ns <= wall_ns,
+        "spans do not nest inside the call: {p:?} vs wall {wall_ns}"
+    );
 }
 
 #[test]

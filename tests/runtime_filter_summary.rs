@@ -51,8 +51,8 @@ fn engine_with(mode: IndexMode) -> Arc<Engine> {
         .with_index_mode(mode);
     // The H2 apply threshold is calibrated for big tables; lower it so
     // this synthetic join plans its runtime filter.
-    config.optimizer.bf_min_apply_rows = 50.0;
-    config.optimizer.bf_max_build_ndv = 1_000_000.0;
+    config.settings.plan.bf_min_apply_rows = 50.0;
+    config.settings.plan.bf_max_build_ndv = 1_000_000.0;
     let engine = Engine::over_catalog(Arc::new(bfq::catalog::Catalog::new()), config);
     engine
         .register_table(clustered_fact("fact", 20, 2_000), vec![0])

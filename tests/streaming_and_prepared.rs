@@ -9,6 +9,7 @@
 
 use bfq::common::date::parse_date;
 use bfq::prelude::*;
+use bfq::settings::{SettingClass, SETTINGS};
 use bfq::tpch;
 use std::sync::Arc;
 
@@ -190,39 +191,73 @@ fn parameter_arity_and_adhoc_params_are_rejected() {
 fn unknown_set_option_is_a_typed_error_naming_every_option() {
     let db = tpch::gen::generate(SF, SEED).expect("generate");
     let mut conn = Engine::new(db, EngineConfig::default()).connect();
-    let before = conn.options().clone();
+    let before = format!("{:?}", conn.settings());
     let err = conn
         .set("determinism", "fast")
         .expect_err("there is one sink set and no option selecting it");
     assert!(matches!(err, BfqError::Invalid(_)), "{err:?}");
     let msg = err.to_string();
     assert!(msg.contains("unknown option `determinism`"), "{msg}");
-    // The message's option list is exactly the set of names SET accepts.
+    // The message's option list is exactly the settings table, in order.
     let open = msg.find('(').expect("option list");
     let listed: Vec<&str> = msg[open + 1..msg.rfind(')').expect("option list")]
         .split('|')
         .collect();
-    assert_eq!(
-        listed,
-        [
-            "bloom_mode",
-            "bloom_layout",
-            "index_mode",
-            "dop",
-            "semijoin",
-            "profile",
-            "statement_timeout",
-            "memory_budget_rows",
-        ]
-    );
-    for name in listed {
+    let names: Vec<&str> = SETTINGS.iter().map(|row| row.name).collect();
+    assert_eq!(listed, names);
+    for name in names {
         conn.set(name, "default")
             .unwrap_or_else(|e| panic!("listed option `{name}` is not settable: {e}"));
     }
     // The failed SET changed nothing and the session keeps working.
-    assert_eq!(conn.options(), &before);
+    assert_eq!(format!("{:?}", conn.settings()), before);
     let out = conn.run_sql("select count(*) from region").expect("query");
     assert_eq!(rows_of(&out.chunk), vec![vec!["5".to_string()]]);
+}
+
+#[test]
+fn plan_settings_fork_the_plan_cache_and_exec_settings_never_do() {
+    let db = tpch::gen::generate(SF, SEED).expect("generate");
+    let engine = Engine::new(db, EngineConfig::default());
+    let sql = "select count(*) from lineitem, orders where l_orderkey = o_orderkey";
+    let plan_text = |r: &QueryResult| r.optimized.plan.explain(&|c| c.to_string());
+    let base = engine.connect().run_sql(sql).expect("cold");
+    assert!(!base.cache_hit);
+    for row in &SETTINGS {
+        // Some value other than the default; a new row must name one here.
+        let value = match row.name {
+            "bloom_mode" => "post",
+            "bloom_layout" => "standard",
+            "index_mode" => "zonemap",
+            "dop" => "3",
+            "semijoin" => "off",
+            "profile" => "off",
+            "statement_timeout" => "60000",
+            "memory_budget_rows" => "100000000",
+            other => panic!("no non-default value chosen for `{other}`"),
+        };
+        let mut conn = engine.connect();
+        conn.set(row.name, value).expect("set");
+        assert_ne!(
+            format!("{:?}", conn.settings()),
+            format!("{:?}", engine.config().settings),
+            "{} = {value} is the default",
+            row.name
+        );
+        let r = conn.run_sql(sql).expect("run");
+        match row.class {
+            SettingClass::Plan => assert!(
+                !r.cache_hit,
+                "plan setting {} = {value} reused a plan made without it",
+                row.name
+            ),
+            SettingClass::Exec => {
+                assert!(r.cache_hit, "exec setting {} forked the cache", row.name);
+                assert_eq!(plan_text(&r), plan_text(&base), "{}", row.name);
+            }
+        }
+        assert_eq!(rows_of(&r.chunk), rows_of(&base.chunk), "{}", row.name);
+    }
 }
 
 #[test]
