@@ -82,7 +82,7 @@ impl BloomFilter {
     /// blocked layout derives both bit positions from the first hash, so
     /// batch callers can skip hashing the column with [`BLOOM_SEED_2`].
     pub fn needs_second_hash(&self) -> bool {
-        self.layout == BloomLayout::Standard
+        self.layout.needs_second_hash()
     }
 
     /// Number of 512-bit blocks (blocked layout).

@@ -47,6 +47,12 @@ impl BloomLayout {
 
     /// All layouts.
     pub const ALL: [BloomLayout; 2] = [BloomLayout::Standard, BloomLayout::Blocked];
+
+    /// Whether filters of this layout consume the second key hash: the
+    /// blocked layout derives both bit positions from the first.
+    pub fn needs_second_hash(self) -> bool {
+        self == BloomLayout::Standard
+    }
 }
 
 impl FromStr for BloomLayout {

@@ -120,11 +120,15 @@ impl StreamingStrategy {
 /// columns (`thread_keys[i]` = the join-key column seen by build thread `i`)
 /// under the session's bit-placement `layout`.
 ///
-/// `expected_ndv` is the planner's upper-bound distinct estimate — the same
-/// number its cost model used to size the filter (paper §3.5). It (refined
-/// to the exact distinct count when a small build ships its key hashes) is
-/// recorded as the filter's NDV hint, so the FPR the filter reports matches
-/// the math the optimizer used rather than a duplicate-counting tally.
+/// `expected_ndv` is the planner's distinct estimate — the same number its
+/// cost model used to size the filter (paper §3.5). Key metadata is computed
+/// before the filter is allocated, so when a small build side ships its
+/// deduplicated key hashes the filter is sized for `max(expected_ndv, exact
+/// distinct keys)`: an estimate that came in low cannot overload it, and
+/// the FPR the planner modelled is the FPR that runs. The exact count (else
+/// the estimate) is recorded as the filter's NDV hint, so the FPR the
+/// filter reports follows the keys it holds rather than a duplicate-counting
+/// tally.
 pub fn build_filter(
     strategy: StreamingStrategy,
     thread_keys: &[Column],
@@ -132,57 +136,51 @@ pub fn build_filter(
     layout: BloomLayout,
 ) -> RuntimeFilter {
     assert!(!thread_keys.is_empty(), "no build-side threads");
-    match strategy {
+    // A broadcast build's threads hold identical copies; thread 0's is it.
+    let keys = match strategy {
+        StreamingStrategy::BroadcastBuild => &thread_keys[..1],
+        _ => thread_keys,
+    };
+    let (bounds, hashes, summary) = key_info(keys, layout.needs_second_hash());
+    let exact_ndv = hashes.as_ref().map(KeyHashes::len);
+    let size_ndv = expected_ndv.max(exact_ndv.unwrap_or(0)).max(1);
+    let ndv_hint = exact_ndv.unwrap_or(expected_ndv).max(1) as u64;
+    let filter = match strategy {
         StreamingStrategy::BroadcastBuild => {
-            // All threads hold identical data; use thread 0's copy.
-            let mut f = BloomFilter::with_expected_ndv_layout(expected_ndv, layout);
-            f.insert_column(&thread_keys[0]);
-            let (bounds, hashes, summary) = key_info(&thread_keys[..1], f.needs_second_hash());
-            f.set_ndv_hint(ndv_hint(&hashes, expected_ndv));
-            RuntimeFilter::single(f).with_key_info(bounds, hashes, summary)
+            let mut f = BloomFilter::with_expected_ndv_layout(size_ndv, layout);
+            f.insert_column(&keys[0]);
+            f.set_ndv_hint(ndv_hint);
+            RuntimeFilter::single(f)
         }
         StreamingStrategy::BroadcastProbe => {
             // Disjoint per-thread subsets: build same-sized partials, merge.
-            let bits =
-                crate::math::bits_for_ndv(expected_ndv.max(1), crate::math::DEFAULT_BITS_PER_KEY);
+            let bits = crate::math::bits_for_ndv(size_ndv, crate::math::DEFAULT_BITS_PER_KEY);
             let mut merged = BloomFilter::with_bits_layout(bits, layout);
             for keys in thread_keys {
                 let mut partial = BloomFilter::with_bits_layout(bits, layout);
                 partial.insert_column(keys);
                 merged.union_with(&partial);
             }
-            let (bounds, hashes, summary) = key_info(thread_keys, merged.needs_second_hash());
-            merged.set_ndv_hint(ndv_hint(&hashes, expected_ndv));
-            RuntimeFilter::single(merged).with_key_info(bounds, hashes, summary)
+            merged.set_ndv_hint(ndv_hint);
+            RuntimeFilter::single(merged)
         }
         StreamingStrategy::PartitionUnaligned => {
             let n = thread_keys.len();
-            let mut pf = PartitionedBloomFilter::new_layout(n, expected_ndv, layout);
+            let mut pf = PartitionedBloomFilter::new_layout(n, size_ndv, layout);
             for keys in thread_keys {
                 // Keys within a partition join partition still route by key
                 // hash so partial `i` holds exactly partition `i`'s keys.
                 pf.insert_column_routed(keys);
             }
-            let (bounds, hashes, summary) = key_info(thread_keys, pf.needs_second_hash());
             // Each partial holds an even share of the distinct keys.
-            let per_part = ndv_hint(&hashes, expected_ndv).div_ceil(n as u64).max(1);
+            let per_part = ndv_hint.div_ceil(n as u64).max(1);
             for p in 0..n {
                 pf.part_mut(p).set_ndv_hint(per_part);
             }
-            RuntimeFilter::partitioned(pf).with_key_info(bounds, hashes, summary)
+            RuntimeFilter::partitioned(pf)
         }
-    }
-}
-
-/// The distinct-key count a filter should report FPR against: the exact
-/// deduplicated hash count when a small build shipped it, else the
-/// planner's estimate the filter was sized for.
-fn ndv_hint(hashes: &Option<KeyHashes>, expected_ndv: usize) -> u64 {
-    hashes
-        .as_ref()
-        .map(|h| h.len() as u64)
-        .unwrap_or(expected_ndv as u64)
-        .max(1)
+    };
+    filter.with_key_info(bounds, hashes, summary)
 }
 
 #[cfg(test)]
@@ -350,6 +348,34 @@ mod tests {
         let miss: Vec<i64> = (1_000_000..1_000_500).collect();
         let misses = survivors(&f, &int_col(&miss));
         assert!(misses.len() < 100, "too many false positives");
+    }
+
+    #[test]
+    fn low_estimate_small_build_is_sized_for_its_exact_keys() {
+        // The planner expected 1 key; the build holds 311 (with duplicates).
+        let keys: Vec<i64> = (0..311).map(|k| k * 7).collect();
+        let mut doubled = keys.clone();
+        doubled.extend(&keys);
+        let cols: Vec<Column> = doubled.chunks(200).map(int_col).collect();
+        let absent: Vec<i64> = (0..100_000).map(|k| 10_000_000 + k).collect();
+        let absent = int_col(&absent);
+        for layout in BloomLayout::ALL {
+            let bound = 2.0 * crate::math::default_fpr_layout(layout, 311.0);
+            for strategy in [
+                StreamingStrategy::BroadcastBuild,
+                StreamingStrategy::BroadcastProbe,
+                StreamingStrategy::PartitionUnaligned,
+            ] {
+                let threads = match strategy {
+                    StreamingStrategy::BroadcastBuild => vec![int_col(&keys); 3],
+                    _ => cols.clone(),
+                };
+                let f = build_filter(strategy, &threads, 1, layout);
+                assert_eq!(survivors(&f, &int_col(&keys)).len(), keys.len());
+                let fpr = survivors(&f, &absent).len() as f64 / absent.len() as f64;
+                assert!(fpr <= bound, "{strategy:?} {layout}: fpr {fpr} > {bound}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Second bottom-up phase: the costed DP over enlarged plan lists
 //! (paper §3.6).
 //!
-//! Ordinary Selinger-style dynamic programming — all join methods, all
+//! Ordinary Selinger-style dynamic programming — all join methods (a
+//! nested loop only where no equi clause joins the sides), all
 //! distribution (streaming) alternatives — plus the Bloom filter legality
 //! rules:
 //!
@@ -374,7 +375,10 @@ fn try_join(
             JoinAlgoChoice::Merge if okeys.is_empty() || requires_hash => continue,
             // Merge join is enumerated for plain inner joins only.
             JoinAlgoChoice::Merge if split.kind != JoinKind::Inner => continue,
-            JoinAlgoChoice::NestLoop if requires_hash => continue,
+            // Never nested-loop an equi-join: a hash join over an inner side
+            // that really has 1 row costs microseconds more, a nested loop
+            // over one estimated at 1 that has thousands costs seconds.
+            JoinAlgoChoice::NestLoop if !okeys.is_empty() => continue,
             _ => {}
         }
         let dist_opts = match algo {
@@ -436,23 +440,12 @@ fn try_join(
                     keys: okeys.iter().copied().zip(ikeys.iter().copied()).collect(),
                     extra: extra.clone(),
                 },
-                JoinAlgoChoice::NestLoop => {
-                    // Fold equi keys into the predicate for generality.
-                    let mut preds: Vec<Expr> = okeys
-                        .iter()
-                        .zip(&ikeys)
-                        .map(|(o, i)| Expr::col(*o).eq(Expr::col(*i)))
-                        .collect();
-                    if let Some(e) = extra.clone() {
-                        preds.push(e);
-                    }
-                    PhysicalNode::NestLoopJoin {
-                        outer: outer_plan,
-                        inner: inner_plan,
-                        kind: split.kind,
-                        predicate: Expr::conjunction(preds),
-                    }
-                }
+                JoinAlgoChoice::NestLoop => PhysicalNode::NestLoopJoin {
+                    outer: outer_plan,
+                    inner: inner_plan,
+                    kind: split.kind,
+                    predicate: extra.clone(),
+                },
             };
             let plan = PhysicalPlan::new(node, out_layout.clone(), rows_out, opt.out_dist.clone());
             stats.generated += 1;
@@ -536,6 +529,31 @@ mod tests {
         assert_eq!(joins, 2);
         let scans = count_nodes(&best.plan, |n| matches!(n, PhysicalNode::Scan { .. }));
         assert_eq!(scans, 3);
+    }
+
+    #[test]
+    fn one_row_inner_gets_a_hash_join_unless_no_clause_connects_it() {
+        let config = OptimizerConfig::with_mode(BloomMode::None);
+        let is_nestloop = |n: &PhysicalNode| matches!(n, PhysicalNode::NestLoopJoin { .. });
+        let is_hash = |n: &PhysicalNode| matches!(n, PhysicalNode::HashJoin { .. });
+
+        let mut fx = chain_block(&[ChainSpec::new("big", 10_000), ChainSpec::new("one", 1)]);
+        assert_eq!(fx.estimator().base_rows(1), 1.0);
+        let (best, _) = optimize_fixture(&fx, &config);
+        let shown = best.plan.explain(&|c| format!("{c}"));
+        assert_eq!(count_nodes(&best.plan, is_hash), 1, "{shown}");
+        assert_eq!(count_nodes(&best.plan, is_nestloop), 0, "{shown}");
+
+        // Replace the equi clause with a non-equi predicate: nothing to hash.
+        let clause = fx.block.equi_clauses.pop().unwrap();
+        fx.block.complex_preds.push(Expr::binary(
+            bfq_expr::BinOp::Lt,
+            Expr::col(clause.left),
+            Expr::col(clause.right),
+        ));
+        let (best, _) = optimize_fixture(&fx, &config);
+        assert_eq!(count_nodes(&best.plan, is_nestloop), 1);
+        assert_eq!(count_nodes(&best.plan, is_hash), 0);
     }
 
     #[test]

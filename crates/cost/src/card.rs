@@ -213,6 +213,18 @@ impl<'a> Estimator<'a> {
     }
 
     fn compute_join_card(&self, set: RelSet) -> f64 {
+        // A set of dependent relations alone — the δ of a filter built from
+        // an IN / EXISTS inner side — has no partner to semi-join or
+        // null-extend against, so it produces what its largest member does.
+        if set
+            .iter()
+            .all(|rel| self.block.rel(rel).kind != RelKind::Inner)
+        {
+            return set
+                .iter()
+                .map(|rel| self.base_rows[rel])
+                .fold(1.0, f64::max);
+        }
         let mut card = 1.0f64;
         // Freely-joined relations multiply in.
         for rel in set.iter() {
@@ -801,6 +813,61 @@ mod tests {
         let without = est.join_card(RelSet::from_iter([0, 1]));
         assert!(with_anti <= without * 1.01);
         assert!(with_anti >= 1.0);
+    }
+
+    const KINDS: [RelKind; 4] = [
+        RelKind::Inner,
+        RelKind::Semi,
+        RelKind::Anti,
+        RelKind::LeftOuter,
+    ];
+
+    #[test]
+    fn singleton_set_produces_its_base_rows_for_every_kind() {
+        for kind in KINDS {
+            let (cat, mut block, bindings) = fixture();
+            for rel in &mut block.rels {
+                rel.kind = kind;
+            }
+            let est = Estimator::new(&block, &bindings, &cat);
+            for r in 0..block.num_rels() {
+                assert_eq!(
+                    est.join_card(RelSet::single(r)),
+                    est.base_rows(r),
+                    "{kind:?} rel {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dependent_owner_delta_keeps_the_owners_ndv() {
+        // t2 as the inner side of an IN / EXISTS: a filter on t2.c1 built
+        // from δ = {t2} holds every key t2's local predicate keeps.
+        for kind in [RelKind::Semi, RelKind::Anti, RelKind::LeftOuter] {
+            let (cat, mut block, bindings) = fixture();
+            block.rels[1].kind = kind;
+            let est = Estimator::new(&block, &bindings, &cat);
+            let col = vcol(&block, 1, 0);
+            assert_eq!(
+                est.effective_build_ndv(col, RelSet::single(1)),
+                est.col_ndv(col),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dependent_only_delta_is_never_below_its_largest_member() {
+        for kind in [RelKind::Semi, RelKind::Anti, RelKind::LeftOuter] {
+            let (cat, mut block, bindings) = fixture();
+            block.rels[1].kind = kind;
+            block.rels[2].kind = kind;
+            let est = Estimator::new(&block, &bindings, &cat);
+            let delta = RelSet::from_iter([1, 2]);
+            let largest = est.base_rows(1).max(est.base_rows(2));
+            assert!(est.join_card(delta) >= largest, "{kind:?}");
+        }
     }
 
     #[test]

@@ -3,6 +3,9 @@
 //! identical results in all three modes**. Bloom filters are an optimization,
 //! never a semantics change.
 
+use bfq::common::ColumnId;
+use bfq::expr::{BinOp, Expr};
+use bfq::plan::{PhysicalNode, PhysicalPlan};
 use bfq::prelude::*;
 use bfq::tpch;
 use std::sync::Arc;
@@ -68,6 +71,93 @@ fn bloom_modes_actually_place_filters() {
         total_filters >= 5,
         "expected several Bloom filters across Table-2 queries, got {total_filters}"
     );
+}
+
+/// Whether some conjunct of `pred` equates a column of `outer` with one of
+/// `inner` — an equi-join the planner should have hashed.
+fn equates_sides(pred: &Expr, outer: &PhysicalPlan, inner: &PhysicalPlan) -> bool {
+    pred.clone().split_conjuncts().iter().any(|c| match c {
+        Expr::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } => match (&**left, &**right) {
+            (Expr::Column(a), Expr::Column(b)) => {
+                let on = |p: &PhysicalPlan, c: &ColumnId| p.layout.slot_of(*c).is_some();
+                (on(outer, a) && on(inner, b)) || (on(outer, b) && on(inner, a))
+            }
+            _ => false,
+        },
+        _ => false,
+    })
+}
+
+#[test]
+fn equi_joins_are_never_nested_loops() {
+    for mode in [BloomMode::None, BloomMode::Post, BloomMode::Cbo] {
+        let conn = session(mode);
+        for q in tpch::supported_queries() {
+            let planned = conn.plan_sql_only(&tpch::query_text(q, SF)).unwrap();
+            let mut nestloops = 0;
+            planned.plan.visit(&mut |node| {
+                if let PhysicalNode::NestLoopJoin {
+                    outer,
+                    inner,
+                    predicate,
+                    ..
+                } = &node.node
+                {
+                    nestloops += 1;
+                    let equi = predicate
+                        .as_ref()
+                        .is_some_and(|p| equates_sides(p, outer, inner));
+                    assert!(!equi, "Q{q} {mode:?}: equi-key nested loop\n{node:?}");
+                }
+            });
+            if q == 20 && mode == BloomMode::Cbo {
+                assert_eq!(nestloops, 0, "Q20 under BF-CBO has a nested loop");
+            }
+        }
+    }
+}
+
+#[test]
+fn q20_filter_pass_fraction_is_predicted_within_2x() {
+    // Q20's filter is built from `part`, the inner side of an IN
+    // subquery: a dependent relation whose δ must still count its rows.
+    // At SF 0.005 `partsupp` is too small to be worth filtering.
+    let sf = 0.02;
+    let db = tpch::gen::generate(sf, SEED).expect("generate");
+    let conn = Engine::new(
+        db,
+        EngineConfig::default()
+            .with_bloom_mode(BloomMode::Cbo)
+            .with_dop(3),
+    )
+    .connect();
+    let r = conn.run_sql(&tpch::query_text(20, sf)).expect("Q20");
+    let mut checked = 0;
+    r.optimized.plan.visit(&mut |node| {
+        let PhysicalNode::Scan { blooms, alias, .. } = &node.node else {
+            return;
+        };
+        for apply in blooms {
+            let observed = r
+                .exec_stats
+                .filter_observation(apply.filter.0)
+                .and_then(|o| o.pass_rate())
+                .unwrap_or_else(|| panic!("{alias}: filter {:?} never probed", apply.filter));
+            let ratio = apply.predicted_pass / observed;
+            assert!(
+                (0.5..=2.0).contains(&ratio),
+                "{alias}: predicted pass {} vs observed {observed}\n{}",
+                apply.predicted_pass,
+                r.explain()
+            );
+            checked += 1;
+        }
+    });
+    assert!(checked > 0, "Q20 under BF-CBO applies no filter");
 }
 
 #[test]
