@@ -52,8 +52,8 @@ struct NaiveSubPlan {
     variant: u8,
 }
 
-/// Join variants enumerated per pair (3 algorithms ≈ hash/merge/NL each with
-/// a representative distribution choice).
+/// Join variants enumerated per pair (≈ a real join's distribution
+/// alternatives: co-located, repartitioned, broadcast).
 const VARIANTS: u8 = 3;
 
 /// Run the naïve single-phase optimization, bounded by `config`'s step

@@ -1,10 +1,10 @@
 //! Second bottom-up phase: the costed DP over enlarged plan lists
 //! (paper §3.6).
 //!
-//! Ordinary Selinger-style dynamic programming — all join methods (a
-//! nested loop only where no equi clause joins the sides), all
-//! distribution (streaming) alternatives — plus the Bloom filter legality
-//! rules:
+//! Ordinary Selinger-style dynamic programming — one join method per split
+//! (a hash join when an equi clause connects the sides, otherwise a nested
+//! loop), all distribution (streaming) alternatives — plus the Bloom filter
+//! legality rules:
 //!
 //! * a pending filter whose δ is fully covered by the build side **resolves**
 //!   there; the join must be a hash join and gains a [`BloomBuild`];
@@ -45,20 +45,6 @@ pub struct Phase2Stats {
     pub generated: usize,
     /// Sub-plans surviving in plan lists at the end.
     pub kept: usize,
-}
-
-/// Join algorithms enumerated by the DP.
-const ALGOS: [JoinAlgoChoice; 3] = [
-    JoinAlgoChoice::Hash,
-    JoinAlgoChoice::Merge,
-    JoinAlgoChoice::NestLoop,
-];
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JoinAlgoChoice {
-    Hash,
-    Merge,
-    NestLoop,
 }
 
 /// One distribution alternative for a join.
@@ -235,7 +221,7 @@ fn hash_dist_opts(
     opts
 }
 
-fn simple_dist_opts(outer: &SubPlan, inner: &SubPlan, replicate_inner: bool) -> Vec<DistOpt> {
+fn simple_dist_opts(outer: &SubPlan, inner: &SubPlan) -> Vec<DistOpt> {
     let mut opts = Vec::new();
     if outer.dist == Distribution::Single && inner.dist == Distribution::Single {
         opts.push(DistOpt {
@@ -246,7 +232,7 @@ fn simple_dist_opts(outer: &SubPlan, inner: &SubPlan, replicate_inner: bool) -> 
             build_replicated: false,
         });
     }
-    if replicate_inner && outer.dist != Distribution::Replicated {
+    if outer.dist != Distribution::Replicated {
         let single = outer.dist == Distribution::Single;
         opts.push(DistOpt {
             outer_ex: None,
@@ -306,7 +292,6 @@ fn try_join(
     let Some(pending) = classify_pendings(outer_sp, inner_sp, split.outer, split.inner) else {
         return;
     };
-    let requires_hash = !pending.resolved.is_empty();
     let s_all = split.outer.union(split.inner);
 
     // Oriented equi keys.
@@ -322,7 +307,7 @@ fn try_join(
             ikeys.push(c.left);
         }
     }
-    if requires_hash && okeys.is_empty() {
+    if !pending.resolved.is_empty() && okeys.is_empty() {
         return; // resolution needs a hash join, which needs equi keys
     }
 
@@ -369,37 +354,28 @@ fn try_join(
         outer_sp.plan.layout.clone()
     };
 
-    for algo in ALGOS {
-        match algo {
-            JoinAlgoChoice::Hash if okeys.is_empty() => continue,
-            JoinAlgoChoice::Merge if okeys.is_empty() || requires_hash => continue,
-            // Merge join is enumerated for plain inner joins only.
-            JoinAlgoChoice::Merge if split.kind != JoinKind::Inner => continue,
-            // Never nested-loop an equi-join: a hash join over an inner side
-            // that really has 1 row costs microseconds more, a nested loop
-            // over one estimated at 1 that has thousands costs seconds.
-            JoinAlgoChoice::NestLoop if !okeys.is_empty() => continue,
-            _ => {}
-        }
-        let dist_opts = match algo {
-            JoinAlgoChoice::Hash => hash_dist_opts(outer_sp, inner_sp, &okeys, &ikeys, split.kind),
-            JoinAlgoChoice::Merge => {
-                // Merge join needs co-partitioned inputs: repartition both.
-                let mut opts = hash_dist_opts(outer_sp, inner_sp, &okeys, &ikeys, split.kind);
-                opts.retain(|o| {
-                    !o.build_replicated && o.outer_ex.is_none() == o.inner_ex.is_none()
-                        || o.single_stream
-                });
-                opts
-            }
-            JoinAlgoChoice::NestLoop => simple_dist_opts(outer_sp, inner_sp, true),
+    // A hash join whenever an equi clause connects the sides, a nested
+    // loop only when none does: a hash join over an inner side that really
+    // has 1 row costs microseconds more, a nested loop over one estimated
+    // at 1 that has thousands costs seconds.
+    let hash = !okeys.is_empty();
+    let dist_opts = if hash {
+        hash_dist_opts(outer_sp, inner_sp, &okeys, &ikeys, split.kind)
+    } else {
+        simple_dist_opts(outer_sp, inner_sp)
+    };
+    for opt in dist_opts {
+        let outer_plan = match &opt.outer_ex {
+            Some(kind) => wrap_exchange(&outer_sp.plan, kind.clone(), outer_sp.rows),
+            None => outer_sp.plan.clone(),
         };
-        for opt in dist_opts {
-            let mut cost = outer_sp.cost.plus(inner_sp.cost);
-            cost = cost.plus(exchange_cost(model, &opt.outer_ex, outer_sp.rows));
-            cost = cost.plus(exchange_cost(model, &opt.inner_ex, inner_sp.rows));
-            let join_cost = match algo {
-                JoinAlgoChoice::Hash => model.hash_join(
+        let inner_plan = match &opt.inner_ex {
+            Some(kind) => wrap_exchange(&inner_sp.plan, kind.clone(), inner_sp.rows),
+            None => inner_sp.plan.clone(),
+        };
+        let (join_cost, node) = if hash {
+            (
+                model.hash_join(
                     inner_sp.rows,
                     outer_sp.rows,
                     rows_out,
@@ -407,25 +383,7 @@ fn try_join(
                     opt.build_replicated,
                     opt.single_stream,
                 ),
-                JoinAlgoChoice::Merge => {
-                    model.merge_join(outer_sp.rows, inner_sp.rows, rows_out, opt.single_stream)
-                }
-                JoinAlgoChoice::NestLoop => {
-                    model.nestloop_join(outer_sp.rows, inner_sp.rows, rows_out, opt.single_stream)
-                }
-            };
-            cost = cost.plus(join_cost);
-
-            let outer_plan = match &opt.outer_ex {
-                Some(kind) => wrap_exchange(&outer_sp.plan, kind.clone(), outer_sp.rows),
-                None => outer_sp.plan.clone(),
-            };
-            let inner_plan = match &opt.inner_ex {
-                Some(kind) => wrap_exchange(&inner_sp.plan, kind.clone(), inner_sp.rows),
-                None => inner_sp.plan.clone(),
-            };
-            let node = match algo {
-                JoinAlgoChoice::Hash => PhysicalNode::HashJoin {
+                PhysicalNode::HashJoin {
                     outer: outer_plan,
                     inner: inner_plan,
                     kind: split.kind,
@@ -433,31 +391,34 @@ fn try_join(
                     extra: extra.clone(),
                     builds: builds.clone(),
                 },
-                JoinAlgoChoice::Merge => PhysicalNode::MergeJoin {
-                    outer: outer_plan,
-                    inner: inner_plan,
-                    kind: split.kind,
-                    keys: okeys.iter().copied().zip(ikeys.iter().copied()).collect(),
-                    extra: extra.clone(),
-                },
-                JoinAlgoChoice::NestLoop => PhysicalNode::NestLoopJoin {
+            )
+        } else {
+            (
+                model.nestloop_join(outer_sp.rows, inner_sp.rows, rows_out, opt.single_stream),
+                PhysicalNode::NestLoopJoin {
                     outer: outer_plan,
                     inner: inner_plan,
                     kind: split.kind,
                     predicate: extra.clone(),
                 },
-            };
-            let plan = PhysicalPlan::new(node, out_layout.clone(), rows_out, opt.out_dist.clone());
-            stats.generated += 1;
-            list.add(SubPlan {
-                plan,
-                rows: rows_out,
-                cost,
-                dist: opt.out_dist,
-                pending: pending.remaining.clone(),
-                program: outer_sp.program,
-            });
-        }
+            )
+        };
+        let cost = outer_sp
+            .cost
+            .plus(inner_sp.cost)
+            .plus(exchange_cost(model, &opt.outer_ex, outer_sp.rows))
+            .plus(exchange_cost(model, &opt.inner_ex, inner_sp.rows))
+            .plus(join_cost);
+        let plan = PhysicalPlan::new(node, out_layout.clone(), rows_out, opt.out_dist.clone());
+        stats.generated += 1;
+        list.add(SubPlan {
+            plan,
+            rows: rows_out,
+            cost,
+            dist: opt.out_dist,
+            pending: pending.remaining.clone(),
+            program: outer_sp.program,
+        });
     }
 }
 
@@ -521,9 +482,7 @@ mod tests {
         let joins = count_nodes(&best.plan, |n| {
             matches!(
                 n,
-                PhysicalNode::HashJoin { .. }
-                    | PhysicalNode::MergeJoin { .. }
-                    | PhysicalNode::NestLoopJoin { .. }
+                PhysicalNode::HashJoin { .. } | PhysicalNode::NestLoopJoin { .. }
             )
         });
         assert_eq!(joins, 2);
@@ -533,18 +492,28 @@ mod tests {
 
     #[test]
     fn one_row_inner_gets_a_hash_join_unless_no_clause_connects_it() {
-        let config = OptimizerConfig::with_mode(BloomMode::None);
         let is_nestloop = |n: &PhysicalNode| matches!(n, PhysicalNode::NestLoopJoin { .. });
         let is_hash = |n: &PhysicalNode| matches!(n, PhysicalNode::HashJoin { .. });
 
-        let mut fx = chain_block(&[ChainSpec::new("big", 10_000), ChainSpec::new("one", 1)]);
-        assert_eq!(fx.estimator().base_rows(1), 1.0);
-        let (best, _) = optimize_fixture(&fx, &config);
-        let shown = best.plan.explain(&|c| format!("{c}"));
-        assert_eq!(count_nodes(&best.plan, is_hash), 1, "{shown}");
-        assert_eq!(count_nodes(&best.plan, is_nestloop), 0, "{shown}");
+        // Tiny inputs at any dop: every equi-join is a hash join, however
+        // little a competing plan would claim to cost.
+        for dop in [1, 2, 4] {
+            let config = OptimizerConfig::with_mode(BloomMode::None).dop(dop);
+            for outer_rows in [10_000, 1] {
+                let fx = chain_block(&[
+                    ChainSpec::new("outer", outer_rows),
+                    ChainSpec::new("one", 1),
+                ]);
+                assert_eq!(fx.estimator().base_rows(1), 1.0);
+                let (best, _) = optimize_fixture(&fx, &config);
+                let shown = best.plan.explain(&|c| format!("{c}"));
+                assert_eq!(count_nodes(&best.plan, is_hash), 1, "dop {dop}:\n{shown}");
+            }
+        }
 
         // Replace the equi clause with a non-equi predicate: nothing to hash.
+        let config = OptimizerConfig::with_mode(BloomMode::None);
+        let mut fx = chain_block(&[ChainSpec::new("big", 10_000), ChainSpec::new("one", 1)]);
         let clause = fx.block.equi_clauses.pop().unwrap();
         fx.block.complex_preds.push(Expr::binary(
             bfq_expr::BinOp::Lt,

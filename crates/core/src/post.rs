@@ -147,7 +147,6 @@ fn rebuild_children(
         | PhysicalNode::Limit { input, .. }
         | PhysicalNode::SemijoinReduce { input, .. } => *input = f(input),
         PhysicalNode::HashJoin { outer, inner, .. }
-        | PhysicalNode::MergeJoin { outer, inner, .. }
         | PhysicalNode::NestLoopJoin { outer, inner, .. } => {
             *outer = f(outer);
             *inner = f(inner);
@@ -240,22 +239,6 @@ fn attach_apply(
                 keys: keys.clone(),
                 extra: extra.clone(),
                 builds: builds.clone(),
-            }
-        }
-        PhysicalNode::MergeJoin {
-            outer,
-            inner,
-            kind,
-            keys,
-            extra,
-        } => {
-            let (new_outer, new_inner) = descend_join(outer, inner, *kind, rel_id, apply)?;
-            PhysicalNode::MergeJoin {
-                outer: new_outer,
-                inner: new_inner,
-                kind: *kind,
-                keys: keys.clone(),
-                extra: extra.clone(),
             }
         }
         PhysicalNode::NestLoopJoin {

@@ -160,21 +160,6 @@ impl CostModel {
         Cost::of(build + bf_build + probe + emit)
     }
 
-    /// Sort-merge join: sort both sides then merge.
-    pub fn merge_join(
-        &self,
-        outer_rows: f64,
-        inner_rows: f64,
-        output_rows: f64,
-        single_stream: bool,
-    ) -> Cost {
-        let dop = if single_stream { 1.0 } else { self.dop_f() };
-        let sort = self.sort_work(outer_rows / dop) + self.sort_work(inner_rows / dop);
-        let merge = ((outer_rows + inner_rows) / dop) * self.params.cpu_operator;
-        let emit = (output_rows / dop) * self.params.cpu_tuple;
-        Cost::of(sort + merge + emit)
-    }
-
     /// Nested-loop join: outer × inner predicate evaluations.
     pub fn nestloop_join(
         &self,
@@ -205,16 +190,12 @@ impl CostModel {
         Cost::of(rows * self.params.transfer * 0.25)
     }
 
-    fn sort_work(&self, rows: f64) -> f64 {
-        if rows <= 1.0 {
-            return 0.0;
-        }
-        rows * rows.log2().max(1.0) * self.params.sort_cmp
-    }
-
     /// Sort cost (single stream in this engine).
     pub fn sort(&self, rows: f64) -> Cost {
-        Cost::of(self.sort_work(rows))
+        if rows <= 1.0 {
+            return Cost::ZERO;
+        }
+        Cost::of(rows * rows.log2().max(1.0) * self.params.sort_cmp)
     }
 
     /// Hash aggregation cost.
@@ -316,14 +297,5 @@ mod tests {
         assert!(!a.cheaper_than(a));
         assert_eq!(a.plus(b).total, 3.0);
         assert_eq!(Cost::ZERO.total, 0.0);
-    }
-
-    #[test]
-    fn merge_join_cost_includes_sorts() {
-        let m = CostModel::new(4);
-        let mj = m.merge_join(10_000.0, 10_000.0, 10_000.0, false);
-        let hj = m.hash_join(10_000.0, 10_000.0, 10_000.0, 0, false, false);
-        // At equal sizes, hashing beats sorting in this model.
-        assert!(hj.total < mj.total);
     }
 }

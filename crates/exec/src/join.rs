@@ -1,5 +1,5 @@
-//! Join execution: hash join (with Bloom filter builds), sort-merge join,
-//! nested-loop join.
+//! Join execution: hash join (with Bloom filter builds) for every equi-join,
+//! nested-loop join for joins with no equi clause.
 //!
 //! The hash-join build side is a *flat open-addressing table*
 //! ([`BuildTable`]): a power-of-two directory of `(hash, head)` slots with
@@ -15,16 +15,14 @@
 
 use std::sync::Arc;
 
-use bfq_common::{BfqError, DataType, Result};
+use bfq_common::{DataType, Result};
 use bfq_expr::{eval_predicate, Expr, Layout};
 use bfq_plan::JoinKind;
 use bfq_storage::{Chunk, Column};
 
 use crate::data::PartitionedData;
 use crate::parallel::par_map;
-use crate::util::{
-    col_cmp, col_eq, hash_keys, hash_keys_into, keys_null, MorselScratch, JOIN_SEED,
-};
+use crate::util::{col_eq, hash_keys, hash_keys_into, keys_null, MorselScratch, JOIN_SEED};
 
 /// Sentinel for "no row": empty directory slots and chain ends.
 const NONE: u32 = u32::MAX;
@@ -500,117 +498,6 @@ fn emit_join_rows(
     Ok(())
 }
 
-/// Sort-merge join (inner joins; both sides co-partitioned on the keys).
-#[allow(clippy::too_many_arguments)]
-pub fn merge_join(
-    outer: &PartitionedData,
-    inner: &PartitionedData,
-    outer_slots: &[usize],
-    inner_slots: &[usize],
-    kind: JoinKind,
-    extra: &Option<Expr>,
-    joined_layout: &Layout,
-) -> Result<PartitionedData> {
-    if kind != JoinKind::Inner {
-        return Err(BfqError::Execution(
-            "merge join supports inner joins only".into(),
-        ));
-    }
-    let mut types = outer.types.clone();
-    types.extend_from_slice(&inner.types);
-    let n = outer.num_partitions();
-    let partitions = par_map(n, |p| {
-        let ochunk = outer.partition_chunk(p)?;
-        let ichunk = inner.partition_chunk(p % inner.num_partitions())?;
-        if ochunk.is_empty() || ichunk.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut oidx: Vec<u32> = (0..ochunk.rows() as u32).collect();
-        let mut iidx: Vec<u32> = (0..ichunk.rows() as u32).collect();
-        let cmp_rows = |chunk: &Chunk, slots: &[usize], a: u32, b: u32| {
-            for &s in slots {
-                let ord = col_cmp(chunk.column(s), a as usize, chunk.column(s), b as usize);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        oidx.sort_unstable_by(|&a, &b| cmp_rows(&ochunk, outer_slots, a, b));
-        iidx.sort_unstable_by(|&a, &b| cmp_rows(&ichunk, inner_slots, a, b));
-
-        let key_cmp = |oi: u32, ii: u32| {
-            for (&os, &is) in outer_slots.iter().zip(inner_slots) {
-                let ord = col_cmp(
-                    ochunk.column(os),
-                    oi as usize,
-                    ichunk.column(is),
-                    ii as usize,
-                );
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        let mut probe_sel = Vec::new();
-        let mut build_sel = Vec::new();
-        let (mut o, mut i) = (0usize, 0usize);
-        while o < oidx.len() && i < iidx.len() {
-            // Null keys terminate the merge (they sort last and match nothing).
-            if keys_null(&ochunk, outer_slots, oidx[o] as usize) {
-                o += 1;
-                continue;
-            }
-            if keys_null(&ichunk, inner_slots, iidx[i] as usize) {
-                i += 1;
-                continue;
-            }
-            match key_cmp(oidx[o], iidx[i]) {
-                std::cmp::Ordering::Less => o += 1,
-                std::cmp::Ordering::Greater => i += 1,
-                std::cmp::Ordering::Equal => {
-                    // Emit the cross product of the equal-key groups.
-                    let o_start = o;
-                    let mut o_end = o;
-                    while o_end < oidx.len()
-                        && key_cmp(oidx[o_end], iidx[i]) == std::cmp::Ordering::Equal
-                    {
-                        o_end += 1;
-                    }
-                    let mut i_end = i;
-                    while i_end < iidx.len()
-                        && key_cmp(oidx[o_start], iidx[i_end]) == std::cmp::Ordering::Equal
-                    {
-                        i_end += 1;
-                    }
-                    for &orow in &oidx[o_start..o_end] {
-                        for &irow in &iidx[i..i_end] {
-                            probe_sel.push(orow);
-                            build_sel.push(irow);
-                        }
-                    }
-                    o = o_end;
-                    i = i_end;
-                }
-            }
-        }
-        if probe_sel.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut pairs = Chunk::zip(&ochunk.take(&probe_sel), &ichunk.take(&build_sel))?;
-        if let Some(pred) = extra {
-            let keep = eval_predicate(pred, &pairs, joined_layout)?;
-            if keep.is_empty() {
-                return Ok(Vec::new());
-            }
-            pairs = pairs.take(&keep);
-        }
-        Ok(vec![pairs])
-    })?;
-    Ok(PartitionedData { types, partitions })
-}
-
 /// Nested-loop join: every outer row against the full inner partition.
 #[allow(clippy::too_many_arguments)]
 pub fn nestloop_join(
@@ -869,24 +756,6 @@ mod tests {
         let (_, counts) = probe(&[1, 3, 2], &build, JoinKind::Inner, &None);
         // Probe 1 → chain {1,1}; probe 2 → chain {2}; probe 3 → miss.
         assert_eq!(counts, (3, 3));
-    }
-
-    #[test]
-    fn merge_join_equals_hash_join() {
-        let outer = pd(vec![vec![5, 1, 3, 3, 9]]);
-        let inner = pd(vec![vec![3, 3, 5, 7]]);
-        let out = merge_join(
-            &outer,
-            &inner,
-            &[0],
-            &[0],
-            JoinKind::Inner,
-            &None,
-            &joined_layout(),
-        )
-        .unwrap();
-        // 3 matches 2x2 = 4 pairs; 5 matches 1. Total 5.
-        assert_eq!(out.total_rows(), 5);
     }
 
     #[test]

@@ -1049,34 +1049,6 @@ pub(crate) fn execute_pipelined(
             Ok(data)
         }
 
-        PhysicalNode::MergeJoin {
-            outer,
-            inner,
-            kind,
-            keys,
-            extra,
-        } => {
-            let inner_data = execute_pipelined(inner, ctx)?;
-            let outer_data = execute_pipelined(outer, ctx)?;
-            let in_rows = (inner_data.total_rows() + outer_data.total_rows()) as u64;
-            let okeys: Vec<_> = keys.iter().map(|(o, _)| *o).collect();
-            let ikeys: Vec<_> = keys.iter().map(|(_, i)| *i).collect();
-            let outer_slots = slots_for(&outer.layout, &okeys)?;
-            let inner_slots = slots_for(&inner.layout, &ikeys)?;
-            let joined_layout = outer.layout.concat(&inner.layout);
-            let out = crate::join::merge_join(
-                &outer_data,
-                &inner_data,
-                &outer_slots,
-                &inner_slots,
-                *kind,
-                extra,
-                &joined_layout,
-            )?;
-            seal_node(plan, &out, in_rows, ctx, started);
-            Ok(out)
-        }
-
         PhysicalNode::NestLoopJoin {
             outer,
             inner,

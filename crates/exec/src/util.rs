@@ -144,7 +144,7 @@ pub fn col_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     }
 }
 
-/// Total order over two column values for sorting and merge joins.
+/// Total order over two column values for sorting.
 /// NULLs sort after every value (SQL `NULLS LAST` for ascending order);
 /// two NULLs compare equal.
 pub fn col_cmp(a: &Column, i: usize, b: &Column, j: usize) -> std::cmp::Ordering {

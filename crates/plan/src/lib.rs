@@ -8,7 +8,7 @@
 //! * [`logical`] — the logical tree above and around blocks: aggregation,
 //!   projection, sort, limit, and derived-table nesting.
 //! * [`physical`] — executable plans: scans with Bloom-filter applications,
-//!   hash/merge/nested-loop joins with Bloom-filter builds, exchange
+//!   hash and nested-loop joins with Bloom-filter builds, exchange
 //!   operators for SMP streaming, plus EXPLAIN-style formatting.
 //!
 //! [`pipeline`] decomposes physical plans into morsel-driven pipelines
@@ -23,7 +23,7 @@ pub mod pipeline;
 pub use block::{BaseRel, Bindings, EquiClause, QueryBlock, RelBinding, RelKind, RelSource};
 pub use logical::{AggExpr, AggFunc, LogicalPlan, OutputColumn, SortKey};
 pub use physical::{
-    BloomApply, BloomBuild, Distribution, ExchangeKind, FilterSchedule, JoinAlgo, JoinKind,
-    PhysicalNode, PhysicalPlan,
+    BloomApply, BloomBuild, Distribution, ExchangeKind, FilterSchedule, JoinKind, PhysicalNode,
+    PhysicalPlan,
 };
 pub use pipeline::{blocking_children, decompose, is_streamable, streaming_child, PipelineSpec};

@@ -48,17 +48,6 @@ impl JoinKind {
     }
 }
 
-/// Join algorithm (used as an optimizer enumeration axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JoinAlgo {
-    /// Hash join (build inner, probe outer).
-    Hash,
-    /// Sort-merge join.
-    Merge,
-    /// Nested-loop join.
-    NestLoop,
-}
-
 /// How data is spread across the DOP worker threads — the optimizer's
 /// distribution property (one of the "interesting properties" sub-plans are
 /// pruned against).
@@ -200,19 +189,6 @@ pub enum PhysicalNode {
         extra: Option<Expr>,
         /// Bloom filters built here.
         builds: Vec<BloomBuild>,
-    },
-    /// Sort-merge join.
-    MergeJoin {
-        /// Left/outer side.
-        outer: Arc<PhysicalPlan>,
-        /// Right/inner side.
-        inner: Arc<PhysicalPlan>,
-        /// Semantics.
-        kind: JoinKind,
-        /// Equi-key pairs `(outer_col, inner_col)`.
-        keys: Vec<(ColumnId, ColumnId)>,
-        /// Residual predicate.
-        extra: Option<Expr>,
     },
     /// Nested-loop join (general predicates, small inputs).
     NestLoopJoin {
@@ -363,8 +339,7 @@ impl PhysicalPlan {
             | PhysicalNode::Limit { input, .. } => vec![input],
             PhysicalNode::SemijoinReduce { input, .. } => vec![input],
             PhysicalNode::HashJoin { outer, inner, .. }
-            | PhysicalNode::MergeJoin { outer, inner, .. } => vec![outer, inner],
-            PhysicalNode::NestLoopJoin { outer, inner, .. } => vec![outer, inner],
+            | PhysicalNode::NestLoopJoin { outer, inner, .. } => vec![outer, inner],
             PhysicalNode::ScalarSubst {
                 input, subquery, ..
             } => vec![input, subquery],
@@ -461,19 +436,6 @@ impl PhysicalPlan {
                 extra,
                 builds,
             },
-            PhysicalNode::MergeJoin {
-                outer,
-                inner,
-                kind,
-                keys,
-                extra,
-            } => PhysicalNode::MergeJoin {
-                outer: outer.with_ids(next),
-                inner: inner.with_ids(next),
-                kind,
-                keys,
-                extra,
-            },
             PhysicalNode::NestLoopJoin {
                 outer,
                 inner,
@@ -513,7 +475,7 @@ impl PhysicalPlan {
                 }
             }
             PhysicalNode::Filter { predicate, .. } => f(predicate),
-            PhysicalNode::HashJoin { extra, .. } | PhysicalNode::MergeJoin { extra, .. } => {
+            PhysicalNode::HashJoin { extra, .. } => {
                 if let Some(p) = extra {
                     f(p);
                 }
@@ -623,19 +585,6 @@ impl PhysicalPlan {
                 keys: keys.clone(),
                 extra: opt(extra),
                 builds: builds.clone(),
-            },
-            PhysicalNode::MergeJoin {
-                outer,
-                inner,
-                kind,
-                keys,
-                extra,
-            } => PhysicalNode::MergeJoin {
-                outer: outer.map_exprs(rewrite),
-                inner: inner.map_exprs(rewrite),
-                kind: *kind,
-                keys: keys.clone(),
-                extra: opt(extra),
             },
             PhysicalNode::NestLoopJoin {
                 outer,
@@ -788,7 +737,6 @@ impl PhysicalPlan {
                     format!("HashJoin {} [build {}]", kind.label(), ids.join(","))
                 }
             }
-            PhysicalNode::MergeJoin { kind, .. } => format!("MergeJoin {}", kind.label()),
             PhysicalNode::NestLoopJoin { kind, .. } => format!("NestLoopJoin {}", kind.label()),
             PhysicalNode::Exchange { kind, .. } => format!("Exchange {}", kind.label()),
             PhysicalNode::Project { .. } => "Project".into(),
@@ -854,7 +802,7 @@ impl PhysicalPlan {
                     out.push_str(&format!(" filter: {}", p.display_with(resolve)));
                 }
             }
-            PhysicalNode::HashJoin { keys, .. } | PhysicalNode::MergeJoin { keys, .. } => {
+            PhysicalNode::HashJoin { keys, .. } => {
                 let ks: Vec<String> = keys
                     .iter()
                     .map(|(l, r)| format!("{} = {}", resolve(*l), resolve(*r)))
