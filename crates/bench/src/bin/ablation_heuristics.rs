@@ -4,8 +4,9 @@
 //! The paper motivates Heuristics 1–9 qualitatively (§3.10) and measures
 //! only H7 (Table 3). This ablation fills in the rest: each row disables or
 //! re-tunes one knob relative to the default BF-CBO configuration and
-//! reports total planning time, DP pairs examined, sub-plans generated, and
-//! the number of Bloom filters in the winning plans.
+//! reports total planning time, DP pairs examined, sub-plans generated and
+//! built (admitted to a plan list, the only ones materialized as plan
+//! nodes), and the number of Bloom filters in the winning plans.
 
 use std::sync::Arc;
 
@@ -21,6 +22,7 @@ struct Row {
     plan_ms: f64,
     pairs: usize,
     generated: usize,
+    built: usize,
     filters: usize,
     candidates: usize,
 }
@@ -36,6 +38,7 @@ fn sweep(
         plan_ms: 0.0,
         pairs: 0,
         generated: 0,
+        built: 0,
         filters: 0,
         candidates: 0,
     };
@@ -47,6 +50,7 @@ fn sweep(
         row.plan_ms += planned.stats.planning_ms;
         row.pairs += planned.stats.phase2.pairs;
         row.generated += planned.stats.phase2.generated;
+        row.built += planned.stats.phase2.built;
         row.filters += planned.stats.cbo_filters + planned.stats.post_filters;
         row.candidates += planned.stats.candidates;
     }
@@ -113,16 +117,16 @@ fn main() {
         env.sf
     );
     println!(
-        "# {:<22} {:>9} {:>10} {:>11} {:>8} {:>6}",
-        "variant", "plan_ms", "dp_pairs", "generated", "filters", "cands"
+        "# {:<22} {:>9} {:>10} {:>11} {:>9} {:>8} {:>6}",
+        "variant", "plan_ms", "dp_pairs", "generated", "built", "filters", "cands"
     );
     let mut json = JsonReport::from_args("ablation_heuristics");
     json.add("sf", env.sf);
     for (label, cfg) in &variants {
         let r = sweep(&catalog, &env, label, cfg);
         println!(
-            "  {:<22} {:>9.1} {:>10} {:>11} {:>8} {:>6}",
-            r.label, r.plan_ms, r.pairs, r.generated, r.filters, r.candidates
+            "  {:<22} {:>9.1} {:>10} {:>11} {:>9} {:>8} {:>6}",
+            r.label, r.plan_ms, r.pairs, r.generated, r.built, r.filters, r.candidates
         );
         // Slug: first token of the label ("bf-cbo", "H2", "H6", ...).
         let slug = label
@@ -141,6 +145,7 @@ fn main() {
         };
         json.add(&format!("{slug}_pairs"), r.pairs as f64);
         json.add(&format!("{slug}_generated"), r.generated as f64);
+        json.add(&format!("{slug}_built"), r.built as f64);
         json.add(&format!("{slug}_filters"), r.filters as f64);
         json.add(&format!("{slug}_candidates"), r.candidates as f64);
         json.add(&format!("{slug}_plan_ms"), r.plan_ms);

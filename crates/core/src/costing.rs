@@ -81,11 +81,14 @@ pub fn make_scan_subplan(
     let rel_id = base_rel.rel_id;
     let predicate = Expr::conjunction(base_rel.local_preds.clone());
     let n_preds = base_rel.local_preds.len();
-    let assumptions: Vec<BfAssumption> = pendings.iter().map(|p| p.bf.clone()).collect();
-    let rows_out = if assumptions.is_empty() {
+    // Multiple filters apply simultaneously (Heuristic 4).
+    let rows_out = if pendings.is_empty() {
         est.base_rows(rel)
     } else {
-        est.bf_scan_rows(rel, &assumptions)
+        pendings
+            .iter()
+            .fold(est.base_rows(rel), |rows, p| rows * p.pass)
+            .max(1.0)
     };
     let blooms: Vec<BloomApply> = pendings
         .iter()
@@ -93,7 +96,7 @@ pub fn make_scan_subplan(
             filter: p.id,
             column: p.bf.apply_col,
             predicted_fpr: est.bf_fpr(&p.bf),
-            predicted_pass: est.bf_pass_fraction(&p.bf),
+            predicted_pass: p.pass,
         })
         .collect();
     let layout = Layout::new(
@@ -511,7 +514,8 @@ pub fn initial_plan_lists(
                     .map(|bf| {
                         let id = FilterId(*next_filter);
                         *next_filter += 1;
-                        PendingBf { id, bf }
+                        let pass = est.bf_pass_fraction(&bf);
+                        PendingBf { id, bf, pass }
                     })
                     .collect();
                 let sp = make_scan_subplan(block, est, model, rel, pendings, projection, derived)?;
@@ -538,6 +542,7 @@ pub fn initial_plan_lists(
 mod tests {
     use super::*;
     use crate::candidates::mark_candidates;
+    use crate::enumerate::join_space;
     use crate::phase1::collect_deltas;
     use crate::synth::{running_example, ChainSpec};
     use bfq_common::RelSet;
@@ -549,7 +554,7 @@ mod tests {
         let est = fx.estimator();
         let model = CostModel::new(config.dop);
         let mut cands = mark_candidates(&fx.block, &est, config);
-        collect_deltas(&fx.block, &est, &mut cands, config);
+        collect_deltas(&est, &join_space(&fx.block), &mut cands, config);
         let required = required_cols_per_rel(&fx.block, &[]);
         let mut next_filter = 0;
         let lists = initial_plan_lists(

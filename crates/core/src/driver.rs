@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bfq_catalog::Catalog;
-use bfq_common::{ColumnId, Datum, Result};
+use bfq_common::{BfqError, ColumnId, Datum, Result};
 use bfq_cost::{Cost, CostModel, Estimator};
 use bfq_expr::{estimate_selectivity, Expr, Layout};
 use bfq_plan::{
@@ -17,6 +17,7 @@ use bfq_plan::{
 use crate::acyclic::join_tree;
 use crate::candidates::mark_candidates;
 use crate::costing::{build_program, initial_plan_lists, required_cols_per_rel, DerivedPlans};
+use crate::enumerate::{join_space, MAX_BLOCK_RELS};
 use crate::naive::{naive_optimize, NaiveStats};
 use crate::phase1::{collect_deltas, Phase1Stats};
 use crate::phase2::{run_dp, Phase2Stats};
@@ -63,6 +64,7 @@ impl OptimizerStats {
         self.phase2.sets += other.phase2.sets;
         self.phase2.pairs += other.phase2.pairs;
         self.phase2.generated += other.phase2.generated;
+        self.phase2.built += other.phase2.built;
         self.phase2.kept += other.phase2.kept;
         self.cbo_filters += other.cbo_filters;
         self.post_filters += other.post_filters;
@@ -139,6 +141,12 @@ fn optimize_block_inner(
     config: &OptimizerConfig,
     next_filter: &mut u32,
 ) -> Result<(SubPlan, BlockStats, Option<FilterSchedule>)> {
+    if block.num_rels() > MAX_BLOCK_RELS {
+        return Err(BfqError::Plan(format!(
+            "a query block joins {} relations; the optimizer enumerates at most {MAX_BLOCK_RELS}",
+            block.num_rels()
+        )));
+    }
     let est = Estimator::with_modes(
         block,
         bindings,
@@ -173,10 +181,13 @@ fn optimize_block_inner(
         cands.clear();
     }
 
+    // Both bottom-up passes walk the same connected sets and splits.
+    let space = join_space(block);
+
     // §3.4: first bottom-up pass — Δ collection.
     let mut h8_gated = false;
     if !cands.is_empty() {
-        bstats.phase1 = collect_deltas(block, &est, &mut cands, config);
+        bstats.phase1 = collect_deltas(&est, &space, &mut cands, config);
         // Heuristic 8: small queries skip Bloom planning entirely.
         if config.h8_enabled && bstats.phase1.total_join_input < config.h8_min_join_input {
             cands.clear();
@@ -213,7 +224,15 @@ fn optimize_block_inner(
     )?;
 
     // §3.6: second bottom-up pass.
-    let (mut best, p2) = run_dp(block, &est, &model, config, initial, program.as_ref())?;
+    let (mut best, p2) = run_dp(
+        block,
+        &est,
+        &model,
+        config,
+        &space,
+        initial,
+        program.as_ref(),
+    )?;
     bstats.phase2 = p2;
     best.plan.visit(&mut |p| {
         if let PhysicalNode::HashJoin { builds, .. } = &p.node {

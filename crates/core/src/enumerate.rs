@@ -20,21 +20,41 @@ pub struct Split {
     pub kind: JoinKind,
 }
 
+/// The most relations one block may join: [`enumerate_sets`] walks every
+/// subset of the block's relations.
+pub const MAX_BLOCK_RELS: usize = 24;
+
+/// A multi-relation set of the join space with its legal splits.
+#[derive(Debug, Clone)]
+pub struct SetSplits {
+    /// The relation set.
+    pub set: RelSet,
+    /// Its legal ordered splits ([`splits`]).
+    pub splits: Vec<Split>,
+}
+
 /// The relations a predicate references within the block.
 pub fn pred_rels(block: &QueryBlock, pred: &Expr) -> RelSet {
     let mut set = RelSet::EMPTY;
-    for col in pred.columns() {
-        if let Some(o) = block.ordinal_of(col.table) {
-            set = set.with(o);
+    pred.walk(&mut |e| {
+        if let Expr::Column(col) = e {
+            if let Some(o) = block.ordinal_of(col.table) {
+                set = set.with(o);
+            }
         }
-    }
+    });
     set
 }
 
 /// Whether two disjoint sets are connected by at least one equi clause or
 /// complex predicate (a cross join would otherwise be required).
 pub fn joinable(block: &QueryBlock, a: RelSet, b: RelSet) -> bool {
-    if !block.clauses_between(a, b).is_empty() {
+    let crosses = |l: usize, r: usize| a.contains(l) && b.contains(r);
+    if block
+        .equi_clauses
+        .iter()
+        .any(|c| crosses(c.left_rel, c.right_rel) || crosses(c.right_rel, c.left_rel))
+    {
         return true;
     }
     block.complex_preds.iter().any(|p| {
@@ -88,7 +108,10 @@ pub fn deps_satisfied(block: &QueryBlock, set: RelSet) -> bool {
 /// dependencies live elsewhere).
 pub fn enumerate_sets(block: &QueryBlock) -> Vec<RelSet> {
     let n = block.num_rels();
-    assert!(n <= 24, "query block too large for exhaustive enumeration");
+    assert!(
+        n <= MAX_BLOCK_RELS,
+        "query block too large for exhaustive enumeration"
+    );
     let mut sets = Vec::new();
     for mask in 1u64..(1u64 << n) {
         let set = RelSet(mask);
@@ -102,6 +125,20 @@ pub fn enumerate_sets(block: &QueryBlock) -> Vec<RelSet> {
     }
     sets.sort_by_key(|s| (s.len(), s.0));
     sets
+}
+
+/// The block's join space: every constructible connected set of two or
+/// more relations, in [`enumerate_sets`] order, with its legal splits. Both
+/// bottom-up phases walk it; the driver computes it once per block.
+pub fn join_space(block: &QueryBlock) -> Vec<SetSplits> {
+    enumerate_sets(block)
+        .into_iter()
+        .filter(|set| set.len() >= 2)
+        .map(|set| SetSplits {
+            set,
+            splits: splits(block, set),
+        })
+        .collect()
 }
 
 fn rel_kind_to_join(kind: RelKind) -> JoinKind {

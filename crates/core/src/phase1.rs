@@ -12,10 +12,9 @@
 //! require the δ join to be smaller than the apply relation.
 
 use bfq_cost::{BfAssumption, Estimator};
-use bfq_plan::QueryBlock;
 
 use crate::candidates::BfCandidate;
-use crate::enumerate::{enumerate_sets, splits};
+use crate::enumerate::SetSplits;
 use crate::OptimizerConfig;
 
 /// Statistics gathered during the first pass (feeds Heuristic 8 and the
@@ -37,21 +36,18 @@ pub struct Phase1Stats {
     pub deltas_pruned_lossless: usize,
 }
 
-/// Run the first bottom-up pass, populating each candidate's Δ list.
+/// Run the first bottom-up pass over the block's join space
+/// ([`crate::enumerate::join_space`]), populating each candidate's Δ list.
 pub fn collect_deltas(
-    block: &QueryBlock,
     est: &Estimator<'_>,
+    space: &[SetSplits],
     candidates: &mut [BfCandidate],
     _config: &OptimizerConfig,
 ) -> Phase1Stats {
     let mut stats = Phase1Stats::default();
-    let sets = enumerate_sets(block);
-    for set in sets {
-        if set.len() < 2 {
-            continue;
-        }
+    for entry in space {
         stats.sets_visited += 1;
-        for split in splits(block, set) {
+        for split in &entry.splits {
             stats.pairs_visited += 1;
             let outer_rows = est.join_card(split.outer);
             let inner_rows = est.join_card(split.inner);
@@ -97,6 +93,7 @@ pub fn collect_deltas(
 mod tests {
     use super::*;
     use crate::candidates::mark_candidates;
+    use crate::enumerate::join_space;
     use crate::synth::{chain_block, running_example, ChainSpec};
     use bfq_common::RelSet;
 
@@ -117,7 +114,7 @@ mod tests {
         };
         let mut cands = mark_candidates(&fx.block, &est, &config);
         assert_eq!(cands.len(), 2, "{cands:?}");
-        let stats = collect_deltas(&fx.block, &est, &mut cands, &config);
+        let stats = collect_deltas(&est, &join_space(&fx.block), &mut cands, &config);
         assert!(stats.pairs_visited >= 6);
         let t1_cand = cands.iter().find(|c| c.apply_rel == 0).unwrap();
         assert_eq!(
@@ -140,7 +137,7 @@ mod tests {
         let config = OptimizerConfig::default();
         let mut cands = mark_candidates(&fx.block, &est, &config);
         assert_eq!(cands.len(), 1);
-        let stats = collect_deltas(&fx.block, &est, &mut cands, &config);
+        let stats = collect_deltas(&est, &join_space(&fx.block), &mut cands, &config);
         assert!(cands[0].deltas.is_empty(), "{:?}", cands[0].deltas);
         assert!(stats.deltas_pruned_lossless >= 1);
     }
@@ -154,7 +151,7 @@ mod tests {
         let est = fx.estimator();
         let config = OptimizerConfig::default();
         let mut cands = mark_candidates(&fx.block, &est, &config);
-        collect_deltas(&fx.block, &est, &mut cands, &config);
+        collect_deltas(&est, &join_space(&fx.block), &mut cands, &config);
         assert_eq!(cands[0].deltas, vec![RelSet::single(1)]);
     }
 
@@ -167,7 +164,7 @@ mod tests {
             ..Default::default()
         };
         let mut cands = mark_candidates(&fx.block, &est, &config);
-        let stats = collect_deltas(&fx.block, &est, &mut cands, &config);
+        let stats = collect_deltas(&est, &join_space(&fx.block), &mut cands, &config);
         assert!(stats.total_join_input > 0.0);
         assert!(stats.max_join_input <= stats.total_join_input);
         assert!(stats.max_join_input >= est.base_rows(0));
@@ -184,7 +181,7 @@ mod tests {
             ..Default::default()
         };
         let mut cands = mark_candidates(&fx.block, &est, &config);
-        collect_deltas(&fx.block, &est, &mut cands, &config);
+        collect_deltas(&est, &join_space(&fx.block), &mut cands, &config);
         let h9 = cands.iter().find(|c| c.via_h9).unwrap();
         assert!(h9.deltas.is_empty());
     }

@@ -18,19 +18,25 @@
 //!   combination is discarded;
 //! * on resolution "the cardinality estimate simply becomes the original
 //!   estimate for the joined relation".
+//!
+//! Most alternatives lose to a sub-plan already in their set's plan list, so
+//! a join is costed and tested from numbers first — keys, predicates and
+//! the join cardinality come once per split, each pending filter carries
+//! its pass fraction — and its plan node is built only if the list admits
+//! it (`PlanList::admits`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bfq_common::{BfqError, ColumnId, RelSet, Result};
-use bfq_cost::{BfAssumption, Cost, CostModel, Estimator};
+use bfq_cost::{Cost, CostModel, Estimator};
 use bfq_expr::Expr;
 use bfq_plan::{
     BloomBuild, Distribution, ExchangeKind, JoinKind, PhysicalNode, PhysicalPlan, QueryBlock,
 };
 
 use crate::costing::ProgramSpec;
-use crate::enumerate::{enumerate_sets, pred_rels, splits, Split};
+use crate::enumerate::{pred_rels, SetSplits, Split};
 use crate::subplan::{PendingBf, PlanList, SubPlan};
 use crate::OptimizerConfig;
 
@@ -41,31 +47,173 @@ pub struct Phase2Stats {
     pub sets: usize,
     /// (outer sub-plan, inner sub-plan) combinations examined.
     pub pairs: usize,
-    /// Sub-plans generated (before plan-list pruning).
+    /// Sub-plans generated (before plan-list pruning): every legal
+    /// distribution alternative of every pair, each one costed.
     pub generated: usize,
+    /// Generated sub-plans a plan list admitted, the only ones built as
+    /// plan nodes; the rest were rejected on cost, rows and properties.
+    /// `kept ≤ built ≤ generated`.
+    pub built: usize,
     /// Sub-plans surviving in plan lists at the end.
     pub kept: usize,
 }
 
+/// A data movement on one join input.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// Replicate to every worker (paper's `BC`).
+    Broadcast,
+    /// Hash-repartition on the side's join keys (paper's `RD`).
+    Repartition,
+}
+
 /// One distribution alternative for a join.
-struct DistOpt {
-    outer_ex: Option<ExchangeKind>,
-    inner_ex: Option<ExchangeKind>,
-    out_dist: Distribution,
+struct DistOpt<'a> {
+    outer_ex: Option<Move>,
+    inner_ex: Option<Move>,
+    out_dist: &'a Distribution,
     single_stream: bool,
     build_replicated: bool,
 }
 
-/// Run the costed bottom-up DP. `initial` holds the per-relation plan lists
-/// from [`crate::costing::initial_plan_lists`]; `program` is the block's
-/// semijoin program when one was built (its lane is enumerated alongside
-/// the per-join lane and the cheapest complete plan of either wins).
-/// Returns the winning sub-plan for the full relation set.
+static SINGLE: Distribution = Distribution::Single;
+static ANY_PARTITIONED: Distribution = Distribution::AnyPartitioned;
+
+/// What every sub-plan pair of one split shares, computed once per split.
+struct SplitCtx {
+    split: Split,
+    /// Oriented equi keys, `okeys[i] = ikeys[i]`; empty when no equi clause
+    /// connects the sides.
+    okeys: Vec<ColumnId>,
+    ikeys: Vec<ColumnId>,
+    /// `Hash(okeys)` and `Hash(ikeys)`: a side already partitioned like
+    /// this needs no repartition.
+    outer_hash: Distribution,
+    inner_hash: Distribution,
+    /// Complex predicates that become evaluable exactly at this join.
+    extra: Option<Expr>,
+    /// `join_card(outer ∪ inner)`.
+    join_card: f64,
+    /// The program lane's output rows, when the block has a program.
+    program_rows: Option<f64>,
+}
+
+impl SplitCtx {
+    fn new(block: &QueryBlock, split: Split, join_card: f64, program_rows: Option<f64>) -> Self {
+        let mut okeys = Vec::new();
+        let mut ikeys = Vec::new();
+        for c in &block.equi_clauses {
+            if split.outer.contains(c.left_rel) && split.inner.contains(c.right_rel) {
+                okeys.push(c.left);
+                ikeys.push(c.right);
+            } else if split.outer.contains(c.right_rel) && split.inner.contains(c.left_rel) {
+                okeys.push(c.right);
+                ikeys.push(c.left);
+            }
+        }
+        let all = split.outer.union(split.inner);
+        let extra = Expr::conjunction(
+            block
+                .complex_preds
+                .iter()
+                .filter(|p| {
+                    let rels = pred_rels(block, p);
+                    rels.is_subset_of(all)
+                        && !rels.is_subset_of(split.outer)
+                        && !rels.is_subset_of(split.inner)
+                })
+                .cloned()
+                .collect(),
+        );
+        SplitCtx {
+            split,
+            outer_hash: Distribution::Hash(okeys.clone()),
+            inner_hash: Distribution::Hash(ikeys.clone()),
+            okeys,
+            ikeys,
+            extra,
+            join_card,
+            program_rows,
+        }
+    }
+
+    /// A hash join whenever an equi clause connects the sides, a nested
+    /// loop only when none does: a hash join over an inner side that really
+    /// has 1 row costs microseconds more, a nested loop over one estimated
+    /// at 1 that has thousands costs seconds.
+    fn is_hash(&self) -> bool {
+        !self.okeys.is_empty()
+    }
+
+    /// The distribution alternatives for joining `outer` to `inner` here.
+    fn dist_opts<'a>(
+        &'a self,
+        outer: &'a SubPlan,
+        inner: &SubPlan,
+    ) -> impl Iterator<Item = DistOpt<'a>> {
+        let hash = self.is_hash();
+        let single = (outer.dist == Distribution::Single && inner.dist == Distribution::Single)
+            .then_some(DistOpt {
+                outer_ex: None,
+                inner_ex: None,
+                out_dist: &SINGLE,
+                single_stream: true,
+                build_replicated: false,
+            });
+        // Repartition both sides on the join keys (skipping sides already
+        // partitioned exactly right — the paper's partition-aligned case).
+        let repartition = hash.then(|| DistOpt {
+            outer_ex: (outer.dist != self.outer_hash).then_some(Move::Repartition),
+            inner_ex: (inner.dist != self.inner_hash).then_some(Move::Repartition),
+            out_dist: &self.outer_hash,
+            single_stream: false,
+            build_replicated: false,
+        });
+        // Broadcast the build side (paper §3.9 case 1).
+        let broadcast_build = (outer.dist != Distribution::Replicated).then(|| {
+            let single = outer.dist == Distribution::Single;
+            DistOpt {
+                outer_ex: None,
+                inner_ex: Some(Move::Broadcast),
+                out_dist: &outer.dist,
+                single_stream: single,
+                build_replicated: !single,
+            }
+        });
+        // Broadcast the probe side (paper §3.9 case 2) — inner hash joins
+        // only: duplicated probe rows would corrupt semi/anti/outer
+        // semantics.
+        let broadcast_probe = (hash
+            && self.split.kind == JoinKind::Inner
+            && matches!(
+                inner.dist,
+                Distribution::AnyPartitioned | Distribution::Hash(_)
+            ))
+        .then_some(DistOpt {
+            outer_ex: Some(Move::Broadcast),
+            inner_ex: None,
+            out_dist: &ANY_PARTITIONED,
+            single_stream: false,
+            build_replicated: false,
+        });
+        [single, repartition, broadcast_build, broadcast_probe]
+            .into_iter()
+            .flatten()
+    }
+}
+
+/// Run the costed bottom-up DP over the block's join space
+/// ([`crate::enumerate::join_space`]). `initial` holds the per-relation
+/// plan lists from [`crate::costing::initial_plan_lists`]; `program` is the
+/// block's semijoin program when one was built (its lane is enumerated
+/// alongside the per-join lane and the cheapest complete plan of either
+/// wins). Returns the winning sub-plan for the full relation set.
 pub fn run_dp(
     block: &QueryBlock,
     est: &Estimator<'_>,
     model: &CostModel,
     config: &OptimizerConfig,
+    space: &[SetSplits],
     initial: Vec<PlanList>,
     program: Option<&ProgramSpec>,
 ) -> Result<(SubPlan, Phase2Stats)> {
@@ -76,24 +224,35 @@ pub fn run_dp(
         lists.insert(RelSet::single(rel).0, list);
     }
 
-    let sets = enumerate_sets(block);
-    for set in sets {
-        if set.len() < 2 {
-            continue;
-        }
+    // The filters pending above the join being costed, reused across pairs.
+    let mut remaining = Vec::new();
+    for entry in space {
+        let set = entry.set;
         stats.sets += 1;
+        let join_card = est.join_card(set);
+        // In the program lane the surviving assumptions are the scheduled
+        // reducers still pruning this set (§3.5's pass-fraction model
+        // applied per active tree edge), so its rows depend on the set only.
+        let program_rows = program.map(|spec| est.joined_rows(set, &spec.active_assumptions(set)));
         let mut list = PlanList::new();
-        for split in splits(block, set) {
+        for &split in &entry.splits {
             let (Some(outer_list), Some(inner_list)) =
                 (lists.get(&split.outer.0), lists.get(&split.inner.0))
             else {
                 continue;
             };
+            let ctx = SplitCtx::new(block, split, join_card, program_rows);
             for outer_sp in outer_list.plans() {
                 for inner_sp in inner_list.plans() {
                     stats.pairs += 1;
                     try_join(
-                        block, est, model, &split, outer_sp, inner_sp, program, &mut list,
+                        est,
+                        model,
+                        &ctx,
+                        outer_sp,
+                        inner_sp,
+                        &mut remaining,
+                        &mut list,
                         &mut stats,
                     );
                 }
@@ -115,171 +274,63 @@ pub fn run_dp(
     Ok((best, stats))
 }
 
-/// Classify the pending filters of a candidate join. Returns `None` when the
-/// combination is illegal.
-struct PendingSplit {
-    resolved: Vec<PendingBf>,
-    remaining: Vec<PendingBf>,
-}
-
-fn classify_pendings(
+/// The legality of a candidate join's pending filters. Returns how many of
+/// the outer side's filters resolve at this join (those whose δ overlaps
+/// the build side), or `None` when the combination is illegal. The others,
+/// and all of the inner side's, stay pending.
+fn resolving_filters(
     outer_sp: &SubPlan,
     inner_sp: &SubPlan,
     outer_set: RelSet,
     inner_set: RelSet,
-) -> Option<PendingSplit> {
-    let mut resolved = Vec::new();
-    let mut remaining = Vec::new();
+) -> Option<usize> {
     let inner_cover = inner_sp
         .pending
         .iter()
         .fold(RelSet::EMPTY, |acc, p| acc.union(p.bf.delta));
+    let mut resolving = 0;
     for p in &outer_sp.pending {
         if p.bf.delta.is_subset_of(inner_set) {
-            resolved.push(p.clone());
+            resolving += 1;
         } else if p.bf.delta.overlaps(inner_set) {
             // Fig. 3b/3c: partial coverage is illegal unless the inner side's
             // own pending filters transfer the outstanding relations.
             let outstanding = p.bf.delta.difference(inner_set);
-            if outstanding.is_subset_of(inner_cover) {
-                resolved.push(p.clone());
-            } else {
+            if !outstanding.is_subset_of(inner_cover) {
                 return None;
             }
-        } else {
-            remaining.push(p.clone());
+            resolving += 1;
         }
     }
-    for p in &inner_sp.pending {
-        if p.bf.delta.overlaps(outer_set) {
-            // A δ relation landed on the apply side: unresolvable forever.
-            return None;
-        }
-        remaining.push(p.clone());
-    }
-    Some(PendingSplit {
-        resolved,
-        remaining,
-    })
-}
-
-fn hash_dist_opts(
-    outer: &SubPlan,
-    inner: &SubPlan,
-    okeys: &[ColumnId],
-    ikeys: &[ColumnId],
-    kind: JoinKind,
-) -> Vec<DistOpt> {
-    let mut opts = Vec::new();
-    if outer.dist == Distribution::Single && inner.dist == Distribution::Single {
-        opts.push(DistOpt {
-            outer_ex: None,
-            inner_ex: None,
-            out_dist: Distribution::Single,
-            single_stream: true,
-            build_replicated: false,
-        });
-    }
-    // Repartition both sides on the join keys (skipping sides already
-    // partitioned exactly right — the paper's partition-aligned case).
-    let outer_aligned = outer.dist == Distribution::Hash(okeys.to_vec());
-    let inner_aligned = inner.dist == Distribution::Hash(ikeys.to_vec());
-    opts.push(DistOpt {
-        outer_ex: (!outer_aligned).then(|| ExchangeKind::Repartition(okeys.to_vec())),
-        inner_ex: (!inner_aligned).then(|| ExchangeKind::Repartition(ikeys.to_vec())),
-        out_dist: Distribution::Hash(okeys.to_vec()),
-        single_stream: false,
-        build_replicated: false,
-    });
-    // Broadcast the build side (paper §3.9 case 1).
-    if outer.dist != Distribution::Replicated {
-        let single = outer.dist == Distribution::Single;
-        opts.push(DistOpt {
-            outer_ex: None,
-            inner_ex: Some(ExchangeKind::Broadcast),
-            out_dist: outer.dist.clone(),
-            single_stream: single,
-            build_replicated: !single,
-        });
-    }
-    // Broadcast the probe side (paper §3.9 case 2) — inner joins only:
-    // duplicated probe rows would corrupt semi/anti/outer semantics.
-    if kind == JoinKind::Inner
-        && matches!(
-            inner.dist,
-            Distribution::AnyPartitioned | Distribution::Hash(_)
-        )
+    // A δ relation landed on the apply side: unresolvable forever.
+    if inner_sp
+        .pending
+        .iter()
+        .any(|p| p.bf.delta.overlaps(outer_set))
     {
-        opts.push(DistOpt {
-            outer_ex: Some(ExchangeKind::Broadcast),
-            inner_ex: None,
-            out_dist: Distribution::AnyPartitioned,
-            single_stream: false,
-            build_replicated: false,
-        });
+        return None;
     }
-    opts
+    Some(resolving)
 }
 
-fn simple_dist_opts(outer: &SubPlan, inner: &SubPlan) -> Vec<DistOpt> {
-    let mut opts = Vec::new();
-    if outer.dist == Distribution::Single && inner.dist == Distribution::Single {
-        opts.push(DistOpt {
-            outer_ex: None,
-            inner_ex: None,
-            out_dist: Distribution::Single,
-            single_stream: true,
-            build_replicated: false,
-        });
-    }
-    if outer.dist != Distribution::Replicated {
-        let single = outer.dist == Distribution::Single;
-        opts.push(DistOpt {
-            outer_ex: None,
-            inner_ex: Some(ExchangeKind::Broadcast),
-            out_dist: outer.dist.clone(),
-            single_stream: single,
-            build_replicated: !single,
-        });
-    }
-    opts
-}
-
-fn wrap_exchange(plan: &Arc<PhysicalPlan>, kind: ExchangeKind, rows: f64) -> Arc<PhysicalPlan> {
-    let dist = match &kind {
-        ExchangeKind::Broadcast => Distribution::Replicated,
-        ExchangeKind::Repartition(cols) => Distribution::Hash(cols.clone()),
-        ExchangeKind::Gather => Distribution::Single,
-    };
-    PhysicalPlan::new(
-        PhysicalNode::Exchange {
-            input: plan.clone(),
-            kind,
-        },
-        plan.layout.clone(),
-        rows,
-        dist,
-    )
-}
-
-fn exchange_cost(model: &CostModel, kind: &Option<ExchangeKind>, rows: f64) -> Cost {
-    match kind {
+fn exchange_cost(model: &CostModel, ex: Option<Move>, rows: f64) -> Cost {
+    match ex {
         None => Cost::ZERO,
-        Some(ExchangeKind::Broadcast) => model.broadcast(rows),
-        Some(ExchangeKind::Repartition(_)) => model.repartition(rows),
-        Some(ExchangeKind::Gather) => model.gather(rows),
+        Some(Move::Broadcast) => model.broadcast(rows),
+        Some(Move::Repartition) => model.repartition(rows),
     }
 }
 
+/// Cost every distribution alternative of `outer_sp ⋈ inner_sp` across
+/// `ctx`'s split, and build the plan node of each one `list` admits.
 #[allow(clippy::too_many_arguments)]
 fn try_join(
-    block: &QueryBlock,
     est: &Estimator<'_>,
     model: &CostModel,
-    split: &Split,
+    ctx: &SplitCtx,
     outer_sp: &SubPlan,
     inner_sp: &SubPlan,
-    program: Option<&ProgramSpec>,
+    remaining: &mut Vec<PendingBf>,
     list: &mut PlanList,
     stats: &mut Phase2Stats,
 ) {
@@ -289,137 +340,147 @@ fn try_join(
     if outer_sp.program != inner_sp.program {
         return;
     }
-    let Some(pending) = classify_pendings(outer_sp, inner_sp, split.outer, split.inner) else {
+    let Some(resolving) = resolving_filters(outer_sp, inner_sp, ctx.split.outer, ctx.split.inner)
+    else {
         return;
     };
-    let s_all = split.outer.union(split.inner);
-
-    // Oriented equi keys.
-    let clauses = block.clauses_between(split.outer, split.inner);
-    let mut okeys = Vec::with_capacity(clauses.len());
-    let mut ikeys = Vec::with_capacity(clauses.len());
-    for c in &clauses {
-        if split.outer.contains(c.left_rel) {
-            okeys.push(c.left);
-            ikeys.push(c.right);
-        } else {
-            okeys.push(c.right);
-            ikeys.push(c.left);
-        }
-    }
-    if !pending.resolved.is_empty() && okeys.is_empty() {
+    if resolving > 0 && !ctx.is_hash() {
         return; // resolution needs a hash join, which needs equi keys
     }
+    remaining.clear();
+    remaining.extend(
+        outer_sp
+            .pending
+            .iter()
+            .filter(|p| !p.bf.delta.overlaps(ctx.split.inner))
+            .cloned(),
+    );
+    remaining.extend(inner_sp.pending.iter().cloned());
 
-    // Complex predicates that become evaluable exactly at this join.
-    let extra_preds: Vec<Expr> = block
-        .complex_preds
-        .iter()
-        .filter(|p| {
-            let rels = pred_rels(block, p);
-            rels.is_subset_of(s_all)
-                && !rels.is_subset_of(split.outer)
-                && !rels.is_subset_of(split.inner)
-        })
-        .cloned()
-        .collect();
-    let extra = Expr::conjunction(extra_preds);
-
-    // Output cardinality under the surviving assumptions. In the program
-    // lane the assumptions are the scheduled reducers still pruning this
-    // set (§3.5's pass-fraction model applied per active tree edge).
-    let remaining_bfs: Vec<BfAssumption> = if outer_sp.program {
-        program
-            .map(|spec| spec.active_assumptions(s_all))
-            .unwrap_or_default()
-    } else {
-        pending.remaining.iter().map(|p| p.bf.clone()).collect()
-    };
-    let rows_out = est.joined_rows(s_all, &remaining_bfs);
-
-    // Bloom builds for resolved filters.
-    let builds: Vec<BloomBuild> = pending
-        .resolved
-        .iter()
-        .map(|p| BloomBuild {
-            filter: p.id,
-            column: p.bf.build_col,
-            expected_ndv: est.effective_build_ndv(p.bf.build_col, p.bf.delta),
-        })
-        .collect();
-
-    let out_layout = if split.kind.emits_inner_columns() {
-        outer_sp.plan.layout.concat(&inner_sp.plan.layout)
-    } else {
-        outer_sp.plan.layout.clone()
+    // Output cardinality under the surviving assumptions: each pending
+    // filter scales the join's estimate by its pass fraction, in the order
+    // `Estimator::joined_rows` multiplies them.
+    let rows_out = match ctx.program_rows {
+        Some(rows) if outer_sp.program => rows,
+        _ => remaining
+            .iter()
+            .fold(ctx.join_card, |rows, p| rows * p.pass)
+            .max(1.0),
     };
 
-    // A hash join whenever an equi clause connects the sides, a nested
-    // loop only when none does: a hash join over an inner side that really
-    // has 1 row costs microseconds more, a nested loop over one estimated
-    // at 1 that has thousands costs seconds.
-    let hash = !okeys.is_empty();
-    let dist_opts = if hash {
-        hash_dist_opts(outer_sp, inner_sp, &okeys, &ikeys, split.kind)
-    } else {
-        simple_dist_opts(outer_sp, inner_sp)
-    };
-    for opt in dist_opts {
-        let outer_plan = match &opt.outer_ex {
-            Some(kind) => wrap_exchange(&outer_sp.plan, kind.clone(), outer_sp.rows),
-            None => outer_sp.plan.clone(),
-        };
-        let inner_plan = match &opt.inner_ex {
-            Some(kind) => wrap_exchange(&inner_sp.plan, kind.clone(), inner_sp.rows),
-            None => inner_sp.plan.clone(),
-        };
-        let (join_cost, node) = if hash {
-            (
-                model.hash_join(
-                    inner_sp.rows,
-                    outer_sp.rows,
-                    rows_out,
-                    builds.len(),
-                    opt.build_replicated,
-                    opt.single_stream,
-                ),
-                PhysicalNode::HashJoin {
-                    outer: outer_plan,
-                    inner: inner_plan,
-                    kind: split.kind,
-                    keys: okeys.iter().copied().zip(ikeys.iter().copied()).collect(),
-                    extra: extra.clone(),
-                    builds: builds.clone(),
-                },
+    for opt in ctx.dist_opts(outer_sp, inner_sp) {
+        let join_cost = if ctx.is_hash() {
+            model.hash_join(
+                inner_sp.rows,
+                outer_sp.rows,
+                rows_out,
+                resolving,
+                opt.build_replicated,
+                opt.single_stream,
             )
         } else {
-            (
-                model.nestloop_join(outer_sp.rows, inner_sp.rows, rows_out, opt.single_stream),
-                PhysicalNode::NestLoopJoin {
-                    outer: outer_plan,
-                    inner: inner_plan,
-                    kind: split.kind,
-                    predicate: extra.clone(),
-                },
-            )
+            model.nestloop_join(outer_sp.rows, inner_sp.rows, rows_out, opt.single_stream)
         };
         let cost = outer_sp
             .cost
             .plus(inner_sp.cost)
-            .plus(exchange_cost(model, &opt.outer_ex, outer_sp.rows))
-            .plus(exchange_cost(model, &opt.inner_ex, inner_sp.rows))
+            .plus(exchange_cost(model, opt.outer_ex, outer_sp.rows))
+            .plus(exchange_cost(model, opt.inner_ex, inner_sp.rows))
             .plus(join_cost);
-        let plan = PhysicalPlan::new(node, out_layout.clone(), rows_out, opt.out_dist.clone());
         stats.generated += 1;
-        list.add(SubPlan {
-            plan,
+        if !list.admits(
+            opt.out_dist,
+            outer_sp.program,
+            cost.total,
+            rows_out,
+            remaining,
+        ) {
+            continue;
+        }
+        stats.built += 1;
+        list.insert(SubPlan {
+            plan: build_join(est, ctx, outer_sp, inner_sp, &opt, rows_out),
             rows: rows_out,
             cost,
-            dist: opt.out_dist,
-            pending: pending.remaining.clone(),
+            dist: opt.out_dist.clone(),
+            pending: remaining.clone(),
             program: outer_sp.program,
         });
     }
+}
+
+/// `sp`'s plan, behind the exchange `ex` when there is one.
+fn wrap_exchange(sp: &SubPlan, ex: Option<Move>, keys: &[ColumnId]) -> Arc<PhysicalPlan> {
+    let (kind, dist) = match ex {
+        None => return sp.plan.clone(),
+        Some(Move::Broadcast) => (ExchangeKind::Broadcast, Distribution::Replicated),
+        Some(Move::Repartition) => (
+            ExchangeKind::Repartition(keys.to_vec()),
+            Distribution::Hash(keys.to_vec()),
+        ),
+    };
+    PhysicalPlan::new(
+        PhysicalNode::Exchange {
+            input: sp.plan.clone(),
+            kind,
+        },
+        sp.plan.layout.clone(),
+        sp.rows,
+        dist,
+    )
+}
+
+/// The plan node of an admitted join alternative.
+fn build_join(
+    est: &Estimator<'_>,
+    ctx: &SplitCtx,
+    outer_sp: &SubPlan,
+    inner_sp: &SubPlan,
+    opt: &DistOpt<'_>,
+    rows_out: f64,
+) -> Arc<PhysicalPlan> {
+    let outer = wrap_exchange(outer_sp, opt.outer_ex, &ctx.okeys);
+    let inner = wrap_exchange(inner_sp, opt.inner_ex, &ctx.ikeys);
+    let kind = ctx.split.kind;
+    let node = if ctx.is_hash() {
+        // Bloom builds for the outer side's filters resolving here.
+        let builds = outer_sp
+            .pending
+            .iter()
+            .filter(|p| p.bf.delta.overlaps(ctx.split.inner))
+            .map(|p| BloomBuild {
+                filter: p.id,
+                column: p.bf.build_col,
+                expected_ndv: est.effective_build_ndv(p.bf.build_col, p.bf.delta),
+            })
+            .collect();
+        PhysicalNode::HashJoin {
+            outer,
+            inner,
+            kind,
+            keys: ctx
+                .okeys
+                .iter()
+                .copied()
+                .zip(ctx.ikeys.iter().copied())
+                .collect(),
+            extra: ctx.extra.clone(),
+            builds,
+        }
+    } else {
+        PhysicalNode::NestLoopJoin {
+            outer,
+            inner,
+            kind,
+            predicate: ctx.extra.clone(),
+        }
+    };
+    let layout = if kind.emits_inner_columns() {
+        outer_sp.plan.layout.concat(&inner_sp.plan.layout)
+    } else {
+        outer_sp.plan.layout.clone()
+    };
+    PhysicalPlan::new(node, layout, rows_out, opt.out_dist.clone())
 }
 
 #[cfg(test)]
@@ -427,6 +488,7 @@ mod tests {
     use super::*;
     use crate::candidates::mark_candidates;
     use crate::costing::{initial_plan_lists, required_cols_per_rel};
+    use crate::enumerate::join_space;
     use crate::phase1::collect_deltas;
     use crate::synth::{chain_block, running_example, star_block, ChainSpec, Fixture};
     use crate::{BloomMode, OptimizerConfig};
@@ -439,7 +501,8 @@ mod tests {
         } else {
             vec![]
         };
-        collect_deltas(&fx.block, &est, &mut cands, config);
+        let space = join_space(&fx.block);
+        collect_deltas(&est, &space, &mut cands, config);
         let required = required_cols_per_rel(&fx.block, &[]);
         let mut next_filter = 0;
         let initial = initial_plan_lists(
@@ -454,7 +517,7 @@ mod tests {
             &mut next_filter,
         )
         .unwrap();
-        run_dp(&fx.block, &est, &model, config, initial, None).unwrap()
+        run_dp(&fx.block, &est, &model, config, &space, initial, None).unwrap()
     }
 
     fn count_nodes(plan: &Arc<PhysicalPlan>, pred: impl Fn(&PhysicalNode) -> bool) -> usize {
@@ -603,6 +666,42 @@ mod tests {
             s_cbo.pairs,
             s_plain.pairs
         );
+    }
+
+    #[test]
+    fn only_admitted_subplans_are_built() {
+        let fixtures = [
+            running_example(1.0),
+            chain_block(&[
+                ChainSpec::new("a", 50_000),
+                ChainSpec::new("b", 5_000).filtered(0.2),
+                ChainSpec::new("c", 500),
+                ChainSpec::new("d", 50).filtered(0.5),
+            ]),
+            star_block(
+                ChainSpec::new("fact", 200_000),
+                &[
+                    ChainSpec::new("d1", 1_000).filtered(0.05),
+                    ChainSpec::new("d2", 1_000).filtered(0.1),
+                    ChainSpec::new("d3", 100),
+                ],
+            ),
+        ];
+        for (i, fx) in fixtures.iter().enumerate() {
+            for mode in [BloomMode::None, BloomMode::Cbo] {
+                for dop in [1, 4] {
+                    let mut config = OptimizerConfig::with_mode(mode).dop(dop);
+                    config.bf_min_apply_rows = 100.0;
+                    let (_, s) = optimize_fixture(fx, &config);
+                    // A DP that built every alternative before testing it
+                    // would read `built == generated`.
+                    assert!(
+                        s.kept <= s.built && s.built < s.generated,
+                        "fixture {i} {mode:?} dop {dop}: {s:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -318,7 +318,8 @@ mod tests {
             &mut next_filter,
         )
         .unwrap();
-        run_dp(&fx.block, &est, &model, config, initial, None)
+        let space = crate::enumerate::join_space(&fx.block);
+        run_dp(&fx.block, &est, &model, config, &space, initial, None)
             .unwrap()
             .0
             .plan
@@ -400,7 +401,8 @@ mod tests {
         let est = fx.estimator();
         let model = CostModel::new(config.dop);
         let mut cands = crate::candidates::mark_candidates(&fx.block, &est, &config);
-        crate::phase1::collect_deltas(&fx.block, &est, &mut cands, &config);
+        let space = crate::enumerate::join_space(&fx.block);
+        crate::phase1::collect_deltas(&est, &space, &mut cands, &config);
         let required = required_cols_per_rel(&fx.block, &[]);
         let mut next_filter = 0;
         let initial = initial_plan_lists(
@@ -415,7 +417,7 @@ mod tests {
             &mut next_filter,
         )
         .unwrap();
-        let (best, _) = run_dp(&fx.block, &est, &model, &config, initial, None).unwrap();
+        let (best, _) = run_dp(&fx.block, &est, &model, &config, &space, initial, None).unwrap();
         let (before_applies, _) = count_filters(&best.plan);
         assert!(before_applies >= 1);
         let (rewritten, _) =

@@ -20,6 +20,10 @@ pub struct PendingBf {
     pub id: FilterId,
     /// The filter's columns and required build set δ.
     pub bf: BfAssumption,
+    /// The filter's row-pass fraction (§3.5), fixed when the filter is
+    /// created: every join the filter stays pending across scales its
+    /// estimate by it.
+    pub pass: f64,
 }
 
 /// One costed way to realize a relation set.
@@ -56,28 +60,42 @@ impl SubPlan {
     /// join-order constraints (its pending filters are a subset, each with a
     /// δ no larger).
     pub fn dominates(&self, other: &SubPlan) -> bool {
-        if self.dist != other.dist || self.program != other.program {
+        self.dominates_candidate(
+            &other.dist,
+            other.program,
+            other.cost.total,
+            other.rows,
+            &other.pending,
+        )
+    }
+
+    /// [`SubPlan::dominates`] against a candidate given by its properties
+    /// alone, so a join can be tested before its plan node exists. The
+    /// scalar comparisons come first: most rejections are decided there.
+    fn dominates_candidate(
+        &self,
+        dist: &Distribution,
+        program: bool,
+        cost: f64,
+        rows: f64,
+        pending: &[PendingBf],
+    ) -> bool {
+        if self.cost.total > cost * (1.0 + 1e-9) || self.rows > rows * (1.0 + 1e-9) {
             return false;
         }
-        if self.cost.total > other.cost.total * (1.0 + 1e-9) {
+        if self.program != program || self.dist != *dist {
             return false;
         }
-        if self.rows > other.rows * (1.0 + 1e-9) {
-            return false;
-        }
-        // Every pending filter of `self` must exist in `other` with a
-        // superset δ; `other` may carry extra pendings (extra constraints).
-        for p in &self.pending {
-            let matched = other.pending.iter().any(|q| {
+        // Every pending filter of `self` must exist in the candidate with a
+        // superset δ; the candidate may carry extra pendings (extra
+        // constraints).
+        self.pending.iter().all(|p| {
+            pending.iter().any(|q| {
                 q.bf.apply_col == p.bf.apply_col
                     && q.bf.build_col == p.bf.build_col
                     && p.bf.delta.is_subset_of(q.bf.delta)
-            });
-            if !matched {
-                return false;
-            }
-        }
-        true
+            })
+        })
     }
 }
 
@@ -97,16 +115,44 @@ impl PlanList {
     ///
     /// Implements the paper's plan-list behaviour: the candidate is rejected
     /// if an existing sub-plan dominates it, and evicts any existing
-    /// sub-plans it dominates.
+    /// sub-plans it dominates. Equivalent to `admits` followed, when it
+    /// admits, by `insert`.
     pub fn add(&mut self, candidate: SubPlan) -> bool {
-        for existing in &self.plans {
-            if existing.dominates(&candidate) {
-                return false;
-            }
+        let admitted = self.admits(
+            &candidate.dist,
+            candidate.program,
+            candidate.cost.total,
+            candidate.rows,
+            &candidate.pending,
+        );
+        if admitted {
+            self.insert(candidate);
         }
+        admitted
+    }
+
+    /// Whether a sub-plan with these properties would be kept: no retained
+    /// sub-plan dominates it. Lets the DP reject a join from its cost and
+    /// rows before building its plan node.
+    pub(crate) fn admits(
+        &self,
+        dist: &Distribution,
+        program: bool,
+        cost: f64,
+        rows: f64,
+        pending: &[PendingBf],
+    ) -> bool {
+        !self
+            .plans
+            .iter()
+            .any(|existing| existing.dominates_candidate(dist, program, cost, rows, pending))
+    }
+
+    /// Keep `candidate`, evicting every retained sub-plan it dominates. Call
+    /// only after `admits` said yes to its properties.
+    pub(crate) fn insert(&mut self, candidate: SubPlan) {
         self.plans.retain(|existing| !candidate.dominates(existing));
         self.plans.push(candidate);
-        true
     }
 
     /// All retained sub-plans.
@@ -132,13 +178,6 @@ impl PlanList {
             .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
     }
 
-    /// The cheapest sub-plan regardless of pendings.
-    pub fn best_any(&self) -> Option<&SubPlan> {
-        self.plans
-            .iter()
-            .min_by(|a, b| a.cost.total.total_cmp(&b.cost.total))
-    }
-
     /// Heuristic 7 (paper §3.10/§4.4): if more than `max` Bloom-filter
     /// sub-plans accumulated, keep only the one with the fewest rows
     /// (ties broken by cost), alongside all non-BF sub-plans.
@@ -159,20 +198,13 @@ impl PlanList {
             })
             .map(|(i, _)| i);
         if let Some(keep) = best {
-            let mut i = 0;
-            self.plans.retain(|p| {
-                let retain = !p.has_pending() || i == keep;
-                // `retain` sees plans in order; track the original index.
-                i += 1;
-                let _ = p;
-                retain
-            });
+            self.plans = std::mem::take(&mut self.plans)
+                .into_iter()
+                .enumerate()
+                .filter(|(i, p)| !p.has_pending() || *i == keep)
+                .map(|(_, p)| p)
+                .collect();
         }
-    }
-
-    /// Retain sub-plans matching a predicate (used by tests).
-    pub fn retain(&mut self, f: impl FnMut(&SubPlan) -> bool) {
-        self.plans.retain(f);
     }
 }
 
@@ -182,6 +214,7 @@ mod tests {
     use bfq_common::{ColumnId, RelSet, TableId};
     use bfq_expr::Layout;
     use bfq_plan::{Distribution, PhysicalNode};
+    use proptest::prelude::*;
 
     fn dummy_plan() -> Arc<PhysicalPlan> {
         PhysicalPlan::new(
@@ -220,6 +253,7 @@ mod tests {
                 build_col: ColumnId::new(TableId(101), 0),
                 delta,
             },
+            pass: 0.5,
         }
     }
 
@@ -296,10 +330,9 @@ mod tests {
         let mut list = PlanList::new();
         list.add(sp(10.0, 1.0, vec![pend(RelSet::single(1))]));
         assert!(list.best_resolved().is_none());
-        assert!(list.best_any().is_some());
         list.add(sp(100.0, 50.0, vec![]));
+        assert_eq!(list.len(), 2);
         assert_eq!(list.best_resolved().unwrap().cost.total, 50.0);
-        assert_eq!(list.best_any().unwrap().cost.total, 1.0);
     }
 
     #[test]
@@ -323,5 +356,97 @@ mod tests {
         small.add(sp(10.0, 1.0, vec![pend(RelSet::single(1))]));
         small.apply_heuristic7(4);
         assert_eq!(small.len(), 1);
+    }
+
+    /// A candidate decoded from random bits: one of a few distributions,
+    /// either lane, costs and rows from a small grid that includes values
+    /// within the 1e-9 tie fuzz of each other, and up to two pending
+    /// filters with random δ's over three relations.
+    fn candidate(bits: u64) -> SubPlan {
+        let mut rest = bits;
+        let mut take = |n: u64| {
+            let v = rest % n;
+            rest /= n;
+            v
+        };
+        let col = |t: u32, i: u32| ColumnId::new(TableId(t), i);
+        let dist = match take(5) {
+            0 => Distribution::Single,
+            1 => Distribution::AnyPartitioned,
+            2 => Distribution::Hash(vec![col(100, 0)]),
+            3 => Distribution::Hash(vec![col(100, 1)]),
+            _ => Distribution::Replicated,
+        };
+        let grid = [1.0, 2.0, 2.0 + 1e-12, 3.0, 1e6];
+        let cost = grid[take(5) as usize];
+        let rows = grid[take(5) as usize];
+        let program = take(2) == 1;
+        let pending = (0..take(3))
+            .map(|_| {
+                let mut p = pend(RelSet(take(7) + 1));
+                p.bf.apply_col = col(100, take(2) as u32);
+                p.bf.build_col = col(101, take(2) as u32);
+                p
+            })
+            .collect();
+        let mut c = sp(rows, cost, pending);
+        c.dist = dist;
+        c.program = program;
+        c
+    }
+
+    /// Everything plan-list pruning looks at, comparable across lists.
+    fn shape(list: &[SubPlan]) -> Vec<(Distribution, bool, u64, u64, Vec<PendingBf>)> {
+        list.iter()
+            .map(|p| {
+                let (cost, rows) = (p.cost.total.to_bits(), p.rows.to_bits());
+                (p.dist.clone(), p.program, cost, rows, p.pending.clone())
+            })
+            .collect()
+    }
+
+    /// The dominance rule as first written (distribution and lane tested
+    /// first): the oracle for the scalar-first reordering.
+    fn reference_dominates(a: &SubPlan, b: &SubPlan) -> bool {
+        if a.dist != b.dist || a.program != b.program {
+            return false;
+        }
+        if a.cost.total > b.cost.total * (1.0 + 1e-9) || a.rows > b.rows * (1.0 + 1e-9) {
+            return false;
+        }
+        a.pending.iter().all(|p| {
+            b.pending.iter().any(|q| {
+                q.bf.apply_col == p.bf.apply_col
+                    && q.bf.build_col == p.bf.build_col
+                    && p.bf.delta.is_subset_of(q.bf.delta)
+            })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn admit_then_insert_is_add(stream in proptest::collection::vec(any::<u64>(), 1..48)) {
+            let mut added = PlanList::new();
+            let mut split = PlanList::new();
+            let mut reference: Vec<SubPlan> = Vec::new();
+            for bits in stream {
+                let c = candidate(bits);
+                let admitted =
+                    split.admits(&c.dist, c.program, c.cost.total, c.rows, &c.pending);
+                let kept = added.add(c.clone());
+                let reference_kept = !reference.iter().any(|e| reference_dominates(e, &c));
+                if reference_kept {
+                    reference.retain(|e| !reference_dominates(&c, e));
+                    reference.push(c.clone());
+                }
+                prop_assert_eq!(admitted, kept);
+                prop_assert_eq!(kept, reference_kept);
+                if admitted {
+                    split.insert(c);
+                }
+                prop_assert_eq!(shape(split.plans()), shape(added.plans()));
+                prop_assert_eq!(shape(added.plans()), shape(&reference));
+            }
+        }
     }
 }

@@ -6,6 +6,7 @@
 
 use bfq::core::candidates::mark_candidates;
 use bfq::core::costing::{initial_plan_lists, required_cols_per_rel};
+use bfq::core::enumerate::join_space;
 use bfq::core::phase1::collect_deltas;
 use bfq::core::synth::running_example;
 use bfq::core::{optimize_bare_block, BloomMode, OptimizerConfig};
@@ -33,7 +34,7 @@ fn main() -> Result<()> {
     }
 
     // Example 3.2: first bottom-up pass populates Δ.
-    let p1 = collect_deltas(&fx.block, &est, &mut cands, &config);
+    let p1 = collect_deltas(&est, &join_space(&fx.block), &mut cands, &config);
     println!("\n## Phase 1 — Δ collection (paper Example 3.2)");
     println!("  pairs visited: {}", p1.pairs_visited);
     for c in &cands {

@@ -225,3 +225,25 @@ fn explain_contains_plan_shape() {
     assert!(plan.contains("Join"));
     assert!(plan.contains("Scan"));
 }
+
+#[test]
+fn wide_from_lists_fail_typed_and_leave_the_session_usable() {
+    let s = session();
+    for n in [25, 65] {
+        let from: Vec<String> = (0..n).map(|i| format!("dept d{i}")).collect();
+        let on: Vec<String> = (1..n).map(|i| format!("d{}.id = d{i}.id", i - 1)).collect();
+        let sql = format!(
+            "select count(*) from {} where {}",
+            from.join(", "),
+            on.join(" and ")
+        );
+        let planned = s.plan_sql_only(&sql).map(|_| ());
+        let ran = s.run_sql(&sql).map(|_| ());
+        for err in [planned, ran] {
+            let err = err.expect_err("a block this wide cannot be enumerated");
+            assert!(matches!(err, BfqError::Plan(_)), "{n} relations: {err:?}");
+        }
+        let r = s.run_sql("select count(*) from dept").unwrap();
+        assert_eq!(ints(&r, 0), vec![3], "after {n} relations");
+    }
+}
