@@ -15,23 +15,42 @@
 //! The emitted (probe, build) pair sequence must be the one the workload
 //! defines in closed form (ascending probe row, then ascending build row);
 //! its checksum is asserted in-process and the pair count gated exactly in
-//! CI. Part two runs the join-heaviest TPC-H queries (Q5, Q9, Q18) end to
+//! CI.
+//!
+//! Part two times the aggregation kernel, which groups on the same flat
+//! directory, on two shapes of a 300 000-row lineitem: **q1** (two Utf8
+//! keys, 6 groups, four float sums, three float averages and `count(*)`)
+//! and **q18** (one Int64 key, 75 000 groups of 4 rows in scrambled order,
+//! one float sum). It reports ns per input row as min, median and spread
+//! (max − min) over repeated passes, with the target features compiled in.
+//!
+//! Part three runs the join-heaviest TPC-H queries (Q5, Q9, Q18) end to
 //! end under both `bloom_layout` settings; results must be identical.
 //!
-//! With `--json`, pair counts and result checksums gate in CI; `*_ms`
-//! timings trend only.
+//! With `--json`, pair counts, group counts and result checksums gate in
+//! CI; `*_ms` and `*_ns` timings trend only.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use bfq_bench::harness::{measure_tpch, result_checksum, BenchEnv, JsonReport};
 use bfq_bloom::BloomLayout;
+use bfq_common::{ColumnId, DataType, TableId};
 use bfq_core::BloomMode;
+use bfq_exec::agg::AggState;
 use bfq_exec::join::BuildTable;
 use bfq_exec::util::{hash_keys_into, MorselScratch, JOIN_SEED};
-use bfq_storage::{Chunk, Column};
+use bfq_expr::{Expr, Layout};
+use bfq_plan::{AggExpr, AggFunc, OutputColumn};
+use bfq_storage::{Chunk, Column, StrData};
 
 const CHUNK_ROWS: usize = 8192;
+
+/// Input rows of each aggregation shape (lineitem at SF 0.05).
+const AGG_ROWS: usize = 300_000;
+
+/// Timed passes per aggregation shape, after one warm-up pass.
+const AGG_PASSES: usize = 9;
 
 fn int_chunk(vals: Vec<i64>) -> Chunk {
     Chunk::new(vec![Arc::new(Column::Int64(vals, None))]).unwrap()
@@ -152,6 +171,143 @@ fn probe_once(table: &BuildTable, chunks: &[Chunk], scratch: &mut MorselScratch)
     }
 }
 
+/// One aggregation kernel input: typed columns cut into chunks, grouped
+/// by `keys` (column indexes) into `groups` groups.
+struct AggShape {
+    label: &'static str,
+    types: Vec<DataType>,
+    chunks: Vec<Chunk>,
+    keys: Vec<u32>,
+    aggs: Vec<(AggFunc, Option<u32>)>,
+    groups: usize,
+}
+
+fn col(i: u32) -> ColumnId {
+    ColumnId::new(TableId(0), i)
+}
+
+/// `columns` (each a function of the row number) over [`AGG_ROWS`] rows,
+/// cut into chunks.
+fn agg_chunks(columns: &[&dyn Fn(std::ops::Range<usize>) -> Column]) -> Vec<Chunk> {
+    (0..AGG_ROWS)
+        .step_by(CHUNK_ROWS)
+        .map(|start| {
+            let rows = start..(start + CHUNK_ROWS).min(AGG_ROWS);
+            Chunk::new(columns.iter().map(|c| Arc::new(c(rows.clone()))).collect()).unwrap()
+        })
+        .collect()
+}
+
+fn floats(rows: std::ops::Range<usize>, f: impl Fn(usize) -> f64) -> Column {
+    Column::Float64(rows.map(f).collect(), None)
+}
+
+fn strs(rows: std::ops::Range<usize>, f: impl Fn(usize) -> &'static str) -> Column {
+    Column::Utf8(rows.map(|i| f(i).to_string()).collect::<StrData>(), None)
+}
+
+/// Q1's aggregation: `l_returnflag`, `l_linestatus` (6 combinations);
+/// sums of four float columns, averages of three, and `count(*)`.
+fn q1_shape() -> AggShape {
+    use AggFunc::{Avg, CountStar, Sum};
+    AggShape {
+        label: "q1",
+        types: [[DataType::Utf8; 2].as_slice(), &[DataType::Float64; 4]].concat(),
+        chunks: agg_chunks(&[
+            &|r| strs(r, |i| ["A", "N", "R"][i % 3]),
+            &|r| strs(r, |i| ["F", "O"][i / 3 % 2]),
+            &|r| floats(r, |i| (i % 50 + 1) as f64),
+            &|r| floats(r, |i| (i % 1000) as f64 * 1.01),
+            &|r| floats(r, |i| (i % 11) as f64 * 0.01),
+            &|r| floats(r, |i| (i % 9) as f64 * 0.01),
+        ]),
+        keys: vec![0, 1],
+        aggs: vec![
+            (Sum, Some(2)),
+            (Sum, Some(3)),
+            (Sum, Some(4)),
+            (Sum, Some(5)),
+            (Avg, Some(2)),
+            (Avg, Some(3)),
+            (Avg, Some(4)),
+            (CountStar, None),
+        ],
+        groups: 6,
+    }
+}
+
+/// Q18's inner aggregation: `sum(l_quantity)` by `l_orderkey`, 75 000
+/// groups of 4 rows each, in the scrambled key order of a lineitem that is
+/// clustered on ship date rather than order key.
+fn q18_shape() -> AggShape {
+    const GROUPS: usize = 75_000;
+    AggShape {
+        label: "q18",
+        types: vec![DataType::Int64, DataType::Float64],
+        chunks: agg_chunks(&[
+            &|r| Column::Int64(r.map(|i| (i * 7919 % GROUPS) as i64).collect(), None),
+            &|r| floats(r, |i| (i % 50 + 1) as f64),
+        ]),
+        keys: vec![0],
+        aggs: vec![(AggFunc::Sum, Some(1))],
+        groups: GROUPS,
+    }
+}
+
+/// Aggregate `shape` once for its output, then [`AGG_PASSES`] more times
+/// for the timing: ns per input row of each pass, sorted.
+fn run_agg(shape: &AggShape) -> (Chunk, Vec<f64>) {
+    let layout = Layout::new((0..shape.types.len() as u32).map(col).collect());
+    let group_by: Vec<OutputColumn> = (shape.keys.iter())
+        .map(|&k| OutputColumn {
+            expr: Expr::col(col(k)),
+            name: format!("k{k}"),
+            id: ColumnId::new(TableId(1), k),
+        })
+        .collect();
+    let aggs: Vec<AggExpr> = (shape.aggs.iter().zip(0u32..))
+        .map(|(&(func, arg), i)| AggExpr {
+            func,
+            arg: arg.map(|a| Expr::col(col(a))),
+            distinct: false,
+            output: ColumnId::new(TableId(2), i),
+        })
+        .collect();
+    let pass = || {
+        let mut state = AggState::new(&layout, &shape.types, &group_by, &aggs).unwrap();
+        state.reserve(shape.groups as f64, AGG_ROWS as f64);
+        for chunk in &shape.chunks {
+            state.update(chunk).unwrap();
+        }
+        state.finish(&None, &layout).unwrap()
+    };
+    let out = pass();
+    let mut ns: Vec<f64> = (0..AGG_PASSES)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(pass());
+            start.elapsed().as_nanos() as f64 / AGG_ROWS as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    (out, ns)
+}
+
+/// The SIMD features this binary was compiled for.
+fn target_features() -> String {
+    let features = [
+        ("sse2", cfg!(target_feature = "sse2")),
+        ("sse4.2", cfg!(target_feature = "sse4.2")),
+        ("avx", cfg!(target_feature = "avx")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("neon", cfg!(target_feature = "neon")),
+    ];
+    let on: Vec<&str> = features.iter().filter(|f| f.1).map(|f| f.0).collect();
+    format!("{} [{}]", std::env::consts::ARCH, on.join(" "))
+}
+
 fn main() {
     let env = BenchEnv::load();
     let mut json = JsonReport::from_args("fig_join_probe_throughput");
@@ -196,6 +352,32 @@ fn main() {
                 total_probes as f64 / 1e3 / ms
             );
         }
+    }
+
+    println!("\n# Aggregation kernel — flat directory, typed group ids, column accumulators");
+    println!("# compiled for {}", target_features());
+    println!(
+        "{:<6} {:>8} {:>8} {:>12} {:>12} {:>12}",
+        "shape", "rows", "groups", "min ns/row", "median", "spread"
+    );
+    for shape in [q1_shape(), q18_shape()] {
+        let (out, ns) = run_agg(&shape);
+        assert_eq!(out.rows(), shape.groups, "{}: group count", shape.label);
+        let (min, median, spread) = (ns[0], ns[ns.len() / 2], ns[ns.len() - 1] - ns[0]);
+        let tag = format!("agg_{}", shape.label);
+        // Deterministic for the fixed input: gate exactly.
+        json.add(&format!("{tag}_groups_checksum"), out.rows() as f64);
+        json.add(
+            &format!("{tag}_result_checksum"),
+            result_checksum(&out) as f64,
+        );
+        json.add(&format!("{tag}_row_min_ns"), min);
+        json.add(&format!("{tag}_row_median_ns"), median);
+        json.add(&format!("{tag}_row_spread_ns"), spread);
+        println!(
+            "{:<6} {:>8} {:>8} {:>12.1} {:>12.1} {:>12.1}",
+            shape.label, AGG_ROWS, shape.groups, min, median, spread
+        );
     }
 
     // End-to-end: the join-heaviest TPC-H queries under both layouts.

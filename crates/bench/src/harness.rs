@@ -365,7 +365,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// directory on [`JsonReport::finish`]. CI compares the file against the
 /// committed baseline in `bench/baselines/` (see
 /// `scripts/bench_gate.py`): structural metrics gate with a tight
-/// tolerance, `*_ms` latency metrics are recorded for trending but not
+/// tolerance, `*_ms` and `*_ns` timings are recorded for trending but not
 /// gated (CI machines are noisy).
 #[derive(Debug)]
 pub struct JsonReport {

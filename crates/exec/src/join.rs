@@ -2,16 +2,15 @@
 //! nested-loop join for joins with no equi clause.
 //!
 //! The hash-join build side is a *flat open-addressing table*
-//! ([`BuildTable`]): a power-of-two directory of `(hash, head)` slots with
-//! linear probing plus one contiguous row-index arena for duplicate chains —
-//! no per-key `Vec` allocations, sized up front from the planner's
-//! distinct-key estimate (or the exact deduplicated count for small builds).
-//! Probing is fully batched: one columnar [`hash_keys_into`] pass, a
-//! branch-free directory lookup over the hash column, in-order chain
-//! expansion into candidate `(probe, build)` pairs, then a columnar typed
-//! key-verification kernel that compacts the pair selection vectors in
-//! place. All buffers come from the worker's [`MorselScratch`], so
-//! steady-state probing allocates nothing.
+//! ([`BuildTable`]): the flat hash directory aggregation also uses, with
+//! chain heads as payloads, plus one contiguous row-index arena for
+//! duplicate chains — no per-key `Vec` allocations, sized up front from the
+//! planner's distinct-key estimate. Probing is fully batched: one columnar
+//! [`hash_keys_into`] pass, a branch-free directory lookup over the hash
+//! column, in-order chain expansion into candidate `(probe, build)` pairs,
+//! then a columnar typed key-verification kernel that compacts the pair
+//! selection vectors in place. All buffers come from the worker's
+//! [`MorselScratch`], so steady-state probing allocates nothing.
 
 use std::sync::Arc;
 
@@ -22,49 +21,33 @@ use bfq_storage::{Chunk, Column};
 
 use crate::data::PartitionedData;
 use crate::parallel::par_map;
-use crate::util::{col_eq, hash_keys, hash_keys_into, keys_null, MorselScratch, JOIN_SEED};
+use crate::util::{
+    col_eq, hash_keys, hash_keys_into, keys_null, Directory, MorselScratch, JOIN_SEED, NONE,
+};
 
-/// Sentinel for "no row": empty directory slots and chain ends.
-const NONE: u32 = u32::MAX;
-
-/// Builds at most this many rows get an exact distinct-hash pre-count
-/// (mirroring the Bloom build's exact key dedup for small sides), so the
-/// directory is sized by deduplicated keys rather than raw rows.
-const EXACT_NDV_ROWS: usize = 4096;
-
-/// Empty directory slots keep hash 0; real hashes are remapped off 0 by
-/// [`norm_hash`], so a slot-hash comparison alone distinguishes occupied
-/// slots — the probe loop never reads a separate occupancy flag.
-#[inline]
-fn norm_hash(h: u64) -> u64 {
-    h | (h == 0) as u64
-}
+/// Builds of at most this many rows ignore the planner's distinct-key hint
+/// and grow from the minimum directory to fit their distinct key hashes.
+const SMALL_BUILD_ROWS: usize = 4096;
 
 /// A flat open-addressing hash table over one build partition.
 ///
-/// Layout: `dir_hash`/`dir_head` form a power-of-two directory probed
-/// linearly; `next` is the duplicate-chain arena (one `u32` per build row).
-/// Rows sharing a 64-bit key hash chain under one slot in ascending
-/// build-row order; exact-key verification happens in the probe kernel, so
-/// hash collisions only cost candidates, never correctness.
+/// Layout: a hash directory whose payload is a chain head, one slot per
+/// distinct key hash; `next` is the duplicate-chain arena (one `u32` per
+/// build row). Rows sharing a 64-bit key hash chain under one slot in
+/// ascending build-row order; exact-key verification happens in the probe
+/// kernel, so hash collisions only cost candidates, never correctness.
 pub struct BuildTable {
     /// All build rows of the partition as one chunk.
     pub chunk: Chunk,
     /// Key-column slots within the build layout.
     pub key_slots: Vec<usize>,
-    /// Directory slot key hashes (0 = empty, see [`norm_hash`]).
-    dir_hash: Vec<u64>,
-    /// Directory slot chain heads ([`NONE`] = empty).
-    dir_head: Vec<u32>,
-    /// `dir_hash.len() - 1` (power-of-two directory).
-    mask: u64,
+    /// Distinct key hash → head of its row chain.
+    dir: Directory,
     /// Duplicate-chain links: `next[row]` = next build row with the same
     /// hash, [`NONE`] at chain end.
     next: Vec<u32>,
     /// Indexed (non-null-key) rows.
     len: usize,
-    /// Occupied directory slots (distinct key hashes).
-    distinct: usize,
 }
 
 impl BuildTable {
@@ -75,10 +58,9 @@ impl BuildTable {
     }
 
     /// Build with a planner distinct-key hint sizing the directory up
-    /// front. Small builds ignore the hint and size by the *exact*
-    /// deduplicated hash count; the hint is clamped to the row count, so a
-    /// heavily duplicated build never allocates a rows-sized directory the
-    /// way the seed's `HashMap::with_capacity(chunk.rows())` did.
+    /// front. The hint is clamped to the row count, so a heavily duplicated
+    /// build never allocates a rows-sized directory the way the seed's
+    /// `HashMap::with_capacity(chunk.rows())` did.
     pub fn build_with_ndv(
         chunk: Chunk,
         key_slots: Vec<usize>,
@@ -89,31 +71,18 @@ impl BuildTable {
         let keys_may_be_null = key_slots
             .iter()
             .any(|&s| chunk.column(s).validity().is_some());
-        let ndv = if rows <= EXACT_NDV_ROWS {
-            // Exact dedup: sort a copy of the (non-null) row hashes.
-            let mut sorted: Vec<u64> = (0..rows)
-                .filter(|&i| !keys_may_be_null || !keys_null(&chunk, &key_slots, i))
-                .map(|i| hashes[i])
-                .collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            sorted.len()
-        } else {
-            // Planner hint (never more distinct keys than rows), or a
-            // modest seed the insert loop doubles from.
-            ndv_hint.unwrap_or(rows / 4).min(rows)
+        // Planner hint (never more distinct keys than rows), or a modest
+        // seed the insert loop doubles from.
+        let ndv = match rows {
+            0..=SMALL_BUILD_ROWS => 0,
+            _ => ndv_hint.unwrap_or(rows / 4).min(rows),
         };
-        // Directory load factor ≤ 1/2: two slots per expected distinct key.
-        let slots = (ndv * 2).next_power_of_two().max(16);
         let mut table = BuildTable {
             chunk,
             key_slots,
-            dir_hash: vec![0; slots],
-            dir_head: vec![NONE; slots],
-            mask: (slots - 1) as u64,
+            dir: Directory::with_keys(ndv),
             next: vec![NONE; rows],
             len: 0,
-            distinct: 0,
         };
         // Reverse insertion order: chains are built head-first, so walking
         // `head, next[head], …` at probe time yields ascending build-row
@@ -122,97 +91,22 @@ impl BuildTable {
             if keys_may_be_null && keys_null(&table.chunk, &table.key_slots, i) {
                 continue;
             }
-            table.insert(norm_hash(hashes[i]), i as u32);
+            match table.dir.find(hashes[i], |_| true) {
+                // Existing chain: push in front of the current head.
+                Ok(slot) => {
+                    table.next[i] = std::mem::replace(&mut table.dir.payload[slot], i as u32);
+                }
+                Err(slot) => table.dir.insert(slot, hashes[i], i as u32),
+            }
+            table.len += 1;
         }
         table
     }
 
-    /// Insert one row under its (normalized) hash.
-    fn insert(&mut self, h: u64, row: u32) {
-        if (self.distinct + 1) * 2 > self.dir_head.len() {
-            self.grow();
-        }
-        let mut slot = (h & self.mask) as usize;
-        loop {
-            if self.dir_hash[slot] == h {
-                // Existing chain: push in front of the current head.
-                self.next[row as usize] = self.dir_head[slot];
-                self.dir_head[slot] = row;
-                break;
-            }
-            if self.dir_head[slot] == NONE {
-                self.dir_hash[slot] = h;
-                self.dir_head[slot] = row;
-                self.distinct += 1;
-                break;
-            }
-            slot = (slot + 1) as u64 as usize & self.mask as usize;
-        }
-        self.len += 1;
-    }
-
-    /// Double the directory, re-placing occupied `(hash, head)` slots.
-    /// Chains live in the arena and move with their head.
-    fn grow(&mut self) {
-        let slots = (self.dir_head.len() * 2).max(16);
-        let old_hash = std::mem::replace(&mut self.dir_hash, vec![0; slots]);
-        let old_head = std::mem::replace(&mut self.dir_head, vec![NONE; slots]);
-        self.mask = (slots - 1) as u64;
-        for (h, head) in old_hash.into_iter().zip(old_head) {
-            if head == NONE {
-                continue;
-            }
-            let mut slot = (h & self.mask) as usize;
-            while self.dir_head[slot] != NONE {
-                slot = (slot + 1) & self.mask as usize;
-            }
-            self.dir_hash[slot] = h;
-            self.dir_head[slot] = head;
-        }
-    }
-
     /// Batched directory lookup: for each probe hash, the matching chain
-    /// head (or `u32::MAX` = no match). The first probe is a branch-free pass over the
-    /// hash column — at ≤ 1/2 load almost every lookup settles there —
-    /// with rows whose first slot holds a *different* key compacted into
-    /// `pending` and resolved by a scalar linear-probe pass.
+    /// head (or `u32::MAX` = no match).
     pub fn lookup_heads(&self, hashes: &[u64], heads: &mut Vec<u32>, pending: &mut Vec<u32>) {
-        let n = hashes.len();
-        heads.clear();
-        heads.resize(n, NONE);
-        if self.len == 0 {
-            return;
-        }
-        pending.clear();
-        pending.resize(n, 0);
-        let mask = self.mask;
-        let mut np = 0usize;
-        for (i, &h0) in hashes.iter().enumerate() {
-            let h = norm_hash(h0);
-            let slot = (h & mask) as usize;
-            // Empty slots hold hash 0 and norm_hash never returns 0, so
-            // one comparison covers both "hit" and "empty ⇒ miss".
-            let hit = self.dir_hash[slot] == h;
-            let occupied = self.dir_head[slot] != NONE;
-            heads[i] = if hit { self.dir_head[slot] } else { NONE };
-            pending[np] = i as u32;
-            np += (occupied & !hit) as usize;
-        }
-        // Continue the rare collided lookups past their first slot.
-        for &pi in &pending[..np] {
-            let h = norm_hash(hashes[pi as usize]);
-            let mut slot = ((h & mask) as usize + 1) & mask as usize;
-            loop {
-                if self.dir_hash[slot] == h {
-                    heads[pi as usize] = self.dir_head[slot];
-                    break;
-                }
-                if self.dir_head[slot] == NONE {
-                    break;
-                }
-                slot = (slot + 1) & mask as usize;
-            }
-        }
+        self.dir.lookup(hashes, heads, pending);
     }
 
     /// Expand chain heads into candidate `(probe, build)` pairs, in probe
@@ -229,31 +123,6 @@ impl BuildTable {
         }
     }
 
-    /// Candidate build rows for one probe hash (scalar path for tests;
-    /// production probing uses [`BuildTable::lookup_heads`]).
-    pub fn candidates_scalar(&self, hash: u64, out: &mut Vec<u32>) {
-        out.clear();
-        if self.len == 0 {
-            return;
-        }
-        let h = norm_hash(hash);
-        let mut slot = (h & self.mask) as usize;
-        loop {
-            if self.dir_hash[slot] == h {
-                let mut b = self.dir_head[slot];
-                while b != NONE {
-                    out.push(b);
-                    b = self.next[b as usize];
-                }
-                return;
-            }
-            if self.dir_head[slot] == NONE {
-                return;
-            }
-            slot = (slot + 1) & self.mask as usize;
-        }
-    }
-
     /// Number of indexed (non-null-key) rows.
     pub fn len(&self) -> usize {
         self.len
@@ -266,12 +135,12 @@ impl BuildTable {
 
     /// Occupied directory slots — the number of distinct key hashes.
     pub fn distinct_hashes(&self) -> usize {
-        self.distinct
+        self.dir.len()
     }
 
     /// Directory slots allocated (capacity; a power of two).
     pub fn directory_slots(&self) -> usize {
-        self.dir_head.len()
+        self.dir.slots()
     }
 }
 
@@ -622,6 +491,20 @@ mod tests {
         (joined, scratch.take_join_counts())
     }
 
+    /// Candidate build rows for one probe hash through the directory's
+    /// scalar probe: the oracle for the batched lookup.
+    fn candidates(t: &BuildTable, h: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        if let Ok(slot) = t.dir.find(h, |_| true) {
+            let mut b = t.dir.payload[slot];
+            while b != NONE {
+                out.push(b);
+                b = t.next[b as usize];
+            }
+        }
+        out
+    }
+
     #[test]
     fn build_table_skips_null_keys() {
         let col = Column::Int64(
@@ -638,8 +521,8 @@ mod tests {
     #[test]
     fn directory_sized_by_distinct_keys_not_rows() {
         // 4096 rows, 4 distinct keys: the seed's map reserved a rows-sized
-        // capacity; the small-build exact dedup keeps the flat directory at
-        // the minimum.
+        // capacity; a small build grows from the minimum directory, which
+        // 4 keys never outgrow.
         let vals: Vec<i64> = (0..4096).map(|i| i % 4).collect();
         let t = BuildTable::build(chunk1(&vals), vec![0]);
         assert_eq!(t.len(), 4096);
@@ -666,11 +549,9 @@ mod tests {
         assert_eq!(t.distinct_hashes(), 5000);
         // Load factor stays ≤ 1/2 even when the hint lied.
         assert!(t.directory_slots() >= 2 * 5000);
-        let mut cands = Vec::new();
         for (i, &v) in vals.iter().enumerate() {
             let h = hash_keys(&chunk1(&[v]), &[0], JOIN_SEED)[0];
-            t.candidates_scalar(h, &mut cands);
-            assert_eq!(cands, vec![i as u32], "key {v}");
+            assert_eq!(candidates(&t, h), vec![i as u32], "key {v}");
         }
     }
 
@@ -687,10 +568,8 @@ mod tests {
         let (mut ps, mut bs) = (Vec::new(), Vec::new());
         t.expand_pairs(&heads, &mut ps, &mut bs);
         let mut expect = Vec::new();
-        let mut cands = Vec::new();
         for (i, &h) in hashes.iter().enumerate() {
-            t.candidates_scalar(h, &mut cands);
-            for &b in &cands {
+            for b in candidates(&t, h) {
                 expect.push((i as u32, b));
             }
         }

@@ -950,12 +950,8 @@ pub(crate) fn execute_pipelined(
             // every morsel folds into one state in sequence order, so float
             // accumulation order is a function of the plan and dop alone.
             let (chain, morsels) = prepare_chain(input, ctx)?;
-            // Pre-size the group table from the planner estimate (capped:
-            // a wild over-estimate must not balloon memory) so dense
-            // aggregations skip their growth rehashes.
-            let group_capacity = (est_groups.max(0.0) as usize).min(1 << 21);
             let mut state = crate::agg::AggState::new(&input.layout, &chain.types, group_by, aggs)?;
-            state.reserve(group_capacity);
+            state.reserve(*est_groups, input.est_rows);
             run_chain(&chain, &morsels, ctx, |_partition, chunks, rows| {
                 for chunk in &chunks {
                     state.update(chunk)?;

@@ -1,6 +1,5 @@
-//! Row-level helpers shared by joins, aggregation and exchanges.
-
-use std::sync::Arc;
+//! Row-level helpers shared by joins, aggregation and exchanges, and the
+//! flat hash `Directory` under both the join build and aggregation.
 
 use bfq_common::hash::{combine, hash_u64};
 use bfq_common::{BfqError, ColumnId, DataType, Datum, Result};
@@ -169,35 +168,107 @@ pub fn col_cmp(a: &Column, i: usize, b: &Column, j: usize) -> std::cmp::Ordering
     }
 }
 
-/// A hashable, comparable normalization of a scalar for group keys and
-/// DISTINCT sets.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum NormKey {
-    /// SQL NULL (groups treat NULLs as equal, per the standard).
-    Null,
-    /// Integers and dates share the numeric key space.
-    Int(i64),
-    /// Floats keyed by canonicalized bit pattern.
-    Float(u64),
-    /// Strings.
-    Str(Arc<str>),
-    /// Booleans.
-    Bool(bool),
+/// "No row": the join's chain end and a [`Directory::lookup`] miss.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Stored hashes are remapped off 0, the hash of an empty slot.
+#[inline]
+fn norm_hash(h: u64) -> u64 {
+    h | (h == 0) as u64
 }
 
-impl NormKey {
-    /// Normalize a datum.
-    pub fn from_datum(d: &Datum) -> NormKey {
-        match d {
-            Datum::Null => NormKey::Null,
-            Datum::Int(v) => NormKey::Int(*v),
-            Datum::Date(v) => NormKey::Int(*v as i64),
-            Datum::Float(v) => {
-                let canonical = if *v == 0.0 { 0.0f64 } else { *v };
-                NormKey::Float(canonical.to_bits())
+/// A flat open-addressing hash directory: power-of-two `(hash, payload)`
+/// arrays probed linearly at load ≤ 1/2, where an empty slot holds hash 0.
+/// Both start zeroed, so pages no key reaches are never touched. The payload
+/// is the caller's: a chain head per distinct key hash for the hash join, a
+/// group id per distinct key for aggregation, whose keys may share a hash.
+pub(crate) struct Directory {
+    hash: Vec<u64>,
+    /// Payload of each occupied slot.
+    pub(crate) payload: Vec<u32>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl Directory {
+    /// A directory for about `keys` entries: two slots per key, at least 16.
+    pub(crate) fn with_keys(keys: usize) -> Directory {
+        let slots = keys.saturating_mul(2).next_power_of_two().max(16);
+        Directory {
+            hash: vec![0; slots],
+            payload: vec![0; slots],
+            len: 0,
+        }
+    }
+
+    /// Occupied slots.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Allocated slots (a power of two).
+    pub(crate) fn slots(&self) -> usize {
+        self.hash.len()
+    }
+
+    /// The first slot holding `h` whose payload `accept` takes, or `Err`
+    /// with the empty slot where such an entry belongs.
+    #[inline]
+    pub(crate) fn find(&self, h: u64, mut accept: impl FnMut(u32) -> bool) -> Result<usize, usize> {
+        let (h, mask) = (norm_hash(h), self.slots() - 1);
+        let mut slot = h as usize & mask;
+        loop {
+            match self.hash[slot] {
+                0 => return Err(slot),
+                sh if sh == h && accept(self.payload[slot]) => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
             }
-            Datum::Str(s) => NormKey::Str(s.clone()),
-            Datum::Bool(b) => NormKey::Bool(*b),
+        }
+    }
+
+    /// Fill the empty `slot` [`Directory::find`] returned for `h`, then
+    /// double the directory if that passed half load.
+    pub(crate) fn insert(&mut self, slot: usize, h: u64, payload: u32) {
+        self.hash[slot] = norm_hash(h);
+        self.payload[slot] = payload;
+        self.len += 1;
+        if self.len * 2 > self.slots() {
+            let grown = Directory::with_keys(self.slots());
+            let old = std::mem::replace(self, grown);
+            for (&h, &p) in old.hash.iter().zip(&old.payload).filter(|&(&h, _)| h != 0) {
+                self.insert(self.find(h, |_| false).unwrap_err(), h, p);
+            }
+        }
+    }
+
+    /// Batched lookup in a directory holding one entry per hash: each
+    /// hash's payload, or [`NONE`]. A branch-free first probe per hash
+    /// settles almost every lookup at ≤ 1/2 load; rows whose first slot
+    /// holds another hash are compacted into `pending` and re-probed.
+    pub(crate) fn lookup(&self, hashes: &[u64], out: &mut Vec<u32>, pending: &mut Vec<u32>) {
+        let (n, mask) = (hashes.len(), self.slots() - 1);
+        out.clear();
+        out.resize(n, NONE);
+        if self.len == 0 {
+            return;
+        }
+        pending.clear();
+        pending.resize(n, 0);
+        let mut np = 0usize;
+        for (i, &h0) in hashes.iter().enumerate() {
+            let h = norm_hash(h0);
+            let slot = h as usize & mask;
+            let sh = self.hash[slot];
+            let hit = sh == h;
+            out[i] = if hit { self.payload[slot] } else { NONE };
+            pending[np] = i as u32;
+            np += ((sh != 0) & !hit) as usize;
+        }
+        // Re-probe the rare collided lookups in full.
+        for &pi in &pending[..np] {
+            if let Ok(slot) = self.find(hashes[pi as usize], |_| true) {
+                out[pi as usize] = self.payload[slot];
+            }
         }
     }
 }
@@ -243,6 +314,7 @@ mod tests {
     use super::*;
     use bfq_common::TableId;
     use bfq_storage::StrData;
+    use std::sync::Arc;
 
     fn two_col_chunk() -> Chunk {
         Chunk::new(vec![
@@ -283,22 +355,6 @@ mod tests {
         let b = Column::Int64(vec![0], None);
         assert!(!col_eq(&a, 0, &b, 0));
         assert!(!col_eq(&a, 0, &a, 0));
-    }
-
-    #[test]
-    fn norm_key_unifies_ints_and_dates() {
-        assert_eq!(
-            NormKey::from_datum(&Datum::Int(7)),
-            NormKey::from_datum(&Datum::Date(7))
-        );
-        assert_eq!(
-            NormKey::from_datum(&Datum::Float(0.0)),
-            NormKey::from_datum(&Datum::Float(-0.0))
-        );
-        assert_ne!(
-            NormKey::from_datum(&Datum::Null),
-            NormKey::from_datum(&Datum::Int(0))
-        );
     }
 
     #[test]

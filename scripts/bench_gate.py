@@ -5,8 +5,9 @@ committed baseline in bench/baselines/.
 Structural metrics (chunk counts, skip fractions, filters placed) are
 deterministic for a fixed generator seed, so they gate at a tight relative
 tolerance. `*_checksum` metrics are result-correctness checks and gate
-EXACTLY (zero tolerance). `*_ms` latency metrics are reported for trending
-but never gated — shared CI runners are too noisy for a hard latency bar.
+EXACTLY (zero tolerance). `*_ms` and `*_ns` timing metrics are reported for
+trending but never gated — shared CI runners are too noisy for a hard
+latency bar.
 
 Usage: scripts/bench_gate.py <fresh.json> <baseline.json> [rel_tol]
 Exit code 0 = pass, 1 = regression / metric drift.
@@ -33,7 +34,7 @@ def main():
     failures = []
     for key, expected in sorted(base.items()):
         got = fresh.get(key)
-        if key.endswith("_ms"):
+        if key.endswith(("_ms", "_ns")):
             print(f"  (trend) {key}: baseline {expected:.3f} -> {got if got is not None else 'MISSING'}")
             continue
         if got is None:
