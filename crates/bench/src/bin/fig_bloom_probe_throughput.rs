@@ -1,38 +1,27 @@
-//! **E12 — Bloom probe throughput: the seed's row-at-a-time probe path vs
-//! batched probing vs the cache-line-blocked layout.**
+//! **E12 — Bloom probe throughput: row-at-a-time vs batched probing of the
+//! cache-line-blocked filter.**
 //!
-//! Three series at three filter sizes (64 KiB L1/L2-resident, 1 MiB
-//! L2-edge, 16 MiB beyond L2):
+//! Two series at three filter sizes (64 KiB L1/L2-resident, 1 MiB L2-edge,
+//! 16 MiB beyond L2):
 //!
-//! * **standard / row-at-a-time** — the probe path this PR replaces: two
-//!   `Column::hash_one` calls per row, a scalar `contains_hashes` (two
-//!   spread bit tests), and a fresh selection vector per chunk;
-//! * **standard / batched** — columnar hashing (`hash_into` once per
-//!   chunk per seed) through reused scratch buffers, branch-free
-//!   compaction, same uniform bit placement;
-//! * **blocked / batched** — additionally the 512-bit-block layout: one
-//!   hash column instead of two, one cache line touched per probe.
+//! * **row-at-a-time** — one `Column::hash_one` call and one scalar
+//!   `contains_hash` per row, and a fresh selection vector per chunk;
+//! * **batched** — the executor's path: columnar hashing (`hash_into` once
+//!   per chunk) through reused scratch buffers and branch-free selection
+//!   compaction.
 //!
-//! The ISSUE acceptance bar — ≥ 2x probe throughput on beyond-L2 filters —
-//! is measured blocked-batched against the seed path. The
-//! standard-batched series decomposes how much of the win is batching vs
-//! layout: single-core, the layout-only delta is reorder-window-bound
-//! (see DESIGN.md) and widens with memory pressure.
-//!
-//! Part two runs filter-heavy TPC-H queries (Q5, Q12, Q18) under both
-//! `bloom_layout` settings end to end; results must be identical.
+//! Both probe the same filter, so they admit the same rows; the bin prints
+//! the target features it was compiled for next to the rates.
 //!
 //! With `--json`, structural metrics (false-positive survivor counts and
-//! result checksums — deterministic for the fixed seeds) gate in CI;
-//! `*_ms` timings and speedup ratios are recorded for trending only.
+//! the no-false-negative member counts — deterministic for the fixed keys
+//! and hash seed) gate in CI; `*_ms` timings and the speedup ratios are
+//! recorded for trending only.
 
 use std::time::Instant;
 
-use bfq_bench::harness::{measure_tpch, result_checksum, BenchEnv, JsonReport};
-use bfq_bloom::{
-    BloomFilter, BloomLayout, ProbeScratch, RuntimeFilter, BLOOM_SEED_1, BLOOM_SEED_2,
-};
-use bfq_core::BloomMode;
+use bfq_bench::harness::{target_features, JsonReport};
+use bfq_bloom::{BloomFilter, ProbeScratch, RuntimeFilter, BLOOM_SEED};
 use bfq_storage::Column;
 
 const CHUNK_ROWS: usize = 8192;
@@ -56,7 +45,7 @@ fn probe_chunks(n_keys: i64, total_probes: usize) -> Vec<Column> {
         .collect()
 }
 
-/// The seed's probe path: per-row hashing, scalar bit tests, a fresh
+/// Row-at-a-time probing: per-row hashing, scalar bit tests, a fresh
 /// selection vector per chunk. Returns (survivors, ms).
 fn run_rowwise(filter: &BloomFilter, chunks: &[Column], repeats: usize) -> (u64, f64) {
     let mut survivors = 0u64;
@@ -66,9 +55,7 @@ fn run_rowwise(filter: &BloomFilter, chunks: &[Column], repeats: usize) -> (u64,
         for col in chunks {
             let mut sel = Vec::with_capacity(col.len());
             for i in 0..col.len() {
-                let h1 = col.hash_one(i, BLOOM_SEED_1);
-                let h2 = col.hash_one(i, BLOOM_SEED_2);
-                if filter.contains_hashes(h1, h2) {
+                if filter.contains_hash(col.hash_one(i, BLOOM_SEED)) {
                     sel.push(i as u32);
                 }
             }
@@ -105,14 +92,13 @@ fn run_batched(filter: &RuntimeFilter, chunks: &[Column], repeats: usize) -> (u6
 }
 
 fn main() {
-    let env = BenchEnv::load();
     let mut json = JsonReport::from_args("fig_bloom_probe_throughput");
-    json.add("sf", env.sf);
 
-    println!("# Bloom probe throughput — seed row-at-a-time vs batched vs blocked");
+    println!("# Bloom probe throughput — row-at-a-time vs batched");
+    println!("# compiled for {}", target_features());
     println!(
-        "\n{:<8} {:>10} {:>13} {:>13} {:>13} {:>11} {:>11}",
-        "filter", "keys", "row Mk/s", "batch Mk/s", "blkd Mk/s", "blk/row", "blk/batch"
+        "\n{:<8} {:>10} {:>13} {:>13} {:>11}",
+        "filter", "keys", "row Mk/s", "batch Mk/s", "batch/row"
     );
 
     let total_probes = 4 * 1024 * 1024;
@@ -121,75 +107,39 @@ fn main() {
         let chunks = probe_chunks(n_keys, total_probes);
         let repeats = if n_keys >= 1 << 24 { 3 } else { 5 };
         let members = total_probes as u64 / 2;
-        let mut rates = Vec::new(); // [std_row, std_batch, blk_batch]
-        for layout in BloomLayout::ALL {
-            let mut f = BloomFilter::with_expected_ndv_layout(n_keys as usize, layout);
-            f.insert_column(&keys);
-            f.set_ndv_hint(n_keys as u64);
-            assert_eq!(
-                f.size_bytes(),
-                n_keys as usize,
-                "{label}: 8 bits/key sizing drifted"
-            );
-            let tag = format!("{}_{label}", layout.label());
-            if layout == BloomLayout::Standard {
-                let (surv, ms) = run_rowwise(&f, &chunks, repeats);
-                assert!(surv >= members, "{label} rowwise: false negatives!");
-                json.add(&format!("{tag}_row_ms"), ms);
-                rates.push(total_probes as f64 / 1e3 / ms);
-            }
-            let rf = RuntimeFilter::single(f);
-            let (surv, ms) = run_batched(&rf, &chunks, repeats);
-            assert!(surv >= members, "{label}/{layout}: false negatives!");
-            let false_positives = surv - members;
-            rates.push(total_probes as f64 / 1e3 / ms);
-            json.add(&format!("{tag}_batch_ms"), ms);
-            // Deterministic for the fixed key set and hash seeds: gate it.
-            json.add(&format!("{tag}_fp"), false_positives as f64);
-            // No false negatives is a hard invariant: exact-match metric.
-            json.add(&format!("{tag}_members_checksum"), members as f64);
-        }
-        let vs_row = rates[2] / rates[0];
-        let vs_batch = rates[2] / rates[1];
-        println!(
-            "{:<8} {:>10} {:>13.1} {:>13.1} {:>13.1} {:>10.2}x {:>10.2}x",
-            label, n_keys, rates[0], rates[1], rates[2], vs_row, vs_batch
-        );
-        json.add(&format!("speedup_vs_row_{label}_ms"), vs_row);
-        json.add(&format!("speedup_vs_batch_{label}_ms"), vs_batch);
-    }
-
-    // End-to-end: filter-heavy TPC-H queries under both layouts.
-    let catalog = env.load_db();
-    println!(
-        "\n{:<6} {:>14} {:>14} {:>9} {:>12}",
-        "query", "standard_ms", "blocked_ms", "delta", "identical"
-    );
-    for q in [5usize, 12, 18] {
-        let mut times = Vec::new();
-        let mut checksums = Vec::new();
-        for layout in BloomLayout::ALL {
-            let mut layout_env = env.clone();
-            layout_env.bloom_layout = layout;
-            let m = measure_tpch(&catalog, &layout_env, q, BloomMode::Cbo)
-                .unwrap_or_else(|e| panic!("Q{q} [{layout}]: {e}"));
-            times.push(m.exec_ms);
-            checksums.push(result_checksum(&m.chunk));
-            json.add(&format!("q{q}_{}_ms", layout.label()), m.exec_ms);
-        }
+        let mut f = BloomFilter::with_expected_ndv(n_keys as usize);
+        f.insert_column(&keys);
+        f.set_ndv_hint(n_keys as u64);
         assert_eq!(
-            checksums[0], checksums[1],
-            "Q{q}: layouts must produce identical results"
+            f.size_bytes(),
+            n_keys as usize,
+            "{label}: 8 bits/key sizing drifted"
         );
-        json.add(&format!("q{q}_checksum"), checksums[0] as f64);
+
+        let (row_survivors, row_ms) = run_rowwise(&f, &chunks, repeats);
+        let (survivors, batch_ms) = run_batched(&RuntimeFilter::single(f), &chunks, repeats);
+        assert!(survivors >= members, "{label}: false negatives!");
+        assert_eq!(
+            row_survivors, survivors,
+            "{label}: both paths probe one filter"
+        );
+        let row_rate = total_probes as f64 / 1e3 / row_ms;
+        let batch_rate = total_probes as f64 / 1e3 / batch_ms;
         println!(
-            "Q{:<5} {:>14.2} {:>14.2} {:>8.1}% {:>12}",
-            q,
-            times[0],
-            times[1],
-            (times[0] - times[1]) / times[0] * 100.0,
-            "yes"
+            "{:<8} {:>10} {:>13.1} {:>13.1} {:>10.2}x",
+            label,
+            n_keys,
+            row_rate,
+            batch_rate,
+            batch_rate / row_rate
         );
+        json.add(&format!("{label}_row_ms"), row_ms);
+        json.add(&format!("{label}_batch_ms"), batch_ms);
+        json.add(&format!("speedup_vs_row_{label}_ms"), batch_rate / row_rate);
+        // Deterministic for the fixed key set and hash seed: gate it.
+        json.add(&format!("{label}_fp"), (survivors - members) as f64);
+        // No false negatives is a hard invariant: exact-match metric.
+        json.add(&format!("{label}_members_checksum"), members as f64);
     }
 
     if let Some(path) = json.finish().expect("write json report") {

@@ -25,7 +25,7 @@
 //! (max − min) over repeated passes, with the target features compiled in.
 //!
 //! Part three runs the join-heaviest TPC-H queries (Q5, Q9, Q18) end to
-//! end under both `bloom_layout` settings; results must be identical.
+//! end and gates their result checksums.
 //!
 //! With `--json`, pair counts, group counts and result checksums gate in
 //! CI; `*_ms` and `*_ns` timings trend only.
@@ -33,8 +33,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bfq_bench::harness::{measure_tpch, result_checksum, BenchEnv, JsonReport};
-use bfq_bloom::BloomLayout;
+use bfq_bench::harness::{measure_tpch, result_checksum, target_features, BenchEnv, JsonReport};
 use bfq_common::{ColumnId, DataType, TableId};
 use bfq_core::BloomMode;
 use bfq_exec::agg::AggState;
@@ -293,21 +292,6 @@ fn run_agg(shape: &AggShape) -> (Chunk, Vec<f64>) {
     (out, ns)
 }
 
-/// The SIMD features this binary was compiled for.
-fn target_features() -> String {
-    let features = [
-        ("sse2", cfg!(target_feature = "sse2")),
-        ("sse4.2", cfg!(target_feature = "sse4.2")),
-        ("avx", cfg!(target_feature = "avx")),
-        ("avx2", cfg!(target_feature = "avx2")),
-        ("fma", cfg!(target_feature = "fma")),
-        ("avx512f", cfg!(target_feature = "avx512f")),
-        ("neon", cfg!(target_feature = "neon")),
-    ];
-    let on: Vec<&str> = features.iter().filter(|f| f.1).map(|f| f.0).collect();
-    format!("{} [{}]", std::env::consts::ARCH, on.join(" "))
-}
-
 fn main() {
     let env = BenchEnv::load();
     let mut json = JsonReport::from_args("fig_join_probe_throughput");
@@ -380,37 +364,16 @@ fn main() {
         );
     }
 
-    // End-to-end: the join-heaviest TPC-H queries under both layouts.
+    // End-to-end: the join-heaviest TPC-H queries.
     let catalog = env.load_db();
-    println!(
-        "\n{:<6} {:>14} {:>14} {:>9} {:>12}",
-        "query", "standard_ms", "blocked_ms", "delta", "identical"
-    );
+    println!("\n{:<6} {:>10} {:>12}", "query", "exec_ms", "checksum");
     for q in [5usize, 9, 18] {
-        let mut times = Vec::new();
-        let mut checksums = Vec::new();
-        for layout in BloomLayout::ALL {
-            let mut layout_env = env.clone();
-            layout_env.bloom_layout = layout;
-            let m = measure_tpch(&catalog, &layout_env, q, BloomMode::Cbo)
-                .unwrap_or_else(|e| panic!("Q{q} [{layout}]: {e}"));
-            times.push(m.exec_ms);
-            checksums.push(result_checksum(&m.chunk));
-            json.add(&format!("q{q}_{}_ms", layout.label()), m.exec_ms);
-        }
-        assert_eq!(
-            checksums[0], checksums[1],
-            "Q{q}: layouts must produce identical results"
-        );
-        json.add(&format!("q{q}_checksum"), checksums[0] as f64);
-        println!(
-            "Q{:<5} {:>14.2} {:>14.2} {:>8.1}% {:>12}",
-            q,
-            times[0],
-            times[1],
-            (times[0] - times[1]) / times[0] * 100.0,
-            "yes"
-        );
+        let m =
+            measure_tpch(&catalog, &env, q, BloomMode::Cbo).unwrap_or_else(|e| panic!("Q{q}: {e}"));
+        let checksum = result_checksum(&m.chunk);
+        json.add(&format!("q{q}_blocked_ms"), m.exec_ms);
+        json.add(&format!("q{q}_checksum"), checksum as f64);
+        println!("Q{:<5} {:>10.2} {:>12}", q, m.exec_ms, checksum);
     }
 
     if let Some(path) = json.finish().expect("write json report") {

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use bfq_catalog::Catalog;
 use bfq_common::Result;
-use bfq_core::{optimize, BloomLayout, BloomMode, IndexMode, OptimizedQuery, OptimizerConfig};
+use bfq_core::{optimize, BloomMode, IndexMode, OptimizedQuery, OptimizerConfig};
 use bfq_exec::{execute_plan, ExecOptions, ExecStats};
 use bfq_plan::Bindings;
 use bfq_sql::plan_sql;
@@ -28,9 +28,6 @@ pub struct BenchEnv {
     /// Data-skipping index mode (`BFQ_INDEX_MODE`: `off` | `zonemap` |
     /// `zonemap+bloom`; default `zonemap+bloom`).
     pub index_mode: IndexMode,
-    /// Bloom filter bit-placement layout (`BFQ_BLOOM_LAYOUT`: `standard` |
-    /// `blocked`; default `blocked`).
-    pub bloom_layout: BloomLayout,
 }
 
 impl BenchEnv {
@@ -53,10 +50,6 @@ impl BenchEnv {
                 Ok(v) => v.parse().expect("BFQ_INDEX_MODE"),
                 Err(_) => IndexMode::default(),
             },
-            bloom_layout: match std::env::var("BFQ_BLOOM_LAYOUT") {
-                Ok(v) => v.parse().expect("BFQ_BLOOM_LAYOUT"),
-                Err(_) => BloomLayout::default(),
-            },
         }
     }
 
@@ -78,7 +71,6 @@ impl BenchEnv {
         c.bf_min_apply_rows = (10_000.0 * self.sf).clamp(50.0, 10_000.0);
         c.bf_max_build_ndv = 2_000_000.0;
         c.index_mode = self.index_mode;
-        c.bloom_layout = self.bloom_layout;
         c
     }
 }
@@ -113,7 +105,6 @@ fn timed_exec(
         ExecOptions {
             dop: config.dop,
             index_mode: config.index_mode,
-            bloom_layout: config.bloom_layout,
             ..Default::default()
         },
     )?;
@@ -349,6 +340,21 @@ pub fn result_checksum(chunk: &Chunk) -> u32 {
         }
     }
     (h >> 32) as u32 ^ h as u32
+}
+
+/// The SIMD features this binary was compiled for.
+pub fn target_features() -> String {
+    let features = [
+        ("sse2", cfg!(target_feature = "sse2")),
+        ("sse4.2", cfg!(target_feature = "sse4.2")),
+        ("avx", cfg!(target_feature = "avx")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("neon", cfg!(target_feature = "neon")),
+    ];
+    let on: Vec<&str> = features.iter().filter(|f| f.1).map(|f| f.0).collect();
+    format!("{} [{}]", std::env::consts::ARCH, on.join(" "))
 }
 
 /// Run `f` once and return `(result, elapsed_millis)`.

@@ -16,11 +16,11 @@ use bfq_common::FilterId;
 use bfq_storage::Column;
 use parking_lot::{Condvar, Mutex};
 
-use crate::filter::{BloomFilter, BLOOM_SEED_1, BLOOM_SEED_2};
+use crate::filter::{BloomFilter, BLOOM_SEED};
 use crate::partitioned::PartitionedBloomFilter;
 
-/// Reusable buffers for batched filter probes: the per-seed hash columns
-/// plus a pair of selection vectors the executor ping-pongs between
+/// Reusable buffers for batched filter probes: the key hash column plus a
+/// pair of selection vectors the executor ping-pongs between
 /// filters. One scratch lives per worker thread and is reused across every
 /// morsel it processes, so steady-state probing allocates nothing — each
 /// buffer grows to the largest chunk once and stays there.
@@ -30,8 +30,7 @@ use crate::partitioned::PartitionedBloomFilter;
 /// count stops rising after warm-up no matter how many morsels follow).
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
-    h1: Vec<u64>,
-    h2: Vec<u64>,
+    hashes: Vec<u64>,
     /// Selection vector A (executor ping-pong; take with `std::mem::take`).
     pub sel_a: Vec<u32>,
     /// Selection vector B.
@@ -62,56 +61,13 @@ impl ProbeScratch {
         self.grows += 1;
     }
 
-    /// Hash `col` with the filter seeds into the reusable buffers
-    /// (`h2` only when the probing filter consumes it).
-    fn hash_column(&mut self, col: &Column, needs_h2: bool) {
-        let c1 = self.h1.capacity();
-        col.hash_into(BLOOM_SEED_1, &mut self.h1);
-        if self.h1.capacity() > c1 {
+    /// Hash `col` with [`BLOOM_SEED`] into the reusable buffer.
+    fn hash_column(&mut self, col: &Column) {
+        let cap = self.hashes.capacity();
+        col.hash_into(BLOOM_SEED, &mut self.hashes);
+        if self.hashes.capacity() > cap {
             self.grows += 1;
         }
-        if needs_h2 {
-            let c2 = self.h2.capacity();
-            col.hash_into(BLOOM_SEED_2, &mut self.h2);
-            if self.h2.capacity() > c2 {
-                self.grows += 1;
-            }
-        } else {
-            self.h2.clear();
-        }
-    }
-}
-
-/// Exact hashes of the distinct build keys a small build side ships with
-/// its filter, for probing per-chunk Bloom indexes (`bfq-index`).
-///
-/// Standard-layout chunk filters consume both seed hashes, so the pairs
-/// variant carries `(h1, h2)`. Blocked filters derive every bit position
-/// from the first hash alone ([`BloomFilter::needs_second_hash`] is
-/// false), so when the session layout is blocked the build ships only
-/// `h1` — halving the per-key metadata on the chunk-skipping hot path.
-/// First-only hashes can prove a skip only against a chunk filter that
-/// itself ignores `h2`; the pruner checks that at probe time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KeyHashes {
-    /// `(h1, h2)` per distinct key (standard layout).
-    Pairs(Vec<(u64, u64)>),
-    /// `h1` per distinct key (blocked layout; `h2` is never consumed).
-    FirstOnly(Vec<u64>),
-}
-
-impl KeyHashes {
-    /// Number of distinct key hashes shipped.
-    pub fn len(&self) -> usize {
-        match self {
-            KeyHashes::Pairs(v) => v.len(),
-            KeyHashes::FirstOnly(v) => v.len(),
-        }
-    }
-
-    /// Whether the build side passed no keys at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -129,7 +85,7 @@ pub enum FilterCore {
 ///
 /// When the build keys are numeric their min/max travel with the filter, so
 /// a scan can compare them against a chunk's zone map; when the build side
-/// is small the exact `(h1, h2)` key hashes travel too, so a scan can probe
+/// is small the exact key hashes travel too, so a scan can probe
 /// a chunk's Bloom index with them (`bfq-index`). Large numeric builds
 /// instead carry a [`crate::KeySummary`] — the merged per-partition occupancy
 /// bitmap — so chunk skipping survives past the exact-hash limit. All are
@@ -139,7 +95,7 @@ pub enum FilterCore {
 pub struct RuntimeFilter {
     core: FilterCore,
     key_bounds: Option<(f64, f64)>,
-    key_hashes: Option<KeyHashes>,
+    key_hashes: Option<Vec<u64>>,
     key_summary: Option<crate::summary::KeySummary>,
 }
 
@@ -168,7 +124,7 @@ impl RuntimeFilter {
     pub fn with_key_info(
         mut self,
         bounds: Option<(f64, f64)>,
-        hashes: Option<KeyHashes>,
+        hashes: Option<Vec<u64>>,
         summary: Option<crate::summary::KeySummary>,
     ) -> Self {
         self.key_bounds = bounds;
@@ -187,12 +143,11 @@ impl RuntimeFilter {
         self.key_bounds
     }
 
-    /// Exact hashes of the distinct build keys, when the build side was
-    /// small enough to ship them (possibly empty: an empty build side
-    /// passes nothing). Pairs under the standard layout, first-hash-only
-    /// under the blocked layout.
-    pub fn key_hashes(&self) -> Option<&KeyHashes> {
-        self.key_hashes.as_ref()
+    /// Exact [`BLOOM_SEED`] hashes of the distinct build keys, sorted, when
+    /// the build side was small enough to ship them (possibly empty: an
+    /// empty build side passes nothing).
+    pub fn key_hashes(&self) -> Option<&[u64]> {
+        self.key_hashes.as_deref()
     }
 
     /// The build-key occupancy summary carried for large numeric builds
@@ -201,22 +156,12 @@ impl RuntimeFilter {
         self.key_summary.as_ref()
     }
 
-    /// Whether probing consumes the second key hash (standard layout only;
-    /// blocked filters derive both bits from the first hash).
-    pub fn needs_second_hash(&self) -> bool {
-        match &self.core {
-            FilterCore::Single(f) => f.needs_second_hash(),
-            FilterCore::Partitioned(pf) => pf.needs_second_hash(),
-        }
-    }
-
     /// Batched probe: hash `col` once into `scratch`, test the rows
     /// selected by `sel` (all rows when `None`), and write survivors into
     /// the caller-owned `out` (cleared first). Null keys never survive.
     ///
     /// This is the executor's hot path: one columnar hash pass per chunk
-    /// (one seed for blocked filters, two for standard) and zero
-    /// allocations once the scratch and `out` reach steady-state capacity.
+    /// and zero allocations once the scratch and `out` reach steady-state capacity.
     /// When `sel` keeps only a sliver of the chunk (an upstream predicate
     /// already did the work), hashing the whole column would cost more
     /// than it saves — those probes take a scalar per-selected-row path
@@ -228,21 +173,19 @@ impl RuntimeFilter {
         scratch: &mut ProbeScratch,
         out: &mut Vec<u32>,
     ) {
-        // Columnar hashing costs ~len; scalar hashing costs ~|sel| per
-        // seed with worse per-key constants. Cross over at 1/4 density.
+        // Columnar hashing costs ~len; scalar hashing costs ~|sel| with
+        // worse per-key constants. Cross over at 1/4 density.
         if let Some(sel) = sel {
             if sel.len() * 4 < col.len() {
                 return self.probe_sparse(col, sel, scratch, out);
             }
         }
-        scratch.hash_column(col, self.needs_second_hash());
+        scratch.hash_column(col);
         let cap = out.capacity();
         match &self.core {
-            FilterCore::Single(f) => {
-                f.probe_hashes_into(&scratch.h1, &scratch.h2, col.validity(), sel, out)
-            }
+            FilterCore::Single(f) => f.probe_hashes_into(&scratch.hashes, col.validity(), sel, out),
             FilterCore::Partitioned(pf) => {
-                pf.probe_routed_hashes_into(&scratch.h1, &scratch.h2, col.validity(), sel, out)
+                pf.probe_routed_hashes_into(&scratch.hashes, col.validity(), sel, out)
             }
         }
         if out.capacity() > cap {
@@ -259,26 +202,19 @@ impl RuntimeFilter {
         scratch: &mut ProbeScratch,
         out: &mut Vec<u32>,
     ) {
-        use crate::filter::{BLOOM_SEED_1, BLOOM_SEED_2};
         let cap = out.capacity();
         out.clear();
-        let second = self.needs_second_hash();
         out.extend(sel.iter().copied().filter(|&i| {
             let i = i as usize;
             if col.is_null(i) {
                 return false;
             }
-            let h1 = col.hash_one(i, BLOOM_SEED_1);
-            let h2 = if second {
-                col.hash_one(i, BLOOM_SEED_2)
-            } else {
-                0
-            };
+            let h = col.hash_one(i, BLOOM_SEED);
             match &self.core {
-                FilterCore::Single(f) => f.contains_hashes(h1, h2),
+                FilterCore::Single(f) => f.contains_hash(h),
                 FilterCore::Partitioned(pf) => {
-                    let p = crate::partitioned::partition_of(h1, pf.partitions());
-                    pf.part(p).contains_hashes(h1, h2)
+                    let p = crate::partitioned::partition_of(h, pf.partitions());
+                    pf.part(p).contains_hash(h)
                 }
             }
         }));

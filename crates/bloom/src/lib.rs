@@ -1,14 +1,12 @@
 //! Bloom filter substrate.
 //!
 //! Everything the paper's runtime needs (§3.5, §3.9):
-//! * [`BloomFilter`] — a bit-array filter with **two** hash functions (the
-//!   paper fixes k = 2 "for performance reasons"), sized from an upper-bound
+//! * [`BloomFilter`] — a filter with **two** hash bits per key (the paper
+//!   fixes k = 2 "for performance reasons"), both confined to one 512-bit
+//!   block so a probe costs a single cache miss, sized from an upper-bound
 //!   estimate of the build side's distinct values;
-//! * [`math`] — false-positive-rate and sizing formulas shared with the cost
-//!   model, including the [`math::BloomLayout`] knob and the blocked-layout
-//!   FPR correction;
-//! * [`blocked`] — the cache-line-blocked bit placement: both probe bits
-//!   confined to one 512-bit block so a probe costs a single cache miss;
+//! * [`math`] — the sizing and false-positive-rate formulas shared with the
+//!   cost model;
 //! * [`PartitionedBloomFilter`] — per-partition partial filters for
 //!   partitioned hash joins, with bit-vector union merging;
 //! * [`strategy`] — the SMP streaming strategies of §3.9 (broadcast
@@ -21,7 +19,6 @@
 //!   bitmaps that keep chunk-level skipping alive for build sides too large
 //!   to ship exact key hashes.
 
-pub mod blocked;
 pub mod filter;
 pub mod hub;
 pub mod math;
@@ -29,12 +26,9 @@ pub mod partitioned;
 pub mod strategy;
 pub mod summary;
 
-pub use filter::{BloomFilter, BLOOM_SEED_1, BLOOM_SEED_2};
-pub use hub::{FilterCore, FilterHub, KeyHashes, ProbeScratch, RuntimeFilter};
-pub use math::{
-    bits_for_ndv, blocked_fpr, default_fpr_layout, false_positive_rate, fpr_for_layout,
-    BloomLayout, BLOCK_BITS, DEFAULT_BITS_PER_KEY, NUM_HASHES,
-};
+pub use filter::{BloomFilter, BLOOM_SEED};
+pub use hub::{FilterCore, FilterHub, ProbeScratch, RuntimeFilter};
+pub use math::{bits_for_ndv, blocked_fpr, default_fpr, BLOCK_BITS, DEFAULT_BITS_PER_KEY};
 pub use partitioned::PartitionedBloomFilter;
 pub use strategy::StreamingStrategy;
 pub use summary::{KeySummary, SUMMARY_BUCKETS};

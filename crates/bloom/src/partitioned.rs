@@ -12,18 +12,18 @@
 use bfq_common::hash::hash_u64;
 use bfq_storage::{Bitmap, Column};
 
-use crate::filter::BloomFilter;
-use crate::math::BloomLayout;
+use crate::filter::{BloomFilter, BLOOM_SEED};
 
-/// Seed of the *partitioning* hash — deliberately distinct from the two
-/// filter seeds so partition routing is independent of bit placement.
+/// Seed of the *partitioning* hash — deliberately distinct from the filter
+/// seed so partition routing is independent of bit placement.
 pub const PARTITION_SEED: u64 = 0x2545_f491_4f6c_dd1d;
 
 /// Route a key hash to one of `n` partitions.
 #[inline]
 pub fn partition_of(key_hash: u64, n: usize) -> usize {
-    // Multiply-shift on a re-mixed hash avoids modulo bias and correlation
-    // with the filter's bit-index bits.
+    // Re-mixing the key hash with its own seed decorrelates the partition
+    // from the filter's block and bit choice; the modulo's bias over a
+    // 64-bit hash is negligible for any partition count.
     (hash_u64(key_hash, PARTITION_SEED) % n as u64) as usize
 }
 
@@ -34,33 +34,16 @@ pub struct PartitionedBloomFilter {
 }
 
 impl PartitionedBloomFilter {
-    /// Create `partitions` standard-layout partial filters, each sized for
-    /// an even share of `expected_ndv` keys.
+    /// Create `partitions` partial filters, each sized for an even share of
+    /// `expected_ndv` keys.
     pub fn new(partitions: usize, expected_ndv: usize) -> Self {
-        Self::new_layout(partitions, expected_ndv, BloomLayout::Standard)
-    }
-
-    /// Create `partitions` partial filters under `layout`, each sized for
-    /// an even share of `expected_ndv` keys.
-    pub fn new_layout(partitions: usize, expected_ndv: usize, layout: BloomLayout) -> Self {
         assert!(partitions > 0, "need at least one partition");
         let per_part = expected_ndv.div_ceil(partitions);
         PartitionedBloomFilter {
             parts: (0..partitions)
-                .map(|_| BloomFilter::with_expected_ndv_layout(per_part, layout))
+                .map(|_| BloomFilter::with_expected_ndv(per_part))
                 .collect(),
         }
-    }
-
-    /// The layout shared by every partial filter.
-    pub fn layout(&self) -> BloomLayout {
-        self.parts[0].layout()
-    }
-
-    /// Whether probes consume the second key hash (see
-    /// [`BloomFilter::needs_second_hash`]).
-    pub fn needs_second_hash(&self) -> bool {
-        self.parts[0].needs_second_hash()
     }
 
     /// Number of partitions.
@@ -82,18 +65,12 @@ impl PartitionedBloomFilter {
     /// Insert a column routing each row to its partition by key hash
     /// (build side not yet partitioned).
     pub fn insert_column_routed(&mut self, col: &Column) {
-        let mut h1 = Vec::new();
-        let mut h2 = Vec::new();
-        col.hash_into(crate::filter::BLOOM_SEED_1, &mut h1);
-        if self.needs_second_hash() {
-            col.hash_into(crate::filter::BLOOM_SEED_2, &mut h2);
-        }
-        let second = |i: usize| if h2.is_empty() { 0 } else { h2[i] };
+        let mut hashes = Vec::new();
+        col.hash_into(BLOOM_SEED, &mut hashes);
         let n = self.parts.len();
-        for (i, &h) in h1.iter().enumerate() {
+        for (i, &h) in hashes.iter().enumerate() {
             if !col.is_null(i) {
-                let p = partition_of(h, n);
-                self.parts[p].insert_hashes(h, second(i));
+                self.parts[partition_of(h, n)].insert_hash(h);
             }
         }
     }
@@ -101,21 +78,17 @@ impl PartitionedBloomFilter {
     /// Batched unaligned probe over pre-hashed keys: rows selected by `sel`
     /// (all rows when `None`) route to their partial filter by the
     /// partitioning hash; survivors are appended to the caller-owned `out`
-    /// (cleared first). `h2` is unread under the blocked layout.
+    /// (cleared first).
     pub fn probe_routed_hashes_into(
         &self,
-        h1: &[u64],
-        h2: &[u64],
+        hashes: &[u64],
         validity: Option<&Bitmap>,
         sel: Option<&[u32]>,
         out: &mut Vec<u32>,
     ) {
         let n = self.parts.len();
-        let second_hash = self.needs_second_hash();
-        crate::filter::probe_loop(h1.len(), validity, sel, out, |i| {
-            let p = partition_of(h1[i], n);
-            let h2i = if second_hash { h2[i] } else { 0 };
-            self.parts[p].contains_hashes(h1[i], h2i)
+        crate::filter::probe_loop(hashes.len(), validity, sel, out, |i| {
+            self.parts[partition_of(hashes[i], n)].contains_hash(hashes[i])
         });
     }
 
@@ -123,14 +96,10 @@ impl PartitionedBloomFilter {
     /// its partial filter via the partitioning hash of its own key.
     /// Allocating wrapper over [`PartitionedBloomFilter::probe_routed_hashes_into`].
     pub fn probe_routed(&self, col: &Column, sel: &[u32]) -> Vec<u32> {
-        let mut h1 = Vec::new();
-        let mut h2 = Vec::new();
-        col.hash_into(crate::filter::BLOOM_SEED_1, &mut h1);
-        if self.needs_second_hash() {
-            col.hash_into(crate::filter::BLOOM_SEED_2, &mut h2);
-        }
+        let mut hashes = Vec::new();
+        col.hash_into(BLOOM_SEED, &mut hashes);
         let mut out = Vec::with_capacity(sel.len());
-        self.probe_routed_hashes_into(&h1, &h2, col.validity(), Some(sel), &mut out);
+        self.probe_routed_hashes_into(&hashes, col.validity(), Some(sel), &mut out);
         out
     }
 
@@ -203,7 +172,7 @@ mod tests {
         let n = 8;
         let mut counts = vec![0usize; n];
         for k in 0..8000u64 {
-            let h = bfq_common::hash::hash_u64(k, crate::filter::BLOOM_SEED_1);
+            let h = bfq_common::hash::hash_u64(k, BLOOM_SEED);
             counts[partition_of(h, n)] += 1;
         }
         for &c in &counts {

@@ -10,9 +10,8 @@
 
 use bfq_storage::Column;
 
-use crate::filter::{BloomFilter, BLOOM_SEED_1, BLOOM_SEED_2};
-use crate::hub::{KeyHashes, RuntimeFilter};
-use crate::math::BloomLayout;
+use crate::filter::{BloomFilter, BLOOM_SEED};
+use crate::hub::RuntimeFilter;
 use crate::partitioned::PartitionedBloomFilter;
 use crate::summary::KeySummary;
 
@@ -25,17 +24,13 @@ use crate::summary::KeySummary;
 pub const SMALL_KEY_LIMIT: usize = 1024;
 
 /// Build-key metadata that travels with a runtime filter: numeric-axis
-/// min/max of the non-null keys, the deduplicated hashes of every key
-/// (small build sides), or the occupancy summary (large numeric build
+/// min/max of the non-null keys, the sorted deduplicated hashes of every
+/// key (small build sides), or the occupancy summary (large numeric build
 /// sides).
-type KeyInfo = (Option<(f64, f64)>, Option<KeyHashes>, Option<KeySummary>);
+type KeyInfo = (Option<(f64, f64)>, Option<Vec<u64>>, Option<KeySummary>);
 
 /// Compute the [`KeyInfo`] for the key columns a filter was built from.
-/// `needs_h2` says whether the built filter consumes the second seed hash
-/// ([`BloomFilter::needs_second_hash`]): blocked-layout filters do not, so
-/// their key hashes ship first-hash-only — skipping a whole seed-2 hash
-/// pass over the build keys and halving the shipped metadata.
-fn key_info(thread_keys: &[Column], needs_h2: bool) -> KeyInfo {
+fn key_info(thread_keys: &[Column]) -> KeyInfo {
     let mut bounds: Option<(f64, f64)> = None;
     for col in thread_keys {
         if let Some((lo, hi)) = col.min_max_axis() {
@@ -47,36 +42,19 @@ fn key_info(thread_keys: &[Column], needs_h2: bool) -> KeyInfo {
     }
     let total_rows: usize = thread_keys.iter().map(|c| c.len()).sum();
     let hashes = (total_rows <= 4 * SMALL_KEY_LIMIT).then(|| {
-        if needs_h2 {
-            let mut out = Vec::new();
-            let (mut h1, mut h2) = (Vec::new(), Vec::new());
-            for col in thread_keys {
-                col.hash_into(BLOOM_SEED_1, &mut h1);
-                col.hash_into(BLOOM_SEED_2, &mut h2);
-                for i in 0..col.len() {
-                    if !col.is_null(i) {
-                        out.push((h1[i], h2[i]));
-                    }
+        let mut out = Vec::new();
+        let mut hashes = Vec::new();
+        for col in thread_keys {
+            col.hash_into(BLOOM_SEED, &mut hashes);
+            for (i, &h) in hashes.iter().enumerate() {
+                if !col.is_null(i) {
+                    out.push(h);
                 }
             }
-            out.sort_unstable();
-            out.dedup();
-            KeyHashes::Pairs(out)
-        } else {
-            let mut out = Vec::new();
-            let mut h1 = Vec::new();
-            for col in thread_keys {
-                col.hash_into(BLOOM_SEED_1, &mut h1);
-                for (i, &h) in h1.iter().enumerate().take(col.len()) {
-                    if !col.is_null(i) {
-                        out.push(h);
-                    }
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-            KeyHashes::FirstOnly(out)
         }
+        out.sort_unstable();
+        out.dedup();
+        out
     });
     let hashes = hashes.filter(|h| h.len() <= SMALL_KEY_LIMIT);
     // The summary is the large-build fallback: only built when exact hashes
@@ -117,8 +95,7 @@ impl StreamingStrategy {
 }
 
 /// Build the runtime filter for a join given per-thread build-side key
-/// columns (`thread_keys[i]` = the join-key column seen by build thread `i`)
-/// under the session's bit-placement `layout`.
+/// columns (`thread_keys[i]` = the join-key column seen by build thread `i`).
 ///
 /// `expected_ndv` is the planner's distinct estimate — the same number its
 /// cost model used to size the filter (paper §3.5). Key metadata is computed
@@ -133,7 +110,6 @@ pub fn build_filter(
     strategy: StreamingStrategy,
     thread_keys: &[Column],
     expected_ndv: usize,
-    layout: BloomLayout,
 ) -> RuntimeFilter {
     assert!(!thread_keys.is_empty(), "no build-side threads");
     // A broadcast build's threads hold identical copies; thread 0's is it.
@@ -141,13 +117,13 @@ pub fn build_filter(
         StreamingStrategy::BroadcastBuild => &thread_keys[..1],
         _ => thread_keys,
     };
-    let (bounds, hashes, summary) = key_info(keys, layout.needs_second_hash());
-    let exact_ndv = hashes.as_ref().map(KeyHashes::len);
+    let (bounds, hashes, summary) = key_info(keys);
+    let exact_ndv = hashes.as_ref().map(Vec::len);
     let size_ndv = expected_ndv.max(exact_ndv.unwrap_or(0)).max(1);
     let ndv_hint = exact_ndv.unwrap_or(expected_ndv).max(1) as u64;
     let filter = match strategy {
         StreamingStrategy::BroadcastBuild => {
-            let mut f = BloomFilter::with_expected_ndv_layout(size_ndv, layout);
+            let mut f = BloomFilter::with_expected_ndv(size_ndv);
             f.insert_column(&keys[0]);
             f.set_ndv_hint(ndv_hint);
             RuntimeFilter::single(f)
@@ -155,9 +131,9 @@ pub fn build_filter(
         StreamingStrategy::BroadcastProbe => {
             // Disjoint per-thread subsets: build same-sized partials, merge.
             let bits = crate::math::bits_for_ndv(size_ndv, crate::math::DEFAULT_BITS_PER_KEY);
-            let mut merged = BloomFilter::with_bits_layout(bits, layout);
+            let mut merged = BloomFilter::with_bits(bits);
             for keys in thread_keys {
-                let mut partial = BloomFilter::with_bits_layout(bits, layout);
+                let mut partial = BloomFilter::with_bits(bits);
                 partial.insert_column(keys);
                 merged.union_with(&partial);
             }
@@ -166,7 +142,7 @@ pub fn build_filter(
         }
         StreamingStrategy::PartitionUnaligned => {
             let n = thread_keys.len();
-            let mut pf = PartitionedBloomFilter::new_layout(n, size_ndv, layout);
+            let mut pf = PartitionedBloomFilter::new(n, size_ndv);
             for keys in thread_keys {
                 // Keys within a partition join partition still route by key
                 // hash so partial `i` holds exactly partition `i`'s keys.
@@ -204,7 +180,6 @@ mod tests {
             StreamingStrategy::BroadcastBuild,
             &[keys.clone(), keys.clone(), keys.clone()],
             3,
-            BloomLayout::Standard,
         );
         match f.core() {
             crate::hub::FilterCore::Single(bf) => assert_eq!(bf.inserted_keys(), 3),
@@ -223,7 +198,6 @@ mod tests {
             StreamingStrategy::BroadcastProbe,
             &[int_col(&[5, 10]), int_col(&[-3, 10])],
             4,
-            BloomLayout::Standard,
         );
         assert_eq!(f.key_bounds(), Some((-3.0, 10.0)));
         // 3 distinct keys after dedup across threads.
@@ -237,7 +211,6 @@ mod tests {
             StreamingStrategy::BroadcastProbe,
             &[int_col(&big)],
             big.len(),
-            BloomLayout::Standard,
         );
         assert!(f.key_hashes().is_none());
         assert_eq!(f.key_bounds(), Some((0.0, big[big.len() - 1] as f64)));
@@ -248,12 +221,7 @@ mod tests {
 
     #[test]
     fn small_builds_skip_the_summary_large_clustered_builds_use_it() {
-        let small = build_filter(
-            StreamingStrategy::BroadcastBuild,
-            &[int_col(&[1, 2])],
-            2,
-            BloomLayout::Standard,
-        );
+        let small = build_filter(StreamingStrategy::BroadcastBuild, &[int_col(&[1, 2])], 2);
         assert!(
             small.key_summary().is_none(),
             "hashes are stronger evidence"
@@ -263,12 +231,7 @@ mod tests {
         let mut keys: Vec<i64> = (0..3000).collect();
         keys.extend(1_000_000..1_003_000);
         let cols: Vec<Column> = keys.chunks(1500).map(int_col).collect();
-        let f = build_filter(
-            StreamingStrategy::PartitionUnaligned,
-            &cols,
-            keys.len(),
-            BloomLayout::Standard,
-        );
+        let f = build_filter(StreamingStrategy::PartitionUnaligned, &cols, keys.len());
         assert!(f.key_hashes().is_none());
         let summary = f.key_summary().expect("summary for large build");
         assert!(summary.overlaps_range(100.0, 200.0));
@@ -285,39 +248,19 @@ mod tests {
             StreamingStrategy::BroadcastBuild,
             &[Column::Utf8(keys, None)],
             2,
-            BloomLayout::Standard,
         );
         assert!(f.key_bounds().is_none());
         assert_eq!(f.key_hashes().map(|h| h.len()), Some(2));
     }
 
     #[test]
-    fn blocked_layout_ships_first_hash_only() {
-        let blocked = build_filter(
-            StreamingStrategy::BroadcastBuild,
-            &[int_col(&[1, 2, 3])],
-            3,
-            BloomLayout::Blocked,
-        );
-        assert!(
-            matches!(blocked.key_hashes(), Some(KeyHashes::FirstOnly(h)) if h.len() == 3),
-            "blocked filters never consume h2, so only h1 should ship"
-        );
-        let standard = build_filter(
-            StreamingStrategy::BroadcastBuild,
-            &[int_col(&[1, 2, 3])],
-            3,
-            BloomLayout::Standard,
-        );
-        assert!(matches!(standard.key_hashes(), Some(KeyHashes::Pairs(h)) if h.len() == 3));
-        // The partitioned strategy follows the same rule.
+    fn partitioned_strategy_ships_small_key_hashes() {
         let part = build_filter(
             StreamingStrategy::PartitionUnaligned,
             &[int_col(&[1, 2]), int_col(&[3, 4])],
             4,
-            BloomLayout::Blocked,
         );
-        assert!(matches!(part.key_hashes(), Some(KeyHashes::FirstOnly(h)) if h.len() == 4));
+        assert_eq!(part.key_hashes().map(|h| h.len()), Some(4));
     }
 
     #[test]
@@ -326,7 +269,6 @@ mod tests {
             StreamingStrategy::BroadcastProbe,
             &[int_col(&[1, 2]), int_col(&[100, 200]), int_col(&[5000])],
             5,
-            BloomLayout::Standard,
         );
         let s = survivors(&f, &int_col(&[1, 200, 5000, 777_777]));
         assert!(s.contains(&0) && s.contains(&1) && s.contains(&2));
@@ -337,12 +279,7 @@ mod tests {
         let keys: Vec<i64> = (0..2000).collect();
         // Split keys across 4 "threads" arbitrarily.
         let cols: Vec<Column> = keys.chunks(500).map(int_col).collect();
-        let f = build_filter(
-            StreamingStrategy::PartitionUnaligned,
-            &cols,
-            keys.len(),
-            BloomLayout::Standard,
-        );
+        let f = build_filter(StreamingStrategy::PartitionUnaligned, &cols, keys.len());
         let s = survivors(&f, &int_col(&keys));
         assert_eq!(s.len(), keys.len(), "lost rows");
         let miss: Vec<i64> = (1_000_000..1_000_500).collect();
@@ -359,22 +296,20 @@ mod tests {
         let cols: Vec<Column> = doubled.chunks(200).map(int_col).collect();
         let absent: Vec<i64> = (0..100_000).map(|k| 10_000_000 + k).collect();
         let absent = int_col(&absent);
-        for layout in BloomLayout::ALL {
-            let bound = 2.0 * crate::math::default_fpr_layout(layout, 311.0);
-            for strategy in [
-                StreamingStrategy::BroadcastBuild,
-                StreamingStrategy::BroadcastProbe,
-                StreamingStrategy::PartitionUnaligned,
-            ] {
-                let threads = match strategy {
-                    StreamingStrategy::BroadcastBuild => vec![int_col(&keys); 3],
-                    _ => cols.clone(),
-                };
-                let f = build_filter(strategy, &threads, 1, layout);
-                assert_eq!(survivors(&f, &int_col(&keys)).len(), keys.len());
-                let fpr = survivors(&f, &absent).len() as f64 / absent.len() as f64;
-                assert!(fpr <= bound, "{strategy:?} {layout}: fpr {fpr} > {bound}");
-            }
+        let bound = 2.0 * crate::math::default_fpr(311.0);
+        for strategy in [
+            StreamingStrategy::BroadcastBuild,
+            StreamingStrategy::BroadcastProbe,
+            StreamingStrategy::PartitionUnaligned,
+        ] {
+            let threads = match strategy {
+                StreamingStrategy::BroadcastBuild => vec![int_col(&keys); 3],
+                _ => cols.clone(),
+            };
+            let f = build_filter(strategy, &threads, 1);
+            assert_eq!(survivors(&f, &int_col(&keys)).len(), keys.len());
+            let fpr = survivors(&f, &absent).len() as f64 / absent.len() as f64;
+            assert!(fpr <= bound, "{strategy:?}: fpr {fpr} > {bound}");
         }
     }
 

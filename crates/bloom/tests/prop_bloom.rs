@@ -1,29 +1,27 @@
 //! Property-based tests for the Bloom filter substrate: the no-false-negative
-//! guarantee under arbitrary key sets (both bit layouts), merge semantics,
-//! strategy equivalence, batch-probe/scalar-probe agreement, and the
-//! blocked layout's FPR band.
+//! guarantee under arbitrary key sets, merge semantics, strategy
+//! equivalence, batch-probe/scalar-probe agreement, and the measured FPR
+//! against the formula the cost model prices.
 
 use bfq_bloom::strategy::{build_filter, StreamingStrategy};
-use bfq_bloom::{BloomFilter, BloomLayout, ProbeScratch};
+use bfq_bloom::{blocked_fpr, BloomFilter, ProbeScratch};
 use bfq_storage::Column;
 use proptest::prelude::*;
 
 proptest! {
     /// The defining property: no false negatives, for any key multiset and
-    /// any (power-of-two) size, under either bit layout.
+    /// any size.
     #[test]
     fn never_false_negative(
         keys in proptest::collection::vec(any::<i64>(), 1..500),
         bits_log2 in 9u32..14,
     ) {
-        for layout in BloomLayout::ALL {
-            let mut f = BloomFilter::with_bits_layout(1 << bits_log2, layout);
-            for &k in &keys {
-                f.insert_i64(k);
-            }
-            for &k in &keys {
-                prop_assert!(f.contains_i64(k), "false negative under {layout}");
-            }
+        let mut f = BloomFilter::with_bits(1 << bits_log2);
+        for &k in &keys {
+            f.insert_i64(k);
+        }
+        for &k in &keys {
+            prop_assert!(f.contains_i64(k), "false negative");
         }
     }
 
@@ -34,28 +32,25 @@ proptest! {
         b_keys in proptest::collection::vec(any::<i64>(), 0..200),
         probes in proptest::collection::vec(any::<i64>(), 1..100),
     ) {
-        for layout in BloomLayout::ALL {
-            let bits = 1 << 12;
-            let mut a = BloomFilter::with_bits_layout(bits, layout);
-            let mut b = BloomFilter::with_bits_layout(bits, layout);
-            for &k in &a_keys { a.insert_i64(k); }
-            for &k in &b_keys { b.insert_i64(k); }
-            let mut u = a.clone();
-            u.union_with(&b);
-            for &p in &probes {
-                // Anything either filter admits, the union admits. (The union
-                // may admit additional false positives — bits set by different
-                // keys can combine — so only this direction is a law.)
-                if a.contains_i64(p) || b.contains_i64(p) {
-                    prop_assert!(u.contains_i64(p));
-                }
+        let bits = 1 << 12;
+        let mut a = BloomFilter::with_bits(bits);
+        let mut b = BloomFilter::with_bits(bits);
+        for &k in &a_keys { a.insert_i64(k); }
+        for &k in &b_keys { b.insert_i64(k); }
+        let mut u = a.clone();
+        u.union_with(&b);
+        for &p in &probes {
+            // Anything either filter admits, the union admits. (The union
+            // may admit additional false positives — bits set by different
+            // keys can combine — so only this direction is a law.)
+            if a.contains_i64(p) || b.contains_i64(p) {
+                prop_assert!(u.contains_i64(p));
             }
         }
     }
 
     /// Every multi-thread §3.9 streaming strategy admits every inserted key
-    /// (their survivor sets may differ only in false positives), under both
-    /// layouts.
+    /// (their survivor sets may differ only in false positives).
     #[test]
     fn strategies_admit_all_keys(
         keys in proptest::collection::vec(-10_000i64..10_000, 4..400),
@@ -68,33 +63,28 @@ proptest! {
             .collect();
         let probe = Column::Int64(keys.clone(), None);
         let all: Vec<u32> = (0..keys.len() as u32).collect();
-        for layout in BloomLayout::ALL {
-            for strat in [
-                StreamingStrategy::BroadcastProbe,
-                StreamingStrategy::PartitionUnaligned,
-            ] {
-                let f = build_filter(strat, &cols, keys.len(), layout);
-                let survivors = f.probe(&probe, &all);
-                prop_assert_eq!(
-                    survivors.len(),
-                    keys.len(),
-                    "{:?}/{} dropped inserted keys", strat, layout
-                );
-            }
+        for strat in [
+            StreamingStrategy::BroadcastProbe,
+            StreamingStrategy::PartitionUnaligned,
+        ] {
+            let f = build_filter(strat, &cols, keys.len());
+            let survivors = f.probe(&probe, &all);
+            prop_assert_eq!(
+                survivors.len(),
+                keys.len(),
+                "{:?} dropped inserted keys", strat
+            );
         }
     }
 
     /// The batched probe over pre-hashed columns returns exactly the rows
-    /// the scalar probe admits — for any keys, probes, selection, and
-    /// layout.
+    /// the scalar probe admits — for any keys, probes and selection.
     #[test]
     fn batch_probe_equals_scalar_probe(
         keys in proptest::collection::vec(any::<i64>(), 1..300),
         probes in proptest::collection::vec(any::<i64>(), 1..300),
-        layout_blocked in any::<bool>(),
     ) {
-        let layout = if layout_blocked { BloomLayout::Blocked } else { BloomLayout::Standard };
-        let mut f = BloomFilter::with_expected_ndv_layout(keys.len(), layout);
+        let mut f = BloomFilter::with_expected_ndv(keys.len());
         for &k in &keys { f.insert_i64(k); }
         let rf = bfq_bloom::RuntimeFilter::single(f.clone());
         let col = Column::Int64(probes.clone(), None);
@@ -108,7 +98,7 @@ proptest! {
             .copied()
             .filter(|&i| f.contains_i64(probes[i as usize]))
             .collect();
-        prop_assert_eq!(out, scalar, "batch/scalar divergence under {}", layout);
+        prop_assert_eq!(out, scalar, "batch/scalar divergence");
     }
 
     /// Saturation is monotone under insertion and bounded by 1.
@@ -125,27 +115,33 @@ proptest! {
     }
 }
 
-/// The blocked layout's observed false-positive rate lands in the band the
-/// corrected theory predicts — above the uncorrected standard formula's
-/// neighborhood is allowed, runaway collision behavior is not.
+/// The FPR the cost model prices (paper §3.5's `fpr`, [`blocked_fpr`]) is
+/// the FPR the runtime filter delivers: over 2–32 bits per key on filters
+/// of 2^12 to 2^20 bits, the filter reports exactly the formula's value
+/// for its size and distinct-key count, and the measured false-positive
+/// rate is within 10% of it (the keys and hash seed are fixed, so the
+/// measurement is deterministic; it lands within 7% on every cell).
 #[test]
 fn blocked_fpr_within_theoretical_band() {
-    for n in [4_096i64, 65_536] {
-        let mut f = BloomFilter::with_expected_ndv_layout(n as usize, BloomLayout::Blocked);
-        for v in 0..n {
-            f.insert_i64(v);
+    const PROBES: i64 = 100_000;
+    for bits_log2 in (12..=20).step_by(2) {
+        let bits = 1usize << bits_log2;
+        for bits_per_key in [2usize, 4, 8, 16, 32] {
+            let n = (bits / bits_per_key) as i64;
+            let mut f = BloomFilter::with_bits(bits);
+            for v in 0..n {
+                f.insert_i64(v);
+            }
+            f.set_ndv_hint(n as u64);
+            let theory = f.estimated_fpr();
+            assert_eq!(theory, blocked_fpr(bits as f64, n as f64));
+            let fp = (n..n + PROBES).filter(|&v| f.contains_i64(v)).count();
+            let observed = fp as f64 / PROBES as f64;
+            assert!(
+                (observed - theory).abs() <= 0.10 * theory,
+                "2^{bits_log2} bits, {bits_per_key} bits/key: observed {observed} \
+                 vs blocked theory {theory}"
+            );
         }
-        let probes = 200_000i64;
-        let fp = (n..n + probes).filter(|&v| f.contains_i64(v)).count();
-        let observed = fp as f64 / probes as f64;
-        let theory = bfq_bloom::blocked_fpr(f.num_bits() as f64, n as f64);
-        assert!(
-            observed < theory * 1.5 + 0.005,
-            "n={n}: observed {observed} way above blocked theory {theory}"
-        );
-        assert!(
-            observed > theory * 0.5 - 0.005,
-            "n={n}: observed {observed} implausibly below blocked theory {theory}"
-        );
     }
 }

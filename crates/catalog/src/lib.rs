@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bfq_common::{BfqError, ColumnId, DataType, Result, TableId};
-use bfq_index::{BloomLayout, TableIndex};
+use bfq_index::TableIndex;
 use bfq_storage::{SchemaRef, Table};
 
 pub use stats::{compute_stats, ColumnStats, TableStats};
@@ -63,9 +63,6 @@ pub struct Catalog {
     /// this so no cached plan can outlive the schema/statistics it was
     /// optimized against.
     version: u64,
-    /// Bit-placement layout for per-chunk Bloom indexes built by
-    /// [`Catalog::register`] / [`Catalog::replace`].
-    index_bloom_layout: BloomLayout,
 }
 
 impl Catalog {
@@ -81,37 +78,12 @@ impl Catalog {
         self.version
     }
 
-    /// Select the bit-placement layout for per-chunk Bloom indexes built by
-    /// subsequent registrations (already-built indexes are untouched —
-    /// probing is layout-agnostic, so mixed layouts stay correct).
-    pub fn set_index_bloom_layout(&mut self, layout: BloomLayout) {
-        self.index_bloom_layout = layout;
-    }
-
-    /// The layout used for newly built per-chunk Bloom indexes.
-    pub fn index_bloom_layout(&self) -> BloomLayout {
-        self.index_bloom_layout
-    }
-
-    /// Switch the chunk-Bloom bit-placement layout *and* migrate every live
-    /// table's chunk index to it, unlike [`Catalog::set_index_bloom_layout`]
-    /// which only affects future registrations. Table data and statistics
-    /// are untouched; only the per-chunk Bloom bit placement changes.
-    /// Bumps [`Catalog::version`] so cached plans (whose scan-cost
-    /// estimates may embed index sizes) are invalidated. Returns the number
-    /// of tables reindexed; a no-op (version untouched) when `layout` is
-    /// already active.
-    pub fn reindex_bloom_layout(&mut self, layout: BloomLayout) -> usize {
-        if layout == self.index_bloom_layout {
-            return 0;
-        }
-        self.index_bloom_layout = layout;
-        for (slot, table) in self.data.iter().enumerate() {
-            self.indexes[slot] = Arc::new(TableIndex::build_layout(table, layout));
-        }
-        self.version += 1;
-        self.data.len()
-    }
+    /// Kept for the frozen end-to-end benchmark, which passes the result to
+    /// [`TableIndex::build_layout`]; there is one chunk-filter layout, so
+    /// it carries nothing. Remove with the benchmark-maintenance change
+    /// (ROADMAP item 1).
+    #[doc(hidden)]
+    pub fn index_bloom_layout(&self) {}
 
     /// Register a table, computing exact statistics from its data.
     ///
@@ -136,7 +108,7 @@ impl Catalog {
         // Per-chunk zone maps and Bloom indexes, built once at load time —
         // the ANALYZE-adjacent step a columnar store runs while sealing
         // segments. Consultation is gated by the session's `IndexMode`.
-        let index = TableIndex::build_layout(&table, self.index_bloom_layout);
+        let index = TableIndex::build(&table);
         self.metas.push(TableMeta {
             id,
             name: name.clone(),
@@ -169,7 +141,7 @@ impl Catalog {
             }
         }
         let stats = compute_stats(&table)?;
-        let index = TableIndex::build_layout(&table, self.index_bloom_layout);
+        let index = TableIndex::build(&table);
         let slot = id.0 as usize;
         self.metas[slot] = TableMeta {
             id,
@@ -390,65 +362,6 @@ mod tests {
         assert!(!cat.is_foreign_key(to, from));
         // Non-unique target rejected.
         assert!(cat.add_foreign_key(to, ColumnId::new(fk, 0)).is_err());
-    }
-
-    #[test]
-    fn reindex_bloom_layout_migrates_live_indexes() {
-        use bfq_expr::Expr;
-        use bfq_index::IndexMode;
-
-        // Four chunks with disjoint key ranges, so every probe below has a
-        // layout-independent answer: zone maps exclude the three chunks
-        // whose range misses the key, and Bloom filters never produce a
-        // false negative for the one chunk that holds it.
-        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int64)]));
-        let chunks: Vec<Chunk> = (0..4)
-            .map(|c| {
-                let keys: Vec<i64> = (c * 100..c * 100 + 100).collect();
-                Chunk::new(vec![Arc::new(Column::Int64(keys, None))]).unwrap()
-            })
-            .collect();
-        let table = Table::new("t", schema, chunks).unwrap();
-
-        let mut cat = Catalog::new();
-        assert_eq!(cat.index_bloom_layout(), BloomLayout::default());
-        cat.set_index_bloom_layout(BloomLayout::Standard);
-        let id = cat.register(table, vec![0]).unwrap();
-        let version_before = cat.version();
-        let col = ColumnId::new(id, 0);
-        let resolve = |c: ColumnId| Some(c.index as usize);
-        let probes: Vec<i64> = vec![-5, 0, 17, 150, 299, 301, 399, 1000];
-        let decide = |cat: &Catalog| -> Vec<(usize, usize)> {
-            let index = cat.index(id).unwrap();
-            probes
-                .iter()
-                .map(|&k| {
-                    let pred = Expr::col(col).eq(Expr::lit(bfq_common::Datum::Int(k)));
-                    index.matching_rows(&pred, &resolve, IndexMode::ZoneMapBloom)
-                })
-                .collect()
-        };
-        let before = decide(&cat);
-
-        // Same layout: nothing to migrate, version untouched.
-        assert_eq!(cat.reindex_bloom_layout(BloomLayout::Standard), 0);
-        assert_eq!(cat.version(), version_before);
-
-        // Migrate to blocked layout: indexes are rebuilt in place.
-        assert_eq!(cat.reindex_bloom_layout(BloomLayout::Blocked), 1);
-        assert_eq!(cat.index_bloom_layout(), BloomLayout::Blocked);
-        assert_eq!(cat.version(), version_before + 1);
-        let ci = cat.index(id).unwrap().chunk(0).unwrap();
-        assert_eq!(
-            ci.columns[0].bloom.as_ref().map(|b| b.layout()),
-            Some(BloomLayout::Blocked)
-        );
-        assert_eq!(decide(&cat), before, "skip decisions must not change");
-
-        // And back again.
-        assert_eq!(cat.reindex_bloom_layout(BloomLayout::Standard), 1);
-        assert_eq!(cat.version(), version_before + 2);
-        assert_eq!(decide(&cat), before);
     }
 
     #[test]

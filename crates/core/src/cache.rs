@@ -265,11 +265,6 @@ mod tests {
             ..Default::default()
         };
         assert_ne!(a.cache_fingerprint(), c.cache_fingerprint());
-        let d = OptimizerConfig {
-            bloom_layout: crate::BloomLayout::Standard,
-            ..Default::default()
-        };
-        assert_ne!(a.cache_fingerprint(), d.cache_fingerprint());
         let g = OptimizerConfig {
             semijoin: crate::SemijoinMode::Off,
             ..Default::default()

@@ -147,13 +147,7 @@ fn optimize_block_inner(
             block.num_rels()
         )));
     }
-    let est = Estimator::with_modes(
-        block,
-        bindings,
-        catalog,
-        config.index_mode,
-        config.bloom_layout,
-    );
+    let est = Estimator::with_index_mode(block, bindings, catalog, config.index_mode);
     let model = CostModel {
         params: config.cost.clone(),
         dop: config.dop,

@@ -44,7 +44,6 @@ pub use candidates::{mark_candidates, BfCandidate};
 pub use driver::{optimize, optimize_bare_block, optimize_block, OptimizedQuery, OptimizerStats};
 pub use subplan::{PendingBf, PlanList, SubPlan};
 
-pub use bfq_bloom::BloomLayout;
 use bfq_cost::CostParams;
 pub use bfq_index::IndexMode;
 
@@ -159,12 +158,6 @@ pub struct OptimizerConfig {
     /// data skipping feeds back into plan choice. Off / zone maps only /
     /// zone maps + chunk Bloom probes.
     pub index_mode: IndexMode,
-    /// Bit-placement layout for runtime Bloom filters: `blocked` (both
-    /// bits in one 64-byte block, one miss per probe — the default) or
-    /// `standard` (uniform bits, two cache misses per probe). Results are
-    /// the same under either. The estimator's FPR math follows the layout,
-    /// and the knob participates in the plan-cache fingerprint.
-    pub bloom_layout: BloomLayout,
     /// Semijoin-program rewrite mode (see [`SemijoinMode`]). Plan-affecting
     /// and therefore part of the plan-cache fingerprint.
     pub semijoin: SemijoinMode,
@@ -188,7 +181,6 @@ impl Default for OptimizerConfig {
             naive_time_limit_ms: 60_000,
             max_bf_subplans_per_rel: 64,
             index_mode: IndexMode::default(),
-            bloom_layout: BloomLayout::default(),
             semijoin: SemijoinMode::default(),
         }
     }
@@ -218,12 +210,6 @@ impl OptimizerConfig {
     /// Builder-style index-mode override (data-skipping ablation knob).
     pub fn index_mode(mut self, mode: IndexMode) -> Self {
         self.index_mode = mode;
-        self
-    }
-
-    /// Builder-style Bloom filter layout override.
-    pub fn bloom_layout(mut self, layout: BloomLayout) -> Self {
-        self.bloom_layout = layout;
         self
     }
 

@@ -3,7 +3,6 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use bfq_bloom::BloomLayout;
 use bfq_catalog::Catalog;
 use bfq_common::{ColumnId, RelSet};
 use bfq_expr::{estimate_selectivity, Expr};
@@ -47,10 +46,6 @@ pub struct Estimator<'a> {
     read_rows: Vec<f64>,
     join_memo: RefCell<HashMap<u64, f64>>,
     ndv_memo: RefCell<HashMap<(ColumnId, u64), f64>>,
-    /// Bit-placement layout runtime filters will be built with; selects
-    /// the FPR formula in [`Estimator::bf_fpr`] so plan choice reflects
-    /// the layout that actually runs.
-    bloom_layout: BloomLayout,
     /// Data-skipping mode in effect; with zone maps on, clustered apply
     /// columns tighten [`Estimator::bf_pass_fraction`].
     index_mode: IndexMode,
@@ -61,20 +56,6 @@ impl<'a> Estimator<'a> {
     /// (no chunk-index feedback; see [`Estimator::with_index_mode`]).
     pub fn new(block: &'a QueryBlock, bindings: &'a Bindings, catalog: &'a Catalog) -> Self {
         Self::with_index_mode(block, bindings, catalog, IndexMode::Off)
-    }
-
-    /// Build an estimator with an explicit index mode and Bloom layout —
-    /// the full-config constructor the optimizer driver uses.
-    pub fn with_modes(
-        block: &'a QueryBlock,
-        bindings: &'a Bindings,
-        catalog: &'a Catalog,
-        index_mode: IndexMode,
-        bloom_layout: BloomLayout,
-    ) -> Self {
-        let mut est = Self::with_index_mode(block, bindings, catalog, index_mode);
-        est.bloom_layout = bloom_layout;
-        est
     }
 
     /// Build an estimator that additionally consults per-chunk zone maps
@@ -130,7 +111,6 @@ impl<'a> Estimator<'a> {
             read_rows,
             join_memo: RefCell::new(HashMap::new()),
             ndv_memo: RefCell::new(HashMap::new()),
-            bloom_layout: BloomLayout::default(),
             index_mode,
         }
     }
@@ -371,13 +351,12 @@ impl<'a> Estimator<'a> {
     }
 
     /// False-positive rate of the filter, sized (as the runtime will size
-    /// it) for the effective build NDV, under the layout the runtime will
-    /// build — the blocked layout pays a small block-collision correction
-    /// ([`bfq_bloom::math::blocked_fpr`]) that this keeps visible to plan
-    /// choice.
+    /// it) for the effective build NDV — including the block-collision
+    /// correction ([`bfq_bloom::math::blocked_fpr`]) of the filter the
+    /// runtime builds, so plan choice sees it.
     pub fn bf_fpr(&self, bf: &BfAssumption) -> f64 {
         let d_build = self.effective_build_ndv(bf.build_col, bf.delta);
-        bfq_bloom::math::default_fpr_layout(self.bloom_layout, d_build)
+        bfq_bloom::math::default_fpr(d_build)
     }
 
     /// Row-pass-through fraction of one Bloom filter:

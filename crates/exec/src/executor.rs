@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use bfq_bloom::strategy::{build_filter, StreamingStrategy};
-use bfq_bloom::{BloomLayout, FilterHub};
+use bfq_bloom::FilterHub;
 use bfq_catalog::Catalog;
 use bfq_common::{BfqError, CancelToken, DataType, Result};
 use bfq_expr::{eval, Layout};
@@ -51,17 +51,15 @@ impl Default for ExecConfig {
 }
 
 /// Everything one execution is told besides the plan and the catalog: the
-/// three values the plan was costed under that the executor must honour
-/// (`dop`, `index_mode`, `bloom_layout`), the execution-only [`ExecConfig`],
-/// and the per-execution interruption handle.
+/// two values the plan was costed under that the executor must honour
+/// (`dop`, `index_mode`), the execution-only [`ExecConfig`], and the
+/// per-execution interruption handle.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Degree of parallelism.
     pub dop: usize,
     /// How much of the per-chunk index scans consult (data skipping).
     pub index_mode: IndexMode,
-    /// Bit-placement layout for runtime Bloom filters.
-    pub bloom_layout: BloomLayout,
     /// Profiling, statement timeout, buffered-rows budget.
     pub exec: ExecConfig,
     /// Cooperative interruption: polled at every morsel claim and every
@@ -75,7 +73,6 @@ impl Default for ExecOptions {
         ExecOptions {
             dop: 1,
             index_mode: IndexMode::default(),
-            bloom_layout: BloomLayout::default(),
             exec: ExecConfig::default(),
             interrupt: None,
         }
@@ -259,12 +256,7 @@ pub(crate) fn seal_build_side(
                     .collect()
             };
             let started = std::time::Instant::now();
-            let filter = build_filter(
-                strategy,
-                &thread_keys,
-                b.expected_ndv.max(1.0) as usize,
-                ctx.options.bloom_layout,
-            );
+            let filter = build_filter(strategy, &thread_keys, b.expected_ndv.max(1.0) as usize);
             // Builds happen once per filter per query — cheap to time
             // unconditionally, and `Engine::metrics()` wants the count
             // even with per-node profiling off.
@@ -305,7 +297,6 @@ pub(crate) fn publish_reducer(
         StreamingStrategy::PartitionUnaligned,
         &thread_keys,
         expected_ndv.max(1.0) as usize,
-        ctx.options.bloom_layout,
     );
     ctx.stats
         .note_filter_build(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));

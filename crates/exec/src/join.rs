@@ -459,7 +459,7 @@ mod tests {
         }
     }
 
-    fn joined_layout() -> Layout {
+    fn layout_of_join() -> Layout {
         Layout::new(vec![
             ColumnId::new(TableId(0), 0),
             ColumnId::new(TableId(1), 0),
@@ -482,7 +482,7 @@ mod tests {
             &[0],
             kind,
             extra,
-            &joined_layout(),
+            &layout_of_join(),
             &[DataType::Int64],
             &mut scratch,
         )
@@ -642,7 +642,7 @@ mod tests {
         let outer = pd(vec![vec![1, 2]]);
         let inner = pd(vec![vec![10, 20, 30]]);
         let cross =
-            nestloop_join(&outer, &inner, JoinKind::Inner, &None, &joined_layout()).unwrap();
+            nestloop_join(&outer, &inner, JoinKind::Inner, &None, &layout_of_join()).unwrap();
         assert_eq!(cross.total_rows(), 6);
         let pred = Expr::binary(
             bfq_expr::BinOp::Gt,
@@ -654,7 +654,7 @@ mod tests {
             &inner,
             JoinKind::Inner,
             &Some(pred.clone()),
-            &joined_layout(),
+            &layout_of_join(),
         )
         .unwrap();
         assert_eq!(filtered.total_rows(), 4);
@@ -663,7 +663,7 @@ mod tests {
             &pd(vec![vec![]]),
             JoinKind::Anti,
             &Some(pred),
-            &joined_layout(),
+            &layout_of_join(),
         )
         .unwrap();
         assert_eq!(anti.total_rows(), 2);

@@ -36,7 +36,6 @@ pub mod pipeline;
 pub mod scan;
 pub mod util;
 
-pub use bfq_bloom::BloomLayout;
 pub use bfq_index::IndexMode;
 pub use data::{ExecStats, PartitionedData, ScanPruneStats};
 pub use executor::{ExecConfig, ExecContext, ExecOptions, QueryOutput};

@@ -14,10 +14,10 @@
 //! of row count shrinks low-cardinality-column filters dramatically: a
 //! 64k-row chunk of `l_shipmode` holds 7 distinct values, so its filter
 //! drops from ~80 KB to a few bytes at the same false-positive budget.
-//! Filters use the same hash seeds as runtime join filters so one hashing
+//! Filters use the same hash seed as runtime join filters so one hashing
 //! convention serves both layers.
 
-use bfq_bloom::{BloomFilter, BloomLayout};
+use bfq_bloom::BloomFilter;
 use bfq_common::DataType;
 use bfq_storage::{Chunk, Column};
 
@@ -28,15 +28,8 @@ fn bloom_indexed(dt: DataType) -> bool {
     matches!(dt, DataType::Int64 | DataType::Date | DataType::Utf8)
 }
 
-/// Build the index entry for one column (standard-layout chunk filters).
+/// Build the index entry for one column.
 pub fn build_column_index(col: &Column) -> ColumnIndex {
-    build_column_index_layout(col, BloomLayout::Standard)
-}
-
-/// Build the index entry for one column, with chunk Bloom filters laid out
-/// per `layout` (probing is layout-agnostic: a filter knows its own bit
-/// placement, so scans and runtime-filter key hashes work against either).
-pub fn build_column_index_layout(col: &Column, layout: BloomLayout) -> ColumnIndex {
     let rows = col.len();
     let null_count = col.null_count();
     let zone = col.min_max_axis().map(|(min, max)| ZoneMap { min, max });
@@ -46,7 +39,7 @@ pub fn build_column_index_layout(col: &Column, layout: BloomLayout) -> ColumnInd
         // row count shrinks low-cardinality filters 2-4x+ at the same
         // false-positive rate.
         let ndv = col.count_distinct().max(1);
-        let mut f = BloomFilter::with_expected_ndv_layout(ndv, layout);
+        let mut f = BloomFilter::with_expected_ndv(ndv);
         f.insert_column(col);
         f.set_ndv_hint(ndv as u64);
         f
@@ -60,19 +53,14 @@ pub fn build_column_index_layout(col: &Column, layout: BloomLayout) -> ColumnInd
     }
 }
 
-/// Build the per-column index for a sealed chunk (standard-layout filters).
+/// Build the per-column index for a sealed chunk.
 pub fn build_chunk_index(chunk: &Chunk) -> ChunkIndex {
-    build_chunk_index_layout(chunk, BloomLayout::Standard)
-}
-
-/// Build the per-column index for a sealed chunk under `layout`.
-pub fn build_chunk_index_layout(chunk: &Chunk, layout: BloomLayout) -> ChunkIndex {
     ChunkIndex {
         rows: chunk.rows(),
         columns: chunk
             .columns()
             .iter()
-            .map(|c| build_column_index_layout(c, layout))
+            .map(|c| build_column_index(c))
             .collect(),
     }
 }

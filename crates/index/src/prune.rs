@@ -16,7 +16,7 @@
 //! — when the filter's merged per-partition [`KeySummary`] has no occupied
 //! bucket inside the chunk's value range.
 
-use bfq_bloom::{KeyHashes, KeySummary, BLOOM_SEED_1, BLOOM_SEED_2};
+use bfq_bloom::{KeySummary, BLOOM_SEED};
 use bfq_common::hash::{hash_bytes, hash_f64, hash_i64};
 use bfq_common::{ColumnId, DataType, Datum};
 use bfq_expr::{BinOp, Expr, UnOp};
@@ -67,12 +67,12 @@ pub fn chunk_prune(
 /// Decide whether any row of the indexed column can survive a runtime join
 /// filter described by its build-key `bounds` (numeric-axis min/max), the
 /// exact `key_hashes` of its keys when the build side was small (hashed
-/// with the shared Bloom seeds), or the [`KeySummary`] occupancy sketch
+/// with the shared [`BLOOM_SEED`]), or the [`KeySummary`] occupancy sketch
 /// carried by large numeric builds.
 pub fn rf_chunk_prune(
     ci: &ColumnIndex,
     bounds: Option<(f64, f64)>,
-    key_hashes: Option<&KeyHashes>,
+    key_hashes: Option<&[u64]>,
     key_summary: Option<&KeySummary>,
     mode: IndexMode,
 ) -> PruneOutcome {
@@ -102,20 +102,7 @@ pub fn rf_chunk_prune(
                 return PruneOutcome::SkipBloom;
             }
             if let Some(bloom) = ci.bloom.as_ref() {
-                let all_miss = match keys {
-                    KeyHashes::Pairs(pairs) => {
-                        pairs.iter().all(|&(h1, h2)| !bloom.contains_hashes(h1, h2))
-                    }
-                    // First-hash-only keys (blocked-layout build) can
-                    // probe only a chunk filter that itself derives every
-                    // bit from h1; a standard chunk filter would read the
-                    // missing h2 and could prove a false skip.
-                    KeyHashes::FirstOnly(h1s) => {
-                        !bloom.needs_second_hash()
-                            && h1s.iter().all(|&h1| !bloom.contains_hashes(h1, 0))
-                    }
-                };
-                if all_miss {
+                if keys.iter().all(|&h| !bloom.contains_hash(h)) {
                     return PruneOutcome::SkipBloom;
                 }
             }
@@ -127,25 +114,16 @@ pub fn rf_chunk_prune(
 /// Hash a literal the way [`bfq_storage::Column::hash_one`] hashes a value
 /// of the column's type, coercing compatible numerics. `None` means the
 /// literal cannot be hashed consistently (no Bloom conclusion possible).
-fn hash_literal(d: &Datum, dt: DataType) -> Option<(u64, u64)> {
-    let hash_pair_i64 = |v: i64| Some((hash_i64(v, BLOOM_SEED_1), hash_i64(v, BLOOM_SEED_2)));
+fn hash_literal(d: &Datum, dt: DataType) -> Option<u64> {
     match (dt, d) {
-        (DataType::Int64, Datum::Int(v)) => hash_pair_i64(*v),
-        (DataType::Int64, Datum::Date(v)) => hash_pair_i64(*v as i64),
-        (DataType::Date, Datum::Date(v)) => hash_pair_i64(*v as i64),
-        (DataType::Date, Datum::Int(v)) => hash_pair_i64(*v),
-        (DataType::Float64, Datum::Float(v)) => {
-            Some((hash_f64(*v, BLOOM_SEED_1), hash_f64(*v, BLOOM_SEED_2)))
-        }
-        (DataType::Float64, Datum::Int(v)) => Some((
-            hash_f64(*v as f64, BLOOM_SEED_1),
-            hash_f64(*v as f64, BLOOM_SEED_2),
-        )),
-        (DataType::Utf8, Datum::Str(s)) => Some((
-            hash_bytes(s.as_bytes(), BLOOM_SEED_1),
-            hash_bytes(s.as_bytes(), BLOOM_SEED_2),
-        )),
-        (DataType::Bool, Datum::Bool(b)) => hash_pair_i64(*b as i64),
+        (DataType::Int64, Datum::Int(v)) => Some(hash_i64(*v, BLOOM_SEED)),
+        (DataType::Int64, Datum::Date(v)) => Some(hash_i64(*v as i64, BLOOM_SEED)),
+        (DataType::Date, Datum::Date(v)) => Some(hash_i64(*v as i64, BLOOM_SEED)),
+        (DataType::Date, Datum::Int(v)) => Some(hash_i64(*v, BLOOM_SEED)),
+        (DataType::Float64, Datum::Float(v)) => Some(hash_f64(*v, BLOOM_SEED)),
+        (DataType::Float64, Datum::Int(v)) => Some(hash_f64(*v as f64, BLOOM_SEED)),
+        (DataType::Utf8, Datum::Str(s)) => Some(hash_bytes(s.as_bytes(), BLOOM_SEED)),
+        (DataType::Bool, Datum::Bool(b)) => Some(hash_i64(*b as i64, BLOOM_SEED)),
         _ => None,
     }
 }
@@ -237,10 +215,10 @@ fn cmp_may_match(
                 }
             }
             if use_bloom {
-                if let (Some(bloom), Some((h1, h2))) =
+                if let (Some(bloom), Some(h)) =
                     (ci.bloom.as_ref(), hash_literal(&constant, ci.data_type))
                 {
-                    return bloom.contains_hashes(h1, h2);
+                    return bloom.contains_hash(h);
                 }
             }
             true
@@ -530,22 +508,15 @@ mod tests {
         // Exact key hashes prune via the chunk Bloom.
         let absent = hash_literal(&Datum::Int(999), DataType::Int64).unwrap();
         let present = hash_literal(&Datum::Int(12), DataType::Int64).unwrap();
-        let pairs = |v: &[(u64, u64)]| KeyHashes::Pairs(v.to_vec());
         assert_eq!(
-            rf_chunk_prune(
-                ints,
-                None,
-                Some(&pairs(&[absent])),
-                None,
-                IndexMode::ZoneMapBloom
-            ),
+            rf_chunk_prune(ints, None, Some(&[absent]), None, IndexMode::ZoneMapBloom),
             PruneOutcome::SkipBloom
         );
         assert_eq!(
             rf_chunk_prune(
                 ints,
                 None,
-                Some(&pairs(&[absent, present])),
+                Some(&[absent, present]),
                 None,
                 IndexMode::ZoneMapBloom
             ),
@@ -553,72 +524,12 @@ mod tests {
         );
         // Empty build side prunes everything.
         assert_eq!(
-            rf_chunk_prune(ints, None, Some(&pairs(&[])), None, IndexMode::ZoneMapBloom),
-            PruneOutcome::SkipBloom
-        );
-        assert_eq!(
-            rf_chunk_prune(
-                ints,
-                None,
-                Some(&KeyHashes::FirstOnly(vec![])),
-                None,
-                IndexMode::ZoneMapBloom
-            ),
+            rf_chunk_prune(ints, None, Some(&[]), None, IndexMode::ZoneMapBloom),
             PruneOutcome::SkipBloom
         );
         // Bloom-tier evidence needs the bloom mode.
         assert_eq!(
-            rf_chunk_prune(
-                ints,
-                None,
-                Some(&pairs(&[absent])),
-                None,
-                IndexMode::ZoneMap
-            ),
-            PruneOutcome::Keep
-        );
-    }
-
-    #[test]
-    fn first_only_hashes_probe_blocked_chunk_filters_only() {
-        let ints: Vec<i64> = (10..20).collect();
-        let chunk = Chunk::new(vec![Arc::new(Column::Int64(ints, None))]).unwrap();
-        let blocked_ci =
-            &crate::build_chunk_index_layout(&chunk, bfq_bloom::BloomLayout::Blocked).columns[0];
-        let standard_ci = &build_chunk_index(&chunk).columns[0];
-        let absent = KeyHashes::FirstOnly(vec![hash_i64(999, BLOOM_SEED_1)]);
-        let present = KeyHashes::FirstOnly(vec![hash_i64(12, BLOOM_SEED_1)]);
-        // Against a blocked chunk filter, h1 alone is a full probe.
-        assert_eq!(
-            rf_chunk_prune(
-                blocked_ci,
-                None,
-                Some(&absent),
-                None,
-                IndexMode::ZoneMapBloom
-            ),
-            PruneOutcome::SkipBloom
-        );
-        assert_eq!(
-            rf_chunk_prune(
-                blocked_ci,
-                None,
-                Some(&present),
-                None,
-                IndexMode::ZoneMapBloom
-            ),
-            PruneOutcome::Keep
-        );
-        // A standard chunk filter needs h2 the keys do not carry: no
-        // conclusion, the chunk must be kept even for an absent key.
-        assert_eq!(
-            rf_chunk_prune(
-                standard_ci,
-                None,
-                Some(&absent),
-                None,
-                IndexMode::ZoneMapBloom
-            ),
+            rf_chunk_prune(ints, None, Some(&[absent]), None, IndexMode::ZoneMap),
             PruneOutcome::Keep
         );
     }

@@ -13,13 +13,9 @@
 use std::sync::Arc;
 
 use bfq_bloom::strategy::{build_filter, StreamingStrategy};
-use bfq_bloom::BloomLayout;
 use bfq_common::{ColumnId, Datum, TableId};
 use bfq_expr::{eval_predicate, BinOp, Expr, Layout, UnOp};
-use bfq_index::{
-    build_chunk_index, build_chunk_index_layout, chunk_prune, rf_chunk_prune, IndexMode,
-    PruneOutcome,
-};
+use bfq_index::{build_chunk_index, chunk_prune, rf_chunk_prune, IndexMode, PruneOutcome};
 use bfq_storage::{Bitmap, Chunk, Column, StrData};
 use proptest::prelude::*;
 
@@ -143,35 +139,27 @@ proptest! {
         build_keys in proptest::collection::vec(-100i64..100, 0..60),
     ) {
         let intersects = chunk_keys.iter().any(|k| build_keys.contains(k));
-        // Both layouts: standard ships (h1, h2) key pairs, blocked ships
-        // first-only hashes — the skip must stay a proof either way.
-        for layout in BloomLayout::ALL {
-            let col = Column::Int64(chunk_keys.clone(), None);
-            let ci = build_chunk_index_layout(&Chunk::new(vec![Arc::new(col)]).unwrap(), layout);
-            let ci = &ci.columns[0];
-            let filter = build_filter(
-                StreamingStrategy::BroadcastBuild,
-                &[Column::Int64(build_keys.clone(), None)],
-                build_keys.len().max(1),
-                layout,
+        let col = Column::Int64(chunk_keys, None);
+        let ci = build_chunk_index(&Chunk::new(vec![Arc::new(col)]).unwrap());
+        let ci = &ci.columns[0];
+        let filter = build_filter(
+            StreamingStrategy::BroadcastBuild,
+            &[Column::Int64(build_keys.clone(), None)],
+            build_keys.len().max(1),
+        );
+        for mode in IndexMode::ALL {
+            let verdict = rf_chunk_prune(
+                ci,
+                filter.key_bounds(),
+                filter.key_hashes(),
+                filter.key_summary(),
+                mode,
             );
-            for mode in IndexMode::ALL {
-                let verdict = rf_chunk_prune(
-                    ci,
-                    filter.key_bounds(),
-                    filter.key_hashes(),
-                    filter.key_summary(),
-                    mode,
-                );
-                if verdict != PruneOutcome::Keep {
-                    prop_assert!(
-                        !intersects,
-                        "{mode:?}/{layout:?} pruned a chunk that shares build keys"
-                    );
-                }
-                if mode == IndexMode::Off {
-                    prop_assert_eq!(verdict, PruneOutcome::Keep);
-                }
+            if verdict != PruneOutcome::Keep {
+                prop_assert!(!intersects, "{mode:?} pruned a chunk that shares build keys");
+            }
+            if mode == IndexMode::Off {
+                prop_assert_eq!(verdict, PruneOutcome::Keep);
             }
         }
     }
@@ -190,7 +178,6 @@ fn rf_summary_pruning_never_skips_joinable_rows() {
         StreamingStrategy::BroadcastBuild,
         &[Column::Int64(build.clone(), None)],
         build.len(),
-        BloomLayout::Standard,
     );
     assert!(
         filter.key_hashes().is_none(),

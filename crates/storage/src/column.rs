@@ -480,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn str_data_layout() {
+    fn str_data_round_trips() {
         let mut s = StrData::new();
         s.push("hello");
         s.push("");

@@ -7,7 +7,8 @@ deterministic for a fixed generator seed, so they gate at a tight relative
 tolerance. `*_checksum` metrics are result-correctness checks and gate
 EXACTLY (zero tolerance). `*_ms` and `*_ns` timing metrics are reported for
 trending but never gated — shared CI runners are too noisy for a hard
-latency bar.
+latency bar. Every baseline key must be in the fresh report, timings
+included: a metric leaves the gate only by leaving the baseline.
 
 Usage: scripts/bench_gate.py <fresh.json> <baseline.json> [rel_tol]
 Exit code 0 = pass, 1 = regression / metric drift.
@@ -34,11 +35,11 @@ def main():
     failures = []
     for key, expected in sorted(base.items()):
         got = fresh.get(key)
-        if key.endswith(("_ms", "_ns")):
-            print(f"  (trend) {key}: baseline {expected:.3f} -> {got if got is not None else 'MISSING'}")
-            continue
         if got is None:
             failures.append(f"{key}: missing from fresh run (baseline {expected})")
+            continue
+        if key.endswith(("_ms", "_ns")):
+            print(f"  (trend) {key}: baseline {expected:.3f} -> {got:.3f}")
             continue
         if key.endswith("_checksum"):
             # Result checksums are correctness, not perf: exact match only.

@@ -209,14 +209,13 @@ impl Connection {
     }
 }
 
-/// What an execution under `settings` is told: the three plan settings the
+/// What an execution under `settings` is told: the two plan settings the
 /// executor must honour, the execution-only ones whole, and no
 /// interruption token yet (see [`arm`]).
 fn exec_options(settings: &Settings) -> ExecOptions {
     ExecOptions {
         dop: settings.plan.dop,
         index_mode: settings.plan.index_mode,
-        bloom_layout: settings.plan.bloom_layout,
         exec: settings.exec,
         interrupt: None,
     }

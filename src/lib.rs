@@ -78,7 +78,7 @@ pub mod prelude {
     pub use bfq_common::{
         BfqError, CancelHub, CancelReason, CancelToken, DataType, Datum, RelSet, Result,
     };
-    pub use bfq_core::{BloomLayout, BloomMode, PlanCacheStats};
+    pub use bfq_core::{BloomMode, PlanCacheStats};
     pub use bfq_index::IndexMode;
     pub use bfq_obs::{MetricsSnapshot, PhaseBreakdown, QueryProfile};
     pub use bfq_storage::{Chunk, Table};

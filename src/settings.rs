@@ -21,7 +21,7 @@ use bfq_exec::ExecConfig;
 #[derive(Debug, Clone, Default)]
 pub struct Settings {
     /// What the optimizer reads (and the executor honours: `dop`,
-    /// `index_mode`, `bloom_layout`). Plan-cache fingerprint.
+    /// `index_mode`). Plan-cache fingerprint.
     pub plan: OptimizerConfig,
     /// What only an execution reads: profiling, timeout, row budget.
     pub exec: ExecConfig,
@@ -59,7 +59,7 @@ fn store<T>(slot: &mut T, parsed: Option<T>) -> Option<()> {
 }
 
 /// Every `SET` name, in the order the unknown-option message lists them.
-pub const SETTINGS: [Setting; 8] = [
+pub const SETTINGS: [Setting; 7] = [
     Setting {
         name: "bloom_mode",
         values: "none|post|cbo|naive",
@@ -75,13 +75,6 @@ pub const SETTINGS: [Setting; 8] = [
             store(&mut s.plan.bloom_mode, mode)
         },
         reset: |s, d| s.plan.bloom_mode = d.plan.bloom_mode,
-    },
-    Setting {
-        name: "bloom_layout",
-        values: "standard|blocked",
-        class: SettingClass::Plan,
-        set: |s, v| store(&mut s.plan.bloom_layout, v.parse().ok()),
-        reset: |s, d| s.plan.bloom_layout = d.plan.bloom_layout,
     },
     Setting {
         name: "index_mode",

@@ -14,10 +14,10 @@
 //! 2. **Edge cases** the generator can't hit deterministically: empty
 //!    build, all-null build, every-row-identical build.
 //! 3. **TPC-H spot check**: the join-heaviest queries through the whole
-//!    engine return the reference interpreter's result whichever
-//!    `bloom_layout` runs, at several dops. (The exhaustive TPC-H ×
-//!    index-mode × dop matrix lives in `pipeline_equivalence.rs` and
-//!    `bloom_layout_equivalence.rs`.)
+//!    engine return the reference interpreter's result at dop 1 and 4,
+//!    which lay the build tables out in different partitions. (The
+//!    exhaustive TPC-H × index-mode × dop matrix lives in
+//!    `pipeline_equivalence.rs`.)
 
 mod common;
 
@@ -45,7 +45,7 @@ fn int_chunk(vals: &[i64], nulls: &[bool]) -> Chunk {
     Chunk::new(vec![Arc::new(Column::Int64(vals.to_vec(), validity))]).unwrap()
 }
 
-fn joined_layout() -> Layout {
+fn layout_of_join() -> Layout {
     Layout::new(vec![
         ColumnId::new(TableId(0), 0),
         ColumnId::new(TableId(1), 0),
@@ -131,7 +131,7 @@ fn assert_probe_equivalence(
             &[0],
             kind,
             &None,
-            &joined_layout(),
+            &layout_of_join(),
             &[DataType::Int64],
             &mut scratch,
         )
@@ -264,7 +264,7 @@ fn scratch_reuse_stays_allocation_free() {
             &[0],
             JoinKind::Inner,
             &None,
-            &joined_layout(),
+            &layout_of_join(),
             &[DataType::Int64],
             scratch,
         )
@@ -288,21 +288,18 @@ fn tpch_join_results_match_the_reference_across_layouts_and_dop() {
     for q in [5usize, 9, 18] {
         let sql = tpch::query_text(q, SF);
         let want = tpch_expected(&catalog, q, SF).expect("not a pinned divergence");
-        for layout in BloomLayout::ALL {
-            for dop in [1usize, 4] {
-                let engine = Engine::over_catalog(
-                    catalog.clone(),
-                    EngineConfig::default()
-                        .with_bloom_mode(BloomMode::Cbo)
-                        .with_bloom_layout(layout)
-                        .with_dop(dop),
-                );
-                let out = engine
-                    .connect()
-                    .run_sql(&sql)
-                    .unwrap_or_else(|e| panic!("Q{q} [{layout} dop={dop}]: {e}"));
-                want.assert_matches(&out.chunk, &format!("Q{q} [{layout} dop={dop}]"));
-            }
+        for dop in [1usize, 4] {
+            let engine = Engine::over_catalog(
+                catalog.clone(),
+                EngineConfig::default()
+                    .with_bloom_mode(BloomMode::Cbo)
+                    .with_dop(dop),
+            );
+            let out = engine
+                .connect()
+                .run_sql(&sql)
+                .unwrap_or_else(|e| panic!("Q{q} [dop={dop}]: {e}"));
+            want.assert_matches(&out.chunk, &format!("Q{q} [dop={dop}]"));
         }
     }
 }

@@ -1,11 +1,15 @@
-//! Runtime-filter chunk skipping beyond the exact-hash limit.
+//! Runtime filters and chunk Bloom indexes at the scan.
 //!
-//! Build sides with ≤ 1024 distinct keys ship exact key hashes, letting
-//! scans probe per-chunk Bloom indexes. Above that limit skipping used to
-//! silently disable; the filter now carries a merged per-partition
-//! [`bfq::bloom::KeySummary`] so key-clustered fact chunks are still
-//! skipped — and `ScanPruneStats::skipped_rfsummary` makes the tier that
-//! proved each skip observable.
+//! * Build sides with ≤ 1024 distinct keys ship exact key hashes, letting
+//!   scans probe per-chunk Bloom indexes. Above that limit the filter
+//!   carries a merged per-partition [`bfq::bloom::KeySummary`] so
+//!   key-clustered fact chunks are still skipped — and
+//!   `ScanPruneStats::skipped_rfsummary` makes the tier that proved each
+//!   skip observable.
+//! * Chunk Bloom indexes prove point lookups empty where zone maps cannot.
+//! * Allocation discipline: steady-state morsel execution performs zero
+//!   filter-path allocations — the scratch-growth counter stays a small
+//!   constant while the scan processes hundreds of morsels.
 
 use bfq::prelude::*;
 use bfq::storage::{Column, Field, Schema, Table};
@@ -106,4 +110,107 @@ fn large_build_sides_still_skip_chunks_via_the_summary_tier() {
     assert_eq!(rows(&out.chunk), rows(&baseline.chunk));
     // Sanity: the join matched exactly the 2000 dimension keys.
     assert_eq!(out.chunk.row(0)[1], Datum::Int(2_000));
+}
+
+/// A synthetic star join whose fact side spans many chunks: 256 chunks of
+/// 2 048 rows probing a restricted 64-key dimension — the shape where a
+/// planned Bloom filter does real row-level work on every morsel. `f_key`
+/// is deliberately spread across chunks (so the filter cannot be satisfied
+/// by chunk skipping); `f_seq` is clustered and even-valued (so the chunk
+/// index can prove point lookups empty via zone maps *and* the Bloom tier).
+fn star_catalog() -> bfq::catalog::Catalog {
+    let mut cat = bfq::catalog::Catalog::new();
+    let fact_schema = Arc::new(Schema::new(vec![
+        Field::new("f_key", DataType::Int64),
+        Field::new("f_seq", DataType::Int64),
+    ]));
+    let chunks: Vec<Chunk> = (0..256)
+        .map(|c| {
+            let keys: Vec<i64> = (0..2048).map(|i| (c * 2048 + i) * 7919 % 1000).collect();
+            let seqs: Vec<i64> = (0..2048).map(|i| (c * 2048 + i) * 2).collect();
+            Chunk::new(vec![
+                Arc::new(Column::Int64(keys, None)),
+                Arc::new(Column::Int64(seqs, None)),
+            ])
+            .unwrap()
+        })
+        .collect();
+    let fact = Table::new("fact", fact_schema, chunks).unwrap();
+    cat.register(fact, vec![]).unwrap();
+    let dim_schema = Arc::new(Schema::new(vec![Field::new("d_key", DataType::Int64)]));
+    let dim_chunk = Chunk::new(vec![Arc::new(Column::Int64((0..64).collect(), None))]).unwrap();
+    let dim = Table::new("dim", dim_schema, vec![dim_chunk]).unwrap();
+    cat.register(dim, vec![0]).unwrap();
+    cat
+}
+
+/// The dimension restriction keeps the filter from looking lossless
+/// (Heuristic 3 would prune an unrestricted unique-key build side).
+const STAR_SQL: &str = "select count(*) from fact, dim where f_key = d_key and d_key < 32";
+
+#[test]
+fn steady_state_morsel_execution_is_filter_allocation_free() {
+    let star = Arc::new(star_catalog());
+    let expected = (0..256 * 2048i64).filter(|r| r * 7919 % 1000 < 32).count() as i64;
+    for dop in [1usize, 4] {
+        let engine = Engine::over_catalog(
+            star.clone(),
+            EngineConfig::default()
+                .with_bloom_mode(BloomMode::Cbo)
+                .with_dop(dop),
+        );
+        let out = engine.connect().run_sql(STAR_SQL).expect("star join");
+        assert_eq!(out.chunk.row(0)[0], Datum::Int(expected), "[dop={dop}]");
+        let mut filters = 0usize;
+        out.optimized.plan.visit(&mut |node| {
+            if let bfq::plan::PhysicalNode::Scan { blooms, .. }
+            | bfq::plan::PhysicalNode::DerivedScan { blooms, .. } = &node.node
+            {
+                filters += blooms.len();
+            }
+        });
+        assert!(
+            filters >= 1,
+            "[dop={dop}] expected a planned Bloom filter on the fact scan"
+        );
+        let morsels = out.exec_stats.prune_totals().chunks;
+        assert!(
+            morsels >= 256,
+            "[dop={dop}] fact scan should process every chunk, saw {morsels}"
+        );
+        // Zero per-morsel filter allocations: every buffer grows to the
+        // (uniform) chunk size once per worker and never again, so the
+        // growth count is a small per-worker constant — orders of
+        // magnitude below one-per-morsel.
+        let allocs = out.exec_stats.filter_scratch_allocs();
+        let budget = 12 * dop as u64 + 16;
+        assert!(
+            allocs <= budget,
+            "[dop={dop}] {allocs} scratch growths for {morsels} morsels \
+             (budget {budget}): filter path is allocating per morsel"
+        );
+    }
+}
+
+#[test]
+fn chunk_bloom_indexes_skip_point_lookups() {
+    // An odd probe value inside the clustered range: zone maps skip every
+    // chunk except the one covering it, whose Bloom index proves the (even
+    // valued) column cannot contain it — all 256 chunks skipped, at least
+    // one via the Bloom tier.
+    let engine = Engine::over_catalog(
+        Arc::new(star_catalog()),
+        EngineConfig::default().with_index_mode(IndexMode::ZoneMapBloom),
+    );
+    let out = engine
+        .connect()
+        .run_sql("select count(*) from fact where f_seq = 100001")
+        .expect("point lookup");
+    let p = out.exec_stats.prune_totals();
+    assert_eq!(p.skipped(), 256, "every chunk is provably empty");
+    assert!(
+        p.skipped_bloom >= 1,
+        "the covering chunk must be skipped by its Bloom index"
+    );
+    assert_eq!(out.chunk.row(0)[0], Datum::Int(0));
 }

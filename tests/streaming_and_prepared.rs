@@ -192,19 +192,26 @@ fn unknown_set_option_is_a_typed_error_naming_every_option() {
     let db = tpch::gen::generate(SF, SEED).expect("generate");
     let mut conn = Engine::new(db, EngineConfig::default()).connect();
     let before = format!("{:?}", conn.settings());
-    let err = conn
-        .set("determinism", "fast")
-        .expect_err("there is one sink set and no option selecting it");
-    assert!(matches!(err, BfqError::Invalid(_)), "{err:?}");
-    let msg = err.to_string();
-    assert!(msg.contains("unknown option `determinism`"), "{msg}");
-    // The message's option list is exactly the settings table, in order.
-    let open = msg.find('(').expect("option list");
-    let listed: Vec<&str> = msg[open + 1..msg.rfind(')').expect("option list")]
-        .split('|')
-        .collect();
     let names: Vec<&str> = SETTINGS.iter().map(|row| row.name).collect();
-    assert_eq!(listed, names);
+    // Removed options: one sink set, one Bloom filter layout.
+    for (removed, value) in [("determinism", "fast"), ("bloom_layout", "blocked")] {
+        let err = conn
+            .set(removed, value)
+            .expect_err("a removed option is not settable");
+        assert!(matches!(err, BfqError::Invalid(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("unknown option `{removed}`")),
+            "{msg}"
+        );
+        // The message's option list is exactly the settings table, in order.
+        let open = msg.find('(').expect("option list");
+        let listed: Vec<&str> = msg[open + 1..msg.rfind(')').expect("option list")]
+            .split('|')
+            .collect();
+        assert_eq!(listed, names);
+    }
+    assert_eq!(names.len(), 7);
     for name in names {
         conn.set(name, "default")
             .unwrap_or_else(|e| panic!("listed option `{name}` is not settable: {e}"));
@@ -227,7 +234,6 @@ fn plan_settings_fork_the_plan_cache_and_exec_settings_never_do() {
         // Some value other than the default; a new row must name one here.
         let value = match row.name {
             "bloom_mode" => "post",
-            "bloom_layout" => "standard",
             "index_mode" => "zonemap",
             "dop" => "3",
             "semijoin" => "off",
