@@ -117,7 +117,7 @@ fn main() {
         );
 
         let (row_survivors, row_ms) = run_rowwise(&f, &chunks, repeats);
-        let (survivors, batch_ms) = run_batched(&RuntimeFilter::single(f), &chunks, repeats);
+        let (survivors, batch_ms) = run_batched(&RuntimeFilter::new(f), &chunks, repeats);
         assert!(survivors >= members, "{label}: false negatives!");
         assert_eq!(
             row_survivors, survivors,

@@ -200,45 +200,43 @@ impl BloomFilter {
         out: &mut Vec<u32>,
     ) {
         let blocks = &self.blocks[..];
+        // Survivors are written branch-free: every candidate index is stored
+        // and the write cursor advances by the predicate — the classic
+        // selection-vector compaction. Membership is data-random, so a
+        // conditional push would mispredict on roughly every other key; the
+        // unconditional store costs one predictable write and lets
+        // consecutive keys' filter loads overlap.
+        out.clear();
+        out.resize(sel.map_or(hashes.len(), <[u32]>::len), 0);
+        let mut k = 0usize;
         match (sel, validity) {
-            // Hot shapes (no nulls): iterate the hashes or the selection
-            // directly, no per-key validity checks.
             (None, None) => {
-                out.clear();
-                out.resize(hashes.len(), 0);
-                let mut k = 0usize;
                 for (i, &h) in hashes.iter().enumerate() {
                     out[k] = i as u32;
                     k += contains_in(blocks, h) as usize;
                 }
-                out.truncate(k);
             }
             (Some(sel), None) => {
-                out.clear();
-                out.resize(sel.len(), 0);
-                let mut k = 0usize;
                 for &i in sel {
                     out[k] = i;
                     k += contains_in(blocks, hashes[i as usize]) as usize;
                 }
-                out.truncate(k);
             }
-            _ => probe_loop(hashes.len(), validity, sel, out, |i| {
-                contains_in(blocks, hashes[i])
-            }),
+            (None, Some(bm)) => {
+                for (i, &h) in hashes.iter().enumerate() {
+                    out[k] = i as u32;
+                    k += (bm.get(i) & contains_in(blocks, h)) as usize;
+                }
+            }
+            (Some(sel), Some(bm)) => {
+                for &i in sel {
+                    let i = i as usize;
+                    out[k] = i as u32;
+                    k += (bm.get(i) & contains_in(blocks, hashes[i])) as usize;
+                }
+            }
         }
-    }
-
-    /// Probe the rows of `col` selected by `sel`, returning the surviving
-    /// subset of `sel` (null keys never survive). Allocating convenience
-    /// wrapper over [`BloomFilter::probe_hashes_into`]; hot paths hash the
-    /// column once into reusable buffers instead.
-    pub fn probe_selected(&self, col: &Column, sel: &[u32]) -> Vec<u32> {
-        let mut hashes = Vec::new();
-        col.hash_into(BLOOM_SEED, &mut hashes);
-        let mut out = Vec::with_capacity(sel.len());
-        self.probe_hashes_into(&hashes, col.validity(), Some(sel), &mut out);
-        out
+        out.truncate(k);
     }
 
     /// Probe every row of `col`, returning the selection of survivors
@@ -249,30 +247,6 @@ impl BloomFilter {
         let mut out = Vec::new();
         self.probe_hashes_into(&hashes, col.validity(), None, &mut out);
         out
-    }
-
-    /// Bitwise union with a same-sized filter (the merge operation used for
-    /// broadcast-probe streaming, paper §3.9 strategy 2).
-    ///
-    /// # Panics
-    /// Panics if the filters have different sizes — merging incompatible
-    /// filters is a planning bug.
-    pub fn union_with(&mut self, other: &BloomFilter) {
-        assert_eq!(
-            self.num_bits(),
-            other.num_bits(),
-            "cannot union differently sized Bloom filters"
-        );
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x |= *y;
-            }
-        }
-        self.inserted += other.inserted;
-        self.ndv_hint = match (self.ndv_hint, other.ndv_hint) {
-            (Some(a), Some(b)) => Some(a + b),
-            _ => None,
-        };
     }
 
     /// Fraction of bits set; near-1.0 means the filter is saturated and
@@ -294,54 +268,6 @@ impl BloomFilter {
         let n = self.ndv_hint.unwrap_or(self.inserted);
         blocked_fpr(self.num_bits() as f64, n as f64)
     }
-}
-
-/// Shared selection/validity iteration for batch probes; `test` is the
-/// membership check, monomorphized per call site.
-///
-/// Survivors are written branch-free: every candidate index is stored and
-/// the write cursor advances by the predicate — the classic selection-vector
-/// compaction. Membership is data-random, so a conditional push would
-/// mispredict on roughly every other key; the unconditional store costs one
-/// predictable write and lets consecutive keys' filter loads overlap.
-pub(crate) fn probe_loop(
-    rows: usize,
-    validity: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    out: &mut Vec<u32>,
-    test: impl Fn(usize) -> bool,
-) {
-    let upper = sel.map_or(rows, <[u32]>::len);
-    out.clear();
-    out.resize(upper, 0);
-    let mut k = 0usize;
-    match (sel, validity) {
-        (Some(sel), None) => {
-            for &i in sel {
-                out[k] = i;
-                k += test(i as usize) as usize;
-            }
-        }
-        (Some(sel), Some(bm)) => {
-            for &i in sel {
-                out[k] = i;
-                k += (bm.get(i as usize) & test(i as usize)) as usize;
-            }
-        }
-        (None, None) => {
-            for i in 0..rows as u32 {
-                out[k] = i;
-                k += test(i as usize) as usize;
-            }
-        }
-        (None, Some(bm)) => {
-            for i in 0..rows as u32 {
-                out[k] = i;
-                k += (bm.get(i as usize) & test(i as usize)) as usize;
-            }
-        }
-    }
-    out.truncate(k);
 }
 
 #[cfg(test)]
@@ -445,12 +371,15 @@ mod tests {
     }
 
     #[test]
-    fn probe_selected_respects_input_selection() {
+    fn batch_probe_respects_input_selection() {
         let build = Column::Int64(vec![10, 20], None);
         let mut f = BloomFilter::with_expected_ndv(2);
         f.insert_column(&build);
         let probe = Column::Int64(vec![10, 20, 10, 20], None);
-        let sel = f.probe_selected(&probe, &[1, 3]);
+        let mut hashes = Vec::new();
+        probe.hash_into(BLOOM_SEED, &mut hashes);
+        let mut sel = Vec::new();
+        f.probe_hashes_into(&hashes, None, Some(&[1, 3]), &mut sel);
         assert_eq!(sel, vec![1, 3]);
     }
 
@@ -467,26 +396,6 @@ mod tests {
             .filter(|&i| f.contains_i64(vals[i as usize]))
             .collect();
         assert_eq!(batch, scalar, "batch/scalar divergence");
-    }
-
-    #[test]
-    fn union_or_bits_together() {
-        let mut a = BloomFilter::with_bits(1024);
-        let mut b = BloomFilter::with_bits(1024);
-        a.insert_i64(1);
-        b.insert_i64(2);
-        assert!(!a.contains_i64(2));
-        a.union_with(&b);
-        assert!(a.contains_i64(1) && a.contains_i64(2));
-        assert_eq!(a.inserted_keys(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "differently sized")]
-    fn union_size_mismatch_panics() {
-        let mut a = BloomFilter::with_bits(1024);
-        let b = BloomFilter::with_bits(2048);
-        a.union_with(&b);
     }
 
     #[test]

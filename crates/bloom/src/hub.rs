@@ -7,6 +7,21 @@
 //! implements exactly that contract: producers [`FilterHub::publish`] under a
 //! [`FilterId`]; consumers [`FilterHub::wait_get`] and block until the filter
 //! exists.
+//!
+//! What a producer publishes is one [`RuntimeFilter`] per planned build.
+//! §3.9 distinguishes how a join streams its build side across threads:
+//! broadcast build (every thread holds a copy), broadcast probe and the two
+//! partition joins (the threads hold disjoint key subsets). The executor
+//! seals a build side before it builds any filter, so every partition's keys
+//! are at hand at once, and every case builds the same thing
+//! ([`RuntimeFilter::build`]): one [`BloomFilter`] sized for the whole
+//! build, holding the keys of one copy (broadcast build) or of every
+//! partition (the other cases). That is bit for bit the union of same-sized
+//! per-partition partials — case 2's merge without the partials — and it
+//! replaces case 3's per-partition lookup: a probe is one block test
+//! whatever the join's distribution, and the filter is the one the
+//! estimator priced (§3.5), however the degree of parallelism split the
+//! build.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,7 +32,59 @@ use bfq_storage::Column;
 use parking_lot::{Condvar, Mutex};
 
 use crate::filter::{BloomFilter, BLOOM_SEED};
-use crate::partitioned::PartitionedBloomFilter;
+use crate::summary::KeySummary;
+
+/// Build sides with at most this many distinct keys ship their exact key
+/// hashes with the filter, so scans can probe per-chunk Bloom indexes and
+/// skip whole chunks (`bfq-index`). Probing ≤ 1024 keys per chunk is far
+/// cheaper than row-level work on an 8192-row chunk. Larger numeric builds
+/// fall back to a merged per-partition [`KeySummary`] so chunk skipping
+/// does not cliff to zero past this limit.
+pub const SMALL_KEY_LIMIT: usize = 1024;
+
+/// Build-key metadata that travels with a runtime filter: numeric-axis
+/// min/max of the non-null keys, the sorted deduplicated hashes of every
+/// key (small build sides), or the occupancy summary (large numeric build
+/// sides).
+type KeyInfo = (Option<(f64, f64)>, Option<Vec<u64>>, Option<KeySummary>);
+
+/// Compute the [`KeyInfo`] for the key columns a filter is built from.
+fn key_info(partitions: &[Column]) -> KeyInfo {
+    let mut bounds: Option<(f64, f64)> = None;
+    for col in partitions {
+        if let Some((lo, hi)) = col.min_max_axis() {
+            bounds = Some(match bounds {
+                None => (lo, hi),
+                Some((a, b)) => (a.min(lo), b.max(hi)),
+            });
+        }
+    }
+    let total_rows: usize = partitions.iter().map(|c| c.len()).sum();
+    let hashes = (total_rows <= 4 * SMALL_KEY_LIMIT).then(|| {
+        let mut out = Vec::new();
+        let mut hashes = Vec::new();
+        for col in partitions {
+            col.hash_into(BLOOM_SEED, &mut hashes);
+            for (i, &h) in hashes.iter().enumerate() {
+                if !col.is_null(i) {
+                    out.push(h);
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    });
+    let hashes = hashes.filter(|h| h.len() <= SMALL_KEY_LIMIT);
+    // The summary is the large-build fallback: only built when exact hashes
+    // were dropped (small builds already carry strictly stronger evidence).
+    let summary = if hashes.is_none() && bounds.is_some() {
+        KeySummary::from_partitions(partitions)
+    } else {
+        None
+    };
+    (bounds, hashes, summary)
+}
 
 /// Reusable buffers for batched filter probes: the key hash column plus a
 /// pair of selection vectors the executor ping-pongs between
@@ -71,71 +138,66 @@ impl ProbeScratch {
     }
 }
 
-/// The filter proper: merged single or per-partition.
-#[derive(Debug, Clone)]
-pub enum FilterCore {
-    /// One filter applied to every row.
-    Single(BloomFilter),
-    /// Per-partition partials probed by distributed lookup.
-    Partitioned(PartitionedBloomFilter),
-}
-
-/// A filter as it exists at runtime: the bit array(s) plus optional
+/// A filter as it exists at runtime: the Bloom filter plus optional
 /// build-key metadata that enables *chunk-level* skipping at scans.
 ///
 /// When the build keys are numeric their min/max travel with the filter, so
 /// a scan can compare them against a chunk's zone map; when the build side
 /// is small the exact key hashes travel too, so a scan can probe
 /// a chunk's Bloom index with them (`bfq-index`). Large numeric builds
-/// instead carry a [`crate::KeySummary`] — the merged per-partition occupancy
+/// instead carry a [`KeySummary`] — the merged per-partition occupancy
 /// bitmap — so chunk skipping survives past the exact-hash limit. All are
 /// sound: a row the skip would drop could never match any actual build key,
 /// and a filter is only planned where dropping non-matching rows is legal.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeFilter {
-    core: FilterCore,
+    filter: BloomFilter,
     key_bounds: Option<(f64, f64)>,
     key_hashes: Option<Vec<u64>>,
-    key_summary: Option<crate::summary::KeySummary>,
+    key_summary: Option<KeySummary>,
 }
 
 impl RuntimeFilter {
-    /// A single-filter runtime filter without key metadata.
-    pub fn single(f: BloomFilter) -> Self {
+    /// A runtime filter without key metadata.
+    pub fn new(filter: BloomFilter) -> Self {
         RuntimeFilter {
-            core: FilterCore::Single(f),
+            filter,
             key_bounds: None,
             key_hashes: None,
             key_summary: None,
         }
     }
 
-    /// A partitioned runtime filter without key metadata.
-    pub fn partitioned(pf: PartitionedBloomFilter) -> Self {
-        RuntimeFilter {
-            core: FilterCore::Partitioned(pf),
-            key_bounds: None,
-            key_hashes: None,
-            key_summary: None,
+    /// Build the runtime filter for a join from its build-side key columns,
+    /// one per build partition (a broadcast build side passes one copy).
+    ///
+    /// `expected_ndv` is the planner's distinct estimate — the same number
+    /// its cost model used to size the filter (paper §3.5). Key metadata is
+    /// computed before the filter is allocated, so when a small build side
+    /// ships its deduplicated key hashes the filter is sized for
+    /// `max(expected_ndv, exact distinct keys)`: an estimate that came in
+    /// low cannot overload it, and the FPR the planner modelled is the FPR
+    /// that runs. The exact count (else the estimate) is recorded as the
+    /// filter's NDV hint, so the FPR the filter reports follows the keys it
+    /// holds rather than a duplicate-counting tally.
+    ///
+    /// Neither the filter nor its metadata depends on how the keys are
+    /// split across `partitions`.
+    pub fn build(partitions: &[Column], expected_ndv: usize) -> RuntimeFilter {
+        let (key_bounds, key_hashes, key_summary) = key_info(partitions);
+        let exact_ndv = key_hashes.as_ref().map(Vec::len);
+        let size_ndv = expected_ndv.max(exact_ndv.unwrap_or(0)).max(1);
+        let mut filter = BloomFilter::with_expected_ndv(size_ndv);
+        for keys in partitions {
+            filter.insert_column(keys);
         }
-    }
-
-    /// Attach build-key metadata (builder style).
-    pub fn with_key_info(
-        mut self,
-        bounds: Option<(f64, f64)>,
-        hashes: Option<Vec<u64>>,
-        summary: Option<crate::summary::KeySummary>,
-    ) -> Self {
-        self.key_bounds = bounds;
-        self.key_hashes = hashes;
-        self.key_summary = summary;
-        self
-    }
-
-    /// The underlying filter.
-    pub fn core(&self) -> &FilterCore {
-        &self.core
+        filter.set_ndv_hint(exact_ndv.unwrap_or(expected_ndv).max(1) as u64);
+        RuntimeFilter {
+            filter,
+            key_bounds,
+            key_hashes,
+            key_summary,
+        }
     }
 
     /// Min/max of the non-null build keys on the numeric axis, if known.
@@ -152,7 +214,7 @@ impl RuntimeFilter {
 
     /// The build-key occupancy summary carried for large numeric builds
     /// (the zone-style fallback when exact key hashes were dropped).
-    pub fn key_summary(&self) -> Option<&crate::summary::KeySummary> {
+    pub fn key_summary(&self) -> Option<&KeySummary> {
         self.key_summary.as_ref()
     }
 
@@ -182,12 +244,8 @@ impl RuntimeFilter {
         }
         scratch.hash_column(col);
         let cap = out.capacity();
-        match &self.core {
-            FilterCore::Single(f) => f.probe_hashes_into(&scratch.hashes, col.validity(), sel, out),
-            FilterCore::Partitioned(pf) => {
-                pf.probe_routed_hashes_into(&scratch.hashes, col.validity(), sel, out)
-            }
-        }
+        self.filter
+            .probe_hashes_into(&scratch.hashes, col.validity(), sel, out);
         if out.capacity() > cap {
             scratch.grows += 1;
         }
@@ -206,17 +264,7 @@ impl RuntimeFilter {
         out.clear();
         out.extend(sel.iter().copied().filter(|&i| {
             let i = i as usize;
-            if col.is_null(i) {
-                return false;
-            }
-            let h = col.hash_one(i, BLOOM_SEED);
-            match &self.core {
-                FilterCore::Single(f) => f.contains_hash(h),
-                FilterCore::Partitioned(pf) => {
-                    let p = crate::partitioned::partition_of(h, pf.partitions());
-                    pf.part(p).contains_hash(h)
-                }
-            }
+            !col.is_null(i) && self.filter.contains_hash(col.hash_one(i, BLOOM_SEED))
         }));
         if out.capacity() > cap {
             scratch.grows += 1;
@@ -230,14 +278,6 @@ impl RuntimeFilter {
         let mut out = Vec::with_capacity(sel.len());
         self.probe_into(col, Some(sel), &mut scratch, &mut out);
         out
-    }
-
-    /// Total size in bytes (planning feedback / tests).
-    pub fn size_bytes(&self) -> usize {
-        match &self.core {
-            FilterCore::Single(f) => f.size_bytes(),
-            FilterCore::Partitioned(pf) => pf.size_bytes(),
-        }
     }
 }
 
@@ -310,7 +350,7 @@ mod tests {
         for &k in keys {
             f.insert_i64(k);
         }
-        RuntimeFilter::single(f)
+        RuntimeFilter::new(f)
     }
 
     #[test]
@@ -347,14 +387,128 @@ mod tests {
         assert!(got.is_none());
     }
 
+    fn int_col(vals: &[i64]) -> Column {
+        Column::Int64(vals.to_vec(), None)
+    }
+
+    fn survivors(f: &RuntimeFilter, probe: &Column) -> Vec<u32> {
+        let all: Vec<u32> = (0..probe.len() as u32).collect();
+        f.probe(probe, &all)
+    }
+
     #[test]
-    fn partitioned_filter_probes_by_routing() {
-        let mut pf = PartitionedBloomFilter::new(2, 10);
-        pf.insert_column_routed(&Column::Int64(vec![1, 2, 3, 4], None));
-        let rf = RuntimeFilter::partitioned(pf);
-        let col = Column::Int64(vec![1, 2, 3, 4], None);
-        // Routed probe must find everything.
-        assert_eq!(rf.probe(&col, &[0, 1, 2, 3]).len(), 4);
-        assert!(rf.size_bytes() > 0);
+    fn one_filter_holds_every_partition() {
+        let f = RuntimeFilter::build(
+            &[int_col(&[1, 2]), int_col(&[100, 200]), int_col(&[5000])],
+            5,
+        );
+        assert_eq!(f.filter.inserted_keys(), 5);
+        assert_eq!(f.filter.ndv_hint(), Some(5));
+        let s = survivors(&f, &int_col(&[1, 200, 5000, 777_777]));
+        assert!(s.contains(&0) && s.contains(&1) && s.contains(&2));
+    }
+
+    #[test]
+    fn key_info_bounds_and_small_hashes() {
+        let f = RuntimeFilter::build(&[int_col(&[5, 10]), int_col(&[-3, 10])], 4);
+        assert_eq!(f.key_bounds(), Some((-3.0, 10.0)));
+        // 3 distinct keys after dedup across partitions.
+        assert_eq!(f.key_hashes().map(|h| h.len()), Some(3));
+    }
+
+    #[test]
+    fn key_hashes_dropped_for_large_build_sides() {
+        let big: Vec<i64> = (0..(4 * SMALL_KEY_LIMIT as i64) + 1).collect();
+        let f = RuntimeFilter::build(&[int_col(&big)], big.len());
+        assert!(f.key_hashes().is_none());
+        assert_eq!(f.key_bounds(), Some((0.0, big[big.len() - 1] as f64)));
+        // The large build carries the summary fallback instead.
+        let summary = f.key_summary().expect("summary for large build");
+        assert!(summary.overlaps_range(10.0, 20.0));
+    }
+
+    #[test]
+    fn small_builds_skip_the_summary_large_clustered_builds_use_it() {
+        let small = RuntimeFilter::build(&[int_col(&[1, 2])], 2);
+        assert!(
+            small.key_summary().is_none(),
+            "hashes are stronger evidence"
+        );
+        // Two key clusters far apart: summary proves the gap empty even
+        // though the global bounds cover it.
+        let mut keys: Vec<i64> = (0..3000).collect();
+        keys.extend(1_000_000..1_003_000);
+        let cols: Vec<Column> = keys.chunks(1500).map(int_col).collect();
+        let f = RuntimeFilter::build(&cols, keys.len());
+        assert!(f.key_hashes().is_none());
+        let summary = f.key_summary().expect("summary for large build");
+        assert!(summary.overlaps_range(100.0, 200.0));
+        assert!(!summary.overlaps_range(200_000.0, 800_000.0));
+    }
+
+    #[test]
+    fn string_keys_have_no_bounds_but_ship_hashes() {
+        let keys: bfq_storage::StrData = ["FRANCE", "GERMANY"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let f = RuntimeFilter::build(&[Column::Utf8(keys, None)], 2);
+        assert!(f.key_bounds().is_none());
+        assert_eq!(f.key_hashes().map(|h| h.len()), Some(2));
+    }
+
+    #[test]
+    fn every_key_passes_and_misses_are_filtered() {
+        let keys: Vec<i64> = (0..2000).collect();
+        // Split keys across 4 partitions arbitrarily.
+        let cols: Vec<Column> = keys.chunks(500).map(int_col).collect();
+        let f = RuntimeFilter::build(&cols, keys.len());
+        let s = survivors(&f, &int_col(&keys));
+        assert_eq!(s.len(), keys.len(), "lost rows");
+        let miss: Vec<i64> = (1_000_000..1_000_500).collect();
+        let misses = survivors(&f, &int_col(&miss));
+        assert!(misses.len() < 100, "too many false positives");
+    }
+
+    #[test]
+    fn partitioning_does_not_change_the_filter() {
+        let keys: Vec<i64> = (0..3000).map(|k| k * 13 % 2000).collect();
+        for expected_ndv in [1, 2000] {
+            let whole = RuntimeFilter::build(&[int_col(&keys)], expected_ndv);
+            // 2000 distinct keys: too many to ship, so the filter is sized
+            // and hinted from the estimate — the filter the estimator prices.
+            assert_eq!(
+                whole.filter.estimated_fpr(),
+                crate::math::default_fpr(expected_ndv as f64)
+            );
+            for parts in [2, 3, 4, 7] {
+                let cols: Vec<Column> = keys
+                    .chunks(keys.len().div_ceil(parts))
+                    .map(int_col)
+                    .collect();
+                assert_eq!(
+                    RuntimeFilter::build(&cols, expected_ndv),
+                    whole,
+                    "{parts} partitions"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn low_estimate_small_build_is_sized_for_its_exact_keys() {
+        // The planner expected 1 key; the build holds 311 (with duplicates).
+        let keys: Vec<i64> = (0..311).map(|k| k * 7).collect();
+        let mut doubled = keys.clone();
+        doubled.extend(&keys);
+        let cols: Vec<Column> = doubled.chunks(200).map(int_col).collect();
+        let absent: Vec<i64> = (0..100_000).map(|k| 10_000_000 + k).collect();
+        let absent = int_col(&absent);
+        let bound = 2.0 * crate::math::default_fpr(311.0);
+        let f = RuntimeFilter::build(&cols, 1);
+        assert_eq!(f.filter.ndv_hint(), Some(311));
+        assert_eq!(survivors(&f, &int_col(&keys)).len(), keys.len());
+        let fpr = survivors(&f, &absent).len() as f64 / absent.len() as f64;
+        assert!(fpr <= bound, "fpr {fpr} > {bound}");
     }
 }

@@ -7,11 +7,9 @@
 //!   estimate of the build side's distinct values;
 //! * [`math`] — the sizing and false-positive-rate formulas shared with the
 //!   cost model;
-//! * [`PartitionedBloomFilter`] — per-partition partial filters for
-//!   partitioned hash joins, with bit-vector union merging;
-//! * [`strategy`] — the SMP streaming strategies of §3.9 (broadcast
-//!   build, broadcast probe, partition join; case 4, the aligned partition
-//!   join, runs as case 3 after the executor's repartition);
+//! * [`RuntimeFilter`] — the one filter a join's build side publishes,
+//!   whichever §3.9 streaming case produced it, plus the build-key
+//!   metadata that lets scans skip whole chunks;
 //! * [`hub::FilterHub`] — the runtime rendezvous between the hash join that
 //!   builds a filter and the scan that applies it ("table scans wait for all
 //!   Bloom filter partitions to become available", §3.9);
@@ -22,13 +20,9 @@
 pub mod filter;
 pub mod hub;
 pub mod math;
-pub mod partitioned;
-pub mod strategy;
 pub mod summary;
 
 pub use filter::{BloomFilter, BLOOM_SEED};
-pub use hub::{FilterCore, FilterHub, ProbeScratch, RuntimeFilter};
+pub use hub::{FilterHub, ProbeScratch, RuntimeFilter};
 pub use math::{bits_for_ndv, blocked_fpr, default_fpr, BLOCK_BITS, DEFAULT_BITS_PER_KEY};
-pub use partitioned::PartitionedBloomFilter;
-pub use strategy::StreamingStrategy;
 pub use summary::{KeySummary, SUMMARY_BUCKETS};

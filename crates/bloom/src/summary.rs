@@ -1,6 +1,6 @@
 //! Compact build-key summaries for chunk-level skipping on *large* builds.
 //!
-//! Small build sides (≤ [`crate::strategy::SMALL_KEY_LIMIT`] distinct keys)
+//! Small build sides (≤ [`crate::hub::SMALL_KEY_LIMIT`] distinct keys)
 //! ship their exact key hashes with the [`crate::RuntimeFilter`], so scans
 //! can probe per-chunk Bloom indexes and skip whole chunks. Above that
 //! limit exact hashes are dropped — which used to silently disable chunk

@@ -1,10 +1,10 @@
 //! Property-based tests for the Bloom filter substrate: the no-false-negative
-//! guarantee under arbitrary key sets, merge semantics, strategy
-//! equivalence, batch-probe/scalar-probe agreement, and the measured FPR
-//! against the formula the cost model prices.
+//! guarantee under arbitrary key sets, the runtime filter's independence
+//! from how its build side is partitioned, batch-probe/scalar-probe
+//! agreement, and the measured FPR against the formula the cost model
+//! prices.
 
-use bfq_bloom::strategy::{build_filter, StreamingStrategy};
-use bfq_bloom::{blocked_fpr, BloomFilter, ProbeScratch};
+use bfq_bloom::{blocked_fpr, BloomFilter, ProbeScratch, RuntimeFilter};
 use bfq_storage::Column;
 use proptest::prelude::*;
 
@@ -25,56 +25,27 @@ proptest! {
         }
     }
 
-    /// Union contains exactly what either side would report.
+    /// A join's runtime filter admits every build key, and it is the same
+    /// filter — bits, load, NDV hint and chunk-skipping metadata — however
+    /// the build side's keys are split across partitions (every §3.9
+    /// streaming case builds it from one copy or from every partition).
     #[test]
-    fn union_is_superset(
-        a_keys in proptest::collection::vec(any::<i64>(), 0..200),
-        b_keys in proptest::collection::vec(any::<i64>(), 0..200),
-        probes in proptest::collection::vec(any::<i64>(), 1..100),
-    ) {
-        let bits = 1 << 12;
-        let mut a = BloomFilter::with_bits(bits);
-        let mut b = BloomFilter::with_bits(bits);
-        for &k in &a_keys { a.insert_i64(k); }
-        for &k in &b_keys { b.insert_i64(k); }
-        let mut u = a.clone();
-        u.union_with(&b);
-        for &p in &probes {
-            // Anything either filter admits, the union admits. (The union
-            // may admit additional false positives — bits set by different
-            // keys can combine — so only this direction is a law.)
-            if a.contains_i64(p) || b.contains_i64(p) {
-                prop_assert!(u.contains_i64(p));
-            }
-        }
-    }
-
-    /// Every multi-thread §3.9 streaming strategy admits every inserted key
-    /// (their survivor sets may differ only in false positives).
-    #[test]
-    fn strategies_admit_all_keys(
+    fn runtime_filter_admits_every_key_and_ignores_partitioning(
         keys in proptest::collection::vec(-10_000i64..10_000, 4..400),
-        threads in 1usize..5,
+        partitions in 1usize..5,
+        expected_ndv in 1usize..500,
     ) {
-        let per = keys.len().div_ceil(threads);
+        let per = keys.len().div_ceil(partitions);
         let cols: Vec<Column> = keys
             .chunks(per)
             .map(|c| Column::Int64(c.to_vec(), None))
             .collect();
         let probe = Column::Int64(keys.clone(), None);
+        let whole = RuntimeFilter::build(std::slice::from_ref(&probe), expected_ndv);
+        let split = RuntimeFilter::build(&cols, expected_ndv);
+        prop_assert_eq!(&split, &whole, "{} partitions changed the filter", cols.len());
         let all: Vec<u32> = (0..keys.len() as u32).collect();
-        for strat in [
-            StreamingStrategy::BroadcastProbe,
-            StreamingStrategy::PartitionUnaligned,
-        ] {
-            let f = build_filter(strat, &cols, keys.len());
-            let survivors = f.probe(&probe, &all);
-            prop_assert_eq!(
-                survivors.len(),
-                keys.len(),
-                "{:?} dropped inserted keys", strat
-            );
-        }
+        prop_assert_eq!(split.probe(&probe, &all).len(), keys.len(), "dropped build keys");
     }
 
     /// The batched probe over pre-hashed columns returns exactly the rows
@@ -86,7 +57,7 @@ proptest! {
     ) {
         let mut f = BloomFilter::with_expected_ndv(keys.len());
         for &k in &keys { f.insert_i64(k); }
-        let rf = bfq_bloom::RuntimeFilter::single(f.clone());
+        let rf = RuntimeFilter::new(f.clone());
         let col = Column::Int64(probes.clone(), None);
         // Every other row, as an arbitrary non-trivial selection.
         let sel: Vec<u32> = (0..probes.len() as u32).step_by(2).collect();

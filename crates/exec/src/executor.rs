@@ -5,8 +5,7 @@
 
 use std::sync::Arc;
 
-use bfq_bloom::strategy::{build_filter, StreamingStrategy};
-use bfq_bloom::FilterHub;
+use bfq_bloom::{FilterHub, RuntimeFilter};
 use bfq_catalog::Catalog;
 use bfq_common::{BfqError, CancelToken, DataType, Result};
 use bfq_expr::{eval, Layout};
@@ -177,11 +176,10 @@ pub(crate) struct SealedBuild {
 }
 
 /// Concatenate and index a hash join's build side, then build and publish
-/// its planned Bloom filters (choosing the §3.9 streaming strategy from
-/// the plan shape). This must complete before the probe side's scans run.
+/// its planned Bloom filters. This must complete before the probe side's
+/// scans run.
 pub(crate) fn seal_build_side(
     ctx: &ExecContext,
-    outer: &Arc<PhysicalPlan>,
     inner: &Arc<PhysicalPlan>,
     keys: &[(bfq_common::ColumnId, bfq_common::ColumnId)],
     builds: &[bfq_plan::BloomBuild],
@@ -227,43 +225,30 @@ pub(crate) fn seal_build_side(
         ))
     })?;
 
-    // Build and publish planned Bloom filters.
-    if !builds.is_empty() {
-        let outer_broadcast = matches!(
-            &outer.node,
-            PhysicalNode::Exchange {
-                kind: ExchangeKind::Broadcast,
-                ..
-            }
-        );
-        let strategy = if inner_replicated {
-            StreamingStrategy::BroadcastBuild
-        } else if outer_broadcast {
-            StreamingStrategy::BroadcastProbe
-        } else {
-            StreamingStrategy::PartitionUnaligned
-        };
-        for b in builds {
-            let slot = inner.layout.slot_of(b.column).ok_or_else(|| {
-                BfqError::internal(format!("bloom build column {} not in build side", b.column))
-            })?;
-            let thread_keys: Vec<Column> = if inner_replicated {
-                vec![tables[0].chunk.column(slot).as_ref().clone()]
-            } else {
-                tables
-                    .iter()
-                    .map(|t| t.chunk.column(slot).as_ref().clone())
-                    .collect()
-            };
-            let started = std::time::Instant::now();
-            let filter = build_filter(strategy, &thread_keys, b.expected_ndv.max(1.0) as usize);
-            // Builds happen once per filter per query — cheap to time
-            // unconditionally, and `Engine::metrics()` wants the count
-            // even with per-node profiling off.
-            ctx.stats
-                .note_filter_build(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            ctx.hub.publish(b.filter, filter);
-        }
+    // Build and publish planned Bloom filters: one filter per build over
+    // every partition's keys, or over one copy of a replicated build side
+    // (§3.9 case 1: the copies are redundant).
+    let copies = if inner_replicated {
+        &tables[..tables.len().min(1)]
+    } else {
+        &tables[..]
+    };
+    for b in builds {
+        let slot = inner.layout.slot_of(b.column).ok_or_else(|| {
+            BfqError::internal(format!("bloom build column {} not in build side", b.column))
+        })?;
+        let keys: Vec<Column> = copies
+            .iter()
+            .map(|t| t.chunk.column(slot).as_ref().clone())
+            .collect();
+        let started = std::time::Instant::now();
+        let filter = RuntimeFilter::build(&keys, b.expected_ndv.max(1.0) as usize);
+        // Builds happen once per filter per query — cheap to time
+        // unconditionally, and `Engine::metrics()` wants the count
+        // even with per-node profiling off.
+        ctx.stats
+            .note_filter_build(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        ctx.hub.publish(b.filter, filter);
     }
     Ok(SealedBuild {
         tables,
@@ -286,18 +271,14 @@ pub(crate) fn publish_reducer(
     let slot = layout.slot_of(key).ok_or_else(|| {
         BfqError::internal(format!("reducer key column {key} not in step output"))
     })?;
-    let thread_keys: Vec<Column> = (0..data.num_partitions())
+    let keys: Vec<Column> = (0..data.num_partitions())
         .map(|p| {
             data.partition_chunk(p)
                 .map(|c| c.column(slot).as_ref().clone())
         })
         .collect::<Result<_>>()?;
     let started = std::time::Instant::now();
-    let f = build_filter(
-        StreamingStrategy::PartitionUnaligned,
-        &thread_keys,
-        expected_ndv.max(1.0) as usize,
-    );
+    let f = RuntimeFilter::build(&keys, expected_ndv.max(1.0) as usize);
     ctx.stats
         .note_filter_build(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     ctx.hub.publish(filter, f);

@@ -13,8 +13,9 @@
 //!
 //! Exchange operators implement the paper's streaming strategies (`RD`
 //! repartition, `BC` broadcast, gather); hash joins execute their **build
-//! side first**, build any planned Bloom filters (choosing the §3.9
-//! strategy from the plan shape), publish them to the
+//! side first**, build any planned Bloom filters (one
+//! [`bfq_bloom::RuntimeFilter`] per build, whatever the join's
+//! distribution), publish them to the
 //! [`bfq_bloom::FilterHub`], and only then execute the probe side — so
 //! scans that wait on filters never deadlock, including the
 //! chained-filter plans of paper Fig. 3d.

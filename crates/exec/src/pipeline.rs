@@ -599,7 +599,6 @@ enum SealedAux {
 fn seal_blocking(node: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<SealedAux> {
     match &node.node {
         PhysicalNode::HashJoin {
-            outer,
             inner,
             keys,
             builds,
@@ -607,7 +606,7 @@ fn seal_blocking(node: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<SealedAu
         } => {
             let inner_data = execute_pipelined(inner, ctx)?;
             Ok(SealedAux::Build(seal_build_side(
-                ctx, outer, inner, keys, builds, inner_data,
+                ctx, inner, keys, builds, inner_data,
             )?))
         }
         PhysicalNode::ScalarSubst { subquery, .. } => {

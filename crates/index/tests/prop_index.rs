@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use bfq_bloom::strategy::{build_filter, StreamingStrategy};
+use bfq_bloom::RuntimeFilter;
 use bfq_common::{ColumnId, Datum, TableId};
 use bfq_expr::{eval_predicate, BinOp, Expr, Layout, UnOp};
 use bfq_index::{build_chunk_index, chunk_prune, rf_chunk_prune, IndexMode, PruneOutcome};
@@ -142,8 +142,7 @@ proptest! {
         let col = Column::Int64(chunk_keys, None);
         let ci = build_chunk_index(&Chunk::new(vec![Arc::new(col)]).unwrap());
         let ci = &ci.columns[0];
-        let filter = build_filter(
-            StreamingStrategy::BroadcastBuild,
+        let filter = RuntimeFilter::build(
             &[Column::Int64(build_keys.clone(), None)],
             build_keys.len().max(1),
         );
@@ -174,11 +173,7 @@ fn rf_summary_pruning_never_skips_joinable_rows() {
     // Clustered build: two bands with a wide gap.
     let mut build: Vec<i64> = (0..3000).collect();
     build.extend(50_000..53_000);
-    let filter = build_filter(
-        StreamingStrategy::BroadcastBuild,
-        &[Column::Int64(build.clone(), None)],
-        build.len(),
-    );
+    let filter = RuntimeFilter::build(&[Column::Int64(build.clone(), None)], build.len());
     assert!(
         filter.key_hashes().is_none(),
         "build must exceed hash limit"

@@ -11,8 +11,8 @@
 //!   gathered chunk;
 //! * **per-node actuals agree**: the root's actual row count is the
 //!   reference's row count, per-node actuals are identical with `profile`
-//!   on and off, and — without Bloom filters and early-exiting LIMITs —
-//!   identical across dop.
+//!   on and off, and — under every Bloom mode, without early-exiting
+//!   LIMITs — identical across dop.
 //!
 //! Also verified here: dropping a `ChunkStream` mid-stream leaks no worker
 //! threads (the final pipeline runs on the consumer's thread), and
@@ -119,31 +119,36 @@ fn morsel_pipeline_matches_the_reference_and_is_bit_exact() {
 }
 
 #[test]
-fn per_node_actuals_do_not_depend_on_dop_without_filters() {
+fn per_node_actuals_do_not_depend_on_dop() {
     let db = tpch::gen::generate(SF, SEED).expect("generate");
     let catalog = Arc::new(db.catalog);
-    // No Bloom filters: what a filter lets through depends on how its keys
-    // were partitioned, which is the one legitimate dop dependence.
-    let config = EngineConfig::default()
-        .with_bloom_mode(BloomMode::None)
-        .with_dop(4);
-    let conn = Engine::over_catalog(catalog.clone(), config).connect();
-    for q in tpch::supported_queries() {
-        let sql = tpch::query_text(q, SF);
-        if sql.to_ascii_lowercase().contains("limit") {
-            continue;
-        }
-        // One plan, executed at every dop: the optimizer may pick another
-        // plan for another dop, and then there is nothing to line up.
-        let plan = conn.plan_sql_only(&sql).expect("plan").plan;
-        let run = |dop: usize| {
-            let out = execute_plan(&plan, catalog.clone(), ExecOptions::with_dop(dop))
-                .unwrap_or_else(|e| panic!("Q{q} dop={dop}: {e}"));
-            (exact_rows(&out.chunk).len(), actuals(&plan, &out.stats))
-        };
-        let serial = run(1);
-        for dop in [4usize, 16] {
-            assert_eq!(run(dop), serial, "Q{q}: dop={dop} differs from dop=1");
+    // Runtime filters included: a join builds one filter over all of its
+    // build keys however dop partitions them, so what a filter lets
+    // through — false positives too — is the same at every dop.
+    for mode in [BloomMode::None, BloomMode::Post, BloomMode::Cbo] {
+        let config = EngineConfig::default().with_bloom_mode(mode).with_dop(4);
+        let conn = Engine::over_catalog(catalog.clone(), config).connect();
+        for q in tpch::supported_queries() {
+            let sql = tpch::query_text(q, SF);
+            if sql.to_ascii_lowercase().contains("limit") {
+                continue;
+            }
+            // One plan, executed at every dop: the optimizer may pick another
+            // plan for another dop, and then there is nothing to line up.
+            let plan = conn.plan_sql_only(&sql).expect("plan").plan;
+            let run = |dop: usize| {
+                let out = execute_plan(&plan, catalog.clone(), ExecOptions::with_dop(dop))
+                    .unwrap_or_else(|e| panic!("Q{q} {mode:?} dop={dop}: {e}"));
+                (exact_rows(&out.chunk).len(), actuals(&plan, &out.stats))
+            };
+            let serial = run(1);
+            for dop in [4usize, 16] {
+                assert_eq!(
+                    run(dop),
+                    serial,
+                    "Q{q} {mode:?}: dop={dop} differs from dop=1"
+                );
+            }
         }
     }
 }
