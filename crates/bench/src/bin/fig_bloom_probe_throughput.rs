@@ -13,18 +13,40 @@
 //! Both probe the same filter, so they admit the same rows; the bin prints
 //! the target features it was compiled for next to the rates.
 //!
+//! Part two times the scan kernel the probes sit in: the local predicate
+//! (selection-vector refinement) and the gather of the projected columns,
+//! in ns per scanned row, over the lineitem chunks of the TPC-H data set.
+//! Each shape is the lineitem scan the optimizer plans for a query —
+//! **q1** (one date bound that keeps every generated row, seven columns
+//! gathered)
+//! and **q6** (a date range, a `BETWEEN` and a bound on three columns, a
+//! few percent kept, two gathered) — reported as min, median and spread
+//! (max − min) over repeated passes.
+//!
 //! With `--json`, structural metrics (false-positive survivor counts and
 //! the no-false-negative member counts — deterministic for the fixed keys
-//! and hash seed) gate in CI; `*_ms` timings and the speedup ratios are
-//! recorded for trending only.
+//! and hash seed; the scan shapes' selected rows and result checksums)
+//! gate in CI; `*_ms`/`*_ns` timings and the speedup ratios are recorded
+//! for trending only.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use bfq_bench::harness::{target_features, JsonReport};
+use bfq_bench::harness::{result_checksum, target_features, BenchEnv, JsonReport};
 use bfq_bloom::{BloomFilter, ProbeScratch, RuntimeFilter, BLOOM_SEED};
-use bfq_storage::Column;
+use bfq_catalog::Catalog;
+use bfq_common::{ColumnId, TableId};
+use bfq_core::{optimize, BloomMode};
+use bfq_expr::{eval_predicate, Expr, Layout};
+use bfq_plan::{Bindings, PhysicalNode, PhysicalPlan};
+use bfq_sql::plan_sql;
+use bfq_storage::{Chunk, Column};
+use bfq_tpch::query_text;
 
 const CHUNK_ROWS: usize = 8192;
+
+/// Timed passes per scan shape, after one warm-up pass.
+const SCAN_PASSES: usize = 9;
 
 /// Build the probe workload: chunks alternating member / non-member keys.
 fn probe_chunks(n_keys: i64, total_probes: usize) -> Vec<Column> {
@@ -91,6 +113,90 @@ fn run_batched(filter: &RuntimeFilter, chunks: &[Column], repeats: usize) -> (u6
     )
 }
 
+/// A query's lineitem scan as the optimizer plans it: the pushed-down
+/// predicate over the table's full layout and the projected columns.
+struct ScanShape {
+    label: &'static str,
+    predicate: Expr,
+    layout: Layout,
+    projection: Vec<usize>,
+}
+
+fn find_scan(plan: &PhysicalPlan, table: TableId) -> Option<&PhysicalNode> {
+    match &plan.node {
+        node @ PhysicalNode::Scan { base, .. } if *base == table => Some(node),
+        _ => plan
+            .children()
+            .into_iter()
+            .find_map(|c| find_scan(c, table)),
+    }
+}
+
+fn lineitem_scan(
+    catalog: &Arc<Catalog>,
+    env: &BenchEnv,
+    q: usize,
+    label: &'static str,
+) -> ScanShape {
+    let mut bindings = Bindings::new();
+    let bound = plan_sql(&query_text(q, env.sf), catalog, &mut bindings).expect("bind");
+    let config = env.config(BloomMode::None);
+    let planned = optimize(&bound.plan, &mut bindings, catalog, &config).expect("optimize");
+    let meta = catalog.meta_by_name("lineitem").expect("lineitem");
+    let Some(PhysicalNode::Scan {
+        rel_id,
+        projection,
+        predicate: Some(predicate),
+        ..
+    }) = find_scan(&planned.plan, meta.id)
+    else {
+        panic!("Q{q}: no filtered lineitem scan");
+    };
+    let width = catalog.data(meta.id).expect("lineitem data").schema().len();
+    ScanShape {
+        label,
+        predicate: predicate.clone(),
+        layout: Layout::new(
+            (0..width as u32)
+                .map(|i| ColumnId::new(*rel_id, i))
+                .collect(),
+        ),
+        projection: projection.iter().map(|&c| c as usize).collect(),
+    }
+}
+
+/// Scan every chunk once for the output (selected rows, gathered chunks),
+/// then [`SCAN_PASSES`] more times for the timing: predicate and gather ns
+/// per scanned row of each pass, each sorted.
+fn run_scan(shape: &ScanShape, chunks: &[Chunk]) -> (u64, Chunk, Vec<f64>, Vec<f64>) {
+    let rows: usize = chunks.iter().map(Chunk::rows).sum();
+    let pass = || {
+        let start = Instant::now();
+        let sels: Vec<Vec<u32>> = (chunks.iter())
+            .map(|c| eval_predicate(&shape.predicate, c, &shape.layout).expect("predicate"))
+            .collect();
+        let predicate_ns = start.elapsed().as_nanos() as f64 / rows as f64;
+        let start = Instant::now();
+        let out: Vec<Chunk> = (chunks.iter().zip(&sels))
+            .map(|(c, sel)| c.project(&shape.projection).take(sel))
+            .collect();
+        let gather_ns = start.elapsed().as_nanos() as f64 / rows as f64;
+        (sels, out, predicate_ns, gather_ns)
+    };
+    let (sels, out, _, _) = pass();
+    let (mut predicate_ns, mut gather_ns): (Vec<f64>, Vec<f64>) = (0..SCAN_PASSES)
+        .map(|_| {
+            let (_, _, p, g) = std::hint::black_box(pass());
+            (p, g)
+        })
+        .unzip();
+    predicate_ns.sort_by(f64::total_cmp);
+    gather_ns.sort_by(f64::total_cmp);
+    let selected = sels.iter().map(|s| s.len() as u64).sum();
+    let out = Chunk::concat(&out).expect("same schema");
+    (selected, out, predicate_ns, gather_ns)
+}
+
 fn main() {
     let mut json = JsonReport::from_args("fig_bloom_probe_throughput");
 
@@ -140,6 +246,57 @@ fn main() {
         json.add(&format!("{label}_fp"), (survivors - members) as f64);
         // No false negatives is a hard invariant: exact-match metric.
         json.add(&format!("{label}_members_checksum"), members as f64);
+    }
+
+    let env = BenchEnv::load();
+    let catalog = env.load_db();
+    let lineitem = catalog.meta_by_name("lineitem").expect("lineitem").id;
+    let chunks = catalog
+        .data(lineitem)
+        .expect("lineitem data")
+        .chunks()
+        .to_vec();
+    let rows: usize = chunks.iter().map(Chunk::rows).sum();
+    json.add("sf", env.sf);
+    println!("\n# Scan kernel — selection-vector predicate, then gather of the projected columns");
+    println!("# compiled for {}", target_features());
+    println!(
+        "{:<6} {:>8} {:>9} {:>15} {:>8} {:>7} {:>15} {:>8} {:>7}",
+        "shape",
+        "rows",
+        "selected",
+        "pred min ns/row",
+        "median",
+        "spread",
+        "gather min ns/row",
+        "median",
+        "spread"
+    );
+    for shape in [
+        lineitem_scan(&catalog, &env, 1, "q1"),
+        lineitem_scan(&catalog, &env, 6, "q6"),
+    ] {
+        let (selected, out, predicate_ns, gather_ns) = run_scan(&shape, &chunks);
+        let stats = |ns: &[f64]| (ns[0], ns[ns.len() / 2], ns[ns.len() - 1] - ns[0]);
+        let (p_min, p_median, p_spread) = stats(&predicate_ns);
+        let (g_min, g_median, g_spread) = stats(&gather_ns);
+        let tag = format!("scan_{}", shape.label);
+        // Deterministic for the fixed data set: gate exactly.
+        json.add(&format!("{tag}_selected_checksum"), selected as f64);
+        json.add(
+            &format!("{tag}_result_checksum"),
+            result_checksum(&out) as f64,
+        );
+        json.add(&format!("{tag}_predicate_min_ns"), p_min);
+        json.add(&format!("{tag}_predicate_median_ns"), p_median);
+        json.add(&format!("{tag}_predicate_spread_ns"), p_spread);
+        json.add(&format!("{tag}_gather_min_ns"), g_min);
+        json.add(&format!("{tag}_gather_median_ns"), g_median);
+        json.add(&format!("{tag}_gather_spread_ns"), g_spread);
+        println!(
+            "{:<6} {:>8} {:>9} {:>15.2} {:>8.2} {:>7.2} {:>15.2} {:>8.2} {:>7.2}",
+            shape.label, rows, selected, p_min, p_median, p_spread, g_min, g_median, g_spread
+        );
     }
 
     if let Some(path) = json.finish().expect("write json report") {

@@ -131,9 +131,7 @@ impl Grouper {
 
 /// The group-key columns of `input`.
 fn eval_keys(group_by: &[OutputColumn], input: &Chunk, layout: &Layout) -> Result<Chunk> {
-    let keys = group_by
-        .iter()
-        .map(|g| eval(&g.expr, input, layout).map(Arc::new));
+    let keys = group_by.iter().map(|g| eval(&g.expr, input, layout));
     Chunk::new(keys.collect::<Result<_>>()?)
 }
 
@@ -326,7 +324,7 @@ impl AggState {
                 acc.fold(None, &self.ids);
                 continue;
             };
-            let col = Arc::new(eval(arg, input, &self.input_layout)?);
+            let col = eval(arg, input, &self.input_layout)?;
             match distinct {
                 None => acc.fold(Some(&col), &self.ids),
                 Some(seen) => {

@@ -11,7 +11,7 @@ use bfq_common::{BfqError, CancelToken, DataType, Result};
 use bfq_expr::{eval, Layout};
 use bfq_index::IndexMode;
 use bfq_plan::{Distribution, ExchangeKind, PhysicalNode, PhysicalPlan};
-use bfq_storage::{Chunk, Column};
+use bfq_storage::{Chunk, Column, ColumnRef};
 
 use crate::data::{ExecStats, PartitionedData};
 use crate::join::BuildTable;
@@ -292,7 +292,7 @@ pub(crate) fn sort_chunk(
     keys: &[bfq_plan::SortKey],
     limit: Option<usize>,
 ) -> Result<Chunk> {
-    let key_cols: Vec<Column> = keys
+    let key_cols: Vec<ColumnRef> = keys
         .iter()
         .map(|k| eval(&k.expr, chunk, layout))
         .collect::<Result<_>>()?;

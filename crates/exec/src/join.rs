@@ -22,7 +22,8 @@ use bfq_storage::{Chunk, Column};
 use crate::data::PartitionedData;
 use crate::parallel::par_map;
 use crate::util::{
-    col_eq, hash_keys, hash_keys_into, keys_null, Directory, MorselScratch, JOIN_SEED, NONE,
+    col_eq, hash_keys, hash_keys_into, keys_null, slots_for, Directory, MorselScratch, JOIN_SEED,
+    NONE,
 };
 
 /// Builds of at most this many rows ignore the planner's distinct-key hint
@@ -269,8 +270,15 @@ pub fn probe_partition(
         // `keep` is ascending, so the overwrite never clobbers a live slot).
         if let Some(pred) = extra {
             if !probe_sel.is_empty() {
-                let pairs = Chunk::zip(&chunk.take(&probe_sel), &table.chunk.take(&build_sel))?;
-                let keep = eval_predicate(pred, &pairs, joined_layout)?;
+                let (pairs, layout) = residual_input(
+                    pred,
+                    chunk,
+                    &table.chunk,
+                    joined_layout,
+                    &probe_sel,
+                    &build_sel,
+                )?;
+                let keep = eval_predicate(pred, &pairs, &layout)?;
                 for (j, &k) in keep.iter().enumerate() {
                     probe_sel[j] = probe_sel[k as usize];
                     build_sel[j] = build_sel[k as usize];
@@ -308,6 +316,33 @@ pub fn probe_partition(
         emitted?;
     }
     Ok(out)
+}
+
+/// The candidate pairs' values of just the columns a residual predicate
+/// reads, gathered from whichever side carries each one, and their layout.
+fn residual_input(
+    pred: &Expr,
+    probe: &Chunk,
+    build: &Chunk,
+    joined_layout: &Layout,
+    probe_sel: &[u32],
+    build_sel: &[u32],
+) -> Result<(Chunk, Layout)> {
+    let ids = pred.columns();
+    let columns =
+        slots_for(joined_layout, &ids)?
+            .into_iter()
+            .map(|s| match s.checked_sub(probe.width()) {
+                None => Arc::new(probe.column(s).take(probe_sel)),
+                Some(b) => Arc::new(build.column(b).take(build_sel)),
+            });
+    let columns: Vec<_> = columns.collect();
+    let pairs = if columns.is_empty() {
+        Chunk::of_rows(probe_sel.len())
+    } else {
+        Chunk::new(columns)?
+    };
+    Ok((pairs, Layout::new(ids)))
 }
 
 /// Emit the output chunks of one probed chunk's matched pairs.

@@ -55,7 +55,7 @@ use crate::executor::{
 };
 use crate::join::{probe_partition, BuildTable};
 use crate::scan::{fetch_filters, prune_chunk, scan_chunk, ScanFilter};
-use crate::util::{expr_types, slots_for, substitute_placeholder, MorselScratch};
+use crate::util::{expr_types, select_rows, slots_for, substitute_placeholder, MorselScratch};
 
 /// Cap on morsel outputs a worker may run ahead of the consuming sink, per
 /// worker. Small enough to keep buffered rows near `workers × chunk`,
@@ -302,7 +302,7 @@ impl ChainOp {
                 for chunk in &chunks {
                     let sel = eval_predicate(predicate, chunk, layout)?;
                     if !sel.is_empty() {
-                        out.push(chunk.take(&sel));
+                        out.push(select_rows(chunk, &sel));
                     }
                 }
                 *node_id
@@ -318,7 +318,7 @@ impl ChainOp {
                     }
                     let cols: Vec<_> = exprs
                         .iter()
-                        .map(|e| eval(&e.expr, chunk, layout).map(Arc::new))
+                        .map(|e| eval(&e.expr, chunk, layout))
                         .collect::<Result<_>>()?;
                     out.push(Chunk::new(cols)?);
                 }
@@ -368,7 +368,7 @@ impl ChainOp {
                 for chunk in &chunks {
                     let sel = eval_predicate(predicate, chunk, layout)?;
                     if !sel.is_empty() {
-                        out.push(chunk.take(&sel));
+                        out.push(select_rows(chunk, &sel));
                     }
                 }
                 *node_id

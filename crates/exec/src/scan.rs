@@ -29,7 +29,7 @@ use bfq_storage::Chunk;
 
 use crate::data::ScanPruneStats;
 use crate::executor::ExecContext;
-use crate::util::MorselScratch;
+use crate::util::{select_rows, MorselScratch};
 
 /// A runtime filter ready to probe: raw `FilterId`, the filter, and the
 /// apply column's slot in the scan layout. The id rides along so probe
@@ -121,7 +121,9 @@ pub(crate) fn prune_chunk(
 }
 
 /// Scan one chunk: local predicate, then every Bloom filter (batched,
-/// allocation-free through the worker's scratch), then projection.
+/// allocation-free through the worker's scratch), then the gather of the
+/// projected columns only — columns the plan does not read are never
+/// copied.
 pub(crate) fn scan_chunk(
     chunk: &Chunk,
     full_layout: &Layout,
@@ -171,23 +173,105 @@ pub(crate) fn scan_chunk(
     } else {
         pred_sel.as_deref()
     };
+    // Project (sharing columns), then gather the survivors of what is left;
+    // with no predicate and no filters the whole morsel passes through.
+    let projected = match projection {
+        Some(cols) => chunk.project(&cols.iter().map(|&c| c as usize).collect::<Vec<_>>()),
+        None => chunk.clone(),
+    };
     let out = match final_sel {
         Some([]) => None,
-        Some(s) => {
-            let taken = chunk.take(s);
-            Some(match projection {
-                Some(cols) => taken.project(&cols.iter().map(|&c| c as usize).collect::<Vec<_>>()),
-                None => taken,
-            })
-        }
-        // No predicate, no filters: the whole morsel passes through —
-        // share the columns instead of copying every row.
-        None => Some(match projection {
-            Some(cols) => chunk.project(&cols.iter().map(|&c| c as usize).collect::<Vec<_>>()),
-            None => chunk.clone(),
-        }),
+        Some(s) => Some(select_rows(&projected, s)),
+        None => Some(projected),
     };
     scratch.probe.sel_a = cur;
     scratch.probe.sel_b = next;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bfq_common::{DataType, Datum};
+    use bfq_expr::BinOp;
+    use bfq_storage::ColumnBuilder;
+
+    const TYPES: [DataType; 5] = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Utf8,
+        DataType::Date,
+        DataType::Bool,
+    ];
+
+    fn col(i: usize) -> Expr {
+        Expr::col(ColumnId::new(TableId(0), i as u32))
+    }
+
+    /// Twelve columns cycling through every type, each with NULLs at a
+    /// different stride.
+    fn wide_nullable_chunk(rows: usize) -> (Chunk, Layout) {
+        let columns = (0..12).map(|c| {
+            let dt = TYPES[c % TYPES.len()];
+            let mut b = ColumnBuilder::new(dt);
+            for i in 0..rows {
+                let k = (i * 7 + c) % 13;
+                let d = match dt {
+                    _ if (i + c) % (c + 3) == 0 => Datum::Null,
+                    DataType::Int64 => Datum::Int(k as i64),
+                    DataType::Float64 => Datum::Float(k as f64 * 0.5),
+                    DataType::Utf8 => Datum::str(format!("s{k}")),
+                    DataType::Date => Datum::Date(9000 + k as i32),
+                    DataType::Bool => Datum::Bool(k.is_multiple_of(2)),
+                };
+                b.push_datum(&d).unwrap();
+            }
+            Arc::new(b.finish())
+        });
+        let chunk = Chunk::new(columns.collect()).unwrap();
+        let layout = Layout::new((0..12).map(|i| ColumnId::new(TableId(0), i)).collect());
+        (chunk, layout)
+    }
+
+    #[test]
+    fn project_then_take_equals_take_then_project() {
+        let (chunk, layout) = wide_nullable_chunk(1000);
+        let projection = [7u32, 2, 9, 4, 2];
+        let slots: Vec<usize> = projection.iter().map(|&c| c as usize).collect();
+        let some = Expr::binary(BinOp::Lt, col(0), Expr::int(6)).and(Expr::Like {
+            expr: Box::new(col(2)),
+            pattern: "s1%".into(),
+            negated: true,
+        });
+        let all = Expr::binary(BinOp::GtEq, col(5), Expr::int(0)).or(Expr::Unary {
+            op: bfq_expr::UnOp::IsNull,
+            expr: Box::new(col(5)),
+        });
+        let none = Expr::binary(BinOp::Gt, col(0), Expr::int(99));
+        let mut scratch = MorselScratch::new();
+        let rows = |p: &Expr| eval_predicate(p, &chunk, &layout).unwrap().len();
+        assert_eq!(rows(&all), chunk.rows());
+        assert!((1..chunk.rows()).contains(&rows(&some)));
+        for pred in [Some(some), Some(all), Some(none), None] {
+            let got = scan_chunk(&chunk, &layout, &pred, &[], Some(&projection), &mut scratch);
+            let sel = match &pred {
+                Some(p) => eval_predicate(p, &chunk, &layout).unwrap(),
+                None => (0..chunk.rows() as u32).collect(),
+            };
+            let want = chunk.take(&sel).project(&slots);
+            match got.unwrap() {
+                None => assert!(sel.is_empty()),
+                Some(got) => {
+                    assert_eq!((got.rows(), got.width()), (want.rows(), want.width()));
+                    for (c, &slot) in slots.iter().enumerate() {
+                        assert_eq!(got.column(c), want.column(c), "column {c}");
+                        if sel.len() == chunk.rows() {
+                            // Every row passed: the scan shares, never copies.
+                            assert!(Arc::ptr_eq(got.column(c), chunk.column(slot)));
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -284,6 +284,17 @@ pub fn slots_for(layout: &Layout, cols: &[ColumnId]) -> Result<Vec<usize>> {
         .collect()
 }
 
+/// The rows of `chunk` an ascending, duplicate-free selection keeps (what
+/// `eval_predicate` and the Bloom probes return): the chunk itself, its
+/// columns shared, when every row passed.
+pub(crate) fn select_rows(chunk: &Chunk, sel: &[u32]) -> Chunk {
+    if sel.len() == chunk.rows() {
+        chunk.clone()
+    } else {
+        chunk.take(sel)
+    }
+}
+
 /// Compute output types of expressions given input layout + types.
 pub fn expr_types(
     exprs: &[&Expr],

@@ -4,10 +4,12 @@
 //! comparisons on NULL yield NULL, `AND`/`OR` follow Kleene logic, and a
 //! WHERE clause keeps only rows whose predicate is *true* (not NULL).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use bfq_common::{date, BfqError, ColumnId, DataType, Datum, Result};
-use bfq_storage::{Bitmap, Chunk, Column, ColumnBuilder, StrData};
+use bfq_storage::{Bitmap, Chunk, Column, ColumnBuilder, ColumnRef, StrData};
 
 use crate::like::like_match;
 use crate::{BinOp, Expr, UnOp};
@@ -149,55 +151,60 @@ impl BoolVec {
     }
 }
 
+/// The slot carrying `id` in `layout`, or the evaluator's missing-column
+/// error.
+pub(crate) fn slot(layout: &Layout, id: ColumnId) -> Result<usize> {
+    layout
+        .slot_of(id)
+        .ok_or_else(|| BfqError::internal(format!("column {id} not present in layout")))
+}
+
 /// Evaluate `expr` over `chunk`, producing one output column.
-pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
+///
+/// A column reference shares the chunk's column (an `Arc` clone); only
+/// computed expressions allocate.
+pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<ColumnRef> {
     let rows = chunk.rows();
-    match expr {
-        Expr::Column(id) => {
-            let slot = layout
-                .slot_of(*id)
-                .ok_or_else(|| BfqError::internal(format!("column {id} not present in layout")))?;
-            Ok(chunk.column(slot).as_ref().clone())
-        }
+    let col = match expr {
+        Expr::Column(id) => return Ok(Arc::clone(chunk.column(slot(layout, *id)?))),
         Expr::Literal(d) => broadcast_literal(d, rows),
-        Expr::Param(i) => Err(BfqError::Execution(format!(
-            "unbound parameter ${} (bind values before executing)",
-            i + 1
-        ))),
+        Expr::Param(i) => {
+            return Err(BfqError::Execution(format!(
+                "unbound parameter ${} (bind values before executing)",
+                i + 1
+            )))
+        }
         Expr::Binary { op, left, right } => {
             if op.is_logical() {
-                let l = BoolVec::from_column(&eval(left, chunk, layout)?)?;
-                let r = BoolVec::from_column(&eval(right, chunk, layout)?)?;
+                let l = BoolVec::from_column(&*eval(left, chunk, layout)?)?;
+                let r = BoolVec::from_column(&*eval(right, chunk, layout)?)?;
                 let out = match op {
                     BinOp::And => l.and(r),
                     BinOp::Or => l.or(r),
                     _ => unreachable!(),
                 };
-                Ok(out.into_column())
-            } else if op.is_comparison() {
-                let l = eval(left, chunk, layout)?;
-                let r = eval(right, chunk, layout)?;
-                Ok(compare_columns(*op, &l, &r)?.into_column())
+                out.into_column()
             } else {
-                let l = eval(left, chunk, layout)?;
-                let r = eval(right, chunk, layout)?;
-                arith_columns(*op, &l, &r)
+                let l = operand(left, chunk, layout)?;
+                let r = operand(right, chunk, layout)?;
+                if op.is_comparison() {
+                    compare(*op, &l, &r, rows)?.into_column()
+                } else {
+                    arith(*op, &l, &r, rows)?
+                }
             }
         }
         Expr::Unary { op, expr } => match op {
             UnOp::Not => {
-                let v = BoolVec::from_column(&eval(expr, chunk, layout)?)?;
-                Ok(v.not().into_column())
+                let v = BoolVec::from_column(&*eval(expr, chunk, layout)?)?;
+                v.not().into_column()
             }
-            UnOp::Neg => {
-                let c = eval(expr, chunk, layout)?;
-                negate_column(&c)
-            }
+            UnOp::Neg => negate_column(&*eval(expr, chunk, layout)?)?,
             UnOp::IsNull | UnOp::IsNotNull => {
                 let c = eval(expr, chunk, layout)?;
                 let want_null = matches!(op, UnOp::IsNull);
                 let vals = (0..c.len()).map(|i| c.is_null(i) == want_null).collect();
-                Ok(Column::Bool(vals, None))
+                Column::Bool(vals, None)
             }
         },
         Expr::Between {
@@ -206,27 +213,26 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
             high,
             negated,
         } => {
-            let v = eval(e, chunk, layout)?;
-            let lo = eval(low, chunk, layout)?;
-            let hi = eval(high, chunk, layout)?;
-            let ge = compare_columns(BinOp::GtEq, &v, &lo)?;
-            let le = compare_columns(BinOp::LtEq, &v, &hi)?;
+            let v = operand(e, chunk, layout)?;
+            let lo = operand(low, chunk, layout)?;
+            let hi = operand(high, chunk, layout)?;
+            let ge = compare(BinOp::GtEq, &v, &lo, rows)?;
+            let le = compare(BinOp::LtEq, &v, &hi, rows)?;
             let mut out = ge.and(le);
             if *negated {
                 out = out.not();
             }
-            Ok(out.into_column())
+            out.into_column()
         }
         Expr::InList {
             expr: e,
             list,
             negated,
         } => {
-            let v = eval(e, chunk, layout)?;
+            let v = operand(e, chunk, layout)?;
             let mut acc: Option<BoolVec> = None;
             for item in list {
-                let iv = eval(item, chunk, layout)?;
-                let eq = compare_columns(BinOp::Eq, &v, &iv)?;
+                let eq = compare(BinOp::Eq, &v, &operand(item, chunk, layout)?, rows)?;
                 acc = Some(match acc {
                     None => eq,
                     Some(a) => a.or(eq),
@@ -236,7 +242,7 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
             if *negated {
                 out = out.not();
             }
-            Ok(out.into_column())
+            out.into_column()
         }
         Expr::Like {
             expr: e,
@@ -256,7 +262,7 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
                     out.vals[i] = m != *negated;
                 }
             }
-            Ok(out.into_column())
+            out.into_column()
         }
         Expr::Case {
             branches,
@@ -264,9 +270,9 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
         } => {
             let conds: Vec<BoolVec> = branches
                 .iter()
-                .map(|(c, _)| BoolVec::from_column(&eval(c, chunk, layout)?))
+                .map(|(c, _)| BoolVec::from_column(&*eval(c, chunk, layout)?))
                 .collect::<Result<_>>()?;
-            let vals: Vec<Column> = branches
+            let vals: Vec<ColumnRef> = branches
                 .iter()
                 .map(|(_, v)| eval(v, chunk, layout))
                 .collect::<Result<_>>()?;
@@ -292,10 +298,10 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
                     .unwrap_or_else(|| else_col.as_ref().map(|c| c.get(i)).unwrap_or(Datum::Null));
                 builder.push_datum(&datum)?;
             }
-            Ok(builder.finish())
+            builder.finish()
         }
-        Expr::ExtractYear(e) => extract_date_part(e, chunk, layout, date::year_of),
-        Expr::ExtractMonth(e) => extract_date_part(e, chunk, layout, |d| date::month_of(d) as i32),
+        Expr::ExtractYear(e) => extract_date_part(e, chunk, layout, date::year_of)?,
+        Expr::ExtractMonth(e) => extract_date_part(e, chunk, layout, |d| date::month_of(d) as i32)?,
         Expr::Substring {
             expr: e,
             start,
@@ -315,9 +321,10 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
                     .collect();
                 out.push(&piece);
             }
-            Ok(Column::Utf8(out, c.validity().cloned()))
+            Column::Utf8(out, c.validity().cloned())
         }
-    }
+    };
+    Ok(Arc::new(col))
 }
 
 fn extract_date_part(
@@ -335,126 +342,8 @@ fn extract_date_part(
     Ok(Column::Int64(vals, validity))
 }
 
-/// Evaluate a predicate to a selection vector of rows where it is TRUE.
-pub fn eval_predicate(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Vec<u32>> {
-    // `col <op> literal` on Int64/Date never needs the materialized Bool
-    // column: compact the selection vector straight off the typed values.
-    if let Some(sel) = eval_predicate_fast(expr, chunk, layout) {
-        return Ok(sel);
-    }
-    let col = eval(expr, chunk, layout)?;
-    let vals = col
-        .as_bool()
-        .ok_or_else(|| BfqError::Type(format!("predicate has type {}", col.data_type())))?;
-    let mut sel = Vec::new();
-    match col.validity() {
-        None => {
-            for (i, &v) in vals.iter().enumerate() {
-                if v {
-                    sel.push(i as u32);
-                }
-            }
-        }
-        Some(bm) => {
-            for (i, &v) in vals.iter().enumerate() {
-                if v && bm.get(i) {
-                    sel.push(i as u32);
-                }
-            }
-        }
-    }
-    Ok(sel)
-}
-
-/// The comparison with its operands swapped: `lit <op> col` ≡ `col <mirror(op)> lit`.
-fn mirror_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other, // Eq / NotEq are symmetric
-    }
-}
-
-/// Fast path for `col <op> literal` (either operand order) on Int64 and
-/// Date columns: a branch-free selection-vector compaction over the typed
-/// values, mirroring the Bloom probe kernel contract — no Bool column, no
-/// per-row branch, one comparison per element that LLVM can vectorize.
-/// Returns `None` whenever the expression shape or types don't fit; the
-/// general three-valued-logic path handles those.
-fn eval_predicate_fast(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Option<Vec<u32>> {
-    let Expr::Binary { op, left, right } = expr else {
-        return None;
-    };
-    if !op.is_comparison() {
-        return None;
-    }
-    let (col_id, lit, op) = match (left.as_ref(), right.as_ref()) {
-        (Expr::Column(c), Expr::Literal(d)) => (*c, d, *op),
-        (Expr::Literal(d), Expr::Column(c)) => (*c, d, mirror_cmp(*op)),
-        _ => return None,
-    };
-    let col: &Column = chunk.column(layout.slot_of(col_id)?);
-    // Same-type comparisons only: cross-type pairs go through the general
-    // numeric view, and a NULL literal never selects anything but must
-    // still produce SQL NULL semantics upstream — both stay on the slow
-    // path.
-    match (col, lit) {
-        (Column::Int64(vals, _), Datum::Int(k)) => Some(cmp_sel(vals, col.validity(), op, *k)),
-        (Column::Date(vals, _), Datum::Date(k)) => Some(cmp_sel(vals, col.validity(), op, *k)),
-        _ => None,
-    }
-}
-
-/// Compact row indices where `vals[i] <op> lit` holds (and the row is
-/// valid) into a fresh selection vector. The operator dispatch happens
-/// once, outside the loop; each loop body is a write-always/advance-
-/// conditionally compaction with no data-dependent branch.
-fn cmp_sel<T: Copy + PartialOrd>(
-    vals: &[T],
-    validity: Option<&Bitmap>,
-    op: BinOp,
-    lit: T,
-) -> Vec<u32> {
-    #[inline]
-    fn compact<T: Copy>(
-        vals: &[T],
-        validity: Option<&Bitmap>,
-        pred: impl Fn(T) -> bool,
-    ) -> Vec<u32> {
-        let mut sel = vec![0u32; vals.len()];
-        let mut k = 0usize;
-        match validity {
-            None => {
-                for (i, &v) in vals.iter().enumerate() {
-                    sel[k] = i as u32;
-                    k += pred(v) as usize;
-                }
-            }
-            Some(bm) => {
-                for (i, &v) in vals.iter().enumerate() {
-                    sel[k] = i as u32;
-                    k += (pred(v) & bm.get(i)) as usize;
-                }
-            }
-        }
-        sel.truncate(k);
-        sel
-    }
-    match op {
-        BinOp::Eq => compact(vals, validity, |v| v == lit),
-        BinOp::NotEq => compact(vals, validity, |v| v != lit),
-        BinOp::Lt => compact(vals, validity, |v| v < lit),
-        BinOp::LtEq => compact(vals, validity, |v| v <= lit),
-        BinOp::Gt => compact(vals, validity, |v| v > lit),
-        BinOp::GtEq => compact(vals, validity, |v| v >= lit),
-        _ => unreachable!("not a comparison"),
-    }
-}
-
-fn broadcast_literal(d: &Datum, rows: usize) -> Result<Column> {
-    Ok(match d {
+fn broadcast_literal(d: &Datum, rows: usize) -> Column {
+    match d {
         Datum::Null => Column::nulls(DataType::Int64, rows),
         Datum::Int(v) => Column::Int64(vec![*v; rows], None),
         Datum::Float(v) => Column::Float64(vec![*v; rows], None),
@@ -467,7 +356,7 @@ fn broadcast_literal(d: &Datum, rows: usize) -> Result<Column> {
             }
             Column::Utf8(sd, None)
         }
-    })
+    }
 }
 
 fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
@@ -482,92 +371,166 @@ fn cmp_matches(op: BinOp, ord: Ordering) -> bool {
     }
 }
 
-fn compare_columns(op: BinOp, l: &Column, r: &Column) -> Result<BoolVec> {
-    let n = l.len();
-    if r.len() != n {
-        return Err(BfqError::internal("comparison arity mismatch"));
-    }
-    let mut out = BoolVec::new(vec![false; n]);
-    // Fast paths by type pair; fall back to datum comparison otherwise.
-    match (l, r) {
-        (Column::Utf8(ls, _), Column::Utf8(rs, _)) => {
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    out.set_invalid(i);
-                } else {
-                    out.vals[i] = cmp_matches(op, ls.get(i).cmp(rs.get(i)));
-                }
-            }
-        }
-        (Column::Int64(lv, _), Column::Int64(rv, _)) => {
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    out.set_invalid(i);
-                } else {
-                    out.vals[i] = cmp_matches(op, lv[i].cmp(&rv[i]));
-                }
-            }
-        }
-        (Column::Date(lv, _), Column::Date(rv, _)) => {
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    out.set_invalid(i);
-                } else {
-                    out.vals[i] = cmp_matches(op, lv[i].cmp(&rv[i]));
-                }
-            }
-        }
-        _ => {
-            // Numeric cross-type comparison on the f64 axis, or error.
-            let lf = numeric_view(l)?;
-            let rf = numeric_view(r)?;
-            for i in 0..n {
-                if l.is_null(i) || r.is_null(i) {
-                    out.set_invalid(i);
-                } else {
-                    let ord = lf(i).partial_cmp(&rf(i)).unwrap_or(Ordering::Equal);
-                    out.vals[i] = cmp_matches(op, ord);
-                }
-            }
-        }
-    }
-    Ok(out)
+/// One operand of a comparison or arithmetic kernel: a column, or a
+/// non-NULL literal read as a scalar instead of broadcast. A NULL literal
+/// is evaluated (an all-NULL INT64 column), which is what types it.
+enum Operand<'a> {
+    Col(ColumnRef),
+    Lit(&'a Datum),
 }
 
-type NumView<'a> = Box<dyn Fn(usize) -> f64 + 'a>;
+fn operand<'a>(e: &'a Expr, chunk: &Chunk, layout: &Layout) -> Result<Operand<'a>> {
+    Ok(match e {
+        Expr::Literal(d) if !d.is_null() => Operand::Lit(d),
+        _ => Operand::Col(eval(e, chunk, layout)?),
+    })
+}
 
-fn numeric_view(c: &Column) -> Result<NumView<'_>> {
-    match c {
-        Column::Int64(v, _) => Ok(Box::new(move |i| v[i] as f64)),
-        Column::Float64(v, _) => Ok(Box::new(move |i| v[i])),
-        Column::Date(v, _) => Ok(Box::new(move |i| v[i] as f64)),
-        Column::Bool(v, _) => Ok(Box::new(move |i| v[i] as u8 as f64)),
-        Column::Utf8(..) => Err(BfqError::Type(
-            "cannot compare a string with a numeric value".into(),
-        )),
+/// An operand's values on one typed axis: a column's (borrowed, or
+/// converted once) or one literal.
+enum Vals<'a, T: Clone> {
+    Col(Cow<'a, [T]>),
+    Lit(T),
+}
+
+impl<T: Copy> Vals<'_, T> {
+    /// `f(row)` for each of `n` rows.
+    fn map<U>(&self, n: usize, f: impl Fn(T) -> U) -> Vec<U> {
+        match self {
+            Vals::Col(a) => a.iter().map(|&x| f(x)).collect(),
+            Vals::Lit(x) => (0..n).map(|_| f(*x)).collect(),
+        }
+    }
+
+    /// The values converted to another axis; a literal stays one.
+    fn cast<U: Clone>(&self, f: impl Fn(T) -> U) -> Vals<'static, U> {
+        match self {
+            Vals::Col(a) => Vals::Col(Cow::Owned(a.iter().map(|&x| f(x)).collect())),
+            Vals::Lit(x) => Vals::Lit(f(*x)),
+        }
+    }
+
+    /// `f(self[row], other[row])` for each of `n` rows.
+    fn zip<U>(&self, other: &Vals<'_, T>, n: usize, f: impl Fn(T, T) -> U) -> Vec<U> {
+        match (self, other) {
+            (Vals::Col(a), Vals::Col(b)) => {
+                a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect()
+            }
+            (Vals::Col(a), Vals::Lit(y)) => a.iter().map(|&x| f(x, *y)).collect(),
+            (Vals::Lit(x), Vals::Col(b)) => b.iter().map(|&y| f(*x, y)).collect(),
+            (Vals::Lit(x), Vals::Lit(y)) => (0..n).map(|_| f(*x, *y)).collect(),
+        }
     }
 }
 
-fn merged_validity(l: &Column, r: &Column, extra_null: impl Fn(usize) -> bool) -> Option<Bitmap> {
-    let n = l.len();
-    let any = l.validity().is_some() || r.validity().is_some() || (0..n).any(&extra_null);
-    if !any {
+impl Operand<'_> {
+    fn data_type(&self) -> DataType {
+        match self {
+            Operand::Col(c) => c.data_type(),
+            Operand::Lit(d) => d.data_type().expect("a NULL literal is a column"),
+        }
+    }
+
+    fn is_null(&self, i: usize) -> bool {
+        matches!(self, Operand::Col(c) if c.is_null(i))
+    }
+
+    fn nullable(&self) -> bool {
+        matches!(self, Operand::Col(c) if c.validity().is_some())
+    }
+
+    /// INT64 values (the caller has checked the type).
+    fn ints(&self) -> Vals<'_, i64> {
+        match self {
+            Operand::Col(c) => Vals::Col(Cow::Borrowed(c.as_i64().expect("INT64 operand"))),
+            Operand::Lit(d) => Vals::Lit(d.as_i64().expect("INT64 operand")),
+        }
+    }
+
+    /// DATE values (the caller has checked the type).
+    fn dates(&self) -> Vals<'_, i32> {
+        match self {
+            Operand::Col(c) => Vals::Col(Cow::Borrowed(c.as_date().expect("DATE operand"))),
+            Operand::Lit(Datum::Date(v)) => Vals::Lit(*v),
+            Operand::Lit(_) => unreachable!("DATE operand"),
+        }
+    }
+
+    /// UTF8 values (the caller has checked the type).
+    fn strs(&self) -> Vals<'_, &str> {
+        match self {
+            Operand::Col(c) => Vals::Col(Cow::Owned(
+                c.as_str().expect("UTF8 operand").iter().collect(),
+            )),
+            Operand::Lit(d) => Vals::Lit(d.as_str().expect("UTF8 operand")),
+        }
+    }
+
+    /// Values on the shared numeric axis (ints, dates and booleans widened
+    /// once, floats borrowed); strings have none.
+    fn floats(&self) -> Result<Vals<'_, f64>> {
+        let not_numeric = || BfqError::Type("cannot compare a string with a numeric value".into());
+        Ok(match self {
+            Operand::Col(c) => match c.as_ref() {
+                Column::Float64(v, _) => Vals::Col(Cow::Borrowed(v.as_slice())),
+                Column::Int64(v, _) => Vals::Col(Cow::Borrowed(v.as_slice())).cast(|x| x as f64),
+                Column::Date(v, _) => Vals::Col(Cow::Borrowed(v.as_slice())).cast(|x| x as f64),
+                Column::Bool(v, _) => {
+                    Vals::Col(Cow::Borrowed(v.as_slice())).cast(|x| x as u8 as f64)
+                }
+                Column::Utf8(..) => return Err(not_numeric()),
+            },
+            Operand::Lit(Datum::Bool(b)) => Vals::Lit(*b as u8 as f64),
+            Operand::Lit(d) => Vals::Lit(d.as_f64().ok_or_else(not_numeric)?),
+        })
+    }
+}
+
+/// Row validity of a binary result: valid where neither operand is NULL
+/// and `extra_null` (if any) is false; `None` when no operand can be NULL
+/// and no row is forced NULL.
+fn valid_rows(
+    l: &Operand,
+    r: &Operand,
+    n: usize,
+    extra_null: Option<&[bool]>,
+) -> Option<Vec<bool>> {
+    let forced = extra_null.is_some_and(|e| e.contains(&true));
+    if !l.nullable() && !r.nullable() && !forced {
         return None;
     }
-    Some(Bitmap::from_bools(
-        (0..n).map(|i| !l.is_null(i) && !r.is_null(i) && !extra_null(i)),
-    ))
+    Some(
+        (0..n)
+            .map(|i| !l.is_null(i) && !r.is_null(i) && !extra_null.is_some_and(|e| e[i]))
+            .collect(),
+    )
 }
 
-fn arith_columns(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
-    let n = l.len();
-    if r.len() != n {
-        return Err(BfqError::internal("arithmetic arity mismatch"));
-    }
+fn compare(op: BinOp, l: &Operand, r: &Operand, n: usize) -> Result<BoolVec> {
+    let m = |ord| cmp_matches(op, ord);
+    let vals = match (l.data_type(), r.data_type()) {
+        (DataType::Utf8, DataType::Utf8) => l.strs().zip(&r.strs(), n, |a, b| m(a.cmp(b))),
+        (DataType::Int64, DataType::Int64) => l.ints().zip(&r.ints(), n, |a, b| m(a.cmp(&b))),
+        (DataType::Date, DataType::Date) => l.dates().zip(&r.dates(), n, |a, b| m(a.cmp(&b))),
+        // Numeric cross-type comparison on the f64 axis, or error.
+        _ => {
+            let (a, b) = (l.floats()?, r.floats()?);
+            a.zip(&b, n, |a, b| {
+                m(a.partial_cmp(&b).unwrap_or(Ordering::Equal))
+            })
+        }
+    };
+    Ok(BoolVec {
+        vals,
+        valid: valid_rows(l, r, n, None),
+    })
+}
+
+fn arith(op: BinOp, l: &Operand, r: &Operand, n: usize) -> Result<Column> {
     let (lt, rt) = (l.data_type(), r.data_type());
-    // Date arithmetic.
+    let bitmap = |valid: Option<Vec<bool>>| valid.map(Bitmap::from_bools);
     if lt == DataType::Date || rt == DataType::Date {
-        return date_arith(op, l, r);
+        return date_arith(op, l, r, n);
     }
     if !lt.is_numeric() || !rt.is_numeric() {
         return Err(BfqError::Type(format!(
@@ -575,66 +538,54 @@ fn arith_columns(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
         )));
     }
     if op == BinOp::Div {
-        let lf = numeric_view(l)?;
-        let rf = numeric_view(r)?;
-        let vals: Vec<f64> = (0..n)
-            .map(|i| {
-                let d = rf(i);
-                if d == 0.0 {
-                    0.0
-                } else {
-                    lf(i) / d
-                }
-            })
-            .collect();
-        let validity = merged_validity(l, r, |i| rf(i) == 0.0);
-        return Ok(Column::Float64(vals, validity));
+        let (a, d) = (l.floats()?, r.floats()?);
+        let zero = d.map(n, |d| d == 0.0);
+        let vals = a.zip(&d, n, |a, d| if d == 0.0 { 0.0 } else { a / d });
+        return Ok(Column::Float64(
+            vals,
+            bitmap(valid_rows(l, r, n, Some(&zero))),
+        ));
     }
+    let validity = bitmap(valid_rows(l, r, n, None));
     if lt == DataType::Float64 || rt == DataType::Float64 {
-        let lf = numeric_view(l)?;
-        let rf = numeric_view(r)?;
-        let vals: Vec<f64> = (0..n)
-            .map(|i| match op {
-                BinOp::Plus => lf(i) + rf(i),
-                BinOp::Minus => lf(i) - rf(i),
-                BinOp::Mul => lf(i) * rf(i),
-                _ => unreachable!(),
-            })
-            .collect();
-        Ok(Column::Float64(vals, merged_validity(l, r, |_| false)))
+        let (a, b) = (l.floats()?, r.floats()?);
+        let vals = match op {
+            BinOp::Plus => a.zip(&b, n, |x, y| x + y),
+            BinOp::Minus => a.zip(&b, n, |x, y| x - y),
+            BinOp::Mul => a.zip(&b, n, |x, y| x * y),
+            _ => unreachable!(),
+        };
+        Ok(Column::Float64(vals, validity))
     } else {
-        let lv = l.as_i64().expect("int column");
-        let rv = r.as_i64().expect("int column");
-        let vals: Vec<i64> = (0..n)
-            .map(|i| match op {
-                BinOp::Plus => lv[i].wrapping_add(rv[i]),
-                BinOp::Minus => lv[i].wrapping_sub(rv[i]),
-                BinOp::Mul => lv[i].wrapping_mul(rv[i]),
-                _ => unreachable!(),
-            })
-            .collect();
-        Ok(Column::Int64(vals, merged_validity(l, r, |_| false)))
+        let (a, b) = (l.ints(), r.ints());
+        let vals = match op {
+            BinOp::Plus => a.zip(&b, n, i64::wrapping_add),
+            BinOp::Minus => a.zip(&b, n, i64::wrapping_sub),
+            BinOp::Mul => a.zip(&b, n, i64::wrapping_mul),
+            _ => unreachable!(),
+        };
+        Ok(Column::Int64(vals, validity))
     }
 }
 
-fn date_arith(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
-    let n = l.len();
-    let validity = merged_validity(l, r, |_| false);
-    match (l, r, op) {
-        (Column::Date(lv, _), Column::Date(rv, _), BinOp::Minus) => {
-            let vals: Vec<i64> = (0..n).map(|i| (lv[i] - rv[i]) as i64).collect();
+fn date_arith(op: BinOp, l: &Operand, r: &Operand, n: usize) -> Result<Column> {
+    let validity = valid_rows(l, r, n, None).map(Bitmap::from_bools);
+    match (l.data_type(), r.data_type(), op) {
+        (DataType::Date, DataType::Date, BinOp::Minus) => {
+            let vals = l.dates().zip(&r.dates(), n, |a, b| (a - b) as i64);
             Ok(Column::Int64(vals, validity))
         }
-        (Column::Date(lv, _), Column::Int64(rv, _), BinOp::Plus) => {
-            let vals: Vec<i32> = (0..n).map(|i| lv[i] + rv[i] as i32).collect();
+        (DataType::Date, DataType::Int64, BinOp::Plus | BinOp::Minus) => {
+            let (d, k) = (l.dates(), r.ints().cast(|k| k as i32));
+            let vals = match op {
+                BinOp::Plus => d.zip(&k, n, |a, b| a + b),
+                _ => d.zip(&k, n, |a, b| a - b),
+            };
             Ok(Column::Date(vals, validity))
         }
-        (Column::Date(lv, _), Column::Int64(rv, _), BinOp::Minus) => {
-            let vals: Vec<i32> = (0..n).map(|i| lv[i] - rv[i] as i32).collect();
-            Ok(Column::Date(vals, validity))
-        }
-        (Column::Int64(lv, _), Column::Date(rv, _), BinOp::Plus) => {
-            let vals: Vec<i32> = (0..n).map(|i| lv[i] as i32 + rv[i]).collect();
+        (DataType::Int64, DataType::Date, BinOp::Plus) => {
+            let k = l.ints().cast(|k| k as i32);
+            let vals = k.zip(&r.dates(), n, |a, b| a + b);
             Ok(Column::Date(vals, validity))
         }
         _ => Err(BfqError::Type(format!(
@@ -724,6 +675,7 @@ pub fn scalar_binary(op: BinOp, l: &Datum, r: &Datum) -> Result<Datum> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval_predicate;
     use bfq_common::TableId;
     use std::sync::Arc as StdArc;
 
@@ -764,6 +716,15 @@ mod tests {
     }
 
     #[test]
+    fn a_column_reference_shares_the_chunks_column() {
+        let (chunk, layout) = test_chunk();
+        for slot in 0..chunk.width() {
+            let c = eval(&Expr::col(cid(slot as u32)), &chunk, &layout).unwrap();
+            assert!(StdArc::ptr_eq(&c, chunk.column(slot)), "slot {slot}");
+        }
+    }
+
+    #[test]
     fn comparisons_and_predicates() {
         let (chunk, layout) = test_chunk();
         let pred = Expr::binary(BinOp::Gt, Expr::col(cid(0)), Expr::int(2));
@@ -784,8 +745,8 @@ mod tests {
     }
 
     #[test]
-    fn predicate_fast_path_matches_general_path() {
-        // Nullable Int64 column so the fast path's validity handling is
+    fn predicate_kernels_match_general_path() {
+        // Nullable Int64 column so the kernels' validity handling is
         // exercised; general path computed by evaluating the Bool column.
         let vals: Vec<i64> = (0..100).map(|i| (i * 7) % 23).collect();
         let validity = Bitmap::from_bools((0..100).map(|i| i % 9 != 0).collect::<Vec<_>>());
@@ -817,7 +778,7 @@ mod tests {
                 general(&pred),
                 "int64 {op:?}"
             );
-            // Flipped operand order takes the mirrored fast path.
+            // Flipped operand order takes the mirrored kernel.
             let flipped = Expr::binary(op, Expr::int(11), Expr::col(cid(0)));
             assert_eq!(
                 eval_predicate(&flipped, &chunk, &layout).unwrap(),
@@ -831,9 +792,8 @@ mod tests {
                 "date {op:?}"
             );
         }
-        // A NULL literal stays on the general path and selects nothing.
+        // A NULL literal selects nothing.
         let pred = Expr::binary(BinOp::Eq, Expr::col(cid(0)), Expr::lit(Datum::Null));
-        assert!(eval_predicate_fast(&pred, &chunk, &layout).is_none());
         assert!(eval_predicate(&pred, &chunk, &layout).unwrap().is_empty());
     }
 
@@ -855,6 +815,79 @@ mod tests {
         let c = eval(&e, &chunk, &layout).unwrap();
         assert_eq!(c.data_type(), DataType::Float64);
         assert_eq!(c.as_f64().unwrap()[1], 1.0);
+    }
+
+    #[test]
+    fn literal_operands_match_their_broadcast_columns() {
+        // A literal is read as a scalar, never broadcast; every operator
+        // must give what it gives over the same literal broadcast into a
+        // column (slot 4), bit for bit: values, validity and type.
+        let valid = Some(Bitmap::from_bools([true, false, true, true, true, true]));
+        let base = [
+            Column::Int64(vec![-2, 0, 3, 7, i64::MAX, 1], valid.clone()),
+            Column::Float64(vec![0.5, -0.0, f64::NAN, 3.0, 1e300, -2.0], None),
+            Column::Date(vec![9000, 9001, -5, 0, 12000, 9002], valid),
+            Column::Utf8(
+                ["", "a", "b", "ab", "ba", "b"]
+                    .map(String::from)
+                    .into_iter()
+                    .collect(),
+                None,
+            ),
+        ];
+        let literals = [
+            Datum::Int(3),
+            Datum::Int(0),
+            Datum::Float(0.0),
+            Datum::Float(2.5),
+            Datum::Float(f64::NAN),
+            Datum::Date(9001),
+            Datum::str("b"),
+            Datum::Bool(true),
+        ];
+        let ops = [
+            BinOp::Plus,
+            BinOp::Minus,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Eq,
+            BinOp::NotEq,
+            BinOp::Lt,
+            BinOp::LtEq,
+            BinOp::Gt,
+            BinOp::GtEq,
+        ];
+        let layout = Layout::new((0..5).map(cid).collect());
+        let show = |r: Result<ColumnRef>| r.map(|c| format!("{c:?}")).map_err(|_| ());
+        for lit in &literals {
+            let mut columns: Vec<ColumnRef> = base.iter().cloned().map(StdArc::new).collect();
+            columns.push(StdArc::new(broadcast_literal(lit, 6)));
+            let chunk = Chunk::new(columns).unwrap();
+            for op in ops {
+                for c in 0..4 {
+                    for (l, r, b) in [
+                        (
+                            Expr::col(cid(c)),
+                            Expr::lit(lit.clone()),
+                            (Expr::col(cid(c)), Expr::col(cid(4))),
+                        ),
+                        (
+                            Expr::lit(lit.clone()),
+                            Expr::col(cid(c)),
+                            (Expr::col(cid(4)), Expr::col(cid(c))),
+                        ),
+                    ] {
+                        let scalar = Expr::binary(op, l, r);
+                        let column = Expr::binary(op, b.0, b.1);
+                        assert_eq!(
+                            show(eval(&scalar, &chunk, &layout)),
+                            show(eval(&column, &chunk, &layout)),
+                            "{scalar}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

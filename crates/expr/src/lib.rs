@@ -9,14 +9,16 @@
 
 pub mod eval;
 pub mod like;
+pub mod select;
 pub mod selectivity;
 
 use std::fmt;
 
 use bfq_common::{ColumnId, DataType, Datum};
 
-pub use eval::{eval, eval_predicate, Layout};
+pub use eval::{eval, Layout};
 pub use like::like_match;
+pub use select::eval_predicate;
 pub use selectivity::{estimate_selectivity, StatsProvider, DEFAULT_EQ_SEL, DEFAULT_INEQ_SEL};
 
 /// Binary operators.
