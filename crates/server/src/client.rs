@@ -20,7 +20,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use bfq::prelude::{DataType, Datum};
 
 use crate::json::Json;
-use crate::protocol::{datum_from_json, type_from_name, Hello, Request, CODE_PROTOCOL};
+use crate::protocol::{
+    decode_stream_frame, type_from_name, Hello, Request, StreamFrame, CODE_PROTOCOL,
+};
 
 /// An error frame received from the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +106,8 @@ pub struct StatementInfo {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The line being read; reused for every frame.
+    line: Vec<u8>,
     hello: Hello,
 }
 
@@ -115,7 +119,8 @@ impl Client {
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
-        let frame = read_frame(&mut reader)?;
+        let mut line = Vec::new();
+        let frame = parse_frame(read_line(&mut reader, &mut line)?)?;
         if let Some(err) = parse_error(&frame) {
             return Err(ClientError::Server(err));
         }
@@ -123,6 +128,7 @@ impl Client {
         Ok(Client {
             reader,
             writer,
+            line,
             hello,
         })
     }
@@ -246,7 +252,8 @@ impl Client {
     }
 
     fn send(&mut self, request: &Request) -> ClientResult<()> {
-        let mut line = request.to_json().to_string();
+        let mut line = String::new();
+        request.to_json().write_to(&mut line);
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         Ok(())
@@ -254,11 +261,22 @@ impl Client {
 
     /// Read one frame, translating error frames into `ClientError::Server`.
     fn read_response_frame(&mut self) -> ClientResult<Json> {
-        let frame = read_frame(&mut self.reader)?;
+        let frame = parse_frame(read_line(&mut self.reader, &mut self.line)?)?;
         match parse_error(&frame) {
             Some(err) => Err(ClientError::Server(err)),
             None => Ok(frame),
         }
+    }
+
+    /// Read one frame of an open result stream, appending a chunk's rows
+    /// to `out`. `Err` here means the frame could not be read at all.
+    fn read_stream_frame(
+        &mut self,
+        types: &[DataType],
+        out: &mut Vec<Vec<Datum>>,
+    ) -> ClientResult<StreamFrame> {
+        let text = read_line(&mut self.reader, &mut self.line)?;
+        decode_stream_frame(text, types, out).map_err(ClientError::Protocol)
     }
 
     fn read_ok(&mut self) -> ClientResult<Json> {
@@ -283,15 +301,18 @@ impl Client {
         let (columns, types) = parse_header(&frame)?;
         let mut rows = Vec::new();
         loop {
-            let frame = self.read_response_frame()?;
-            if frame.get("done").is_some() {
-                return Ok(RowSet {
-                    columns,
-                    types,
-                    rows,
-                });
+            match self.read_stream_frame(&types, &mut rows)? {
+                StreamFrame::Chunk => {}
+                StreamFrame::BadChunk(msg) => return Err(ClientError::Protocol(msg)),
+                StreamFrame::Control(frame) => {
+                    end_of_stream(&frame)?;
+                    return Ok(RowSet {
+                        columns,
+                        types,
+                        rows,
+                    });
+                }
             }
-            decode_chunk(&frame, &types, &mut rows)?;
         }
     }
 
@@ -345,17 +366,22 @@ impl RowStream<'_> {
         if self.total_rows.is_some() {
             return Ok(None);
         }
-        let frame = self.client.read_response_frame().inspect_err(|_| {
-            // An error terminates the response sequence: nothing to drain.
-            self.total_rows = Some(0);
-        })?;
-        if let Some(done) = frame.get("done") {
-            self.total_rows = Some(done.get("rows").and_then(Json::as_i64).unwrap_or(0) as u64);
-            return Ok(None);
-        }
         let mut rows = Vec::new();
-        decode_chunk(&frame, &self.types, &mut rows)?;
-        Ok(Some(rows))
+        // A frame that cannot be read, or any frame but a chunk, ends the
+        // response sequence: nothing is left to drain.
+        let frame = self
+            .client
+            .read_stream_frame(&self.types, &mut rows)
+            .inspect_err(|_| self.total_rows = Some(0))?;
+        match frame {
+            StreamFrame::Chunk => Ok(Some(rows)),
+            StreamFrame::BadChunk(msg) => Err(ClientError::Protocol(msg)),
+            StreamFrame::Control(frame) => {
+                let total = end_of_stream(&frame);
+                self.total_rows = Some(total.as_ref().map_or(0, |&n| n));
+                total.map(|_| None)
+            }
+        }
     }
 }
 
@@ -373,16 +399,26 @@ impl Drop for RowStream<'_> {
     }
 }
 
-fn read_frame(reader: &mut BufReader<TcpStream>) -> ClientResult<Json> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
+/// Read one line into `buf` and return it without its line ending.
+fn read_line<'a>(reader: &mut BufReader<TcpStream>, buf: &'a mut Vec<u8>) -> ClientResult<&'a str> {
+    buf.clear();
+    if reader.read_until(b'\n', buf)? == 0 {
         return Err(ClientError::Io(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "server closed the connection",
         )));
     }
-    Json::parse(line.trim_end_matches(['\r', '\n'])).map_err(ClientError::Protocol)
+    let line = std::str::from_utf8(buf).map_err(|_| {
+        ClientError::Io(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))
+    })?;
+    Ok(line.trim_end_matches(['\r', '\n']))
+}
+
+fn parse_frame(line: &str) -> ClientResult<Json> {
+    Json::parse(line).map_err(ClientError::Protocol)
 }
 
 fn parse_error(frame: &Json) -> Option<RemoteError> {
@@ -402,21 +438,25 @@ fn parse_error(frame: &Json) -> Option<RemoteError> {
 }
 
 fn parse_header(frame: &Json) -> ClientResult<(Vec<String>, Vec<DataType>)> {
+    let protocol = |msg: &str| ClientError::Protocol(msg.into());
     let header = frame
         .get("rows")
         .ok_or_else(|| ClientError::Protocol(format!("expected rows header, got `{frame}`")))?;
     let columns = header
         .get("columns")
         .and_then(Json::as_arr)
-        .ok_or_else(|| ClientError::Protocol("header missing columns".into()))?
+        .ok_or_else(|| protocol("header missing columns"))?
         .iter()
-        .filter_map(Json::as_str)
-        .map(str::to_string)
-        .collect();
+        .map(|c| {
+            c.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| protocol("column name must be a string"))
+        })
+        .collect::<ClientResult<Vec<_>>>()?;
     let types = header
         .get("types")
         .and_then(Json::as_arr)
-        .ok_or_else(|| ClientError::Protocol("header missing types".into()))?
+        .ok_or_else(|| protocol("header missing types"))?
         .iter()
         .map(|t| {
             t.as_str()
@@ -425,32 +465,131 @@ fn parse_header(frame: &Json) -> ClientResult<(Vec<String>, Vec<DataType>)> {
         })
         .collect::<Result<Vec<_>, _>>()
         .map_err(ClientError::Protocol)?;
+    if columns.len() != types.len() {
+        return Err(ClientError::Protocol(format!(
+            "header has {} columns but {} types",
+            columns.len(),
+            types.len()
+        )));
+    }
     Ok((columns, types))
 }
 
-fn decode_chunk(frame: &Json, types: &[DataType], out: &mut Vec<Vec<Datum>>) -> ClientResult<()> {
-    let body = frame
-        .get("chunk")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ClientError::Protocol(format!("expected chunk frame, got `{frame}`")))?;
-    for row in body {
-        let cells = row
-            .as_arr()
-            .ok_or_else(|| ClientError::Protocol("chunk row must be an array".into()))?;
-        if cells.len() != types.len() {
-            return Err(ClientError::Protocol(format!(
-                "row width {} does not match header width {}",
-                cells.len(),
-                types.len()
-            )));
-        }
-        let decoded = cells
-            .iter()
-            .zip(types)
-            .map(|(cell, ty)| datum_from_json(*ty, cell))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ClientError::Protocol)?;
-        out.push(decoded);
+/// The row count of the frame that ended a result stream: a `done` frame
+/// with an integer `rows`, or else the error it reports.
+fn end_of_stream(frame: &Json) -> ClientResult<u64> {
+    if let Some(err) = parse_error(frame) {
+        return Err(ClientError::Server(err));
     }
-    Ok(())
+    let done = frame
+        .get("done")
+        .ok_or_else(|| ClientError::Protocol(format!("expected chunk frame, got `{frame}`")))?;
+    done.get("rows")
+        .and_then(Json::as_i64)
+        .and_then(|n| u64::try_from(n).ok())
+        .ok_or_else(|| ClientError::Protocol(format!("done frame without a row count: `{frame}`")))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    use super::*;
+
+    const HEADER: &str = r#"{"rows":{"columns":["a"],"types":["int64"]}}"#;
+
+    /// A client whose server sends a hello, then answers the first request
+    /// with the lines of `frames`.
+    fn scripted(frames: &[&str]) -> (Client, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let mut script = String::from("{\"hello\":{\"conn_id\":1,\"secret\":2,\"version\":1}}\n");
+        for frame in frames {
+            script.push_str(frame);
+            script.push('\n');
+        }
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut writer = stream.try_clone().expect("clone");
+            let (hello, rest) = script.split_at(script.find('\n').expect("hello line") + 1);
+            writer.write_all(hello.as_bytes()).expect("send hello");
+            let mut request = String::new();
+            BufReader::new(stream)
+                .read_line(&mut request)
+                .expect("read request");
+            writer.write_all(rest.as_bytes()).expect("send frames");
+        });
+        (Client::connect(addr).expect("connect"), server)
+    }
+
+    fn assert_protocol_error(err: &ClientError, needle: &str) {
+        assert!(
+            matches!(err, ClientError::Protocol(m) if m.contains(needle)),
+            "expected a protocol error about {needle:?}, got {err}"
+        );
+    }
+
+    #[test]
+    fn a_non_string_column_name_is_a_protocol_error() {
+        let (mut client, server) = scripted(&[
+            r#"{"rows":{"columns":["a",7],"types":["int64","int64"]}}"#,
+            r#"{"done":{"rows":0}}"#,
+        ]);
+        let err = client
+            .query("select 1")
+            .expect_err("accepted a numeric name");
+        assert_protocol_error(&err, "column name must be a string");
+        server.join().expect("scripted server");
+    }
+
+    #[test]
+    fn a_header_with_more_types_than_columns_is_a_protocol_error() {
+        let (mut client, server) = scripted(&[
+            r#"{"rows":{"columns":["a"],"types":["int64","utf8"]}}"#,
+            r#"{"done":{"rows":0}}"#,
+        ]);
+        let err = client
+            .query("select 1")
+            .expect_err("accepted a ragged header");
+        assert_protocol_error(&err, "1 columns but 2 types");
+        server.join().expect("scripted server");
+    }
+
+    #[test]
+    fn a_done_frame_without_an_integer_row_count_is_a_protocol_error() {
+        let chunk = r#"{"chunk":[[1]]}"#;
+        let (mut client, server) = scripted(&[HEADER, chunk, r#"{"done":{"rows":1}}"#]);
+        let mut stream = client.query_stream("select 1").expect("header");
+        assert_eq!(
+            stream.next_chunk().expect("chunk"),
+            Some(vec![vec![Datum::Int(1)]])
+        );
+        assert_eq!(stream.next_chunk().expect("done"), None);
+        assert_eq!(stream.total_rows(), Some(1));
+        drop(stream);
+        server.join().expect("scripted server");
+
+        for done in [
+            r#"{"done":{}}"#,
+            r#"{"done":{"rows":"1"}}"#,
+            r#"{"done":{"rows":1.0}}"#,
+            r#"{"done":{"rows":-1}}"#,
+        ] {
+            let (mut client, server) = scripted(&[HEADER, chunk, done]);
+            let mut stream = client.query_stream("select 1").expect("header");
+            assert!(stream.next_chunk().expect("chunk").is_some());
+            let err = stream.next_chunk().expect_err(done);
+            assert_protocol_error(&err, "without a row count");
+            // The malformed frame still ended the response sequence.
+            assert_eq!(stream.next_chunk().expect("ended"), None);
+            drop(stream);
+            server.join().expect("scripted server");
+
+            let (mut client, server) = scripted(&[HEADER, chunk, done]);
+            let err = client.query("select 1").expect_err(done);
+            assert_protocol_error(&err, "without a row count");
+            server.join().expect("scripted server");
+        }
+    }
 }

@@ -6,8 +6,14 @@
 //! including surrogate pairs), i64 integers, f64 floats, booleans and
 //! null. Objects preserve insertion order (they are association lists, not
 //! hash maps — frames are small and ordered output is nice to read).
+//!
+//! The parser is a pull parser: `Json::parse` builds a tree with it, and
+//! the protocol decodes result rows with the same methods straight into
+//! typed values, so the crate has one JSON grammar. The writer primitives
+//! (escaped string, integer, float) likewise serve both `Json::write_to`
+//! and the protocol's chunk encoder.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,90 +96,156 @@ impl Json {
 
     /// Parse one JSON document, requiring it to span the whole input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
+        p.end()?;
         Ok(value)
+    }
+
+    /// Append this value's JSON text to `out`: what `Display` renders,
+    /// without the formatter.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(v) => write_i64(out, *v),
+            Json::Float(v) => write_f64(out, *v),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(v) => write!(f, "{v}"),
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // `{:?}` is shortest-roundtrip and always keeps a `.0`
-                    // on integral values, so floats re-parse as floats.
-                    write!(f, "{v:?}")
-                } else {
-                    // JSON has no NaN/Infinity; degrade to null.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut text = String::new();
+        self.write_to(&mut text);
+        f.write_str(&text)
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+/// Append `s` as a JSON string literal.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are whole code points and go out in one copy each.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append `v` in decimal, as `{v}` renders it.
+pub(crate) fn write_i64(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+/// Append `v` as a JSON number, or `null` when it is not finite.
+pub(crate) fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // `{:?}` is shortest-roundtrip and always keeps a `.0` on integral
+        // values, so floats re-parse as floats.
+        write!(out, "{v:?}").expect("writing to a String cannot fail");
+    } else {
+        // JSON has no NaN/Infinity; degrade to null.
+        out.push_str("null");
+    }
+}
+
+/// A number token's value: [`Json::Int`] or [`Json::Float`] without the tree.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Number {
+    Int(i64),
+    Float(f64),
 }
 
 /// Nesting depth cap: protocol frames are flat, so anything deep is abuse.
 const MAX_DEPTH: usize = 32;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull parser over one JSON text: [`Json::parse`] builds a tree with
+/// it, and the protocol decodes result rows with the same methods straight
+/// into typed values.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+impl<'a> Parser<'a> {
+    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+        Parser { text, pos: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// Byte offset of the next token.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Go back to an offset returned by [`Parser::pos`].
+    pub(crate) fn seek(&mut self, pos: usize) {
+        self.pos = pos;
+    }
+
+    pub(crate) fn skip_ws(&mut self) {
+        while let Some(b) = self.bytes().get(self.pos) {
             match b {
                 b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
                 _ => break,
@@ -181,8 +253,17 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// Require that only whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing bytes at offset {}", self.pos));
+        }
+        Ok(())
+    }
+
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, expect: u8) -> Result<(), String> {
@@ -197,8 +278,8 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    pub(crate) fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -206,30 +287,52 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    /// One value of any kind, as a tree. `depth` counts the containers
+    /// around it.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, String> {
         if depth > MAX_DEPTH {
             return Err("nesting too deep".into());
         }
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.members(|p, key| {
+                    fields.push((key, p.value(depth + 1)?));
+                    Ok::<(), String>(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.elements(|p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok::<(), String>(())
+                })?;
+                Ok(Json::Arr(items))
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_lit("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_lit("false").map(|()| Json::Bool(false)),
             Some(b'n') => self.eat_lit("null").map(|()| Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(|n| match n {
+                Number::Int(v) => Json::Int(v),
+                Number::Float(v) => Json::Float(v),
+            }),
             Some(b) => Err(format!("unexpected `{}` at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
+    /// An object: `member` parses each value, given its key.
+    pub(crate) fn members<E: From<String>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.eat(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -237,116 +340,120 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
+                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos).into()),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
+    /// An array: `item` parses each element.
+    pub(crate) fn elements<E: From<String>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
+                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos).into()),
             }
         }
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
         let mut out = String::new();
+        self.string_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// A string literal, unescaped and appended to `out`.
+    pub(crate) fn string_into(&mut self, out: &mut String) -> Result<(), String> {
+        self.eat(b'"')?;
         loop {
-            let b = self
-                .peek()
+            // The text is a `str` and both stop bytes are ASCII, so the run
+            // before them is whole code points.
+            let run = self.bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
                 .ok_or_else(|| "unterminated string".to_string())?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes()[self.pos - 1] == b'"' {
+                return Ok(());
+            }
+            let esc = self
+                .peek()
+                .ok_or_else(|| "unterminated escape".to_string())?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX for the low half.
-                                self.eat_lit("\\u")?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("bad low surrogate".into());
-                                }
-                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(cp).ok_or("bad surrogate pair")?
-                            } else {
-                                char::from_u32(hi).ok_or("bare surrogate")?
-                            };
-                            out.push(c);
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: require \uXXXX for the low half.
+                        self.eat_lit("\\u")?;
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err("bad low surrogate".into());
                         }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
+                        let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(cp).ok_or("bad surrogate pair")?
+                    } else {
+                        char::from_u32(hi).ok_or("bare surrogate")?
+                    };
+                    out.push(c);
                 }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole code point through.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b)?;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err("truncated UTF-8".into());
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                other => return Err(format!("bad escape `\\{}`", other as char)),
             }
         }
     }
 
+    /// Exactly four hex digits (no sign, unlike `from_str_radix`).
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".into());
+        let digits = self
+            .bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| "truncated \\u escape".to_string())?;
+        let mut v = 0;
+        for &d in digits {
+            let nibble = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| "bad \\u escape".to_string())?;
+            v = (v << 4) | nibble;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())?;
-        self.pos = end;
+        self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// A number: an integer when it has no fraction or exponent and fits
+    /// an i64, else a float.
+    pub(crate) fn number(&mut self) -> Result<Number, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -362,25 +469,15 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.text[start..self.pos];
         if !fractional {
             if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::Int(v));
+                return Ok(Number::Int(v));
             }
         }
         text.parse::<f64>()
-            .map(Json::Float)
+            .map(Number::Float)
             .map_err(|_| format!("bad number `{text}`"))
-    }
-}
-
-fn utf8_len(first: u8) -> Result<usize, String> {
-    match first {
-        0x00..=0x7F => Ok(1),
-        0xC0..=0xDF => Ok(2),
-        0xE0..=0xEF => Ok(3),
-        0xF0..=0xF7 => Ok(4),
-        _ => Err("invalid UTF-8 lead byte".into()),
     }
 }
 
@@ -434,6 +531,8 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse(r#""\ud800""#).is_err(), "bare surrogate");
+        assert!(Json::parse(r#""\u+041""#).is_err(), "signed \\u escape");
+        assert!(Json::parse(r#""\u004""#).is_err(), "short \\u escape");
         let deep = format!("{}1{}", "[".repeat(64), "]".repeat(64));
         assert!(Json::parse(&deep).is_err(), "depth cap");
     }

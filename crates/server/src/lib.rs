@@ -13,8 +13,9 @@
 //!    cancellation tokens: a query unwinds at its next morsel boundary,
 //!    leaking no threads and leaving the shared engine reusable.
 //! 3. **Streaming delivery** — result chunks go out as the pipeline
-//!    produces them; a slow client exerts backpressure through TCP
-//!    instead of buffering the whole result server-side.
+//!    produces them, gathered into one socket write per 64 KiB (a short
+//!    response is a single write); a slow client exerts backpressure
+//!    through TCP instead of buffering the whole result server-side.
 //!
 //! ## Quick start
 //!

@@ -13,6 +13,12 @@
 //!   sequence (results are never resumed after an error);
 //! * `metrics` answers `{"metrics":{"text":"..."}}`.
 //!
+//! A `chunk` frame carries at most [`WIRE_CHUNK_ROWS`] rows. The server
+//! writes a response into one per-session buffer and sends it at the end
+//! of every response sequence, and mid-sequence whenever the buffer
+//! reaches 64 KiB: a short response is one socket write, and a long
+//! result still streams under TCP backpressure.
+//!
 //! ## Commands
 //!
 //! | request                                            | response |
@@ -44,9 +50,12 @@
 //! place of the hello, then the connection closes) and `protocol`
 //! (malformed frame).
 
-use bfq::prelude::{BfqError, DataType, Datum};
+use std::ops::Range;
 
-use crate::json::Json;
+use bfq::prelude::{BfqError, DataType, Datum};
+use bfq_storage::{Chunk, Column};
+
+use crate::json::{write_escaped, write_f64, write_i64, Json, Number, Parser};
 
 /// Protocol version in the hello frame. Bump on incompatible changes.
 pub const PROTOCOL_VERSION: i64 = 1;
@@ -55,6 +64,10 @@ pub const PROTOCOL_VERSION: i64 = 1;
 pub const CODE_SERVER_BUSY: &str = "server_busy";
 /// Error code for malformed frames (bad JSON, unknown command, bad field).
 pub const CODE_PROTOCOL: &str = "protocol";
+
+/// Rows per `chunk` frame: engine chunks larger than this are split so no
+/// single response line grows unboundedly.
+pub const WIRE_CHUNK_ROWS: usize = 4096;
 
 /// The server's opening frame: identifies the session and hands the client
 /// the out-of-band cancellation credentials (PostgreSQL-style: any
@@ -276,19 +289,237 @@ pub fn datum_from_json(ty: DataType, v: &Json) -> Result<Datum, String> {
     if matches!(v, Json::Null) {
         return Ok(Datum::Null);
     }
-    match ty {
-        DataType::Int64 => v.as_i64().map(Datum::Int).ok_or("expected int64".into()),
-        DataType::Float64 => v
-            .as_f64()
-            .map(Datum::Float)
-            .ok_or("expected float64".into()),
-        DataType::Utf8 => v.as_str().map(Datum::str).ok_or("expected string".into()),
-        DataType::Bool => v.as_bool().map(Datum::Bool).ok_or("expected bool".into()),
+    let datum = match ty {
+        DataType::Int64 => v.as_i64().map(Datum::Int),
+        DataType::Float64 => v.as_f64().map(Datum::Float),
+        DataType::Utf8 => v.as_str().map(Datum::str),
+        DataType::Bool => v.as_bool().map(Datum::Bool),
         DataType::Date => v
             .as_i64()
             .and_then(|n| i32::try_from(n).ok())
-            .map(Datum::Date)
-            .ok_or("expected date day-count".into()),
+            .map(Datum::Date),
+    };
+    datum.ok_or_else(|| expected(ty))
+}
+
+/// The error for a cell that does not decode as `ty`.
+fn expected(ty: DataType) -> String {
+    match ty {
+        DataType::Int64 => "expected int64",
+        DataType::Float64 => "expected float64",
+        DataType::Utf8 => "expected string",
+        DataType::Bool => "expected bool",
+        DataType::Date => "expected date day-count",
+    }
+    .into()
+}
+
+/// Append the frame `{"chunk":[[row],...]}` for `rows` of `chunk` to `out`,
+/// with no trailing newline. The bytes are those of the [`Json`] tree built
+/// from [`datum_to_json`] of each cell, written straight from the columns.
+///
+/// # Panics
+///
+/// If `rows` reaches past the end of the chunk.
+pub fn encode_chunk_frame(chunk: &Chunk, rows: Range<usize>, out: &mut String) {
+    let columns: Vec<_> = chunk
+        .columns()
+        .iter()
+        .map(|c| (c.as_ref(), c.validity()))
+        .collect();
+    out.push_str("{\"chunk\":[");
+    for i in rows.clone() {
+        if i > rows.start {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, &(column, validity)) in columns.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            if validity.is_some_and(|v| !v.get(i)) {
+                out.push_str("null");
+                continue;
+            }
+            match column {
+                Column::Int64(v, _) => write_i64(out, v[i]),
+                Column::Float64(v, _) => write_f64(out, v[i]),
+                Column::Utf8(v, _) => write_escaped(out, v.get(i)),
+                Column::Bool(v, _) => out.push_str(if v[i] { "true" } else { "false" }),
+                Column::Date(v, _) => write_i64(out, i64::from(v[i])),
+            }
+        }
+        out.push(']');
+    }
+    out.push_str("]}");
+}
+
+/// A frame read while a result stream is open, as [`decode_stream_frame`]
+/// classifies it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamFrame {
+    /// A `chunk` frame: its rows were appended to the output.
+    Chunk,
+    /// A `chunk` frame whose body does not fit the header: not an array of
+    /// rows, a row of the wrong width, or a cell of the wrong type.
+    BadChunk(String),
+    /// Any other frame (`done`, `error`, or one that does not belong in a
+    /// stream), as a tree.
+    Control(Json),
+}
+
+/// Decode one frame of an open result stream by the header's column
+/// `types`. A `chunk` frame's rows are parsed straight into [`Datum`]s and
+/// appended to `out`, with no [`Json`] node in between; every other frame
+/// comes back as a tree. Decides exactly as [`Json::parse`] followed by
+/// [`datum_from_json`] on each cell: an object with an `error` or `done`
+/// member is a control frame, otherwise its first `chunk` member is the
+/// body. `Err` means the text is not one JSON document; `out` is left as
+/// it was unless the result is [`StreamFrame::Chunk`].
+pub fn decode_stream_frame(
+    text: &str,
+    types: &[DataType],
+    out: &mut Vec<Vec<Datum>>,
+) -> Result<StreamFrame, String> {
+    let before = out.len();
+    let frame = stream_frame(text, types, out);
+    if !matches!(frame, Ok(StreamFrame::Chunk)) {
+        out.truncate(before);
+    }
+    frame
+}
+
+fn stream_frame(
+    text: &str,
+    types: &[DataType],
+    out: &mut Vec<Vec<Datum>>,
+) -> Result<StreamFrame, String> {
+    let mut p = Parser::new(text);
+    p.skip_ws();
+    if p.peek() != Some(b'{') {
+        let frame = p.value(0)?;
+        p.end()?;
+        return Ok(StreamFrame::Control(frame));
+    }
+    let mut fields = Vec::new();
+    let mut body = None;
+    p.members(|p, key| {
+        if key == "chunk" && body.is_none() {
+            let start = p.pos();
+            body = Some(match chunk_body(p, types, out) {
+                Ok(()) => Ok(()),
+                Err(BodyError::Syntax(e)) => return Err(e),
+                Err(BodyError::Mismatch(e)) => {
+                    // Parse the body again as a tree: a syntax error
+                    // anywhere in it still makes the frame unreadable.
+                    p.seek(start);
+                    p.value(1)?;
+                    Err(e)
+                }
+            });
+        } else {
+            fields.push((key, p.value(1)?));
+        }
+        Ok(())
+    })?;
+    p.end()?;
+    let control = fields.iter().any(|(k, _)| k == "error" || k == "done");
+    match body {
+        Some(Ok(())) if !control => Ok(StreamFrame::Chunk),
+        Some(Err(e)) if !control => Ok(StreamFrame::BadChunk(e)),
+        // A control frame that also carries a `chunk` member: rare enough
+        // to read again as a whole tree.
+        Some(_) => Json::parse(text).map(StreamFrame::Control),
+        None => Ok(StreamFrame::Control(Json::Obj(fields))),
+    }
+}
+
+/// Why a `chunk` body stopped decoding.
+enum BodyError {
+    /// The text is not JSON.
+    Syntax(String),
+    /// Valid JSON so far, but not rows of the header's types.
+    Mismatch(String),
+}
+
+impl From<String> for BodyError {
+    fn from(e: String) -> BodyError {
+        BodyError::Syntax(e)
+    }
+}
+
+/// Pull the rows of a `chunk` body into `out`.
+fn chunk_body(
+    p: &mut Parser<'_>,
+    types: &[DataType],
+    out: &mut Vec<Vec<Datum>>,
+) -> Result<(), BodyError> {
+    if p.peek() != Some(b'[') {
+        return Err(BodyError::Mismatch(
+            "expected chunk frame: `chunk` is not an array".into(),
+        ));
+    }
+    let mut text = String::new();
+    p.elements(|p| {
+        if p.peek() != Some(b'[') {
+            return Err(BodyError::Mismatch("chunk row must be an array".into()));
+        }
+        let mut row = Vec::with_capacity(types.len());
+        p.elements(|p| {
+            let Some(&ty) = types.get(row.len()) else {
+                return Err(BodyError::Mismatch(format!(
+                    "row wider than header width {}",
+                    types.len()
+                )));
+            };
+            row.push(cell(p, ty, &mut text)?);
+            Ok(())
+        })?;
+        if row.len() != types.len() {
+            return Err(BodyError::Mismatch(format!(
+                "row width {} does not match header width {}",
+                row.len(),
+                types.len()
+            )));
+        }
+        out.push(row);
+        Ok(())
+    })
+}
+
+/// One cell of type `ty`; `text` is scratch space for strings.
+fn cell(p: &mut Parser<'_>, ty: DataType, text: &mut String) -> Result<Datum, BodyError> {
+    let mismatch = || BodyError::Mismatch(expected(ty));
+    match (p.peek(), ty) {
+        (Some(b'n'), _) => {
+            p.eat_lit("null")?;
+            Ok(Datum::Null)
+        }
+        (Some(b'-' | b'0'..=b'9'), DataType::Int64 | DataType::Float64 | DataType::Date) => {
+            match (p.number()?, ty) {
+                (Number::Int(v), DataType::Int64) => Ok(Datum::Int(v)),
+                (Number::Int(v), DataType::Float64) => Ok(Datum::Float(v as f64)),
+                (Number::Float(v), DataType::Float64) => Ok(Datum::Float(v)),
+                (Number::Int(v), DataType::Date) => {
+                    i32::try_from(v).map(Datum::Date).map_err(|_| mismatch())
+                }
+                _ => Err(mismatch()),
+            }
+        }
+        (Some(b'"'), DataType::Utf8) => {
+            text.clear();
+            p.string_into(text)?;
+            Ok(Datum::str(text.as_str()))
+        }
+        (Some(b't'), DataType::Bool) => {
+            p.eat_lit("true")?;
+            Ok(Datum::Bool(true))
+        }
+        (Some(b'f'), DataType::Bool) => {
+            p.eat_lit("false")?;
+            Ok(Datum::Bool(false))
+        }
+        _ => Err(mismatch()),
     }
 }
 

@@ -12,7 +12,9 @@
 //! Each session owns one [`bfq::Connection`] (so `SET` state and prepared
 //! statements are per-session) multiplexed onto the one shared
 //! [`Engine`]. Queries execute on the engine's morsel-parallel pipelines;
-//! the session thread streams result chunks back as they are produced.
+//! the session thread streams result chunks back as they are produced,
+//! through one reused buffer (see [`mod@crate::protocol`] for when it is
+//! written out).
 //!
 //! ## Cancellation
 //!
@@ -40,15 +42,14 @@ use bfq_storage::Chunk;
 
 use crate::json::Json;
 use crate::protocol::{
-    datum_to_json, error_frame, error_frame_parts, type_name, Hello, Request, CODE_PROTOCOL,
-    CODE_SERVER_BUSY, PROTOCOL_VERSION,
+    encode_chunk_frame, error_frame, error_frame_parts, type_name, Hello, Request, CODE_PROTOCOL,
+    CODE_SERVER_BUSY, PROTOCOL_VERSION, WIRE_CHUNK_ROWS,
 };
 
 /// Longest request line the server accepts (bytes, newline included).
 const MAX_REQUEST_BYTES: usize = 8 << 20;
-/// Rows per `chunk` frame: engine chunks larger than this are split so no
-/// single response line grows unboundedly.
-const WIRE_CHUNK_ROWS: usize = 4096;
+/// Buffered response bytes that make the session write mid-sequence.
+const FLUSH_BYTES: usize = 64 << 10;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -410,6 +411,7 @@ fn serve_session(shared: &Shared, stream: TcpStream, conn_id: u64, secret: u64) 
     let mut writer = FrameWriter {
         stream: stream.try_clone()?,
         shutdown: &shared.shutdown,
+        buf: String::new(),
     };
     let mut reader = BufReader::new(stream);
 
@@ -428,6 +430,7 @@ fn serve_session(shared: &Shared, stream: TcpStream, conn_id: u64, secret: u64) 
         version: PROTOCOL_VERSION,
     };
     writer.send(&hello.to_json())?;
+    writer.flush()?;
 
     let mut session = Session {
         conn,
@@ -442,7 +445,7 @@ fn serve_session(shared: &Shared, stream: TcpStream, conn_id: u64, secret: u64) 
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized frame: the stream is beyond recovery.
                 writer.send(&error_frame_parts(CODE_PROTOCOL, "request line too long"))?;
-                return Ok(());
+                return writer.flush();
             }
             Err(e) => return Err(e),
         }
@@ -450,6 +453,7 @@ fn serve_session(shared: &Shared, stream: TcpStream, conn_id: u64, secret: u64) 
             Ok(t) => t.trim_end_matches(['\r', '\n']),
             Err(_) => {
                 writer.send(&error_frame_parts(CODE_PROTOCOL, "request is not UTF-8"))?;
+                writer.flush()?;
                 continue;
             }
         };
@@ -460,12 +464,14 @@ fn serve_session(shared: &Shared, stream: TcpStream, conn_id: u64, secret: u64) 
             Ok(r) => r,
             Err(msg) => {
                 writer.send(&error_frame_parts(CODE_PROTOCOL, &msg))?;
+                writer.flush()?;
                 continue;
             }
         };
         shared.metrics.requests.inc();
         let quit = matches!(request, Request::Quit);
         dispatch(shared, &mut session, &mut writer, request)?;
+        writer.flush()?;
         if quit {
             return Ok(());
         }
@@ -691,10 +697,7 @@ fn send_chunk_rows(writer: &mut FrameWriter<'_>, chunk: &Chunk) -> io::Result<()
     let mut start = 0;
     while start < rows {
         let end = (start + WIRE_CHUNK_ROWS).min(rows);
-        let body: Vec<Json> = (start..end)
-            .map(|i| Json::Arr(chunk.row(i).iter().map(datum_to_json).collect()))
-            .collect();
-        writer.send(&Json::obj([("chunk", Json::Arr(body))]))?;
+        writer.queue(|buf| encode_chunk_frame(chunk, start..end, buf))?;
         start = end;
     }
     Ok(())
@@ -704,22 +707,40 @@ fn ok_frame(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::obj([("ok", Json::obj(fields))])
 }
 
-/// A session's response channel. Frames go out line-delimited through a
-/// bounded write loop: the socket carries the poll-interval write timeout,
-/// and every timeout tick re-checks the shutdown flag — so a session
-/// streaming results to a stalled client cannot hang [`Server::shutdown`]
-/// in an indefinitely blocked `write`.
+/// A session's response channel. Frames go out line-delimited through one
+/// reused buffer, written at the end of each response sequence
+/// ([`FrameWriter::flush`]) and whenever it reaches [`FLUSH_BYTES`]. The
+/// write loop is bounded: the socket carries the poll-interval write
+/// timeout, and every timeout tick re-checks the shutdown flag — so a
+/// session streaming results to a stalled client cannot hang
+/// [`Server::shutdown`] in an indefinitely blocked `write`.
 struct FrameWriter<'a> {
     stream: TcpStream,
     shutdown: &'a AtomicBool,
+    buf: String,
 }
 
 impl FrameWriter<'_> {
-    /// Write one frame as a line, resuming from partial writes.
+    /// Queue one frame as a line.
     fn send(&mut self, frame: &Json) -> io::Result<()> {
-        let mut line = frame.to_string();
-        line.push('\n');
-        let bytes = line.as_bytes();
+        self.queue(|buf| frame.write_to(buf))
+    }
+
+    /// Queue the line `encode` appends, writing the buffer out if that
+    /// fills it.
+    fn queue(&mut self, encode: impl FnOnce(&mut String)) -> io::Result<()> {
+        encode(&mut self.buf);
+        self.buf.push('\n');
+        if self.buf.len() >= FLUSH_BYTES {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Write out everything queued, resuming from partial writes.
+    fn flush(&mut self) -> io::Result<()> {
+        let bytes = self.buf.as_bytes();
         let mut written = 0;
         while written < bytes.len() {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -743,6 +764,7 @@ impl FrameWriter<'_> {
                 Err(e) => return Err(e),
             }
         }
+        self.buf.clear();
         Ok(())
     }
 }

@@ -6,7 +6,8 @@
 //!   and recovers once capacity frees up;
 //! * out-of-band CANCEL interrupts a streaming query mid-flight, the
 //!   session stays usable, and no engine worker threads leak;
-//! * `SET statement_timeout` fails slow queries with a timeout message;
+//! * `SET statement_timeout` fails slow queries with a timeout message,
+//!   also after some chunks have gone out;
 //! * the `metrics` command reports exact server-side counters.
 
 use std::sync::Arc;
@@ -324,6 +325,75 @@ fn statement_timeout_fails_slow_queries_over_the_wire() {
     client.set("statement_timeout", "0").expect("reset");
     let ok = client.query("select count(*) from lineitem").expect("runs");
     assert_eq!(ok.rows.len(), 1);
+    client.quit().expect("quit");
+    server.shutdown();
+}
+
+#[test]
+fn statement_timeout_mid_stream_delivers_the_chunks_sent_then_the_error() {
+    const TIMEOUT_MS: u64 = 3000;
+    let engine = test_engine();
+    // Far more output than the socket buffers hold, so the server is still
+    // streaming when the deadline passes.
+    let sql = "select l1.l_orderkey, l3.l_comment from lineitem l1, lineitem l2, lineitem l3 \
+               where l1.l_orderkey = l2.l_orderkey and l2.l_orderkey = l3.l_orderkey";
+    let server = start(engine.clone(), 1, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.set("dop", "1").expect("set dop");
+    client
+        .set("statement_timeout", &TIMEOUT_MS.to_string())
+        .expect("set timeout");
+    let started = std::time::Instant::now();
+    let mut received = Vec::new();
+    let outcome = {
+        let mut stream = client.query_stream(sql).expect("rows header first");
+        let first = stream.next_chunk().expect("first chunk");
+        received.extend(first.expect("a chunk frame before the deadline"));
+        // Stop reading until the deadline has passed: the server blocks
+        // writing, and its next pull from the query finds it expired.
+        std::thread::sleep(
+            Duration::from_millis(TIMEOUT_MS + 300).saturating_sub(started.elapsed()),
+        );
+        loop {
+            match stream.next_chunk() {
+                Ok(Some(rows)) => received.extend(rows),
+                Ok(None) => break Ok(stream.total_rows()),
+                Err(e) => break Err(e),
+            }
+        }
+    };
+    match outcome {
+        Err(e) if e.is_code("cancelled") => {
+            let msg = &e.remote().expect("remote").message;
+            assert!(msg.contains("timeout"), "message: {msg}");
+        }
+        other => panic!(
+            "expected a timeout after {} rows, got {other:?}",
+            received.len()
+        ),
+    }
+    // The chunks that did arrive are the query's first rows, in order.
+    let mut reference = engine.connect();
+    reference.set("dop", "1").expect("set dop");
+    let mut expected = Vec::new();
+    for chunk in reference.execute_stream(sql).expect("reference stream") {
+        let chunk = chunk.expect("reference chunk");
+        expected.extend((0..chunk.rows()).map(|i| chunk.row(i)));
+        if expected.len() >= received.len() {
+            break;
+        }
+    }
+    expected.truncate(received.len());
+    assert!(
+        received == expected,
+        "delivered rows are not the query's prefix"
+    );
+    // Nothing else is left on the wire: the session answers the next query.
+    client.set("statement_timeout", "0").expect("reset");
+    let n = client
+        .query("select count(*) from nation")
+        .expect("session lives");
+    assert_eq!(n.rows, vec![vec![Datum::Int(25)]]);
     client.quit().expect("quit");
     server.shutdown();
 }
