@@ -32,58 +32,35 @@ use bfq_storage::Column;
 use parking_lot::{Condvar, Mutex};
 
 use crate::filter::{BloomFilter, BLOOM_SEED};
-use crate::summary::KeySummary;
 
 /// Build sides with at most this many distinct keys ship their exact key
 /// hashes with the filter, so scans can probe per-chunk Bloom indexes and
 /// skip whole chunks (`bfq-index`). Probing ≤ 1024 keys per chunk is far
-/// cheaper than row-level work on an 8192-row chunk. Larger numeric builds
-/// fall back to a merged per-partition [`KeySummary`] so chunk skipping
-/// does not cliff to zero past this limit.
+/// cheaper than row-level work on an 8192-row chunk. Larger builds ship
+/// none: their scans apply the filter row by row (§3.9).
 pub const SMALL_KEY_LIMIT: usize = 1024;
 
-/// Build-key metadata that travels with a runtime filter: numeric-axis
-/// min/max of the non-null keys, the sorted deduplicated hashes of every
-/// key (small build sides), or the occupancy summary (large numeric build
-/// sides).
-type KeyInfo = (Option<(f64, f64)>, Option<Vec<u64>>, Option<KeySummary>);
-
-/// Compute the [`KeyInfo`] for the key columns a filter is built from.
-fn key_info(partitions: &[Column]) -> KeyInfo {
-    let mut bounds: Option<(f64, f64)> = None;
-    for col in partitions {
-        if let Some((lo, hi)) = col.min_max_axis() {
-            bounds = Some(match bounds {
-                None => (lo, hi),
-                Some((a, b)) => (a.min(lo), b.max(hi)),
-            });
-        }
-    }
+/// The sorted, deduplicated [`BLOOM_SEED`] hashes of the non-null keys in
+/// `partitions`, or `None` when the build holds more than
+/// [`SMALL_KEY_LIMIT`] distinct keys.
+fn key_hashes(partitions: &[Column]) -> Option<Vec<u64>> {
     let total_rows: usize = partitions.iter().map(|c| c.len()).sum();
-    let hashes = (total_rows <= 4 * SMALL_KEY_LIMIT).then(|| {
-        let mut out = Vec::new();
-        let mut hashes = Vec::new();
-        for col in partitions {
-            col.hash_into(BLOOM_SEED, &mut hashes);
-            for (i, &h) in hashes.iter().enumerate() {
-                if !col.is_null(i) {
-                    out.push(h);
-                }
+    if total_rows > 4 * SMALL_KEY_LIMIT {
+        return None;
+    }
+    let mut out = Vec::new();
+    let mut hashes = Vec::new();
+    for col in partitions {
+        col.hash_into(BLOOM_SEED, &mut hashes);
+        for (i, &h) in hashes.iter().enumerate() {
+            if !col.is_null(i) {
+                out.push(h);
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
-    });
-    let hashes = hashes.filter(|h| h.len() <= SMALL_KEY_LIMIT);
-    // The summary is the large-build fallback: only built when exact hashes
-    // were dropped (small builds already carry strictly stronger evidence).
-    let summary = if hashes.is_none() && bounds.is_some() {
-        KeySummary::from_partitions(partitions)
-    } else {
-        None
-    };
-    (bounds, hashes, summary)
+    }
+    out.sort_unstable();
+    out.dedup();
+    (out.len() <= SMALL_KEY_LIMIT).then_some(out)
 }
 
 /// Reusable buffers for batched filter probes: the key hash column plus a
@@ -138,33 +115,26 @@ impl ProbeScratch {
     }
 }
 
-/// A filter as it exists at runtime: the Bloom filter plus optional
-/// build-key metadata that enables *chunk-level* skipping at scans.
+/// A filter as it exists at runtime: the Bloom filter plus, for a small
+/// build side, the exact hashes of its keys.
 ///
-/// When the build keys are numeric their min/max travel with the filter, so
-/// a scan can compare them against a chunk's zone map; when the build side
-/// is small the exact key hashes travel too, so a scan can probe
-/// a chunk's Bloom index with them (`bfq-index`). Large numeric builds
-/// instead carry a [`KeySummary`] — the merged per-partition occupancy
-/// bitmap — so chunk skipping survives past the exact-hash limit. All are
-/// sound: a row the skip would drop could never match any actual build key,
-/// and a filter is only planned where dropping non-matching rows is legal.
+/// The hashes enable *chunk-level* skipping at scans: a scan probes a
+/// chunk's Bloom index with them (`bfq-index`) and skips the chunk when
+/// none hits. That is sound: a row the skip would drop could never match
+/// any actual build key, and a filter is only planned where dropping
+/// non-matching rows is legal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeFilter {
     filter: BloomFilter,
-    key_bounds: Option<(f64, f64)>,
     key_hashes: Option<Vec<u64>>,
-    key_summary: Option<KeySummary>,
 }
 
 impl RuntimeFilter {
-    /// A runtime filter without key metadata.
+    /// A runtime filter without key hashes.
     pub fn new(filter: BloomFilter) -> Self {
         RuntimeFilter {
             filter,
-            key_bounds: None,
             key_hashes: None,
-            key_summary: None,
         }
     }
 
@@ -172,7 +142,7 @@ impl RuntimeFilter {
     /// one per build partition (a broadcast build side passes one copy).
     ///
     /// `expected_ndv` is the planner's distinct estimate — the same number
-    /// its cost model used to size the filter (paper §3.5). Key metadata is
+    /// its cost model used to size the filter (paper §3.5). Key hashes are
     /// computed before the filter is allocated, so when a small build side
     /// ships its deduplicated key hashes the filter is sized for
     /// `max(expected_ndv, exact distinct keys)`: an estimate that came in
@@ -181,10 +151,10 @@ impl RuntimeFilter {
     /// filter's NDV hint, so the FPR the filter reports follows the keys it
     /// holds rather than a duplicate-counting tally.
     ///
-    /// Neither the filter nor its metadata depends on how the keys are
+    /// Neither the filter nor its key hashes depend on how the keys are
     /// split across `partitions`.
     pub fn build(partitions: &[Column], expected_ndv: usize) -> RuntimeFilter {
-        let (key_bounds, key_hashes, key_summary) = key_info(partitions);
+        let key_hashes = key_hashes(partitions);
         let exact_ndv = key_hashes.as_ref().map(Vec::len);
         let size_ndv = expected_ndv.max(exact_ndv.unwrap_or(0)).max(1);
         let mut filter = BloomFilter::with_expected_ndv(size_ndv);
@@ -192,17 +162,7 @@ impl RuntimeFilter {
             filter.insert_column(keys);
         }
         filter.set_ndv_hint(exact_ndv.unwrap_or(expected_ndv).max(1) as u64);
-        RuntimeFilter {
-            filter,
-            key_bounds,
-            key_hashes,
-            key_summary,
-        }
-    }
-
-    /// Min/max of the non-null build keys on the numeric axis, if known.
-    pub fn key_bounds(&self) -> Option<(f64, f64)> {
-        self.key_bounds
+        RuntimeFilter { filter, key_hashes }
     }
 
     /// Exact [`BLOOM_SEED`] hashes of the distinct build keys, sorted, when
@@ -210,12 +170,6 @@ impl RuntimeFilter {
     /// empty build side passes nothing).
     pub fn key_hashes(&self) -> Option<&[u64]> {
         self.key_hashes.as_deref()
-    }
-
-    /// The build-key occupancy summary carried for large numeric builds
-    /// (the zone-style fallback when exact key hashes were dropped).
-    pub fn key_summary(&self) -> Option<&KeySummary> {
-        self.key_summary.as_ref()
     }
 
     /// Batched probe: hash `col` once into `scratch`, test the rows
@@ -303,11 +257,6 @@ impl FilterHub {
         self.ready.notify_all();
     }
 
-    /// Non-blocking lookup.
-    pub fn try_get(&self, id: FilterId) -> Option<Arc<RuntimeFilter>> {
-        self.inner.lock().get(&id).cloned()
-    }
-
     /// Block until the filter identified by `id` is published.
     ///
     /// `timeout` bounds the wait so a planning bug (a scan waiting on a
@@ -328,16 +277,6 @@ impl FilterHub {
             }
         }
     }
-
-    /// Number of published filters.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether no filters are published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -356,13 +295,11 @@ mod tests {
     #[test]
     fn publish_then_get() {
         let hub = FilterHub::new();
-        assert!(hub.is_empty());
         hub.publish(FilterId(1), single_filter(&[1, 2, 3]));
-        assert_eq!(hub.len(), 1);
-        let f = hub.try_get(FilterId(1)).unwrap();
+        let f = hub.wait_get(FilterId(1), Duration::ZERO).unwrap();
         let col = Column::Int64(vec![2, 99], None);
         assert!(f.probe(&col, &[0, 1]).contains(&0));
-        assert!(hub.try_get(FilterId(2)).is_none());
+        assert!(hub.wait_get(FilterId(2), Duration::ZERO).is_none());
     }
 
     #[test]
@@ -409,52 +346,43 @@ mod tests {
     }
 
     #[test]
-    fn key_info_bounds_and_small_hashes() {
-        let f = RuntimeFilter::build(&[int_col(&[5, 10]), int_col(&[-3, 10])], 4);
-        assert_eq!(f.key_bounds(), Some((-3.0, 10.0)));
-        // 3 distinct keys after dedup across partitions.
-        assert_eq!(f.key_hashes().map(|h| h.len()), Some(3));
-    }
-
-    #[test]
-    fn key_hashes_dropped_for_large_build_sides() {
-        let big: Vec<i64> = (0..(4 * SMALL_KEY_LIMIT as i64) + 1).collect();
-        let f = RuntimeFilter::build(&[int_col(&big)], big.len());
-        assert!(f.key_hashes().is_none());
-        assert_eq!(f.key_bounds(), Some((0.0, big[big.len() - 1] as f64)));
-        // The large build carries the summary fallback instead.
-        let summary = f.key_summary().expect("summary for large build");
-        assert!(summary.overlaps_range(10.0, 20.0));
-    }
-
-    #[test]
-    fn small_builds_skip_the_summary_large_clustered_builds_use_it() {
-        let small = RuntimeFilter::build(&[int_col(&[1, 2])], 2);
-        assert!(
-            small.key_summary().is_none(),
-            "hashes are stronger evidence"
+    fn key_hashes_ship_only_for_small_builds() {
+        // Sorted, deduplicated across partitions, NULL keys left out.
+        let with_null = Column::Int64(
+            vec![7, 0],
+            Some(bfq_storage::Bitmap::from_bools([true, false])),
         );
-        // Two key clusters far apart: summary proves the gap empty even
-        // though the global bounds cover it.
-        let mut keys: Vec<i64> = (0..3000).collect();
-        keys.extend(1_000_000..1_003_000);
-        let cols: Vec<Column> = keys.chunks(1500).map(int_col).collect();
-        let f = RuntimeFilter::build(&cols, keys.len());
-        assert!(f.key_hashes().is_none());
-        let summary = f.key_summary().expect("summary for large build");
-        assert!(summary.overlaps_range(100.0, 200.0));
-        assert!(!summary.overlaps_range(200_000.0, 800_000.0));
-    }
-
-    #[test]
-    fn string_keys_have_no_bounds_but_ship_hashes() {
-        let keys: bfq_storage::StrData = ["FRANCE", "GERMANY"]
+        let f = RuntimeFilter::build(&[int_col(&[5, 10]), int_col(&[-3, 10]), with_null], 4);
+        let mut want: Vec<u64> = [5, 10, -3, 7]
+            .iter()
+            .map(|&k| bfq_common::hash::hash_i64(k, BLOOM_SEED))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(f.key_hashes(), Some(&want[..]));
+        // String keys ship hashes too.
+        let keys: bfq_storage::StrData = ["FRANCE", "GERMANY", "FRANCE"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let f = RuntimeFilter::build(&[Column::Utf8(keys, None)], 2);
-        assert!(f.key_bounds().is_none());
-        assert_eq!(f.key_hashes().map(|h| h.len()), Some(2));
+        assert_eq!(f.key_hashes().map(<[u64]>::len), Some(2));
+        // An empty build ships an empty key set: it passes nothing.
+        let f = RuntimeFilter::build(&[int_col(&[])], 1);
+        assert_eq!(f.key_hashes(), Some(&[][..]));
+        // Up to the limit the hashes ship; one distinct key more, or more
+        // rows than the dedup pass reads, and they do not.
+        let limit = SMALL_KEY_LIMIT as i64;
+        let at_limit: Vec<i64> = (0..4 * limit).map(|k| k % limit).collect();
+        let f = RuntimeFilter::build(&[int_col(&at_limit)], 1);
+        assert_eq!(f.key_hashes().map(<[u64]>::len), Some(SMALL_KEY_LIMIT));
+        let over: Vec<i64> = (0..=limit).collect();
+        assert!(RuntimeFilter::build(&[int_col(&over)], 1)
+            .key_hashes()
+            .is_none());
+        let long: Vec<i64> = (0..=4 * limit).map(|k| k % 3).collect();
+        assert!(RuntimeFilter::build(&[int_col(&long)], 1)
+            .key_hashes()
+            .is_none());
     }
 
     #[test]

@@ -8,21 +8,16 @@
 //! * [`math`] — the sizing and false-positive-rate formulas shared with the
 //!   cost model;
 //! * [`RuntimeFilter`] — the one filter a join's build side publishes,
-//!   whichever §3.9 streaming case produced it, plus the build-key
-//!   metadata that lets scans skip whole chunks;
+//!   whichever §3.9 streaming case produced it, plus the exact key hashes
+//!   of a small build, which let scans skip whole chunks;
 //! * [`hub::FilterHub`] — the runtime rendezvous between the hash join that
 //!   builds a filter and the scan that applies it ("table scans wait for all
-//!   Bloom filter partitions to become available", §3.9);
-//! * [`summary::KeySummary`] — compact per-partition build-key occupancy
-//!   bitmaps that keep chunk-level skipping alive for build sides too large
-//!   to ship exact key hashes.
+//!   Bloom filter partitions to become available", §3.9).
 
 pub mod filter;
 pub mod hub;
 pub mod math;
-pub mod summary;
 
 pub use filter::{BloomFilter, BLOOM_SEED};
 pub use hub::{FilterHub, ProbeScratch, RuntimeFilter};
 pub use math::{bits_for_ndv, blocked_fpr, default_fpr, BLOCK_BITS, DEFAULT_BITS_PER_KEY};
-pub use summary::{KeySummary, SUMMARY_BUCKETS};

@@ -26,7 +26,7 @@ proptest! {
     }
 
     /// A join's runtime filter admits every build key, and it is the same
-    /// filter — bits, load, NDV hint and chunk-skipping metadata — however
+    /// filter — bits, load, NDV hint and shipped key hashes — however
     /// the build side's keys are split across partitions (every §3.9
     /// streaming case builds it from one copy or from every partition).
     #[test]

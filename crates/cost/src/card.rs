@@ -364,10 +364,10 @@ impl<'a> Estimator<'a> {
     ///
     /// When zone maps are on and the apply column is the table's clustering
     /// column, the FPR term is tightened: rows matching the surviving build
-    /// keys are physically contiguous, so chunk-level skipping against the
-    /// filter's key bounds never reads most non-matching chunks, and false
-    /// positives can only surface in the roughly `sel_semi` fraction of the
-    /// table that is read at all.
+    /// keys are physically contiguous, so chunk-level skipping with the
+    /// exact key hashes the filter ships (small builds only) never reads
+    /// most non-matching chunks, and false positives can only surface in
+    /// the roughly `sel_semi` fraction of the table that is read at all.
     pub fn bf_pass_fraction(&self, bf: &BfAssumption) -> f64 {
         let sel = self.bf_semi_selectivity(bf);
         let fpr = self.bf_fpr(bf);

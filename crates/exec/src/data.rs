@@ -80,13 +80,10 @@ pub struct ScanPruneStats {
     pub skipped_zonemap: u64,
     /// Chunks skipped because a chunk Bloom probe proved it empty.
     pub skipped_bloom: u64,
-    /// Chunks skipped by runtime-filter key bounds / key-hash probes
-    /// (small build sides that ship exact key hashes).
+    /// Chunks skipped by runtime-filter key-hash probes (small build sides
+    /// that ship exact key hashes) or because the join key column is all
+    /// NULL.
     pub skipped_rfilter: u64,
-    /// Chunks skipped by the runtime filter's build-key *summary* — the
-    /// zone-style fallback tier for build sides too large to ship exact
-    /// key hashes.
-    pub skipped_rfsummary: u64,
     /// Rows inside skipped chunks (never touched row-by-row).
     pub rows_pruned: u64,
 }
@@ -94,7 +91,7 @@ pub struct ScanPruneStats {
 impl ScanPruneStats {
     /// Total chunks skipped across all tiers.
     pub fn skipped(&self) -> u64 {
-        self.skipped_zonemap + self.skipped_bloom + self.skipped_rfilter + self.skipped_rfsummary
+        self.skipped_zonemap + self.skipped_bloom + self.skipped_rfilter
     }
 
     /// Accumulate another counter set into this one.
@@ -103,7 +100,6 @@ impl ScanPruneStats {
         self.skipped_zonemap += other.skipped_zonemap;
         self.skipped_bloom += other.skipped_bloom;
         self.skipped_rfilter += other.skipped_rfilter;
-        self.skipped_rfsummary += other.skipped_rfsummary;
         self.rows_pruned += other.rows_pruned;
     }
 }
@@ -478,15 +474,13 @@ mod tests {
             skipped_zonemap: 2,
             skipped_bloom: 1,
             skipped_rfilter: 0,
-            skipped_rfsummary: 0,
             rows_pruned: 100,
         };
         let b = ScanPruneStats {
             chunks: 3,
             skipped_zonemap: 0,
             skipped_bloom: 0,
-            skipped_rfilter: 1,
-            skipped_rfsummary: 1,
+            skipped_rfilter: 2,
             rows_pruned: 8,
         };
         s.record_prune(5, &a);

@@ -54,7 +54,7 @@ use crate::executor::{
     QueryOutput,
 };
 use crate::join::{probe_partition, BuildTable};
-use crate::scan::{fetch_filters, prune_chunk, scan_chunk, ScanFilter};
+use crate::scan::{check_predicate, fetch_filters, prune_chunk, scan_chunk, ScanFilter};
 use crate::util::{expr_types, select_rows, slots_for, substitute_placeholder, MorselScratch};
 
 /// Cap on morsel outputs a worker may run ahead of the consuming sink, per
@@ -419,6 +419,9 @@ fn prepare_chain(
                     .map(|i| ColumnId::new(*rel_id, i as u32))
                     .collect(),
             );
+            if let Some(pred) = predicate {
+                check_predicate(pred, schema, &full_layout)?;
+            }
             let types: Vec<DataType> = projection
                 .iter()
                 .map(|&i| schema.field(i as usize).data_type)

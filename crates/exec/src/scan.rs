@@ -9,10 +9,7 @@
 //!    not satisfy the predicate is skipped whole;
 //! 2. chunk Bloom probes — equality literals in the predicate, and the
 //!    build-key hashes shipped with small runtime filters, are probed
-//!    against the chunk's Bloom index;
-//! 3. runtime-filter key bounds — the same `BloomApply` keys used for
-//!    row-level probing skip chunks whose zone map misses the build-key
-//!    range.
+//!    against the chunk's Bloom index.
 //!
 //! Skipped chunks are counted per scan node in
 //! [`crate::data::ScanPruneStats`].
@@ -25,7 +22,7 @@ use bfq_common::{BfqError, ColumnId, Result, TableId};
 use bfq_expr::{eval_predicate, Expr, Layout};
 use bfq_index::{chunk_prune, rf_chunk_prune, ChunkIndex, IndexMode, PruneOutcome};
 use bfq_plan::BloomApply;
-use bfq_storage::Chunk;
+use bfq_storage::{Chunk, Column, Schema};
 
 use crate::data::ScanPruneStats;
 use crate::executor::ExecContext;
@@ -64,6 +61,17 @@ pub(crate) fn fetch_filters(
         .collect()
 }
 
+/// Type-check a scan predicate once, before any chunk is read or skipped,
+/// by evaluating it over zero rows of the table's schema. The evaluator
+/// resolves operand types before it reads a row, so a mistyped conjunct
+/// fails here even when chunk skipping, or an empty table, would keep it
+/// from ever running: errors never depend on the data or the index mode.
+pub(crate) fn check_predicate(predicate: &Expr, schema: &Schema, layout: &Layout) -> Result<()> {
+    let columns = schema.fields().iter();
+    let empty = columns.map(|f| Arc::new(Column::nulls(f.data_type, 0)));
+    eval_predicate(predicate, &Chunk::new(empty.collect())?, layout).map(drop)
+}
+
 /// Decide whether a whole chunk can be skipped, attributing the decision to
 /// the tier that proved it. Returns `true` when the chunk is skippable.
 pub(crate) fn prune_chunk(
@@ -85,9 +93,7 @@ pub(crate) fn prune_chunk(
                 prune.skipped_zonemap += 1;
                 return true;
             }
-            // Local predicates never produce summary skips, but attribute
-            // one correctly if the evaluator ever learns to.
-            PruneOutcome::SkipBloom | PruneOutcome::SkipSummary => {
+            PruneOutcome::SkipBloom => {
                 prune.skipped_bloom += 1;
                 return true;
             }
@@ -99,22 +105,9 @@ pub(crate) fn prune_chunk(
         let Some(ci) = index.columns.get(*slot) else {
             continue;
         };
-        match rf_chunk_prune(
-            ci,
-            filter.key_bounds(),
-            filter.key_hashes(),
-            filter.key_summary(),
-            mode,
-        ) {
-            PruneOutcome::Keep => {}
-            PruneOutcome::SkipSummary => {
-                prune.skipped_rfsummary += 1;
-                return true;
-            }
-            PruneOutcome::SkipZone | PruneOutcome::SkipBloom => {
-                prune.skipped_rfilter += 1;
-                return true;
-            }
+        if rf_chunk_prune(ci, filter.key_hashes(), mode) != PruneOutcome::Keep {
+            prune.skipped_rfilter += 1;
+            return true;
         }
     }
     false

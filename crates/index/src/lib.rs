@@ -15,7 +15,9 @@
 //! * [`prune::chunk_prune`] is the conservative evaluator: it may only
 //!   answer *skip* when no row of the chunk can satisfy the predicate, so
 //!   pruning never changes query results (property-tested in
-//!   `tests/prop_index.rs`).
+//!   `tests/prop_index.rs`); [`prune::rf_chunk_prune`] holds a runtime
+//!   filter's shipped key hashes to the same contract, and a large build,
+//!   which ships none, never skips a chunk.
 //!
 //! [`IndexMode`] selects how much of this a scan consults — `off`,
 //! `zonemap`, or `zonemap+bloom` — so experiments can ablate each tier.

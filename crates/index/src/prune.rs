@@ -10,13 +10,10 @@
 //!
 //! [`rf_chunk_prune`] is the runtime-filter counterpart: a scan that was
 //! planned to apply a join Bloom filter (`BloomApply`) can skip a whole
-//! chunk when the filter's build-key bounds miss the chunk's zone map,
-//! when the build side was small enough to ship its exact key hashes and
-//! none of them hit the chunk's Bloom index, or — for large numeric builds
-//! — when the filter's merged per-partition [`KeySummary`] has no occupied
-//! bucket inside the chunk's value range.
+//! chunk when the build side was small enough to ship its exact key hashes
+//! and none of them hits the chunk's Bloom index.
 
-use bfq_bloom::{KeySummary, BLOOM_SEED};
+use bfq_bloom::BLOOM_SEED;
 use bfq_common::hash::{hash_bytes, hash_f64, hash_i64};
 use bfq_common::{ColumnId, DataType, Datum};
 use bfq_expr::{BinOp, Expr, UnOp};
@@ -32,9 +29,6 @@ pub enum PruneOutcome {
     SkipZone,
     /// A chunk Bloom probe proved no row can match.
     SkipBloom,
-    /// A runtime filter's build-key summary (the large-build fallback
-    /// sketch) proved no row can match.
-    SkipSummary,
 }
 
 /// Resolver from predicate column ids to chunk schema ordinals.
@@ -65,15 +59,11 @@ pub fn chunk_prune(
 }
 
 /// Decide whether any row of the indexed column can survive a runtime join
-/// filter described by its build-key `bounds` (numeric-axis min/max), the
-/// exact `key_hashes` of its keys when the build side was small (hashed
-/// with the shared [`BLOOM_SEED`]), or the [`KeySummary`] occupancy sketch
-/// carried by large numeric builds.
+/// filter whose build side shipped the exact `key_hashes` of its keys
+/// (hashed with the shared [`BLOOM_SEED`]; `None` for a large build).
 pub fn rf_chunk_prune(
     ci: &ColumnIndex,
-    bounds: Option<(f64, f64)>,
     key_hashes: Option<&[u64]>,
-    key_summary: Option<&KeySummary>,
     mode: IndexMode,
 ) -> PruneOutcome {
     if !mode.zonemaps() {
@@ -82,18 +72,6 @@ pub fn rf_chunk_prune(
     // A NULL join key never passes a runtime filter probe.
     if ci.all_null() {
         return PruneOutcome::SkipZone;
-    }
-    if let (Some((lo, hi)), Some(zone)) = (bounds, ci.zone) {
-        if zone.max < lo || zone.min > hi {
-            return PruneOutcome::SkipZone;
-        }
-    }
-    // Zone-style fallback for large builds: the chunk's value range must
-    // touch an occupied build-key bucket.
-    if let (Some(summary), Some(zone)) = (key_summary, ci.zone) {
-        if !summary.overlaps_range(zone.min, zone.max) {
-            return PruneOutcome::SkipSummary;
-        }
     }
     if mode.blooms() {
         if let Some(keys) = key_hashes {
@@ -491,86 +469,35 @@ mod tests {
     #[test]
     fn runtime_filter_pruning() {
         let idx = fixture();
-        let ints = &idx.columns[0]; // zone [10, 19]
-                                    // Disjoint build-key bounds prune via the zone map.
-        assert_eq!(
-            rf_chunk_prune(ints, Some((100.0, 200.0)), None, None, IndexMode::ZoneMap),
-            PruneOutcome::SkipZone
-        );
-        assert_eq!(
-            rf_chunk_prune(ints, Some((15.0, 200.0)), None, None, IndexMode::ZoneMap),
-            PruneOutcome::Keep
-        );
-        assert_eq!(
-            rf_chunk_prune(ints, Some((100.0, 200.0)), None, None, IndexMode::Off),
-            PruneOutcome::Keep
-        );
-        // Exact key hashes prune via the chunk Bloom.
+        let ints = &idx.columns[0]; // values 10..=19
         let absent = hash_literal(&Datum::Int(999), DataType::Int64).unwrap();
         let present = hash_literal(&Datum::Int(12), DataType::Int64).unwrap();
+        // Exact key hashes prune via the chunk Bloom.
         assert_eq!(
-            rf_chunk_prune(ints, None, Some(&[absent]), None, IndexMode::ZoneMapBloom),
+            rf_chunk_prune(ints, Some(&[absent]), IndexMode::ZoneMapBloom),
             PruneOutcome::SkipBloom
         );
         assert_eq!(
-            rf_chunk_prune(
-                ints,
-                None,
-                Some(&[absent, present]),
-                None,
-                IndexMode::ZoneMapBloom
-            ),
+            rf_chunk_prune(ints, Some(&[absent, present]), IndexMode::ZoneMapBloom),
             PruneOutcome::Keep
         );
         // Empty build side prunes everything.
         assert_eq!(
-            rf_chunk_prune(ints, None, Some(&[]), None, IndexMode::ZoneMapBloom),
+            rf_chunk_prune(ints, Some(&[]), IndexMode::ZoneMapBloom),
             PruneOutcome::SkipBloom
+        );
+        // A large build ships no hashes, so nothing proves a skip.
+        assert_eq!(
+            rf_chunk_prune(ints, None, IndexMode::ZoneMapBloom),
+            PruneOutcome::Keep
         );
         // Bloom-tier evidence needs the bloom mode.
         assert_eq!(
-            rf_chunk_prune(ints, None, Some(&[absent]), None, IndexMode::ZoneMap),
+            rf_chunk_prune(ints, Some(&[absent]), IndexMode::ZoneMap),
             PruneOutcome::Keep
         );
-    }
-
-    #[test]
-    fn runtime_filter_summary_tier() {
-        let idx = fixture();
-        let ints = &idx.columns[0]; // zone [10, 19]
-        let col = |vals: Vec<i64>| Column::Int64(vals, None);
-        // Clustered build keys far from the chunk's range, but with global
-        // bounds that *cover* it — only the summary can prove the skip.
-        // (Clusters {0..=5} and {10000..10100}: the chunk zone [10, 19]
-        // falls in the unoccupied bucket gap between them.)
-        let mut keys: Vec<i64> = (0..=5).collect();
-        keys.extend(10_000..10_100);
-        let summary = bfq_bloom::KeySummary::from_partitions(&[col(keys)]).unwrap();
         assert_eq!(
-            rf_chunk_prune(
-                ints,
-                Some((0.0, 10_099.0)),
-                None,
-                Some(&summary),
-                IndexMode::ZoneMap
-            ),
-            PruneOutcome::SkipSummary
-        );
-        // Build keys overlapping the chunk keep it.
-        let overlapping = bfq_bloom::KeySummary::from_partitions(&[col((0..100).collect())]);
-        assert_eq!(
-            rf_chunk_prune(
-                ints,
-                Some((0.0, 99.0)),
-                None,
-                overlapping.as_ref(),
-                IndexMode::ZoneMap
-            ),
-            PruneOutcome::Keep
-        );
-        // The summary tier is zone-style: disabled with IndexMode::Off.
-        assert_eq!(
-            rf_chunk_prune(ints, None, None, Some(&summary), IndexMode::Off),
+            rf_chunk_prune(ints, Some(&[]), IndexMode::Off),
             PruneOutcome::Keep
         );
     }
@@ -585,13 +512,7 @@ mod tests {
             PruneOutcome::SkipZone
         );
         assert_eq!(
-            rf_chunk_prune(
-                &idx.columns[0],
-                Some((0.0, 1.0)),
-                None,
-                None,
-                IndexMode::ZoneMap
-            ),
+            rf_chunk_prune(&idx.columns[0], None, IndexMode::ZoneMap),
             PruneOutcome::SkipZone
         );
     }

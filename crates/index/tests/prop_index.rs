@@ -147,67 +147,13 @@ proptest! {
             build_keys.len().max(1),
         );
         for mode in IndexMode::ALL {
-            let verdict = rf_chunk_prune(
-                ci,
-                filter.key_bounds(),
-                filter.key_hashes(),
-                filter.key_summary(),
-                mode,
-            );
+            let verdict = rf_chunk_prune(ci, filter.key_hashes(), mode);
             if verdict != PruneOutcome::Keep {
                 prop_assert!(!intersects, "{mode:?} pruned a chunk that shares build keys");
             }
             if mode == IndexMode::Off {
                 prop_assert_eq!(verdict, PruneOutcome::Keep);
             }
-        }
-    }
-}
-
-/// Summary-tier verdicts are proofs too: with a build side large enough
-/// that exact key hashes are dropped, a summary skip implies the chunk
-/// shares no key with the build side (deterministic sweep — the build is
-/// too large for proptest row budgets).
-#[test]
-fn rf_summary_pruning_never_skips_joinable_rows() {
-    // Clustered build: two bands with a wide gap.
-    let mut build: Vec<i64> = (0..3000).collect();
-    build.extend(50_000..53_000);
-    let filter = RuntimeFilter::build(&[Column::Int64(build.clone(), None)], build.len());
-    assert!(
-        filter.key_hashes().is_none(),
-        "build must exceed hash limit"
-    );
-    assert!(filter.key_summary().is_some());
-    for chunk_lo in (0..60_000i64).step_by(1_500) {
-        let chunk_keys: Vec<i64> = (chunk_lo..chunk_lo + 1_000).collect();
-        let col = Column::Int64(chunk_keys.clone(), None);
-        let ci = build_chunk_index(&Chunk::new(vec![Arc::new(col)]).unwrap());
-        let verdict = rf_chunk_prune(
-            &ci.columns[0],
-            filter.key_bounds(),
-            filter.key_hashes(),
-            filter.key_summary(),
-            IndexMode::ZoneMap,
-        );
-        let hi = chunk_lo + 1_000;
-        let intersects = (chunk_lo < 3_000) || (hi > 50_000 && chunk_lo < 53_000);
-        if verdict != PruneOutcome::Keep {
-            assert!(
-                !intersects,
-                "chunk [{chunk_lo}, {}) pruned despite sharing build keys",
-                chunk_lo + 1_000
-            );
-        }
-        // The mid-gap chunks must actually be skipped by the summary tier
-        // (bounds alone cannot prove them empty).
-        if chunk_lo >= 6_000 && chunk_lo + 1_000 <= 50_000 {
-            assert_eq!(
-                verdict,
-                PruneOutcome::SkipSummary,
-                "gap chunk [{chunk_lo}, {}) not summary-pruned",
-                chunk_lo + 1_000
-            );
         }
     }
 }

@@ -106,14 +106,13 @@ fn main() -> Result<()> {
         config.index_mode
     );
     println!(
-        "result rows: {}   chunks considered: {}   skipped: {} (zonemap {}, bloom {}, filterkeys {}, filtersummary {}), {} rows pruned",
+        "result rows: {}   chunks considered: {}   skipped: {} (zonemap {}, bloom {}, filterkeys {}), {} rows pruned",
         exec.chunk.rows(),
         p.chunks,
         p.skipped(),
         p.skipped_zonemap,
         p.skipped_bloom,
         p.skipped_rfilter,
-        p.skipped_rfsummary,
         p.rows_pruned
     );
     Ok(())

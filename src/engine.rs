@@ -160,14 +160,13 @@ impl QueryResult {
                     if p.skipped() > 0 {
                         prune_lines.push(format!(
                             "  {alias}: {}/{} chunks skipped \
-                             (zonemap {}, bloom {}, filterkeys {}, filtersummary {}), \
+                             (zonemap {}, bloom {}, filterkeys {}), \
                              {} rows pruned",
                             p.skipped(),
                             p.chunks,
                             p.skipped_zonemap,
                             p.skipped_bloom,
                             p.skipped_rfilter,
-                            p.skipped_rfsummary,
                             p.rows_pruned
                         ));
                     }

@@ -1,11 +1,8 @@
 //! Runtime filters and chunk Bloom indexes at the scan.
 //!
 //! * Build sides with ≤ 1024 distinct keys ship exact key hashes, letting
-//!   scans probe per-chunk Bloom indexes. Above that limit the filter
-//!   carries a merged per-partition [`bfq::bloom::KeySummary`] so
-//!   key-clustered fact chunks are still skipped — and
-//!   `ScanPruneStats::skipped_rfsummary` makes the tier that proved each
-//!   skip observable.
+//!   scans probe per-chunk Bloom indexes and skip the key-clustered fact
+//!   chunks that hold none of them (`ScanPruneStats::skipped_rfilter`).
 //! * Chunk Bloom indexes prove point lookups empty where zone maps cannot.
 //! * Allocation discipline: steady-state morsel execution performs zero
 //!   filter-path allocations — the scratch-growth counter stays a small
@@ -37,13 +34,13 @@ fn clustered_fact(name: &str, n_chunks: usize, chunk_rows: i64) -> Table {
     Table::new(name, schema, chunks).unwrap()
 }
 
-/// A dimension whose keys form two clusters with a wide gap — more than
-/// 1024 distinct keys (so exact hashes are dropped), but leaving most of
-/// the fact table's key range provably empty.
+/// A dimension of ten keys in two clusters with a wide gap: few enough to
+/// ship exact key hashes, and leaving most of the fact table's chunks
+/// without a single key.
 fn gapped_dim(name: &str) -> Table {
     let schema = Arc::new(Schema::new(vec![Field::new("d_key", DataType::Int64)]));
-    let mut keys: Vec<i64> = (0..1000).collect();
-    keys.extend(30_000..31_000);
+    let mut keys: Vec<i64> = (0..5).map(|k| k * 300).collect();
+    keys.extend((0..5).map(|k| 38_000 + k * 300));
     let chunk = Chunk::new(vec![Arc::new(Column::Int64(keys, None))]).unwrap();
     Table::new(name, schema, vec![chunk]).unwrap()
 }
@@ -56,7 +53,6 @@ fn engine_with(mode: IndexMode) -> Arc<Engine> {
     // The H2 apply threshold is calibrated for big tables; lower it so
     // this synthetic join plans its runtime filter.
     config.settings.plan.bf_min_apply_rows = 50.0;
-    config.settings.plan.bf_max_build_ndv = 1_000_000.0;
     let engine = Engine::over_catalog(Arc::new(bfq::catalog::Catalog::new()), config);
     engine
         .register_table(clustered_fact("fact", 20, 2_000), vec![0])
@@ -75,28 +71,23 @@ fn engine_with(mode: IndexMode) -> Arc<Engine> {
 const JOIN_SQL: &str = "select sum(f_val) as s, count(*) as n from fact, dim where f_key = d_key";
 
 #[test]
-fn large_build_sides_still_skip_chunks_via_the_summary_tier() {
+fn small_build_sides_skip_chunks_via_their_key_hashes() {
     let engine = engine_with(IndexMode::ZoneMapBloom);
     let out = engine.connect().run_sql(JOIN_SQL).unwrap();
     let prune = out.exec_stats.prune_totals();
 
-    // The build side has 2000 distinct keys — beyond the exact-hash limit —
-    // yet the gap chunks (keys 2000..30000, chunks 1..=14) are skipped, and
-    // the stats name the tier that proved it.
+    // The keys live in chunks 0 and 19; the 18 chunks between hold none.
+    // A chunk is kept when any of the ten key hashes is a false positive of
+    // its Bloom index, and those odds compound per key: 9 of the 18 are
+    // skipped, so ask for a third.
     assert!(
-        prune.skipped_rfsummary >= 10,
-        "summary tier skipped only {} chunks: {prune:?}",
-        prune.skipped_rfsummary
+        prune.skipped_rfilter >= 6,
+        "key hashes skipped only {} of 18 keyless chunks: {prune:?}",
+        prune.skipped_rfilter
     );
-    // Chunks past the build-key maximum (31000+) fall to the bounds tier.
     assert!(
-        prune.skipped_rfilter >= 1,
-        "bounds tier skipped nothing: {prune:?}"
-    );
-    // The explain output surfaces the tier.
-    assert!(
-        out.explain().contains("filtersummary"),
-        "explain does not surface the summary tier:\n{}",
+        out.explain().contains("filterkeys"),
+        "explain does not surface the key-hash tier:\n{}",
         out.explain()
     );
 
@@ -108,8 +99,8 @@ fn large_build_sides_still_skip_chunks_via_the_summary_tier() {
     assert_eq!(baseline.exec_stats.prune_totals().skipped(), 0);
     let rows = |c: &Chunk| (0..c.rows()).map(|i| c.row(i)).collect::<Vec<_>>();
     assert_eq!(rows(&out.chunk), rows(&baseline.chunk));
-    // Sanity: the join matched exactly the 2000 dimension keys.
-    assert_eq!(out.chunk.row(0)[1], Datum::Int(2_000));
+    // Sanity: the join matched exactly the ten dimension keys.
+    assert_eq!(out.chunk.row(0)[1], Datum::Int(10));
 }
 
 /// A synthetic star join whose fact side spans many chunks: 256 chunks of

@@ -192,6 +192,53 @@ fn index_modes_never_change_results() {
 }
 
 #[test]
+fn index_modes_never_change_errors() {
+    // A mistyped conjunct fails the statement under every index mode, even
+    // where a zone map or chunk Bloom proves every chunk empty before the
+    // conjunct would run, and over a table with no rows at all.
+    let db = tpch::gen::generate(SF, SEED).expect("generate");
+    let catalog = Arc::new(db.catalog);
+    let empty = bfq::storage::Table::new(
+        "empty",
+        Arc::new(bfq::storage::Schema::new(vec![
+            bfq::storage::Field::new("e_key", DataType::Int64),
+            bfq::storage::Field::new("e_name", DataType::Utf8),
+        ])),
+        vec![],
+    )
+    .unwrap();
+    let sessions: Vec<(IndexMode, Connection)> = IndexMode::ALL
+        .iter()
+        .map(|&mode| {
+            let engine = Engine::over_catalog(
+                catalog.clone(),
+                EngineConfig::default().with_dop(3).with_index_mode(mode),
+            );
+            engine.register_table(empty.clone(), vec![]).unwrap();
+            (mode, engine.connect())
+        })
+        .collect();
+    for sql in [
+        "select count(*) from lineitem where l_shipdate < date '1990-01-01' and l_comment < 5",
+        "select count(*) from orders where o_orderkey = -5 and o_comment + 1 > 3",
+        "select count(*) from orders where o_orderkey = -5 and o_comment < 3",
+        "select count(*) from empty where e_name < 5",
+    ] {
+        let errors: Vec<String> = sessions
+            .iter()
+            .map(|(mode, conn)| match conn.run_sql(sql) {
+                Err(e @ BfqError::Type(_)) => e.to_string(),
+                other => panic!("{mode}: `{sql}` gave {:?}", other.map(|r| r.chunk.row(0))),
+            })
+            .collect();
+        assert!(
+            errors.iter().all(|e| *e == errors[0]),
+            "`{sql}`: errors differ across index modes: {errors:?}"
+        );
+    }
+}
+
+#[test]
 fn q6_skips_most_lineitem_chunks() {
     // Q6's one-year l_shipdate window must skip the majority of the
     // date-clustered lineitem chunks via zone maps. Use a scale where
@@ -233,6 +280,45 @@ fn q6_skips_most_lineitem_chunks() {
         r.explain().contains("index pruning:"),
         "explain surfaces counters"
     );
+}
+
+#[test]
+fn q17_q18_lineitem_scans_skip_chunks_through_runtime_filter_keys() {
+    // The one TPC-H query family where a runtime filter skips chunks: the
+    // build sides of Q17 (one brand and container) and Q18 (orders with a
+    // large total quantity) are small enough to ship their exact key
+    // hashes, and the lineitem chunks whose Bloom index holds none of them
+    // are skipped whole. Seed 42 is the end-to-end benchmark's.
+    let db = tpch::gen::generate(0.02, 42).expect("generate");
+    let catalog = Arc::new(db.catalog);
+    for mode in [BloomMode::Post, BloomMode::Cbo] {
+        let session = Engine::over_catalog(
+            catalog.clone(),
+            EngineConfig::default()
+                .with_bloom_mode(mode)
+                .with_dop(3)
+                .with_index_mode(IndexMode::ZoneMapBloom),
+        )
+        .connect();
+        for q in [17, 18] {
+            let r = session.run_sql(&tpch::query_text(q, 0.02)).expect("query");
+            let (mut chunks, mut skipped) = (0, 0);
+            r.optimized.plan.visit(&mut |node| {
+                if let PhysicalNode::Scan { alias, .. } = &node.node {
+                    if alias == "lineitem" {
+                        let p = r.exec_stats.prune_of(node.id).expect("prune counters");
+                        chunks = chunks.max(p.chunks);
+                        skipped += p.skipped_rfilter;
+                    }
+                }
+            });
+            // The parent measured 15 of 15 chunks (Q17) and 12 of 15 (Q18).
+            assert!(
+                chunks >= 10 && skipped * 2 > chunks,
+                "{mode:?} Q{q}: runtime filter keys skipped {skipped} of {chunks} lineitem chunks"
+            );
+        }
+    }
 }
 
 #[test]
