@@ -147,59 +147,6 @@ pub fn measure_query(
     })
 }
 
-/// An interleaved A/B measurement of one query under two configurations.
-pub struct PairedRuns {
-    pub a: Measured,
-    pub b: Measured,
-}
-
-/// Measure two configurations of the same query with their warm runs
-/// *interleaved*: each round times both configurations back to back
-/// (alternating which goes first, so neither side always inherits the
-/// other's cache residue), which makes slow machine drift — co-tenant
-/// load, thermal throttling — bias both sides of an A/B comparison
-/// equally instead of whichever block ran in the quiet window. Each
-/// side's `exec_ms`/`exec_min_ms` aggregate its `rounds` timed runs
-/// (after one untimed warm-up apiece).
-pub fn measure_query_pair(
-    catalog: &Arc<Catalog>,
-    sql: &str,
-    config_a: &OptimizerConfig,
-    config_b: &OptimizerConfig,
-    rounds: usize,
-) -> Result<PairedRuns> {
-    let mut a = measure_query(catalog, sql, config_a, 2)?;
-    let mut b = measure_query(catalog, sql, config_b, 2)?;
-    let mut samples = vec![(a.exec_ms, b.exec_ms)];
-    let rounds = rounds.max(1);
-    for round in 1..rounds {
-        let a_first = round % 2 == 0;
-        let (ms_a, ms_b) = if a_first {
-            let (out_a, ms_a) = timed_exec(catalog, &a.planned, config_a)?;
-            let (out_b, ms_b) = timed_exec(catalog, &b.planned, config_b)?;
-            a.chunk = out_a.chunk;
-            a.exec_stats = out_a.stats;
-            b.chunk = out_b.chunk;
-            b.exec_stats = out_b.stats;
-            (ms_a, ms_b)
-        } else {
-            let (out_b, ms_b) = timed_exec(catalog, &b.planned, config_b)?;
-            let (out_a, ms_a) = timed_exec(catalog, &a.planned, config_a)?;
-            a.chunk = out_a.chunk;
-            a.exec_stats = out_a.stats;
-            b.chunk = out_b.chunk;
-            b.exec_stats = out_b.stats;
-            (ms_a, ms_b)
-        };
-        samples.push((ms_a, ms_b));
-        a.exec_min_ms = a.exec_min_ms.min(ms_a);
-        b.exec_min_ms = b.exec_min_ms.min(ms_b);
-    }
-    a.exec_ms = samples.iter().map(|s| s.0).sum::<f64>() / rounds as f64;
-    b.exec_ms = samples.iter().map(|s| s.1).sum::<f64>() / rounds as f64;
-    Ok(PairedRuns { a, b })
-}
-
 /// Run one TPC-H query under a mode.
 pub fn measure_tpch(
     catalog: &Arc<Catalog>,
@@ -252,11 +199,11 @@ pub fn cardinality_q_error(m: &Measured) -> f64 {
 }
 
 /// Mean est-vs-actual q-error over *scan* nodes only, split by whether the
-/// scan is reduced by runtime filters (per-join Blooms or a semijoin
-/// program's reducers) or left unreduced. BF-CBO's re-estimation claim
-/// lives in the reduced bucket — those are the scans whose cardinality the
-/// optimizer predicts through the §3.5 pass-fraction model — while the
-/// unreduced bucket is the control where both modes see identical inputs.
+/// scan is reduced by runtime Bloom filters or left unreduced. BF-CBO's
+/// re-estimation claim lives in the reduced bucket — those are the scans
+/// whose cardinality the optimizer predicts through the §3.5 pass-fraction
+/// model — while the unreduced bucket is the control where both modes see
+/// identical inputs.
 /// Returns `(reduced, unreduced)`; a side is `None` when no scan with a
 /// recorded actual falls in that bucket.
 pub fn scan_q_error_split(m: &Measured) -> (Option<f64>, Option<f64>) {

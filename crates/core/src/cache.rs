@@ -265,11 +265,6 @@ mod tests {
             ..Default::default()
         };
         assert_ne!(a.cache_fingerprint(), c.cache_fingerprint());
-        let g = OptimizerConfig {
-            semijoin: crate::SemijoinMode::Off,
-            ..Default::default()
-        };
-        assert_ne!(a.cache_fingerprint(), g.cache_fingerprint());
         assert_eq!(
             a.cache_fingerprint(),
             OptimizerConfig::default().cache_fingerprint()

@@ -15,14 +15,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bfq_common::{ColumnId, FilterId, RelSet, Result};
+use bfq_common::{ColumnId, FilterId, Result};
 use bfq_cost::{BfAssumption, Cost, CostModel, Estimator};
 use bfq_expr::{Expr, Layout};
-use bfq_plan::{
-    BloomApply, Distribution, FilterSchedule, PhysicalNode, PhysicalPlan, QueryBlock, RelSource,
-};
+use bfq_plan::{BloomApply, Distribution, PhysicalNode, PhysicalPlan, QueryBlock, RelSource};
 
-use crate::acyclic::JoinTree;
 use crate::candidates::BfCandidate;
 use crate::subplan::{PendingBf, PlanList, SubPlan};
 use crate::OptimizerConfig;
@@ -162,265 +159,6 @@ pub fn make_scan_subplan(
         cost,
         dist,
         pending: pendings,
-        program: false,
-    })
-}
-
-/// One reducer edge of a semijoin program: a Bloom reducer built from
-/// `child`'s reducer-pass step and applied to `parent`'s probe-pass scan.
-#[derive(Debug, Clone)]
-pub struct ProgramEdge {
-    /// Ordinal of the build-side (child) relation.
-    pub child: usize,
-    /// Ordinal of the apply-side (parent) relation.
-    pub parent: usize,
-    /// Runtime filter id published by the reducer step.
-    pub filter: FilterId,
-    /// Estimator view of the reducer. Its δ is the child's whole subtree:
-    /// the reducer step scans the child through its descendants' reducers,
-    /// so the sealed filter carries their combined filtering.
-    pub bf: BfAssumption,
-    /// The child's subtree in the join tree (equals `bf.delta`).
-    pub subtree: RelSet,
-    /// Build-side NDV estimate (sizes the Bloom filter).
-    pub expected_ndv: f64,
-}
-
-/// A costed two-pass semijoin program for one query block — the rewrite
-/// the DP weighs against per-join runtime filters. `steps` is the
-/// bottom-up reducer pass (Yannakakis' first pass, one
-/// [`PhysicalNode::SemijoinReduce`] per join-tree edge); the probe pass is
-/// whatever join plan the DP builds in the program lane, with each base
-/// scan pre-reduced by its children's final reducers.
-#[derive(Debug, Clone)]
-pub struct ProgramSpec {
-    /// Root of the join tree (the only relation without a reducer).
-    pub root: usize,
-    /// Reducer edges in bottom-up (schedule) order.
-    pub edges: Vec<ProgramEdge>,
-    /// Reducer-pass plans, one per edge, in execution order.
-    pub steps: Vec<Arc<PhysicalPlan>>,
-    /// Total cost of running the reducer pass.
-    pub schedule_cost: Cost,
-}
-
-impl ProgramSpec {
-    /// The reducers still pruning a DP set's output: edges whose parent is
-    /// in `set` but whose build subtree is not yet fully joined in. Once
-    /// the subtree joins, the join itself enforces the semijoin and the
-    /// reducer's reduction is no longer an extra assumption to multiply in.
-    pub fn active_assumptions(&self, set: RelSet) -> Vec<BfAssumption> {
-        self.edges
-            .iter()
-            .filter(|e| set.contains(e.parent) && !e.subtree.is_subset_of(set))
-            .map(|e| e.bf.clone())
-            .collect()
-    }
-
-    /// The reducer pass as an executable [`FilterSchedule`].
-    pub fn schedule(&self) -> FilterSchedule {
-        FilterSchedule {
-            steps: self.steps.clone(),
-        }
-    }
-}
-
-/// Build the block's semijoin program from its join tree: one reducer per
-/// tree edge, bottom-up. Returns `None` when any reducer would exceed the
-/// Heuristic-5 size budget — a program cannot drop individual reducers
-/// (every probe scan relies on its child edges), so one oversized filter
-/// rules out the whole rewrite.
-pub fn build_program(
-    block: &QueryBlock,
-    est: &Estimator<'_>,
-    model: &CostModel,
-    config: &OptimizerConfig,
-    tree: &JoinTree,
-    next_filter: &mut u32,
-) -> Option<ProgramSpec> {
-    let mut edges: Vec<ProgramEdge> = Vec::with_capacity(tree.edges.len());
-    for e in &tree.edges {
-        let subtree = tree.subtree(e.child);
-        let bf = BfAssumption {
-            apply_rel: e.parent,
-            apply_col: e.parent_col,
-            build_rel: e.child,
-            build_col: e.child_col,
-            delta: subtree,
-        };
-        let expected_ndv = est.effective_build_ndv(e.child_col, subtree);
-        if expected_ndv > config.bf_max_build_ndv {
-            return None;
-        }
-        let filter = FilterId(*next_filter);
-        *next_filter += 1;
-        edges.push(ProgramEdge {
-            child: e.child,
-            parent: e.parent,
-            filter,
-            bf,
-            subtree,
-            expected_ndv,
-        });
-    }
-
-    // Reducer steps in edge (bottom-up) order: scan the child through its
-    // own children's reducers, then seal a Bloom filter on the join key.
-    // GYO removal order guarantees a child's edge precedes its parent's,
-    // so every filter a step applies was published by an earlier step.
-    let mut steps = Vec::with_capacity(edges.len());
-    let mut schedule_cost = Cost::ZERO;
-    for edge in &edges {
-        let rel = edge.child;
-        let base_rel = block.rel(rel);
-        let RelSource::Table(base) = &base_rel.source else {
-            return None; // program_eligible only admits base tables
-        };
-        let assumptions: Vec<BfAssumption> = edges
-            .iter()
-            .filter(|c| c.parent == rel)
-            .map(|c| c.bf.clone())
-            .collect();
-        let blooms: Vec<BloomApply> = edges
-            .iter()
-            .filter(|c| c.parent == rel)
-            .map(|c| BloomApply {
-                filter: c.filter,
-                column: c.bf.apply_col,
-                predicted_fpr: est.bf_fpr(&c.bf),
-                predicted_pass: est.bf_pass_fraction(&c.bf),
-            })
-            .collect();
-        let rows = if assumptions.is_empty() {
-            est.base_rows(rel)
-        } else {
-            est.bf_scan_rows(rel, &assumptions)
-        };
-        let scan_cost = model.scan_with_blooms(
-            est.scan_read_rows(rel),
-            est.base_rows(rel),
-            rows,
-            base_rel.local_preds.len(),
-            blooms.len(),
-        );
-        let layout = Layout::new(vec![edge.bf.build_col]);
-        let scan = PhysicalPlan::new(
-            PhysicalNode::Scan {
-                base: *base,
-                rel_id: base_rel.rel_id,
-                alias: base_rel.alias.clone(),
-                projection: vec![edge.bf.build_col.index],
-                predicate: Expr::conjunction(base_rel.local_preds.clone()),
-                blooms,
-            },
-            layout.clone(),
-            rows,
-            Distribution::AnyPartitioned,
-        );
-        let build_cost = Cost::of(
-            rows / model.dop as f64 * (model.params.bf_build_per_row + model.params.cpu_tuple),
-        );
-        let step = PhysicalPlan::new(
-            PhysicalNode::SemijoinReduce {
-                input: scan,
-                filter: edge.filter,
-                key: edge.bf.build_col,
-                expected_ndv: edge.expected_ndv,
-                target_alias: block.rel(edge.parent).alias.clone(),
-                predicted_pass: est.bf_pass_fraction(&edge.bf),
-                predicted_fpr: est.bf_fpr(&edge.bf),
-            },
-            layout,
-            rows,
-            Distribution::AnyPartitioned,
-        );
-        schedule_cost = schedule_cost.plus(scan_cost).plus(build_cost);
-        steps.push(step);
-    }
-    Some(ProgramSpec {
-        root: tree.root,
-        edges,
-        steps,
-        schedule_cost,
-    })
-}
-
-/// The probe-pass scan sub-plan of `rel` in the program lane: a single
-/// scan of the base table through the final reducers of `rel`'s tree
-/// children. The reducer pass itself is charged once, on the tree root's
-/// scan, so any complete program-lane plan pays it exactly once.
-pub fn make_program_scan_subplan(
-    block: &QueryBlock,
-    est: &Estimator<'_>,
-    model: &CostModel,
-    spec: &ProgramSpec,
-    rel: usize,
-    projection: &[u32],
-) -> Result<SubPlan> {
-    let base_rel = block.rel(rel);
-    let RelSource::Table(base) = &base_rel.source else {
-        return Err(bfq_common::BfqError::internal(format!(
-            "semijoin program over non-table relation {rel}"
-        )));
-    };
-    let assumptions: Vec<BfAssumption> = spec
-        .edges
-        .iter()
-        .filter(|e| e.parent == rel)
-        .map(|e| e.bf.clone())
-        .collect();
-    let blooms: Vec<BloomApply> = spec
-        .edges
-        .iter()
-        .filter(|e| e.parent == rel)
-        .map(|e| BloomApply {
-            filter: e.filter,
-            column: e.bf.apply_col,
-            predicted_fpr: est.bf_fpr(&e.bf),
-            predicted_pass: est.bf_pass_fraction(&e.bf),
-        })
-        .collect();
-    let rows_out = if assumptions.is_empty() {
-        est.base_rows(rel)
-    } else {
-        est.bf_scan_rows(rel, &assumptions)
-    };
-    let mut cost = model.scan_with_blooms(
-        est.scan_read_rows(rel),
-        est.base_rows(rel),
-        rows_out,
-        base_rel.local_preds.len(),
-        blooms.len(),
-    );
-    if rel == spec.root {
-        cost = cost.plus(spec.schedule_cost);
-    }
-    let layout = Layout::new(
-        projection
-            .iter()
-            .map(|&i| ColumnId::new(base_rel.rel_id, i))
-            .collect(),
-    );
-    let plan = PhysicalPlan::new(
-        PhysicalNode::Scan {
-            base: *base,
-            rel_id: base_rel.rel_id,
-            alias: base_rel.alias.clone(),
-            projection: projection.to_vec(),
-            predicate: Expr::conjunction(base_rel.local_preds.clone()),
-            blooms,
-        },
-        layout,
-        rows_out,
-        Distribution::AnyPartitioned,
-    );
-    Ok(SubPlan {
-        plan,
-        rows: rows_out,
-        cost,
-        dist: Distribution::AnyPartitioned,
-        pending: Vec::new(),
-        program: true,
     })
 }
 
@@ -454,8 +192,7 @@ fn surviving_options(
 }
 
 /// Build the initial plan list of every relation: the plain scan plus the
-/// Bloom-filter scan sub-plans of §3.5, plus — when a semijoin program was
-/// built for the block — one program-lane scan per relation.
+/// Bloom-filter scan sub-plans of §3.5.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's §3.5 inputs
 pub fn initial_plan_lists(
     block: &QueryBlock,
@@ -465,7 +202,6 @@ pub fn initial_plan_lists(
     candidates: &[BfCandidate],
     required: &[Vec<u32>],
     derived: &DerivedPlans,
-    program: Option<&ProgramSpec>,
     next_filter: &mut u32,
 ) -> Result<Vec<PlanList>> {
     let mut lists = Vec::with_capacity(block.num_rels());
@@ -522,14 +258,6 @@ pub fn initial_plan_lists(
                 list.add(sp);
             }
         }
-        // Program lane: the same relation scanned through its children's
-        // scheduled reducers (never dominated by — and never dominating —
-        // the per-join lane).
-        if let Some(spec) = program {
-            list.add(make_program_scan_subplan(
-                block, est, model, spec, rel, projection,
-            )?);
-        }
         if config.h7_enabled {
             list.apply_heuristic7(config.h7_max_subplans);
         }
@@ -565,7 +293,6 @@ mod tests {
             &cands,
             &required,
             &HashMap::new(),
-            None,
             &mut next_filter,
         )
         .unwrap();

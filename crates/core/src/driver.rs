@@ -10,20 +10,19 @@ use bfq_common::{BfqError, ColumnId, Datum, Result};
 use bfq_cost::{Cost, CostModel, Estimator};
 use bfq_expr::{estimate_selectivity, Expr, Layout};
 use bfq_plan::{
-    Bindings, Distribution, ExchangeKind, FilterSchedule, LogicalPlan, PhysicalNode, PhysicalPlan,
-    QueryBlock, RelSource,
+    Bindings, Distribution, ExchangeKind, LogicalPlan, PhysicalNode, PhysicalPlan, QueryBlock,
+    RelSource,
 };
 
-use crate::acyclic::join_tree;
 use crate::candidates::mark_candidates;
-use crate::costing::{build_program, initial_plan_lists, required_cols_per_rel, DerivedPlans};
+use crate::costing::{initial_plan_lists, required_cols_per_rel, DerivedPlans};
 use crate::enumerate::{join_space, MAX_BLOCK_RELS};
 use crate::naive::{naive_optimize, NaiveStats};
 use crate::phase1::{collect_deltas, Phase1Stats};
 use crate::phase2::{run_dp, Phase2Stats};
 use crate::post::add_post_filters;
 use crate::subplan::SubPlan;
-use crate::{BloomMode, OptimizerConfig, SemijoinMode};
+use crate::{BloomMode, OptimizerConfig};
 
 /// Aggregated optimizer telemetry (per query; block stats summed).
 #[derive(Debug, Clone, Default)]
@@ -42,11 +41,9 @@ pub struct OptimizerStats {
     pub cbo_filters: usize,
     /// Filters added by the post-processing pass.
     pub post_filters: usize,
-    /// Blocks where the DP chose the semijoin program over per-join
-    /// filters.
+    /// Always 0: kept only because `bench/e2e` reads it.
+    #[doc(hidden)]
     pub programs: usize,
-    /// Scheduled reducers across all chosen programs.
-    pub program_reducers: usize,
     /// Naïve-mode telemetry, when [`BloomMode::Naive`] ran.
     pub naive: Option<NaiveStats>,
 }
@@ -68,8 +65,6 @@ impl OptimizerStats {
         self.phase2.kept += other.phase2.kept;
         self.cbo_filters += other.cbo_filters;
         self.post_filters += other.post_filters;
-        self.programs += other.programs;
-        self.program_reducers += other.program_reducers;
         if other.naive.is_some() {
             self.naive = other.naive;
         }
@@ -84,8 +79,6 @@ struct BlockStats {
     phase2: Phase2Stats,
     cbo_filters: usize,
     post_filters: usize,
-    programs: usize,
-    program_reducers: usize,
     naive: Option<NaiveStats>,
 }
 
@@ -112,7 +105,7 @@ pub fn optimize_block(
     next_filter: &mut u32,
 ) -> Result<(SubPlan, OptimizerStats)> {
     let start = Instant::now();
-    let (mut sub, bstats, schedule) = optimize_block_inner(
+    let (sub, bstats) = optimize_block_inner(
         block,
         bindings,
         catalog,
@@ -121,11 +114,6 @@ pub fn optimize_block(
         config,
         next_filter,
     )?;
-    // Standalone use: the block root is the query root, so the winning
-    // program's reducer schedule (if any) attaches right here.
-    if let Some(schedule) = schedule {
-        sub.plan = sub.plan.with_schedule(Arc::new(schedule));
-    }
     let mut stats = OptimizerStats::default();
     stats.merge_block(bstats);
     stats.planning_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -140,7 +128,7 @@ fn optimize_block_inner(
     derived: &DerivedPlans,
     config: &OptimizerConfig,
     next_filter: &mut u32,
-) -> Result<(SubPlan, BlockStats, Option<FilterSchedule>)> {
+) -> Result<(SubPlan, BlockStats)> {
     if block.num_rels() > MAX_BLOCK_RELS {
         return Err(BfqError::Plan(format!(
             "a query block joins {} relations; the optimizer enumerates at most {MAX_BLOCK_RELS}",
@@ -179,29 +167,13 @@ fn optimize_block_inner(
     let space = join_space(block);
 
     // §3.4: first bottom-up pass — Δ collection.
-    let mut h8_gated = false;
     if !cands.is_empty() {
         bstats.phase1 = collect_deltas(&est, &space, &mut cands, config);
         // Heuristic 8: small queries skip Bloom planning entirely.
         if config.h8_enabled && bstats.phase1.total_join_input < config.h8_min_join_input {
             cands.clear();
-            h8_gated = true;
         }
     }
-
-    // Semijoin-program rewrite: for acyclic all-inner base-table blocks, a
-    // two-pass Yannakakis-style program competes with per-join filters in
-    // its own DP lane. H8's "too small to bother" verdict applies equally.
-    let program = if config.semijoin == SemijoinMode::Auto
-        && config.bloom_mode == BloomMode::Cbo
-        && !h8_gated
-    {
-        let base_rows: Vec<f64> = (0..block.num_rels()).map(|r| est.base_rows(r)).collect();
-        join_tree(block, &base_rows)
-            .and_then(|tree| build_program(block, &est, &model, config, &tree, next_filter))
-    } else {
-        None
-    };
 
     // §3.5: costed Bloom filter scan sub-plans.
     let required_per_rel = required_cols_per_rel(block, required);
@@ -213,37 +185,17 @@ fn optimize_block_inner(
         &cands,
         &required_per_rel,
         derived,
-        program.as_ref(),
         next_filter,
     )?;
 
     // §3.6: second bottom-up pass.
-    let (mut best, p2) = run_dp(
-        block,
-        &est,
-        &model,
-        config,
-        &space,
-        initial,
-        program.as_ref(),
-    )?;
+    let (mut best, p2) = run_dp(block, &est, &model, config, &space, initial)?;
     bstats.phase2 = p2;
     best.plan.visit(&mut |p| {
         if let PhysicalNode::HashJoin { builds, .. } = &p.node {
             bstats.cbo_filters += builds.len();
         }
     });
-
-    // When the program lane won, its reducer pass becomes the plan's
-    // filter schedule (hoisted to the query root by the caller).
-    let mut schedule = None;
-    if best.program {
-        if let Some(spec) = &program {
-            bstats.programs = 1;
-            bstats.program_reducers = spec.edges.len();
-            schedule = Some(spec.schedule());
-        }
-    }
 
     // §3.7: retained post-processing pass (BF-Post baseline, and the final
     // sweep after BF-CBO).
@@ -252,7 +204,7 @@ fn optimize_block_inner(
         best.plan = plan;
         bstats.post_filters = added;
     }
-    Ok((best, bstats, schedule))
+    Ok((best, bstats))
 }
 
 /// Optimize a full logical plan tree.
@@ -269,21 +221,8 @@ pub fn optimize(
         bindings,
         stats: OptimizerStats::default(),
         next_filter: 0,
-        schedule_steps: Vec::new(),
     };
     let (plan, _cost) = planner.plan_node(logical, &[])?;
-    // Hoist the winning programs' reducer passes to the query root: the
-    // executors run the root schedule before any probe pipeline, which is
-    // safe because programs are only planned for all-inner base-table
-    // blocks (a reducer never depends on the enclosing tree's rows) and
-    // filter ids are globally unique across blocks.
-    let plan = if planner.schedule_steps.is_empty() {
-        plan
-    } else {
-        plan.with_schedule(Arc::new(FilterSchedule {
-            steps: std::mem::take(&mut planner.schedule_steps),
-        }))
-    };
     let mut next_id = 1;
     let plan = plan.with_ids(&mut next_id);
     let mut stats = planner.stats;
@@ -297,8 +236,6 @@ struct Planner<'a> {
     bindings: &'a mut Bindings,
     stats: OptimizerStats,
     next_filter: u32,
-    /// Reducer steps of every block whose program won, in planning order.
-    schedule_steps: Vec<Arc<PhysicalPlan>>,
 }
 
 impl Planner<'_> {
@@ -492,7 +429,7 @@ impl Planner<'_> {
                 derived.insert(rel.ordinal, (dplan, dcost));
             }
         }
-        let (mut best, bstats, schedule) = optimize_block_inner(
+        let (mut best, bstats) = optimize_block_inner(
             block,
             self.bindings,
             self.catalog,
@@ -502,9 +439,6 @@ impl Planner<'_> {
             &mut self.next_filter,
         )?;
         self.stats.merge_block(bstats);
-        if let Some(schedule) = schedule {
-            self.schedule_steps.extend(schedule.steps);
-        }
         // Blocks hand a single stream to the operators above.
         let mut cost = best.cost;
         if best.dist != Distribution::Single {

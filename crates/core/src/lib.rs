@@ -25,7 +25,6 @@
 //! [`naive`] implements the strawman single-phase integration whose
 //! super-exponential planning time motivates the two-phase design (§3.1).
 
-pub mod acyclic;
 pub mod cache;
 pub mod candidates;
 pub mod costing;
@@ -38,7 +37,6 @@ pub mod post;
 pub mod subplan;
 pub mod synth;
 
-pub use acyclic::{join_tree, JoinTree, JoinTreeEdge};
 pub use cache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use candidates::{mark_candidates, BfCandidate};
 pub use driver::{optimize, optimize_bare_block, optimize_block, OptimizedQuery, OptimizerStats};
@@ -46,49 +44,6 @@ pub use subplan::{PendingBf, PlanList, SubPlan};
 
 use bfq_cost::CostParams;
 pub use bfq_index::IndexMode;
-
-/// Whether the optimizer may rewrite acyclic join blocks into two-pass
-/// semijoin programs (a scheduled DAG of Bloom reducers, Yannakakis-style)
-/// as a costed alternative to per-join runtime filters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SemijoinMode {
-    /// Never consider semijoin programs.
-    Off,
-    /// Offer a semijoin program alongside per-join filters whenever the
-    /// block's join graph is acyclic (GYO), and let the DP pick on cost.
-    #[default]
-    Auto,
-}
-
-impl SemijoinMode {
-    /// Canonical knob spelling, as accepted by `SET semijoin`.
-    pub fn label(self) -> &'static str {
-        match self {
-            SemijoinMode::Off => "off",
-            SemijoinMode::Auto => "auto",
-        }
-    }
-}
-
-impl std::fmt::Display for SemijoinMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for SemijoinMode {
-    type Err = bfq_common::BfqError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" => Ok(SemijoinMode::Off),
-            "auto" => Ok(SemijoinMode::Auto),
-            other => Err(bfq_common::BfqError::invalid(format!(
-                "unknown semijoin `{other}` (off|auto)"
-            ))),
-        }
-    }
-}
 
 /// How Bloom filters participate in optimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -158,9 +113,6 @@ pub struct OptimizerConfig {
     /// data skipping feeds back into plan choice. Off / zone maps only /
     /// zone maps + chunk Bloom probes.
     pub index_mode: IndexMode,
-    /// Semijoin-program rewrite mode (see [`SemijoinMode`]). Plan-affecting
-    /// and therefore part of the plan-cache fingerprint.
-    pub semijoin: SemijoinMode,
 }
 
 impl Default for OptimizerConfig {
@@ -181,7 +133,6 @@ impl Default for OptimizerConfig {
             naive_time_limit_ms: 60_000,
             max_bf_subplans_per_rel: 64,
             index_mode: IndexMode::default(),
-            semijoin: SemijoinMode::default(),
         }
     }
 }
@@ -210,12 +161,6 @@ impl OptimizerConfig {
     /// Builder-style index-mode override (data-skipping ablation knob).
     pub fn index_mode(mut self, mode: IndexMode) -> Self {
         self.index_mode = mode;
-        self
-    }
-
-    /// Builder-style semijoin-program mode override.
-    pub fn semijoin(mut self, mode: SemijoinMode) -> Self {
-        self.semijoin = mode;
         self
     }
 }

@@ -35,7 +35,6 @@ use bfq_plan::{
     BloomBuild, Distribution, ExchangeKind, JoinKind, PhysicalNode, PhysicalPlan, QueryBlock,
 };
 
-use crate::costing::ProgramSpec;
 use crate::enumerate::{pred_rels, SetSplits, Split};
 use crate::subplan::{PendingBf, PlanList, SubPlan};
 use crate::OptimizerConfig;
@@ -94,12 +93,10 @@ struct SplitCtx {
     extra: Option<Expr>,
     /// `join_card(outer ∪ inner)`.
     join_card: f64,
-    /// The program lane's output rows, when the block has a program.
-    program_rows: Option<f64>,
 }
 
 impl SplitCtx {
-    fn new(block: &QueryBlock, split: Split, join_card: f64, program_rows: Option<f64>) -> Self {
+    fn new(block: &QueryBlock, split: Split, join_card: f64) -> Self {
         let mut okeys = Vec::new();
         let mut ikeys = Vec::new();
         for c in &block.equi_clauses {
@@ -133,7 +130,6 @@ impl SplitCtx {
             ikeys,
             extra,
             join_card,
-            program_rows,
         }
     }
 
@@ -204,10 +200,8 @@ impl SplitCtx {
 
 /// Run the costed bottom-up DP over the block's join space
 /// ([`crate::enumerate::join_space`]). `initial` holds the per-relation
-/// plan lists from [`crate::costing::initial_plan_lists`]; `program` is the
-/// block's semijoin program when one was built (its lane is enumerated
-/// alongside the per-join lane and the cheapest complete plan of either
-/// wins). Returns the winning sub-plan for the full relation set.
+/// plan lists from [`crate::costing::initial_plan_lists`]. Returns the
+/// winning sub-plan for the full relation set.
 pub fn run_dp(
     block: &QueryBlock,
     est: &Estimator<'_>,
@@ -215,7 +209,6 @@ pub fn run_dp(
     config: &OptimizerConfig,
     space: &[SetSplits],
     initial: Vec<PlanList>,
-    program: Option<&ProgramSpec>,
 ) -> Result<(SubPlan, Phase2Stats)> {
     let n = block.num_rels();
     let mut stats = Phase2Stats::default();
@@ -230,10 +223,6 @@ pub fn run_dp(
         let set = entry.set;
         stats.sets += 1;
         let join_card = est.join_card(set);
-        // In the program lane the surviving assumptions are the scheduled
-        // reducers still pruning this set (§3.5's pass-fraction model
-        // applied per active tree edge), so its rows depend on the set only.
-        let program_rows = program.map(|spec| est.joined_rows(set, &spec.active_assumptions(set)));
         let mut list = PlanList::new();
         for &split in &entry.splits {
             let (Some(outer_list), Some(inner_list)) =
@@ -241,7 +230,7 @@ pub fn run_dp(
             else {
                 continue;
             };
-            let ctx = SplitCtx::new(block, split, join_card, program_rows);
+            let ctx = SplitCtx::new(block, split, join_card);
             for outer_sp in outer_list.plans() {
                 for inner_sp in inner_list.plans() {
                     stats.pairs += 1;
@@ -334,12 +323,6 @@ fn try_join(
     list: &mut PlanList,
     stats: &mut Phase2Stats,
 ) {
-    // The per-join and program lanes never mix: a program-lane scan's row
-    // count assumes its scheduled reducers ran, which only holds when the
-    // whole plan is the program's probe pass.
-    if outer_sp.program != inner_sp.program {
-        return;
-    }
     let Some(resolving) = resolving_filters(outer_sp, inner_sp, ctx.split.outer, ctx.split.inner)
     else {
         return;
@@ -360,13 +343,10 @@ fn try_join(
     // Output cardinality under the surviving assumptions: each pending
     // filter scales the join's estimate by its pass fraction, in the order
     // `Estimator::joined_rows` multiplies them.
-    let rows_out = match ctx.program_rows {
-        Some(rows) if outer_sp.program => rows,
-        _ => remaining
-            .iter()
-            .fold(ctx.join_card, |rows, p| rows * p.pass)
-            .max(1.0),
-    };
+    let rows_out = remaining
+        .iter()
+        .fold(ctx.join_card, |rows, p| rows * p.pass)
+        .max(1.0);
 
     for opt in ctx.dist_opts(outer_sp, inner_sp) {
         let join_cost = if ctx.is_hash() {
@@ -388,13 +368,7 @@ fn try_join(
             .plus(exchange_cost(model, opt.inner_ex, inner_sp.rows))
             .plus(join_cost);
         stats.generated += 1;
-        if !list.admits(
-            opt.out_dist,
-            outer_sp.program,
-            cost.total,
-            rows_out,
-            remaining,
-        ) {
+        if !list.admits(opt.out_dist, cost.total, rows_out, remaining) {
             continue;
         }
         stats.built += 1;
@@ -404,7 +378,6 @@ fn try_join(
             cost,
             dist: opt.out_dist.clone(),
             pending: remaining.clone(),
-            program: outer_sp.program,
         });
     }
 }
@@ -513,11 +486,10 @@ mod tests {
             &cands,
             &required,
             &HashMap::new(),
-            None,
             &mut next_filter,
         )
         .unwrap();
-        run_dp(&fx.block, &est, &model, config, &space, initial, None).unwrap()
+        run_dp(&fx.block, &est, &model, config, &space, initial).unwrap()
     }
 
     fn count_nodes(plan: &Arc<PhysicalPlan>, pred: impl Fn(&PhysicalNode) -> bool) -> usize {

@@ -144,8 +144,7 @@ fn rebuild_children(
         | PhysicalNode::Project { input, .. }
         | PhysicalNode::HashAgg { input, .. }
         | PhysicalNode::Sort { input, .. }
-        | PhysicalNode::Limit { input, .. }
-        | PhysicalNode::SemijoinReduce { input, .. } => *input = f(input),
+        | PhysicalNode::Limit { input, .. } => *input = f(input),
         PhysicalNode::HashJoin { outer, inner, .. }
         | PhysicalNode::NestLoopJoin { outer, inner, .. } => {
             *outer = f(outer);
@@ -314,12 +313,11 @@ mod tests {
             &[],
             &required,
             &HashMap::new(),
-            None,
             &mut next_filter,
         )
         .unwrap();
         let space = crate::enumerate::join_space(&fx.block);
-        run_dp(&fx.block, &est, &model, config, &space, initial, None)
+        run_dp(&fx.block, &est, &model, config, &space, initial)
             .unwrap()
             .0
             .plan
@@ -413,11 +411,10 @@ mod tests {
             &cands,
             &required,
             &HashMap::new(),
-            None,
             &mut next_filter,
         )
         .unwrap();
-        let (best, _) = run_dp(&fx.block, &est, &model, &config, &space, initial, None).unwrap();
+        let (best, _) = run_dp(&fx.block, &est, &model, &config, &space, initial).unwrap();
         let (before_applies, _) = count_filters(&best.plan);
         assert!(before_applies >= 1);
         let (rewritten, _) =

@@ -40,13 +40,6 @@ pub struct SubPlan {
     /// Unresolved Bloom filters (each δ is disjoint from this sub-plan's
     /// relation set — the invariant joins must maintain).
     pub pending: Vec<PendingBf>,
-    /// Which filter-strategy *alternative* this sub-plan belongs to:
-    /// `false` = per-join runtime filters (pendings resolved at hash
-    /// joins), `true` = the block's semijoin program (scans pre-reduced by
-    /// scheduled reducers; no per-join builds). The two lanes never mix in
-    /// a join and never dominate each other — the DP carries both to the
-    /// top and picks on cost.
-    pub program: bool,
 }
 
 impl SubPlan {
@@ -60,13 +53,7 @@ impl SubPlan {
     /// join-order constraints (its pending filters are a subset, each with a
     /// δ no larger).
     pub fn dominates(&self, other: &SubPlan) -> bool {
-        self.dominates_candidate(
-            &other.dist,
-            other.program,
-            other.cost.total,
-            other.rows,
-            &other.pending,
-        )
+        self.dominates_candidate(&other.dist, other.cost.total, other.rows, &other.pending)
     }
 
     /// [`SubPlan::dominates`] against a candidate given by its properties
@@ -75,7 +62,6 @@ impl SubPlan {
     fn dominates_candidate(
         &self,
         dist: &Distribution,
-        program: bool,
         cost: f64,
         rows: f64,
         pending: &[PendingBf],
@@ -83,7 +69,7 @@ impl SubPlan {
         if self.cost.total > cost * (1.0 + 1e-9) || self.rows > rows * (1.0 + 1e-9) {
             return false;
         }
-        if self.program != program || self.dist != *dist {
+        if self.dist != *dist {
             return false;
         }
         // Every pending filter of `self` must exist in the candidate with a
@@ -120,7 +106,6 @@ impl PlanList {
     pub fn add(&mut self, candidate: SubPlan) -> bool {
         let admitted = self.admits(
             &candidate.dist,
-            candidate.program,
             candidate.cost.total,
             candidate.rows,
             &candidate.pending,
@@ -137,7 +122,6 @@ impl PlanList {
     pub(crate) fn admits(
         &self,
         dist: &Distribution,
-        program: bool,
         cost: f64,
         rows: f64,
         pending: &[PendingBf],
@@ -145,7 +129,7 @@ impl PlanList {
         !self
             .plans
             .iter()
-            .any(|existing| existing.dominates_candidate(dist, program, cost, rows, pending))
+            .any(|existing| existing.dominates_candidate(dist, cost, rows, pending))
     }
 
     /// Keep `candidate`, evicting every retained sub-plan it dominates. Call
@@ -239,7 +223,6 @@ mod tests {
             cost: Cost::of(cost),
             dist: Distribution::AnyPartitioned,
             pending,
-            program: false,
         }
     }
 
@@ -309,23 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn program_lane_never_crosses_per_join_lane() {
-        let mut list = PlanList::new();
-        assert!(list.add(sp(100.0, 10.0, vec![])));
-        let mut prog = sp(10.0, 1.0, vec![]);
-        prog.program = true;
-        assert!(list.add(prog), "program lane coexists");
-        assert_eq!(
-            list.len(),
-            2,
-            "cheaper program plan must not evict per-join plan"
-        );
-        // And vice versa: a cheaper per-join plan leaves the program plan alone.
-        assert!(list.add(sp(5.0, 0.5, vec![])));
-        assert_eq!(list.plans().iter().filter(|p| p.program).count(), 1);
-    }
-
-    #[test]
     fn best_resolved_ignores_pending() {
         let mut list = PlanList::new();
         list.add(sp(10.0, 1.0, vec![pend(RelSet::single(1))]));
@@ -359,7 +325,7 @@ mod tests {
     }
 
     /// A candidate decoded from random bits: one of a few distributions,
-    /// either lane, costs and rows from a small grid that includes values
+    /// costs and rows from a small grid that includes values
     /// within the 1e-9 tie fuzz of each other, and up to two pending
     /// filters with random δ's over three relations.
     fn candidate(bits: u64) -> SubPlan {
@@ -380,7 +346,6 @@ mod tests {
         let grid = [1.0, 2.0, 2.0 + 1e-12, 3.0, 1e6];
         let cost = grid[take(5) as usize];
         let rows = grid[take(5) as usize];
-        let program = take(2) == 1;
         let pending = (0..take(3))
             .map(|_| {
                 let mut p = pend(RelSet(take(7) + 1));
@@ -391,24 +356,23 @@ mod tests {
             .collect();
         let mut c = sp(rows, cost, pending);
         c.dist = dist;
-        c.program = program;
         c
     }
 
     /// Everything plan-list pruning looks at, comparable across lists.
-    fn shape(list: &[SubPlan]) -> Vec<(Distribution, bool, u64, u64, Vec<PendingBf>)> {
+    fn shape(list: &[SubPlan]) -> Vec<(Distribution, u64, u64, Vec<PendingBf>)> {
         list.iter()
             .map(|p| {
                 let (cost, rows) = (p.cost.total.to_bits(), p.rows.to_bits());
-                (p.dist.clone(), p.program, cost, rows, p.pending.clone())
+                (p.dist.clone(), cost, rows, p.pending.clone())
             })
             .collect()
     }
 
-    /// The dominance rule as first written (distribution and lane tested
-    /// first): the oracle for the scalar-first reordering.
+    /// The dominance rule as first written (distribution tested first):
+    /// the oracle for the scalar-first reordering.
     fn reference_dominates(a: &SubPlan, b: &SubPlan) -> bool {
-        if a.dist != b.dist || a.program != b.program {
+        if a.dist != b.dist {
             return false;
         }
         if a.cost.total > b.cost.total * (1.0 + 1e-9) || a.rows > b.rows * (1.0 + 1e-9) {
@@ -431,8 +395,7 @@ mod tests {
             let mut reference: Vec<SubPlan> = Vec::new();
             for bits in stream {
                 let c = candidate(bits);
-                let admitted =
-                    split.admits(&c.dist, c.program, c.cost.total, c.rows, &c.pending);
+                let admitted = split.admits(&c.dist, c.cost.total, c.rows, &c.pending);
                 let kept = added.add(c.clone());
                 let reference_kept = !reference.iter().any(|e| reference_dominates(e, &c));
                 if reference_kept {

@@ -1,7 +1,7 @@
 //! Per-query execution state ([`ExecConfig`], [`ExecOptions`], [`ExecContext`],
 //! [`QueryOutput`]) and the blocking-operator kernels the morsel pipeline
 //! seals its breakers with: hash-join build sides with their runtime Bloom
-//! filters, semijoin-program reducers and sort.
+//! filters and sort.
 
 use std::sync::Arc;
 
@@ -255,34 +255,6 @@ pub(crate) fn seal_build_side(
         inner_types,
         rows,
     })
-}
-
-/// Build a scheduled reducer's Bloom filter from a step's output and
-/// publish it to the hub. Like a hash join's builds, the reducer seals
-/// exactly once per query, before any scan that applies it runs.
-pub(crate) fn publish_reducer(
-    ctx: &ExecContext,
-    layout: &Layout,
-    data: &PartitionedData,
-    filter: bfq_common::FilterId,
-    key: bfq_common::ColumnId,
-    expected_ndv: f64,
-) -> Result<()> {
-    let slot = layout.slot_of(key).ok_or_else(|| {
-        BfqError::internal(format!("reducer key column {key} not in step output"))
-    })?;
-    let keys: Vec<Column> = (0..data.num_partitions())
-        .map(|p| {
-            data.partition_chunk(p)
-                .map(|c| c.column(slot).as_ref().clone())
-        })
-        .collect::<Result<_>>()?;
-    let started = std::time::Instant::now();
-    let f = RuntimeFilter::build(&keys, expected_ndv.max(1.0) as usize);
-    ctx.stats
-        .note_filter_build(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    ctx.hub.publish(filter, f);
-    Ok(())
 }
 
 /// Sort a gathered chunk by the given keys.

@@ -875,27 +875,12 @@ pub fn execute_plan(
     })
 }
 
-/// Run the node's semijoin-program [`bfq_plan::FilterSchedule`] (only ever
-/// on the query root): each reducer step is its own short pipeline, sealed
-/// before any probe scan waits on its filter.
-fn run_schedule(plan: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<()> {
-    if let Some(schedule) = &plan.schedule {
-        for step in &schedule.steps {
-            let data = execute_pipelined(step, ctx)?;
-            // Step outputs exist only to seed reducers; release them.
-            ctx.stats.buffer_shrink(data.total_rows() as u64);
-        }
-    }
-    Ok(())
-}
-
-/// Recursively execute `plan`: its reducer schedule first, then streamable
-/// chains as morsel pipelines, with breakers sealing their inputs.
+/// Recursively execute `plan`: streamable chains as morsel pipelines,
+/// with breakers sealing their inputs.
 pub(crate) fn execute_pipelined(
     plan: &Arc<PhysicalPlan>,
     ctx: &ExecContext,
 ) -> Result<PartitionedData> {
-    run_schedule(plan, ctx)?;
     // Breaker nodes are profiled inclusively: the span covers the breaker's
     // own work *and* its input pipelines (chain ops inside those pipelines
     // additionally self-report through the per-morsel path).
@@ -1022,29 +1007,6 @@ pub(crate) fn execute_pipelined(
             };
             seal_node(plan, &out, 0, ctx, started);
             Ok(out)
-        }
-
-        PhysicalNode::SemijoinReduce {
-            input,
-            filter,
-            key,
-            expected_ndv,
-            ..
-        } => {
-            // Drain the reducer step's scan chain, then seal its Bloom
-            // filter — the program's analogue of a hash join's build.
-            let data = run_chain_collect(input, ctx)?;
-            let in_rows = data.total_rows() as u64;
-            crate::executor::publish_reducer(
-                ctx,
-                &input.layout,
-                &data,
-                *filter,
-                *key,
-                *expected_ndv,
-            )?;
-            seal_node(plan, &data, in_rows, ctx, started);
-            Ok(data)
         }
 
         PhysicalNode::NestLoopJoin {
@@ -1234,10 +1196,7 @@ pub fn execute_plan_stream(
 ) -> Result<ChunkStream> {
     let ctx = ExecContext::with_options(catalog, options);
     if is_streamable(&plan.node) || matches!(plan.node, PhysicalNode::Scan { .. }) {
-        // Seal everything below the final pipeline (reducer schedule
-        // included: its filters must exist before any probe scan in the
-        // chain waits on them), then pull lazily.
-        run_schedule(plan, &ctx)?;
+        // Seal everything below the final pipeline, then pull lazily.
         let (chain, morsels) = prepare_chain(plan, &ctx)?;
         let types = chain.types.clone();
         Ok(ChunkStream {

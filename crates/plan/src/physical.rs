@@ -123,15 +123,12 @@ pub struct BloomBuild {
     pub expected_ndv: f64,
 }
 
-/// A scheduled *semijoin program*: the reducer pass of a two-pass
-/// Yannakakis-style plan. Each step is a small plan tree rooted at a
-/// [`PhysicalNode::SemijoinReduce`] that scans one base relation (through
-/// the reducers its own children already published) and publishes a Bloom
-/// reducer for its parent. Steps are listed bottom-up along the join tree
-/// and run to completion, in order, before the main (probe-pass) tree.
+/// Kept only because `bench/e2e` reads `PhysicalPlan::schedule`; the
+/// optimizer never builds one and no executor reads it.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct FilterSchedule {
-    /// Reducer-build steps in execution (bottom-up join tree) order.
+    /// Always empty.
     pub steps: Vec<Arc<PhysicalPlan>>,
 }
 
@@ -247,27 +244,6 @@ pub enum PhysicalNode {
         /// Maximum rows.
         n: usize,
     },
-    /// Build one semijoin-program reducer: drain `input` (a scan chain,
-    /// so chunk pruning and upstream reducers apply), build a runtime
-    /// Bloom filter over `key`, and publish it under `filter` for the
-    /// target relation's scans to apply. Emits its input rows unchanged;
-    /// only appears as the root of a [`FilterSchedule`] step.
-    SemijoinReduce {
-        /// The reduced relation being drained (normally a `Scan` chain).
-        input: Arc<PhysicalPlan>,
-        /// Published filter id (applied at the target's scans).
-        filter: FilterId,
-        /// Build column — the child side of the join-tree edge.
-        key: ColumnId,
-        /// Distinct-value estimate used to size the reducer (§3.5).
-        expected_ndv: f64,
-        /// Alias of the parent relation the reducer will be applied to.
-        target_alias: String,
-        /// Predicted pass fraction at the target scan (§3.5).
-        predicted_pass: f64,
-        /// Predicted false-positive rate of the reducer.
-        predicted_fpr: f64,
-    },
     /// Scalar-subquery substitution filter (see
     /// [`crate::logical::LogicalPlan::ScalarFilter`]).
     ScalarSubst {
@@ -295,8 +271,8 @@ pub struct PhysicalPlan {
     pub distribution: Distribution,
     /// Plan-wide id; 0 until [`PhysicalPlan::with_ids`] assigns ids.
     pub id: u32,
-    /// Semijoin-program reducer pass, attached to the query-root plan
-    /// only. Executors run every step to completion before this tree.
+    /// Always `None`: kept only because `bench/e2e` reads it.
+    #[doc(hidden)]
     pub schedule: Option<Arc<FilterSchedule>>,
 }
 
@@ -318,14 +294,6 @@ impl PhysicalPlan {
         })
     }
 
-    /// A copy of this plan with the given reducer schedule attached (the
-    /// optimizer hoists the winning program's schedule to the query root).
-    pub fn with_schedule(self: &Arc<Self>, schedule: Arc<FilterSchedule>) -> Arc<PhysicalPlan> {
-        let mut clone = (**self).clone();
-        clone.schedule = Some(schedule);
-        Arc::new(clone)
-    }
-
     /// Children of this node, in execution order (inputs before the node).
     pub fn children(&self) -> Vec<&Arc<PhysicalPlan>> {
         match &self.node {
@@ -337,7 +305,6 @@ impl PhysicalPlan {
             | PhysicalNode::HashAgg { input, .. }
             | PhysicalNode::Sort { input, .. }
             | PhysicalNode::Limit { input, .. } => vec![input],
-            PhysicalNode::SemijoinReduce { input, .. } => vec![input],
             PhysicalNode::HashJoin { outer, inner, .. }
             | PhysicalNode::NestLoopJoin { outer, inner, .. } => vec![outer, inner],
             PhysicalNode::ScalarSubst {
@@ -347,14 +314,8 @@ impl PhysicalPlan {
     }
 
     /// Rebuild the tree with depth-first ids assigned from `next` upward.
-    /// Reducer-schedule steps run first, so they are numbered first.
     pub fn with_ids(self: &Arc<Self>, next: &mut u32) -> Arc<PhysicalPlan> {
         let mut clone = (**self).clone();
-        clone.schedule = clone.schedule.map(|s| {
-            Arc::new(FilterSchedule {
-                steps: s.steps.iter().map(|step| step.with_ids(next)).collect(),
-            })
-        });
         clone.node = match clone.node {
             PhysicalNode::OneRow | PhysicalNode::Scan { .. } => clone.node,
             PhysicalNode::DerivedScan {
@@ -403,23 +364,6 @@ impl PhysicalPlan {
             PhysicalNode::Limit { input, n } => PhysicalNode::Limit {
                 input: input.with_ids(next),
                 n,
-            },
-            PhysicalNode::SemijoinReduce {
-                input,
-                filter,
-                key,
-                expected_ndv,
-                target_alias,
-                predicted_pass,
-                predicted_fpr,
-            } => PhysicalNode::SemijoinReduce {
-                input: input.with_ids(next),
-                filter,
-                key,
-                expected_ndv,
-                target_alias,
-                predicted_pass,
-                predicted_fpr,
             },
             PhysicalNode::HashJoin {
                 outer,
@@ -509,10 +453,7 @@ impl PhysicalPlan {
                 }
             }
             PhysicalNode::ScalarSubst { pred, .. } => f(pred),
-            PhysicalNode::OneRow
-            | PhysicalNode::Exchange { .. }
-            | PhysicalNode::Limit { .. }
-            | PhysicalNode::SemijoinReduce { .. } => {}
+            PhysicalNode::OneRow | PhysicalNode::Exchange { .. } | PhysicalNode::Limit { .. } => {}
         }
     }
 
@@ -532,11 +473,6 @@ impl PhysicalPlan {
     pub fn map_exprs(self: &Arc<Self>, rewrite: &dyn Fn(&Expr) -> Expr) -> Arc<PhysicalPlan> {
         let mut clone = (**self).clone();
         let opt = |e: &Option<Expr>| e.as_ref().map(rewrite);
-        clone.schedule = self.schedule.as_ref().map(|s| {
-            Arc::new(FilterSchedule {
-                steps: s.steps.iter().map(|step| step.map_exprs(rewrite)).collect(),
-            })
-        });
         clone.node = match &self.node {
             PhysicalNode::OneRow => PhysicalNode::OneRow,
             PhysicalNode::Scan {
@@ -655,23 +591,6 @@ impl PhysicalPlan {
                 input: input.map_exprs(rewrite),
                 n: *n,
             },
-            PhysicalNode::SemijoinReduce {
-                input,
-                filter,
-                key,
-                expected_ndv,
-                target_alias,
-                predicted_pass,
-                predicted_fpr,
-            } => PhysicalNode::SemijoinReduce {
-                input: input.map_exprs(rewrite),
-                filter: *filter,
-                key: *key,
-                expected_ndv: *expected_ndv,
-                target_alias: target_alias.clone(),
-                predicted_pass: *predicted_pass,
-                predicted_fpr: *predicted_fpr,
-            },
             PhysicalNode::ScalarSubst {
                 input,
                 subquery,
@@ -687,14 +606,8 @@ impl PhysicalPlan {
         Arc::new(clone)
     }
 
-    /// Visit every node (children first). Reducer-schedule steps are
-    /// visited before the tree, matching execution order.
+    /// Visit every node (children first).
     pub fn visit<'a>(self: &'a Arc<Self>, f: &mut dyn FnMut(&'a Arc<PhysicalPlan>)) {
-        if let Some(s) = &self.schedule {
-            for step in &s.steps {
-                step.visit(f);
-            }
-        }
         for child in self.children() {
             child.visit(f);
         }
@@ -748,11 +661,6 @@ impl PhysicalPlan {
                 None => "Sort".into(),
             },
             PhysicalNode::Limit { n, .. } => format!("Limit {n}"),
-            PhysicalNode::SemijoinReduce {
-                filter,
-                target_alias,
-                ..
-            } => format!("SemijoinReduce [build {filter} -> {target_alias}]"),
             PhysicalNode::ScalarSubst { .. } => "ScalarSubst".into(),
         }
     }
@@ -784,12 +692,6 @@ impl PhysicalPlan {
         annotate: &dyn Fn(&PhysicalPlan) -> String,
     ) {
         let pad = "  ".repeat(depth);
-        if let Some(schedule) = &self.schedule {
-            out.push_str(&format!("{pad}filter schedule (reducer pass):\n"));
-            for step in &schedule.steps {
-                step.explain_into(out, depth + 1, resolve, annotate);
-            }
-        }
         out.push_str(&format!(
             "{pad}{} (est_rows={:.0}{})",
             self.op_name(),
@@ -808,19 +710,6 @@ impl PhysicalPlan {
                     .map(|(l, r)| format!("{} = {}", resolve(*l), resolve(*r)))
                     .collect();
                 out.push_str(&format!(" on {}", ks.join(" AND ")));
-            }
-            PhysicalNode::SemijoinReduce {
-                key,
-                predicted_pass,
-                predicted_fpr,
-                ..
-            } => {
-                out.push_str(&format!(
-                    " key {} (predicted pass {:.4}, fpr {:.4})",
-                    resolve(*key),
-                    predicted_pass,
-                    predicted_fpr
-                ));
             }
             _ => {}
         }

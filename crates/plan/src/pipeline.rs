@@ -97,18 +97,9 @@ impl PipelineSpec {
 /// Decompose `plan` into its pipelines, dependencies first: a pipeline
 /// appears after every pipeline that feeds it (blocking children of its
 /// chain, and the pipelines below its source when the source is itself a
-/// breaker). When the plan carries a semijoin-program
-/// [`crate::physical::FilterSchedule`], its reducer steps come first, in
-/// schedule order — reducers are published before any probe-pass scan
-/// waits on them. The final entry is the pipeline producing the query
-/// result.
+/// breaker). The final entry is the pipeline producing the query result.
 pub fn decompose(plan: &Arc<PhysicalPlan>) -> Vec<PipelineSpec> {
     let mut out = Vec::new();
-    if let Some(schedule) = &plan.schedule {
-        for step in &schedule.steps {
-            decompose_into(step, &mut out);
-        }
-    }
     decompose_into(plan, &mut out);
     out
 }

@@ -3,8 +3,8 @@
 //! [`reference_rows`] evaluates a bound query's *logical* plan one row at a
 //! time: no Bloom filters, no chunk index, no threads, no physical plan,
 //! and no code shared with `bfq-exec`, the optimizer or
-//! `bfq_expr::eval`. It is the specification every filter, reducer,
-//! layout and dop lane is held to — a runtime filter may change cost,
+//! `bfq_expr::eval`. It is the specification every filter, layout and
+//! dop lane is held to — a runtime filter may change cost,
 //! never results — so it is written to be checked by reading, not to be
 //! fast. The only concession to speed is that joins look their partners
 //! up in a `std` map keyed on the equi-clause values instead of scanning

@@ -53,7 +53,6 @@ fn main() -> Result<()> {
         &cands,
         &required,
         &HashMap::new(),
-        None,
         &mut next_filter,
     )?;
     println!("\n## Costing — plan lists per relation (paper Example 3.3)");

@@ -28,7 +28,7 @@ use parking_lot::RwLock;
 use crate::connection::Connection;
 use crate::settings::Settings;
 
-pub use bfq_core::{BloomMode, SemijoinMode};
+pub use bfq_core::BloomMode;
 pub use bfq_index::IndexMode;
 pub use bfq_obs::{MetricsSnapshot, PhaseBreakdown, QueryProfile};
 
@@ -75,12 +75,6 @@ impl EngineConfig {
     /// Set the data-skipping index mode (off / zonemap / zonemap+bloom).
     pub fn with_index_mode(mut self, mode: IndexMode) -> Self {
         self.settings.plan.index_mode = mode;
-        self
-    }
-
-    /// Set the semijoin-program rewrite mode (off / auto).
-    pub fn with_semijoin(mut self, mode: SemijoinMode) -> Self {
-        self.settings.plan.semijoin = mode;
         self
     }
 

@@ -59,7 +59,7 @@ fn store<T>(slot: &mut T, parsed: Option<T>) -> Option<()> {
 }
 
 /// Every `SET` name, in the order the unknown-option message lists them.
-pub const SETTINGS: [Setting; 7] = [
+pub const SETTINGS: [Setting; 6] = [
     Setting {
         name: "bloom_mode",
         values: "none|post|cbo|naive",
@@ -89,13 +89,6 @@ pub const SETTINGS: [Setting; 7] = [
         class: SettingClass::Plan,
         set: |s, v| store(&mut s.plan.dop, v.parse().ok().filter(|&dop| dop > 0)),
         reset: |s, d| s.plan.dop = d.plan.dop,
-    },
-    Setting {
-        name: "semijoin",
-        values: "off|auto",
-        class: SettingClass::Plan,
-        set: |s, v| store(&mut s.plan.semijoin, v.parse().ok()),
-        reset: |s, d| s.plan.semijoin = d.plan.semijoin,
     },
     Setting {
         name: "profile",

@@ -224,7 +224,7 @@ pub fn tpch_expected(catalog: &Catalog, q: usize, sf: f64) -> Option<Expected> {
 }
 
 // ---------------------------------------------------------------------------
-// Synthetic snowflake where a semijoin program beats per-join filters.
+// Synthetic snowflake whose per-join filters are each too weak to pay.
 // ---------------------------------------------------------------------------
 
 fn int_table(cat: &mut Catalog, name: &str, cols: &[(&str, Vec<i64>)], unique: Vec<u32>) {
@@ -253,9 +253,8 @@ fn int_table(cat: &mut Catalog, name: &str, cols: &[(&str, Vec<i64>)], unique: V
 
 /// Fact (600k rows) → two dimension chains, each dim (4k rows) → sub-dim
 /// (100 rows) carrying the predicate. Each chain's end-to-end selectivity
-/// is 0.7 — individually too weak for the per-filter 2/3 pass-fraction
-/// gate, so the per-join lane places no filters; the program composes both
-/// chains and roughly halves the fact scan.
+/// is 0.7 — too weak for the per-filter 2/3 selectivity gate (Heuristic
+/// 6), although both chains together halve the fact table.
 pub fn snowflake() -> Catalog {
     let mut cat = Catalog::new();
     let dim = 4_000i64;

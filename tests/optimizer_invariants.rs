@@ -176,3 +176,35 @@ fn heuristic7_preserves_results() {
     assert_eq!(run(false), want);
     assert_eq!(run(true), want);
 }
+
+/// BF-CBO's search stays within a constant factor of the plain DP's: its
+/// enlarged plan lists may cost phase 2 at most 1.5× the sub-plans and 2×
+/// the (outer, inner) pairs, summed over the 22 TPC-H queries at engine
+/// defaults, dop 2.
+#[test]
+fn bloom_aware_search_stays_within_a_constant_factor_of_the_plain_dp() {
+    let db = bfq::tpch::gen::generate(0.005, 20260731).expect("generate");
+    let engine = bfq::Engine::new(db, bfq::EngineConfig::default().with_dop(2));
+    let search = |mode: &str| {
+        let mut conn = engine.connect();
+        conn.set("bloom_mode", mode).expect("set bloom_mode");
+        let (mut generated, mut pairs) = (0usize, 0usize);
+        for q in bfq::tpch::supported_queries() {
+            let sql = bfq::tpch::query_text(q, 0.005);
+            let stats = conn.plan_sql_only(&sql).expect("plan").stats;
+            generated += stats.phase2.generated;
+            pairs += stats.phase2.pairs;
+        }
+        (generated as f64, pairs as f64)
+    };
+    let (cbo_generated, cbo_pairs) = search("cbo");
+    let (none_generated, none_pairs) = search("none");
+    assert!(
+        cbo_generated <= 1.5 * none_generated,
+        "phase-2 sub-plans: cbo {cbo_generated} vs none {none_generated}"
+    );
+    assert!(
+        cbo_pairs <= 2.0 * none_pairs,
+        "phase-2 pairs: cbo {cbo_pairs} vs none {none_pairs}"
+    );
+}

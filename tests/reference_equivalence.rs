@@ -2,7 +2,7 @@
 //!
 //! The paper's load-bearing invariant is that a Bloom filter changes
 //! cost, never results. Here every TPC-H query under every `bloom_mode`
-//! × dop, and the snowflake fixture with semijoin programs off and on,
+//! × dop, and the snowflake fixture under per-join filters at two dops,
 //! must return what `bfq-ref` returns: an interpreter of the *logical*
 //! plan that shares no code with the executor, the optimizer or the
 //! vectorized expression evaluator (rows compare as normalized multisets,
@@ -93,22 +93,16 @@ fn tpch_matches_the_reference_under_every_bloom_mode_and_dop() {
 }
 
 #[test]
-fn snowflake_matches_the_reference_with_and_without_semijoin_programs() {
+fn snowflake_matches_the_reference_with_per_join_filters() {
     let catalog = Arc::new(common::snowflake());
     let want = expected(&catalog, SNOWFLAKE_SQL);
     assert_eq!(want.rows, [[Datum::Int(149_340_000)]]);
-    for semijoin in ["off", "auto"] {
-        for dop in [1usize, 4] {
-            let mut conn = engine(&catalog, BloomMode::Cbo, dop).connect();
-            conn.set("semijoin", semijoin).expect("set semijoin");
-            let got = conn.run_sql(SNOWFLAKE_SQL).expect("run");
-            let programs = got.optimized.stats.programs;
-            assert_eq!(programs, usize::from(semijoin == "auto"), "lane taken");
-            want.assert_matches(
-                &got.chunk,
-                &format!("snowflake [semijoin={semijoin} dop={dop}]"),
-            );
-        }
+    for dop in [1usize, 4] {
+        let got = engine(&catalog, BloomMode::Cbo, dop)
+            .connect()
+            .run_sql(SNOWFLAKE_SQL)
+            .expect("run");
+        want.assert_matches(&got.chunk, &format!("snowflake [dop={dop}]"));
     }
 }
 

@@ -193,8 +193,12 @@ fn unknown_set_option_is_a_typed_error_naming_every_option() {
     let mut conn = Engine::new(db, EngineConfig::default()).connect();
     let before = format!("{:?}", conn.settings());
     let names: Vec<&str> = SETTINGS.iter().map(|row| row.name).collect();
-    // Removed options: one sink set, one Bloom filter layout.
-    for (removed, value) in [("determinism", "fast"), ("bloom_layout", "blocked")] {
+    // Removed options: one sink set, one Bloom filter layout, one DP lane.
+    for (removed, value) in [
+        ("determinism", "fast"),
+        ("bloom_layout", "blocked"),
+        ("semijoin", "off"),
+    ] {
         let err = conn
             .set(removed, value)
             .expect_err("a removed option is not settable");
@@ -211,7 +215,7 @@ fn unknown_set_option_is_a_typed_error_naming_every_option() {
             .collect();
         assert_eq!(listed, names);
     }
-    assert_eq!(names.len(), 7);
+    assert_eq!(names.len(), 6);
     for name in names {
         conn.set(name, "default")
             .unwrap_or_else(|e| panic!("listed option `{name}` is not settable: {e}"));
@@ -236,7 +240,6 @@ fn plan_settings_fork_the_plan_cache_and_exec_settings_never_do() {
             "bloom_mode" => "post",
             "index_mode" => "zonemap",
             "dop" => "3",
-            "semijoin" => "off",
             "profile" => "off",
             "statement_timeout" => "60000",
             "memory_budget_rows" => "100000000",
