@@ -21,7 +21,7 @@ use bfq_expr::{Expr, Layout};
 use bfq_plan::{BloomApply, Distribution, PhysicalNode, PhysicalPlan, QueryBlock, RelSource};
 
 use crate::candidates::BfCandidate;
-use crate::subplan::{PendingBf, PlanList, SubPlan};
+use crate::subplan::{PendingBf, PlanList, PlanRef, SubPlan};
 use crate::OptimizerConfig;
 
 /// A pre-planned derived relation: its physical plan and cumulative cost.
@@ -154,7 +154,7 @@ pub fn make_scan_subplan(
     };
     let plan = PhysicalPlan::new(node, layout, rows_out, dist.clone());
     Ok(SubPlan {
-        plan,
+        plan: PlanRef::Leaf(plan),
         rows: rows_out,
         cost,
         dist,
@@ -332,9 +332,14 @@ mod tests {
         for sp in &bf {
             assert!(sp.rows < plain.rows);
             // Scan node carries the BloomApply annotation.
-            match &sp.plan.node {
-                PhysicalNode::Scan { blooms, .. } => assert_eq!(blooms.len(), sp.pending.len()),
-                other => panic!("expected scan, got {other:?}"),
+            match &sp.plan {
+                PlanRef::Leaf(plan) => match &plan.node {
+                    PhysicalNode::Scan { blooms, .. } => {
+                        assert_eq!(blooms.len(), sp.pending.len())
+                    }
+                    other => panic!("expected scan, got {other:?}"),
+                },
+                PlanRef::Join(_) => panic!("a scan sub-plan must be a leaf"),
             }
         }
         assert!(filters > 0, "no filter ids allocated");

@@ -21,7 +21,6 @@ use crate::naive::{naive_optimize, NaiveStats};
 use crate::phase1::{collect_deltas, Phase1Stats};
 use crate::phase2::{run_dp, Phase2Stats};
 use crate::post::add_post_filters;
-use crate::subplan::SubPlan;
 use crate::{BloomMode, OptimizerConfig};
 
 /// Aggregated optimizer telemetry (per query; block stats summed).
@@ -91,7 +90,8 @@ pub struct OptimizedQuery {
     pub stats: OptimizerStats,
 }
 
-/// Optimize a single query block (the paper's unit of optimization).
+/// Optimize a single query block (the paper's unit of optimization):
+/// its plan, in the distribution the DP chose, and that plan's cost.
 ///
 /// `required` lists the virtual columns the block must output; `derived`
 /// maps relation ordinals to pre-planned derived sub-plans.
@@ -103,9 +103,9 @@ pub fn optimize_block(
     derived: &DerivedPlans,
     config: &OptimizerConfig,
     next_filter: &mut u32,
-) -> Result<(SubPlan, OptimizerStats)> {
+) -> Result<(Arc<PhysicalPlan>, Cost, OptimizerStats)> {
     let start = Instant::now();
-    let (sub, bstats) = optimize_block_inner(
+    let (plan, cost, bstats) = optimize_block_inner(
         block,
         bindings,
         catalog,
@@ -117,7 +117,7 @@ pub fn optimize_block(
     let mut stats = OptimizerStats::default();
     stats.merge_block(bstats);
     stats.planning_ms = start.elapsed().as_secs_f64() * 1e3;
-    Ok((sub, stats))
+    Ok((plan, cost, stats))
 }
 
 fn optimize_block_inner(
@@ -128,7 +128,7 @@ fn optimize_block_inner(
     derived: &DerivedPlans,
     config: &OptimizerConfig,
     next_filter: &mut u32,
-) -> Result<(SubPlan, BlockStats)> {
+) -> Result<(Arc<PhysicalPlan>, Cost, BlockStats)> {
     if block.num_rels() > MAX_BLOCK_RELS {
         return Err(BfqError::Plan(format!(
             "a query block joins {} relations; the optimizer enumerates at most {MAX_BLOCK_RELS}",
@@ -189,9 +189,9 @@ fn optimize_block_inner(
     )?;
 
     // §3.6: second bottom-up pass.
-    let (mut best, p2) = run_dp(block, &est, &model, config, &space, initial)?;
+    let (mut plan, cost, p2) = run_dp(block, &est, &model, config, &space, initial)?;
     bstats.phase2 = p2;
-    best.plan.visit(&mut |p| {
+    plan.visit(&mut |p| {
         if let PhysicalNode::HashJoin { builds, .. } = &p.node {
             bstats.cbo_filters += builds.len();
         }
@@ -200,11 +200,11 @@ fn optimize_block_inner(
     // §3.7: retained post-processing pass (BF-Post baseline, and the final
     // sweep after BF-CBO).
     if matches!(config.bloom_mode, BloomMode::Post | BloomMode::Cbo) {
-        let (plan, added) = add_post_filters(&best.plan, block, &est, config, next_filter);
-        best.plan = plan;
+        let (rewritten, added) = add_post_filters(&plan, block, &est, config, next_filter);
+        plan = rewritten;
         bstats.post_filters = added;
     }
-    Ok((best, bstats))
+    Ok((plan, cost, bstats))
 }
 
 /// Optimize a full logical plan tree.
@@ -429,7 +429,7 @@ impl Planner<'_> {
                 derived.insert(rel.ordinal, (dplan, dcost));
             }
         }
-        let (mut best, bstats) = optimize_block_inner(
+        let (mut plan, mut cost, bstats) = optimize_block_inner(
             block,
             self.bindings,
             self.catalog,
@@ -440,14 +440,12 @@ impl Planner<'_> {
         )?;
         self.stats.merge_block(bstats);
         // Blocks hand a single stream to the operators above.
-        let mut cost = best.cost;
-        if best.dist != Distribution::Single {
-            cost = cost.plus(self.model().gather(best.rows));
-            let layout = best.plan.layout.clone();
-            let rows = best.rows;
-            best.plan = PhysicalPlan::new(
+        if plan.distribution != Distribution::Single {
+            cost = cost.plus(self.model().gather(plan.est_rows));
+            let (layout, rows) = (plan.layout.clone(), plan.est_rows);
+            plan = PhysicalPlan::new(
                 PhysicalNode::Exchange {
-                    input: best.plan,
+                    input: plan,
                     kind: ExchangeKind::Gather,
                 },
                 layout,
@@ -455,7 +453,7 @@ impl Planner<'_> {
                 Distribution::Single,
             );
         }
-        Ok((best.plan, cost))
+        Ok((plan, cost))
     }
 
     fn estimate_groups(&self, group_by: &[bfq_plan::OutputColumn], in_rows: f64) -> f64 {

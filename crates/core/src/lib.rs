@@ -40,7 +40,7 @@ pub mod synth;
 pub use cache::{CachedPlan, PlanCache, PlanCacheStats};
 pub use candidates::{mark_candidates, BfCandidate};
 pub use driver::{optimize, optimize_bare_block, optimize_block, OptimizedQuery, OptimizerStats};
-pub use subplan::{PendingBf, PlanList, SubPlan};
+pub use subplan::{PendingBf, PlanList, PlanRef, SubPlan};
 
 use bfq_cost::CostParams;
 pub use bfq_index::IndexMode;

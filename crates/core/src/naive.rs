@@ -23,7 +23,7 @@ use bfq_cost::{BfAssumption, Estimator};
 use bfq_plan::QueryBlock;
 
 use crate::candidates::BfCandidate;
-use crate::enumerate::{enumerate_sets, splits};
+use crate::enumerate::{enumerate_sets, splits, JoinGraph};
 use crate::OptimizerConfig;
 
 /// Outcome of a naïve optimization run.
@@ -71,7 +71,8 @@ pub fn naive_optimize(
     let deadline = start + time_limit;
 
     let n = block.num_rels();
-    let sets = enumerate_sets(block);
+    let graph = JoinGraph::new(block);
+    let sets = enumerate_sets(&graph);
     let mut lists: Vec<Vec<NaiveSubPlan>> = vec![Vec::new(); 1usize << n];
 
     // Scan sub-plans: the plain scan plus one uncosted sub-plan per
@@ -115,7 +116,7 @@ pub fn naive_optimize(
         }
         let mut new_list: Vec<NaiveSubPlan> = Vec::new();
         let mut best_costed: Option<f64> = None;
-        for split in splits(block, *set) {
+        for split in splits(&graph, *set) {
             let outer_list = std::mem::take(&mut lists[split.outer.0 as usize]);
             let inner_list = std::mem::take(&mut lists[split.inner.0 as usize]);
             for osp in &outer_list {

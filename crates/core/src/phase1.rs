@@ -14,7 +14,7 @@
 use bfq_cost::{BfAssumption, Estimator};
 
 use crate::candidates::BfCandidate;
-use crate::enumerate::SetSplits;
+use crate::enumerate::JoinSpace;
 use crate::OptimizerConfig;
 
 /// Statistics gathered during the first pass (feeds Heuristic 8 and the
@@ -40,12 +40,12 @@ pub struct Phase1Stats {
 /// ([`crate::enumerate::join_space`]), populating each candidate's Δ list.
 pub fn collect_deltas(
     est: &Estimator<'_>,
-    space: &[SetSplits],
+    space: &JoinSpace,
     candidates: &mut [BfCandidate],
     _config: &OptimizerConfig,
 ) -> Phase1Stats {
     let mut stats = Phase1Stats::default();
-    for entry in space {
+    for entry in &space.sets {
         stats.sets_visited += 1;
         for split in &entry.splits {
             stats.pairs_visited += 1;

@@ -22,21 +22,25 @@
 //! Most alternatives lose to a sub-plan already in their set's plan list, so
 //! a join is costed and tested from numbers first — keys, predicates and
 //! the join cardinality come once per split, each pending filter carries
-//! its pass fraction — and its plan node is built only if the list admits
-//! it (`PlanList::admits`).
+//! its pass fraction. A join the list admits (`PlanList::admits`) is not
+//! built either: it is recorded as a `JoinRecipe` in the block's
+//! append-only `Arena`, and its sub-plan names it by index
+//! ([`PlanRef::Join`]). Most recorded joins are evicted later; once the DP
+//! ends, `materialize` builds the winner's tree, and only that one, from
+//! its recipes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bfq_common::{BfqError, ColumnId, RelSet, Result};
+use bfq_common::{BfqError, ColumnId, FilterId, RelSet, Result};
 use bfq_cost::{Cost, CostModel, Estimator};
 use bfq_expr::Expr;
 use bfq_plan::{
     BloomBuild, Distribution, ExchangeKind, JoinKind, PhysicalNode, PhysicalPlan, QueryBlock,
 };
 
-use crate::enumerate::{pred_rels, SetSplits, Split};
-use crate::subplan::{PendingBf, PlanList, SubPlan};
+use crate::enumerate::{JoinGraph, JoinSpace, Split};
+use crate::subplan::{PendingBf, PlanList, PlanRef, SubPlan};
 use crate::OptimizerConfig;
 
 /// Statistics from the costed DP.
@@ -49,8 +53,9 @@ pub struct Phase2Stats {
     /// Sub-plans generated (before plan-list pruning): every legal
     /// distribution alternative of every pair, each one costed.
     pub generated: usize,
-    /// Generated sub-plans a plan list admitted, the only ones built as
-    /// plan nodes; the rest were rejected on cost, rows and properties.
+    /// Generated sub-plans a plan list admitted, each recorded as a join
+    /// recipe; the rest were rejected on cost, rows and properties. Only
+    /// the winner's recipes are ever built into plan nodes.
     /// `kept ≤ built ≤ generated`.
     pub built: usize,
     /// Sub-plans surviving in plan lists at the end.
@@ -96,7 +101,7 @@ struct SplitCtx {
 }
 
 impl SplitCtx {
-    fn new(block: &QueryBlock, split: Split, join_card: f64) -> Self {
+    fn new(block: &QueryBlock, graph: &JoinGraph, split: Split, join_card: f64) -> Self {
         let mut okeys = Vec::new();
         let mut ikeys = Vec::new();
         for c in &block.equi_clauses {
@@ -113,13 +118,13 @@ impl SplitCtx {
             block
                 .complex_preds
                 .iter()
-                .filter(|p| {
-                    let rels = pred_rels(block, p);
+                .zip(graph.pred_rels())
+                .filter(|(_, &rels)| {
                     rels.is_subset_of(all)
                         && !rels.is_subset_of(split.outer)
                         && !rels.is_subset_of(split.inner)
                 })
-                .cloned()
+                .map(|(p, _)| p.clone())
                 .collect(),
         );
         SplitCtx {
@@ -198,20 +203,62 @@ impl SplitCtx {
     }
 }
 
+/// An admitted join alternative, recorded instead of built: what
+/// [`build_join`] needs to make its plan node should it end up in the
+/// winning tree.
+struct JoinRecipe {
+    /// The split's context, an index into [`Arena::ctxs`].
+    ctx: usize,
+    outer: PlanRef,
+    inner: PlanRef,
+    outer_ex: Option<Move>,
+    inner_ex: Option<Move>,
+    /// Estimated output rows.
+    rows: f64,
+    /// Output distribution.
+    dist: Distribution,
+    /// `(filter, build column, δ)` of each outer-side filter resolving at
+    /// this join.
+    builds: Vec<(FilterId, ColumnId, RelSet)>,
+}
+
+/// One block's recorded joins, append-only: a [`PlanRef::Join`] indexes
+/// `joins`, and each recipe its split's context in `ctxs`.
+#[derive(Default)]
+struct Arena {
+    ctxs: Vec<SplitCtx>,
+    joins: Vec<JoinRecipe>,
+}
+
 /// Run the costed bottom-up DP over the block's join space
 /// ([`crate::enumerate::join_space`]). `initial` holds the per-relation
-/// plan lists from [`crate::costing::initial_plan_lists`]. Returns the
-/// winning sub-plan for the full relation set.
+/// plan lists from [`crate::costing::initial_plan_lists`]. Returns the tree
+/// of the cheapest sub-plan of the whole relation set with no pending
+/// filter, and its cost.
 pub fn run_dp(
     block: &QueryBlock,
     est: &Estimator<'_>,
     model: &CostModel,
     config: &OptimizerConfig,
-    space: &[SetSplits],
+    space: &JoinSpace,
     initial: Vec<PlanList>,
-) -> Result<(SubPlan, Phase2Stats)> {
+) -> Result<(Arc<PhysicalPlan>, Cost, Phase2Stats)> {
+    let (arena, best, stats) = search(block, est, model, config, space, initial)?;
+    Ok((materialize(est, &arena, &best.plan), best.cost, stats))
+}
+
+/// The DP itself: the recorded joins and the winning sub-plan, unbuilt.
+fn search(
+    block: &QueryBlock,
+    est: &Estimator<'_>,
+    model: &CostModel,
+    config: &OptimizerConfig,
+    space: &JoinSpace,
+    initial: Vec<PlanList>,
+) -> Result<(Arena, SubPlan, Phase2Stats)> {
     let n = block.num_rels();
     let mut stats = Phase2Stats::default();
+    let mut arena = Arena::default();
     let mut lists: HashMap<u64, PlanList> = HashMap::new();
     for (rel, list) in initial.into_iter().enumerate() {
         lists.insert(RelSet::single(rel).0, list);
@@ -219,7 +266,7 @@ pub fn run_dp(
 
     // The filters pending above the join being costed, reused across pairs.
     let mut remaining = Vec::new();
-    for entry in space {
+    for entry in &space.sets {
         let set = entry.set;
         stats.sets += 1;
         let join_card = est.join_card(set);
@@ -230,14 +277,18 @@ pub fn run_dp(
             else {
                 continue;
             };
-            let ctx = SplitCtx::new(block, split, join_card);
+            let ctx = arena.ctxs.len();
+            arena
+                .ctxs
+                .push(SplitCtx::new(block, &space.graph, split, join_card));
+            let recorded = arena.joins.len();
             for outer_sp in outer_list.plans() {
                 for inner_sp in inner_list.plans() {
                     stats.pairs += 1;
                     try_join(
-                        est,
                         model,
-                        &ctx,
+                        &mut arena,
+                        ctx,
                         outer_sp,
                         inner_sp,
                         &mut remaining,
@@ -245,6 +296,11 @@ pub fn run_dp(
                         &mut stats,
                     );
                 }
+            }
+            // A context no recipe refers to would only hold memory until
+            // the block ends.
+            if arena.joins.len() == recorded {
+                arena.ctxs.pop();
             }
         }
         if config.h7_enabled {
@@ -260,7 +316,7 @@ pub fn run_dp(
         .and_then(|l| l.best_resolved())
         .cloned()
         .ok_or_else(|| BfqError::Plan("no complete plan found for query block".into()))?;
-    Ok((best, stats))
+    Ok((arena, best, stats))
 }
 
 /// The legality of a candidate join's pending filters. Returns how many of
@@ -310,19 +366,21 @@ fn exchange_cost(model: &CostModel, ex: Option<Move>, rows: f64) -> Cost {
     }
 }
 
-/// Cost every distribution alternative of `outer_sp ⋈ inner_sp` across
-/// `ctx`'s split, and build the plan node of each one `list` admits.
+/// Cost every distribution alternative of `outer_sp ⋈ inner_sp` across the
+/// split of `arena.ctxs[ctx]`, and record a recipe for each one `list`
+/// admits.
 #[allow(clippy::too_many_arguments)]
 fn try_join(
-    est: &Estimator<'_>,
     model: &CostModel,
-    ctx: &SplitCtx,
+    arena: &mut Arena,
+    ctx_id: usize,
     outer_sp: &SubPlan,
     inner_sp: &SubPlan,
     remaining: &mut Vec<PendingBf>,
     list: &mut PlanList,
     stats: &mut Phase2Stats,
 ) {
+    let ctx = &arena.ctxs[ctx_id];
     let Some(resolving) = resolving_filters(outer_sp, inner_sp, ctx.split.outer, ctx.split.inner)
     else {
         return;
@@ -372,8 +430,24 @@ fn try_join(
             continue;
         }
         stats.built += 1;
+        let id = arena.joins.len();
+        arena.joins.push(JoinRecipe {
+            ctx: ctx_id,
+            outer: outer_sp.plan.clone(),
+            inner: inner_sp.plan.clone(),
+            outer_ex: opt.outer_ex,
+            inner_ex: opt.inner_ex,
+            rows: rows_out,
+            dist: opt.out_dist.clone(),
+            builds: outer_sp
+                .pending
+                .iter()
+                .filter(|p| p.bf.delta.overlaps(ctx.split.inner))
+                .map(|p| (p.id, p.bf.build_col, p.bf.delta))
+                .collect(),
+        });
         list.insert(SubPlan {
-            plan: build_join(est, ctx, outer_sp, inner_sp, &opt, rows_out),
+            plan: PlanRef::Join(id),
             rows: rows_out,
             cost,
             dist: opt.out_dist.clone(),
@@ -382,49 +456,61 @@ fn try_join(
     }
 }
 
-/// `sp`'s plan, behind the exchange `ex` when there is one.
-fn wrap_exchange(sp: &SubPlan, ex: Option<Move>, keys: &[ColumnId]) -> Arc<PhysicalPlan> {
+/// The tree `node` names: a leaf as it is, a join built from its recipe
+/// over its children's trees. Each recipe of the tree is built once.
+fn materialize(est: &Estimator<'_>, arena: &Arena, node: &PlanRef) -> Arc<PhysicalPlan> {
+    let id = match node {
+        PlanRef::Leaf(plan) => return plan.clone(),
+        PlanRef::Join(id) => *id,
+    };
+    let recipe = &arena.joins[id];
+    let outer = materialize(est, arena, &recipe.outer);
+    let inner = materialize(est, arena, &recipe.inner);
+    build_join(est, &arena.ctxs[recipe.ctx], recipe, outer, inner)
+}
+
+/// `input`, behind the exchange `ex` when there is one.
+fn wrap_exchange(
+    input: Arc<PhysicalPlan>,
+    ex: Option<Move>,
+    keys: &[ColumnId],
+) -> Arc<PhysicalPlan> {
     let (kind, dist) = match ex {
-        None => return sp.plan.clone(),
+        None => return input,
         Some(Move::Broadcast) => (ExchangeKind::Broadcast, Distribution::Replicated),
         Some(Move::Repartition) => (
             ExchangeKind::Repartition(keys.to_vec()),
             Distribution::Hash(keys.to_vec()),
         ),
     };
-    PhysicalPlan::new(
-        PhysicalNode::Exchange {
-            input: sp.plan.clone(),
-            kind,
-        },
-        sp.plan.layout.clone(),
-        sp.rows,
-        dist,
-    )
+    let (layout, rows) = (input.layout.clone(), input.est_rows);
+    PhysicalPlan::new(PhysicalNode::Exchange { input, kind }, layout, rows, dist)
 }
 
-/// The plan node of an admitted join alternative.
+/// The plan node of a recorded join over its built children.
 fn build_join(
     est: &Estimator<'_>,
     ctx: &SplitCtx,
-    outer_sp: &SubPlan,
-    inner_sp: &SubPlan,
-    opt: &DistOpt<'_>,
-    rows_out: f64,
+    recipe: &JoinRecipe,
+    outer: Arc<PhysicalPlan>,
+    inner: Arc<PhysicalPlan>,
 ) -> Arc<PhysicalPlan> {
-    let outer = wrap_exchange(outer_sp, opt.outer_ex, &ctx.okeys);
-    let inner = wrap_exchange(inner_sp, opt.inner_ex, &ctx.ikeys);
     let kind = ctx.split.kind;
+    let layout = if kind.emits_inner_columns() {
+        outer.layout.concat(&inner.layout)
+    } else {
+        outer.layout.clone()
+    };
+    let outer = wrap_exchange(outer, recipe.outer_ex, &ctx.okeys);
+    let inner = wrap_exchange(inner, recipe.inner_ex, &ctx.ikeys);
     let node = if ctx.is_hash() {
-        // Bloom builds for the outer side's filters resolving here.
-        let builds = outer_sp
-            .pending
+        let builds = recipe
+            .builds
             .iter()
-            .filter(|p| p.bf.delta.overlaps(ctx.split.inner))
-            .map(|p| BloomBuild {
-                filter: p.id,
-                column: p.bf.build_col,
-                expected_ndv: est.effective_build_ndv(p.bf.build_col, p.bf.delta),
+            .map(|&(filter, column, delta)| BloomBuild {
+                filter,
+                column,
+                expected_ndv: est.effective_build_ndv(column, delta),
             })
             .collect();
         PhysicalNode::HashJoin {
@@ -448,12 +534,7 @@ fn build_join(
             predicate: ctx.extra.clone(),
         }
     };
-    let layout = if kind.emits_inner_columns() {
-        outer_sp.plan.layout.concat(&inner_sp.plan.layout)
-    } else {
-        outer_sp.plan.layout.clone()
-    };
-    PhysicalPlan::new(node, layout, rows_out, opt.out_dist.clone())
+    PhysicalPlan::new(node, layout, recipe.rows, recipe.dist.clone())
 }
 
 #[cfg(test)]
@@ -465,8 +546,11 @@ mod tests {
     use crate::phase1::collect_deltas;
     use crate::synth::{chain_block, running_example, star_block, ChainSpec, Fixture};
     use crate::{BloomMode, OptimizerConfig};
+    use bfq_plan::RelKind;
 
-    fn optimize_fixture(fx: &Fixture, config: &OptimizerConfig) -> (SubPlan, Phase2Stats) {
+    /// Run the DP over `fx`: the recorded joins, the winning sub-plan and
+    /// the statistics.
+    fn search_fixture(fx: &Fixture, config: &OptimizerConfig) -> (Arena, SubPlan, Phase2Stats) {
         let est = fx.estimator();
         let model = CostModel::new(config.dop);
         let mut cands = if config.bloom_mode == BloomMode::Cbo {
@@ -489,7 +573,17 @@ mod tests {
             &mut next_filter,
         )
         .unwrap();
-        run_dp(&fx.block, &est, &model, config, &space, initial).unwrap()
+        search(&fx.block, &est, &model, config, &space, initial).unwrap()
+    }
+
+    /// The winner's tree, its cost, and the statistics.
+    fn optimize_fixture(
+        fx: &Fixture,
+        config: &OptimizerConfig,
+    ) -> (Arc<PhysicalPlan>, Cost, Phase2Stats) {
+        let (arena, best, stats) = search_fixture(fx, config);
+        let plan = materialize(&fx.estimator(), &arena, &best.plan);
+        (plan, best.cost, stats)
     }
 
     fn count_nodes(plan: &Arc<PhysicalPlan>, pred: impl Fn(&PhysicalNode) -> bool) -> usize {
@@ -502,6 +596,69 @@ mod tests {
         n
     }
 
+    /// The filter ids the tree's scans apply and its joins build, each
+    /// sorted.
+    fn filter_ids(plan: &Arc<PhysicalPlan>) -> (Vec<FilterId>, Vec<FilterId>) {
+        let mut applied = Vec::new();
+        let mut built = Vec::new();
+        plan.visit(&mut |p| match &p.node {
+            PhysicalNode::Scan { blooms, .. } | PhysicalNode::DerivedScan { blooms, .. } => {
+                applied.extend(blooms.iter().map(|b| b.filter))
+            }
+            PhysicalNode::HashJoin { builds, .. } => built.extend(builds.iter().map(|b| b.filter)),
+            _ => {}
+        });
+        applied.sort();
+        built.sort();
+        (applied, built)
+    }
+
+    /// The fixtures the DP tests sweep: a chain, a star, the running
+    /// example, a semi-joined tail, and joins a complex predicate decides.
+    fn fixtures() -> Vec<Fixture> {
+        let mut semi = chain_block(&[
+            ChainSpec::new("a", 20_000),
+            ChainSpec::new("b", 2_000).filtered(0.3),
+            ChainSpec::new("c", 200).filtered(0.5),
+        ]);
+        semi.block.rels[2].kind = RelKind::Semi;
+        // `b` reaches `c` only through a non-equi predicate, and `a` and
+        // `c` share one more: a nested loop and a hash join with an extra
+        // predicate.
+        let mut complex = chain_block(&[
+            ChainSpec::new("a", 10_000),
+            ChainSpec::new("b", 1_000).filtered(0.2),
+            ChainSpec::new("c", 100),
+        ]);
+        let clause = complex.block.equi_clauses.pop().unwrap();
+        let lt = |l, r| Expr::binary(bfq_expr::BinOp::Lt, Expr::col(l), Expr::col(r));
+        complex
+            .block
+            .complex_preds
+            .push(lt(clause.left, clause.right));
+        let (a_val, c_val) = (complex.col(0, 2), complex.col(2, 2));
+        complex.block.complex_preds.push(lt(a_val, c_val));
+        vec![
+            running_example(1.0),
+            chain_block(&[
+                ChainSpec::new("a", 50_000),
+                ChainSpec::new("b", 5_000).filtered(0.2),
+                ChainSpec::new("c", 500),
+                ChainSpec::new("d", 50).filtered(0.5),
+            ]),
+            star_block(
+                ChainSpec::new("fact", 200_000),
+                &[
+                    ChainSpec::new("d1", 1_000).filtered(0.05),
+                    ChainSpec::new("d2", 1_000).filtered(0.1),
+                    ChainSpec::new("d3", 100),
+                ],
+            ),
+            semi,
+            complex,
+        ]
+    }
+
     #[test]
     fn plain_dp_produces_complete_plan() {
         let fx = chain_block(&[
@@ -510,18 +667,18 @@ mod tests {
             ChainSpec::new("c", 100),
         ]);
         let config = OptimizerConfig::with_mode(BloomMode::None);
-        let (best, stats) = optimize_fixture(&fx, &config);
-        assert!(best.pending.is_empty());
+        let (best, _, stats) = optimize_fixture(&fx, &config);
+        assert_eq!(filter_ids(&best), (vec![], vec![]));
         assert!(stats.pairs > 0);
         // Plan contains exactly two joins over three scans.
-        let joins = count_nodes(&best.plan, |n| {
+        let joins = count_nodes(&best, |n| {
             matches!(
                 n,
                 PhysicalNode::HashJoin { .. } | PhysicalNode::NestLoopJoin { .. }
             )
         });
         assert_eq!(joins, 2);
-        let scans = count_nodes(&best.plan, |n| matches!(n, PhysicalNode::Scan { .. }));
+        let scans = count_nodes(&best, |n| matches!(n, PhysicalNode::Scan { .. }));
         assert_eq!(scans, 3);
     }
 
@@ -540,9 +697,9 @@ mod tests {
                     ChainSpec::new("one", 1),
                 ]);
                 assert_eq!(fx.estimator().base_rows(1), 1.0);
-                let (best, _) = optimize_fixture(&fx, &config);
-                let shown = best.plan.explain(&|c| format!("{c}"));
-                assert_eq!(count_nodes(&best.plan, is_hash), 1, "dop {dop}:\n{shown}");
+                let (best, _, _) = optimize_fixture(&fx, &config);
+                let shown = best.explain(&|c| format!("{c}"));
+                assert_eq!(count_nodes(&best, is_hash), 1, "dop {dop}:\n{shown}");
             }
         }
 
@@ -555,9 +712,9 @@ mod tests {
             Expr::col(clause.left),
             Expr::col(clause.right),
         ));
-        let (best, _) = optimize_fixture(&fx, &config);
-        assert_eq!(count_nodes(&best.plan, is_nestloop), 1);
-        assert_eq!(count_nodes(&best.plan, is_hash), 0);
+        let (best, _, _) = optimize_fixture(&fx, &config);
+        assert_eq!(count_nodes(&best, is_nestloop), 1);
+        assert_eq!(count_nodes(&best, is_hash), 0);
     }
 
     #[test]
@@ -565,18 +722,10 @@ mod tests {
         let fx = running_example(1.0);
         let mut config = OptimizerConfig::with_mode(BloomMode::Cbo);
         config.bf_min_apply_rows = 100.0;
-        let (best, _) = optimize_fixture(&fx, &config);
+        let (arena, best, _) = search_fixture(&fx, &config);
         assert!(best.pending.is_empty(), "root must have no pending filters");
         // If a scan applies filter N, some hash join must build filter N.
-        let mut applied = Vec::new();
-        let mut built = Vec::new();
-        best.plan.visit(&mut |p| match &p.node {
-            PhysicalNode::Scan { blooms, .. } => applied.extend(blooms.iter().map(|b| b.filter)),
-            PhysicalNode::HashJoin { builds, .. } => built.extend(builds.iter().map(|b| b.filter)),
-            _ => {}
-        });
-        applied.sort();
-        built.sort();
+        let (applied, built) = filter_ids(&materialize(&fx.estimator(), &arena, &best.plan));
         assert_eq!(applied, built, "every applied filter must be built once");
         assert!(
             !applied.is_empty(),
@@ -593,16 +742,16 @@ mod tests {
         let mut cbo = OptimizerConfig::with_mode(BloomMode::Cbo);
         cbo.bf_min_apply_rows = 100.0;
         let plain = OptimizerConfig::with_mode(BloomMode::None);
-        let (best_cbo, _) = optimize_fixture(&fx, &cbo);
-        let (best_plain, _) = optimize_fixture(&fx, &plain);
+        let (best_cbo, cost_cbo, _) = optimize_fixture(&fx, &cbo);
+        let (best_plain, cost_plain, _) = optimize_fixture(&fx, &plain);
         assert!(
-            best_cbo.cost.total <= best_plain.cost.total * (1.0 + 1e-9),
+            cost_cbo.total <= cost_plain.total * (1.0 + 1e-9),
             "BF-CBO {} vs plain {}",
-            best_cbo.cost.total,
-            best_plain.cost.total
+            cost_cbo.total,
+            cost_plain.total
         );
         // And its estimate of output rows should not be larger.
-        assert!(best_cbo.rows <= best_plain.rows * 1.01);
+        assert!(best_cbo.est_rows <= best_plain.est_rows * 1.01);
     }
 
     #[test]
@@ -616,9 +765,9 @@ mod tests {
         );
         let mut config = OptimizerConfig::with_mode(BloomMode::Cbo);
         config.bf_min_apply_rows = 1_000.0;
-        let (best, _) = optimize_fixture(&fx, &config);
+        let (best, _, _) = optimize_fixture(&fx, &config);
         let applies = count_nodes(
-            &best.plan,
+            &best,
             |n| matches!(n, PhysicalNode::Scan { blooms, .. } if !blooms.is_empty()),
         );
         assert!(applies >= 1, "expected at least one Bloom-filtered scan");
@@ -630,8 +779,8 @@ mod tests {
         let mut cbo = OptimizerConfig::with_mode(BloomMode::Cbo);
         cbo.bf_min_apply_rows = 50.0;
         let plain = OptimizerConfig::with_mode(BloomMode::None);
-        let (_, s_cbo) = optimize_fixture(&fx, &cbo);
-        let (_, s_plain) = optimize_fixture(&fx, &plain);
+        let (_, _, s_cbo) = optimize_fixture(&fx, &cbo);
+        let (_, _, s_plain) = optimize_fixture(&fx, &plain);
         assert!(
             s_cbo.pairs >= s_plain.pairs,
             "BF-CBO must search at least as much: {} vs {}",
@@ -642,50 +791,113 @@ mod tests {
 
     #[test]
     fn only_admitted_subplans_are_built() {
-        let fixtures = [
-            running_example(1.0),
-            chain_block(&[
-                ChainSpec::new("a", 50_000),
-                ChainSpec::new("b", 5_000).filtered(0.2),
-                ChainSpec::new("c", 500),
-                ChainSpec::new("d", 50).filtered(0.5),
-            ]),
-            star_block(
-                ChainSpec::new("fact", 200_000),
-                &[
-                    ChainSpec::new("d1", 1_000).filtered(0.05),
-                    ChainSpec::new("d2", 1_000).filtered(0.1),
-                    ChainSpec::new("d3", 100),
-                ],
-            ),
-        ];
-        for (i, fx) in fixtures.iter().enumerate() {
+        for (i, fx) in fixtures().iter().enumerate() {
             for mode in [BloomMode::None, BloomMode::Cbo] {
                 for dop in [1, 4] {
                     let mut config = OptimizerConfig::with_mode(mode).dop(dop);
                     config.bf_min_apply_rows = 100.0;
-                    let (_, s) = optimize_fixture(fx, &config);
-                    // A DP that built every alternative before testing it
-                    // would read `built == generated`.
+                    let (arena, _, s) = search_fixture(fx, &config);
+                    // A DP that recorded every alternative before testing
+                    // it would read `built == generated`.
                     assert!(
                         s.kept <= s.built && s.built < s.generated,
                         "fixture {i} {mode:?} dop {dop}: {s:?}"
                     );
+                    assert_eq!(arena.joins.len(), s.built);
+                    // Every kept context is some recipe's.
+                    let mut used: Vec<usize> = arena.joins.iter().map(|j| j.ctx).collect();
+                    used.dedup();
+                    assert_eq!(used, (0..arena.ctxs.len()).collect::<Vec<_>>());
                 }
             }
         }
+    }
+
+    /// Check the wiring of one materialized node and its subtree; returns
+    /// how many joins the subtree holds.
+    fn check_wiring(plan: &Arc<PhysicalPlan>, at: &str) -> usize {
+        let mut joins = 0;
+        match &plan.node {
+            PhysicalNode::Exchange { input, .. } => {
+                assert_eq!(plan.est_rows, input.est_rows, "{at}: exchange rows");
+                assert_eq!(plan.layout, input.layout, "{at}: exchange layout");
+            }
+            PhysicalNode::HashJoin {
+                outer, inner, kind, ..
+            }
+            | PhysicalNode::NestLoopJoin {
+                outer, inner, kind, ..
+            } => {
+                joins += 1;
+                let expected = if kind.emits_inner_columns() {
+                    outer.layout.concat(&inner.layout)
+                } else {
+                    outer.layout.clone()
+                };
+                assert_eq!(plan.layout, expected, "{at}: {kind:?} join layout");
+            }
+            _ => {}
+        }
+        joins
+            + plan
+                .children()
+                .into_iter()
+                .map(|c| check_wiring(c, at))
+                .sum::<usize>()
+    }
+
+    #[test]
+    fn the_winner_is_materialized_as_its_recipes_describe() {
+        // Nested loops, non-inner joins, exchanges and Bloom builds seen.
+        let mut seen = [0; 4];
+        for (i, fx) in fixtures().iter().enumerate() {
+            for mode in [BloomMode::None, BloomMode::Cbo] {
+                for dop in [1, 4] {
+                    let at = format!("fixture {i} {mode:?} dop {dop}");
+                    let mut config = OptimizerConfig::with_mode(mode).dop(dop);
+                    config.bf_min_apply_rows = 100.0;
+                    let (arena, best, _) = search_fixture(fx, &config);
+                    let plan = materialize(&fx.estimator(), &arena, &best.plan);
+                    assert_eq!(plan.est_rows, best.rows, "{at}: root rows");
+                    assert_eq!(plan.distribution, best.dist, "{at}: root distribution");
+                    // One join per relation joined, so each recipe of the
+                    // winner was built exactly once.
+                    let joins = check_wiring(&plan, &at);
+                    assert_eq!(joins, fx.block.num_rels() - 1, "{at}");
+                    // Each filter is built by one join and applied by one
+                    // scan.
+                    let (applied, built) = filter_ids(&plan);
+                    assert_eq!(applied, built, "{at}: filters");
+                    let mut distinct = built.clone();
+                    distinct.dedup();
+                    assert_eq!(distinct, built, "{at}: a filter built twice");
+                    if mode == BloomMode::None {
+                        assert!(built.is_empty(), "{at}");
+                    }
+                    seen[0] +=
+                        count_nodes(&plan, |n| matches!(n, PhysicalNode::NestLoopJoin { .. }));
+                    seen[1] += count_nodes(
+                        &plan,
+                        |n| matches!(n, PhysicalNode::HashJoin { kind, .. } if !kind.emits_inner_columns()),
+                    );
+                    seen[2] += count_nodes(&plan, |n| matches!(n, PhysicalNode::Exchange { .. }));
+                    seen[3] += built.len();
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 
     #[test]
     fn exchanges_present_in_parallel_plans() {
         let fx = chain_block(&[ChainSpec::new("a", 100_000), ChainSpec::new("b", 50_000)]);
         let config = OptimizerConfig::with_mode(BloomMode::None).dop(8);
-        let (best, _) = optimize_fixture(&fx, &config);
-        let exchanges = count_nodes(&best.plan, |n| matches!(n, PhysicalNode::Exchange { .. }));
+        let (best, _, _) = optimize_fixture(&fx, &config);
+        let exchanges = count_nodes(&best, |n| matches!(n, PhysicalNode::Exchange { .. }));
         assert!(
             exchanges >= 1,
             "parallel join should use RD or BC:\n{}",
-            best.plan.explain(&|c| format!("{c}"))
+            best.explain(&|c| format!("{c}"))
         );
     }
 }

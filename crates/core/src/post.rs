@@ -320,7 +320,6 @@ mod tests {
         run_dp(&fx.block, &est, &model, config, &space, initial)
             .unwrap()
             .0
-            .plan
     }
 
     fn count_filters(plan: &Arc<PhysicalPlan>) -> (usize, usize) {
@@ -414,11 +413,10 @@ mod tests {
             &mut next_filter,
         )
         .unwrap();
-        let (best, _) = run_dp(&fx.block, &est, &model, &config, &space, initial).unwrap();
-        let (before_applies, _) = count_filters(&best.plan);
+        let (best, _, _) = run_dp(&fx.block, &est, &model, &config, &space, initial).unwrap();
+        let (before_applies, _) = count_filters(&best);
         assert!(before_applies >= 1);
-        let (rewritten, _) =
-            add_post_filters(&best.plan, &fx.block, &est, &config, &mut next_filter);
+        let (rewritten, _) = add_post_filters(&best, &fx.block, &est, &config, &mut next_filter);
         // No scan may filter the same column twice.
         rewritten.visit(&mut |p| {
             if let PhysicalNode::Scan { blooms, .. } = &p.node {

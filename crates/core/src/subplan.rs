@@ -26,11 +26,21 @@ pub struct PendingBf {
     pub pass: f64,
 }
 
+/// Where a sub-plan's tree comes from.
+#[derive(Debug, Clone)]
+pub enum PlanRef {
+    /// A scan, built when the relation's plan list was seeded.
+    Leaf(Arc<PhysicalPlan>),
+    /// A join recorded in the block DP's arena by index, built only if it
+    /// is part of the winning tree ([`crate::phase2`]).
+    Join(usize),
+}
+
 /// One costed way to realize a relation set.
 #[derive(Debug, Clone)]
 pub struct SubPlan {
-    /// The physical plan fragment.
-    pub plan: Arc<PhysicalPlan>,
+    /// The plan fragment.
+    pub plan: PlanRef,
     /// Estimated output rows (pending filters already accounted).
     pub rows: f64,
     /// Cumulative cost.
@@ -218,7 +228,7 @@ mod tests {
 
     fn sp(rows: f64, cost: f64, pending: Vec<PendingBf>) -> SubPlan {
         SubPlan {
-            plan: dummy_plan(),
+            plan: PlanRef::Leaf(dummy_plan()),
             rows,
             cost: Cost::of(cost),
             dist: Distribution::AnyPartitioned,
