@@ -273,6 +273,7 @@ pub fn running_example(scale: f64) -> Fixture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::JoinGraph;
     use bfq_common::RelSet;
 
     #[test]
@@ -284,7 +285,7 @@ mod tests {
         ]);
         assert_eq!(fx.block.num_rels(), 3);
         assert_eq!(fx.block.equi_clauses.len(), 2);
-        assert!(fx.block.is_connected(RelSet::all(3)));
+        assert!(JoinGraph::new(&fx.block).is_connected(RelSet::all(3)));
         assert_eq!(fx.block.rels[1].local_preds.len(), 1);
         let est = fx.estimator();
         assert_eq!(est.base_rows(0), 1000.0);
@@ -311,7 +312,7 @@ mod tests {
         );
         assert_eq!(fx.block.num_rels(), 4);
         assert_eq!(fx.block.equi_clauses.len(), 3);
-        assert!(fx.block.is_connected(RelSet::all(4)));
+        assert!(JoinGraph::new(&fx.block).is_connected(RelSet::all(4)));
         // Every clause touches the fact table.
         for c in &fx.block.equi_clauses {
             assert_eq!(c.left_rel, 0);

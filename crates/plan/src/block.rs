@@ -164,32 +164,6 @@ impl QueryBlock {
         deps
     }
 
-    /// Whether the relations in `set` form a connected subgraph of the join
-    /// graph (clauses as edges). Singletons are connected.
-    pub fn is_connected(&self, set: RelSet) -> bool {
-        let Some(start) = set.first() else {
-            return false;
-        };
-        let mut reached = RelSet::single(start);
-        let mut changed = true;
-        while changed && reached != set {
-            changed = false;
-            for c in &self.equi_clauses {
-                let (a, b) = (c.left_rel, c.right_rel);
-                if set.contains(a) && set.contains(b) {
-                    if reached.contains(a) && !reached.contains(b) {
-                        reached = reached.with(b);
-                        changed = true;
-                    } else if reached.contains(b) && !reached.contains(a) {
-                        reached = reached.with(a);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        reached == set
-    }
-
     /// Equi clauses connecting `left` and `right` (one rel on each side).
     pub fn clauses_between(&self, left: RelSet, right: RelSet) -> Vec<EquiClause> {
         self.equi_clauses
@@ -504,11 +478,8 @@ mod tests {
     }
 
     #[test]
-    fn block_connectivity() {
+    fn equi_clause_rels_and_sides() {
         let block = two_rel_block();
-        assert!(block.is_connected(RelSet::from_iter([0, 1])));
-        assert!(block.is_connected(RelSet::single(0)));
-        assert!(!block.is_connected(RelSet::EMPTY));
         let clause = &block.equi_clauses[0];
         assert_eq!(clause.rels(), RelSet::from_iter([0, 1]));
         assert_eq!(clause.column_for(0), Some(clause.left));

@@ -14,14 +14,15 @@
 //! ```
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use bfq::prelude::{DataType, Datum};
 
 use crate::json::Json;
 use crate::protocol::{
-    decode_stream_frame, type_from_name, Hello, Request, StreamFrame, CODE_PROTOCOL,
+    chunk_payload_len, decode_chunk, type_from_name, Hello, Request, CHUNK_HEADER_BYTES, CHUNK_TAG,
+    CODE_PROTOCOL, PROTOCOL_VERSION,
 };
 
 /// An error frame received from the server.
@@ -106,25 +107,32 @@ pub struct StatementInfo {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// The line being read; reused for every frame.
+    /// The frame being read; reused for every frame.
     line: Vec<u8>,
     hello: Hello,
 }
 
 impl Client {
     /// Connect and read the server's hello. A `server_busy` rejection
-    /// surfaces as [`ClientError::Server`].
+    /// surfaces as [`ClientError::Server`], a server speaking another
+    /// protocol version as [`ClientError::Protocol`].
     pub fn connect(addr: impl ToSocketAddrs) -> ClientResult<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
         let mut line = Vec::new();
-        let frame = parse_frame(read_line(&mut reader, &mut line)?)?;
+        let frame = read_json_frame(&mut reader, &mut line)?;
         if let Some(err) = parse_error(&frame) {
             return Err(ClientError::Server(err));
         }
         let hello = Hello::from_json(&frame).map_err(ClientError::Protocol)?;
+        if hello.version != PROTOCOL_VERSION {
+            return Err(ClientError::Protocol(format!(
+                "server speaks protocol version {}, this client speaks version {PROTOCOL_VERSION}",
+                hello.version
+            )));
+        }
         Ok(Client {
             reader,
             writer,
@@ -261,7 +269,7 @@ impl Client {
 
     /// Read one frame, translating error frames into `ClientError::Server`.
     fn read_response_frame(&mut self) -> ClientResult<Json> {
-        let frame = parse_frame(read_line(&mut self.reader, &mut self.line)?)?;
+        let frame = read_json_frame(&mut self.reader, &mut self.line)?;
         match parse_error(&frame) {
             Some(err) => Err(ClientError::Server(err)),
             None => Ok(frame),
@@ -269,14 +277,37 @@ impl Client {
     }
 
     /// Read one frame of an open result stream, appending a chunk's rows
-    /// to `out`. `Err` here means the frame could not be read at all.
+    /// to `out`. `Err` here means the frame could not be read at all, so
+    /// the frames after it cannot be found either.
     fn read_stream_frame(
         &mut self,
         types: &[DataType],
         out: &mut Vec<Vec<Datum>>,
     ) -> ClientResult<StreamFrame> {
-        let text = read_line(&mut self.reader, &mut self.line)?;
-        decode_stream_frame(text, types, out).map_err(ClientError::Protocol)
+        if peek(&mut self.reader)? != CHUNK_TAG {
+            return read_json_frame(&mut self.reader, &mut self.line).map(StreamFrame::Control);
+        }
+        let truncated = |e: io::Error| match e.kind() {
+            io::ErrorKind::UnexpectedEof => ClientError::Protocol("truncated chunk frame".into()),
+            _ => ClientError::Io(e),
+        };
+        let mut header = [0; CHUNK_HEADER_BYTES];
+        self.reader.read_exact(&mut header).map_err(truncated)?;
+        let len = chunk_payload_len(&header).map_err(ClientError::Protocol)?;
+        // Read what arrives rather than allocating `len` up front.
+        self.line.clear();
+        let got = (&mut self.reader)
+            .take(len as u64)
+            .read_to_end(&mut self.line)?;
+        if got < len {
+            return Err(ClientError::Protocol(format!(
+                "truncated chunk frame: {got} of {len} payload bytes"
+            )));
+        }
+        Ok(match decode_chunk(&self.line, types, out) {
+            Ok(()) => StreamFrame::Chunk,
+            Err(e) => StreamFrame::BadChunk(e),
+        })
     }
 
     fn read_ok(&mut self) -> ClientResult<Json> {
@@ -326,6 +357,16 @@ impl Client {
             total_rows: None,
         })
     }
+}
+
+/// A frame read while a result stream is open.
+enum StreamFrame {
+    /// A chunk frame: its rows were appended to the output.
+    Chunk,
+    /// A chunk frame read whole whose payload does not fit the header.
+    BadChunk(String),
+    /// A JSON frame: `done`, `error`, or one that does not belong here.
+    Control(Json),
 }
 
 /// An in-progress streaming result borrowed from a [`Client`].
@@ -399,14 +440,34 @@ impl Drop for RowStream<'_> {
     }
 }
 
+/// The next byte the server sent, without consuming it.
+fn peek(reader: &mut BufReader<TcpStream>) -> ClientResult<u8> {
+    reader.fill_buf()?.first().copied().ok_or_else(closed)
+}
+
+fn closed() -> ClientError {
+    ClientError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "server closed the connection",
+    ))
+}
+
+/// Read one JSON frame. A chunk frame is out of place here: it belongs
+/// only between a rows header and the frame that ends the stream.
+fn read_json_frame(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> ClientResult<Json> {
+    if peek(reader)? == CHUNK_TAG {
+        return Err(ClientError::Protocol(
+            "chunk frame outside a result stream".into(),
+        ));
+    }
+    Json::parse(read_line(reader, buf)?).map_err(ClientError::Protocol)
+}
+
 /// Read one line into `buf` and return it without its line ending.
 fn read_line<'a>(reader: &mut BufReader<TcpStream>, buf: &'a mut Vec<u8>) -> ClientResult<&'a str> {
     buf.clear();
     if reader.read_until(b'\n', buf)? == 0 {
-        return Err(ClientError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed the connection",
-        )));
+        return Err(closed());
     }
     let line = std::str::from_utf8(buf).map_err(|_| {
         ClientError::Io(io::Error::new(
@@ -415,10 +476,6 @@ fn read_line<'a>(reader: &mut BufReader<TcpStream>, buf: &'a mut Vec<u8>) -> Cli
         ))
     })?;
     Ok(line.trim_end_matches(['\r', '\n']))
-}
-
-fn parse_frame(line: &str) -> ClientResult<Json> {
-    Json::parse(line).map_err(ClientError::Protocol)
 }
 
 fn parse_error(frame: &Json) -> Option<RemoteError> {
@@ -492,34 +549,66 @@ fn end_of_stream(frame: &Json) -> ClientResult<u64> {
 
 #[cfg(test)]
 mod tests {
-    use std::net::TcpListener;
+    use std::net::{SocketAddr, TcpListener};
+    use std::sync::Arc;
     use std::thread::JoinHandle;
 
+    use bfq_storage::{Chunk, Column};
+
     use super::*;
+    use crate::protocol::{encode_chunk, MAX_CHUNK_PAYLOAD, WIRE_CHUNK_ROWS};
 
     const HEADER: &str = r#"{"rows":{"columns":["a"],"types":["int64"]}}"#;
+    const TEXT_HEADER: &str = r#"{"rows":{"columns":["s"],"types":["utf8"]}}"#;
 
-    /// A client whose server sends a hello, then answers the first request
-    /// with the lines of `frames`.
-    fn scripted(frames: &[&str]) -> (Client, JoinHandle<()>) {
+    /// A JSON frame as the server sends it.
+    fn line(frame: &str) -> Vec<u8> {
+        format!("{frame}\n").into_bytes()
+    }
+
+    /// A chunk frame around `payload`.
+    fn chunk_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![CHUNK_TAG];
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// The chunk frame of one int64 column holding `values`.
+    fn ints(values: &[i64]) -> Vec<u8> {
+        let chunk =
+            Chunk::new(vec![Arc::new(Column::Int64(values.to_vec(), None))]).expect("one column");
+        let mut frame = Vec::new();
+        encode_chunk(&chunk, 0..values.len(), &mut frame).expect("under the cap");
+        frame
+    }
+
+    /// A server that sends a hello of protocol `version`, then answers the
+    /// first request with `frames`, then hangs up.
+    fn serve_script(version: i64, frames: &[Vec<u8>]) -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("local addr");
-        let mut script = String::from("{\"hello\":{\"conn_id\":1,\"secret\":2,\"version\":1}}\n");
-        for frame in frames {
-            script.push_str(frame);
-            script.push('\n');
-        }
+        let hello = line(&format!(
+            r#"{{"hello":{{"conn_id":1,"secret":2,"version":{version}}}}}"#
+        ));
+        let script = frames.concat();
         let server = std::thread::spawn(move || {
             let (stream, _) = listener.accept().expect("accept");
             let mut writer = stream.try_clone().expect("clone");
-            let (hello, rest) = script.split_at(script.find('\n').expect("hello line") + 1);
-            writer.write_all(hello.as_bytes()).expect("send hello");
+            writer.write_all(&hello).expect("send hello");
             let mut request = String::new();
             BufReader::new(stream)
                 .read_line(&mut request)
                 .expect("read request");
-            writer.write_all(rest.as_bytes()).expect("send frames");
+            writer.write_all(&script).expect("send frames");
         });
+        (addr, server)
+    }
+
+    /// A client whose server sends a hello, then answers the first request
+    /// with `frames`.
+    fn scripted(frames: &[Vec<u8>]) -> (Client, JoinHandle<()>) {
+        let (addr, server) = serve_script(PROTOCOL_VERSION, frames);
         (Client::connect(addr).expect("connect"), server)
     }
 
@@ -531,10 +620,26 @@ mod tests {
     }
 
     #[test]
+    fn a_hello_of_another_protocol_version_is_refused() {
+        let (addr, server) = serve_script(PROTOCOL_VERSION - 1, &[]);
+        let err = Client::connect(addr)
+            .err()
+            .expect("accepted a hello of another version");
+        assert_protocol_error(
+            &err,
+            &format!(
+                "version {}, this client speaks version {PROTOCOL_VERSION}",
+                PROTOCOL_VERSION - 1
+            ),
+        );
+        server.join().expect("scripted server");
+    }
+
+    #[test]
     fn a_non_string_column_name_is_a_protocol_error() {
         let (mut client, server) = scripted(&[
-            r#"{"rows":{"columns":["a",7],"types":["int64","int64"]}}"#,
-            r#"{"done":{"rows":0}}"#,
+            line(r#"{"rows":{"columns":["a",7],"types":["int64","int64"]}}"#),
+            line(r#"{"done":{"rows":0}}"#),
         ]);
         let err = client
             .query("select 1")
@@ -546,8 +651,8 @@ mod tests {
     #[test]
     fn a_header_with_more_types_than_columns_is_a_protocol_error() {
         let (mut client, server) = scripted(&[
-            r#"{"rows":{"columns":["a"],"types":["int64","utf8"]}}"#,
-            r#"{"done":{"rows":0}}"#,
+            line(r#"{"rows":{"columns":["a"],"types":["int64","utf8"]}}"#),
+            line(r#"{"done":{"rows":0}}"#),
         ]);
         let err = client
             .query("select 1")
@@ -558,8 +663,9 @@ mod tests {
 
     #[test]
     fn a_done_frame_without_an_integer_row_count_is_a_protocol_error() {
-        let chunk = r#"{"chunk":[[1]]}"#;
-        let (mut client, server) = scripted(&[HEADER, chunk, r#"{"done":{"rows":1}}"#]);
+        let chunk = ints(&[1]);
+        let done = line(r#"{"done":{"rows":1}}"#);
+        let (mut client, server) = scripted(&[line(HEADER), chunk.clone(), done]);
         let mut stream = client.query_stream("select 1").expect("header");
         assert_eq!(
             stream.next_chunk().expect("chunk"),
@@ -576,7 +682,8 @@ mod tests {
             r#"{"done":{"rows":1.0}}"#,
             r#"{"done":{"rows":-1}}"#,
         ] {
-            let (mut client, server) = scripted(&[HEADER, chunk, done]);
+            let frames = [line(HEADER), chunk.clone(), line(done)];
+            let (mut client, server) = scripted(&frames);
             let mut stream = client.query_stream("select 1").expect("header");
             assert!(stream.next_chunk().expect("chunk").is_some());
             let err = stream.next_chunk().expect_err(done);
@@ -586,10 +693,84 @@ mod tests {
             drop(stream);
             server.join().expect("scripted server");
 
-            let (mut client, server) = scripted(&[HEADER, chunk, done]);
+            let (mut client, server) = scripted(&frames);
             let err = client.query("select 1").expect_err(done);
             assert_protocol_error(&err, "without a row count");
             server.join().expect("scripted server");
         }
+    }
+
+    #[test]
+    fn a_chunk_frame_outside_a_result_stream_is_a_protocol_error() {
+        let (mut client, server) = scripted(&[ints(&[1])]);
+        let err = client.ping().expect_err("accepted a chunk as the pong");
+        assert_protocol_error(&err, "outside a result stream");
+        server.join().expect("scripted server");
+    }
+
+    #[test]
+    fn a_bad_chunk_frame_is_a_protocol_error() {
+        // A frame of `rows` rows whose columns are `body`.
+        let payload = |rows: usize, body: &[u8]| {
+            let mut payload = (rows as u32).to_le_bytes().to_vec();
+            payload.extend_from_slice(body);
+            chunk_frame(&payload)
+        };
+        let one_string = |ends: &[u32], bytes: &[u8]| {
+            let mut body = vec![0];
+            ends.iter()
+                .for_each(|e| body.extend_from_slice(&e.to_le_bytes()));
+            body.extend_from_slice(bytes);
+            payload(ends.len(), &body)
+        };
+        let mut oversized = vec![CHUNK_TAG];
+        oversized.extend_from_slice(&(MAX_CHUNK_PAYLOAD as u32 + 1).to_le_bytes());
+        let mut truncated = ints(&[1, 2, 3]);
+        truncated.truncate(truncated.len() - 5);
+        let one_int = [0, 1, 0, 0, 0, 0, 0, 0, 0];
+        let bool_header = r#"{"rows":{"columns":["b"],"types":["bool"]}}"#;
+        let cases = [
+            (HEADER, truncated, "truncated chunk frame"),
+            (HEADER, oversized, "exceeds the 1073741824-byte cap"),
+            (
+                HEADER,
+                payload(WIRE_CHUNK_ROWS + 1, &[0; 1 + 8 * (WIRE_CHUNK_ROWS + 1)]),
+                "exceeds the 4096-row limit",
+            ),
+            (TEXT_HEADER, one_string(&[2], &[0xff, 0xfe]), "not UTF-8"),
+            (
+                TEXT_HEADER,
+                one_string(&[2, 1, 3], b"abc"),
+                "bad utf8 offset 1 after 2",
+            ),
+            (
+                HEADER,
+                payload(1, &[one_int, [9; 9]].concat()),
+                "9 bytes left over",
+            ),
+            (
+                HEADER,
+                payload(1, &[2, 0, 0, 0, 0, 0, 0, 0, 0]),
+                "bad null flag 2",
+            ),
+            (bool_header, payload(1, &[0, 2]), "bad value byte in row 0"),
+        ];
+        for (header, frame, needle) in cases {
+            let (mut client, server) = scripted(&[line(header), frame]);
+            let err = client.query("select 1").expect_err(needle);
+            assert_protocol_error(&err, needle);
+            server.join().expect("scripted server");
+        }
+        // A bad payload read whole leaves the stream readable to its end.
+        let done = line(r#"{"done":{"rows":3}}"#);
+        let frames = [line(TEXT_HEADER), one_string(&[2, 1, 3], b"abc"), done];
+        let (mut client, server) = scripted(&frames);
+        let mut stream = client.query_stream("select 1").expect("header");
+        let err = stream.next_chunk().expect_err("accepted a bad offset");
+        assert_protocol_error(&err, "bad utf8 offset");
+        assert_eq!(stream.next_chunk().expect("done"), None);
+        assert_eq!(stream.total_rows(), Some(3));
+        drop(stream);
+        server.join().expect("scripted server");
     }
 }

@@ -7,11 +7,8 @@
 //! null. Objects preserve insertion order (they are association lists, not
 //! hash maps — frames are small and ordered output is nice to read).
 //!
-//! The parser is a pull parser: `Json::parse` builds a tree with it, and
-//! the protocol decodes result rows with the same methods straight into
-//! typed values, so the crate has one JSON grammar. The writer primitives
-//! (escaped string, integer, float) likewise serve both `Json::write_to`
-//! and the protocol's chunk encoder.
+//! Result rows do not use it: they travel as binary chunk frames (see
+//! [`crate::protocol`]).
 
 use std::fmt::{self, Write as _};
 
@@ -147,7 +144,7 @@ impl fmt::Display for Json {
 }
 
 /// Append `s` as a JSON string literal.
-pub(crate) fn write_escaped(out: &mut String, s: &str) {
+fn write_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     // Every byte that needs escaping is ASCII, so the runs between them
@@ -177,7 +174,7 @@ pub(crate) fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Append `v` in decimal, as `{v}` renders it.
-pub(crate) fn write_i64(out: &mut String, v: i64) {
+fn write_i64(out: &mut String, v: i64) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     let mut n = v.unsigned_abs();
@@ -196,7 +193,7 @@ pub(crate) fn write_i64(out: &mut String, v: i64) {
 }
 
 /// Append `v` as a JSON number, or `null` when it is not finite.
-pub(crate) fn write_f64(out: &mut String, v: f64) {
+fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // `{:?}` is shortest-roundtrip and always keeps a `.0` on integral
         // values, so floats re-parse as floats.
@@ -207,26 +204,17 @@ pub(crate) fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// A number token's value: [`Json::Int`] or [`Json::Float`] without the tree.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Number {
-    Int(i64),
-    Float(f64),
-}
-
 /// Nesting depth cap: protocol frames are flat, so anything deep is abuse.
 const MAX_DEPTH: usize = 32;
 
-/// A pull parser over one JSON text: [`Json::parse`] builds a tree with
-/// it, and the protocol decodes result rows with the same methods straight
-/// into typed values.
-pub(crate) struct Parser<'a> {
+/// A pull parser over one JSON text: [`Json::parse`] builds a tree with it.
+struct Parser<'a> {
     text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
         Parser { text, pos: 0 }
     }
 
@@ -234,17 +222,7 @@ impl<'a> Parser<'a> {
         self.text.as_bytes()
     }
 
-    /// Byte offset of the next token.
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Go back to an offset returned by [`Parser::pos`].
-    pub(crate) fn seek(&mut self, pos: usize) {
-        self.pos = pos;
-    }
-
-    pub(crate) fn skip_ws(&mut self) {
+    fn skip_ws(&mut self) {
         while let Some(b) = self.bytes().get(self.pos) {
             match b {
                 b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
@@ -254,7 +232,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Require that only whitespace is left.
-    pub(crate) fn end(&mut self) -> Result<(), String> {
+    fn end(&mut self) -> Result<(), String> {
         self.skip_ws();
         if self.pos != self.text.len() {
             return Err(format!("trailing bytes at offset {}", self.pos));
@@ -262,7 +240,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    pub(crate) fn peek(&self) -> Option<u8> {
+    fn peek(&self) -> Option<u8> {
         self.bytes().get(self.pos).copied()
     }
 
@@ -278,7 +256,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    pub(crate) fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
+    fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
         if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
@@ -289,7 +267,7 @@ impl<'a> Parser<'a> {
 
     /// One value of any kind, as a tree. `depth` counts the containers
     /// around it.
-    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         if depth > MAX_DEPTH {
             return Err("nesting too deep".into());
         }
@@ -298,7 +276,7 @@ impl<'a> Parser<'a> {
                 let mut fields = Vec::new();
                 self.members(|p, key| {
                     fields.push((key, p.value(depth + 1)?));
-                    Ok::<(), String>(())
+                    Ok(())
                 })?;
                 Ok(Json::Obj(fields))
             }
@@ -306,7 +284,7 @@ impl<'a> Parser<'a> {
                 let mut items = Vec::new();
                 self.elements(|p| {
                     items.push(p.value(depth + 1)?);
-                    Ok::<(), String>(())
+                    Ok(())
                 })?;
                 Ok(Json::Arr(items))
             }
@@ -314,20 +292,17 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_lit("false").map(|()| Json::Bool(false)),
             Some(b'n') => self.eat_lit("null").map(|()| Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number().map(|n| match n {
-                Number::Int(v) => Json::Int(v),
-                Number::Float(v) => Json::Float(v),
-            }),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             Some(b) => Err(format!("unexpected `{}` at offset {}", b as char, self.pos)),
             None => Err("unexpected end of input".into()),
         }
     }
 
     /// An object: `member` parses each value, given its key.
-    pub(crate) fn members<E: From<String>>(
+    fn members(
         &mut self,
-        mut member: impl FnMut(&mut Self, String) -> Result<(), E>,
-    ) -> Result<(), E> {
+        mut member: impl FnMut(&mut Self, String) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.eat(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -348,16 +323,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(());
                 }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos).into()),
+                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
             }
         }
     }
 
     /// An array: `item` parses each element.
-    pub(crate) fn elements<E: From<String>>(
+    fn elements(
         &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<(), E>,
-    ) -> Result<(), E> {
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.eat(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -374,7 +349,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(());
                 }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos).into()),
+                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
             }
         }
     }
@@ -386,7 +361,7 @@ impl<'a> Parser<'a> {
     }
 
     /// A string literal, unescaped and appended to `out`.
-    pub(crate) fn string_into(&mut self, out: &mut String) -> Result<(), String> {
+    fn string_into(&mut self, out: &mut String) -> Result<(), String> {
         self.eat(b'"')?;
         loop {
             // The text is a `str` and both stop bytes are ASCII, so the run
@@ -453,7 +428,7 @@ impl<'a> Parser<'a> {
 
     /// A number: an integer when it has no fraction or exponent and fits
     /// an i64, else a float.
-    pub(crate) fn number(&mut self) -> Result<Number, String> {
+    fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -472,11 +447,11 @@ impl<'a> Parser<'a> {
         let text = &self.text[start..self.pos];
         if !fractional {
             if let Ok(v) = text.parse::<i64>() {
-                return Ok(Number::Int(v));
+                return Ok(Json::Int(v));
             }
         }
         text.parse::<f64>()
-            .map(Number::Float)
+            .map(Json::Float)
             .map_err(|_| format!("bad number `{text}`"))
     }
 }

@@ -1,8 +1,9 @@
 //! # bfq-server — a network front-end for the bfq engine
 //!
-//! Serves one shared [`bfq::Engine`] to many clients over TCP with a
-//! newline-delimited JSON protocol (see [`mod@protocol`] for the wire
-//! format). The design goals, in order:
+//! Serves one shared [`bfq::Engine`] to many clients over TCP: requests
+//! and control frames are JSON lines, result rows travel as binary column
+//! chunks (see [`mod@protocol`] for the wire format). The design goals, in
+//! order:
 //!
 //! 1. **Admission control** — a bounded worker pool and a bounded wait
 //!    queue; the server sheds load by rejecting (`server_busy`) instead

@@ -1,23 +1,49 @@
-//! Wire protocol: newline-delimited JSON frames.
+//! Wire protocol: JSON-line control frames and binary result chunks.
 //!
-//! Every frame is one JSON object on one line (`\n`-terminated); neither
-//! side ever sends a literal newline inside a frame. The server speaks
-//! first with a [`Hello`] frame, then the client sends [`Request`]s and
-//! reads one *response sequence* per request:
+//! Requests and every frame but result rows are one JSON object on one
+//! line (`\n`-terminated); neither side ever sends a literal newline
+//! inside such a frame. The server speaks first with a [`Hello`] frame,
+//! then the client sends [`Request`]s and reads one *response sequence*
+//! per request:
 //!
 //! * most commands answer with a single `{"ok":{...}}` or
 //!   `{"error":{"code","message"}}` frame;
 //! * `query` / `execute` stream: one `{"rows":{"columns","types"}}` header,
-//!   zero or more `{"chunk":[[row],...]}` frames, then `{"done":{"rows":N}}`
-//!   — or an `{"error":...}` frame at any point, which terminates the
-//!   sequence (results are never resumed after an error);
+//!   zero or more binary chunk frames, then `{"done":{"rows":N}}` — or an
+//!   `{"error":...}` frame at any point, which terminates the sequence
+//!   (results are never resumed after an error);
 //! * `metrics` answers `{"metrics":{"text":"..."}}`.
 //!
-//! A `chunk` frame carries at most [`WIRE_CHUNK_ROWS`] rows. The server
-//! writes a response into one per-session buffer and sends it at the end
-//! of every response sequence, and mid-sequence whenever the buffer
-//! reaches 64 KiB: a short response is one socket write, and a long
+//! A reader tells the two kinds apart by their first byte: a JSON frame
+//! starts with `{`, a chunk frame with [`CHUNK_TAG`], a byte that never
+//! occurs in UTF-8 text. A chunk frame outside a rows sequence is a
+//! protocol error.
+//!
+//! The server writes a response into one per-session buffer and sends it
+//! at the end of every response sequence, and mid-sequence whenever the
+//! buffer reaches 64 KiB: a short response is one socket write, and a long
 //! result still streams under TCP backpressure.
+//!
+//! ## Chunk frames
+//!
+//! A chunk frame carries at most [`WIRE_CHUNK_ROWS`] rows, column by
+//! column in the header's order. All integers are little-endian.
+//!
+//! ```text
+//! frame   = tag:u8 (0xC1)  len:u32  payload[len]     len <= MAX_CHUNK_PAYLOAD
+//! payload = rows:u32  column*                         one per header column
+//! column  = 0x00 values                               no NULLs
+//!         | 0x01 bitmap[ceil(rows/8)] values          bit i (LSB first) set = row i valid
+//! values  = int64:   rows x i64
+//!         | float64: rows x f64 bit pattern
+//!         | date:    rows x i32
+//!         | bool:    rows x u8 (0 or 1)
+//!         | utf8:    rows x u32 end offset, then the bytes up to the last end
+//! ```
+//!
+//! A NULL row still has a value slot, whose content is ignored. The
+//! client checks every count, flag, offset and byte against the payload
+//! before using it ([`decode_chunk`]).
 //!
 //! ## Commands
 //!
@@ -35,12 +61,14 @@
 //!
 //! ## Values
 //!
-//! Datums are typed by the header's `types` array (`int64`, `float64`,
-//! `utf8`, `bool`, `date`): integers and dates travel as JSON numbers
-//! (dates as days since 1970-01-01), floats as shortest-roundtrip JSON
-//! numbers, strings as strings, NULL as `null`. `execute` params carry
-//! their own types structurally; a `{"date":D}` object spells a date
-//! parameter (plain numbers bind as int64).
+//! Result cells are typed by the header's `types` array (`int64`,
+//! `float64`, `utf8`, `bool`, `date`) and travel in chunk frames as above:
+//! dates as days since 1970-01-01, floats bit-exact (NaN, ±inf and −0.0
+//! arrive as themselves), NULL in the column's bitmap. `execute` params
+//! are JSON and carry their own types structurally: integers and floats as
+//! JSON numbers, strings as strings, NULL as `null`, and a `{"date":D}`
+//! object spells a date parameter (plain numbers bind as int64). JSON has
+//! no NaN or infinity, so a non-finite float parameter travels as `null`.
 //!
 //! ## Errors
 //!
@@ -55,18 +83,18 @@ use std::ops::Range;
 use bfq::prelude::{BfqError, DataType, Datum};
 use bfq_storage::{Chunk, Column};
 
-use crate::json::{write_escaped, write_f64, write_i64, Json, Number, Parser};
+use crate::json::Json;
 
 /// Protocol version in the hello frame. Bump on incompatible changes.
-pub const PROTOCOL_VERSION: i64 = 1;
+pub const PROTOCOL_VERSION: i64 = 2;
 
 /// Error code for a connection rejected by admission control.
 pub const CODE_SERVER_BUSY: &str = "server_busy";
 /// Error code for malformed frames (bad JSON, unknown command, bad field).
 pub const CODE_PROTOCOL: &str = "protocol";
 
-/// Rows per `chunk` frame: engine chunks larger than this are split so no
-/// single response line grows unboundedly.
+/// Rows per chunk frame: engine chunks larger than this are split so no
+/// single frame grows unboundedly.
 pub const WIRE_CHUNK_ROWS: usize = 4096;
 
 /// The server's opening frame: identifies the session and hands the client
@@ -271,8 +299,10 @@ pub fn param_from_json(v: &Json) -> Result<Datum, String> {
     }
 }
 
-/// Encode one result cell. The column type disambiguates on the way back
-/// ([`datum_from_json`]), so dates travel as bare day numbers here.
+/// A value as a JSON tree, dates as bare day numbers: the column type
+/// disambiguates on the way back ([`datum_from_json`]). Result rows travel
+/// in binary chunk frames ([`encode_chunk`]); this is for callers that
+/// want cells as JSON.
 pub fn datum_to_json(d: &Datum) -> Json {
     match d {
         Datum::Null => Json::Null,
@@ -284,7 +314,7 @@ pub fn datum_to_json(d: &Datum) -> Json {
     }
 }
 
-/// Decode one result cell using the column type from the rows header.
+/// Decode one [`datum_to_json`] value by its column type.
 pub fn datum_from_json(ty: DataType, v: &Json) -> Result<Datum, String> {
     if matches!(v, Json::Null) {
         return Ok(Datum::Null);
@@ -314,213 +344,236 @@ fn expected(ty: DataType) -> String {
     .into()
 }
 
-/// Append the frame `{"chunk":[[row],...]}` for `rows` of `chunk` to `out`,
-/// with no trailing newline. The bytes are those of the [`Json`] tree built
-/// from [`datum_to_json`] of each cell, written straight from the columns.
+/// First byte of a binary chunk frame. It never occurs in UTF-8 text, so no
+/// JSON frame starts with it.
+pub const CHUNK_TAG: u8 = 0xC1;
+/// Bytes before a chunk frame's payload: [`CHUNK_TAG`] and the payload
+/// length as a `u32` LE.
+pub const CHUNK_HEADER_BYTES: usize = 5;
+/// Largest chunk payload either side accepts, in bytes.
+pub const MAX_CHUNK_PAYLOAD: usize = 1 << 30;
+
+/// Append the binary chunk frame for `rows` of `chunk` to `out`: the tag,
+/// the payload length, then the payload laid out as the module docs say.
+/// `Err`, with `out` as it was, when the payload would exceed
+/// [`MAX_CHUNK_PAYLOAD`].
 ///
 /// # Panics
 ///
-/// If `rows` reaches past the end of the chunk.
-pub fn encode_chunk_frame(chunk: &Chunk, rows: Range<usize>, out: &mut String) {
-    let columns: Vec<_> = chunk
-        .columns()
-        .iter()
-        .map(|c| (c.as_ref(), c.validity()))
-        .collect();
-    out.push_str("{\"chunk\":[");
-    for i in rows.clone() {
-        if i > rows.start {
-            out.push(',');
+/// If `rows` reaches past the end of the chunk or spans more than
+/// [`WIRE_CHUNK_ROWS`] rows.
+pub fn encode_chunk(chunk: &Chunk, rows: Range<usize>, out: &mut Vec<u8>) -> Result<(), String> {
+    assert!(
+        rows.len() <= WIRE_CHUNK_ROWS,
+        "a chunk frame carries at most {WIRE_CHUNK_ROWS} rows"
+    );
+    let start = out.len();
+    out.push(CHUNK_TAG);
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&wire_u32(rows.len()).to_le_bytes());
+    for column in chunk.columns() {
+        encode_column(column, rows.clone(), out).inspect_err(|_| out.truncate(start))?;
+    }
+    let payload = out.len() - start - CHUNK_HEADER_BYTES;
+    if payload > MAX_CHUNK_PAYLOAD {
+        out.truncate(start);
+        return Err(too_large(payload));
+    }
+    out[start + 1..start + CHUNK_HEADER_BYTES].copy_from_slice(&wire_u32(payload).to_le_bytes());
+    Ok(())
+}
+
+/// One column's null flag, bitmap and values.
+fn encode_column(column: &Column, rows: Range<usize>, out: &mut Vec<u8>) -> Result<(), String> {
+    match column.validity() {
+        None => out.push(0),
+        Some(valid) => {
+            out.push(1);
+            let bitmap = out.len();
+            out.resize(bitmap + rows.len().div_ceil(8), 0);
+            for (k, i) in rows.clone().enumerate() {
+                out[bitmap + k / 8] |= u8::from(valid.get(i)) << (k % 8);
+            }
         }
-        out.push('[');
-        for (j, &(column, validity)) in columns.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            if validity.is_some_and(|v| !v.get(i)) {
-                out.push_str("null");
-                continue;
-            }
-            match column {
-                Column::Int64(v, _) => write_i64(out, v[i]),
-                Column::Float64(v, _) => write_f64(out, v[i]),
-                Column::Utf8(v, _) => write_escaped(out, v.get(i)),
-                Column::Bool(v, _) => out.push_str(if v[i] { "true" } else { "false" }),
-                Column::Date(v, _) => write_i64(out, i64::from(v[i])),
-            }
-        }
-        out.push(']');
     }
-    out.push_str("]}");
-}
-
-/// A frame read while a result stream is open, as [`decode_stream_frame`]
-/// classifies it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamFrame {
-    /// A `chunk` frame: its rows were appended to the output.
-    Chunk,
-    /// A `chunk` frame whose body does not fit the header: not an array of
-    /// rows, a row of the wrong width, or a cell of the wrong type.
-    BadChunk(String),
-    /// Any other frame (`done`, `error`, or one that does not belong in a
-    /// stream), as a tree.
-    Control(Json),
-}
-
-/// Decode one frame of an open result stream by the header's column
-/// `types`. A `chunk` frame's rows are parsed straight into [`Datum`]s and
-/// appended to `out`, with no [`Json`] node in between; every other frame
-/// comes back as a tree. Decides exactly as [`Json::parse`] followed by
-/// [`datum_from_json`] on each cell: an object with an `error` or `done`
-/// member is a control frame, otherwise its first `chunk` member is the
-/// body. `Err` means the text is not one JSON document; `out` is left as
-/// it was unless the result is [`StreamFrame::Chunk`].
-pub fn decode_stream_frame(
-    text: &str,
-    types: &[DataType],
-    out: &mut Vec<Vec<Datum>>,
-) -> Result<StreamFrame, String> {
-    let before = out.len();
-    let frame = stream_frame(text, types, out);
-    if !matches!(frame, Ok(StreamFrame::Chunk)) {
-        out.truncate(before);
-    }
-    frame
-}
-
-fn stream_frame(
-    text: &str,
-    types: &[DataType],
-    out: &mut Vec<Vec<Datum>>,
-) -> Result<StreamFrame, String> {
-    let mut p = Parser::new(text);
-    p.skip_ws();
-    if p.peek() != Some(b'{') {
-        let frame = p.value(0)?;
-        p.end()?;
-        return Ok(StreamFrame::Control(frame));
-    }
-    let mut fields = Vec::new();
-    let mut body = None;
-    p.members(|p, key| {
-        if key == "chunk" && body.is_none() {
-            let start = p.pos();
-            body = Some(match chunk_body(p, types, out) {
-                Ok(()) => Ok(()),
-                Err(BodyError::Syntax(e)) => return Err(e),
-                Err(BodyError::Mismatch(e)) => {
-                    // Parse the body again as a tree: a syntax error
-                    // anywhere in it still makes the frame unreadable.
-                    p.seek(start);
-                    p.value(1)?;
-                    Err(e)
+    match column {
+        Column::Int64(v, _) => v[rows]
+            .iter()
+            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+        Column::Float64(v, _) => v[rows]
+            .iter()
+            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+        Column::Date(v, _) => v[rows]
+            .iter()
+            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+        Column::Bool(v, _) => out.extend(v[rows].iter().map(|&b| u8::from(b))),
+        Column::Utf8(v, _) => {
+            let mut end = 0;
+            for i in rows.clone() {
+                end += v.get(i).len();
+                if end > MAX_CHUNK_PAYLOAD {
+                    return Err(too_large(end));
                 }
-            });
-        } else {
-            fields.push((key, p.value(1)?));
+                out.extend_from_slice(&wire_u32(end).to_le_bytes());
+            }
+            for i in rows {
+                out.extend_from_slice(v.get(i).as_bytes());
+            }
         }
-        Ok(())
-    })?;
-    p.end()?;
-    let control = fields.iter().any(|(k, _)| k == "error" || k == "done");
-    match body {
-        Some(Ok(())) if !control => Ok(StreamFrame::Chunk),
-        Some(Err(e)) if !control => Ok(StreamFrame::BadChunk(e)),
-        // A control frame that also carries a `chunk` member: rare enough
-        // to read again as a whole tree.
-        Some(_) => Json::parse(text).map(StreamFrame::Control),
-        None => Ok(StreamFrame::Control(Json::Obj(fields))),
     }
+    Ok(())
 }
 
-/// Why a `chunk` body stopped decoding.
-enum BodyError {
-    /// The text is not JSON.
-    Syntax(String),
-    /// Valid JSON so far, but not rows of the header's types.
-    Mismatch(String),
+/// A count the caller has bounded by [`MAX_CHUNK_PAYLOAD`], as a `u32`.
+fn wire_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("counts on the wire are bounded by MAX_CHUNK_PAYLOAD")
 }
 
-impl From<String> for BodyError {
-    fn from(e: String) -> BodyError {
-        BodyError::Syntax(e)
-    }
+fn too_large(bytes: usize) -> String {
+    format!("chunk payload of {bytes} bytes exceeds the {MAX_CHUNK_PAYLOAD}-byte cap")
 }
 
-/// Pull the rows of a `chunk` body into `out`.
-fn chunk_body(
-    p: &mut Parser<'_>,
-    types: &[DataType],
-    out: &mut Vec<Vec<Datum>>,
-) -> Result<(), BodyError> {
-    if p.peek() != Some(b'[') {
-        return Err(BodyError::Mismatch(
-            "expected chunk frame: `chunk` is not an array".into(),
+/// The payload length a chunk frame's header announces. `Err` when the
+/// header does not start with [`CHUNK_TAG`] or the length exceeds
+/// [`MAX_CHUNK_PAYLOAD`].
+pub fn chunk_payload_len(header: &[u8; CHUNK_HEADER_BYTES]) -> Result<usize, String> {
+    let [tag, len @ ..] = *header;
+    if tag != CHUNK_TAG {
+        return Err(format!(
+            "expected chunk tag 0x{CHUNK_TAG:02X}, got 0x{tag:02X}"
         ));
     }
-    let mut text = String::new();
-    p.elements(|p| {
-        if p.peek() != Some(b'[') {
-            return Err(BodyError::Mismatch("chunk row must be an array".into()));
-        }
-        let mut row = Vec::with_capacity(types.len());
-        p.elements(|p| {
-            let Some(&ty) = types.get(row.len()) else {
-                return Err(BodyError::Mismatch(format!(
-                    "row wider than header width {}",
-                    types.len()
-                )));
-            };
-            row.push(cell(p, ty, &mut text)?);
-            Ok(())
-        })?;
-        if row.len() != types.len() {
-            return Err(BodyError::Mismatch(format!(
-                "row width {} does not match header width {}",
-                row.len(),
-                types.len()
-            )));
-        }
-        out.push(row);
-        Ok(())
-    })
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_CHUNK_PAYLOAD {
+        return Err(too_large(len));
+    }
+    Ok(len)
 }
 
-/// One cell of type `ty`; `text` is scratch space for strings.
-fn cell(p: &mut Parser<'_>, ty: DataType, text: &mut String) -> Result<Datum, BodyError> {
-    let mismatch = || BodyError::Mismatch(expected(ty));
-    match (p.peek(), ty) {
-        (Some(b'n'), _) => {
-            p.eat_lit("null")?;
-            Ok(Datum::Null)
-        }
-        (Some(b'-' | b'0'..=b'9'), DataType::Int64 | DataType::Float64 | DataType::Date) => {
-            match (p.number()?, ty) {
-                (Number::Int(v), DataType::Int64) => Ok(Datum::Int(v)),
-                (Number::Int(v), DataType::Float64) => Ok(Datum::Float(v as f64)),
-                (Number::Float(v), DataType::Float64) => Ok(Datum::Float(v)),
-                (Number::Int(v), DataType::Date) => {
-                    i32::try_from(v).map(Datum::Date).map_err(|_| mismatch())
+/// Decode one chunk payload by the header's column `types`, appending its
+/// rows to `out`. Every count, flag, offset and byte is checked against
+/// the payload before it is used, and rows are allocated only once the
+/// payload is long enough to hold them. On `Err`, `out` is as it was.
+pub fn decode_chunk(
+    payload: &[u8],
+    types: &[DataType],
+    out: &mut Vec<Vec<Datum>>,
+) -> Result<(), String> {
+    let before = out.len();
+    decode_columns(payload, types, out, before).inspect_err(|_| out.truncate(before))
+}
+
+fn decode_columns(
+    mut rest: &[u8],
+    types: &[DataType],
+    out: &mut Vec<Vec<Datum>>,
+    before: usize,
+) -> Result<(), String> {
+    let n = take(&mut rest, 4)?;
+    let n = u32::from_le_bytes(n.try_into().expect("4-byte row count")) as usize;
+    if n > WIRE_CHUNK_ROWS {
+        return Err(format!(
+            "chunk of {n} rows exceeds the {WIRE_CHUNK_ROWS}-row limit"
+        ));
+    }
+    // Each column needs at least its flag and `n` fixed-width values.
+    let least = types.iter().fold(0usize, |sum, &ty| {
+        sum.saturating_add(1 + n * value_width(ty))
+    });
+    if rest.len() < least {
+        return Err(format!(
+            "chunk payload too short for {n} rows of {} columns",
+            types.len()
+        ));
+    }
+    out.extend((0..n).map(|_| Vec::with_capacity(types.len())));
+    let rows = &mut out[before..];
+    for &ty in types {
+        let valid = match take(&mut rest, 1)?[0] {
+            0 => None,
+            1 => Some(take(&mut rest, n.div_ceil(8))?),
+            flag => return Err(format!("bad null flag {flag}")),
+        };
+        let is_valid = |i: usize| valid.is_none_or(|v| v[i / 8] >> (i % 8) & 1 == 1);
+        let values = take(&mut rest, n * value_width(ty))?;
+        match ty {
+            DataType::Int64 => push_fixed(rows, values, is_valid, |b| {
+                Some(Datum::Int(i64::from_le_bytes(b)))
+            })?,
+            DataType::Float64 => push_fixed(rows, values, is_valid, |b| {
+                Some(Datum::Float(f64::from_le_bytes(b)))
+            })?,
+            DataType::Date => push_fixed(rows, values, is_valid, |b| {
+                Some(Datum::Date(i32::from_le_bytes(b)))
+            })?,
+            DataType::Bool => push_fixed(rows, values, is_valid, |[b]: [u8; 1]| match b {
+                0 | 1 => Some(Datum::Bool(b == 1)),
+                _ => None,
+            })?,
+            DataType::Utf8 => {
+                let end_of = |i: usize| {
+                    let b = values[4 * i..4 * i + 4].try_into().expect("4-byte offset");
+                    u32::from_le_bytes(b) as usize
+                };
+                let len = if n == 0 { 0 } else { end_of(n - 1) };
+                let text = std::str::from_utf8(take(&mut rest, len)?)
+                    .map_err(|e| format!("utf8 column is not UTF-8: {e}"))?;
+                let mut start = 0;
+                for (i, row) in rows.iter_mut().enumerate() {
+                    let end = end_of(i);
+                    // `get` refuses an end before the start, past the text
+                    // or inside a character.
+                    let s = text
+                        .get(start..end)
+                        .ok_or_else(|| format!("bad utf8 offset {end} after {start}"))?;
+                    row.push(if is_valid(i) {
+                        Datum::str(s)
+                    } else {
+                        Datum::Null
+                    });
+                    start = end;
                 }
-                _ => Err(mismatch()),
             }
         }
-        (Some(b'"'), DataType::Utf8) => {
-            text.clear();
-            p.string_into(text)?;
-            Ok(Datum::str(text.as_str()))
-        }
-        (Some(b't'), DataType::Bool) => {
-            p.eat_lit("true")?;
-            Ok(Datum::Bool(true))
-        }
-        (Some(b'f'), DataType::Bool) => {
-            p.eat_lit("false")?;
-            Ok(Datum::Bool(false))
-        }
-        _ => Err(mismatch()),
     }
+    if !rest.is_empty() {
+        return Err(format!("{} bytes left over after the chunk", rest.len()));
+    }
+    Ok(())
+}
+
+/// Bytes per value: `utf8` counts its end offset.
+fn value_width(ty: DataType) -> usize {
+    match ty {
+        DataType::Int64 | DataType::Float64 => 8,
+        DataType::Date | DataType::Utf8 => 4,
+        DataType::Bool => 1,
+    }
+}
+
+/// The next `len` bytes of `rest`.
+fn take<'a>(rest: &mut &'a [u8], len: usize) -> Result<&'a [u8], String> {
+    let (head, tail) = rest
+        .split_at_checked(len)
+        .ok_or_else(|| format!("chunk payload ends {} bytes early", len - rest.len()))?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// Append one cell per row from `W`-byte values; `datum` refuses a value
+/// with `None`.
+fn push_fixed<const W: usize>(
+    rows: &mut [Vec<Datum>],
+    values: &[u8],
+    is_valid: impl Fn(usize) -> bool,
+    datum: impl Fn([u8; W]) -> Option<Datum>,
+) -> Result<(), String> {
+    for (i, (row, value)) in rows.iter_mut().zip(values.chunks_exact(W)).enumerate() {
+        let value = value.try_into().expect("chunks_exact yields W bytes");
+        let d = datum(value).ok_or_else(|| format!("bad value byte in row {i}"))?;
+        row.push(if is_valid(i) { d } else { Datum::Null });
+    }
+    Ok(())
 }
 
 /// The wire name of a column type.

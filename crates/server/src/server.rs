@@ -42,7 +42,7 @@ use bfq_storage::Chunk;
 
 use crate::json::Json;
 use crate::protocol::{
-    encode_chunk_frame, error_frame, error_frame_parts, type_name, Hello, Request, CODE_PROTOCOL,
+    encode_chunk, error_frame, error_frame_parts, type_name, Hello, Request, CODE_PROTOCOL,
     CODE_SERVER_BUSY, PROTOCOL_VERSION, WIRE_CHUNK_ROWS,
 };
 
@@ -411,7 +411,8 @@ fn serve_session(shared: &Shared, stream: TcpStream, conn_id: u64, secret: u64) 
     let mut writer = FrameWriter {
         stream: stream.try_clone()?,
         shutdown: &shared.shutdown,
-        buf: String::new(),
+        buf: Vec::new(),
+        text: String::new(),
     };
     let mut reader = BufReader::new(stream);
 
@@ -588,11 +589,10 @@ fn run_query(
         return match outcome {
             Ok(result) => {
                 send_header(writer, &result.column_names, &column_types(&result.chunk))?;
-                send_chunk_rows(writer, &result.chunk)?;
-                writer.send(&Json::obj([(
-                    "done",
-                    Json::obj([("rows", Json::Int(result.chunk.rows() as i64))]),
-                )]))
+                match send_chunk_rows(writer, &result.chunk)? {
+                    Ok(()) => writer.send(&done_frame(result.chunk.rows() as u64)),
+                    Err(e) => writer.send(&error_frame(&e)),
+                }
             }
             Err(e) => writer.send(&error_frame(&e)),
         };
@@ -643,7 +643,9 @@ fn stream_rows(writer: &mut FrameWriter<'_>, mut stream: QueryStream) -> io::Res
         match stream.next() {
             Some(Ok(chunk)) => {
                 rows_sent += chunk.rows() as u64;
-                send_chunk_rows(writer, &chunk)?;
+                if let Err(e) = send_chunk_rows(writer, &chunk)? {
+                    break Some(e);
+                }
             }
             Some(Err(e)) => break Some(e),
             None => break None,
@@ -654,11 +656,12 @@ fn stream_rows(writer: &mut FrameWriter<'_>, mut stream: QueryStream) -> io::Res
     drop(stream);
     match failure {
         Some(e) => writer.send(&error_frame(&e)),
-        None => writer.send(&Json::obj([(
-            "done",
-            Json::obj([("rows", Json::Int(rows_sent as i64))]),
-        )])),
+        None => writer.send(&done_frame(rows_sent)),
     }
+}
+
+fn done_frame(rows: u64) -> Json {
+    Json::obj([("done", Json::obj([("rows", Json::Int(rows as i64))]))])
 }
 
 fn column_types(chunk: &Chunk) -> Vec<bfq::prelude::DataType> {
@@ -690,25 +693,33 @@ fn send_header(
     )]))
 }
 
-/// Encode a result chunk as one or more `chunk` frames (split so a single
-/// line stays bounded).
-fn send_chunk_rows(writer: &mut FrameWriter<'_>, chunk: &Chunk) -> io::Result<()> {
+/// Queue a result chunk as chunk frames of at most [`WIRE_CHUNK_ROWS`]
+/// rows. The inner `Err` is a frame over the payload cap, which ends the
+/// response sequence with an error frame instead.
+fn send_chunk_rows(
+    writer: &mut FrameWriter<'_>,
+    chunk: &Chunk,
+) -> io::Result<Result<(), BfqError>> {
     let rows = chunk.rows();
     let mut start = 0;
     while start < rows {
         let end = (start + WIRE_CHUNK_ROWS).min(rows);
-        writer.queue(|buf| encode_chunk_frame(chunk, start..end, buf))?;
+        if let Err(e) = encode_chunk(chunk, start..end, &mut writer.buf) {
+            return Ok(Err(BfqError::Execution(e)));
+        }
+        writer.queued()?;
         start = end;
     }
-    Ok(())
+    Ok(Ok(()))
 }
 
 fn ok_frame(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::obj([("ok", Json::obj(fields))])
 }
 
-/// A session's response channel. Frames go out line-delimited through one
-/// reused buffer, written at the end of each response sequence
+/// A session's response channel. JSON frames (as lines) and chunk frames
+/// go out through one reused buffer, written at the end of each response
+/// sequence
 /// ([`FrameWriter::flush`]) and whenever it reaches [`FLUSH_BYTES`]. The
 /// write loop is bounded: the socket carries the poll-interval write
 /// timeout, and every timeout tick re-checks the shutdown flag — so a
@@ -717,20 +728,23 @@ fn ok_frame(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 struct FrameWriter<'a> {
     stream: TcpStream,
     shutdown: &'a AtomicBool,
-    buf: String,
+    buf: Vec<u8>,
+    /// Scratch text for one JSON frame.
+    text: String,
 }
 
 impl FrameWriter<'_> {
-    /// Queue one frame as a line.
+    /// Queue one JSON frame as a line.
     fn send(&mut self, frame: &Json) -> io::Result<()> {
-        self.queue(|buf| frame.write_to(buf))
+        self.text.clear();
+        frame.write_to(&mut self.text);
+        self.buf.extend_from_slice(self.text.as_bytes());
+        self.buf.push(b'\n');
+        self.queued()
     }
 
-    /// Queue the line `encode` appends, writing the buffer out if that
-    /// fills it.
-    fn queue(&mut self, encode: impl FnOnce(&mut String)) -> io::Result<()> {
-        encode(&mut self.buf);
-        self.buf.push('\n');
+    /// Write the buffer out if what was just queued filled it.
+    fn queued(&mut self) -> io::Result<()> {
         if self.buf.len() >= FLUSH_BYTES {
             self.flush()
         } else {
@@ -740,7 +754,7 @@ impl FrameWriter<'_> {
 
     /// Write out everything queued, resuming from partial writes.
     fn flush(&mut self) -> io::Result<()> {
-        let bytes = self.buf.as_bytes();
+        let bytes = &self.buf[..];
         let mut written = 0;
         while written < bytes.len() {
             if self.shutdown.load(Ordering::SeqCst) {

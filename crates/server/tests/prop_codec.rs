@@ -1,20 +1,18 @@
-//! The result-row codec against the JSON tree it stands in for.
+//! The binary chunk codec and the JSON tree writer.
 //!
-//! * `encode_chunk_frame` and `Json::write_to` write exactly the bytes the
-//!   formatter-based serializer wrote for the tree built from
-//!   `datum_to_json` of each cell, over random chunks of all five types,
-//!   nullable and null-free columns, NaN, ±inf, −0.0, `i64::MIN`/`MAX`,
-//!   negative dates, strings with quotes, backslashes, control characters
-//!   and non-ASCII text, empty chunks, and row ranges that cross
-//!   `WIRE_CHUNK_ROWS`.
-//! * `decode_stream_frame` returns exactly the rows that `Json::parse`
-//!   followed by `datum_from_json` returns, and fails exactly when that
-//!   does, on those frames and on mutated ones: truncations, byte flips,
-//!   whitespace between tokens, wrong row widths, int↔float tokens,
-//!   out-of-range dates, foreign cells, extra members and headers whose
-//!   types disagree with the cells. An intact frame decodes back to the
-//!   chunk's own rows, which also checks the string and number scanning
-//!   both decoders share.
+//! * `encode_chunk` then `decode_chunk` give back exactly the rows of the
+//!   chunk, floats compared by bit pattern, over random chunks of all five
+//!   types, nullable and null-free columns, NaN, ±inf, −0.0,
+//!   `i64::MIN`/`MAX`, negative dates, strings with quotes, backslashes,
+//!   control characters and non-ASCII text, zero-width and empty chunks,
+//!   row ranges that cross `WIRE_CHUNK_ROWS`, and a whole chunk split into
+//!   frames as the server splits it.
+//! * A frame cut short at any offset, or with random bytes overwritten,
+//!   decodes to `Err` or to rows, never panics, and leaves rows already
+//!   gathered as they were. `mutated_frames_never_panic_long` runs the same
+//!   check over many more cases (`cargo test --release -- --ignored`).
+//! * `Json::write_to`, which control frames still use, writes exactly the
+//!   bytes of a formatter-based serializer for the tree of those chunks.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -22,7 +20,7 @@ use std::sync::Arc;
 use bfq_common::{DataType, Datum};
 use bfq_server::json::Json;
 use bfq_server::protocol::{
-    datum_from_json, datum_to_json, decode_stream_frame, encode_chunk_frame, StreamFrame,
+    chunk_payload_len, datum_to_json, decode_chunk, encode_chunk, CHUNK_HEADER_BYTES,
     WIRE_CHUNK_ROWS,
 };
 use bfq_storage::{Bitmap, Chunk, Column, StrData};
@@ -152,7 +150,7 @@ fn chunk_and_range(rng: &mut TestRng) -> (Chunk, Range<usize>) {
     (chunk, range)
 }
 
-/// The frame as a tree: what the server built before the direct encoder.
+/// The rows of `chunk` as a JSON tree, as `datum_to_json` spells them.
 fn tree(chunk: &Chunk, rows: Range<usize>) -> Json {
     let body = rows
         .map(|i| Json::Arr(chunk.row(i).iter().map(datum_to_json).collect()))
@@ -160,8 +158,8 @@ fn tree(chunk: &Chunk, rows: Range<usize>) -> Json {
     Json::obj([("chunk", Json::Arr(body))])
 }
 
-/// The tree's text as the formatter-based serializer wrote it before
-/// `Json::write_to`: the byte-for-byte reference for both encoders.
+/// The tree's text as a formatter-based serializer writes it: the
+/// byte-for-byte reference for `Json::write_to`.
 fn formatted(v: &Json) -> String {
     use std::fmt::Write;
     fn escaped(out: &mut String, s: &str) {
@@ -207,215 +205,121 @@ fn formatted(v: &Json) -> String {
     out
 }
 
-/// Any JSON value, from a small pool of every kind.
-fn foreign(rng: &mut TestRng) -> Json {
-    match rng.below(9) {
-        0 => Json::Null,
-        1 => Json::Bool(rng.below(2) == 0),
-        2 => Json::Int(pick(rng, &INTS)),
-        3 => Json::Int(i64::from(i32::MAX) + 1 + rng.below(4) as i64),
-        4 => Json::Int(i64::from(i32::MIN) - 1 - rng.below(4) as i64),
-        5 => Json::Float(pick(rng, &FLOATS)),
-        6 => Json::Str(pick(rng, &PIECES).into()),
-        7 => Json::Arr(vec![Json::Int(1)]),
-        _ => Json::obj([("date", Json::Int(1))]),
+/// Decode the chunk frames that fill `bytes`, one after another, as the
+/// client reads them off the socket.
+fn decode_frames(mut bytes: &[u8], types: &[DataType]) -> Result<Vec<Vec<Datum>>, String> {
+    let mut rows = Vec::new();
+    while !bytes.is_empty() {
+        let (header, rest) = bytes
+            .split_first_chunk::<CHUNK_HEADER_BYTES>()
+            .ok_or("truncated frame header")?;
+        let len = chunk_payload_len(header)?;
+        let (payload, rest) = rest.split_at_checked(len).ok_or("truncated payload")?;
+        decode_chunk(payload, types, &mut rows)?;
+        bytes = rest;
+    }
+    Ok(rows)
+}
+
+fn types_of(chunk: &Chunk) -> Vec<DataType> {
+    chunk.columns().iter().map(|c| c.data_type()).collect()
+}
+
+/// Rows with every float replaced by its bit pattern, so NaN payloads and
+/// the sign of zero count.
+fn exact(rows: impl IntoIterator<Item = Vec<Datum>>) -> Vec<Vec<Result<Datum, u64>>> {
+    rows.into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|d| match d {
+                    Datum::Float(f) => Err(f.to_bits()),
+                    d => Ok(d),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn rows_of(chunk: &Chunk, rows: Range<usize>) -> Vec<Vec<Datum>> {
+    rows.map(|i| chunk.row(i)).collect()
+}
+
+/// The whole chunk as the server sends it: frames of `WIRE_CHUNK_ROWS`.
+fn server_frames(chunk: &Chunk, out: &mut Vec<u8>) {
+    let mut start = 0;
+    while start < chunk.rows() {
+        let end = (start + WIRE_CHUNK_ROWS).min(chunk.rows());
+        encode_chunk(chunk, start..end, out).expect("under the cap");
+        start = end;
     }
 }
 
-/// One random edit of the tree: a cell, a row, the body or the frame.
-fn mutate_tree(rng: &mut TestRng, frame: &mut Json) {
-    let Json::Obj(fields) = frame else { return };
-    let edit = rng.below(10);
-    match edit {
-        // Another member before or after the body.
-        7 => {
-            let key = pick(rng, &["done", "error", "chunk", "x"]);
-            let member = (key.to_string(), foreign(rng));
-            if rng.below(2) == 0 {
-                fields.insert(0, member);
-            } else {
-                fields.push(member);
-            }
-            return;
-        }
-        // A frame that is not an object.
-        8 => {
-            *frame = std::mem::replace(&mut fields[0].1, Json::Null);
-            return;
-        }
-        9 => {
-            fields[0].0 = pick(rng, &["chunks", "", "Chunk"]).into();
-            return;
-        }
-        _ => {}
-    }
-    let body = &mut fields[0].1;
-    let Json::Arr(rows) = body else { return };
-    if edit == 6 || rows.is_empty() {
-        // A body that is not an array.
-        *body = foreign(rng);
-        return;
-    }
-    let r = rng.below(rows.len() as u64) as usize;
-    let row = &mut rows[r];
-    if edit == 5 {
-        // A row that is not an array.
-        *row = foreign(rng);
-        return;
-    }
-    let Json::Arr(cells) = row else { return };
-    match edit {
-        // Int tokens become floats and floats ints.
-        0 | 1 => {
-            for cell in cells {
-                match *cell {
-                    Json::Int(v) => *cell = Json::Float(v as f64),
-                    Json::Float(v) if v.is_finite() => *cell = Json::Int(v as i64),
-                    _ => {}
-                }
+/// Cut the frames short at `cut` or overwrite a few random bytes, then
+/// decode: rows or `Err`, no panic, and earlier rows untouched on `Err`.
+fn check_mutation(rng: &mut TestRng, frames: &[u8], types: &[DataType], cut: Option<usize>) {
+    let mut bytes = frames.to_vec();
+    match cut {
+        Some(at) => bytes.truncate(at),
+        None => {
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(bytes.len() as u64) as usize;
+                bytes[at] = match rng.below(3) {
+                    0 => rng.next_u64() as u8,
+                    1 => bytes[at] ^ (1 << rng.below(8)),
+                    _ => pick(rng, &[0, 1, 0x7f, 0x80, 0xc1, 0xff]),
+                };
             }
         }
-        // A cell replaced by any value, dates out of range included.
-        2 | 3 if !cells.is_empty() => {
-            let c = rng.below(cells.len() as u64) as usize;
-            cells[c] = foreign(rng);
-        }
-        // Rows one cell narrower or wider.
-        _ if !cells.is_empty() && rng.below(2) == 0 => {
-            cells.pop();
-        }
-        _ => cells.push(foreign(rng)),
     }
-}
-
-/// Render with random whitespace between tokens.
-fn spaced(rng: &mut TestRng, v: &Json, out: &mut String) {
-    fn ws(rng: &mut TestRng, out: &mut String) {
-        for _ in 0..rng.below(4).saturating_sub(2) {
-            out.push(pick(rng, &[' ', '\t', '\r', '\n']));
-        }
-    }
-    ws(rng, out);
-    match v {
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                spaced(rng, item, out);
-            }
-            ws(rng, out);
-            out.push(']');
-        }
-        Json::Obj(fields) => {
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                ws(rng, out);
-                Json::Str(k.clone()).write_to(out);
-                ws(rng, out);
-                out.push(':');
-                spaced(rng, item, out);
-            }
-            ws(rng, out);
-            out.push('}');
-        }
-        leaf => leaf.write_to(out),
-    }
-    ws(rng, out);
-}
-
-/// Cut the text short, or overwrite one ASCII byte with a JSON-significant
-/// one (the text stays UTF-8: the client hands the decoder a `str`).
-fn mutate_bytes(rng: &mut TestRng, text: &mut String) {
-    if text.is_empty() {
-        return;
-    }
-    let mut at = rng.below(text.len() as u64) as usize;
-    if rng.below(2) == 0 {
-        while !text.is_char_boundary(at) {
-            at -= 1;
-        }
-        text.truncate(at);
-    } else if text.as_bytes()[at].is_ascii() {
-        let b = pick(rng, b"\"\\,[]{}:0-.eE+ ntfux\t");
-        text.replace_range(at..at + 1, std::str::from_utf8(&[b]).expect("ASCII"));
-    }
-}
-
-/// What a frame read while a stream is open amounts to.
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    NotJson,
-    Rows(Vec<Vec<Datum>>),
-    BadChunk,
-    Control(Json),
-}
-
-/// `Json::parse`, then `datum_from_json` on every cell of the first
-/// `chunk` member, unless the frame has an `error` or `done` member.
-fn reference(text: &str, types: &[DataType]) -> Outcome {
-    let Ok(frame) = Json::parse(text) else {
-        return Outcome::NotJson;
-    };
-    if frame.get("error").is_some() || frame.get("done").is_some() {
-        return Outcome::Control(frame);
-    }
-    let Some(body) = frame.get("chunk") else {
-        return Outcome::Control(frame);
-    };
-    let Some(rows) = body.as_arr() else {
-        return Outcome::BadChunk;
-    };
-    let mut out = Vec::new();
-    for row in rows {
-        let Some(cells) = row.as_arr().filter(|cells| cells.len() == types.len()) else {
-            return Outcome::BadChunk;
-        };
-        let decoded = cells
-            .iter()
-            .zip(types)
-            .map(|(cell, ty)| datum_from_json(*ty, cell))
-            .collect();
-        match decoded {
-            Ok(decoded) => out.push(decoded),
-            Err(_) => return Outcome::BadChunk,
-        }
-    }
-    Outcome::Rows(out)
-}
-
-fn typed(text: &str, types: &[DataType]) -> Outcome {
-    // Rows already gathered survive any frame, and only a chunk adds any.
     let earlier = vec![vec![Datum::str("earlier")]];
+    let mut rest = &bytes[..];
     let mut out = earlier.clone();
-    let outcome = match decode_stream_frame(text, types, &mut out) {
-        Err(_) => Outcome::NotJson,
-        Ok(StreamFrame::Chunk) => return Outcome::Rows(out.split_off(1)),
-        Ok(StreamFrame::BadChunk(_)) => Outcome::BadChunk,
-        Ok(StreamFrame::Control(frame)) => Outcome::Control(frame),
-    };
-    assert_eq!(out, earlier, "a non-chunk frame changed the output: {text}");
-    outcome
+    while let Some((header, tail)) = rest.split_first_chunk::<CHUNK_HEADER_BYTES>() {
+        let Ok(len) = chunk_payload_len(header) else {
+            break;
+        };
+        let Some((payload, tail)) = tail.split_at_checked(len) else {
+            break;
+        };
+        let before = out.clone();
+        if decode_chunk(payload, types, &mut out).is_err() {
+            assert_eq!(out, before, "a failed decode changed the output");
+            break;
+        }
+        rest = tail;
+    }
+    assert_eq!(out[..1], earlier[..], "earlier rows were changed");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(600))]
-
-    #[test]
-    fn chunk_encoder_writes_the_tree_bytes(seed in any::<u64>()) {
-        let mut rng = TestRng::for_case(seed);
-        let (chunk, range) = chunk_and_range(&mut rng);
-        let frame = tree(&chunk, range.clone());
-        let expected = formatted(&frame);
-        prop_assert_eq!(&frame.to_string(), &expected);
-        // The encoder appends: what the buffer already holds stays.
-        let mut direct = String::from("queued\n");
-        encode_chunk_frame(&chunk, range, &mut direct);
-        prop_assert_eq!(direct, format!("queued\n{expected}"));
+/// One mutation case: a random chunk's frames, cut at every offset when
+/// they are short (at a few random ones otherwise), and with bytes
+/// overwritten.
+fn mutation_case(seed: u64) {
+    let mut rng = TestRng::for_case(seed);
+    let (chunk, range) = chunk_and_range(&mut rng);
+    let mut frames = Vec::new();
+    encode_chunk(&chunk, range, &mut frames).expect("under the cap");
+    if rng.below(4) == 0 {
+        server_frames(&chunk, &mut frames);
+    }
+    // One case in four reads the frames under a header of other types.
+    let mut types = types_of(&chunk);
+    if !types.is_empty() && rng.below(4) == 0 {
+        let c = rng.below(types.len() as u64) as usize;
+        types[c] = pick(&mut rng, &TYPES);
+    }
+    if frames.len() <= 2048 {
+        for at in 0..frames.len() {
+            check_mutation(&mut rng, &frames, &types, Some(at));
+        }
+    } else {
+        for _ in 0..8 {
+            let at = rng.below(frames.len() as u64) as usize;
+            check_mutation(&mut rng, &frames, &types, Some(at));
+        }
+    }
+    for _ in 0..8 {
+        check_mutation(&mut rng, &frames, &types, None);
     }
 }
 
@@ -423,73 +327,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3000))]
 
     #[test]
-    fn typed_decoder_agrees_with_the_tree_decoder(seed in any::<u64>()) {
+    fn chunk_frames_roundtrip(seed in any::<u64>()) {
         let mut rng = TestRng::for_case(seed);
         let (chunk, range) = chunk_and_range(&mut rng);
-        let mut header: Vec<_> = chunk.columns().iter().map(|c| c.data_type()).collect();
-        let retyped = !header.is_empty() && rng.below(4) == 0;
-        if retyped {
-            let c = rng.below(header.len() as u64) as usize;
-            header[c] = pick(&mut rng, &TYPES);
-        }
-        let mut frame = tree(&chunk, range.clone());
-        let edited = rng.below(2) == 0;
-        if edited {
-            mutate_tree(&mut rng, &mut frame);
-        }
-        let mut text = String::new();
-        if rng.below(3) == 0 {
-            spaced(&mut rng, &frame, &mut text);
-        } else {
-            frame.write_to(&mut text);
-        }
-        let damaged = rng.below(4) == 0;
-        if damaged {
-            mutate_bytes(&mut rng, &mut text);
-        }
-        let outcome = typed(&text, &header);
-        prop_assert_eq!(&outcome, &reference(&text, &header), "frame {}", text);
-        if !(retyped || edited || damaged) {
-            // An intact frame gives back the chunk's rows; non-finite
-            // floats travel as null.
-            let rows = range
-                .map(|i| {
-                    let row = chunk.row(i).into_iter();
-                    row.map(|d| match d {
-                        Datum::Float(f) if !f.is_finite() => Datum::Null,
-                        d => d,
-                    })
-                    .collect()
-                })
-                .collect();
-            prop_assert_eq!(outcome, Outcome::Rows(rows), "frame {}", text);
-        }
+        // The encoder appends: what the buffer already holds stays.
+        let mut frames = b"queued".to_vec();
+        encode_chunk(&chunk, range.clone(), &mut frames).expect("under the cap");
+        server_frames(&chunk, &mut frames);
+        prop_assert_eq!(&frames[..6], b"queued");
+        let decoded = decode_frames(&frames[6..], &types_of(&chunk)).expect("intact frames");
+        let mut expected = rows_of(&chunk, range);
+        expected.extend(rows_of(&chunk, 0..chunk.rows()));
+        prop_assert_eq!(exact(decoded), exact(expected));
     }
 }
 
-#[test]
-fn chunk_members_decode_in_any_spelling() {
-    let types = [DataType::Int64, DataType::Utf8];
-    let row = vec![Datum::Int(1), Datum::str("é\"")];
-    for text in [
-        r#"{"chunk":[[1,"é\""]]}"#,
-        " { \"chunk\" :\t[ [ 1 , \"\\u00e9\\\"\" ] ] } ",
-        r#"{"chunk":[[1,"é\""]],"x":null}"#,
-        r#"{"x":[],"chunk":[[1,"é\""]],"chunk":5}"#,
-    ] {
-        assert_eq!(
-            typed(text, &types),
-            Outcome::Rows(vec![row.clone()]),
-            "{text}"
-        );
-        assert_eq!(typed(text, &types), reference(text, &types), "{text}");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    #[test]
+    fn mutated_frames_never_panic(seed in any::<u64>()) {
+        mutation_case(seed);
     }
-    for text in [
-        r#"{"chunk":[[1,"x"]],"done":{"rows":1}}"#,
-        r#"{"error":{"code":"c"},"chunk":[[1,"x"]]}"#,
-        r#"{"chunk":[[1.0,"x"]],"done":{"rows":1}}"#,
-    ] {
-        assert!(matches!(typed(text, &types), Outcome::Control(_)), "{text}");
-        assert_eq!(typed(text, &types), reference(text, &types), "{text}");
+
+    #[test]
+    fn json_tree_writes_the_formatter_bytes(seed in any::<u64>()) {
+        let mut rng = TestRng::for_case(seed);
+        let (chunk, range) = chunk_and_range(&mut rng);
+        let frame = tree(&chunk, range);
+        prop_assert_eq!(frame.to_string(), formatted(&frame));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    #[ignore = "long run: cargo test --release -p bfq-server -- --ignored"]
+    fn mutated_frames_never_panic_long(seed in any::<u64>()) {
+        mutation_case(seed);
     }
 }
