@@ -1,15 +1,29 @@
 //! Hash aggregation with grouping, DISTINCT and HAVING: a columnar kernel
-//! on the flat hash directory the hash join builds on.
+//! on the flat hash directory the hash join builds on, cut into hash
+//! partitions that separate workers fold side by side.
 //!
-//! Per chunk, a grouper hashes the group keys in one pass, finds or inserts
-//! each row's group — verifying keys against the group's first row — and
-//! writes dense group ids into a reused `Vec<u32>`; each aggregate then
-//! folds its argument column, in row order, into per-group vectors. Group
-//! ids follow first-seen row order and floats accumulate in row order, so
-//! the output depends only on the sequence of rows fed: not on how they are
-//! cut into chunks, and not on the hash seed, which is random per grouper
+//! An `AggSink` holds one aggregation's shape and hash seed. Inside a
+//! morsel, `AggSink::split` evaluates the group keys, the aggregate
+//! arguments and the key hashes, and routes each row to one of the sink's
+//! partitions by the hash's high bits (the directory indexes by the low
+//! bits): one `AggPiece` per partition, a selection over the evaluated
+//! columns, nothing copied. Each `AggPart` owns a grouper, which finds or
+//! inserts each row's group — verifying keys against the group's first row
+//! — and writes dense group ids into a reused `Vec<u32>`; each aggregate
+//! then folds its argument column, through the piece's selection in row
+//! order, into per-group vectors.
+//!
+//! All rows of a group land in one partition, and a partition consumes its
+//! pieces in morsel order, so every group folds its rows in input order,
+//! floats included. A partition also records where each group's first row
+//! sits in the input, and `AggSink::finish` merges the partitions' groups
+//! by that position, which restores first-seen group order over the whole
+//! input. The output therefore depends only on the sequence of rows fed:
+//! not on the partition count, not on how the rows are cut into chunks or
+//! morsels, and not on the hash seed, which is random per aggregation
 //! because keys come from table data and a fixed seed would let crafted
-//! keys collide.
+//! keys collide. [`AggState`] is the one-partition form for a caller that
+//! feeds chunks itself.
 
 use std::cmp::Ordering;
 use std::hash::{BuildHasher, RandomState};
@@ -18,7 +32,7 @@ use std::sync::Arc;
 use bfq_common::{BfqError, DataType, Datum, Result};
 use bfq_expr::{eval, eval_predicate, Expr, Layout};
 use bfq_plan::{AggExpr, AggFunc, OutputColumn};
-use bfq_storage::{Bitmap, Chunk, Column, ColumnBuilder};
+use bfq_storage::{Bitmap, Chunk, Column, ColumnBuilder, ColumnRef};
 
 use crate::util::{col_eq, hash_keys_into, Directory};
 
@@ -50,6 +64,14 @@ fn key_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     }
 }
 
+/// The sink partition a key hash routes to, of `parts`: the hash's high 32
+/// bits scaled to `0..parts`, so the low bits stay uniform for the
+/// partition's directory.
+#[inline]
+fn partition_of(h: u64, parts: usize) -> usize {
+    (((h >> 32) * parts as u64) >> 32) as usize
+}
+
 /// Dense ids, in first-seen order, for the distinct rows of some key
 /// columns: a [`Directory`] from key hash to group id, each candidate
 /// verified against its group's first row.
@@ -61,34 +83,41 @@ struct Grouper {
     keys: Vec<Chunk>,
     /// Each group's key row as (index into `keys`, row).
     at: Vec<(u32, u32)>,
-    /// Reused per-chunk buffers: column and row key hashes.
+    /// Reused buffers of [`Grouper::first_seen`]: column and row hashes.
     tmp: Vec<u64>,
     hashes: Vec<u64>,
 }
 
 impl Grouper {
-    fn new() -> Grouper {
+    fn new(seed: u64, keys: Vec<Chunk>) -> Grouper {
         Grouper {
-            seed: RandomState::new().hash_one(0u64),
+            seed,
             dir: Directory::with_keys(0),
-            keys: Vec::new(),
+            keys,
             at: Vec::new(),
             tmp: Vec::new(),
             hashes: Vec::new(),
         }
     }
 
-    /// Append the group id of each row of `keys` to `ids`; returns the rows
-    /// that started a group.
-    fn assign(&mut self, keys: &Chunk, ids: &mut Vec<u32>) -> Result<Vec<u32>> {
-        let width: Vec<usize> = (0..keys.width()).collect();
-        hash_keys_into(keys, &width, self.seed, &mut self.tmp, &mut self.hashes);
+    /// Append to `ids` the group id of each row of `keys` that `sel`
+    /// selects (every row for `None`), given each row's key hash in
+    /// `hashes`; returns the rows that started a group.
+    fn assign(
+        &mut self,
+        keys: &Chunk,
+        hashes: &[u64],
+        sel: Option<&[u32]>,
+        ids: &mut Vec<u32>,
+    ) -> Result<Vec<u32>> {
         let (part, first) = (self.keys.len(), self.at.len());
         // Groups first seen here point into this chunk until it is
         // compacted to their rows below.
         self.keys.push(keys.clone());
         let mut new_rows = Vec::new();
-        for (i, &h) in self.hashes.iter().enumerate() {
+        for j in 0..sel.map_or(keys.rows(), <[u32]>::len) {
+            let i = sel.map_or(j, |sel| sel[j] as usize);
+            let h = hashes[i];
             let (stored, at) = (&self.keys, &self.at);
             let found = self.dir.find(h, |g| {
                 let (p, r) = at[g as usize];
@@ -120,10 +149,14 @@ impl Grouper {
 
     /// The rows of `col` whose value is the first of its group in `ids`,
     /// with their group ids: what a DISTINCT aggregate folds.
-    fn first_seen(&mut self, col: &Arc<Column>, ids: &[u32]) -> Result<(Column, Vec<u32>)> {
+    fn first_seen(&mut self, col: &ColumnRef, ids: &[u32]) -> Result<(Column, Vec<u32>)> {
         let groups = Column::Int64(ids.iter().map(|&g| g as i64).collect(), None);
         let pairs = Chunk::new(vec![Arc::new(groups), Arc::clone(col)])?;
-        let keep = self.assign(&pairs, &mut Vec::with_capacity(ids.len()))?;
+        let mut hashes = std::mem::take(&mut self.hashes);
+        hash_keys_into(&pairs, &[0, 1], self.seed, &mut self.tmp, &mut hashes);
+        let keep = self.assign(&pairs, &hashes, None, &mut Vec::with_capacity(ids.len()));
+        self.hashes = hashes;
+        let keep = keep?;
         let ids = keep.iter().map(|&i| ids[i as usize]).collect();
         Ok((col.take(&keep), ids))
     }
@@ -135,12 +168,25 @@ fn eval_keys(group_by: &[OutputColumn], input: &Chunk, layout: &Layout) -> Resul
     Chunk::new(keys.collect::<Result<_>>()?)
 }
 
-/// Call `f(group, row)` for each non-null row of `col`, in row order.
+/// Call `f(group, row)` for each non-null row of `col` that `sel` selects
+/// (every row for `None`), in row order; `ids` holds the selected rows'
+/// groups.
 #[inline]
-fn rows(col: &Column, ids: &[u32], mut f: impl FnMut(usize, usize)) {
-    for (i, &g) in ids.iter().enumerate() {
-        if !col.is_null(i) {
-            f(g as usize, i);
+fn rows(col: &Column, sel: Option<&[u32]>, ids: &[u32], mut f: impl FnMut(usize, usize)) {
+    match sel {
+        None => {
+            for (i, &g) in ids.iter().enumerate() {
+                if !col.is_null(i) {
+                    f(g as usize, i);
+                }
+            }
+        }
+        Some(sel) => {
+            for (&i, &g) in sel.iter().zip(ids) {
+                if !col.is_null(i as usize) {
+                    f(g as usize, i as usize);
+                }
+            }
         }
     }
 }
@@ -148,11 +194,11 @@ fn rows(col: &Column, ids: &[u32], mut f: impl FnMut(usize, usize)) {
 /// [`rows`] with each row's numeric value (ints and dates widened, as
 /// `Datum::as_f64` does); strings and booleans have none.
 #[inline]
-fn numeric(col: &Column, ids: &[u32], mut f: impl FnMut(usize, f64)) {
+fn numeric(col: &Column, sel: Option<&[u32]>, ids: &[u32], mut f: impl FnMut(usize, f64)) {
     match col {
-        Column::Float64(v, _) => rows(col, ids, |g, i| f(g, v[i])),
-        Column::Int64(v, _) => rows(col, ids, |g, i| f(g, v[i] as f64)),
-        Column::Date(v, _) => rows(col, ids, |g, i| f(g, v[i] as f64)),
+        Column::Float64(v, _) => rows(col, sel, ids, |g, i| f(g, v[i])),
+        Column::Int64(v, _) => rows(col, sel, ids, |g, i| f(g, v[i] as f64)),
+        Column::Date(v, _) => rows(col, sel, ids, |g, i| f(g, v[i] as f64)),
         Column::Utf8(..) | Column::Bool(..) => {}
     }
 }
@@ -182,31 +228,32 @@ impl Acc {
         }
     }
 
-    /// Fold `arg` (`None` for `COUNT(*)`) into each row's group in row order.
-    fn fold(&mut self, arg: Option<&Column>, ids: &[u32]) {
+    /// Fold `arg` (`None` for `COUNT(*)`) into each selected row's group in
+    /// row order.
+    fn fold(&mut self, arg: Option<&Column>, sel: Option<&[u32]>, ids: &[u32]) {
         let Some(col) = arg else {
             return ids.iter().for_each(|&g| self.n[g as usize] += 1);
         };
         let wins = match (self.func, col) {
             (AggFunc::Count | AggFunc::CountStar, _) => {
-                return rows(col, ids, |g, _| self.n[g] += 1)
+                return rows(col, sel, ids, |g, _| self.n[g] += 1)
             }
             (AggFunc::Min, _) => Ordering::Less,
             (AggFunc::Max, _) => Ordering::Greater,
             (_, Column::Int64(v, _)) if self.out == DataType::Int64 => {
-                return rows(col, ids, |g, i| {
+                return rows(col, sel, ids, |g, i| {
                     self.n[g] += 1;
                     self.ints[g] = self.ints[g].wrapping_add(v[i]);
                 });
             }
             _ => {
-                return numeric(col, ids, |g, x| {
+                return numeric(col, sel, ids, |g, x| {
                     self.n[g] += 1;
                     self.floats[g] += x;
                 });
             }
         };
-        rows(col, ids, |g, i| {
+        rows(col, sel, ids, |g, i| {
             let v = col.get(i);
             if self.best[g].is_null() || v.sql_cmp(&self.best[g]) == Some(wins) {
                 self.best[g] = v;
@@ -235,20 +282,307 @@ impl Acc {
     }
 }
 
-/// Incremental hash-aggregation state: feed it chunks one at a time with
-/// [`AggState::update`], then [`AggState::finish`]. The result depends only
-/// on the sequence of rows fed, not on how they are cut into chunks.
-pub struct AggState {
-    input_layout: Layout,
-    group_by: Vec<OutputColumn>,
-    aggs: Vec<AggExpr>,
+/// One input chunk as the partitions fold it, evaluated once, inside the
+/// morsel that produced it.
+struct Evaluated {
+    /// Input position of row 0: the morsel's sequence number in the high
+    /// 32 bits, the row's offset within the morsel's output below.
+    pos: u64,
+    rows: usize,
+    /// The group-key columns (none for scalar aggregation).
+    keys: Chunk,
+    /// Each row's key hash under the aggregation's seed.
+    hashes: Vec<u64>,
+    /// Each aggregate's argument column (`None` for `COUNT(*)`).
+    args: Vec<Option<ColumnRef>>,
+}
+
+/// One partition's share of one morsel: for each of the morsel's evaluated
+/// chunks, the rows whose key hash routes to the partition (`None`: all).
+pub(crate) struct AggPiece(Vec<(Arc<Evaluated>, Option<Vec<u32>>)>);
+
+impl AggPiece {
+    /// Input rows the piece folds.
+    pub(crate) fn rows(&self) -> u64 {
+        (self.0.iter())
+            .map(|(ev, sel)| sel.as_ref().map_or(ev.rows, Vec::len) as u64)
+            .sum()
+    }
+}
+
+/// One hash partition's aggregation state: the groups whose key hash
+/// routes here, with their accumulators.
+pub(crate) struct AggPart {
     /// `None` for scalar aggregation, whose one group needs no lookup.
     grouper: Option<Grouper>,
     accs: Vec<Acc>,
     /// A (group id, value) grouper per DISTINCT aggregate.
     distinct: Vec<Option<Grouper>>,
-    /// Group id of each row of the current chunk.
+    /// Input position of each group's first row, in group-id order (so
+    /// ascending).
+    first: Vec<u64>,
+    /// Group id of each selected row of the current chunk.
     ids: Vec<u32>,
+}
+
+impl AggPart {
+    /// The partition's groups as rows: key columns, then one column per
+    /// aggregate.
+    fn into_chunk(self) -> Result<Chunk> {
+        let mut columns = match self.grouper {
+            Some(g) => Chunk::concat(&g.keys)?.columns().to_vec(),
+            None => Vec::new(),
+        };
+        for acc in self.accs {
+            columns.push(Arc::new(acc.into_column()?));
+        }
+        Chunk::new(columns)
+    }
+}
+
+/// One aggregation's shape and hash seed, shared by its partitions: splits
+/// morsels into per-partition pieces ([`AggSink::split`]), folds a piece
+/// into its partition ([`AggSink::consume`]), and merges the partitions
+/// into the result ([`AggSink::finish`]).
+pub(crate) struct AggSink {
+    input_layout: Layout,
+    group_by: Vec<OutputColumn>,
+    aggs: Vec<AggExpr>,
+    /// Each aggregate's output type.
+    outs: Vec<DataType>,
+    /// One seed for every grouper of the aggregation, so a key hashes the
+    /// same in the morsel that routes it and in the partition that groups
+    /// it.
+    seed: u64,
+    parts: usize,
+    /// The key columns over no rows, which type a result with no groups;
+    /// `None` for scalar aggregation.
+    no_keys: Option<Chunk>,
+}
+
+impl AggSink {
+    /// A sink with `parts` hash partitions (one for scalar aggregation,
+    /// whose one group cannot be split) for the given grouping/aggregate
+    /// shape over inputs of `input_types` laid out as `input_layout`.
+    pub(crate) fn new(
+        input_layout: &Layout,
+        input_types: &[DataType],
+        group_by: &[OutputColumn],
+        aggs: &[AggExpr],
+        parts: usize,
+    ) -> Result<AggSink> {
+        let resolve = |c: bfq_common::ColumnId| -> Option<DataType> {
+            input_layout.slot_of(c).map(|s| input_types[s])
+        };
+        let outs = aggs.iter().map(|a| {
+            let arg = a.arg.as_ref().and_then(|e| e.data_type(&resolve));
+            agg_output_type(a.func, arg)
+        });
+        let no_keys = if group_by.is_empty() {
+            None
+        } else {
+            let no_rows = input_types.iter().map(|&t| ColumnBuilder::new(t).finish());
+            let no_rows = Chunk::new(no_rows.map(Arc::new).collect())?;
+            Some(eval_keys(group_by, &no_rows, input_layout)?)
+        };
+        Ok(AggSink {
+            input_layout: input_layout.clone(),
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+            outs: outs.collect(),
+            seed: RandomState::new().hash_one(0u64),
+            parts: if group_by.is_empty() { 1 } else { parts.max(1) },
+            no_keys,
+        })
+    }
+
+    /// The partition count: what [`AggSink::split`] cuts a morsel into.
+    pub(crate) fn partitions(&self) -> usize {
+        self.parts
+    }
+
+    /// A fresh partition. Scalar aggregation always has exactly one group,
+    /// even over zero rows.
+    pub(crate) fn partition(&self) -> AggPart {
+        let groups = usize::from(self.group_by.is_empty());
+        let accs = self.aggs.iter().zip(&self.outs).map(|(a, &out)| {
+            let mut acc = Acc {
+                func: a.func,
+                out,
+                n: Vec::new(),
+                ints: Vec::new(),
+                floats: Vec::new(),
+                best: Vec::new(),
+            };
+            acc.resize(groups);
+            acc
+        });
+        AggPart {
+            grouper: (self.no_keys.as_ref())
+                .map(|keys| Grouper::new(self.seed, vec![keys.clone()])),
+            accs: accs.collect(),
+            distinct: (self.aggs.iter())
+                .map(|a| (a.distinct && a.arg.is_some()).then(|| Grouper::new(self.seed, vec![])))
+                .collect(),
+            first: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// Pre-size a fresh partition's group directory for its share of the
+    /// planner's group estimate, capped by the input's row estimate (a
+    /// group needs at least one row) and by 2^21, so a wild estimate
+    /// allocates nothing it cannot use. The directory doubles on demand
+    /// past this size.
+    pub(crate) fn reserve(&self, part: &mut AggPart, est_groups: f64, est_input_rows: f64) {
+        if let Some(g) = part.grouper.as_mut().filter(|g| g.at.is_empty()) {
+            let groups = est_groups.min(est_input_rows).clamp(0.0, (1 << 21) as f64);
+            g.dir = Directory::with_keys((groups / self.parts as f64) as usize);
+        }
+    }
+
+    /// Evaluate morsel `seq`'s output chunks — group keys, aggregate
+    /// arguments, key hashes — and cut them into one piece per partition.
+    /// `tmp` stages one key column's hashes.
+    pub(crate) fn split(
+        &self,
+        seq: u32,
+        chunks: &[Chunk],
+        tmp: &mut Vec<u64>,
+    ) -> Result<Vec<AggPiece>> {
+        let mut pieces: Vec<AggPiece> = (0..self.parts).map(|_| AggPiece(Vec::new())).collect();
+        let mut row = 0u64;
+        for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+            let keys = eval_keys(&self.group_by, chunk, &self.input_layout)?;
+            let mut hashes = Vec::new();
+            if keys.width() > 0 {
+                let width: Vec<usize> = (0..keys.width()).collect();
+                hash_keys_into(&keys, &width, self.seed, tmp, &mut hashes);
+            }
+            let args = (self.aggs.iter())
+                .map(|a| (a.arg.as_ref()).map(|e| eval(e, chunk, &self.input_layout)))
+                .map(Option::transpose)
+                .collect::<Result<_>>()?;
+            let ev = Arc::new(Evaluated {
+                pos: (u64::from(seq) << 32) | row,
+                rows: chunk.rows(),
+                keys,
+                hashes,
+                args,
+            });
+            row += chunk.rows() as u64;
+            if self.parts == 1 {
+                pieces[0].0.push((ev, None));
+                continue;
+            }
+            let mut sels = vec![Vec::new(); self.parts];
+            for (i, &h) in ev.hashes.iter().enumerate() {
+                sels[partition_of(h, self.parts)].push(i as u32);
+            }
+            for (piece, sel) in pieces.iter_mut().zip(sels) {
+                match sel.len() {
+                    0 => {}
+                    n if n == ev.rows => piece.0.push((Arc::clone(&ev), None)),
+                    _ => piece.0.push((Arc::clone(&ev), Some(sel))),
+                }
+            }
+        }
+        Ok(pieces)
+    }
+
+    /// Fold one piece into its partition: group ids for every selected row,
+    /// then one fold per aggregate, each in row order. A partition must
+    /// consume its pieces in morsel order.
+    pub(crate) fn consume(&self, part: &mut AggPart, piece: &AggPiece) -> Result<()> {
+        for (ev, sel) in &piece.0 {
+            let sel = sel.as_deref();
+            part.ids.clear();
+            match &mut part.grouper {
+                None => part.ids.resize(ev.rows, 0),
+                Some(grouper) => {
+                    let new_rows = grouper.assign(&ev.keys, &ev.hashes, sel, &mut part.ids)?;
+                    (part.first).extend(new_rows.iter().map(|&i| ev.pos + u64::from(i)));
+                }
+            }
+            let groups = part.grouper.as_ref().map_or(1, |g| g.at.len());
+            for ((acc, arg), distinct) in part.accs.iter_mut().zip(&ev.args).zip(&mut part.distinct)
+            {
+                acc.resize(groups);
+                match (arg, distinct) {
+                    (None, _) => acc.fold(None, None, &part.ids),
+                    (Some(col), None) => acc.fold(Some(col), sel, &part.ids),
+                    (Some(col), Some(seen)) => {
+                        let col = sel.map_or_else(|| Arc::clone(col), |s| Arc::new(col.take(s)));
+                        let (col, ids) = seen.first_seen(&col, &part.ids)?;
+                        acc.fold(Some(&col), None, &ids);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Materialize the aggregated output (group columns then aggregate
+    /// columns), groups in first-seen order across all partitions, then
+    /// apply the `having` filter over `out_layout`.
+    pub(crate) fn finish(
+        &self,
+        parts: Vec<AggPart>,
+        having: &Option<Expr>,
+        out_layout: &Layout,
+    ) -> Result<Chunk> {
+        let order = (parts.len() > 1).then(|| first_seen_order(&parts));
+        let mut chunks = (parts.into_iter())
+            .map(AggPart::into_chunk)
+            .collect::<Result<Vec<_>>>()?;
+        let out = match order {
+            Some(order) => Chunk::concat(&chunks)?.take(&order),
+            None => chunks
+                .pop()
+                .ok_or_else(|| BfqError::internal("no partitions"))?,
+        };
+        Ok(match having {
+            Some(h) => {
+                let sel = eval_predicate(h, &out, out_layout)?;
+                out.take(&sel)
+            }
+            None => out,
+        })
+    }
+}
+
+/// The rows of the partitions' concatenated groups in the order of their
+/// first input rows: a merge of the partitions' ascending `first` lists.
+fn first_seen_order(parts: &[AggPart]) -> Vec<u32> {
+    let mut base = Vec::with_capacity(parts.len());
+    let mut total = 0;
+    for part in parts {
+        base.push(total);
+        total += part.first.len();
+    }
+    let mut at = vec![0usize; parts.len()];
+    let mut order = Vec::with_capacity(total);
+    for _ in 0..total {
+        let p = (0..parts.len())
+            .filter(|&p| at[p] < parts[p].first.len())
+            .min_by_key(|&p| parts[p].first[at[p]])
+            .expect("a partition has groups left");
+        order.push((base[p] + at[p]) as u32);
+        at[p] += 1;
+    }
+    order
+}
+
+/// One-partition hash aggregation for a caller that feeds chunks itself:
+/// [`AggState::update`] per chunk, then [`AggState::finish`]. The result
+/// depends only on the sequence of rows fed, not on how they are cut into
+/// chunks.
+pub struct AggState {
+    sink: AggSink,
+    part: AggPart,
+    /// Chunks fed so far: each is its own morsel.
+    seq: u32,
+    tmp: Vec<u64>,
 }
 
 impl AggState {
@@ -260,113 +594,39 @@ impl AggState {
         group_by: &[OutputColumn],
         aggs: &[AggExpr],
     ) -> Result<AggState> {
-        let resolve = |c: bfq_common::ColumnId| -> Option<DataType> {
-            input_layout.slot_of(c).map(|s| input_types[s])
-        };
-        // Scalar aggregation always has exactly one group, even over zero
-        // rows.
-        let groups = usize::from(group_by.is_empty());
-        let accs = aggs.iter().map(|a| {
-            let arg = a.arg.as_ref().and_then(|e| e.data_type(&resolve));
-            let mut acc = Acc {
-                func: a.func,
-                out: agg_output_type(a.func, arg),
-                n: Vec::new(),
-                ints: Vec::new(),
-                floats: Vec::new(),
-                best: Vec::new(),
-            };
-            acc.resize(groups);
-            acc
-        });
-        let grouper = if group_by.is_empty() {
-            None
-        } else {
-            // Keys evaluated over no rows type the key columns of a result
-            // with no groups.
-            let no_rows = input_types.iter().map(|&t| ColumnBuilder::new(t).finish());
-            let no_rows = Chunk::new(no_rows.map(Arc::new).collect())?;
-            let keys = vec![eval_keys(group_by, &no_rows, input_layout)?];
-            Some(Grouper {
-                keys,
-                ..Grouper::new()
-            })
-        };
+        let sink = AggSink::new(input_layout, input_types, group_by, aggs, 1)?;
         Ok(AggState {
-            input_layout: input_layout.clone(),
-            group_by: group_by.to_vec(),
-            aggs: aggs.to_vec(),
-            grouper,
-            accs: accs.collect(),
-            distinct: aggs
-                .iter()
-                .map(|a| (a.distinct && a.arg.is_some()).then(Grouper::new))
-                .collect(),
-            ids: Vec::new(),
+            part: sink.partition(),
+            sink,
+            seq: 0,
+            tmp: Vec::new(),
         })
     }
 
-    /// Accumulate one input chunk: group ids for every row, then one fold
-    /// per aggregate, each in row order.
+    /// Accumulate one input chunk.
     pub fn update(&mut self, input: &Chunk) -> Result<()> {
-        self.ids.clear();
-        match &mut self.grouper {
-            None => self.ids.resize(input.rows(), 0),
-            Some(grouper) => {
-                let keys = eval_keys(&self.group_by, input, &self.input_layout)?;
-                grouper.assign(&keys, &mut self.ids)?;
-            }
-        }
-        let groups = self.grouper.as_ref().map_or(1, |g| g.at.len());
-        for ((acc, agg), distinct) in self.accs.iter_mut().zip(&self.aggs).zip(&mut self.distinct) {
-            acc.resize(groups);
-            let Some(arg) = &agg.arg else {
-                acc.fold(None, &self.ids);
-                continue;
-            };
-            let col = eval(arg, input, &self.input_layout)?;
-            match distinct {
-                None => acc.fold(Some(&col), &self.ids),
-                Some(seen) => {
-                    let (col, ids) = seen.first_seen(&col, &self.ids)?;
-                    acc.fold(Some(&col), &ids);
-                }
-            }
-        }
-        Ok(())
+        let pieces = self
+            .sink
+            .split(self.seq, std::slice::from_ref(input), &mut self.tmp)?;
+        self.seq += 1;
+        pieces
+            .iter()
+            .try_for_each(|piece| self.sink.consume(&mut self.part, piece))
     }
 
-    /// Pre-size the group directory, before the first
-    /// [`AggState::update`], for the planner's group estimate capped by
-    /// the input's row estimate (a group needs at least one row) and by
-    /// 2^21, so a wild estimate allocates nothing it cannot use. The
-    /// directory doubles on demand past this size.
+    /// Pre-size the group directory before the first
+    /// [`AggState::update`], for the planner's group estimate capped by the
+    /// input's row estimate (a group needs at least one row) and by 2^21.
     pub fn reserve(&mut self, est_groups: f64, est_input_rows: f64) {
-        if let Some(g) = self.grouper.as_mut().filter(|g| g.at.is_empty()) {
-            let groups = est_groups.min(est_input_rows).clamp(0.0, (1 << 21) as f64);
-            g.dir = Directory::with_keys(groups as usize);
-        }
+        self.sink
+            .reserve(&mut self.part, est_groups, est_input_rows);
     }
 
     /// Materialize the aggregated output (group columns then aggregate
-    /// columns, one column at a time), applying the `having` filter over
-    /// `out_layout`.
+    /// columns, groups in first-seen order), applying the `having` filter
+    /// over `out_layout`.
     pub fn finish(self, having: &Option<Expr>, out_layout: &Layout) -> Result<Chunk> {
-        let mut columns = match self.grouper {
-            Some(g) => Chunk::concat(&g.keys)?.columns().to_vec(),
-            None => Vec::new(),
-        };
-        for acc in self.accs {
-            columns.push(Arc::new(acc.into_column()?));
-        }
-        let out = Chunk::new(columns)?;
-        Ok(match having {
-            Some(h) => {
-                let sel = eval_predicate(h, &out, out_layout)?;
-                out.take(&sel)
-            }
-            None => out,
-        })
+        self.sink.finish(vec![self.part], having, out_layout)
     }
 }
 
@@ -446,6 +706,12 @@ mod tests {
     }
 
     fn state(c: &Case) -> AggState {
+        let (layout, group_by, aggs) = shape(c);
+        AggState::new(&layout, &c.types, &group_by, &aggs).unwrap()
+    }
+
+    /// `c`'s input layout, group keys and aggregates.
+    fn shape(c: &Case) -> (Layout, Vec<OutputColumn>, Vec<AggExpr>) {
         let cid = |i: usize| ColumnId::new(TableId(0), i as u32);
         let layout = Layout::new((0..c.types.len()).map(cid).collect());
         let group_by: Vec<OutputColumn> = (c.keys.iter().enumerate())
@@ -463,25 +729,84 @@ mod tests {
                 output: ColumnId::new(TableId(2), i as u32),
             })
             .collect();
-        AggState::new(&layout, &c.types, &group_by, &aggs).unwrap()
+        (layout, group_by, aggs)
+    }
+
+    /// `c`'s rows cut at `cuts` into chunks.
+    fn chunks(c: &Case, cuts: &[usize]) -> Vec<Chunk> {
+        (cuts.windows(2))
+            .map(|w| {
+                let columns = c.types.iter().enumerate().map(|(j, &t)| {
+                    let mut column = ColumnBuilder::new(t);
+                    (c.rows[w[0]..w[1]].iter()).for_each(|row| column.push_datum(&row[j]).unwrap());
+                    Arc::new(column.finish())
+                });
+                Chunk::new(columns.collect()).unwrap()
+            })
+            .collect()
+    }
+
+    /// The output rows, floats as bits.
+    fn output(out: Chunk) -> Vec<Vec<String>> {
+        (0..out.rows())
+            .map(|i| out.row(i).iter().map(bits).collect())
+            .collect()
     }
 
     /// Feed `c`'s rows cut at `cuts`; the output rows, floats as bits.
     fn feed(mut state: AggState, c: &Case, cuts: &[usize]) -> Vec<Vec<String>> {
-        for w in cuts.windows(2) {
-            let columns = c.types.iter().enumerate().map(|(j, &t)| {
-                let mut column = ColumnBuilder::new(t);
-                (c.rows[w[0]..w[1]].iter()).for_each(|row| column.push_datum(&row[j]).unwrap());
-                Arc::new(column.finish())
-            });
-            state
-                .update(&Chunk::new(columns.collect()).unwrap())
-                .unwrap();
+        for chunk in chunks(c, cuts) {
+            state.update(&chunk).unwrap();
         }
-        let out = state.finish(&None, &Layout::new(Vec::new())).unwrap();
-        (0..out.rows())
-            .map(|i| out.row(i).iter().map(bits).collect())
-            .collect()
+        output(state.finish(&None, &Layout::new(Vec::new())).unwrap())
+    }
+
+    /// Feed `c`'s rows cut at `cuts` through a sink of `parts` partitions
+    /// as a pipeline does: consecutive chunks grouped into morsels, the
+    /// morsels split in a random order, and each partition consuming its
+    /// pieces in morsel order while the partitions interleave at random.
+    fn feed_partitioned(
+        c: &Case,
+        cuts: &[usize],
+        parts: usize,
+        rng: &mut TestRng,
+    ) -> Vec<Vec<String>> {
+        let (layout, group_by, aggs) = shape(c);
+        let sink = AggSink::new(&layout, &c.types, &group_by, &aggs, parts).unwrap();
+        let chunks = chunks(c, cuts);
+        let mut morsels: Vec<&[Chunk]> = Vec::new();
+        let mut rest = &chunks[..];
+        while !rest.is_empty() {
+            let (morsel, tail) = rest.split_at(1 + rng.below(rest.len() as u64) as usize);
+            morsels.push(morsel);
+            rest = tail;
+        }
+        let mut order: Vec<usize> = (0..morsels.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut pieces: Vec<Vec<AggPiece>> = (0..morsels.len()).map(|_| Vec::new()).collect();
+        let mut tmp = Vec::new();
+        for seq in order {
+            pieces[seq] = sink.split(seq as u32, morsels[seq], &mut tmp).unwrap();
+        }
+        let mut states: Vec<AggPart> = (0..sink.partitions()).map(|_| sink.partition()).collect();
+        let mut next = vec![0usize; states.len()];
+        loop {
+            let open: Vec<usize> = (0..states.len())
+                .filter(|&p| next[p] < morsels.len())
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            let p = open[rng.below(open.len() as u64) as usize];
+            sink.consume(&mut states[p], &pieces[next[p]][p]).unwrap();
+            next[p] += 1;
+        }
+        output(
+            sink.finish(states, &None, &Layout::new(Vec::new()))
+                .unwrap(),
+        )
     }
 
     /// A datum with floats as bits, except that every NaN is one: the sign
@@ -581,6 +906,17 @@ mod tests {
                 prop_assert_eq!(once.len(), usize::from(c.keys.is_empty()));
             }
         }
+
+        #[test]
+        fn partitioned_sink_matches_one_state(seed in any::<u64>()) {
+            let mut rng = TestRng::for_case(seed);
+            let c = case(&mut rng);
+            let cuts = cuts(&mut rng, c.rows.len());
+            let once = feed(state(&c), &c, &cuts);
+            for parts in 1..=4 {
+                prop_assert_eq!(&feed_partitioned(&c, &cuts, parts, &mut rng), &once);
+            }
+        }
     }
 
     #[test]
@@ -610,7 +946,7 @@ mod tests {
             aggs: vec![(Sum, Some(1), false), (Count, Some(1), true)],
         };
         let (a, b) = (state(&c), state(&c));
-        let seed = |s: &AggState| s.grouper.as_ref().unwrap().seed;
+        let seed = |s: &AggState| s.sink.seed;
         assert_ne!(seed(&a), seed(&b));
         assert_eq!(feed(a, &c, &[0, 77, 200]), feed(b, &c, &[0, 77, 200]));
     }
@@ -623,7 +959,7 @@ mod tests {
             keys: vec![0],
             aggs: vec![(CountStar, None, false)],
         };
-        let slots = |s: &AggState| s.grouper.as_ref().unwrap().dir.slots();
+        let slots = |s: &AggState| s.part.grouper.as_ref().unwrap().dir.slots();
         // A wild group estimate over a 10-row input: sized for 10 groups.
         let mut s = state(&c);
         s.reserve(1e12, 10.0);

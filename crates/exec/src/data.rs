@@ -222,8 +222,8 @@ pub struct ExecStats {
     /// stays bounded by `pipelines × workers × buffers` no matter how many
     /// morsels run — asserted by the allocation-discipline tests.
     scratch_allocs: AtomicU64,
-    /// Times a morsel worker blocked on the reorder window (produced
-    /// output the sequence-ordered sink was not ready for).
+    /// Times a morsel worker was held at the reorder window (produced
+    /// output beyond the slowest sink partition's window).
     window_stalls: AtomicU64,
     /// Runtime Bloom filters built (one per executed `BloomBuild`).
     filter_builds: AtomicU64,
@@ -319,8 +319,8 @@ impl ExecStats {
         self.scratch_allocs.load(Ordering::Relaxed)
     }
 
-    /// Record one reorder-window stall (a worker blocked behind the
-    /// sequence-ordered sink).
+    /// Record one reorder-window stall (a worker held behind the slowest
+    /// sink partition).
     pub fn note_window_stall(&self) {
         self.window_stalls.fetch_add(1, Ordering::Relaxed);
     }

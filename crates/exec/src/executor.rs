@@ -167,7 +167,8 @@ pub(crate) fn logical_rows_of(node: &PhysicalNode, out: &PartitionedData) -> u64
 /// column types — everything the probe side needs, with all planned Bloom
 /// filters already published to the hub.
 pub(crate) struct SealedBuild {
-    /// One hash table per build partition.
+    /// One hash table per build partition; one in all for a replicated
+    /// build side.
     pub tables: Vec<BuildTable>,
     /// Build-side column types (for LEFT OUTER null columns).
     pub inner_types: Vec<DataType>,
@@ -189,14 +190,28 @@ pub(crate) fn seal_build_side(
     let ikeys: Vec<_> = keys.iter().map(|(_, i)| *i).collect();
     let inner_slots = slots_for(&inner.layout, &ikeys)?;
     let inner_replicated = inner.distribution == Distribution::Replicated;
-    let rows = inner_data.total_rows() as u64;
 
-    // Concatenate per partition and index. The flat table's directory is
-    // sized from the planner's distinct-key estimate: the Bloom builds'
-    // `expected_ndv` when present (it estimates NDV of the build keys),
-    // else the build side's row estimate. Partition-hashed sides split
-    // their distinct keys across partitions; replicated sides don't.
-    let n_parts = inner_data.num_partitions();
+    // Concatenate per partition and index. A replicated side's partitions
+    // are copies of one another, so it is indexed once, from its first
+    // copy, and every probe partition shares that table. The flat table's
+    // directory is sized from the planner's distinct-key estimate: the
+    // Bloom builds' `expected_ndv` when present (it estimates NDV of the
+    // build keys), else the build side's row estimate. Partition-hashed
+    // sides split their distinct keys across partitions; replicated sides
+    // don't.
+    let n_parts = if inner_replicated {
+        inner_data.num_partitions().min(1)
+    } else {
+        inner_data.num_partitions()
+    };
+    let rows = (0..n_parts)
+        .map(|p| {
+            inner_data.partitions[p]
+                .iter()
+                .map(|c| c.rows() as u64)
+                .sum::<u64>()
+        })
+        .sum();
     let planned_ndv = builds
         .iter()
         .map(|b| b.expected_ndv)
@@ -226,18 +241,13 @@ pub(crate) fn seal_build_side(
     })?;
 
     // Build and publish planned Bloom filters: one filter per build over
-    // every partition's keys, or over one copy of a replicated build side
-    // (§3.9 case 1: the copies are redundant).
-    let copies = if inner_replicated {
-        &tables[..tables.len().min(1)]
-    } else {
-        &tables[..]
-    };
+    // every table's keys — one copy of a replicated build side (§3.9
+    // case 1: the copies are redundant).
     for b in builds {
         let slot = inner.layout.slot_of(b.column).ok_or_else(|| {
             BfqError::internal(format!("bloom build column {} not in build side", b.column))
         })?;
-        let keys: Vec<Column> = copies
+        let keys: Vec<Column> = tables
             .iter()
             .map(|t| t.chunk.column(slot).as_ref().clone())
             .collect();
@@ -293,4 +303,71 @@ pub fn output_types(chunk: &Chunk) -> Vec<DataType> {
     (0..chunk.width())
         .map(|i| chunk.column(i).data_type())
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::join::probe_partition;
+    use crate::util::MorselScratch;
+    use bfq_common::{ColumnId, TableId};
+    use bfq_plan::JoinKind;
+
+    fn ints(values: &[i64]) -> Chunk {
+        Chunk::new(vec![Arc::new(Column::Int64(values.to_vec(), None))]).unwrap()
+    }
+
+    #[test]
+    fn a_replicated_build_side_is_indexed_once() {
+        const DOP: usize = 4;
+        let inner_col = ColumnId::new(TableId(2), 0);
+        let outer_col = ColumnId::new(TableId(1), 0);
+        let inner = PhysicalPlan::new(
+            PhysicalNode::Scan {
+                base: TableId(0),
+                rel_id: TableId(2),
+                alias: "i".into(),
+                projection: vec![0],
+                predicate: None,
+                blooms: vec![],
+            },
+            Layout::new(vec![inner_col]),
+            5.0,
+            Distribution::Replicated,
+        );
+        // What a broadcast exchange hands every partition: the same chunks.
+        let data = PartitionedData {
+            types: vec![DataType::Int64],
+            partitions: vec![vec![ints(&[1, 2, 2]), ints(&[3, 5])]; DOP],
+        };
+        let ctx = ExecContext::with_options(Arc::new(Catalog::new()), ExecOptions::with_dop(DOP));
+        let keys = [(outer_col, inner_col)];
+        let sealed = seal_build_side(&ctx, &inner, &keys, &[], data.clone()).unwrap();
+        assert_eq!(sealed.tables.len(), 1, "one table for all the copies");
+        assert_eq!(sealed.rows, 5, "one copy's rows are buffered");
+
+        // Each probe partition matches what a table of its own copy gives.
+        let outer = [ints(&[2, 4, 5, 1])];
+        let joined = Layout::new(vec![outer_col, inner_col]);
+        let probe = |table: &BuildTable| -> Vec<Vec<bfq_common::Datum>> {
+            let out = probe_partition(
+                &outer,
+                table,
+                &[0],
+                JoinKind::Inner,
+                &None,
+                &joined,
+                &[DataType::Int64],
+                &mut MorselScratch::new(),
+            )
+            .unwrap();
+            let out = Chunk::concat(&out).unwrap();
+            (0..out.rows()).map(|i| out.row(i)).collect()
+        };
+        for p in 0..DOP {
+            let own = BuildTable::build_with_ndv(data.partition_chunk(p).unwrap(), vec![0], None);
+            let shared = &sealed.tables[p % sealed.tables.len()];
+            assert_eq!(probe(shared), probe(&own), "probe partition {p}");
+        }
+    }
 }

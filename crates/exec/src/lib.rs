@@ -3,8 +3,9 @@
 //! One executor over physical plans: the **morsel-driven pipeline**
 //! (module [`pipeline`]). Plans decompose into pipelines at blocking
 //! operators, worker threads pull chunk-sized morsels through fused
-//! scan → filter → probe → project chains, and order-sensitive sinks
-//! consume through a bounded reorder window. It has exactly two entry
+//! scan → filter → probe → project chains and drain the pipeline's sink
+//! partitions themselves, each in morsel sequence, through a bounded
+//! reorder window. It has exactly two entry
 //! points, each taking `(plan, catalog, ExecOptions)`:
 //!
 //! * [`execute_plan`] gathers the result into one [`QueryOutput`];

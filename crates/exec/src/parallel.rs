@@ -1,35 +1,35 @@
 //! Scoped-thread fan-out over partitions.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use bfq_common::{BfqError, Result};
 
-/// Apply `f` to each index `0..n` in parallel (one scoped thread per item,
-/// bounded by `n`), collecting results in order. Errors from any worker are
-/// propagated; a panicking worker surfaces as an execution error.
+/// Apply `f` to each index `0..n` in parallel, collecting results in
+/// order: item 0 runs on the calling thread, every other item on a scoped
+/// thread of its own. Errors from any item are propagated; a panicking
+/// item, the inline one included, surfaces as an execution error.
 pub fn par_map<T, F>(n: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if n == 1 {
-        return Ok(vec![f(0)?]);
-    }
     let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+    let Some((first, rest)) = slots.split_first_mut() else {
+        return Ok(Vec::new());
+    };
+    let panicked = || BfqError::Execution("worker thread panicked".into());
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                *slot = Some(f(i));
-            }));
-        }
-        for h in handles {
-            h.join()
-                .map_err(|_| BfqError::Execution("worker thread panicked".into()))?;
-        }
-        Ok(())
+        let f = &f;
+        let handles: Vec<_> = (rest.iter_mut().zip(1..))
+            .map(|(slot, i)| scope.spawn(move || *slot = Some(f(i))))
+            .collect();
+        *first = Some(catch_unwind(AssertUnwindSafe(|| f(0))).unwrap_or_else(|_| Err(panicked())));
+        // Join every handle: a panicked thread left unjoined would make the
+        // scope itself panic.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .try_for_each(|j| j.map_err(|_| panicked()))
     })?;
     slots
         .into_iter()
@@ -57,6 +57,17 @@ mod tests {
             }
         });
         assert!(out.is_err());
+    }
+
+    #[test]
+    fn a_panic_in_the_inline_item_is_an_error() {
+        let out = par_map(3, |i| {
+            if i == 0 {
+                panic!("item 0 fails on the calling thread");
+            }
+            Ok(i)
+        });
+        assert!(matches!(out, Err(BfqError::Execution(_))));
     }
 
     #[test]

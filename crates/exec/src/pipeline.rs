@@ -5,27 +5,39 @@
 //! operators — scan → filter → probe → project — fused into one per-morsel
 //! function, bounded by *pipeline breakers* (hash-join builds,
 //! aggregation, sort, limit, exchanges, scalar subqueries). A morsel is
-//! one storage chunk, reusing the existing chunk/partition model; worker
-//! threads (`std::thread::scope`, bounded by the session `dop`) claim
-//! morsels from a shared atomic cursor, so a fast worker steals work from
-//! a slow one instead of idling on a fixed partition.
-//! [`execute_plan_stream`] runs everything below the last breaker the same
-//! way and hands the *final* pipeline to the consumer, who pulls it one
-//! morsel at a time ([`ChunkStream`]).
+//! one storage chunk, reusing the existing chunk/partition model. A
+//! pipeline runs on up to `dop` workers — scoped threads plus the calling
+//! thread — that claim morsels from a shared atomic cursor, so a fast
+//! worker steals work from a slow one instead of idling on a fixed
+//! partition. [`execute_plan_stream`] runs everything below the last
+//! breaker the same way and hands the *final* pipeline to the consumer,
+//! who pulls it one morsel at a time ([`ChunkStream`]).
+//!
+//! **Sinks.** A pipeline ends in a sink of one or more partitions:
+//! collect and LIMIT have one, hash aggregation one per worker
+//! (`agg::AggSink`). Inside the morsel, the worker cuts the
+//! output into one piece per sink partition. Partition `p` consumes its
+//! piece of morsel `seq` only after that of `seq − 1`, and the workers
+//! drain the partitions themselves: one that has just published a morsel,
+//! or that is held at the reorder window, consumes from every partition
+//! whose lock it can take. Held workers sleep on a condvar, woken by
+//! publishes and by drains that move the window.
 //!
 //! **Determinism contract.** Results are bit-exact run to run at a fixed
 //! (query, data, dop), and equal to the reference interpreter (`bfq-ref`)
 //! as a normalized multiset: every morsel carries a worker-partition and a
 //! sequence position in *partition-major order* (partition `p` owns table
-//! chunks `p`, `p + dop`, …; partitions follow one another), chain output
-//! is reassembled by sequence, and order-sensitive sinks (aggregation's
-//! float accumulators, LIMIT) consume morsel outputs strictly in sequence
-//! through a bounded reorder window. The window is also what keeps memory
-//! flat: at most `workers × REORDER_WINDOW_PER_WORKER` morsel outputs are
-//! buffered (the window starts narrow and widens adaptively under stall
-//! pressure, up to that cap), so a scan-heavy query never materializes a
-//! whole table between operators (observable via
-//! [`crate::ExecStats::peak_buffered_rows`]; stalls are counted in
+//! chunks `p`, `p + dop`, …; partitions follow one another), and every
+//! sink partition consumes in sequence — collected output keeps source
+//! order, LIMIT a prefix, and each aggregation group (whose rows all route
+//! to one partition) folds its rows, floats included, in input order. The
+//! reorder window, which starts at the slowest sink partition's next
+//! sequence, is also what keeps memory flat: at most `workers ×
+//! REORDER_WINDOW_PER_WORKER` morsels are published ahead of it (the
+//! window starts narrow and widens adaptively under stall pressure, up to
+//! that cap), so a scan-heavy query never materializes a whole table
+//! between operators (observable via
+//! [`crate::ExecStats::peak_buffered_rows`]; holds are counted in
 //! [`crate::ExecStats::window_stalls`]).
 //!
 //! **Statistics.** Per-node row counts and [`crate::ScanPruneStats`] are
@@ -45,8 +57,9 @@ use bfq_plan::{
     ExchangeKind, JoinKind, OutputColumn, PhysicalNode, PhysicalPlan,
 };
 use bfq_storage::{Chunk, Column, Table};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::agg::{AggPart, AggPiece, AggSink};
 use crate::data::{ExecStats, PartitionedData, ScanPruneStats};
 use crate::exchange;
 use crate::executor::{
@@ -57,11 +70,11 @@ use crate::join::{probe_partition, BuildTable};
 use crate::scan::{check_predicate, fetch_filters, prune_chunk, scan_chunk, ScanFilter};
 use crate::util::{expr_types, select_rows, slots_for, substitute_placeholder, MorselScratch};
 
-/// Cap on morsel outputs a worker may run ahead of the consuming sink, per
-/// worker. Small enough to keep buffered rows near `workers × chunk`,
-/// large enough that a slow morsel does not stall the whole pool. The live
-/// window starts at a quarter of the cap and doubles under sustained
-/// stalls.
+/// Cap on morsels the workers may publish ahead of the slowest sink
+/// partition, per worker. Small enough to keep buffered rows near
+/// `workers × chunk`, large enough that a slow morsel does not stall the
+/// whole pool. The live window starts at a quarter of the cap and doubles
+/// under sustained stalls.
 pub const REORDER_WINDOW_PER_WORKER: usize = 4;
 
 /// One unit of work: the chunk at `seq` in partition-major order,
@@ -629,225 +642,463 @@ fn seal_blocking(node: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<SealedAu
 }
 
 // ---------------------------------------------------------------------------
-// The morsel scheduler: workers claim morsels dynamically; the sink consumes
-// outputs strictly in sequence through a bounded reorder window.
+// The morsel scheduler: workers claim morsels dynamically and drain the
+// pipeline's sink themselves, each sink partition strictly in sequence,
+// through a bounded reorder window.
 // ---------------------------------------------------------------------------
 
-struct QueueState {
-    ready: std::collections::HashMap<usize, Vec<Chunk>>,
-    /// Next sequence number the sink will consume; workers may run at most
-    /// `window` morsels ahead of it.
-    next: usize,
+/// What a pipeline feeds: partitions that each consume their share of every
+/// morsel strictly in morsel sequence. The morsel workers drain the
+/// partitions themselves, so two workers can consume two partitions at
+/// once.
+trait Sink: Sync {
+    /// One partition's share of one morsel's output.
+    type Piece: Send;
+    /// One partition's state.
+    type Part: Send;
+
+    /// Cut the output of morsel `seq` (landing in worker-partition
+    /// `partition`) into one piece per sink partition. Runs inside the
+    /// morsel, on the worker that processed it. A morsel without output
+    /// chunks is neither split nor consumed: it would change no sink.
+    fn split(
+        &self,
+        seq: usize,
+        partition: usize,
+        chunks: Vec<Chunk>,
+        scratch: &mut MorselScratch,
+    ) -> Result<Vec<Self::Piece>>;
+
+    /// Consume a partition's next piece. Returning `Ok(false)` cancels the
+    /// remaining morsels (LIMIT early-exit). A morsel's rows are counted
+    /// into the buffer gauge when it is published; `consume` owns the
+    /// matching release (sinks that discard rows shrink, collecting sinks
+    /// keep them counted).
+    fn consume(&self, part: &mut Self::Part, piece: Self::Piece, stats: &ExecStats)
+        -> Result<bool>;
+}
+
+/// A sink partition's entry for one morsel in the reorder queue.
+enum Slot<I> {
+    /// The morsel is not published yet.
+    Pending,
+    /// The morsel had no output: there is nothing to consume.
+    Empty,
+    /// The partition's piece of the morsel's output.
+    Piece(I),
+}
+
+/// The reorder state every worker shares, under one short-held lock.
+struct Sched<I> {
+    /// Per sink partition, its slots by sequence from `next[p]` on.
+    ready: Vec<VecDeque<Slot<I>>>,
+    /// Per sink partition, the next sequence it consumes.
+    next: Vec<usize>,
     /// Live reorder-window size in morsels. Starts narrow and doubles
-    /// under sustained stall pressure, up to [`MorselQueue::window_cap`] —
+    /// under sustained stall pressure, up to [`Shared::window_cap`] —
     /// trading bounded extra memory for fewer worker stalls when morsel
     /// costs are skewed.
     window: usize,
-    /// Stalls observed since the queue was created (drives window growth).
+    /// Stalls observed since the pipeline started (drives window growth).
     stalls: u64,
+    /// Workers asleep on the condvar: publishes and drains wake them only
+    /// when there are any.
+    waiting: usize,
 }
 
-struct MorselQueue {
+impl<I> Sched<I> {
+    /// The slowest partition's next sequence: where the window starts.
+    fn low(&self) -> usize {
+        self.next.iter().copied().min().unwrap_or_default()
+    }
+
+    /// Whether morsel `seq` is beyond the window.
+    fn held(&self, seq: usize) -> bool {
+        seq >= self.low() + self.window
+    }
+
+    /// Queue morsel `seq`'s pieces, one per partition, or an empty slot in
+    /// each partition for a morsel without output.
+    fn publish(&mut self, seq: usize, pieces: Option<Vec<I>>) {
+        let mut pieces = pieces.map(Vec::into_iter);
+        for p in 0..self.next.len() {
+            let slot = match &mut pieces {
+                Some(pieces) => Slot::Piece(pieces.next().expect("one piece per partition")),
+                None => Slot::Empty,
+            };
+            let at = seq - self.next[p];
+            let queue = &mut self.ready[p];
+            if queue.len() <= at {
+                queue.resize_with(at + 1, || Slot::Pending);
+            }
+            queue[at] = slot;
+            self.skip_empty(p);
+        }
+    }
+
+    /// Step partition `p` past the morsels at its front that had no output.
+    fn skip_empty(&mut self, p: usize) {
+        while let Some(Slot::Empty) = self.ready[p].front() {
+            self.ready[p].pop_front();
+            self.next[p] += 1;
+        }
+    }
+
+    /// Whether partition `p`'s next piece is published.
+    fn ready_at(&self, p: usize) -> bool {
+        matches!(self.ready[p].front(), Some(Slot::Piece(_)))
+    }
+
+    /// Take partition `p`'s next piece, which [`Sched::ready_at`] saw
+    /// published.
+    fn take(&mut self, p: usize) -> I {
+        let Some(Slot::Piece(piece)) = self.ready[p].pop_front() else {
+            unreachable!("partition {p} has no published piece")
+        };
+        self.next[p] += 1;
+        self.skip_empty(p);
+        piece
+    }
+}
+
+/// One pipeline run's shared state: the morsel cursor, the sink's
+/// partitions, the reorder state and the condvar blocked workers wait on.
+struct Shared<'a, S: Sink> {
+    chain: &'a PreparedChain,
+    morsels: &'a [Morsel],
+    ctx: &'a ExecContext,
+    sink: &'a S,
+    parts: Vec<Mutex<S::Part>>,
     claim: AtomicUsize,
     cancel: AtomicBool,
-    state: Mutex<QueueState>,
+    sched: Mutex<Sched<S::Piece>>,
+    /// Where held workers sleep; woken by publishes, by drains that move
+    /// the window, and by [`Shared::stop`].
     cond: Condvar,
     /// Hard ceiling for the adaptive window: `workers ×
     /// REORDER_WINDOW_PER_WORKER` morsels — the memory bound
     /// `peak_buffered_rows` is asserted against.
     window_cap: usize,
+    workers: usize,
 }
 
-/// Run a prepared chain over its morsels. Workers (scoped threads, at most
-/// `ctx.options.dop`) process morsels out of order; `consume(partition,
-/// chunks, rows)` is called on the calling thread strictly in morsel-sequence
-/// order. Returning `Ok(false)` from `consume` cancels the remaining
-/// morsels (LIMIT early-exit). Chunk rows are counted into the buffer
-/// gauge when published; `consume` owns the matching release (sinks that
-/// discard rows shrink, collecting sinks keep them counted).
-fn run_chain(
+/// The held reorder lock of a pipeline run.
+type SchedGuard<'s, S> = MutexGuard<'s, Sched<<S as Sink>::Piece>>;
+
+impl<S: Sink> Shared<'_, S> {
+    fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::Acquire)
+    }
+
+    /// Stop every worker. The flag is set under the reorder lock, so a
+    /// worker about to wait cannot miss the wake-up.
+    fn stop(&self) {
+        let sched = self.sched.lock();
+        self.cancel.store(true, Ordering::Release);
+        drop(sched);
+        self.cond.notify_all();
+    }
+
+    /// Wake the workers asleep at the window, if any; `sched` is the held
+    /// reorder lock, so none can fall asleep unseen.
+    fn wake(&self, sched: &Sched<S::Piece>) {
+        if sched.waiting > 0 {
+            self.cond.notify_all();
+        }
+    }
+
+    /// One worker: claim, process and split morsels, publish the pieces in
+    /// sequence, and drain whatever partitions it can lock.
+    fn work(&self, w: usize, scratch: &mut MorselScratch) -> Result<()> {
+        let (chain, ctx) = (self.chain, self.ctx);
+        loop {
+            if self.cancelled() {
+                return Ok(());
+            }
+            let seq = self.claim.fetch_add(1, Ordering::Relaxed);
+            let Some(morsel) = self.morsels.get(seq) else {
+                return Ok(());
+            };
+            // Cancellation/timeout/budget are polled at the claim, so
+            // interruption latency is bounded by one morsel's work per
+            // worker; an interrupted worker takes the same stop path as a
+            // failed morsel. A morsel without output (a pruned chunk, say)
+            // is published as such, without a sink split.
+            let processed = ctx
+                .check_interrupts()
+                .and_then(|()| chain.process(morsel, &ctx.stats, scratch))
+                .and_then(|chunks| {
+                    let rows: u64 = chunks.iter().map(|c| c.rows() as u64).sum();
+                    let partition = chain.output_partition(morsel);
+                    let pieces = (!chunks.is_empty())
+                        .then(|| self.sink.split(seq, partition, chunks, scratch))
+                        .transpose()?;
+                    Ok((pieces, rows))
+                });
+            let (pieces, rows) = match processed {
+                Ok(out) => out,
+                Err(e) => {
+                    self.stop();
+                    return Err(e);
+                }
+            };
+            let mut sched = self.sched.lock();
+            if !self.cancelled() && sched.held(seq) {
+                // Count the stall, and widen the window (up to the cap)
+                // when stalls keep coming — a whole pool's worth of stalls
+                // per doubling.
+                ctx.stats.note_window_stall();
+                sched.stalls += 1;
+                if sched.stalls.is_multiple_of(4 * self.workers as u64)
+                    && sched.window < self.window_cap
+                {
+                    sched.window = (sched.window * 2).min(self.window_cap);
+                    self.wake(&sched);
+                }
+            }
+            while !self.cancelled() && sched.held(seq) {
+                // Held at the window: help drain, then sleep until a
+                // publish or a drain changes what there is to do.
+                sched = self.drain(w, sched)?;
+                if !self.cancelled() && sched.held(seq) {
+                    sched.waiting += 1;
+                    self.cond.wait(&mut sched);
+                    sched.waiting -= 1;
+                }
+            }
+            if self.cancelled() {
+                return Ok(());
+            }
+            ctx.stats.buffer_grow(rows);
+            sched.publish(seq, pieces);
+            self.wake(&sched);
+            drop(self.drain(w, sched)?);
+        }
+    }
+
+    /// Consume the published pieces of every partition this worker can
+    /// lock, each in sequence, starting at partition `w` so that workers
+    /// spread over the partitions. Called and returns with the reorder lock
+    /// held; it is let go around each consume.
+    fn drain<'s>(&'s self, w: usize, mut sched: SchedGuard<'s, S>) -> Result<SchedGuard<'s, S>> {
+        let n = self.parts.len();
+        for p in (0..n).map(|k| (w + k) % n) {
+            if !sched.ready_at(p) {
+                continue;
+            }
+            let Some(mut part) = self.parts[p].try_lock() else {
+                continue;
+            };
+            while !self.cancelled() && sched.ready_at(p) {
+                let low = sched.low();
+                let piece = sched.take(p);
+                if sched.low() != low {
+                    self.wake(&sched);
+                }
+                drop(sched);
+                let consumed = self.sink.consume(&mut part, piece, &self.ctx.stats);
+                if !matches!(consumed, Ok(true)) {
+                    self.stop();
+                }
+                consumed?;
+                sched = self.sched.lock();
+            }
+            // Let go of the partition under the reorder lock: a piece
+            // published after the last look finds it free.
+            drop(part);
+        }
+        Ok(sched)
+    }
+}
+
+/// The worker count of a pipeline over `morsels` morsels: the session's
+/// dop, but never more workers than morsels.
+fn chain_workers(ctx: &ExecContext, morsels: usize) -> usize {
+    ctx.options.dop.min(morsels).max(1)
+}
+
+/// Run a prepared chain over its morsels into `sink`, whose partitions
+/// start as `parts`; returns the partitions' final states. The calling
+/// thread is one of the [`chain_workers`] workers, so a dop-1 pipeline runs
+/// on it alone.
+fn run_chain<S: Sink>(
     chain: &PreparedChain,
     morsels: &[Morsel],
     ctx: &ExecContext,
-    mut consume: impl FnMut(usize, Vec<Chunk>, u64) -> Result<bool>,
-) -> Result<()> {
-    let n = morsels.len();
-    let workers = ctx.options.dop.min(n).max(1);
-    if n == 0 {
-        return Ok(());
-    }
-    if workers == 1 {
-        // Serial fast path: process and consume in order, no threads.
-        let mut scratch = MorselScratch::new();
-        for morsel in morsels {
-            ctx.check_interrupts()?;
-            let chunks = chain.process(morsel, &ctx.stats, &mut scratch)?;
-            let rows: u64 = chunks.iter().map(|c| c.rows() as u64).sum();
-            ctx.stats.buffer_grow(rows);
-            if !consume(chain.output_partition(morsel), chunks, rows)? {
-                break;
-            }
-        }
-        crate::util::flush_scratch_stats(&ctx.stats, &mut scratch);
-        return Ok(());
-    }
-
+    sink: &S,
+    parts: Vec<S::Part>,
+) -> Result<Vec<S::Part>> {
+    let workers = chain_workers(ctx, morsels.len());
     let window_cap = workers * REORDER_WINDOW_PER_WORKER;
-    let queue = MorselQueue {
+    let shared = Shared {
+        chain,
+        morsels,
+        ctx,
+        sink,
         claim: AtomicUsize::new(0),
         cancel: AtomicBool::new(false),
-        state: Mutex::new(QueueState {
-            ready: std::collections::HashMap::new(),
-            next: 0,
+        sched: Mutex::new(Sched {
+            ready: parts.iter().map(|_| VecDeque::new()).collect(),
+            next: vec![0; parts.len()],
             // Start at a quarter of the cap (at least one morsel per
             // worker): smooth pipelines never pay for the full window.
             window: (window_cap / 4).max(workers),
             stalls: 0,
+            waiting: 0,
         }),
+        parts: parts.into_iter().map(Mutex::new).collect(),
         cond: Condvar::new(),
         window_cap,
+        workers,
     };
 
-    // Any unwinding thread (worker panic in an operator, or a panic in the
-    // sink's consume) must cancel the queue and wake every waiter —
-    // otherwise threads blocked on the condvar would wait forever and the
-    // scope's implicit join would hang the query instead of surfacing the
-    // panic.
-    struct CancelOnPanic<'a>(&'a MorselQueue);
-    impl Drop for CancelOnPanic<'_> {
+    // An unwinding worker (a panic in an operator or in the sink) must stop
+    // the others and wake every waiter — otherwise threads blocked on the
+    // condvar would wait forever and the scope's implicit join would hang
+    // the query instead of surfacing the panic.
+    struct StopOnPanic<'s, 'a, S: Sink>(&'s Shared<'a, S>);
+    impl<S: Sink> Drop for StopOnPanic<'_, '_, S> {
         fn drop(&mut self) {
             if std::thread::panicking() {
-                self.0.cancel.store(true, Ordering::Release);
-                self.0.cond.notify_all();
+                self.0.stop();
             }
         }
     }
-
-    let worker = |queue: &MorselQueue| -> Result<()> {
-        let _cancel_on_panic = CancelOnPanic(queue);
-        // One scratch per worker thread, reused for every morsel it claims:
+    let worker = |w: usize| -> Result<()> {
+        let _stop_on_panic = StopOnPanic(&shared);
+        // One scratch per worker, reused for every morsel it claims:
         // steady-state probing allocates nothing.
         let mut scratch = MorselScratch::new();
-        let run = |scratch: &mut MorselScratch| -> Result<()> {
-            loop {
-                if queue.cancel.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                let seq = queue.claim.fetch_add(1, Ordering::Relaxed);
-                if seq >= n {
-                    return Ok(());
-                }
-                // Cancellation/timeout/budget are polled at the claim, so
-                // interruption latency is bounded by one morsel's work per
-                // worker; an interrupted worker takes the same
-                // cancel-and-notify path as a failed morsel.
-                let result = ctx
-                    .check_interrupts()
-                    .and_then(|()| chain.process(&morsels[seq], &ctx.stats, scratch));
-                let chunks = match result {
-                    Ok(chunks) => chunks,
-                    Err(e) => {
-                        queue.cancel.store(true, Ordering::Release);
-                        queue.cond.notify_all();
-                        return Err(e);
-                    }
-                };
-                let rows: u64 = chunks.iter().map(|c| c.rows() as u64).sum();
-                let mut state = queue.state.lock();
-                if !queue.cancel.load(Ordering::Acquire) && seq >= state.next + state.window {
-                    // Blocked behind the sequence-ordered sink. Count the
-                    // stall, and widen the window (up to the cap) when
-                    // stalls keep coming — a whole pool's worth of stalls
-                    // per doubling.
-                    ctx.stats.note_window_stall();
-                    state.stalls += 1;
-                    if state.stalls.is_multiple_of(4 * workers as u64)
-                        && state.window < queue.window_cap
-                    {
-                        state.window = (state.window * 2).min(queue.window_cap);
-                        queue.cond.notify_all();
-                    }
-                }
-                while !queue.cancel.load(Ordering::Acquire) && seq >= state.next + state.window {
-                    queue.cond.wait(&mut state);
-                }
-                if queue.cancel.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                ctx.stats.buffer_grow(rows);
-                state.ready.insert(seq, chunks);
-                queue.cond.notify_all();
-            }
-        };
-        let out = run(&mut scratch);
+        let out = shared.work(w, &mut scratch);
         crate::util::flush_scratch_stats(&ctx.stats, &mut scratch);
         out
     };
-
-    std::thread::scope(|scope| -> Result<()> {
-        let _cancel_on_panic = CancelOnPanic(&queue);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| worker(&queue)));
-        }
-
-        // Sink loop: consume outputs in sequence order.
-        let mut sink_result: Result<()> = Ok(());
-        'sink: for (seq, morsel) in morsels.iter().enumerate() {
-            let chunks = loop {
-                let mut state = queue.state.lock();
-                if let Some(chunks) = state.ready.remove(&seq) {
-                    state.next = seq + 1;
-                    queue.cond.notify_all();
-                    break chunks;
-                }
-                if queue.cancel.load(Ordering::Acquire) {
-                    // A worker died; its error surfaces at join below.
-                    break 'sink;
-                }
-                queue.cond.wait(&mut state);
-            };
-            let rows: u64 = chunks.iter().map(|c| c.rows() as u64).sum();
-            match consume(chain.output_partition(morsel), chunks, rows) {
-                Ok(true) => {}
-                Ok(false) => {
-                    queue.cancel.store(true, Ordering::Release);
-                    queue.cond.notify_all();
-                    break;
-                }
-                Err(e) => {
-                    queue.cancel.store(true, Ordering::Release);
-                    queue.cond.notify_all();
-                    sink_result = Err(e);
-                    break;
-                }
-            }
-        }
-
+    let panicked = || BfqError::Execution("morsel worker panicked".into());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || worker(w)))
+            .collect();
+        let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(0)))
+            .unwrap_or_else(|_| Err(panicked()));
         for handle in handles {
-            let joined = handle
-                .join()
-                .map_err(|_| BfqError::Execution("morsel worker panicked".into()))?;
-            if let (Err(e), Ok(())) = (joined, &sink_result) {
-                sink_result = Err(e);
+            let joined = handle.join().unwrap_or_else(|_| Err(panicked()));
+            if let (Err(e), Ok(())) = (joined, &result) {
+                result = Err(e);
             }
         }
-        sink_result
-    })
+        result
+    })?;
+    Ok(shared.parts.into_iter().map(Mutex::into_inner).collect())
+}
+
+/// Collects a chain's output by partition of origin, in source order
+/// within each partition: one sink partition holding every output
+/// partition.
+struct CollectSink;
+
+impl Sink for CollectSink {
+    type Piece = (usize, Vec<Chunk>);
+    type Part = Vec<Vec<Chunk>>;
+
+    fn split(
+        &self,
+        _seq: usize,
+        partition: usize,
+        chunks: Vec<Chunk>,
+        _scratch: &mut MorselScratch,
+    ) -> Result<Vec<Self::Piece>> {
+        Ok(vec![(partition, chunks)])
+    }
+
+    fn consume(
+        &self,
+        part: &mut Self::Part,
+        (partition, chunks): Self::Piece,
+        _stats: &ExecStats,
+    ) -> Result<bool> {
+        // Rows stay counted in the buffer gauge: the collected output is
+        // the materialized input of the consuming breaker.
+        part[partition].extend(chunks);
+        Ok(true)
+    }
+}
+
+/// Streaming LIMIT: keeps morsel outputs in sequence until `n` rows
+/// arrived, then cancels the pipeline. One sink partition.
+struct LimitSink {
+    n: usize,
+}
+
+impl Sink for LimitSink {
+    type Piece = Vec<Chunk>;
+    /// The kept chunks and their rows.
+    type Part = (Vec<Chunk>, usize);
+
+    fn split(
+        &self,
+        _seq: usize,
+        _partition: usize,
+        chunks: Vec<Chunk>,
+        _scratch: &mut MorselScratch,
+    ) -> Result<Vec<Self::Piece>> {
+        Ok(vec![chunks])
+    }
+
+    fn consume(
+        &self,
+        (kept, rows_seen): &mut Self::Part,
+        chunks: Self::Piece,
+        stats: &ExecStats,
+    ) -> Result<bool> {
+        stats.buffer_shrink(chunks.iter().map(|c| c.rows() as u64).sum());
+        for chunk in chunks {
+            if *rows_seen < self.n {
+                *rows_seen += chunk.rows();
+                kept.push(chunk);
+            }
+        }
+        Ok(*rows_seen < self.n)
+    }
+}
+
+/// Hash aggregation: one sink partition per worker, rows routed by key
+/// hash inside the morsel (see [`crate::agg`]).
+impl Sink for AggSink {
+    type Piece = AggPiece;
+    type Part = AggPart;
+
+    fn split(
+        &self,
+        seq: usize,
+        _partition: usize,
+        chunks: Vec<Chunk>,
+        scratch: &mut MorselScratch,
+    ) -> Result<Vec<Self::Piece>> {
+        let seq =
+            u32::try_from(seq).map_err(|_| BfqError::Execution("more than 2^32 morsels".into()))?;
+        AggSink::split(self, seq, &chunks, &mut scratch.group_tmp)
+    }
+
+    fn consume(
+        &self,
+        part: &mut Self::Part,
+        piece: Self::Piece,
+        stats: &ExecStats,
+    ) -> Result<bool> {
+        AggSink::consume(self, part, &piece)?;
+        stats.buffer_shrink(piece.rows());
+        Ok(true)
+    }
 }
 
 /// Run a chain into a collecting sink: [`PartitionedData`] by partition
 /// of origin, in source order within each partition.
 fn run_chain_collect(head: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<PartitionedData> {
     let (chain, morsels) = prepare_chain(head, ctx)?;
-    let mut partitions: Vec<Vec<Chunk>> = vec![Vec::new(); chain.partitions];
-    run_chain(&chain, &morsels, ctx, |partition, chunks, _rows| {
-        // Rows stay counted in the buffer gauge: the collected output is
-        // the materialized input of the consuming breaker.
-        partitions[partition].extend(chunks);
-        Ok(true)
-    })?;
-
+    let empty = vec![Vec::new(); chain.partitions];
+    let [partitions] =
+        <[_; 1]>::try_from(run_chain(&chain, &morsels, ctx, &CollectSink, vec![empty])?)
+            .map_err(|_| BfqError::internal("collect sink has one partition"))?;
     ctx.stats.buffer_shrink(chain.sealed_rows());
     Ok(PartitionedData {
         types: chain.types.clone(),
@@ -859,7 +1110,7 @@ fn run_chain_collect(head: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<Part
 ///
 /// Every pipeline, the final one included, runs on the worker pool;
 /// intermediate materialization stays bounded by the reorder window
-/// wherever an order-sensitive sink (aggregation, LIMIT) consumes a
+/// wherever a sink that keeps no rows (aggregation, LIMIT) consumes a
 /// pipeline.
 pub fn execute_plan(
     plan: &Arc<PhysicalPlan>,
@@ -933,21 +1184,24 @@ pub(crate) fn execute_pipelined(
             est_groups,
         } => {
             // The blocking sink par excellence — but its input pipeline
-            // feeds it morsel by morsel instead of materializing first:
-            // every morsel folds into one state in sequence order, so float
-            // accumulation order is a function of the plan and dop alone.
+            // feeds it morsel by morsel instead of materializing first, and
+            // the workers fold the morsels themselves: one hash partition
+            // per worker, each folding its groups' rows in sequence order,
+            // so float accumulation order is a function of the plan and dop
+            // alone.
             let (chain, morsels) = prepare_chain(input, ctx)?;
-            let mut state = crate::agg::AggState::new(&input.layout, &chain.types, group_by, aggs)?;
-            state.reserve(*est_groups, input.est_rows);
-            run_chain(&chain, &morsels, ctx, |_partition, chunks, rows| {
-                for chunk in &chunks {
-                    state.update(chunk)?;
-                }
-                ctx.stats.buffer_shrink(rows);
-                Ok(true)
-            })?;
+            let workers = chain_workers(ctx, morsels.len());
+            let sink = AggSink::new(&input.layout, &chain.types, group_by, aggs, workers)?;
+            let parts = (0..sink.partitions())
+                .map(|_| {
+                    let mut part = sink.partition();
+                    sink.reserve(&mut part, *est_groups, input.est_rows);
+                    part
+                })
+                .collect();
+            let parts = run_chain(&chain, &morsels, ctx, &sink, parts)?;
             ctx.stats.buffer_shrink(chain.sealed_rows());
-            let out = state.finish(having, &plan.layout)?;
+            let out = sink.finish(parts, having, &plan.layout)?;
             let types = output_types(&out);
             let out = PartitionedData {
                 types,
@@ -975,18 +1229,9 @@ pub(crate) fn execute_pipelined(
             // Streaming LIMIT: consume morsel outputs in order and cancel
             // the pipeline the moment enough rows arrived.
             let (chain, morsels) = prepare_chain(input, ctx)?;
-            let mut collected: Vec<Chunk> = Vec::new();
-            let mut rows_seen = 0usize;
-            run_chain(&chain, &morsels, ctx, |_partition, chunks, rows| {
-                for chunk in chunks {
-                    if rows_seen < *n {
-                        rows_seen += chunk.rows();
-                        collected.push(chunk);
-                    }
-                }
-                ctx.stats.buffer_shrink(rows);
-                Ok(rows_seen < *n)
-            })?;
+            let limit = LimitSink { n: *n };
+            let kept = run_chain(&chain, &morsels, ctx, &limit, vec![(Vec::new(), 0)])?;
+            let collected: Vec<Chunk> = kept.into_iter().flat_map(|(chunks, _)| chunks).collect();
             ctx.stats.buffer_shrink(chain.sealed_rows());
             let chunk = if collected.is_empty() {
                 Chunk::new(

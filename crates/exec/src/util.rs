@@ -10,8 +10,9 @@ use bfq_storage::{Chunk, Column};
 pub const JOIN_SEED: u64 = 0x9d8f_3c2a_71b5_e604;
 
 /// Per-worker reusable buffers for the morsel hot path: the Bloom-probe
-/// scratch (hash columns plus selection ping-pong) and the join-probe
-/// buffers (combined key hashes, per-column staging, matched row pairs).
+/// scratch (hash columns plus selection ping-pong), the join-probe
+/// buffers (combined key hashes, per-column staging, matched row pairs)
+/// and an aggregation sink's group-key hash staging.
 /// One scratch lives per worker and persists across every morsel it
 /// processes, so steady-state execution performs zero filter-path
 /// allocations; capacity growths are counted through the embedded
@@ -25,6 +26,8 @@ pub struct MorselScratch {
     pub join_hash: Vec<u64>,
     /// Per-column staging for multi-key join hashing.
     pub join_tmp: Vec<u64>,
+    /// Per-column staging for an aggregation sink's group-key hashing.
+    pub group_tmp: Vec<u64>,
     /// Matched probe-row indices (parallel to `pair_build`).
     pub pair_probe: Vec<u32>,
     /// Matched build-row indices.

@@ -5,19 +5,20 @@
 //! * the result **equals the reference interpreter's** (`bfq-ref`) as a
 //!   normalized multiset, and in order where ORDER BY pins the order;
 //! * **strict is bit-exact**: two runs at the same (query, data, dop,
-//!   index mode) are exactly `Datum`-equal (floats included: order-sensitive
-//!   sinks consume morsels in sequence order, so float accumulation order
-//!   is fixed), and the streamed chunk sequence concatenates to exactly the
-//!   gathered chunk;
+//!   index mode) are exactly `Datum`-equal (floats included: every sink
+//!   partition consumes morsels in sequence order, so float accumulation
+//!   order is fixed), and the streamed chunk sequence concatenates to
+//!   exactly the gathered chunk;
 //! * **per-node actuals agree**: the root's actual row count is the
 //!   reference's row count, per-node actuals are identical with `profile`
 //!   on and off, and — under every Bloom mode, without early-exiting
 //!   LIMITs — identical across dop.
 //!
 //! Also verified here: dropping a `ChunkStream` mid-stream leaks no worker
-//! threads (the final pipeline runs on the consumer's thread), and
-//! scan-heavy queries materialize a bounded reorder window instead of a
-//! full-table intermediate (`ExecStats::peak_buffered_rows`).
+//! threads (the final pipeline runs on the consumer's thread), a timeout
+//! or a cancel stops a parallel aggregation without leaking its workers,
+//! and scan-heavy queries materialize a bounded reorder window instead of
+//! a full-table intermediate (`ExecStats::peak_buffered_rows`).
 
 mod common;
 
@@ -375,4 +376,76 @@ fn statement_timeout_interrupts_streams_and_reports_timeout() {
     conn.set("statement_timeout", "0").expect("reset");
     let out = conn.run_sql("select count(*) from orders").expect("ok");
     assert_eq!(out.chunk.rows(), 1);
+}
+
+/// An interrupted statement's outcome: `Cancelled` naming `reason`, with
+/// the hub recording it, or — on a machine that finished first — a result.
+fn cancelled_or_done(out: Result<QueryResult>, conn: &Connection, reason: CancelReason) {
+    let text = match reason {
+        CancelReason::Timeout => "timeout",
+        CancelReason::Cancelled => "cancelled by client",
+    };
+    match out {
+        Err(BfqError::Cancelled(msg)) => {
+            assert!(msg.contains(text), "message: {msg}");
+            assert_eq!(conn.cancel_hub().last_fired(), Some(reason));
+        }
+        Err(other) => panic!("expected Cancelled, got {other}"),
+        Ok(_) => {}
+    }
+}
+
+#[test]
+fn interrupts_stop_a_parallel_grouped_aggregation() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let db = tpch::gen::generate(SF, SEED).expect("generate");
+    let engine = Engine::new(db, EngineConfig::default().with_dop(4));
+    let mut conn = engine.connect();
+    // Not streamed: the aggregation's workers drain its hash partitions
+    // themselves, so the interrupt has to reach them there.
+    let sql = "select l_orderkey, sum(l_quantity) from lineitem group by l_orderkey";
+    let want = conn.run_sql(sql).expect("uninterrupted run");
+    #[cfg(target_os = "linux")]
+    let before = live_threads();
+
+    conn.set("statement_timeout", "1").expect("set");
+    cancelled_or_done(conn.run_sql(sql), &conn, CancelReason::Timeout);
+    conn.set("statement_timeout", "0").expect("reset");
+
+    // Cancelled from another thread as soon as the statement is armed.
+    let done = AtomicBool::new(false);
+    let hub = Arc::clone(conn.cancel_hub());
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::Acquire) && !hub.cancel() {
+                std::thread::yield_now();
+            }
+        });
+        let out = conn.run_sql(sql);
+        done.store(true, Ordering::Release);
+        cancelled_or_done(out, &conn, CancelReason::Cancelled);
+    });
+
+    #[cfg(target_os = "linux")]
+    {
+        // Same retry discipline as
+        // `dropping_a_stream_mid_way_leaks_no_worker_threads`.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            let after = live_threads();
+            if after <= before {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "interrupted aggregation leaked worker threads ({before} before, {after} after)"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    }
+
+    // The same connection reruns the statement to the same answer.
+    let again = conn.run_sql(sql).expect("same statement reruns");
+    assert_eq!(exact_rows(&again.chunk), exact_rows(&want.chunk));
 }
