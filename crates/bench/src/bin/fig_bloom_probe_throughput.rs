@@ -15,13 +15,14 @@
 //!
 //! Part two times the scan kernel the probes sit in: the local predicate
 //! (selection-vector refinement) and the gather of the projected columns,
-//! in ns per scanned row, over the lineitem chunks of the TPC-H data set.
-//! Each shape is the lineitem scan the optimizer plans for a query —
-//! **q1** (one date bound that keeps every generated row, seven columns
-//! gathered)
-//! and **q6** (a date range, a `BETWEEN` and a bound on three columns, a
-//! few percent kept, two gathered) — reported as min, median and spread
-//! (max − min) over repeated passes.
+//! in ns per scanned row, over the chunks of the TPC-H table scanned. Each
+//! shape is the filtered scan the optimizer plans for a query —
+//! **q1** (lineitem: one date bound that keeps every generated row, seven
+//! columns gathered), **q6** (lineitem: a date range, a `BETWEEN` and a
+//! bound on three columns, a few percent kept, two gathered), **q13**
+//! (orders: `o_comment NOT LIKE '%special%requests%'`, two inner pieces
+//! searched in each comment) and **q9** (part: `p_name LIKE '%green%'`) —
+//! reported as min, median and spread (max − min) over repeated passes.
 //!
 //! With `--json`, structural metrics (false-positive survivor counts and
 //! the no-false-negative member counts — deterministic for the fixed keys
@@ -113,10 +114,12 @@ fn run_batched(filter: &RuntimeFilter, chunks: &[Column], repeats: usize) -> (u6
     )
 }
 
-/// A query's lineitem scan as the optimizer plans it: the pushed-down
-/// predicate over the table's full layout and the projected columns.
+/// A query's filtered scan of one table as the optimizer plans it: the
+/// pushed-down predicate over the table's full layout and the projected
+/// columns.
 struct ScanShape {
     label: &'static str,
+    table: TableId,
     predicate: Expr,
     layout: Layout,
     projection: Vec<usize>,
@@ -132,17 +135,18 @@ fn find_scan(plan: &PhysicalPlan, table: TableId) -> Option<&PhysicalNode> {
     }
 }
 
-fn lineitem_scan(
+fn filtered_scan(
     catalog: &Arc<Catalog>,
     env: &BenchEnv,
     q: usize,
+    table: &str,
     label: &'static str,
 ) -> ScanShape {
     let mut bindings = Bindings::new();
     let bound = plan_sql(&query_text(q, env.sf), catalog, &mut bindings).expect("bind");
     let config = env.config(BloomMode::None);
     let planned = optimize(&bound.plan, &mut bindings, catalog, &config).expect("optimize");
-    let meta = catalog.meta_by_name("lineitem").expect("lineitem");
+    let meta = catalog.meta_by_name(table).expect("table");
     let Some(PhysicalNode::Scan {
         rel_id,
         projection,
@@ -150,11 +154,12 @@ fn lineitem_scan(
         ..
     }) = find_scan(&planned.plan, meta.id)
     else {
-        panic!("Q{q}: no filtered lineitem scan");
+        panic!("Q{q}: no filtered {table} scan");
     };
-    let width = catalog.data(meta.id).expect("lineitem data").schema().len();
+    let width = catalog.data(meta.id).expect("table data").schema().len();
     ScanShape {
         label,
+        table: meta.id,
         predicate: predicate.clone(),
         layout: Layout::new(
             (0..width as u32)
@@ -250,13 +255,6 @@ fn main() {
 
     let env = BenchEnv::load();
     let catalog = env.load_db();
-    let lineitem = catalog.meta_by_name("lineitem").expect("lineitem").id;
-    let chunks = catalog
-        .data(lineitem)
-        .expect("lineitem data")
-        .chunks()
-        .to_vec();
-    let rows: usize = chunks.iter().map(Chunk::rows).sum();
     json.add("sf", env.sf);
     println!("\n# Scan kernel — selection-vector predicate, then gather of the projected columns");
     println!("# compiled for {}", target_features());
@@ -273,10 +271,14 @@ fn main() {
         "spread"
     );
     for shape in [
-        lineitem_scan(&catalog, &env, 1, "q1"),
-        lineitem_scan(&catalog, &env, 6, "q6"),
+        filtered_scan(&catalog, &env, 1, "lineitem", "q1"),
+        filtered_scan(&catalog, &env, 6, "lineitem", "q6"),
+        filtered_scan(&catalog, &env, 13, "orders", "q13"),
+        filtered_scan(&catalog, &env, 9, "part", "q9"),
     ] {
-        let (selected, out, predicate_ns, gather_ns) = run_scan(&shape, &chunks);
+        let chunks = catalog.data(shape.table).expect("table data").chunks();
+        let rows: usize = chunks.iter().map(Chunk::rows).sum();
+        let (selected, out, predicate_ns, gather_ns) = run_scan(&shape, chunks);
         let stats = |ns: &[f64]| (ns[0], ns[ns.len() / 2], ns[ns.len() - 1] - ns[0]);
         let (p_min, p_median, p_spread) = stats(&predicate_ns);
         let (g_min, g_median, g_spread) = stats(&gather_ns);

@@ -7,23 +7,26 @@
 //! arguments and the key hashes, and routes each row to one of the sink's
 //! partitions by the hash's high bits (the directory indexes by the low
 //! bits): one `AggPiece` per partition, a selection over the evaluated
-//! columns, nothing copied. Each `AggPart` owns a grouper, which finds or
-//! inserts each row's group — verifying keys against the group's first row
-//! — and writes dense group ids into a reused `Vec<u32>`; each aggregate
-//! then folds its argument column, through the piece's selection in row
-//! order, into per-group vectors.
+//! columns, nothing copied. Each `AggPart` owns a grouper, which keeps each
+//! key column's group values as one typed column in group-id order and
+//! assigns a piece's rows a column at a time — a batched directory lookup
+//! for candidate groups, one typed key check per column, and a row-at-a-time
+//! find or insert only for the rows left unresolved — writing dense group
+//! ids into a reused `Vec<u32>`; each aggregate then folds its argument
+//! column, through the piece's selection in row order, into per-group
+//! vectors.
 //!
 //! All rows of a group land in one partition, and a partition consumes its
 //! pieces in morsel order, so every group folds its rows in input order,
 //! floats included. A partition also records where each group's first row
-//! sits in the input, and `AggSink::finish` merges the partitions' groups
-//! by that position, which restores first-seen group order over the whole
-//! input. The output therefore depends only on the sequence of rows fed:
-//! not on the partition count, not on how the rows are cut into chunks or
-//! morsels, and not on the hash seed, which is random per aggregation
-//! because keys come from table data and a fixed seed would let crafted
-//! keys collide. [`AggState`] is the one-partition form for a caller that
-//! feeds chunks itself.
+//! sits in the input, and `AggSink::finish` filters each partition's groups
+//! by `HAVING`, then merges the survivors by that position, which restores
+//! first-seen group order over the whole input. The output therefore
+//! depends only on the sequence of rows fed: not on the partition count,
+//! not on how the rows are cut into chunks or morsels, and not on the hash
+//! seed, which is random per aggregation because keys come from table data
+//! and a fixed seed would let crafted keys collide. [`AggState`] is the
+//! one-partition form for a caller that feeds chunks itself.
 
 use std::cmp::Ordering;
 use std::hash::{BuildHasher, RandomState};
@@ -34,7 +37,7 @@ use bfq_expr::{eval, eval_predicate, Expr, Layout};
 use bfq_plan::{AggExpr, AggFunc, OutputColumn};
 use bfq_storage::{Bitmap, Chunk, Column, ColumnBuilder, ColumnRef};
 
-use crate::util::{col_eq, hash_keys_into, Directory};
+use crate::util::{hash_keys_into, select_rows, Directory, NONE};
 
 /// The output type of an aggregate given its argument type.
 pub fn agg_output_type(func: AggFunc, arg: Option<DataType>) -> DataType {
@@ -49,18 +52,147 @@ pub fn agg_output_type(func: AggFunc, arg: Option<DataType>) -> DataType {
     }
 }
 
-/// Group-key equality: NULL equals NULL, and floats are equal when `==`
-/// (so `-0.0` is `0.0`) or bit-identical (so a NaN matches itself).
+/// Group-key equality of group `g`'s value in `stored` and row `i` of
+/// `col`, one type: NULL equals NULL, and floats are equal when `==` (so
+/// `-0.0` is `0.0`) or bit-identical (so a NaN matches itself).
 #[inline]
-fn key_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
-    match (a.is_null(i), b.is_null(j), a, b) {
-        (false, false, Column::Int64(x, _), Column::Int64(y, _)) => x[i] == y[j],
-        (true, true, ..) => true,
-        (false, false, Column::Float64(x, _), Column::Float64(y, _)) => {
-            x[i] == y[j] || x[i].to_bits() == y[j].to_bits()
+fn key_eq(stored: &ColumnBuilder, g: usize, col: &Column, i: usize) -> bool {
+    let (a, b) = (stored_valid(stored).0[g], !col.is_null(i));
+    if !(a && b) {
+        return a == b;
+    }
+    match (stored, col) {
+        (ColumnBuilder::Int64(x, ..), Column::Int64(y, _)) => x[g] == y[i],
+        (ColumnBuilder::Date(x, ..), Column::Date(y, _)) => x[g] == y[i],
+        (ColumnBuilder::Float64(x, ..), Column::Float64(y, _)) => float_eq(x[g], y[i]),
+        (ColumnBuilder::Utf8(x, ..), Column::Utf8(y, _)) => x.bytes(g) == y.bytes(i),
+        (ColumnBuilder::Bool(x, ..), Column::Bool(y, _)) => x[g] == y[i],
+        _ => unreachable!("group keys keep their type"),
+    }
+}
+
+#[inline]
+fn float_eq(a: f64, b: f64) -> bool {
+    a == b || a.to_bits() == b.to_bits()
+}
+
+/// Each group's validity in a key column, and whether any group is NULL.
+#[inline]
+fn stored_valid(stored: &ColumnBuilder) -> (&[bool], bool) {
+    match stored {
+        ColumnBuilder::Int64(_, v, n)
+        | ColumnBuilder::Float64(_, v, n)
+        | ColumnBuilder::Utf8(_, v, n)
+        | ColumnBuilder::Bool(_, v, n)
+        | ColumnBuilder::Date(_, v, n) => (v, *n),
+    }
+}
+
+/// Clear each candidate group in `cand` (one per row of `rows`, [`NONE`]
+/// for none) whose value in the key column `stored` differs from its row's
+/// in `col`: one typed pass per column, with no validity reads when
+/// neither side holds a NULL.
+fn verify(stored: &ColumnBuilder, col: &Column, rows: &[u32], cand: &mut [u32]) {
+    let ((groups, any_null), rows_valid) = (stored_valid(stored), col.validity());
+    let nulls = (any_null || rows_valid.is_some()).then_some((groups, rows_valid));
+    match (stored, col) {
+        (ColumnBuilder::Int64(x, ..), Column::Int64(y, _)) => {
+            keep(cand, rows, nulls, |g, i| x[g] == y[i]);
         }
-        (false, false, ..) => col_eq(a, i, b, j),
-        _ => false,
+        (ColumnBuilder::Date(x, ..), Column::Date(y, _)) => {
+            keep(cand, rows, nulls, |g, i| x[g] == y[i]);
+        }
+        (ColumnBuilder::Float64(x, ..), Column::Float64(y, _)) => {
+            keep(cand, rows, nulls, |g, i| float_eq(x[g], y[i]));
+        }
+        (ColumnBuilder::Utf8(x, ..), Column::Utf8(y, _)) => {
+            keep(cand, rows, nulls, |g, i| x.bytes(g) == y.bytes(i));
+        }
+        (ColumnBuilder::Bool(x, ..), Column::Bool(y, _)) => {
+            keep(cand, rows, nulls, |g, i| x[g] == y[i]);
+        }
+        _ => unreachable!("group keys keep their type"),
+    }
+}
+
+/// [`verify`] for one type: `eq(group, row)` compares two non-null values;
+/// `nulls` holds the groups' and the rows' validity, `None` when neither
+/// side has a NULL.
+#[inline]
+fn keep(
+    cand: &mut [u32],
+    rows: &[u32],
+    nulls: Option<(&[bool], Option<&Bitmap>)>,
+    eq: impl Fn(usize, usize) -> bool,
+) {
+    let pairs = cand.iter_mut().zip(rows).filter(|(g, _)| **g != NONE);
+    match nulls {
+        None => {
+            for (g, &i) in pairs {
+                if !eq(*g as usize, i as usize) {
+                    *g = NONE;
+                }
+            }
+        }
+        Some((groups, rows)) => {
+            for (g, &i) in pairs {
+                let (a, b) = (groups[*g as usize], rows.is_none_or(|v| v.get(i as usize)));
+                let same = if a && b {
+                    eq(*g as usize, i as usize)
+                } else {
+                    a == b
+                };
+                if !same {
+                    *g = NONE;
+                }
+            }
+        }
+    }
+}
+
+/// Group-key equality of rows `a` and `b` of `col`, as [`key_eq`].
+#[inline]
+fn rows_eq(col: &Column, a: usize, b: usize) -> bool {
+    match (col.is_null(a), col.is_null(b)) {
+        (false, false) => match col {
+            Column::Int64(v, _) => v[a] == v[b],
+            Column::Date(v, _) => v[a] == v[b],
+            Column::Float64(v, _) => float_eq(v[a], v[b]),
+            Column::Utf8(v, _) => v.bytes(a) == v.bytes(b),
+            Column::Bool(v, _) => v[a] == v[b],
+        },
+        (a, b) => a == b,
+    }
+}
+
+/// Append the `rows` of `col` to the key column `stored`, of its type.
+fn append_keys(stored: &mut ColumnBuilder, col: &Column, rows: &[u32]) {
+    fn gather<T: Copy>(x: &mut Vec<T>, y: &[T], rows: &[u32]) {
+        x.extend(rows.iter().map(|&i| y[i as usize]));
+    }
+    let (valid, has_null) = match stored {
+        ColumnBuilder::Int64(_, v, n)
+        | ColumnBuilder::Float64(_, v, n)
+        | ColumnBuilder::Utf8(_, v, n)
+        | ColumnBuilder::Bool(_, v, n)
+        | ColumnBuilder::Date(_, v, n) => (v, n),
+    };
+    match col.validity() {
+        None => valid.resize(valid.len() + rows.len(), true),
+        Some(bm) => {
+            valid.extend(rows.iter().map(|&i| bm.get(i as usize)));
+            *has_null |= rows.iter().any(|&i| !bm.get(i as usize));
+        }
+    }
+    match (stored, col) {
+        (ColumnBuilder::Int64(x, ..), Column::Int64(y, _)) => gather(x, y, rows),
+        (ColumnBuilder::Date(x, ..), Column::Date(y, _)) => gather(x, y, rows),
+        (ColumnBuilder::Float64(x, ..), Column::Float64(y, _)) => gather(x, y, rows),
+        (ColumnBuilder::Bool(x, ..), Column::Bool(y, _)) => gather(x, y, rows),
+        (ColumnBuilder::Utf8(x, ..), Column::Utf8(y, _)) => {
+            rows.iter().for_each(|&i| x.push(y.get(i as usize)));
+        }
+        _ => unreachable!("group keys keep their type"),
     }
 }
 
@@ -73,36 +205,61 @@ fn partition_of(h: u64, parts: usize) -> usize {
 }
 
 /// Dense ids, in first-seen order, for the distinct rows of some key
-/// columns: a [`Directory`] from key hash to group id, each candidate
-/// verified against its group's first row.
+/// columns: a [`Directory`] from key hash to group id, and each key
+/// column's group values as one growable typed column in group-id order.
 struct Grouper {
     seed: u64,
     dir: Directory,
-    /// Each group's key row, in group-id order, one chunk per input chunk
-    /// that brought new groups.
-    keys: Vec<Chunk>,
-    /// Each group's key row as (index into `keys`, row).
-    at: Vec<(u32, u32)>,
+    /// Each key column's value per group, in group-id order. A grouper
+    /// built without key columns takes their types from its first keys.
+    keys: Vec<ColumnBuilder>,
+    /// Reused buffers of [`Grouper::assign`]: the rows `0..n` of a piece
+    /// without a selection, the selected rows' hashes, each row's candidate
+    /// group and the directory lookup's collided rows.
+    all: Vec<u32>,
+    probe: Vec<u64>,
+    cand: Vec<u32>,
+    pending: Vec<u32>,
+    /// Whether the batched passes run on the next piece: whether most rows
+    /// of the last piece found a group that existed before it.
+    batch: bool,
     /// Reused buffers of [`Grouper::first_seen`]: column and row hashes.
     tmp: Vec<u64>,
     hashes: Vec<u64>,
 }
 
 impl Grouper {
-    fn new(seed: u64, keys: Vec<Chunk>) -> Grouper {
+    fn new(seed: u64, keys: Vec<ColumnBuilder>) -> Grouper {
         Grouper {
             seed,
             dir: Directory::with_keys(0),
             keys,
-            at: Vec::new(),
+            all: Vec::new(),
+            probe: Vec::new(),
+            cand: Vec::new(),
+            pending: Vec::new(),
+            batch: false,
             tmp: Vec::new(),
             hashes: Vec::new(),
         }
     }
 
+    /// Groups so far: the directory holds one entry per group.
+    fn len(&self) -> usize {
+        self.dir.len()
+    }
+
     /// Append to `ids` the group id of each row of `keys` that `sel`
     /// selects (every row for `None`), given each row's key hash in
     /// `hashes`; returns the rows that started a group.
+    ///
+    /// Three passes: a batched directory lookup gives each row a candidate
+    /// among the groups that existed before this call, one typed pass per
+    /// key column clears the candidates whose key differs, and only the
+    /// rows left without a group find or insert theirs one at a time, in
+    /// row order, so new groups take their ids in first-seen order. The
+    /// first two run only while most rows find an existing group; the
+    /// third alone assigns the same ids.
     fn assign(
         &mut self,
         keys: &Chunk,
@@ -110,40 +267,91 @@ impl Grouper {
         sel: Option<&[u32]>,
         ids: &mut Vec<u32>,
     ) -> Result<Vec<u32>> {
-        let (part, first) = (self.keys.len(), self.at.len());
-        // Groups first seen here point into this chunk until it is
-        // compacted to their rows below.
-        self.keys.push(keys.clone());
-        let mut new_rows = Vec::new();
-        for j in 0..sel.map_or(keys.rows(), <[u32]>::len) {
-            let i = sel.map_or(j, |sel| sel[j] as usize);
-            let h = hashes[i];
-            let (stored, at) = (&self.keys, &self.at);
-            let found = self.dir.find(h, |g| {
-                let (p, r) = at[g as usize];
-                let p = &stored[p as usize];
-                (0..keys.width()).all(|k| key_eq(p.column(k), r as usize, keys.column(k), i))
+        if self.keys.is_empty() {
+            self.keys = (keys.columns().iter())
+                .map(|c| ColumnBuilder::new(c.data_type()))
+                .collect();
+        }
+        let types = self.keys.iter().map(ColumnBuilder::data_type);
+        if !types.eq(keys.columns().iter().map(|c| c.data_type())) {
+            return Err(BfqError::internal("group key types changed between chunks"));
+        }
+        let Grouper {
+            dir,
+            keys: stored,
+            all,
+            probe,
+            cand,
+            pending,
+            batch,
+            ..
+        } = self;
+        let rows: &[u32] = match sel {
+            Some(sel) => sel,
+            None => {
+                // `0..n` for every piece of at most `all.len()` rows.
+                let n = keys.rows() as u32;
+                all.extend(all.len() as u32..n);
+                &all[..n as usize]
+            }
+        };
+        let base = ids.len();
+        if *batch {
+            let probe: &[u64] = match sel {
+                Some(sel) => {
+                    probe.clear();
+                    probe.extend(sel.iter().map(|&i| hashes[i as usize]));
+                    probe
+                }
+                None => hashes,
+            };
+            dir.lookup(probe, cand, pending);
+            for (stored, col) in stored.iter().zip(keys.columns()) {
+                verify(stored, col, rows, cand);
+            }
+            ids.extend_from_slice(cand);
+        } else {
+            ids.resize(base + rows.len(), NONE);
+        }
+        // Groups from `born` on start in this piece: their keys are the
+        // rows in `new_rows` until the piece ends and they are appended.
+        let (mut new_rows, born) = (Vec::new(), dir.len());
+        let mut existing = 0;
+        for (id, &i) in ids[base..].iter_mut().zip(rows) {
+            if *id != NONE {
+                existing += 1;
+                continue;
+            }
+            let (h, i) = (hashes[i as usize], i as usize);
+            let found = dir.find(h, |g| match (g as usize).checked_sub(born) {
+                None => (stored.iter().zip(keys.columns()))
+                    .all(|(k, col)| key_eq(k, g as usize, col, i)),
+                Some(n) => (keys.columns().iter()).all(|col| rows_eq(col, new_rows[n] as usize, i)),
             });
-            ids.push(match found {
-                Ok(slot) => self.dir.payload[slot],
+            *id = match found {
+                Ok(slot) => {
+                    let g = dir.payload[slot];
+                    existing += usize::from((g as usize) < born);
+                    g
+                }
                 Err(slot) => {
-                    let g = u32::try_from(self.at.len())
-                        .map_err(|_| BfqError::Execution("more than 2^32 groups".into()))?;
-                    self.dir.insert(slot, h, g);
-                    self.at.push((part as u32, i as u32));
+                    let g = u32::try_from(dir.len())
+                        .ok()
+                        .filter(|&g| g != NONE)
+                        .ok_or_else(|| BfqError::Execution("more than 2^32 groups".into()))?;
+                    dir.insert(slot, h, g);
                     new_rows.push(i as u32);
                     g
                 }
-            });
+            };
         }
-        if new_rows.is_empty() {
-            self.keys.pop();
-        } else {
-            self.keys[part] = keys.take(&new_rows);
-            for (row, at) in self.at[first..].iter_mut().enumerate() {
-                at.1 = row as u32;
-            }
+        for (k, col) in stored.iter_mut().zip(keys.columns()) {
+            append_keys(k, col, &new_rows);
         }
+        // The batched passes pay when most rows find a group that existed
+        // before their piece; for keys mostly seen first, they only add
+        // directory probes to the continuation's.
+        *batch = 2 * existing >= rows.len();
         Ok(new_rows)
     }
 
@@ -330,7 +538,7 @@ impl AggPart {
     /// aggregate.
     fn into_chunk(self) -> Result<Chunk> {
         let mut columns = match self.grouper {
-            Some(g) => Chunk::concat(&g.keys)?.columns().to_vec(),
+            Some(g) => (g.keys.into_iter()).map(|k| Arc::new(k.finish())).collect(),
             None => Vec::new(),
         };
         for acc in self.accs {
@@ -355,9 +563,8 @@ pub(crate) struct AggSink {
     /// it.
     seed: u64,
     parts: usize,
-    /// The key columns over no rows, which type a result with no groups;
-    /// `None` for scalar aggregation.
-    no_keys: Option<Chunk>,
+    /// The key columns' types; `None` for scalar aggregation.
+    key_types: Option<Vec<DataType>>,
 }
 
 impl AggSink {
@@ -378,12 +585,13 @@ impl AggSink {
             let arg = a.arg.as_ref().and_then(|e| e.data_type(&resolve));
             agg_output_type(a.func, arg)
         });
-        let no_keys = if group_by.is_empty() {
+        let key_types = if group_by.is_empty() {
             None
         } else {
             let no_rows = input_types.iter().map(|&t| ColumnBuilder::new(t).finish());
             let no_rows = Chunk::new(no_rows.map(Arc::new).collect())?;
-            Some(eval_keys(group_by, &no_rows, input_layout)?)
+            let no_keys = eval_keys(group_by, &no_rows, input_layout)?;
+            Some(no_keys.columns().iter().map(|c| c.data_type()).collect())
         };
         Ok(AggSink {
             input_layout: input_layout.clone(),
@@ -392,7 +600,7 @@ impl AggSink {
             outs: outs.collect(),
             seed: RandomState::new().hash_one(0u64),
             parts: if group_by.is_empty() { 1 } else { parts.max(1) },
-            no_keys,
+            key_types,
         })
     }
 
@@ -418,8 +626,10 @@ impl AggSink {
             acc
         });
         AggPart {
-            grouper: (self.no_keys.as_ref())
-                .map(|keys| Grouper::new(self.seed, vec![keys.clone()])),
+            grouper: (self.key_types.as_ref()).map(|types| {
+                let keys = types.iter().map(|&t| ColumnBuilder::new(t)).collect();
+                Grouper::new(self.seed, keys)
+            }),
             accs: accs.collect(),
             distinct: (self.aggs.iter())
                 .map(|a| (a.distinct && a.arg.is_some()).then(|| Grouper::new(self.seed, vec![])))
@@ -435,7 +645,7 @@ impl AggSink {
     /// allocates nothing it cannot use. The directory doubles on demand
     /// past this size.
     pub(crate) fn reserve(&self, part: &mut AggPart, est_groups: f64, est_input_rows: f64) {
-        if let Some(g) = part.grouper.as_mut().filter(|g| g.at.is_empty()) {
+        if let Some(g) = part.grouper.as_mut().filter(|g| g.len() == 0) {
             let groups = est_groups.min(est_input_rows).clamp(0.0, (1 << 21) as f64);
             g.dir = Directory::with_keys((groups / self.parts as f64) as usize);
         }
@@ -504,7 +714,7 @@ impl AggSink {
                     (part.first).extend(new_rows.iter().map(|&i| ev.pos + u64::from(i)));
                 }
             }
-            let groups = part.grouper.as_ref().map_or(1, |g| g.at.len());
+            let groups = part.grouper.as_ref().map_or(1, Grouper::len);
             for ((acc, arg), distinct) in part.accs.iter_mut().zip(&ev.args).zip(&mut part.distinct)
             {
                 acc.resize(groups);
@@ -523,49 +733,55 @@ impl AggSink {
     }
 
     /// Materialize the aggregated output (group columns then aggregate
-    /// columns), groups in first-seen order across all partitions, then
-    /// apply the `having` filter over `out_layout`.
+    /// columns) of the groups that pass the `having` filter over
+    /// `out_layout`, in first-seen order across all partitions: each
+    /// partition's groups are filtered first, so the merge orders only the
+    /// survivors.
     pub(crate) fn finish(
         &self,
         parts: Vec<AggPart>,
         having: &Option<Expr>,
         out_layout: &Layout,
     ) -> Result<Chunk> {
-        let order = (parts.len() > 1).then(|| first_seen_order(&parts));
-        let mut chunks = (parts.into_iter())
-            .map(AggPart::into_chunk)
-            .collect::<Result<Vec<_>>>()?;
-        let out = match order {
-            Some(order) => Chunk::concat(&chunks)?.take(&order),
-            None => chunks
-                .pop()
-                .ok_or_else(|| BfqError::internal("no partitions"))?,
-        };
-        Ok(match having {
-            Some(h) => {
-                let sel = eval_predicate(h, &out, out_layout)?;
-                out.take(&sel)
+        let merge = parts.len() > 1;
+        let (mut chunks, mut firsts) = (Vec::new(), Vec::new());
+        for mut part in parts {
+            let mut first = std::mem::take(&mut part.first);
+            let mut chunk = part.into_chunk()?;
+            if let Some(h) = having {
+                let sel = eval_predicate(h, &chunk, out_layout)?;
+                chunk = select_rows(&chunk, &sel);
+                if merge {
+                    first = sel.iter().map(|&g| first[g as usize]).collect();
+                }
             }
-            None => out,
-        })
+            chunks.push(chunk);
+            firsts.push(first);
+        }
+        if !merge {
+            return chunks
+                .pop()
+                .ok_or_else(|| BfqError::internal("no partitions"));
+        }
+        Ok(Chunk::concat(&chunks)?.take(&first_seen_order(&firsts)))
     }
 }
 
 /// The rows of the partitions' concatenated groups in the order of their
-/// first input rows: a merge of the partitions' ascending `first` lists.
-fn first_seen_order(parts: &[AggPart]) -> Vec<u32> {
-    let mut base = Vec::with_capacity(parts.len());
+/// first input rows: a merge of the partitions' ascending `firsts`.
+fn first_seen_order(firsts: &[Vec<u64>]) -> Vec<u32> {
+    let mut base = Vec::with_capacity(firsts.len());
     let mut total = 0;
-    for part in parts {
+    for first in firsts {
         base.push(total);
-        total += part.first.len();
+        total += first.len();
     }
-    let mut at = vec![0usize; parts.len()];
+    let mut at = vec![0usize; firsts.len()];
     let mut order = Vec::with_capacity(total);
     for _ in 0..total {
-        let p = (0..parts.len())
-            .filter(|&p| at[p] < parts[p].first.len())
-            .min_by_key(|&p| parts[p].first[at[p]])
+        let p = (0..firsts.len())
+            .filter(|&p| at[p] < firsts[p].len())
+            .min_by_key(|&p| firsts[p][at[p]])
             .expect("a partition has groups left");
         order.push((base[p] + at[p]) as u32);
         at[p] += 1;
@@ -633,6 +849,7 @@ impl AggState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::hash_keys;
     use bfq_common::{ColumnId, TableId};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -646,18 +863,21 @@ mod tests {
     ];
 
     /// Input columns and rows, group-key columns, aggregates as (function,
-    /// argument column, DISTINCT).
+    /// argument column, DISTINCT), and `HAVING` as (aggregate, bound): the
+    /// groups whose aggregate, a count, exceeds the bound.
     struct Case {
         types: Vec<DataType>,
         rows: Vec<Vec<Datum>>,
         keys: Vec<usize>,
         aggs: Vec<(AggFunc, Option<usize>, bool)>,
+        having: Option<(usize, i64)>,
     }
 
-    /// A nullable value of `dt` from a small domain, so keys repeat; floats
-    /// include both zeros and NaNs of both signs.
-    fn value(rng: &mut TestRng, dt: DataType) -> Datum {
-        if rng.below(5) == 0 {
+    /// A value of `dt` from a small domain, so keys repeat, NULL in one row
+    /// of five when `nullable`; floats include both zeros and NaNs of both
+    /// signs.
+    fn value(rng: &mut TestRng, dt: DataType, nullable: bool) -> Datum {
+        if nullable && rng.below(5) == 0 {
             return Datum::Null;
         }
         let k = rng.below(6) as usize;
@@ -673,31 +893,52 @@ mod tests {
     fn case(rng: &mut TestRng) -> Case {
         let width = 1 + rng.below(4) as usize;
         let types: Vec<DataType> = (0..width).map(|_| TYPES[rng.below(4) as usize]).collect();
-        let n = if rng.below(8) == 0 { 0 } else { rng.below(80) };
+        // Null-free columns in some cases, so the key checks' null-free
+        // passes run; long inputs in some, so groups recur across pieces.
+        let nullable: Vec<bool> = types.iter().map(|_| rng.below(2) == 0).collect();
+        let n = match rng.below(8) {
+            0 => 0,
+            1 | 2 => rng.below(400),
+            _ => rng.below(80),
+        };
         let rows = (0..n)
-            .map(|_| types.iter().map(|&t| value(rng, t)).collect())
+            .map(|_| {
+                (types.iter().zip(&nullable))
+                    .map(|(&t, &nullable)| value(rng, t, nullable))
+                    .collect()
+            })
             .collect();
         let keys = (0..rng.below(4))
             .map(|_| rng.below(width as u64) as usize)
             .collect();
-        let aggs = (0..1 + rng.below(4))
+        let aggs: Vec<_> = (0..1 + rng.below(4))
             .map(|_| {
                 let func = [Count, CountStar, Sum, Min, Max, Avg][rng.below(6) as usize];
                 let arg = (func != CountStar).then(|| rng.below(width as u64) as usize);
                 (func, arg, arg.is_some() && rng.below(3) == 0)
             })
             .collect();
+        let counts: Vec<usize> = (0..aggs.len())
+            .filter(|&a| matches!(aggs[a].0, Count | CountStar))
+            .collect();
+        let having = (!counts.is_empty() && rng.below(2) == 0).then(|| {
+            (
+                counts[rng.below(counts.len() as u64) as usize],
+                rng.below(4) as i64,
+            )
+        });
         Case {
             types,
             rows,
             keys,
             aggs,
+            having,
         }
     }
 
     /// Chunk boundaries over `n` rows, empty chunks included.
     fn cuts(rng: &mut TestRng, n: usize) -> Vec<usize> {
-        let mut cuts: Vec<usize> = (0..rng.below(5))
+        let mut cuts: Vec<usize> = (0..rng.below(9))
             .map(|_| rng.below(n as u64 + 1) as usize)
             .collect();
         cuts.extend([0, n]);
@@ -753,12 +994,31 @@ mod tests {
             .collect()
     }
 
+    /// `c`'s `HAVING` filter over the output layout (keys, then aggregates).
+    fn having(c: &Case) -> (Option<Expr>, Layout) {
+        let (_, group_by, aggs) = shape(c);
+        let layout = Layout::new(
+            (group_by.iter().map(|g| g.id))
+                .chain(aggs.iter().map(|a| a.output))
+                .collect(),
+        );
+        let having = (c.having).map(|(a, bound)| {
+            Expr::binary(
+                bfq_expr::BinOp::Gt,
+                Expr::col(aggs[a].output),
+                Expr::int(bound),
+            )
+        });
+        (having, layout)
+    }
+
     /// Feed `c`'s rows cut at `cuts`; the output rows, floats as bits.
     fn feed(mut state: AggState, c: &Case, cuts: &[usize]) -> Vec<Vec<String>> {
         for chunk in chunks(c, cuts) {
             state.update(&chunk).unwrap();
         }
-        output(state.finish(&None, &Layout::new(Vec::new())).unwrap())
+        let (having, layout) = having(c);
+        output(state.finish(&having, &layout).unwrap())
     }
 
     /// Feed `c`'s rows cut at `cuts` through a sink of `parts` partitions
@@ -803,10 +1063,8 @@ mod tests {
             sink.consume(&mut states[p], &pieces[next[p]][p]).unwrap();
             next[p] += 1;
         }
-        output(
-            sink.finish(states, &None, &Layout::new(Vec::new()))
-                .unwrap(),
-        )
+        let (having, layout) = having(c);
+        output(sink.finish(states, &having, &layout).unwrap())
     }
 
     /// A datum with floats as bits, except that every NaN is one: the sign
@@ -884,6 +1142,9 @@ mod tests {
             }
         };
         (groups.into_iter())
+            .filter(|(_, folded)| {
+                (c.having).is_none_or(|(a, bound)| folded[a].len() as i64 > bound)
+            })
             .map(|(key, folded)| {
                 let aggs = c.aggs.iter().zip(&folded).map(|(a, vals)| result(a, vals));
                 key.iter().cloned().chain(aggs).map(|d| bits(&d)).collect()
@@ -902,7 +1163,7 @@ mod tests {
             let once = feed(state(&c), &c, &cuts(&mut rng, n));
             prop_assert_eq!(&once, &reference(&c));
             prop_assert_eq!(&once, &feed(state(&c), &c, &cuts(&mut rng, n)));
-            if n == 0 {
+            if n == 0 && c.having.is_none() {
                 prop_assert_eq!(once.len(), usize::from(c.keys.is_empty()));
             }
         }
@@ -925,14 +1186,73 @@ mod tests {
         let floats = Column::Float64(vec![0.0, -0.0, f64::NAN, -f64::NAN], None);
         let nulls = Column::Float64(vec![0.0, 0.0], valid([true, false]));
         let ints = Column::Int64(vec![0, 0], valid([true, false]));
-        assert!(key_eq(&floats, 0, &floats, 1), "-0.0 is 0.0");
-        assert!(key_eq(&floats, 2, &floats, 2), "a NaN is itself");
+        let stored = |col: &Column| {
+            let mut k = ColumnBuilder::new(col.data_type());
+            append_keys(&mut k, col, &(0..col.len() as u32).collect::<Vec<_>>());
+            k
+        };
+        let (sf, sn, si) = (stored(&floats), stored(&nulls), stored(&ints));
+        assert!(key_eq(&sf, 0, &floats, 1), "-0.0 is 0.0");
+        assert!(key_eq(&sf, 2, &floats, 2), "a NaN is itself");
+        assert!(!key_eq(&sf, 2, &floats, 3), "NaNs with other bits differ");
         assert!(
-            !key_eq(&floats, 2, &floats, 3),
-            "NaNs with other bits differ"
+            key_eq(&sn, 1, &nulls, 1) && key_eq(&si, 1, &ints, 1),
+            "NULL is NULL"
         );
-        assert!(key_eq(&nulls, 1, &ints, 1), "NULL is NULL");
-        assert!(!key_eq(&nulls, 0, &nulls, 1) && !key_eq(&ints, 0, &ints, 1));
+        assert!(!key_eq(&sn, 0, &nulls, 1) && !key_eq(&si, 1, &ints, 0));
+        assert!(rows_eq(&floats, 0, 1) && rows_eq(&floats, 2, 2) && !rows_eq(&floats, 2, 3));
+        assert!(rows_eq(&nulls, 1, 1) && !rows_eq(&nulls, 0, 1));
+        // The batched check agrees, with and without validity reads.
+        let mut cand = vec![0, 2, 2, NONE];
+        verify(&sf, &floats, &[1, 2, 3, 0], &mut cand);
+        assert_eq!(cand, [0, 2, NONE, NONE]);
+        let mut cand = vec![1, 1, 0];
+        verify(&si, &ints, &[1, 0, 0], &mut cand);
+        assert_eq!(cand, [1, NONE, 0]);
+    }
+
+    /// Every row given one hash, so each candidate group and each find is
+    /// settled by the key checks alone: the ids, and the groups' keys,
+    /// equal those under the real hashes, through both the batched and the
+    /// row-at-a-time pieces, with and without a selection.
+    #[test]
+    fn colliding_hashes_still_group_by_key() {
+        let chunk = |piece: i64| {
+            let c = Case {
+                types: vec![DataType::Int64, DataType::Utf8],
+                rows: (0..40)
+                    .map(|i| {
+                        let k = (i * 7 + piece) % 9;
+                        let s = ["a", "b", ""][(i % 3) as usize];
+                        let int = if k == 4 { Datum::Null } else { Datum::Int(k) };
+                        vec![int, Datum::str(s)]
+                    })
+                    .collect(),
+                keys: vec![],
+                aggs: vec![],
+                having: None,
+            };
+            chunks(&c, &[0, 40]).remove(0)
+        };
+        let sel: Vec<u32> = (0..40).filter(|i| i % 3 != 1).collect();
+        let run = |collide: bool| {
+            let mut g = Grouper::new(7, vec![]);
+            let mut ids = Vec::new();
+            for piece in 0..6 {
+                let keys = chunk(piece);
+                let mut hashes = hash_keys(&keys, &[0, 1], 7);
+                if collide {
+                    hashes.iter_mut().for_each(|h| *h = 42);
+                }
+                let sel = (piece % 2 == 1).then_some(&sel[..]);
+                g.assign(&keys, &hashes, sel, &mut ids).unwrap();
+            }
+            let keys: Vec<Column> = g.keys.into_iter().map(ColumnBuilder::finish).collect();
+            (ids, keys)
+        };
+        let (ids, keys) = run(false);
+        assert_eq!(keys[0].len(), 27, "9 ints (one NULL) by 3 strings");
+        assert_eq!(run(true), (ids, keys));
     }
 
     #[test]
@@ -944,6 +1264,7 @@ mod tests {
                 .collect(),
             keys: vec![0],
             aggs: vec![(Sum, Some(1), false), (Count, Some(1), true)],
+            having: None,
         };
         let (a, b) = (state(&c), state(&c));
         let seed = |s: &AggState| s.sink.seed;
@@ -958,6 +1279,7 @@ mod tests {
             rows: (0..10).map(|i| vec![Datum::Int(i % 4)]).collect(),
             keys: vec![0],
             aggs: vec![(CountStar, None, false)],
+            having: None,
         };
         let slots = |s: &AggState| s.part.grouper.as_ref().unwrap().dir.slots();
         // A wild group estimate over a 10-row input: sized for 10 groups.

@@ -244,10 +244,11 @@ impl Directory {
         }
     }
 
-    /// Batched lookup in a directory holding one entry per hash: each
-    /// hash's payload, or [`NONE`]. A branch-free first probe per hash
-    /// settles almost every lookup at ≤ 1/2 load; rows whose first slot
-    /// holds another hash are compacted into `pending` and re-probed.
+    /// Batched lookup: the payload of the first entry holding each hash,
+    /// or [`NONE`] (the hash join's one entry per hash; for aggregation, a
+    /// candidate group its caller verifies). A branch-free first probe per
+    /// hash settles almost every lookup at ≤ 1/2 load; rows whose first
+    /// slot holds another hash are compacted into `pending` and re-probed.
     pub(crate) fn lookup(&self, hashes: &[u64], out: &mut Vec<u32>, pending: &mut Vec<u32>) {
         let (n, mask) = (hashes.len(), self.slots() - 1);
         out.clear();

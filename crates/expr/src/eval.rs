@@ -11,7 +11,7 @@ use std::sync::Arc;
 use bfq_common::{date, BfqError, ColumnId, DataType, Datum, Result};
 use bfq_storage::{Bitmap, Chunk, Column, ColumnBuilder, ColumnRef, StrData};
 
-use crate::like::like_match;
+use crate::like::Matcher;
 use crate::{BinOp, Expr, UnOp};
 
 /// Maps chunk slots back to the [`ColumnId`]s they carry.
@@ -253,12 +253,13 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<ColumnRef> {
             let s = c
                 .as_str()
                 .ok_or_else(|| BfqError::Type("LIKE requires a string operand".into()))?;
+            let matcher = Matcher::new(pattern);
             let mut out = BoolVec::new(vec![false; rows]);
             for i in 0..rows {
                 if c.is_null(i) {
                     out.set_invalid(i);
                 } else {
-                    let m = like_match(s.get(i), pattern);
+                    let m = matcher.matches(s.get(i));
                     out.vals[i] = m != *negated;
                 }
             }
@@ -311,20 +312,41 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<ColumnRef> {
             let s = c
                 .as_str()
                 .ok_or_else(|| BfqError::Type("SUBSTRING requires a string operand".into()))?;
-            let mut out = StrData::with_capacity(rows, *len);
+            let (skip, take) = substring_chars(*start, *len);
+            // The pieces fit in the input's bytes, whatever `FOR` asks.
+            let mut out = StrData::with_capacity(rows, take.min(s.payload_bytes() / rows.max(1)));
             for i in 0..rows {
-                let text = s.get(i);
-                let piece: String = text
-                    .chars()
-                    .skip(start.saturating_sub(1))
-                    .take(*len)
-                    .collect();
-                out.push(&piece);
+                out.push(substring(s.get(i), skip, take));
             }
             Column::Utf8(out, c.validity().cloned())
         }
     };
     Ok(Arc::new(col))
+}
+
+/// SQL's `SUBSTRING(… FROM start FOR len)` as characters to skip and to
+/// take: positions `max(start, 1)` through `start + len − 1`, 1-based, so a
+/// start of 0 takes one character less.
+fn substring_chars(start: usize, len: usize) -> (usize, usize) {
+    let skip = start.saturating_sub(1);
+    (skip, start.saturating_add(len).saturating_sub(skip + 1))
+}
+
+/// Characters `skip..skip + take` of `text`, sliced by byte bounds: an
+/// ASCII prefix up to the end bound needs no character walk.
+#[inline]
+fn substring(text: &str, skip: usize, take: usize) -> &str {
+    let end = skip.saturating_add(take);
+    if text.as_bytes()[..end.min(text.len())].is_ascii() {
+        return &text[skip.min(text.len())..end.min(text.len())];
+    }
+    let mut bounds = text.char_indices().map(|(at, _)| at).chain([text.len()]);
+    let from = bounds.nth(skip).unwrap_or(text.len());
+    let to = match take {
+        0 => from,
+        _ => bounds.nth(take - 1).unwrap_or(text.len()),
+    };
+    &text[from..to]
 }
 
 fn extract_date_part(
@@ -1038,6 +1060,34 @@ mod tests {
             Datum::Null
         );
         assert!(scalar_binary(BinOp::Plus, &Datum::str("x"), &Datum::Int(1)).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(500))]
+
+        /// The byte-bounds SUBSTRING agrees with a `chars()` reference of
+        /// SQL's rule over ASCII and non-ASCII text, for every start in
+        /// `0..len + 2` and length in `0..len + 2`.
+        #[test]
+        fn substring_by_byte_bounds_matches_a_char_walk(seed in proptest::prelude::any::<u64>()) {
+            const CHARS: [char; 6] = ['a', 'b', ' ', 'é', '日', '🦀'];
+            let mut rng = proptest::test_runner::TestRng::for_case(seed);
+            let alphabet = if rng.below(2) == 0 { 3 } else { CHARS.len() as u64 };
+            let text: String = (0..rng.below(12))
+                .map(|_| CHARS[rng.below(alphabet) as usize])
+                .collect();
+            let chars = text.chars().count();
+            for start in 0..chars + 2 {
+                for len in 0..chars + 2 {
+                    let (skip, take) = substring_chars(start, len);
+                    let expected: String = (text.chars().enumerate())
+                        .filter(|&(i, _)| i + 1 >= start && i + 1 < start + len)
+                        .map(|(_, c)| c)
+                        .collect();
+                    proptest::prop_assert_eq!(substring(&text, skip, take), expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use bfq_common::{BfqError, Datum, Result};
 use bfq_storage::{Bitmap, Chunk, Column, StrData};
 
 use crate::eval::{eval, slot, Layout};
-use crate::like::like_match;
+use crate::like::Matcher;
 use crate::{BinOp, Expr};
 
 /// Evaluate a predicate to the ascending rows of `chunk` where it is TRUE.
@@ -347,7 +347,8 @@ impl Kernel<'_> {
             }
             Kernel::Like(negated, c, s, pattern) => {
                 let sel = non_null(sel, n, c.validity());
-                compact(sel, n, |i| like_match(s.get(i), pattern) != negated)
+                let matcher = Matcher::new(pattern);
+                compact(sel, n, |i| matcher.matches(s.get(i)) != negated)
             }
             Kernel::Cols(op, a, b) => {
                 let sel = non_null(non_null(sel, n, a.validity()), n, b.validity());

@@ -687,7 +687,14 @@ fn eval(expr: &Expr, slots: &Slots, row: &Row) -> Result<Datum> {
         Expr::Substring { expr, start, len } => match sub(expr)? {
             Datum::Null => Datum::Null,
             Datum::Str(s) => {
-                let piece: String = s.chars().skip(start.saturating_sub(1)).take(*len).collect();
+                // Positions max(start, 1) through start + len - 1, 1-based.
+                let first = (*start).max(1);
+                let end = start.saturating_add(*len);
+                let piece: String = s
+                    .chars()
+                    .skip(first - 1)
+                    .take(end.saturating_sub(first))
+                    .collect();
                 Datum::str(piece)
             }
             other => return Err(type_err(format!("SUBSTRING of {other}"))),

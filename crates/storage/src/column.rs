@@ -60,6 +60,15 @@ impl StrData {
         &self.buf[start..end]
     }
 
+    /// Borrow string `i`'s bytes, without the character-boundary checks
+    /// of slicing a `str`: what an equality test or a hash needs.
+    #[inline]
+    pub fn bytes(&self, i: usize) -> &[u8] {
+        let start = self.offsets[i] as usize;
+        let end = self.offsets[i + 1] as usize;
+        &self.buf.as_bytes()[start..end]
+    }
+
     /// Iterate all strings.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))
@@ -331,7 +340,7 @@ impl Column {
         match self {
             Column::Int64(v, _) => out.extend(v.iter().map(|&x| hash_i64(x, seed))),
             Column::Float64(v, _) => out.extend(v.iter().map(|&x| hash_f64(x, seed))),
-            Column::Utf8(v, _) => out.extend(v.iter().map(|s| hash_bytes(s.as_bytes(), seed))),
+            Column::Utf8(v, _) => out.extend((0..v.len()).map(|i| hash_bytes(v.bytes(i), seed))),
             Column::Bool(v, _) => out.extend(v.iter().map(|&b| hash_i64(b as i64, seed))),
             Column::Date(v, _) => out.extend(v.iter().map(|&x| hash_i64(x as i64, seed))),
         }

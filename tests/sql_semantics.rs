@@ -215,6 +215,30 @@ fn limit_and_distinct_count() {
 }
 
 #[test]
+fn substring_takes_positions_from_max_start_1_through_start_plus_len_minus_1() {
+    let s = session();
+    let strings = |sql: &str| -> Vec<String> {
+        let r = s.run_sql(sql).unwrap();
+        (0..r.chunk.rows())
+            .map(|i| r.chunk.row(i)[0].as_str().unwrap().to_string())
+            .collect()
+    };
+    // dept names in id order: eng, sales, hr.
+    let from = |clause: &str| format!("select substring(name {clause}) from dept order by id");
+    assert_eq!(strings(&from("from 1 for 2")), ["en", "sa", "hr"]);
+    assert_eq!(strings(&from("from 0 for 2")), ["e", "s", "h"]);
+    assert_eq!(strings(&from("from 0 for 1")), ["", "", ""]);
+    assert_eq!(strings(&from("from 5 for 2")), ["", "s", ""]);
+    assert_eq!(strings(&from("from 9 for 3")), ["", "", ""]);
+    assert_eq!(strings(&from("from 2 for 0")), ["", "", ""]);
+    // A huge length sizes nothing by itself.
+    assert_eq!(
+        strings(&from("from 2 for 1000000000000")),
+        ["ng", "ales", "r"]
+    );
+}
+
+#[test]
 fn explain_contains_plan_shape() {
     let s = session();
     let r = s
