@@ -38,7 +38,6 @@ fn main() {
         let mut fx = chain_block(&specs);
         let mut config = OptimizerConfig::with_mode(BloomMode::Cbo);
         config.bf_min_apply_rows = 10.0;
-        config.naive_step_budget = u64::MAX;
 
         // Naive single-phase.
         let est = fx.estimator();
@@ -47,7 +46,7 @@ fn main() {
             &fx.block,
             &est,
             &cands,
-            &config,
+            u64::MAX,
             Duration::from_secs(time_limit_s),
         );
         drop(est);

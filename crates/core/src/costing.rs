@@ -21,7 +21,7 @@ use bfq_expr::{Expr, Layout};
 use bfq_plan::{BloomApply, Distribution, PhysicalNode, PhysicalPlan, QueryBlock, RelSource};
 
 use crate::candidates::BfCandidate;
-use crate::subplan::{PendingBf, PlanList, PlanRef, SubPlan};
+use crate::subplan::{DistId, PendingBf, PlanList, PlanRef, SubPlan};
 use crate::OptimizerConfig;
 
 /// A pre-planned derived relation: its physical plan and cumulative cost.
@@ -103,7 +103,9 @@ pub fn make_scan_subplan(
             .collect(),
     );
 
-    let (node, dist, cost) = match &base_rel.source {
+    // A scan's distribution is one of the fixed ids, so seeding a leaf
+    // needs no interner.
+    let (node, dist, dist_id, cost) = match &base_rel.source {
         RelSource::Table(base) => {
             // Read volume reflects chunk-level data skipping: chunks the
             // zone maps rule out are never touched.
@@ -122,7 +124,12 @@ pub fn make_scan_subplan(
                 predicate,
                 blooms,
             };
-            (node, Distribution::AnyPartitioned, cost)
+            (
+                node,
+                Distribution::AnyPartitioned,
+                DistId::ANY_PARTITIONED,
+                cost,
+            )
         }
         RelSource::Derived(_) => {
             let (input, input_cost) = derived
@@ -149,15 +156,20 @@ pub fn make_scan_subplan(
                 predicate,
                 blooms,
             };
-            (node, Distribution::Single, input_cost.plus(work))
+            (
+                node,
+                Distribution::Single,
+                DistId::SINGLE,
+                input_cost.plus(work),
+            )
         }
     };
-    let plan = PhysicalPlan::new(node, layout, rows_out, dist.clone());
+    let plan = PhysicalPlan::new(node, layout, rows_out, dist);
     Ok(SubPlan {
         plan: PlanRef::Leaf(plan),
         rows: rows_out,
         cost,
-        dist,
+        dist: dist_id,
         pending: pendings,
     })
 }

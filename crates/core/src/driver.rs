@@ -3,7 +3,7 @@
 //! derived relations).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bfq_catalog::Catalog;
 use bfq_common::{BfqError, ColumnId, Datum, Result};
@@ -17,7 +17,6 @@ use bfq_plan::{
 use crate::candidates::mark_candidates;
 use crate::costing::{initial_plan_lists, required_cols_per_rel, DerivedPlans};
 use crate::enumerate::{join_space, MAX_BLOCK_RELS};
-use crate::naive::{naive_optimize, NaiveStats};
 use crate::phase1::{collect_deltas, Phase1Stats};
 use crate::phase2::{run_dp, Phase2Stats};
 use crate::post::add_post_filters;
@@ -43,8 +42,6 @@ pub struct OptimizerStats {
     /// Always 0: kept only because `bench/e2e` reads it.
     #[doc(hidden)]
     pub programs: usize,
-    /// Naïve-mode telemetry, when [`BloomMode::Naive`] ran.
-    pub naive: Option<NaiveStats>,
 }
 
 impl OptimizerStats {
@@ -64,9 +61,6 @@ impl OptimizerStats {
         self.phase2.kept += other.phase2.kept;
         self.cbo_filters += other.cbo_filters;
         self.post_filters += other.post_filters;
-        if other.naive.is_some() {
-            self.naive = other.naive;
-        }
     }
 }
 
@@ -78,7 +72,6 @@ struct BlockStats {
     phase2: Phase2Stats,
     cbo_filters: usize,
     post_filters: usize,
-    naive: Option<NaiveStats>,
 }
 
 /// A fully optimized query.
@@ -142,26 +135,13 @@ fn optimize_block_inner(
     };
     let mut bstats = BlockStats::default();
 
-    // §3.3: mark candidates (BF-CBO and the naïve strawman only — BF-Post
-    // sees them during its own pass).
+    // §3.3: mark candidates (BF-CBO only — BF-Post sees them during its
+    // own pass).
     let mut cands = match config.bloom_mode {
-        BloomMode::Cbo | BloomMode::Naive => mark_candidates(block, &est, config),
+        BloomMode::Cbo => mark_candidates(block, &est, config),
         BloomMode::None | BloomMode::Post => Vec::new(),
     };
     bstats.candidates = cands.len();
-
-    if config.bloom_mode == BloomMode::Naive {
-        bstats.naive = Some(naive_optimize(
-            block,
-            &est,
-            &cands,
-            config,
-            Duration::from_millis(config.naive_time_limit_ms),
-        ));
-        // The naïve mode is a measurement device; fall back to plain
-        // planning for the executable plan.
-        cands.clear();
-    }
 
     // Both bottom-up passes walk the same connected sets and splits.
     let space = join_space(block);
@@ -579,18 +559,5 @@ mod tests {
             out.stats.cbo_filters, 0,
             "H8 should have gated Bloom planning"
         );
-    }
-
-    #[test]
-    fn naive_mode_records_stats_and_still_plans() {
-        let mut fx = running_example(0.05);
-        let mut config = OptimizerConfig::with_mode(BloomMode::Naive);
-        config.bf_min_apply_rows = 10.0;
-        config.naive_time_limit_ms = 2_000;
-        let catalog = fx.catalog.clone();
-        let out = optimize_bare_block(&fx.block, &mut fx.bindings, &catalog, &config).unwrap();
-        let naive = out.stats.naive.expect("naive stats recorded");
-        assert!(naive.steps > 0);
-        assert!(out.plan.node_count() > 1, "fallback plan still produced");
     }
 }

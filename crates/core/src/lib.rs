@@ -56,9 +56,6 @@ pub enum BloomMode {
     /// Full two-phase Bloom-filter-aware CBO (the paper's BF-CBO),
     /// followed by the retained post-processing pass.
     Cbo,
-    /// The naïve single-phase integration of §3.1 (for the blow-up
-    /// experiment only; guarded by a step budget).
-    Naive,
 }
 
 /// Optimizer configuration: mode, DOP, cost parameters and the heuristic
@@ -99,11 +96,6 @@ pub struct OptimizerConfig {
     /// Heuristic 9: also consider candidates on the *smaller* relation of a
     /// clause, keeping only δ's smaller than the apply side.
     pub h9_enabled: bool,
-    /// Step budget for [`BloomMode::Naive`] (sub-plan combinations examined)
-    /// so the blow-up experiment terminates.
-    pub naive_step_budget: u64,
-    /// Wall-clock limit for [`BloomMode::Naive`] in milliseconds.
-    pub naive_time_limit_ms: u64,
     /// Cap on Bloom-filter scan sub-plans generated per relation (safety
     /// valve against pathological Δ products; far above anything TPC-H
     /// produces).
@@ -129,8 +121,6 @@ impl Default for OptimizerConfig {
             h8_enabled: false,
             h8_min_join_input: 100_000.0,
             h9_enabled: false,
-            naive_step_budget: 50_000_000,
-            naive_time_limit_ms: 60_000,
             max_bf_subplans_per_rel: 64,
             index_mode: IndexMode::default(),
         }

@@ -24,7 +24,6 @@ use bfq_plan::QueryBlock;
 
 use crate::candidates::BfCandidate;
 use crate::enumerate::{enumerate_sets, splits, JoinGraph};
-use crate::OptimizerConfig;
 
 /// Outcome of a naïve optimization run.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,13 +55,13 @@ struct NaiveSubPlan {
 /// alternatives: co-located, repartitioned, broadcast).
 const VARIANTS: u8 = 3;
 
-/// Run the naïve single-phase optimization, bounded by `config`'s step
-/// budget and `time_limit`.
+/// Run the naïve single-phase optimization, stopped after `step_budget`
+/// sub-plan combinations or `time_limit`, whichever comes first.
 pub fn naive_optimize(
     block: &QueryBlock,
     est: &Estimator<'_>,
     candidates: &[BfCandidate],
-    config: &OptimizerConfig,
+    step_budget: u64,
     time_limit: Duration,
 ) -> NaiveStats {
     let start = Instant::now();
@@ -128,7 +127,7 @@ pub fn naive_optimize(
                             lists[split.inner.0 as usize] = inner_list;
                             break 'outer;
                         }
-                        if steps > config.naive_step_budget {
+                        if steps > step_budget {
                             lists[split.outer.0 as usize] = outer_list;
                             lists[split.inner.0 as usize] = inner_list;
                             break 'outer;
@@ -199,7 +198,7 @@ pub fn naive_optimize(
     }
 
     let elapsed = start.elapsed();
-    let completed = steps <= config.naive_step_budget && Instant::now() <= deadline;
+    let completed = steps <= step_budget && Instant::now() <= deadline;
     NaiveStats {
         elapsed,
         steps,
@@ -213,6 +212,7 @@ mod tests {
     use super::*;
     use crate::candidates::mark_candidates;
     use crate::synth::{chain_block, ChainSpec};
+    use crate::OptimizerConfig;
 
     fn chain_fixture(n: usize) -> crate::synth::Fixture {
         let specs: Vec<ChainSpec> = (0..n)
@@ -229,11 +229,10 @@ mod tests {
         let est = fx.estimator();
         let config = OptimizerConfig {
             bf_min_apply_rows: 10.0,
-            naive_step_budget: budget,
             ..Default::default()
         };
         let cands = mark_candidates(&fx.block, &est, &config);
-        naive_optimize(&fx.block, &est, &cands, &config, Duration::from_secs(10))
+        naive_optimize(&fx.block, &est, &cands, budget, Duration::from_secs(10))
     }
 
     #[test]

@@ -40,7 +40,7 @@ use bfq_plan::{
 };
 
 use crate::enumerate::{JoinGraph, JoinSpace, Split};
-use crate::subplan::{PendingBf, PlanList, PlanRef, SubPlan};
+use crate::subplan::{DistId, DistInterner, PendingBf, PlanList, PlanRef, SubPlan};
 use crate::OptimizerConfig;
 
 /// Statistics from the costed DP.
@@ -72,16 +72,13 @@ enum Move {
 }
 
 /// One distribution alternative for a join.
-struct DistOpt<'a> {
+struct DistOpt {
     outer_ex: Option<Move>,
     inner_ex: Option<Move>,
-    out_dist: &'a Distribution,
+    out_dist: DistId,
     single_stream: bool,
     build_replicated: bool,
 }
-
-static SINGLE: Distribution = Distribution::Single;
-static ANY_PARTITIONED: Distribution = Distribution::AnyPartitioned;
 
 /// What every sub-plan pair of one split shares, computed once per split.
 struct SplitCtx {
@@ -90,10 +87,10 @@ struct SplitCtx {
     /// connects the sides.
     okeys: Vec<ColumnId>,
     ikeys: Vec<ColumnId>,
-    /// `Hash(okeys)` and `Hash(ikeys)`: a side already partitioned like
-    /// this needs no repartition.
-    outer_hash: Distribution,
-    inner_hash: Distribution,
+    /// `Hash(okeys)` and `Hash(ikeys)`, interned: a side already
+    /// partitioned like this needs no repartition.
+    outer_hash: DistId,
+    inner_hash: DistId,
     /// Complex predicates that become evaluable exactly at this join.
     extra: Option<Expr>,
     /// `join_card(outer ∪ inner)`.
@@ -101,7 +98,13 @@ struct SplitCtx {
 }
 
 impl SplitCtx {
-    fn new(block: &QueryBlock, graph: &JoinGraph, split: Split, join_card: f64) -> Self {
+    fn new(
+        block: &QueryBlock,
+        graph: &JoinGraph,
+        dists: &mut DistInterner,
+        split: Split,
+        join_card: f64,
+    ) -> Self {
         let mut okeys = Vec::new();
         let mut ikeys = Vec::new();
         for c in &block.equi_clauses {
@@ -129,8 +132,8 @@ impl SplitCtx {
         );
         SplitCtx {
             split,
-            outer_hash: Distribution::Hash(okeys.clone()),
-            inner_hash: Distribution::Hash(ikeys.clone()),
+            outer_hash: dists.hash(&okeys),
+            inner_hash: dists.hash(&ikeys),
             okeys,
             ikeys,
             extra,
@@ -147,17 +150,13 @@ impl SplitCtx {
     }
 
     /// The distribution alternatives for joining `outer` to `inner` here.
-    fn dist_opts<'a>(
-        &'a self,
-        outer: &'a SubPlan,
-        inner: &SubPlan,
-    ) -> impl Iterator<Item = DistOpt<'a>> {
+    fn dist_opts(&self, outer: &SubPlan, inner: &SubPlan) -> impl Iterator<Item = DistOpt> {
         let hash = self.is_hash();
-        let single = (outer.dist == Distribution::Single && inner.dist == Distribution::Single)
-            .then_some(DistOpt {
+        let single =
+            (outer.dist == DistId::SINGLE && inner.dist == DistId::SINGLE).then_some(DistOpt {
                 outer_ex: None,
                 inner_ex: None,
-                out_dist: &SINGLE,
+                out_dist: DistId::SINGLE,
                 single_stream: true,
                 build_replicated: false,
             });
@@ -166,17 +165,17 @@ impl SplitCtx {
         let repartition = hash.then(|| DistOpt {
             outer_ex: (outer.dist != self.outer_hash).then_some(Move::Repartition),
             inner_ex: (inner.dist != self.inner_hash).then_some(Move::Repartition),
-            out_dist: &self.outer_hash,
+            out_dist: self.outer_hash,
             single_stream: false,
             build_replicated: false,
         });
         // Broadcast the build side (paper §3.9 case 1).
-        let broadcast_build = (outer.dist != Distribution::Replicated).then(|| {
-            let single = outer.dist == Distribution::Single;
+        let broadcast_build = (outer.dist != DistId::REPLICATED).then(|| {
+            let single = outer.dist == DistId::SINGLE;
             DistOpt {
                 outer_ex: None,
                 inner_ex: Some(Move::Broadcast),
-                out_dist: &outer.dist,
+                out_dist: outer.dist,
                 single_stream: single,
                 build_replicated: !single,
             }
@@ -186,14 +185,11 @@ impl SplitCtx {
         // semantics.
         let broadcast_probe = (hash
             && self.split.kind == JoinKind::Inner
-            && matches!(
-                inner.dist,
-                Distribution::AnyPartitioned | Distribution::Hash(_)
-            ))
+            && (inner.dist == DistId::ANY_PARTITIONED || inner.dist.is_hash()))
         .then_some(DistOpt {
             outer_ex: Some(Move::Broadcast),
             inner_ex: None,
-            out_dist: &ANY_PARTITIONED,
+            out_dist: DistId::ANY_PARTITIONED,
             single_stream: false,
             build_replicated: false,
         });
@@ -216,18 +212,20 @@ struct JoinRecipe {
     /// Estimated output rows.
     rows: f64,
     /// Output distribution.
-    dist: Distribution,
+    dist: DistId,
     /// `(filter, build column, δ)` of each outer-side filter resolving at
     /// this join.
     builds: Vec<(FilterId, ColumnId, RelSet)>,
 }
 
 /// One block's recorded joins, append-only: a [`PlanRef::Join`] indexes
-/// `joins`, and each recipe its split's context in `ctxs`.
+/// `joins`, and each recipe its split's context in `ctxs`. `dists` interns
+/// the block's distributions.
 #[derive(Default)]
 struct Arena {
     ctxs: Vec<SplitCtx>,
     joins: Vec<JoinRecipe>,
+    dists: DistInterner,
 }
 
 /// Run the costed bottom-up DP over the block's join space
@@ -278,9 +276,8 @@ fn search(
                 continue;
             };
             let ctx = arena.ctxs.len();
-            arena
-                .ctxs
-                .push(SplitCtx::new(block, &space.graph, split, join_card));
+            let split_ctx = SplitCtx::new(block, &space.graph, &mut arena.dists, split, join_card);
+            arena.ctxs.push(split_ctx);
             let recorded = arena.joins.len();
             for outer_sp in outer_list.plans() {
                 for inner_sp in inner_list.plans() {
@@ -438,7 +435,7 @@ fn try_join(
             outer_ex: opt.outer_ex,
             inner_ex: opt.inner_ex,
             rows: rows_out,
-            dist: opt.out_dist.clone(),
+            dist: opt.out_dist,
             builds: outer_sp
                 .pending
                 .iter()
@@ -450,7 +447,7 @@ fn try_join(
             plan: PlanRef::Join(id),
             rows: rows_out,
             cost,
-            dist: opt.out_dist.clone(),
+            dist: opt.out_dist,
             pending: remaining.clone(),
         });
     }
@@ -466,7 +463,8 @@ fn materialize(est: &Estimator<'_>, arena: &Arena, node: &PlanRef) -> Arc<Physic
     let recipe = &arena.joins[id];
     let outer = materialize(est, arena, &recipe.outer);
     let inner = materialize(est, arena, &recipe.inner);
-    build_join(est, &arena.ctxs[recipe.ctx], recipe, outer, inner)
+    let dist = arena.dists.resolve(recipe.dist);
+    build_join(est, &arena.ctxs[recipe.ctx], recipe, dist, outer, inner)
 }
 
 /// `input`, behind the exchange `ex` when there is one.
@@ -487,11 +485,13 @@ fn wrap_exchange(
     PhysicalPlan::new(PhysicalNode::Exchange { input, kind }, layout, rows, dist)
 }
 
-/// The plan node of a recorded join over its built children.
+/// The plan node of a recorded join, whose output distribution is `dist`,
+/// over its built children.
 fn build_join(
     est: &Estimator<'_>,
     ctx: &SplitCtx,
     recipe: &JoinRecipe,
+    dist: Distribution,
     outer: Arc<PhysicalPlan>,
     inner: Arc<PhysicalPlan>,
 ) -> Arc<PhysicalPlan> {
@@ -534,7 +534,7 @@ fn build_join(
             predicate: ctx.extra.clone(),
         }
     };
-    PhysicalPlan::new(node, layout, recipe.rows, recipe.dist.clone())
+    PhysicalPlan::new(node, layout, recipe.rows, dist)
 }
 
 #[cfg(test)]
@@ -859,7 +859,8 @@ mod tests {
                     let (arena, best, _) = search_fixture(fx, &config);
                     let plan = materialize(&fx.estimator(), &arena, &best.plan);
                     assert_eq!(plan.est_rows, best.rows, "{at}: root rows");
-                    assert_eq!(plan.distribution, best.dist, "{at}: root distribution");
+                    let dist = arena.dists.resolve(best.dist);
+                    assert_eq!(plan.distribution, dist, "{at}: root distribution");
                     // One join per relation joined, so each recipe of the
                     // winner was built exactly once.
                     let joins = check_wiring(&plan, &at);

@@ -120,6 +120,11 @@ pub struct NodeProfile {
     pub wall_ns: u64,
     /// Morsels this node processed (0 for breaker seal work).
     pub morsels: u64,
+    /// Nanoseconds a hash join spent sealing its build side (indexing it
+    /// and building its Bloom filters) before its probe pipeline ran. Not
+    /// part of `wall_ns`: the seal runs inside the enclosing pipeline's
+    /// set-up, under no node's clock. 0 for other nodes.
+    pub build_ns: u64,
 }
 
 impl NodeProfile {
@@ -127,6 +132,7 @@ impl NodeProfile {
     pub fn merge(&mut self, other: &NodeProfile) {
         self.wall_ns += other.wall_ns;
         self.morsels += other.morsels;
+        self.build_ns += other.build_ns;
     }
 }
 
@@ -172,7 +178,11 @@ pub struct ProfileScratch {
 impl ProfileScratch {
     /// Accumulate wall time and a morsel count for a node.
     pub fn note_node(&mut self, node_id: u32, wall_ns: u64, morsels: u64) {
-        let add = NodeProfile { wall_ns, morsels };
+        let add = NodeProfile {
+            wall_ns,
+            morsels,
+            build_ns: 0,
+        };
         match self.nodes.iter_mut().find(|(id, _)| *id == node_id) {
             Some((_, p)) => p.merge(&add),
             None => self.nodes.push((node_id, add)),
@@ -358,7 +368,17 @@ impl ExecStats {
             .lock()
             .entry(node_id)
             .or_default()
-            .merge(&NodeProfile { wall_ns, morsels });
+            .merge(&NodeProfile {
+                wall_ns,
+                morsels,
+                build_ns: 0,
+            });
+    }
+
+    /// Record a hash join's build-side seal time (see
+    /// [`NodeProfile::build_ns`]).
+    pub fn record_build_ns(&self, node_id: u32, build_ns: u64) {
+        self.profile.lock().entry(node_id).or_default().build_ns += build_ns;
     }
 
     /// Runtime profile recorded for a node, if any.
@@ -514,7 +534,8 @@ mod tests {
             s.profile_of(3),
             Some(NodeProfile {
                 wall_ns: 150,
-                morsels: 3
+                morsels: 3,
+                build_ns: 0,
             })
         );
         assert_eq!(s.profile_of(7).unwrap().morsels, 1);
@@ -527,6 +548,10 @@ mod tests {
         // Direct breaker-path recording accumulates into the same map.
         s.record_node_profile(3, 25, 0);
         assert_eq!(s.profile_of(3).unwrap().wall_ns, 175);
+        // A build seal adds to its own field only.
+        s.record_build_ns(3, 40);
+        let p = s.profile_of(3).unwrap();
+        assert_eq!((p.wall_ns, p.morsels, p.build_ns), (175, 3, 40));
         assert_eq!(s.profiles().len(), 2);
     }
 

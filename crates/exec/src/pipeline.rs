@@ -621,9 +621,13 @@ fn seal_blocking(node: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<SealedAu
             ..
         } => {
             let inner_data = execute_pipelined(inner, ctx)?;
-            Ok(SealedAux::Build(seal_build_side(
-                ctx, inner, keys, builds, inner_data,
-            )?))
+            let started = ctx.options.exec.profile.then(std::time::Instant::now);
+            let sealed = seal_build_side(ctx, inner, keys, builds, inner_data)?;
+            if let Some(started) = started {
+                ctx.stats
+                    .record_build_ns(node.id, crate::data::elapsed_ns(started));
+            }
+            Ok(SealedAux::Build(sealed))
         }
         PhysicalNode::ScalarSubst { subquery, .. } => {
             let sub = execute_pipelined(subquery, ctx)?;

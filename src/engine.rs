@@ -186,6 +186,8 @@ impl QueryResult {
     /// Chain operators report *self* time summed across workers (it can
     /// exceed the query's wall clock at dop > 1); pipeline breakers report
     /// the wall time of their whole stage, sealed once (`morsels` omitted).
+    /// A hash join also reports `build=`, the time it took to index its
+    /// build side and build its Bloom filters, which no `time=` covers.
     pub fn explain_analyze(&self) -> String {
         let stats = &self.exec_stats;
         let mut out = self
@@ -203,6 +205,9 @@ impl QueryResult {
                     s.push_str(&format!(", time={:.2}ms", p.wall_ns as f64 / 1e6));
                     if p.morsels > 0 {
                         s.push_str(&format!(", morsels={}", p.morsels));
+                    }
+                    if matches!(node.node, PhysicalNode::HashJoin { .. }) {
+                        s.push_str(&format!(", build={:.2}ms", p.build_ns as f64 / 1e6));
                     }
                 }
                 s

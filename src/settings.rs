@@ -62,14 +62,13 @@ fn store<T>(slot: &mut T, parsed: Option<T>) -> Option<()> {
 pub const SETTINGS: [Setting; 6] = [
     Setting {
         name: "bloom_mode",
-        values: "none|post|cbo|naive",
+        values: "none|post|cbo",
         class: SettingClass::Plan,
         set: |s, v| {
             let mode = match v {
                 "none" | "off" => Some(BloomMode::None),
                 "post" => Some(BloomMode::Post),
                 "cbo" => Some(BloomMode::Cbo),
-                "naive" => Some(BloomMode::Naive),
                 _ => None,
             };
             store(&mut s.plan.bloom_mode, mode)
@@ -200,6 +199,24 @@ mod tests {
                 "README default of `{name}` is not the default"
             );
         }
+    }
+
+    #[test]
+    fn naive_is_no_longer_a_bloom_mode() {
+        // The §3.1 strawman is a measurement device (`naive_blowup`), not
+        // a way to plan a user's query.
+        let defaults = Settings::default();
+        let mut settings = defaults.clone();
+        let err = settings
+            .set("bloom_mode", "naive", &defaults)
+            .expect_err("naive is not a bloom mode");
+        assert!(matches!(err, BfqError::Invalid(_)), "{err:?}");
+        assert!(
+            err.to_string()
+                .contains("bad bloom_mode `naive` (none|post|cbo)"),
+            "{err}"
+        );
+        assert_eq!(format!("{settings:?}"), format!("{defaults:?}"));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!   executed node with actual rows, est-vs-actual q-error and wall time,
 //!   and places observed runtime-filter pass rates next to the estimator's
 //!   predicted FPR (§3.5) — the planner's est-vs-actual feedback loop.
+//!   Hash joins also show their build-side seal time, which only
+//!   profiling records.
 //! * Phase spans nest: parse + bind + optimize + execute ≤ total, and a
 //!   plan-cache hit zeroes the planning spans.
 //! * Profiling instrumentation perturbs neither results nor per-node
@@ -224,6 +226,48 @@ fn profiling_does_not_perturb_results_or_actuals() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn hash_joins_show_their_build_time_only_when_profiled() {
+    let db = tpch::gen::generate(SF, SEED).expect("generate");
+    let catalog = Arc::new(db.catalog);
+    for profile in [true, false] {
+        let engine = Engine::over_catalog(
+            catalog.clone(),
+            EngineConfig::default()
+                .with_bloom_mode(BloomMode::Cbo)
+                .with_dop(2)
+                .with_profile(profile),
+        );
+        let conn = engine.connect();
+        let mut joins = 0;
+        for q in [3usize, 5, 9, 18, 21] {
+            let r = conn
+                .run_sql(&tpch::query_text(q, SF))
+                .unwrap_or_else(|e| panic!("Q{q}: {e}"));
+            let text = r.explain_analyze();
+            for line in text
+                .lines()
+                .filter(|l| l.trim_start().starts_with("HashJoin"))
+            {
+                joins += 1;
+                assert_eq!(
+                    line.contains(", build="),
+                    profile,
+                    "Q{q} profile={profile}: {line}\n{text}"
+                );
+            }
+            // The seal is timed apart from the join's probe time.
+            r.optimized.plan.visit(&mut |node| {
+                if let bfq::plan::PhysicalNode::HashJoin { .. } = node.node {
+                    let build_ns = r.exec_stats.profile_of(node.id).map(|p| p.build_ns);
+                    assert_eq!(build_ns.is_some_and(|ns| ns > 0), profile, "Q{q}");
+                }
+            });
+        }
+        assert!(joins > 10, "{joins} hash joins");
     }
 }
 
