@@ -3,7 +3,8 @@
 //!
 //! The paper motivates Heuristics 1–9 qualitatively (§3.10) and measures
 //! only H7 (Table 3). This ablation fills in the rest: each row disables or
-//! re-tunes one knob relative to the default BF-CBO configuration and
+//! re-tunes one knob relative to the default BF-CBO configuration (H7 on,
+//! so the `h7_off` row is the uncapped search) and
 //! reports total planning time, DP pairs examined, sub-plans generated and
 //! built (admitted to a plan list, the only ones materialized as plan
 //! nodes), and the number of Bloom filters in the winning plans.
@@ -14,7 +15,8 @@
 //! cycle over the TPC-H schema) are planned under the default
 //! configuration with their own search counts and checksums. With
 //! `--json`, the `*_plan_checksum` keys gate exactly, so a change that
-//! alters any plan has to say so.
+//! alters any plan has to say so, and `bf_cbo_{generated,pairs}_ratio`
+//! hold BF-CBO's search size over the plain DP's as counts.
 
 use std::sync::Arc;
 
@@ -107,7 +109,7 @@ impl Row {
 
     fn print(&self, label: &str) {
         println!(
-            "  {:<22} {:>9.1} {:>10} {:>11} {:>9} {:>7} {:>8} {:>6} {:>10}",
+            "  {:<24} {:>9.1} {:>10} {:>11} {:>9} {:>7} {:>8} {:>6} {:>10}",
             label,
             self.plan_ms,
             self.pairs,
@@ -169,11 +171,11 @@ fn main() {
         variants.push(("H5 tiny (ndv<=1k)", c));
     }
     {
-        // H7 on, paper setting.
+        // H7 off: the search the paper's Table 2 runs, every Bloom-filter
+        // sub-plan kept.
         let mut c = base.clone();
-        c.h7_enabled = true;
-        c.h7_max_subplans = 4;
-        variants.push(("H7 on (cap 4 -> 1)", c));
+        c.h7_enabled = false;
+        variants.push(("H7 off (uncapped BF-CBO)", c));
     }
     {
         // H9 on: both-side candidates.
@@ -195,11 +197,13 @@ fn main() {
         env.sf
     );
     println!(
-        "# {:<22} {:>9} {:>10} {:>11} {:>9} {:>7} {:>8} {:>6} {:>10}",
+        "# {:<24} {:>9} {:>10} {:>11} {:>9} {:>7} {:>8} {:>6} {:>10}",
         "variant", "plan_ms", "dp_pairs", "generated", "built", "kept", "filters", "cands", "plans"
     );
     let mut json = JsonReport::from_args("ablation_heuristics");
     json.add("sf", env.sf);
+    let mut bf_cbo = Row::default();
+    let mut no_bf = Row::default();
     for (label, cfg) in &variants {
         let r = sweep(&catalog, &env, cfg);
         r.print(label);
@@ -213,6 +217,7 @@ fn main() {
         let slug = match *label {
             "H6 off (sel<=1.0)" => "h6_off".to_string(),
             "H6 strict (sel<=0.2)" => "h6_strict".to_string(),
+            "H7 off (uncapped BF-CBO)" => "h7_off".to_string(),
             "no-bf baseline" => "no_bf".to_string(),
             "bf-post baseline" => "bf_post".to_string(),
             "bf-cbo default" => "bf_cbo".to_string(),
@@ -226,7 +231,22 @@ fn main() {
         json.add(&format!("{slug}_plan_ms"), r.plan_ms);
         json.add(&format!("{slug}_kept"), r.kept as f64);
         json.add(&format!("{slug}_plan_checksum"), r.checksum());
+        match slug.as_str() {
+            "bf_cbo" => bf_cbo = r,
+            "no_bf" => no_bf = r,
+            _ => {}
+        }
     }
+    // The price of Bloom-aware planning as search size, against the plain
+    // DP over the same queries: counts, so they gate exactly where timings
+    // can only trend.
+    let generated_ratio = bf_cbo.generated as f64 / no_bf.generated as f64;
+    let pairs_ratio = bf_cbo.pairs as f64 / no_bf.pairs as f64;
+    println!(
+        "# bf-cbo search over no-bf: generated {generated_ratio:.3}x, pairs {pairs_ratio:.3}x"
+    );
+    json.add("bf_cbo_generated_ratio", generated_ratio);
+    json.add("bf_cbo_pairs_ratio", pairs_ratio);
     println!("# 8-relation joins under the bf-cbo default configuration");
     for (shape, sql) in WIDE_JOINS {
         let mut r = Row::default();
@@ -239,7 +259,7 @@ fn main() {
         json.add(&format!("wide_{shape}_plan_checksum"), r.checksum());
     }
     println!("# expectations: H2/H6-off inflate candidates and planner time;");
-    println!("# H5-tiny and H8 suppress filters; H7 trims pairs; H9 adds candidates.");
+    println!("# H5-tiny and H8 suppress filters; H7 off adds pairs; H9 adds candidates.");
     if let Some(path) = json.finish().expect("write json report") {
         eprintln!("\n# wrote {path}");
     }

@@ -1,5 +1,7 @@
-//! **E6 — Paper Table 3**: the Table 2 sweep with Heuristic 7 enabled
+//! **E6 — Paper Table 3**: the Table 2 sweep with Heuristic 7 off and on
 //! (cap Bloom-filter sub-plans per relation; prune to the fewest-rows one).
+//! H7 is on by default, so the `cbo` column turns it off to stand for the
+//! paper's uncapped BF-CBO and the `cbo_h7` column runs the default.
 //!
 //! Expected shape: planner latency drops versus plain BF-CBO (paper: 540.7 →
 //! 421.9 ms total) while total query latency degrades slightly (32.8% →
@@ -17,7 +19,7 @@ fn main() {
     json.add("sf", env.sf);
 
     println!(
-        "# Table 3 reproduction (Heuristic 7 on) — TPC-H SF {} DOP {}",
+        "# Table 3 reproduction (Heuristic 7 off vs on) — TPC-H SF {} DOP {}",
         env.sf, env.dop
     );
     println!(
@@ -31,11 +33,11 @@ fn main() {
     for q in TABLE2_QUERIES {
         let none = measure_tpch(&catalog, &env, q, BloomMode::None).expect("none");
         let post = measure_tpch(&catalog, &env, q, BloomMode::Post).expect("post");
-        let cbo = measure_tpch(&catalog, &env, q, BloomMode::Cbo).expect("cbo");
-        let mut cfg = env.config(BloomMode::Cbo);
-        cfg.h7_enabled = true;
-        cfg.h7_max_subplans = 4;
-        let h7 = measure_query(&catalog, &query_text(q, env.sf), &cfg, env.runs).expect("cbo+h7");
+        let mut uncapped = env.config(BloomMode::Cbo);
+        uncapped.h7_enabled = false;
+        let cbo =
+            measure_query(&catalog, &query_text(q, env.sf), &uncapped, env.runs).expect("cbo");
+        let h7 = measure_tpch(&catalog, &env, q, BloomMode::Cbo).expect("cbo+h7");
         println!(
             "  {:>3} {:>10.2} {:>10.2} {:>10.1} | {:>10.2} {:>10.2}",
             q,

@@ -10,7 +10,8 @@
 //!
 //! Heuristic 5 (filter size) and Heuristic 6 (selectivity threshold) prune
 //! δ options; the δ-superset dominance rule prunes sub-plans as they enter
-//! the plan list; Heuristic 7 optionally caps the surviving BF sub-plans.
+//! the plan list. Heuristic 7, which caps the surviving BF sub-plans,
+//! applies when phase 2 takes the lists over ([`crate::phase2`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -270,9 +271,6 @@ pub fn initial_plan_lists(
                 list.add(sp);
             }
         }
-        if config.h7_enabled {
-            list.apply_heuristic7(config.h7_max_subplans);
-        }
         lists.push(list);
     }
     Ok(lists)
@@ -403,21 +401,6 @@ mod tests {
         };
         let (lists, _) = plan_lists_for(&fx, &config);
         assert!(lists[0].plans().iter().all(|p| !p.has_pending()));
-    }
-
-    #[test]
-    fn heuristic7_caps_bf_subplans() {
-        let fx = running_example(1.0);
-        let config = OptimizerConfig {
-            bf_min_apply_rows: 100.0,
-            h7_enabled: true,
-            h7_max_subplans: 0, // force the cap to bite
-            ..Default::default()
-        };
-        let (lists, _) = plan_lists_for(&fx, &config);
-        for list in &lists {
-            assert!(list.plans().iter().filter(|p| p.has_pending()).count() <= 1);
-        }
     }
 
     #[test]

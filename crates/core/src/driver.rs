@@ -39,6 +39,9 @@ pub struct OptimizerStats {
     pub cbo_filters: usize,
     /// Filters added by the post-processing pass.
     pub post_filters: usize,
+    /// The chosen plan's estimated cost: the root's `Cost::total`, in the
+    /// cost model's units.
+    pub est_cost: f64,
     /// Always 0: kept only because `bench/e2e` reads it.
     #[doc(hidden)]
     pub programs: usize,
@@ -59,6 +62,7 @@ impl OptimizerStats {
         self.phase2.generated += other.phase2.generated;
         self.phase2.built += other.phase2.built;
         self.phase2.kept += other.phase2.kept;
+        self.phase2.h7_pruned += other.phase2.h7_pruned;
         self.cbo_filters += other.cbo_filters;
         self.post_filters += other.post_filters;
     }
@@ -109,6 +113,7 @@ pub fn optimize_block(
     )?;
     let mut stats = OptimizerStats::default();
     stats.merge_block(bstats);
+    stats.est_cost = cost.total;
     stats.planning_ms = start.elapsed().as_secs_f64() * 1e3;
     Ok((plan, cost, stats))
 }
@@ -202,10 +207,11 @@ pub fn optimize(
         stats: OptimizerStats::default(),
         next_filter: 0,
     };
-    let (plan, _cost) = planner.plan_node(logical, &[])?;
+    let (plan, cost) = planner.plan_node(logical, &[])?;
     let mut next_id = 1;
     let plan = plan.with_ids(&mut next_id);
     let mut stats = planner.stats;
+    stats.est_cost = cost.total;
     stats.planning_ms = start.elapsed().as_secs_f64() * 1e3;
     Ok(OptimizedQuery { plan, stats })
 }

@@ -60,6 +60,9 @@ pub struct Phase2Stats {
     pub built: usize,
     /// Sub-plans surviving in plan lists at the end.
     pub kept: usize,
+    /// Bloom-filter sub-plans Heuristic 7 dropped, from the relations'
+    /// initial plan lists and from each joined set's list.
+    pub h7_pruned: usize,
 }
 
 /// A data movement on one join input.
@@ -258,7 +261,8 @@ fn search(
     let mut stats = Phase2Stats::default();
     let mut arena = Arena::default();
     let mut lists: HashMap<u64, PlanList> = HashMap::new();
-    for (rel, list) in initial.into_iter().enumerate() {
+    for (rel, mut list) in initial.into_iter().enumerate() {
+        heuristic7(config, &mut list, &mut stats);
         lists.insert(RelSet::single(rel).0, list);
     }
 
@@ -300,9 +304,7 @@ fn search(
                 arena.ctxs.pop();
             }
         }
-        if config.h7_enabled {
-            list.apply_heuristic7(config.h7_max_subplans);
-        }
+        heuristic7(config, &mut list, &mut stats);
         stats.kept += list.len();
         lists.insert(set.0, list);
     }
@@ -314,6 +316,14 @@ fn search(
         .cloned()
         .ok_or_else(|| BfqError::Plan("no complete plan found for query block".into()))?;
     Ok((arena, best, stats))
+}
+
+/// Heuristic 7, when enabled, on a complete plan list: a relation's list
+/// as costing seeded it, or a joined set's once every split is costed.
+fn heuristic7(config: &OptimizerConfig, list: &mut PlanList, stats: &mut Phase2Stats) {
+    if config.h7_enabled {
+        stats.h7_pruned += list.apply_heuristic7(config.h7_max_subplans);
+    }
 }
 
 /// The legality of a candidate join's pending filters. Returns how many of
@@ -553,27 +563,33 @@ mod tests {
     fn search_fixture(fx: &Fixture, config: &OptimizerConfig) -> (Arena, SubPlan, Phase2Stats) {
         let est = fx.estimator();
         let model = CostModel::new(config.dop);
+        let space = join_space(&fx.block);
+        let initial = initial_lists(fx, config);
+        search(&fx.block, &est, &model, config, &space, initial).unwrap()
+    }
+
+    /// The relations' plan lists as costing seeds them for `search`.
+    fn initial_lists(fx: &Fixture, config: &OptimizerConfig) -> Vec<PlanList> {
+        let est = fx.estimator();
         let mut cands = if config.bloom_mode == BloomMode::Cbo {
             mark_candidates(&fx.block, &est, config)
         } else {
             vec![]
         };
-        let space = join_space(&fx.block);
-        collect_deltas(&est, &space, &mut cands, config);
+        collect_deltas(&est, &join_space(&fx.block), &mut cands, config);
         let required = required_cols_per_rel(&fx.block, &[]);
         let mut next_filter = 0;
-        let initial = initial_plan_lists(
+        initial_plan_lists(
             &fx.block,
             &est,
-            &model,
+            &CostModel::new(config.dop),
             config,
             &cands,
             &required,
             &HashMap::new(),
             &mut next_filter,
         )
-        .unwrap();
-        search(&fx.block, &est, &model, config, &space, initial).unwrap()
+        .unwrap()
     }
 
     /// The winner's tree, its cost, and the statistics.
@@ -887,6 +903,44 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    #[test]
+    fn heuristic7_caps_every_plan_list_and_counts_what_it_drops() {
+        // Each relation of a filtered chain can take its filter from any
+        // prefix of the chain beyond it: several δ's, several sub-plans.
+        let fx = chain_block(&[
+            ChainSpec::new("a", 50_000),
+            ChainSpec::new("b", 5_000).filtered(0.2),
+            ChainSpec::new("c", 500).filtered(0.3),
+            ChainSpec::new("d", 50).filtered(0.5),
+        ]);
+        let mut config = OptimizerConfig::with_mode(BloomMode::Cbo);
+        config.bf_min_apply_rows = 100.0;
+        config.h7_enabled = false;
+        let (_, _, off) = search_fixture(&fx, &config);
+        assert_eq!(off.h7_pruned, 0);
+        // A cap of 0 bites wherever two Bloom sub-plans meet in one list.
+        config.h7_enabled = true;
+        config.h7_max_subplans = 0;
+        let (arena, best, capped) = search_fixture(&fx, &config);
+        assert!(capped.kept < off.kept, "{capped:?} vs {off:?}");
+        let (applied, built) = filter_ids(&materialize(&fx.estimator(), &arena, &best.plan));
+        assert_eq!(applied, built);
+        // Capped by hand first, the seeded lists lose nothing more: the
+        // count is what the seeded lists lost plus what the joined sets did.
+        let mut seeded = 0;
+        let mut precapped = initial_lists(&fx, &config);
+        for list in &mut precapped {
+            seeded += list.apply_heuristic7(0);
+        }
+        assert!(seeded > 0, "no relation seeded two Bloom sub-plans");
+        let est = fx.estimator();
+        let model = CostModel::new(config.dop);
+        let space = join_space(&fx.block);
+        let (_, _, joined) = search(&fx.block, &est, &model, &config, &space, precapped).unwrap();
+        assert_eq!(capped.h7_pruned, seeded + joined.h7_pruned, "{capped:?}");
+        assert!(joined.h7_pruned > 0, "{joined:?}");
     }
 
     #[test]

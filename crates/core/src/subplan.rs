@@ -255,11 +255,12 @@ impl PlanList {
 
     /// Heuristic 7 (paper §3.10/§4.4): if more than `max` Bloom-filter
     /// sub-plans accumulated, keep only the one with the fewest rows
-    /// (ties broken by cost), alongside all non-BF sub-plans.
-    pub fn apply_heuristic7(&mut self, max: usize) {
+    /// (ties broken by cost), alongside all non-BF sub-plans. Returns how
+    /// many sub-plans it dropped.
+    pub fn apply_heuristic7(&mut self, max: usize) -> usize {
         let bf_count = self.plans.iter().filter(|p| p.has_pending()).count();
         if bf_count <= max {
-            return;
+            return 0;
         }
         let best = self
             .plans
@@ -281,6 +282,7 @@ impl PlanList {
                 .map(|(_, retained)| retained)
                 .unzip();
         }
+        bf_count - 1
     }
 }
 
@@ -413,7 +415,7 @@ mod tests {
             list.add(sp(rows, 2.0 + i as f64, vec![pend(RelSet::single(i + 1))]));
         }
         assert_eq!(list.len(), 6);
-        list.apply_heuristic7(4);
+        assert_eq!(list.apply_heuristic7(4), 4);
         assert!(keys_in_step(&list));
         let bf: Vec<_> = list.plans().iter().filter(|p| p.has_pending()).collect();
         assert_eq!(bf.len(), 1);
@@ -423,7 +425,7 @@ mod tests {
         // Under the cap nothing happens.
         let mut small = PlanList::new();
         small.add(sp(10.0, 1.0, vec![pend(RelSet::single(1))]));
-        small.apply_heuristic7(4);
+        assert_eq!(small.apply_heuristic7(4), 0);
         assert_eq!(small.len(), 1);
     }
 

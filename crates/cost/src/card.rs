@@ -46,6 +46,10 @@ pub struct Estimator<'a> {
     read_rows: Vec<f64>,
     join_memo: RefCell<HashMap<u64, f64>>,
     ndv_memo: RefCell<HashMap<(ColumnId, u64), f64>>,
+    /// [`Estimator::bf_fpr`] by the bits of the effective build NDV: the
+    /// blocked-FPR walk sums a Poisson pmf term by term, and every δ
+    /// combination of a relation asks for its filters' rates again.
+    fpr_memo: RefCell<HashMap<u64, f64>>,
     /// Data-skipping mode in effect; with zone maps on, clustered apply
     /// columns tighten [`Estimator::bf_pass_fraction`].
     index_mode: IndexMode,
@@ -111,6 +115,7 @@ impl<'a> Estimator<'a> {
             read_rows,
             join_memo: RefCell::new(HashMap::new()),
             ndv_memo: RefCell::new(HashMap::new()),
+            fpr_memo: RefCell::new(HashMap::new()),
             index_mode,
         }
     }
@@ -356,7 +361,11 @@ impl<'a> Estimator<'a> {
     /// runtime builds, so plan choice sees it.
     pub fn bf_fpr(&self, bf: &BfAssumption) -> f64 {
         let d_build = self.effective_build_ndv(bf.build_col, bf.delta);
-        bfq_bloom::math::default_fpr(d_build)
+        *self
+            .fpr_memo
+            .borrow_mut()
+            .entry(d_build.to_bits())
+            .or_insert_with(|| bfq_bloom::math::default_fpr(d_build))
     }
 
     /// Row-pass-through fraction of one Bloom filter:
@@ -658,6 +667,36 @@ mod tests {
         let joined = est.joined_rows(RelSet::from_iter([0, 2]), std::slice::from_ref(&bf));
         let plain = est.join_card(RelSet::from_iter([0, 2]));
         assert!(joined < plain);
+    }
+
+    #[test]
+    fn memoized_fpr_is_each_build_ndvs_own_walk() {
+        let (cat, block, bindings) = fixture();
+        let est = Estimator::new(&block, &bindings, &cat);
+        // Filters on t2.c2 from t3 (unfiltered, 1000 keys) and on t1.c2
+        // from t2 (filtered to about 400): two build NDVs, asked in turn.
+        let from_t3 = BfAssumption {
+            apply_rel: 1,
+            apply_col: vcol(&block, 1, 1),
+            build_rel: 2,
+            build_col: vcol(&block, 2, 0),
+            delta: RelSet::single(2),
+        };
+        let from_t2 = BfAssumption {
+            apply_rel: 0,
+            apply_col: vcol(&block, 0, 1),
+            build_rel: 1,
+            build_col: vcol(&block, 1, 0),
+            delta: RelSet::single(1),
+        };
+        let walk = |bf: &BfAssumption| {
+            let d_build = est.effective_build_ndv(bf.build_col, bf.delta);
+            bfq_bloom::math::default_fpr(d_build).to_bits()
+        };
+        assert_ne!(walk(&from_t3), walk(&from_t2));
+        for bf in [&from_t3, &from_t2, &from_t3, &from_t2] {
+            assert_eq!(est.bf_fpr(bf).to_bits(), walk(bf));
+        }
     }
 
     #[test]
