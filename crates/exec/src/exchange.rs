@@ -1,11 +1,13 @@
 //! Exchange operators: gather, broadcast (`BC`), hash repartition (`RD`).
 
+use std::sync::Arc;
+
 use bfq_common::{ColumnId, Result};
 use bfq_expr::Layout;
 use bfq_storage::Chunk;
 
 use crate::data::PartitionedData;
-use crate::parallel::par_map;
+use crate::parallel::WorkerPool;
 use crate::util::{hash_keys, slots_for, JOIN_SEED};
 
 /// Merge all partitions into one.
@@ -57,23 +59,26 @@ fn merge_buckets(bucketed: Vec<Vec<Vec<Chunk>>>, dop: usize) -> Vec<Vec<Chunk>> 
 
 /// Hash-repartition on `cols` so equal keys land on the same worker.
 pub fn repartition(
+    pool: &WorkerPool,
     input: PartitionedData,
     layout: &Layout,
     cols: &[ColumnId],
     dop: usize,
 ) -> Result<PartitionedData> {
     let slots = slots_for(layout, cols)?;
+    let PartitionedData { types, partitions } = input;
+    let sources = Arc::new(partitions);
     // Split every input partition into per-target buckets in parallel…
-    let bucketed: Vec<Vec<Vec<Chunk>>> = par_map(input.num_partitions(), |p| {
+    let bucketed: Vec<Vec<Vec<Chunk>>> = pool.run(sources.len(), move |p| {
         let mut buckets: Vec<Vec<Chunk>> = vec![Vec::new(); dop];
-        for chunk in &input.partitions[p] {
+        for chunk in &sources[p] {
             route_chunk(chunk, &slots, &mut buckets);
         }
         Ok(buckets)
     })?;
     // …then merge the buckets by target.
     Ok(PartitionedData {
-        types: input.types,
+        types,
         partitions: merge_buckets(bucketed, dop),
     })
 }
@@ -125,7 +130,8 @@ mod tests {
     #[test]
     fn repartition_colocates_equal_keys() {
         let input = data(vec![vec![1, 2, 3, 1, 2, 3], vec![1, 2, 3]]);
-        let out = repartition(input, &layout(), &[ColumnId::new(TableId(0), 0)], 3).unwrap();
+        let pool = WorkerPool::lazy();
+        let out = repartition(&pool, input, &layout(), &[ColumnId::new(TableId(0), 0)], 3).unwrap();
         assert_eq!(out.total_rows(), 9);
         // Each key value must appear in exactly one partition.
         for key in 1..=3i64 {
@@ -145,7 +151,8 @@ mod tests {
     fn repartition_preserves_all_rows() {
         let vals: Vec<i64> = (0..1000).collect();
         let input = data(vec![vals.clone()]);
-        let out = repartition(input, &layout(), &[ColumnId::new(TableId(0), 0)], 7).unwrap();
+        let pool = WorkerPool::lazy();
+        let out = repartition(&pool, input, &layout(), &[ColumnId::new(TableId(0), 0)], 7).unwrap();
         assert_eq!(out.total_rows(), 1000);
         let mut collected: Vec<i64> = (0..7)
             .flat_map(|p| {

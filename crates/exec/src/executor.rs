@@ -15,7 +15,7 @@ use bfq_storage::{Chunk, Column, ColumnRef};
 
 use crate::data::{ExecStats, PartitionedData};
 use crate::join::BuildTable;
-use crate::parallel::par_map;
+use crate::parallel::WorkerPool;
 use crate::util::{col_cmp, slots_for};
 
 /// The execution-only settings: read when a plan runs, never by the
@@ -51,8 +51,9 @@ impl Default for ExecConfig {
 
 /// Everything one execution is told besides the plan and the catalog: the
 /// two values the plan was costed under that the executor must honour
-/// (`dop`, `index_mode`), the execution-only [`ExecConfig`], and the
-/// per-execution interruption handle.
+/// (`dop`, `index_mode`), the execution-only [`ExecConfig`], the
+/// per-execution interruption handle, and the worker pool its fan-outs run
+/// on.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Degree of parallelism.
@@ -65,6 +66,13 @@ pub struct ExecOptions {
     /// streamed pull. `None` means the query cannot be cancelled and has
     /// no statement deadline.
     pub interrupt: Option<Arc<CancelToken>>,
+    /// Where pipelines, repartitions, build seals and nested-loop joins
+    /// fan out. An engine hands all its executions one pool, started with
+    /// the engine's `dop − 1` helpers; the default is a private pool that
+    /// starts helpers only when a fan-out first asks for them and joins
+    /// them when the last clone of these options drops. A dop-1 execution
+    /// never touches it.
+    pub pool: Arc<WorkerPool>,
 }
 
 impl Default for ExecOptions {
@@ -74,6 +82,7 @@ impl Default for ExecOptions {
             index_mode: IndexMode::default(),
             exec: ExecConfig::default(),
             interrupt: None,
+            pool: Arc::new(WorkerPool::lazy()),
         }
     }
 }
@@ -231,7 +240,8 @@ pub(crate) fn seal_build_side(
     } else {
         None
     };
-    let tables: Vec<BuildTable> = par_map(n_parts, |p| {
+    let inner_data = Arc::new(inner_data);
+    let tables: Vec<BuildTable> = ctx.options.pool.run(n_parts, move |p| {
         let chunk = inner_data.partition_chunk(p)?;
         Ok(BuildTable::build_with_ndv(
             chunk,

@@ -20,7 +20,7 @@ use bfq_plan::JoinKind;
 use bfq_storage::{Chunk, Column};
 
 use crate::data::PartitionedData;
-use crate::parallel::par_map;
+use crate::parallel::WorkerPool;
 use crate::util::{
     col_eq, hash_keys, hash_keys_into, keys_null, slots_for, Directory, MorselScratch, JOIN_SEED,
     NONE,
@@ -402,14 +402,15 @@ fn emit_join_rows(
     Ok(())
 }
 
-/// Nested-loop join: every outer row against the full inner partition.
-#[allow(clippy::too_many_arguments)]
+/// Nested-loop join: every outer row against the full inner partition,
+/// one outer partition per item of a `pool` job.
 pub fn nestloop_join(
-    outer: &PartitionedData,
-    inner: &PartitionedData,
+    pool: &WorkerPool,
+    outer: PartitionedData,
+    inner: PartitionedData,
     kind: JoinKind,
-    predicate: &Option<Expr>,
-    joined_layout: &Layout,
+    predicate: Option<Expr>,
+    joined_layout: Layout,
 ) -> Result<PartitionedData> {
     let types = if kind.emits_inner_columns() {
         let mut t = outer.types.clone();
@@ -418,7 +419,8 @@ pub fn nestloop_join(
     } else {
         outer.types.clone()
     };
-    let partitions = par_map(outer.num_partitions(), |p| {
+    let (outer, inner) = (Arc::new(outer), Arc::new(inner));
+    let partitions = pool.run(outer.num_partitions(), move |p| {
         let ichunk = inner.partition_chunk(p % inner.num_partitions())?;
         let mut out = Vec::new();
         for ochunk in &outer.partitions[p] {
@@ -428,8 +430,8 @@ pub fn nestloop_join(
                     Vec::new()
                 } else {
                     let pairs = Chunk::zip(&repeated, &ichunk)?;
-                    match predicate {
-                        Some(pred) => eval_predicate(pred, &pairs, joined_layout)?,
+                    match &predicate {
+                        Some(pred) => eval_predicate(pred, &pairs, &joined_layout)?,
                         None => (0..ichunk.rows() as u32).collect(),
                     }
                 };
@@ -674,10 +676,17 @@ mod tests {
 
     #[test]
     fn nestloop_cross_and_filtered() {
-        let outer = pd(vec![vec![1, 2]]);
+        let pool = WorkerPool::lazy();
         let inner = pd(vec![vec![10, 20, 30]]);
-        let cross =
-            nestloop_join(&outer, &inner, JoinKind::Inner, &None, &layout_of_join()).unwrap();
+        let cross = nestloop_join(
+            &pool,
+            pd(vec![vec![1, 2]]),
+            inner.clone(),
+            JoinKind::Inner,
+            None,
+            layout_of_join(),
+        )
+        .unwrap();
         assert_eq!(cross.total_rows(), 6);
         let pred = Expr::binary(
             bfq_expr::BinOp::Gt,
@@ -685,20 +694,22 @@ mod tests {
             Expr::int(15),
         );
         let filtered = nestloop_join(
-            &pd(vec![vec![1, 2]]),
-            &inner,
+            &pool,
+            pd(vec![vec![1, 2]]),
+            inner,
             JoinKind::Inner,
-            &Some(pred.clone()),
-            &layout_of_join(),
+            Some(pred.clone()),
+            layout_of_join(),
         )
         .unwrap();
         assert_eq!(filtered.total_rows(), 4);
         let anti = nestloop_join(
-            &pd(vec![vec![1, 2]]),
-            &pd(vec![vec![]]),
+            &pool,
+            pd(vec![vec![1, 2]]),
+            pd(vec![vec![]]),
             JoinKind::Anti,
-            &Some(pred),
-            &layout_of_join(),
+            Some(pred),
+            layout_of_join(),
         )
         .unwrap();
         assert_eq!(anti.total_rows(), 2);

@@ -5,7 +5,9 @@
 //! operators, worker threads pull chunk-sized morsels through fused
 //! scan → filter → probe → project chains and drain the pipeline's sink
 //! partitions themselves, each in morsel sequence, through a bounded
-//! reorder window. It has exactly two entry
+//! reorder window. Every fan-out runs on one persistent [`WorkerPool`]
+//! (module [`parallel`]) that the execution's [`ExecOptions`] carry: an
+//! engine's, or a private one. It has exactly two entry
 //! points, each taking `(plan, catalog, ExecOptions)`:
 //!
 //! * [`execute_plan`] gathers the result into one [`QueryOutput`];
@@ -41,5 +43,6 @@ pub mod util;
 pub use bfq_index::IndexMode;
 pub use data::{ExecStats, PartitionedData, ScanPruneStats};
 pub use executor::{ExecConfig, ExecContext, ExecOptions, QueryOutput};
+pub use parallel::WorkerPool;
 pub use pipeline::{execute_plan, execute_plan_stream, ChunkStream, REORDER_WINDOW_PER_WORKER};
 pub use util::MorselScratch;

@@ -6,12 +6,14 @@
 //! function, bounded by *pipeline breakers* (hash-join builds,
 //! aggregation, sort, limit, exchanges, scalar subqueries). A morsel is
 //! one storage chunk, reusing the existing chunk/partition model. A
-//! pipeline runs on up to `dop` workers — scoped threads plus the calling
-//! thread — that claim morsels from a shared atomic cursor, so a fast
-//! worker steals work from a slow one instead of idling on a fixed
-//! partition. [`execute_plan_stream`] runs everything below the last
-//! breaker the same way and hands the *final* pipeline to the consumer,
-//! who pulls it one morsel at a time ([`ChunkStream`]).
+//! pipeline runs on up to `dop` workers — the calling thread plus the
+//! parked helpers of the execution's [`crate::WorkerPool`], which the
+//! caller stands in for when none is free (see [`crate::parallel`]) —
+//! that claim morsels from a shared atomic cursor, so a fast worker steals
+//! work from a slow one instead of idling on a fixed partition.
+//! [`execute_plan_stream`] runs everything below the last breaker the same
+//! way and hands the *final* pipeline to the consumer, who pulls it one
+//! morsel at a time ([`ChunkStream`]).
 //!
 //! **Sinks.** A pipeline ends in a sink of one or more partitions:
 //! collect and LIMIT have one, hash aggregation one per worker
@@ -401,7 +403,7 @@ impl ChainOp {
 /// chain plus its morsels in partition-major sequence order.
 fn prepare_chain(
     head: &Arc<PhysicalPlan>,
-    ctx: &ExecContext,
+    ctx: &Arc<ExecContext>,
 ) -> Result<(PreparedChain, Vec<Morsel>)> {
     // Pass 1 (top-down): collect chain nodes and seal blocking children —
     // each probe join's build side completes (and publishes its Bloom
@@ -612,7 +614,7 @@ enum SealedAux {
     Scalar(Datum),
 }
 
-fn seal_blocking(node: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<SealedAux> {
+fn seal_blocking(node: &Arc<PhysicalPlan>, ctx: &Arc<ExecContext>) -> Result<SealedAux> {
     match &node.node {
         PhysicalNode::HashJoin {
             inner,
@@ -655,11 +657,11 @@ fn seal_blocking(node: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<SealedAu
 /// morsel strictly in morsel sequence. The morsel workers drain the
 /// partitions themselves, so two workers can consume two partitions at
 /// once.
-trait Sink: Sync {
+trait Sink: Send + Sync + 'static {
     /// One partition's share of one morsel's output.
-    type Piece: Send;
+    type Piece: Send + 'static;
     /// One partition's state.
-    type Part: Send;
+    type Part: Send + 'static;
 
     /// Cut the output of morsel `seq` (landing in worker-partition
     /// `partition`) into one piece per sink partition. Runs inside the
@@ -767,11 +769,12 @@ impl<I> Sched<I> {
 
 /// One pipeline run's shared state: the morsel cursor, the sink's
 /// partitions, the reorder state and the condvar blocked workers wait on.
-struct Shared<'a, S: Sink> {
-    chain: &'a PreparedChain,
-    morsels: &'a [Morsel],
-    ctx: &'a ExecContext,
-    sink: &'a S,
+/// The pool's workers each hold it through an `Arc`.
+struct Shared<S: Sink> {
+    chain: PreparedChain,
+    morsels: Vec<Morsel>,
+    ctx: Arc<ExecContext>,
+    sink: Arc<S>,
     parts: Vec<Mutex<S::Part>>,
     claim: AtomicUsize,
     cancel: AtomicBool,
@@ -789,7 +792,7 @@ struct Shared<'a, S: Sink> {
 /// The held reorder lock of a pipeline run.
 type SchedGuard<'s, S> = MutexGuard<'s, Sched<<S as Sink>::Piece>>;
 
-impl<S: Sink> Shared<'_, S> {
+impl<S: Sink> Shared<S> {
     fn cancelled(&self) -> bool {
         self.cancel.load(Ordering::Acquire)
     }
@@ -814,7 +817,7 @@ impl<S: Sink> Shared<'_, S> {
     /// One worker: claim, process and split morsels, publish the pieces in
     /// sequence, and drain whatever partitions it can lock.
     fn work(&self, w: usize, scratch: &mut MorselScratch) -> Result<()> {
-        let (chain, ctx) = (self.chain, self.ctx);
+        let (chain, ctx) = (&self.chain, &self.ctx);
         loop {
             if self.cancelled() {
                 return Ok(());
@@ -922,22 +925,24 @@ fn chain_workers(ctx: &ExecContext, morsels: usize) -> usize {
 }
 
 /// Run a prepared chain over its morsels into `sink`, whose partitions
-/// start as `parts`; returns the partitions' final states. The calling
-/// thread is one of the [`chain_workers`] workers, so a dop-1 pipeline runs
-/// on it alone.
+/// start as `parts`; returns the partitions' final states. The
+/// [`chain_workers`] workers are the items of one job on the engine's
+/// [`crate::parallel::WorkerPool`]: worker 0 is the calling thread, and so
+/// is every worker no helper has started by the time it is done, so a
+/// dop-1 pipeline (or a short one) runs on the caller alone.
 fn run_chain<S: Sink>(
-    chain: &PreparedChain,
-    morsels: &[Morsel],
-    ctx: &ExecContext,
-    sink: &S,
+    chain: PreparedChain,
+    morsels: Vec<Morsel>,
+    ctx: &Arc<ExecContext>,
+    sink: Arc<S>,
     parts: Vec<S::Part>,
 ) -> Result<Vec<S::Part>> {
     let workers = chain_workers(ctx, morsels.len());
     let window_cap = workers * REORDER_WINDOW_PER_WORKER;
-    let shared = Shared {
+    let shared = Arc::new(Shared {
         chain,
         morsels,
-        ctx,
+        ctx: Arc::clone(ctx),
         sink,
         claim: AtomicUsize::new(0),
         cancel: AtomicBool::new(false),
@@ -954,44 +959,35 @@ fn run_chain<S: Sink>(
         cond: Condvar::new(),
         window_cap,
         workers,
-    };
+    });
 
     // An unwinding worker (a panic in an operator or in the sink) must stop
-    // the others and wake every waiter — otherwise threads blocked on the
-    // condvar would wait forever and the scope's implicit join would hang
-    // the query instead of surfacing the panic.
-    struct StopOnPanic<'s, 'a, S: Sink>(&'s Shared<'a, S>);
-    impl<S: Sink> Drop for StopOnPanic<'_, '_, S> {
+    // the others and wake every waiter — otherwise workers blocked on the
+    // condvar would wait forever and the job would hang the query instead
+    // of surfacing the panic.
+    struct StopOnPanic<'s, S: Sink>(&'s Shared<S>);
+    impl<S: Sink> Drop for StopOnPanic<'_, S> {
         fn drop(&mut self) {
             if std::thread::panicking() {
                 self.0.stop();
             }
         }
     }
-    let worker = |w: usize| -> Result<()> {
-        let _stop_on_panic = StopOnPanic(&shared);
-        // One scratch per worker, reused for every morsel it claims:
-        // steady-state probing allocates nothing.
-        let mut scratch = MorselScratch::new();
-        let out = shared.work(w, &mut scratch);
-        crate::util::flush_scratch_stats(&ctx.stats, &mut scratch);
-        out
-    };
-    let panicked = || BfqError::Execution("morsel worker panicked".into());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|w| scope.spawn(move || worker(w)))
-            .collect();
-        let mut result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(0)))
-            .unwrap_or_else(|_| Err(panicked()));
-        for handle in handles {
-            let joined = handle.join().unwrap_or_else(|_| Err(panicked()));
-            if let (Err(e), Ok(())) = (joined, &result) {
-                result = Err(e);
-            }
+    let worker = {
+        let shared = Arc::clone(&shared);
+        move |w: usize| -> Result<()> {
+            let _stop_on_panic = StopOnPanic(&shared);
+            // One scratch per worker, reused for every morsel it claims:
+            // steady-state probing allocates nothing.
+            let mut scratch = MorselScratch::new();
+            let out = shared.work(w, &mut scratch);
+            crate::util::flush_scratch_stats(&shared.ctx.stats, &mut scratch);
+            out
         }
-        result
-    })?;
+    };
+    ctx.options.pool.run(workers, worker)?;
+    let shared = Arc::into_inner(shared)
+        .ok_or_else(|| BfqError::internal("a pipeline worker outlived its job"))?;
     Ok(shared.parts.into_iter().map(Mutex::into_inner).collect())
 }
 
@@ -1097,17 +1093,15 @@ impl Sink for AggSink {
 
 /// Run a chain into a collecting sink: [`PartitionedData`] by partition
 /// of origin, in source order within each partition.
-fn run_chain_collect(head: &Arc<PhysicalPlan>, ctx: &ExecContext) -> Result<PartitionedData> {
+fn run_chain_collect(head: &Arc<PhysicalPlan>, ctx: &Arc<ExecContext>) -> Result<PartitionedData> {
     let (chain, morsels) = prepare_chain(head, ctx)?;
     let empty = vec![Vec::new(); chain.partitions];
-    let [partitions] =
-        <[_; 1]>::try_from(run_chain(&chain, &morsels, ctx, &CollectSink, vec![empty])?)
-            .map_err(|_| BfqError::internal("collect sink has one partition"))?;
-    ctx.stats.buffer_shrink(chain.sealed_rows());
-    Ok(PartitionedData {
-        types: chain.types.clone(),
-        partitions,
-    })
+    let (sealed_rows, types) = (chain.sealed_rows(), chain.types.clone());
+    let collected = run_chain(chain, morsels, ctx, Arc::new(CollectSink), vec![empty])?;
+    let [partitions] = <[_; 1]>::try_from(collected)
+        .map_err(|_| BfqError::internal("collect sink has one partition"))?;
+    ctx.stats.buffer_shrink(sealed_rows);
+    Ok(PartitionedData { types, partitions })
 }
 
 /// Execute a plan to completion, gathering the result into one chunk.
@@ -1121,20 +1115,26 @@ pub fn execute_plan(
     catalog: Arc<Catalog>,
     options: ExecOptions,
 ) -> Result<QueryOutput> {
-    let ctx = ExecContext::with_options(catalog, options);
+    let ctx = Arc::new(ExecContext::with_options(catalog, options));
     let data = execute_pipelined(plan, &ctx)?;
     let chunk = data.into_single_chunk()?;
     Ok(QueryOutput {
         chunk,
-        stats: ctx.stats,
+        stats: sole_context(ctx)?.stats,
     })
+}
+
+/// The query's context once every pipeline has run: no pool job refers to
+/// it any more.
+fn sole_context(ctx: Arc<ExecContext>) -> Result<ExecContext> {
+    Arc::into_inner(ctx).ok_or_else(|| BfqError::internal("a pool job outlived its query"))
 }
 
 /// Recursively execute `plan`: streamable chains as morsel pipelines,
 /// with breakers sealing their inputs.
 pub(crate) fn execute_pipelined(
     plan: &Arc<PhysicalPlan>,
-    ctx: &ExecContext,
+    ctx: &Arc<ExecContext>,
 ) -> Result<PartitionedData> {
     // Breaker nodes are profiled inclusively: the span covers the breaker's
     // own work *and* its input pipelines (chain ops inside those pipelines
@@ -1172,9 +1172,13 @@ pub(crate) fn execute_pipelined(
                 // path by the arm above.
                 ExchangeKind::Gather => unreachable!("gather runs fused in a pipeline chain"),
                 ExchangeKind::Broadcast => exchange::broadcast(data, ctx.options.dop),
-                ExchangeKind::Repartition(cols) => {
-                    exchange::repartition(data, &input.layout, cols, ctx.options.dop)?
-                }
+                ExchangeKind::Repartition(cols) => exchange::repartition(
+                    &ctx.options.pool,
+                    data,
+                    &input.layout,
+                    cols,
+                    ctx.options.dop,
+                )?,
             };
             seal_node(plan, &out, in_rows, ctx, started);
             Ok(out)
@@ -1195,7 +1199,13 @@ pub(crate) fn execute_pipelined(
             // alone.
             let (chain, morsels) = prepare_chain(input, ctx)?;
             let workers = chain_workers(ctx, morsels.len());
-            let sink = AggSink::new(&input.layout, &chain.types, group_by, aggs, workers)?;
+            let sink = Arc::new(AggSink::new(
+                &input.layout,
+                &chain.types,
+                group_by,
+                aggs,
+                workers,
+            )?);
             let parts = (0..sink.partitions())
                 .map(|_| {
                     let mut part = sink.partition();
@@ -1203,8 +1213,9 @@ pub(crate) fn execute_pipelined(
                     part
                 })
                 .collect();
-            let parts = run_chain(&chain, &morsels, ctx, &sink, parts)?;
-            ctx.stats.buffer_shrink(chain.sealed_rows());
+            let sealed_rows = chain.sealed_rows();
+            let parts = run_chain(chain, morsels, ctx, Arc::clone(&sink), parts)?;
+            ctx.stats.buffer_shrink(sealed_rows);
             let out = sink.finish(parts, having, &plan.layout)?;
             let types = output_types(&out);
             let out = PartitionedData {
@@ -1233,14 +1244,14 @@ pub(crate) fn execute_pipelined(
             // Streaming LIMIT: consume morsel outputs in order and cancel
             // the pipeline the moment enough rows arrived.
             let (chain, morsels) = prepare_chain(input, ctx)?;
-            let limit = LimitSink { n: *n };
-            let kept = run_chain(&chain, &morsels, ctx, &limit, vec![(Vec::new(), 0)])?;
+            let (sealed_rows, types) = (chain.sealed_rows(), chain.types.clone());
+            let limit = Arc::new(LimitSink { n: *n });
+            let kept = run_chain(chain, morsels, ctx, limit, vec![(Vec::new(), 0)])?;
             let collected: Vec<Chunk> = kept.into_iter().flat_map(|(chunks, _)| chunks).collect();
-            ctx.stats.buffer_shrink(chain.sealed_rows());
+            ctx.stats.buffer_shrink(sealed_rows);
             let chunk = if collected.is_empty() {
                 Chunk::new(
-                    chain
-                        .types
+                    types
                         .iter()
                         .map(|dt| Arc::new(Column::nulls(*dt, 0)))
                         .collect(),
@@ -1251,7 +1262,7 @@ pub(crate) fn execute_pipelined(
             let keep = (*n).min(chunk.rows());
             let sel: Vec<u32> = (0..keep as u32).collect();
             let out = PartitionedData {
-                types: chain.types.clone(),
+                types,
                 partitions: vec![vec![chunk.take(&sel)]],
             };
             seal_node(plan, &out, 0, ctx, started);
@@ -1269,11 +1280,12 @@ pub(crate) fn execute_pipelined(
             let in_rows = (inner_data.total_rows() + outer_data.total_rows()) as u64;
             let joined_layout = outer.layout.concat(&inner.layout);
             let out = crate::join::nestloop_join(
-                &outer_data,
-                &inner_data,
+                &ctx.options.pool,
+                outer_data,
+                inner_data,
                 *kind,
-                predicate,
-                &joined_layout,
+                predicate.clone(),
+                joined_layout,
             )?;
             seal_node(plan, &out, in_rows, ctx, started);
             Ok(out)
@@ -1432,8 +1444,8 @@ impl Iterator for ChunkStream {
 /// (hash-join builds must see their whole build side, and Bloom filters
 /// must be complete before probe scans start — paper §3.9), but the final
 /// streamable chain — typically scan → probe → project — runs **one morsel
-/// per pull**, on the consumer's thread. No worker threads outlive this
-/// call, so dropping the stream mid-way leaks nothing; undrained morsels
+/// per pull**, on the consumer's thread. No pool job outlives this call,
+/// so dropping the stream mid-way leaves no work behind; undrained morsels
 /// are simply never scanned.
 ///
 /// Chunk order is partition-major: concatenating the stream yields exactly
@@ -1443,13 +1455,13 @@ pub fn execute_plan_stream(
     catalog: Arc<Catalog>,
     options: ExecOptions,
 ) -> Result<ChunkStream> {
-    let ctx = ExecContext::with_options(catalog, options);
+    let ctx = Arc::new(ExecContext::with_options(catalog, options));
     if is_streamable(&plan.node) || matches!(plan.node, PhysicalNode::Scan { .. }) {
         // Seal everything below the final pipeline, then pull lazily.
         let (chain, morsels) = prepare_chain(plan, &ctx)?;
         let types = chain.types.clone();
         Ok(ChunkStream {
-            ctx,
+            ctx: sole_context(ctx)?,
             types,
             state: StreamState::Pipeline {
                 chain: Box::new(chain),
@@ -1469,7 +1481,7 @@ pub fn execute_plan_stream(
             .filter(|c| !c.is_empty())
             .collect();
         Ok(ChunkStream {
-            ctx,
+            ctx: sole_context(ctx)?,
             types,
             state: StreamState::Materialized(pending),
         })

@@ -119,7 +119,7 @@ impl Connection {
         let total = SpanTimer::start();
         let (catalog, cached, cache_hit, mut phases) = self.plan_parameter_free(sql)?;
         let span = SpanTimer::start();
-        let (options, _guard) = arm(exec_options(&self.settings), &self.cancel_hub);
+        let (options, _guard) = arm(self.exec_options(), &self.cancel_hub);
         let out = execute_plan(&cached.optimized.plan, catalog, options)?;
         phases.execute_ns = span.elapsed_ns();
         phases.total_ns = total.elapsed_ns();
@@ -146,7 +146,7 @@ impl Connection {
     pub fn execute_stream(&self, sql: &str) -> Result<QueryStream> {
         let (catalog, cached, cache_hit, phases) = self.plan_parameter_free(sql)?;
         let exec_span = SpanTimer::start();
-        let (options, guard) = arm(exec_options(&self.settings), &self.cancel_hub);
+        let (options, guard) = arm(self.exec_options(), &self.cancel_hub);
         let stream = execute_plan_stream(&cached.optimized.plan, catalog, options)?;
         Ok(QueryStream {
             column_names: cached.output_names.clone(),
@@ -191,7 +191,7 @@ impl Connection {
         Ok(PreparedStatement::new(
             self.engine.clone(),
             catalog,
-            exec_options(&self.settings),
+            self.exec_options(),
             cached,
             cache_hit,
             sql.to_string(),
@@ -207,17 +207,19 @@ impl Connection {
         let bound = plan_sql(sql, &catalog, &mut bindings)?;
         bfq_core::optimize(&bound.plan, &mut bindings, &catalog, &self.settings.plan)
     }
-}
 
-/// What an execution under `settings` is told: the two plan settings the
-/// executor must honour, the execution-only ones whole, and no
-/// interruption token yet (see [`arm`]).
-fn exec_options(settings: &Settings) -> ExecOptions {
-    ExecOptions {
-        dop: settings.plan.dop,
-        index_mode: settings.plan.index_mode,
-        exec: settings.exec,
-        interrupt: None,
+    /// What an execution under this session's settings is told: the two
+    /// plan settings the executor must honour, the execution-only ones
+    /// whole, the engine's worker pool, and no interruption token yet (see
+    /// [`arm`]).
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
+            dop: self.settings.plan.dop,
+            index_mode: self.settings.plan.index_mode,
+            exec: self.settings.exec,
+            interrupt: None,
+            pool: Arc::clone(self.engine.pool()),
+        }
     }
 }
 

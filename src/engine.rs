@@ -17,7 +17,7 @@ use std::sync::Arc;
 use bfq_catalog::Catalog;
 use bfq_common::{Result, TableId};
 use bfq_core::{optimize, CachedPlan, OptimizedQuery, OptimizerConfig, PlanCache, PlanCacheStats};
-use bfq_exec::{ExecConfig, ExecStats};
+use bfq_exec::{ExecConfig, ExecStats, WorkerPool};
 use bfq_obs::{fingerprint, EngineMetrics, FlightRecorder, SpanTimer};
 use bfq_plan::{Bindings, PhysicalNode};
 use bfq_sql::{bind, normalize_sql, parse_select};
@@ -320,6 +320,9 @@ pub struct Engine {
     metrics: EngineMetrics,
     /// Bounded ring of recent query profiles ([`Engine::recent_queries`]).
     recorder: FlightRecorder,
+    /// The helper threads every execution's fan-outs run on: the default
+    /// dop's `dop − 1`, started here and joined when the engine drops.
+    pool: Arc<WorkerPool>,
 }
 
 impl Engine {
@@ -332,6 +335,7 @@ impl Engine {
     pub fn over_catalog(catalog: Arc<Catalog>, config: EngineConfig) -> Arc<Engine> {
         let cache = PlanCache::with_capacity(config.plan_cache_capacity);
         let recorder = FlightRecorder::new(config.flight_recorder_capacity);
+        let pool = Arc::new(WorkerPool::new(config.settings.plan.dop.max(1) - 1));
         Arc::new(Engine {
             catalog: RwLock::new(catalog),
             mutation: parking_lot::Mutex::new(()),
@@ -339,6 +343,7 @@ impl Engine {
             cache,
             metrics: EngineMetrics::new(),
             recorder,
+            pool,
         })
     }
 
@@ -386,6 +391,11 @@ impl Engine {
     /// The engine-wide configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// The worker pool the engine's executions fan out on.
+    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
     }
 
     /// Plan-cache effectiveness counters (hits, misses, evictions, …).
