@@ -104,9 +104,7 @@ pub fn make_scan_subplan(
             .collect(),
     );
 
-    // A scan's distribution is one of the fixed ids, so seeding a leaf
-    // needs no interner.
-    let (node, dist, dist_id, cost) = match &base_rel.source {
+    let (node, cost) = match &base_rel.source {
         RelSource::Table(base) => {
             // Read volume reflects chunk-level data skipping: chunks the
             // zone maps rule out are never touched.
@@ -125,12 +123,7 @@ pub fn make_scan_subplan(
                 predicate,
                 blooms,
             };
-            (
-                node,
-                Distribution::AnyPartitioned,
-                DistId::ANY_PARTITIONED,
-                cost,
-            )
+            (node, cost)
         }
         RelSource::Derived(_) => {
             let (input, input_cost) = derived
@@ -157,14 +150,19 @@ pub fn make_scan_subplan(
                 predicate,
                 blooms,
             };
-            (
-                node,
-                Distribution::Single,
-                DistId::SINGLE,
-                input_cost.plus(work),
-            )
+            (node, input_cost.plus(work))
         }
     };
+    // A table scan is partitioned across the workers, a derived scan runs
+    // where its input was gathered. On one stream a scan seeded `Single`
+    // leaves phase 2 no exchange to place above it. A scan's distribution
+    // is one of the fixed ids, so seeding a leaf needs no interner.
+    let (dist, dist_id) =
+        if model.single_stream() || matches!(node, PhysicalNode::DerivedScan { .. }) {
+            (Distribution::Single, DistId::SINGLE)
+        } else {
+            (Distribution::AnyPartitioned, DistId::ANY_PARTITIONED)
+        };
     let plan = PhysicalPlan::new(node, layout, rows_out, dist);
     Ok(SubPlan {
         plan: PlanRef::Leaf(plan),
@@ -175,6 +173,21 @@ pub fn make_scan_subplan(
     })
 }
 
+/// Heuristics 5 and 6, the admission test BF-CBO's costing and the
+/// post-processing pass share: a filter is admitted when its effective build
+/// NDV fits the size budget (H5) and its semi-join selectivity, false
+/// positives excluded, is at most the threshold (H6). Returns that NDV.
+pub(crate) fn admitted_build_ndv(
+    bf: &BfAssumption,
+    est: &Estimator<'_>,
+    config: &OptimizerConfig,
+) -> Option<f64> {
+    let ndv = est.effective_build_ndv(bf.build_col, bf.delta);
+    (ndv <= config.bf_max_build_ndv
+        && est.bf_semi_selectivity(bf) <= config.bf_selectivity_threshold)
+        .then_some(ndv)
+}
+
 /// Filter one candidate's Δ by Heuristics 5 and 6, returning the surviving
 /// assumptions.
 fn surviving_options(
@@ -182,26 +195,17 @@ fn surviving_options(
     est: &Estimator<'_>,
     config: &OptimizerConfig,
 ) -> Vec<BfAssumption> {
-    let mut out = Vec::new();
-    for &delta in &cand.deltas {
-        let bf = BfAssumption {
+    cand.deltas
+        .iter()
+        .map(|&delta| BfAssumption {
             apply_rel: cand.apply_rel,
             apply_col: cand.apply_col,
             build_rel: cand.build_rel,
             build_col: cand.build_col,
             delta,
-        };
-        // Heuristic 5: filter must fit the size budget (upper-bound NDV).
-        if est.effective_build_ndv(bf.build_col, delta) > config.bf_max_build_ndv {
-            continue;
-        }
-        // Heuristic 6: must be selective enough (excluding false positives).
-        if est.bf_semi_selectivity(&bf) > config.bf_selectivity_threshold {
-            continue;
-        }
-        out.push(bf);
-    }
-    out
+        })
+        .filter(|bf| admitted_build_ndv(bf, est, config).is_some())
+        .collect()
 }
 
 /// Build the initial plan list of every relation: the plain scan plus the

@@ -3,8 +3,8 @@
 //!
 //! Ordinary Selinger-style dynamic programming — one join method per split
 //! (a hash join when an equi clause connects the sides, otherwise a nested
-//! loop), all distribution (streaming) alternatives — plus the Bloom filter
-//! legality rules:
+//! loop), all distribution (streaming) alternatives at dop ≥ 2 and only the
+//! single stream at dop 1 — plus the Bloom filter legality rules:
 //!
 //! * a pending filter whose δ is fully covered by the build side **resolves**
 //!   there; the join must be a hash join and gains a [`BloomBuild`];
@@ -74,13 +74,13 @@ enum Move {
     Repartition,
 }
 
-/// One distribution alternative for a join.
+/// One distribution alternative for a join. It runs on a single stream
+/// when its output is `Single`, and every worker builds the whole inner
+/// side when that side is broadcast to the workers.
 struct DistOpt {
     outer_ex: Option<Move>,
     inner_ex: Option<Move>,
     out_dist: DistId,
-    single_stream: bool,
-    build_replicated: bool,
 }
 
 /// What every sub-plan pair of one split shares, computed once per split.
@@ -153,48 +153,45 @@ impl SplitCtx {
     }
 
     /// The distribution alternatives for joining `outer` to `inner` here.
-    fn dist_opts(&self, outer: &SubPlan, inner: &SubPlan) -> impl Iterator<Item = DistOpt> {
-        let hash = self.is_hash();
+    /// On one stream every side is that stream, and an exchange would move
+    /// nothing: the move-free single-stream join is the only alternative.
+    fn dist_opts(
+        &self,
+        model: &CostModel,
+        outer: &SubPlan,
+        inner: &SubPlan,
+    ) -> impl Iterator<Item = DistOpt> {
+        let (hash, parallel) = (self.is_hash(), !model.single_stream());
         let single =
             (outer.dist == DistId::SINGLE && inner.dist == DistId::SINGLE).then_some(DistOpt {
                 outer_ex: None,
                 inner_ex: None,
                 out_dist: DistId::SINGLE,
-                single_stream: true,
-                build_replicated: false,
             });
         // Repartition both sides on the join keys (skipping sides already
         // partitioned exactly right — the paper's partition-aligned case).
-        let repartition = hash.then(|| DistOpt {
+        let repartition = (parallel && hash).then(|| DistOpt {
             outer_ex: (outer.dist != self.outer_hash).then_some(Move::Repartition),
             inner_ex: (inner.dist != self.inner_hash).then_some(Move::Repartition),
             out_dist: self.outer_hash,
-            single_stream: false,
-            build_replicated: false,
         });
         // Broadcast the build side (paper §3.9 case 1).
-        let broadcast_build = (outer.dist != DistId::REPLICATED).then(|| {
-            let single = outer.dist == DistId::SINGLE;
-            DistOpt {
-                outer_ex: None,
-                inner_ex: Some(Move::Broadcast),
-                out_dist: outer.dist,
-                single_stream: single,
-                build_replicated: !single,
-            }
+        let broadcast_build = (parallel && outer.dist != DistId::REPLICATED).then_some(DistOpt {
+            outer_ex: None,
+            inner_ex: Some(Move::Broadcast),
+            out_dist: outer.dist,
         });
         // Broadcast the probe side (paper §3.9 case 2) — inner hash joins
         // only: duplicated probe rows would corrupt semi/anti/outer
         // semantics.
-        let broadcast_probe = (hash
+        let broadcast_probe = (parallel
+            && hash
             && self.split.kind == JoinKind::Inner
             && (inner.dist == DistId::ANY_PARTITIONED || inner.dist.is_hash()))
         .then_some(DistOpt {
             outer_ex: Some(Move::Broadcast),
             inner_ex: None,
             out_dist: DistId::ANY_PARTITIONED,
-            single_stream: false,
-            build_replicated: false,
         });
         [single, repartition, broadcast_build, broadcast_probe]
             .into_iter()
@@ -413,18 +410,20 @@ fn try_join(
         .fold(ctx.join_card, |rows, p| rows * p.pass)
         .max(1.0);
 
-    for opt in ctx.dist_opts(outer_sp, inner_sp) {
+    for opt in ctx.dist_opts(model, outer_sp, inner_sp) {
+        let single_stream = opt.out_dist == DistId::SINGLE;
         let join_cost = if ctx.is_hash() {
+            let build_replicated = matches!(opt.inner_ex, Some(Move::Broadcast)) && !single_stream;
             model.hash_join(
                 inner_sp.rows,
                 outer_sp.rows,
                 rows_out,
                 resolving,
-                opt.build_replicated,
-                opt.single_stream,
+                build_replicated,
+                single_stream,
             )
         } else {
-            model.nestloop_join(outer_sp.rows, inner_sp.rows, rows_out, opt.single_stream)
+            model.nestloop_join(outer_sp.rows, inner_sp.rows, rows_out, single_stream)
         };
         let cost = outer_sp
             .cost
@@ -941,6 +940,54 @@ mod tests {
         let (_, _, joined) = search(&fx.block, &est, &model, &config, &space, precapped).unwrap();
         assert_eq!(capped.h7_pruned, seeded + joined.h7_pruned, "{capped:?}");
         assert!(joined.h7_pruned > 0, "{joined:?}");
+    }
+
+    #[test]
+    fn dop_1_offers_one_move_free_option_per_split() {
+        let side = |dist| SubPlan {
+            plan: PlanRef::Join(0),
+            rows: 1_000.0,
+            cost: Cost::ZERO,
+            dist,
+            pending: vec![],
+        };
+        for (i, fx) in fixtures().iter().enumerate() {
+            for mode in [BloomMode::None, BloomMode::Cbo] {
+                let mut config = OptimizerConfig::with_mode(mode).dop(1);
+                config.bf_min_apply_rows = 100.0;
+                // Costing seeds every relation as the one stream ...
+                for list in initial_lists(fx, &config) {
+                    assert!(list.plans().iter().all(|sp| sp.dist == DistId::SINGLE));
+                }
+                // ... so every split offers the single-stream join alone,
+                // where dop 2 offers more for every equi-join.
+                let space = join_space(&fx.block);
+                let mut dists = DistInterner::default();
+                let single = side(DistId::SINGLE);
+                let partitioned = side(DistId::ANY_PARTITIONED);
+                for split in space.sets.iter().flat_map(|e| e.splits.iter().copied()) {
+                    let ctx = SplitCtx::new(&fx.block, &space.graph, &mut dists, split, 1.0);
+                    let opts: Vec<DistOpt> = ctx
+                        .dist_opts(&CostModel::new(1), &single, &single)
+                        .collect();
+                    assert_eq!(opts.len(), 1, "fixture {i}: {split:?}");
+                    assert!(opts[0].outer_ex.is_none() && opts[0].inner_ex.is_none());
+                    assert_eq!(opts[0].out_dist, DistId::SINGLE);
+                    let parallel = ctx
+                        .dist_opts(&CostModel::new(2), &partitioned, &partitioned)
+                        .count();
+                    assert!(parallel >= 2 || !ctx.is_hash(), "fixture {i}: {split:?}");
+                }
+                // The DP records no exchange and costs one alternative per
+                // legal pair.
+                let (arena, _, stats) = search_fixture(fx, &config);
+                assert!(arena
+                    .joins
+                    .iter()
+                    .all(|j| j.outer_ex.is_none() && j.inner_ex.is_none()));
+                assert!(stats.generated <= stats.pairs, "fixture {i}: {stats:?}");
+            }
+        }
     }
 
     #[test]

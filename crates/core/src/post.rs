@@ -19,6 +19,7 @@ use bfq_common::{FilterId, RelSet, TableId};
 use bfq_cost::{BfAssumption, Estimator};
 use bfq_plan::{BloomApply, BloomBuild, JoinKind, PhysicalNode, PhysicalPlan, QueryBlock};
 
+use crate::costing::admitted_build_ndv;
 use crate::OptimizerConfig;
 
 /// Add post-processing Bloom filters to a finished block plan. Returns the
@@ -95,15 +96,9 @@ fn rewrite(
                 if est.bf_is_lossless(&bf) {
                     continue;
                 }
-                // Heuristic 5: size budget.
-                let ndv = est.effective_build_ndv(inner_col, delta);
-                if ndv > config.bf_max_build_ndv {
+                let Some(ndv) = admitted_build_ndv(&bf, est, config) else {
                     continue;
-                }
-                // Heuristic 6: selectivity threshold.
-                if est.bf_semi_selectivity(&bf) > config.bf_selectivity_threshold {
-                    continue;
-                }
+                };
                 let id = FilterId(*next_filter);
                 let apply = BloomApply {
                     filter: id,

@@ -107,6 +107,13 @@ impl CostModel {
         self.dop as f64
     }
 
+    /// Whether plans for this model run on one stream. There a broadcast,
+    /// repartition or gather moves nothing, so the optimizer seeds every
+    /// scan `Single` and places no exchange.
+    pub fn single_stream(&self) -> bool {
+        self.dop <= 1
+    }
+
     /// Scan cost: read `input_rows`, evaluate `n_preds` predicates and
     /// `n_bloom` Bloom filters per row, emit `output_rows`. Scans are always
     /// partitioned across workers.

@@ -29,7 +29,8 @@
 //! (query, data, dop), and equal to the reference interpreter (`bfq-ref`)
 //! as a normalized multiset: every morsel carries a worker-partition and a
 //! sequence position in *partition-major order* (partition `p` owns table
-//! chunks `p`, `p + dop`, …; partitions follow one another), and every
+//! chunks `p`, `p + dop`, …, or all of a scan the plan records as
+//! `Single`; partitions follow one another), and every
 //! sink partition consumes in sequence — collected output keeps source
 //! order, LIMIT a prefix, and each aggregation group (whose rows all route
 //! to one partition) folds its rows, floats included, in input order. The
@@ -56,7 +57,7 @@ use bfq_expr::{eval, eval_predicate, Expr, Layout};
 use bfq_index::{IndexMode, TableIndex};
 use bfq_plan::{
     pipeline::{is_streamable, streaming_child},
-    ExchangeKind, JoinKind, OutputColumn, PhysicalNode, PhysicalPlan,
+    Distribution, ExchangeKind, JoinKind, OutputColumn, PhysicalNode, PhysicalPlan,
 };
 use bfq_storage::{Chunk, Column, Table};
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -449,7 +450,13 @@ fn prepare_chain(
             } else {
                 None
             };
-            let dop = ctx.options.dop;
+            // A scan the plan records as `Single` runs on one stream, like a
+            // derived scan; any other is spread over the workers.
+            let dop = if cursor.distribution == Distribution::Single {
+                1
+            } else {
+                ctx.options.dop
+            };
             let n_chunks = table.chunks().len();
             // Partition-major enumeration: chunks are dealt round-robin, so
             // chunk `ci` belongs to partition `ci % dop`, and a gather reads
@@ -1493,7 +1500,7 @@ mod tests {
     use super::*;
     use bfq_common::{ColumnId, TableId};
     use bfq_expr::BinOp;
-    use bfq_plan::{Distribution, OutputColumn};
+    use bfq_plan::OutputColumn;
     use bfq_storage::{Field, Schema};
 
     fn fixture() -> (Arc<Catalog>, TableId) {

@@ -9,7 +9,7 @@ use bfq::core::synth::{chain_block, star_block, ChainSpec, Fixture};
 use bfq::core::{optimize, optimize_bare_block, BloomMode, OptimizedQuery, OptimizerConfig};
 use bfq::cost::BfAssumption;
 use bfq::exec::{execute_plan, ExecOptions};
-use bfq::plan::{Bindings, LogicalPlan};
+use bfq::plan::{Bindings, LogicalPlan, PhysicalNode, PhysicalPlan};
 use bfq::sql::{plan_sql, BoundQuery};
 use bfq::Settings;
 use proptest::prelude::*;
@@ -251,6 +251,65 @@ fn heuristic7_leaves_every_tpch_plan_unchanged() {
             let (capped, uncapped) = (explain(&on), explain(&off));
             assert_eq!(capped, uncapped, "Q{q} at dop {dop}");
         }
+    }
+}
+
+/// The prepared 4-way join of `bench/e2e`'s `serve_mix`, which runs every
+/// session at dop 1.
+const SERVE_JOIN_SQL: &str = "select count(*) \
+     from orders, customer, nation, region \
+     where o_custkey = c_custkey and c_nationkey = n_nationkey \
+       and n_regionkey = r_regionkey and o_orderkey = ?";
+
+fn exchanges(plan: &Arc<PhysicalPlan>) -> usize {
+    let mut n = 0;
+    plan.visit(&mut |p| {
+        if matches!(p.node, PhysicalNode::Exchange { .. }) {
+            n += 1;
+        }
+    });
+    n
+}
+
+/// At dop 1 there is one stream, so an exchange moves nothing: no plan of
+/// the 22 TPC-H queries under any Bloom mode carries one, nor does
+/// `serve_mix`'s prepared join, and phase 2, which enumerates no
+/// distribution alternative there, generates at most a tenth of the
+/// sub-plans it does at dop 2.
+#[test]
+fn dop_1_plans_have_no_exchange_and_search_a_tenth_of_dop_2() {
+    let sf = 0.01;
+    let db = bfq::tpch::gen::generate(sf, 20260731).expect("generate");
+    for mode in [BloomMode::None, BloomMode::Post, BloomMode::Cbo] {
+        let generated = |dop| {
+            let config = OptimizerConfig {
+                bloom_mode: mode,
+                ..Settings::default().plan.dop(dop)
+            };
+            let mut sum = 0;
+            for q in bfq::tpch::supported_queries() {
+                let planned = plan_with(&db.catalog, &bfq::tpch::query_text(q, sf), &config);
+                if dop == 1 {
+                    let shown = planned.plan.explain(&|c| c.to_string());
+                    assert_eq!(exchanges(&planned.plan), 0, "Q{q} {mode:?}:\n{shown}");
+                }
+                sum += planned.stats.phase2.generated;
+            }
+            sum
+        };
+        let (one, two) = (generated(1), generated(2));
+        assert!(
+            10 * one <= two,
+            "{mode:?}: phase 2 generated {one} sub-plans at dop 1 against {two} at dop 2"
+        );
+    }
+    let engine = bfq::Engine::new(db, bfq::EngineConfig::default().with_dop(1));
+    for mode in ["none", "post", "cbo"] {
+        let mut conn = engine.connect();
+        conn.set("bloom_mode", mode).expect("set bloom_mode");
+        let stmt = conn.prepare(SERVE_JOIN_SQL).expect("prepare");
+        let shown = stmt.plan().explain(&|c| c.to_string());
+        assert_eq!(exchanges(stmt.plan()), 0, "{mode}:\n{shown}");
     }
 }
 

@@ -12,7 +12,9 @@
 //! * **per-node actuals agree**: the root's actual row count is the
 //!   reference's row count, per-node actuals are identical with `profile`
 //!   on and off, and — under every Bloom mode, without early-exiting
-//!   LIMITs — identical across dop.
+//!   LIMITs — identical across dop;
+//! * **a plan keeps its streams**: a dop-1 plan, whose scans are `Single`
+//!   and whose joins carry no exchange, gives its dop-1 answer at dop 4.
 //!
 //! Also verified here: dropping a `ChunkStream` mid-stream leaks no worker
 //! threads (the final pipeline runs on the consumer's thread), a timeout
@@ -26,7 +28,7 @@ use bfq::exec::{execute_plan, ExecOptions};
 use bfq::plan::PhysicalPlan;
 use bfq::prelude::*;
 use bfq::tpch;
-use common::{exact_rows, tpch_expected};
+use common::{canonical_order, exact_rows, same_row, tpch_expected};
 use std::sync::Arc;
 
 const SF: f64 = 0.005;
@@ -149,6 +151,35 @@ fn per_node_actuals_do_not_depend_on_dop() {
                     serial,
                     "Q{q} {mode:?}: dop={dop} differs from dop=1"
                 );
+            }
+        }
+    }
+}
+
+/// A plan runs on the streams its distributions record, whatever dop it
+/// is executed at: a dop-1 plan seeds its scans `Single` and carries no
+/// exchange, and at dop 4 its joins still see every row on one stream.
+#[test]
+fn a_dop_1_plan_gives_its_dop_1_answer_at_dop_4() {
+    let db = tpch::gen::generate(SF, SEED).expect("generate");
+    let catalog = Arc::new(db.catalog);
+    for mode in [BloomMode::None, BloomMode::Post, BloomMode::Cbo] {
+        let config = EngineConfig::default().with_bloom_mode(mode).with_dop(1);
+        let conn = Engine::over_catalog(catalog.clone(), config).connect();
+        for q in tpch::supported_queries() {
+            let plan = conn
+                .plan_sql_only(&tpch::query_text(q, SF))
+                .expect("plan")
+                .plan;
+            let run = |dop: usize| {
+                let out = execute_plan(&plan, catalog.clone(), ExecOptions::with_dop(dop))
+                    .unwrap_or_else(|e| panic!("Q{q} {mode:?} dop={dop}: {e}"));
+                canonical_order(exact_rows(&out.chunk))
+            };
+            let (serial, parallel) = (run(1), run(4));
+            assert_eq!(parallel.len(), serial.len(), "Q{q} {mode:?}: row count");
+            for (a, b) in parallel.iter().zip(&serial) {
+                assert!(same_row(a, b), "Q{q} {mode:?}: {a:?} vs {b:?}");
             }
         }
     }
